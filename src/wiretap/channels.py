@@ -8,6 +8,7 @@ the experiment harness) consumes the types defined here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import Generator
@@ -18,6 +19,7 @@ from .exceptions import (
     OrientationError,
     ParameterError,
 )
+from .stacked import herm
 
 # sigma_F below this fraction of sigma_1 counts as rank deficient.
 RANK_TOL = 1e-10
@@ -154,27 +156,77 @@ def generate_channels(
     )
 
 
-def _fix_phases(u: np.ndarray | None, vh: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+def _fix_phases(u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rotate each right singular vector so its largest-magnitude entry is
     real and positive, rotating the matching left vector by the same phase.
 
-    The product u @ diag(s) @ vh is unchanged.  Ties on the largest entry
-    resolve to the lowest index.
+    Works over any leading batch axes and returns (u, v) with the right
+    vectors as the columns of v.  The product u @ diag(s) @ v^H is
+    unchanged.  Ties on the largest entry resolve to the lowest index, and a
+    zero pivot leaves its vector as is.
     """
-    v = vh.conj().T.copy()
-    if u is not None:
-        u = u.copy()
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        if pivot == 0:
-            continue
-        phase = pivot / abs(pivot)
-        v[:, j] = col / phase
-        if u is not None and j < u.shape[1]:
-            u[:, j] = u[:, j] / phase
-    return u, v.conj().T
+    v = np.conjugate(vh.swapaxes(-1, -2), order="C")
+    n = v.shape[-1]
+    flat = v.reshape(-1, n, n)
+    idx = np.argmax(np.abs(flat), axis=-2)
+    pivot = flat[np.arange(len(flat))[:, None], idx, np.arange(n)].reshape(v.shape[:-2] + (n,))
+    # hypot rounds like abs() of a complex scalar; np.abs over an array can
+    # differ in the last bit, which would move every single-channel result.
+    mag = np.hypot(pivot.real, pivot.imag)
+    phase = np.where(mag == 0, 1.0, pivot / np.where(mag == 0, 1.0, mag))
+    v = v / phase[..., None, :]
+    u = u / phase[..., None, : u.shape[-1]]
+    return u, v
+
+
+class SvdStack(NamedTuple):
+    """Phase-fixed SVDs of a stack of channels, as plain arrays.
+
+    ``u`` (..., m, m) and ``v`` (..., n, n) hold the left and right singular
+    vectors as columns, ``s`` (..., m) the singular values in descending
+    order, and ``ill_conditioned`` (...) the flag of :class:`SvdPartition`.
+    Column 0 of ``v`` is the dominant direction and ``v[..., 1:]`` the
+    interference subspace ``t_prime``.
+    """
+
+    u: np.ndarray
+    s: np.ndarray
+    v: np.ndarray
+    ill_conditioned: np.ndarray
+
+    def reconstruct(self) -> np.ndarray:
+        """Rebuild the channels from their decompositions."""
+        m = self.s.shape[-1]
+        return (self.u * self.s[..., None, :]) @ herm(self.v[..., :m])
+
+
+def partition_stack(h: np.ndarray) -> SvdStack:
+    """Stacked :func:`partition_svd` over the leading axes of ``h``.
+
+    One LAPACK call decomposes the whole stack; the phase convention and the
+    rank and gap checks are those of :func:`partition_svd`, and a rank
+    deficient matrix anywhere in the stack raises DegenerateChannelError.
+    """
+    m, n = h.shape[-2:]
+    if m > n:
+        raise OrientationError(
+            f"partition_svd expects rows <= cols, got {m}x{n}; pass the transpose"
+        )
+    u, s, vh = np.linalg.svd(h, full_matrices=True)
+    deficient = s[..., -1] < RANK_TOL * s[..., 0]
+    if np.any(deficient):
+        first = s.reshape(-1, m)[np.argmax(np.ravel(deficient))]
+        raise DegenerateChannelError(
+            f"smallest singular value {first[-1]:.3e} is below {RANK_TOL:.0e} "
+            f"of the largest {first[0]:.3e}"
+        )
+    u, v = _fix_phases(u, vh)
+    if m >= 2:
+        gaps = s[..., :-1] ** 2 - s[..., -1:] ** 2
+        ill = np.min(gaps, axis=-1) < GAP_TOL * s[..., 0] ** 2
+    else:
+        ill = np.zeros(s.shape[:-1], dtype=bool)
+    return SvdStack(u=u, s=s, v=v, ill_conditioned=ill)
 
 
 @dataclass(frozen=True)
@@ -264,24 +316,8 @@ def partition_svd(h) -> SvdPartition:
     gaps check it.
     """
     arr = as_matrix(h)
-    m, n = arr.shape
-    if m > n:
-        raise OrientationError(
-            f"partition_svd expects rows <= cols, got {m}x{n}; pass the transpose"
-        )
-    u, s, vh = np.linalg.svd(arr, full_matrices=True)
-    if s[-1] < RANK_TOL * s[0]:
-        raise DegenerateChannelError(
-            f"smallest singular value {s[-1]:.3e} is below {RANK_TOL:.0e} of the largest {s[0]:.3e}"
-        )
-    u, vh = _fix_phases(u, vh)
-    f = m
-    ill = False
-    if f >= 2:
-        gaps = s[:-1] ** 2 - s[-1] ** 2
-        ill = bool(np.min(gaps) < GAP_TOL * s[0] ** 2)
-    v = vh.conj().T
-    t_prime = v[:, 1:]
+    u, s, v, ill = partition_stack(arr)
+    f = arr.shape[0]
     return SvdPartition(
         u_s=u[:, : f - 1],
         sigma_s=s[: f - 1].copy(),
@@ -289,8 +325,8 @@ def partition_svd(h) -> SvdPartition:
         u_f=u[:, f - 1],
         sigma_f=float(s[f - 1]),
         v_f=v[:, f - 1],
-        t_prime=t_prime,
-        ill_conditioned=ill,
+        t_prime=v[:, 1:],
+        ill_conditioned=bool(ill),
     )
 
 

@@ -7,6 +7,16 @@ hierarchical and absolute: each random object derives from the master seed,
 a stream tag, and the trial index, which makes results bit-identical no
 matter how trials are split across worker processes.
 
+Trials run in blocks of ``BLOCK_TRIALS``.  A block draws each trial's own
+streams and stacks them, then runs every stage once for the whole block
+with numpy's stacked linear algebra: one SVD of the channels, one of the
+transmitter's estimates per error level, the closed-form i.i.d. moments,
+each scheme as a batched design (data direction, power, interference
+factor and the intended receiver's combiner), and one shared evaluation of
+the eavesdropper's MMSE combiner, both links and the secrecy metric.  No
+trial's numbers depend on its neighbours, so results are also bit-identical
+for any block size.
+
 Per-trial metrics are materialized and reduced once at the end; means are
 arithmetic means of linear SINR, and a pooled ratio-of-expectations figure
 (mean signal power over mean interference-plus-noise power) is kept
@@ -18,34 +28,32 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
-from .channels import (
-    ChannelMatrix,
-    ChannelSet,
-    CsiErrorModel,
-    SvdPartition,
-    complex_gaussian,
-    partition_svd,
-    perturb_ecsi,
+from .channels import SvdStack, complex_gaussian, partition_stack, perturb_ecsi
+from .exceptions import ConfigError, DegenerateChannelError, ParameterError
+from .perturbation import iid_moments, naive_terms
+from .robust import (
+    fdd_spectrum,
+    loaded_noise,
+    solve_fractions,
+    tdd_fraction,
+    tdd_shape,
+    whitened_combiner,
 )
-from .exceptions import ConfigError, ValidityRangeError
-from .perturbation import (
-    compute_moments,
-    naive_sinr_terms,
-    naive_trial,
-)
-from .robust import _fdd_trial, _tdd_trial
+from .stacked import herm, matvec, vdot
 from .transmit import (
-    bob_matched_beamformer,
-    design_artificial_noise,
-    design_known_ecsi,
-    eve_mmse_beamformer,
-    evaluate_sinr,
-    link_sinr,
-    secrecy_capacity_full,
+    eve_aware_direction,
+    full_secrecy_rates,
+    link_powers,
+    mmse_combiners,
+    noise_factors,
+    noise_share,
+    outage_fallback,
+    required_rho,
+    secrecy_capacity_proxy,
     secure_goodput,
 )
 from .units import from_db, to_db
@@ -78,6 +86,11 @@ _TAG_CHANNEL = 101
 _TAG_EVE = 102
 _TAG_ERROR = 103
 _TAG_ECSI = 104
+
+# Trials the engine evaluates together.  Results do not depend on it; it
+# bounds memory, since a block holds a few stacks of this many matrices per
+# sweep point (3,000 trials of a 20x20 Eve matrix are 19 MB).
+BLOCK_TRIALS = 256
 
 _METRICS = (
     "sinr_b", "sinr_e", "secrecy", "outage",
@@ -140,14 +153,30 @@ class ExperimentConfig:
         for v in _as_tuple(self.ne):
             if not isinstance(v, int) or v < 1:
                 raise ConfigError(f"ne values must be positive integers, got {v!r}")
+        for name in ("trials", "threads"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be at least 1, got {self.trials}")
         if self.threads < 1:
             raise ConfigError(f"threads must be at least 1, got {self.threads}")
         if not (0.0 <= self.gamma_ecsi <= 1.0):
             raise ConfigError(f"gamma_ecsi must lie in [0, 1], got {self.gamma_ecsi}")
-        if self.sigma_b_sq <= 0 or self.sigma_e_sq <= 0:
-            raise ConfigError("noise powers must be positive")
+        if not (0 < self.sigma_b_sq < np.inf and 0 < self.sigma_e_sq < np.inf):
+            raise ConfigError("noise powers must be positive and finite")
+        # Decibel values must be finite, and power and target must stay
+        # positive and finite in linear units too.
+        for name, positive in (("power_db", True), ("target_sinr_db", True),
+                               ("sigma_h_db", False)):
+            for value in _as_tuple(getattr(self, name)):
+                if value is None:
+                    continue
+                with np.errstate(over="ignore", under="ignore"):
+                    linear = np.power(10.0, value / 10.0)
+                finite = np.isfinite(value) and np.isfinite(linear)
+                if not (finite and (linear > 0 or not positive)):
+                    raise ConfigError(f"{name} must be a finite level, got {value!r}")
         if not self.schemes:
             raise ConfigError("at least one scheme is required")
         for s in self.schemes:
@@ -281,23 +310,6 @@ def _rng(cfg: ExperimentConfig, tag: int, trial: int, point: int | None = None):
     return np.random.default_rng(_seed(cfg, tag, trial, point))
 
 
-def _secrecy(cfg: ExperimentConfig, chan: ChannelSet, scheme, report) -> float:
-    """Per-trial secrecy under the configured metric.
-
-    "goodput" pays the provisioned secret rate only on trials where the
-    intended link actually reaches its target SINR, so schemes are compared
-    on secrecy they reliably deliver rather than on lucky fades; "proxy" is
-    the instantaneous clamped rate difference at the beamformer outputs;
-    "full" is the matrix mutual-information rate of the transmitted
-    covariance.
-    """
-    if cfg.secrecy_metric == "full":
-        return secrecy_capacity_full(chan, scheme)
-    if cfg.secrecy_metric == "goodput":
-        return secure_goodput(report.sinr_b, report.sinr_e, scheme.target_sinr)
-    return report.secrecy_capacity
-
-
 def _point_values(cfg: ExperimentConfig, axis_name: str, value):
     ne = value if axis_name == "ne" else cfg.ne
     target_db = value if axis_name == "target_sinr_db" else cfg.target_sinr_db
@@ -307,145 +319,288 @@ def _point_values(cfg: ExperimentConfig, axis_name: str, value):
 
 def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
     """Metrics for trials [lo, hi): shape (points, schemes, metrics, trials)."""
-    axis_name, axis_values = cfg.axis()
-    n_points = len(axis_values)
-    n_schemes = len(cfg.schemes)
-    out = np.full((n_points, n_schemes, len(_METRICS), hi - lo), np.nan)
-
-    power_p = cfg.power_p
-    needs_error = bool(_NEEDS_ERROR.intersection(cfg.schemes))
-    needs_moments = bool({"robust_tdd", "analytic_naive"}.intersection(cfg.schemes))
-    eve_per_point = axis_name == "ne"
-
-    for idx, trial in enumerate(range(lo, hi)):
-        h_ba = ChannelMatrix(
-            complex_gaussian(_rng(cfg, _TAG_CHANNEL, trial), cfg.nb, cfg.na)
-        )
-        svd = partition_svd(h_ba)
-        dh_unit = None
-        if needs_error:
-            dh_unit = complex_gaussian(_rng(cfg, _TAG_ERROR, trial), cfg.nb, cfg.na)
-        moments_unit = None
-        if needs_moments:
-            moments_unit = compute_moments(svd, CsiErrorModel.iid(1.0))
-
-        h_ea_fixed = None
-        ecsi_fixed = None
-        if not eve_per_point:
-            h_ea_fixed = ChannelMatrix(
-                complex_gaussian(_rng(cfg, _TAG_EVE, trial), _as_tuple(cfg.ne)[0], cfg.na)
-            )
-            if "imperfect_ecsi" in cfg.schemes:
-                ecsi_fixed = perturb_ecsi(
-                    h_ea_fixed, cfg.gamma_ecsi, _seed(cfg, _TAG_ECSI, trial)
-                )
-
-        for p, axis_value in enumerate(axis_values):
-            ne, target_db, sigma_db = _point_values(cfg, axis_name, axis_value)
-            target = float(from_db(target_db))
-            if eve_per_point:
-                h_ea = ChannelMatrix(
-                    complex_gaussian(_rng(cfg, _TAG_EVE, trial, p), ne, cfg.na)
-                )
-            else:
-                h_ea = h_ea_fixed
-            chan = ChannelSet(
-                h_ba=h_ba, h_ea=h_ea, sigma_b_sq=cfg.sigma_b_sq,
-                sigma_e_sq=cfg.sigma_e_sq, power_p=power_p,
-            )
-
-            part_tilde = None
-            moments = None
-            if needs_error and sigma_db is not None:
-                sigma_sq = float(from_db(sigma_db))
-                dh = np.sqrt(sigma_sq) * dh_unit
-                part_tilde = partition_svd(h_ba.entries + dh)
-                if needs_moments:
-                    moments = moments_unit.scaled(sigma_sq)
-
-            for s, scheme_name in enumerate(cfg.schemes):
-                out[p, s, :, idx] = _one_scheme(
-                    cfg, scheme_name, chan, svd, target, part_tilde, moments, trial, p,
-                    ecsi_fixed,
-                )
-    return out
-
-
-def _one_scheme(
-    cfg: ExperimentConfig,
-    name: str,
-    chan: ChannelSet,
-    svd: SvdPartition,
-    target: float,
-    part_tilde,
-    moments,
-    trial: int,
-    point: int,
-    ecsi_fixed,
-) -> np.ndarray:
-    row = np.full(len(_METRICS), np.nan)
-
-    if name == "analytic_naive":
-        try:
-            num, den = naive_sinr_terms(svd, moments, chan, target)
-        except ValidityRangeError:
-            row[8] = 1.0
-            return row
-        row[4], row[5] = num, den
-        if num > 0.0 and den > 0.0:
-            row[0] = num / den
-            row[8] = 0.0
-        else:
-            row[8] = 1.0
-        return row
-
-    if name == "perfect":
-        scheme = design_artificial_noise(chan, svd, target)
-        w_b = bob_matched_beamformer(chan, scheme)
-    elif name == "known_ecsi":
-        scheme = design_known_ecsi(chan, chan.h_ea, target)
-        w_b = bob_matched_beamformer(chan, scheme)
-    elif name == "imperfect_ecsi":
-        assumed = (
-            ecsi_fixed
-            if ecsi_fixed is not None
-            else perturb_ecsi(chan.h_ea, cfg.gamma_ecsi, _seed(cfg, _TAG_ECSI, trial, point))
-        )
-        scheme = design_known_ecsi(chan, assumed, target)
-        w_b = bob_matched_beamformer(chan, scheme)
-    elif name == "naive":
-        report, bob, eve, scheme = naive_trial(
-            chan, None, target, svd=svd, svd_tilde=part_tilde
-        )
-        return _fill(row, cfg, chan, scheme, report, bob, eve)
-    elif name == "robust_fdd":
-        _, report, ctx, bob, eve, scheme = _fdd_trial(
-            chan, part_tilde, target,
-            propagate_through_estimate=cfg.propagate_through_estimate,
-        )
-        return _fill(row, cfg, chan, scheme, report, bob, eve)
-    elif name == "robust_tdd":
-        _, report, ctx, bob, eve, scheme = _tdd_trial(
-            chan, svd, moments, part_tilde, target
-        )
-        return _fill(row, cfg, chan, scheme, report, bob, eve, flagged=ctx.loaded)
-    else:  # pragma: no cover - validate() already refused unknown names
-        raise ConfigError(f"unknown scheme {name!r}")
-
-    w_e = eve_mmse_beamformer(chan, scheme)
-    report = evaluate_sinr(chan, scheme, w_b, w_e)
-    bob = link_sinr(chan.h_ba, scheme, w_b, chan.sigma_b_sq)
-    eve = link_sinr(chan.h_ea, scheme, w_e, chan.sigma_e_sq)
-    return _fill(row, cfg, chan, scheme, report, bob, eve)
-
-
-def _fill(row, cfg, chan, scheme, report, bob, eve, flagged: bool = False) -> np.ndarray:
-    row[:] = (
-        report.sinr_b, report.sinr_e, _secrecy(cfg, chan, scheme, report),
-        float(report.outage), bob.signal_power, bob.interference_plus_noise,
-        eve.signal_power, eve.interference_plus_noise, float(flagged),
+    return np.concatenate(
+        [_run_block(cfg, b, min(b + BLOCK_TRIALS, hi)) for b in range(lo, hi, BLOCK_TRIALS)],
+        axis=3,
     )
-    return row
+
+
+def _draw(cfg: ExperimentConfig, tag: int, lo: int, hi: int, rows: int, point=None):
+    """One seeded stream per trial, stacked: shape (hi - lo, rows, na)."""
+    return np.stack([
+        complex_gaussian(_rng(cfg, tag, trial, point), rows, cfg.na) for trial in range(lo, hi)
+    ])
+
+
+def _blend(cfg: ExperimentConfig, eve: np.ndarray, lo: int, point=None) -> np.ndarray:
+    """The transmitter's stale estimates of a stack of eavesdropper channels."""
+    return np.stack([
+        perturb_ecsi(h, cfg.gamma_ecsi, _seed(cfg, _TAG_ECSI, lo + i, point)).entries
+        for i, h in enumerate(eve)
+    ])
+
+
+class _Block:
+    """The draws of trials [lo, hi) and the stages every sweep point shares.
+
+    Stages that depend only on the trials and the error level (the
+    estimate's decomposition, the robust receivers' eigendecompositions) are
+    computed once per block and error level through :meth:`cached`.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, lo: int, hi: int):
+        self.cfg, self.lo, self.hi = cfg, lo, hi
+        self.axis_name, axis_values = cfg.axis()
+        self.points = [_point_values(cfg, self.axis_name, v) for v in axis_values]
+        self.targets, self.target_index = np.unique(
+            [float(from_db(target_db)) for _, target_db, _ in self.points], return_inverse=True
+        )
+        names = set(cfg.schemes)
+        self.h = _draw(cfg, _TAG_CHANNEL, lo, hi, cfg.nb)
+        self.part = partition_stack(self.h)
+        self.dh_unit = _draw(cfg, _TAG_ERROR, lo, hi, cfg.nb) if names & _NEEDS_ERROR else None
+        self.moments = None
+        if names & {"robust_tdd", "analytic_naive"}:
+            self.moments = iid_moments(self.part.s, cfg.na, self.part.ill_conditioned)
+        self.eve = self.ecsi = None
+        if self.axis_name != "ne":
+            self.eve = _draw(cfg, _TAG_EVE, lo, hi, cfg.ne)
+            if "imperfect_ecsi" in names:
+                self.ecsi = _blend(cfg, self.eve, lo)
+        self._cache: dict = {}
+
+    def cached(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+    def point(self, p: int) -> "_Point":
+        ne, target_db, sigma_db = self.points[p]
+        eve, ecsi = self.eve, self.ecsi
+        if eve is None:
+            eve = _draw(self.cfg, _TAG_EVE, self.lo, self.hi, ne, p)
+            if "imperfect_ecsi" in self.cfg.schemes:
+                ecsi = _blend(self.cfg, eve, self.lo, p)
+        return _Point(self, float(self.targets[self.target_index[p]]),
+                      int(self.target_index[p]), sigma_db, eve, ecsi)
+
+
+class _Point(NamedTuple):
+    """One sweep point of a block: its target, error level and Eve's channels."""
+
+    blk: _Block
+    target: float
+    target_index: int
+    sigma_db: float | None
+    eve: np.ndarray
+    ecsi: np.ndarray | None
+
+    def tilde(self) -> SvdStack:
+        """Decomposition of the transmitter's estimate H + dH at this error level."""
+        blk = self.blk
+
+        def build():
+            dh = np.sqrt(float(from_db(self.sigma_db))) * blk.dh_unit
+            return partition_stack(blk.h + dh)
+
+        return blk.cached(("tilde", self.sigma_db), build)
+
+
+class _Design(NamedTuple):
+    """A batched transmit design and Bob's combiner, one row per trial.
+
+    ``t`` (T, na) is the unit data direction, ``factor`` (T, na, k) the
+    interference factor F with q_z = F F^H, ``w_b`` (T, nb) Bob's combiner.
+    """
+
+    t: np.ndarray
+    data_power: np.ndarray
+    factor: np.ndarray
+    w_b: np.ndarray
+    outage: np.ndarray
+    flagged: np.ndarray
+
+
+def _artificial_noise(pt: _Point, part: SvdStack) -> _Design:
+    """Data on the partition's dominant direction, noise on the rest; Bob
+    matches the true channel's dominant direction."""
+    cfg, blk = pt.blk.cfg, pt.blk
+    rho, outage = outage_fallback(
+        required_rho(part.s[:, 0], pt.target, cfg.power_p, cfg.sigma_b_sq)
+    )
+    return _Design(
+        t=part.v[..., 0], data_power=rho * cfg.power_p,
+        factor=noise_factors(part.v[..., 1:], rho, cfg.power_p),
+        w_b=matvec(blk.h, blk.part.v[..., 0]), outage=outage, flagged=np.zeros_like(outage),
+    )
+
+
+def _eve_aware(pt: _Point, assumed: np.ndarray) -> _Design:
+    """All power on the generalized-eigen direction against ``assumed``."""
+    cfg, blk = pt.blk.cfg, pt.blk
+    t = np.stack([eve_aware_direction(hb, he) for hb, he in zip(blk.h, assumed)])
+    w_b = matvec(blk.h, t)
+    gain = np.real(vdot(w_b, w_b))
+    if np.any(gain <= 0):
+        raise DegenerateChannelError("data direction has zero gain to the intended receiver")
+    rho, outage = outage_fallback(cfg.sigma_b_sq * pt.target / (cfg.power_p * gain))
+    return _Design(
+        t=t, data_power=rho * cfg.power_p, factor=np.zeros(t.shape + (0,), dtype=complex),
+        w_b=w_b, outage=outage, flagged=np.zeros_like(outage),
+    )
+
+
+def _robust_fdd(pt: _Point) -> _Design:
+    """Exact-knowledge recovery; the eigendecomposition and the root solve
+    for every target of the sweep run once per error level."""
+    cfg, blk = pt.blk.cfg, pt.blk
+    tilde = pt.tilde()
+
+    def build():
+        h = tilde.reconstruct() if cfg.propagate_through_estimate else blk.h
+        _, lam, evecs, signature, weights = fdd_spectrum(h, tilde.v[..., 0], tilde.v[..., 1:])
+        rho, outage = solve_fractions(
+            lam[:, None], weights[:, None], cfg.power_p, cfg.na, cfg.sigma_b_sq, blk.targets
+        )
+        return lam, evecs, signature, rho, outage
+
+    lam, evecs, signature, rho, outage = blk.cached(("fdd", pt.sigma_db), build)
+    rho, outage = rho[:, pt.target_index], outage[:, pt.target_index]
+    beta = noise_share(rho, cfg.power_p, cfg.na)
+    return _Design(
+        t=tilde.v[..., 0], data_power=rho * cfg.power_p,
+        factor=noise_factors(tilde.v[..., 1:], rho, cfg.power_p),
+        w_b=whitened_combiner(evecs, lam, signature, beta, cfg.sigma_b_sq), outage=outage,
+        flagged=np.zeros_like(outage),
+    )
+
+
+def _robust_tdd(pt: _Point) -> _Design:
+    """Statistics-only recovery; the expected interference shape and its
+    eigendecomposition run once per error level."""
+    cfg, blk = pt.blk.cfg, pt.blk
+    tilde = pt.tilde()
+    sigma1, u1, v1 = blk.part.s[:, 0], blk.part.u[..., 0], blk.part.v[..., 0]
+
+    def build():
+        e_dv1 = (blk.moments.drift[:, None] * v1) * float(from_db(pt.sigma_db))
+        lam, evecs = np.linalg.eigh(tdd_shape(blk.h, sigma1, u1, e_dv1))
+        leak = -2.0 * np.real(vdot(v1, e_dv1))
+        return lam, evecs, matvec(blk.h, v1 + e_dv1), leak
+
+    lam, evecs, signature, leak = blk.cached(("tdd", pt.sigma_db), build)
+    rho, outage = tdd_fraction(
+        sigma1**2, leak, pt.target, cfg.power_p, cfg.sigma_b_sq, cfg.na
+    )
+    beta = noise_share(rho, cfg.power_p, cfg.na)
+    sigma_eff, loaded = loaded_noise(beta, lam, cfg.sigma_b_sq)
+    return _Design(
+        t=tilde.v[..., 0], data_power=rho * cfg.power_p,
+        factor=noise_factors(tilde.v[..., 1:], rho, cfg.power_p),
+        w_b=whitened_combiner(evecs, lam, signature, beta, sigma_eff),
+        outage=outage, flagged=loaded,
+    )
+
+
+# Every simulated scheme as a batched design; all of them share _evaluate.
+_DESIGNS = {
+    "perfect": lambda pt: _artificial_noise(pt, pt.blk.part),
+    "naive": lambda pt: _artificial_noise(pt, pt.tilde()),
+    "known_ecsi": lambda pt: _eve_aware(pt, pt.eve),
+    "imperfect_ecsi": lambda pt: _eve_aware(pt, pt.ecsi),
+    "robust_fdd": _robust_fdd,
+    "robust_tdd": _robust_tdd,
+}
+
+
+def _link(h: np.ndarray, d: _Design, w: np.ndarray, sigma_sq: float):
+    """(SINR, signal power, interference-plus-noise) at the unit-norm ``w``."""
+    scale = np.linalg.norm(w, axis=-1)
+    if np.any(scale == 0.0):
+        raise ParameterError("combiner must be nonzero")
+    sig, interf, noise = link_powers(h, d.t, d.data_power, d.factor, w / scale[:, None], sigma_sq)
+    return sig / (interf + noise), sig, interf + noise
+
+
+def _evaluate(cfg: ExperimentConfig, h: np.ndarray, eve: np.ndarray, target, d: _Design):
+    """Metrics (len(_METRICS), rows) of a design: Eve's MMSE combiner, both
+    links, and the configured secrecy metric.
+
+    Every argument carries one entry per row (``target`` may be a scalar).
+    "goodput" pays the provisioned secret rate only on trials where the
+    intended link actually reaches its target SINR, so schemes are compared
+    on secrecy they reliably deliver rather than on lucky fades; "proxy" is
+    the instantaneous clamped rate difference at the beamformer outputs;
+    "full" is the matrix mutual-information rate of the transmitted
+    covariance.
+    """
+    q = d.factor @ herm(d.factor)
+    w_e = mmse_combiners(eve, d.t, q, cfg.sigma_e_sq)
+    sinr_b, signal_b, intnoise_b = _link(h, d, d.w_b, cfg.sigma_b_sq)
+    sinr_e, signal_e, intnoise_e = _link(eve, d, w_e, cfg.sigma_e_sq)
+    if cfg.secrecy_metric == "full":
+        secrecy = full_secrecy_rates(h, eve, d.t, d.data_power, q, cfg.sigma_b_sq, cfg.sigma_e_sq)
+    elif cfg.secrecy_metric == "goodput":
+        secrecy = secure_goodput(sinr_b, sinr_e, target)
+    else:
+        secrecy = secrecy_capacity_proxy(sinr_b, sinr_e)
+    return np.stack([
+        sinr_b, sinr_e, secrecy, d.outage, signal_b, intnoise_b, signal_e, intnoise_e, d.flagged,
+    ]).astype(float)
+
+
+def _analytic_naive(pt: _Point) -> np.ndarray:
+    """Closed-form expected powers of the mismatched link, per trial.
+
+    Trials whose nominal design is already in outage are outside the
+    expansion's validity range; they and trials with a nonpositive term
+    are flagged and carry no SINR.
+    """
+    cfg, blk = pt.blk.cfg, pt.blk
+    sigma_sq = float(from_db(pt.sigma_db))
+    sigma1, v1 = blk.part.s[:, 0], blk.part.v[..., 0]
+    rho = required_rho(sigma1, pt.target, cfg.power_p, cfg.sigma_b_sq)
+    e_dv1 = (blk.moments.drift[:, None] * v1) * sigma_sq
+    num, den = naive_terms(
+        sigma1, rho, 2.0 * np.real(vdot(v1, e_dv1)), blk.moments.e_dsigma1 * sigma_sq,
+        blk.moments.e_dsigma1_sq * sigma_sq, cfg.power_p, cfg.sigma_b_sq, cfg.na,
+    )
+    valid = rho < 1.0
+    ok = valid & (num > 0.0) & (den > 0.0)
+    rows = np.full((len(_METRICS), rho.size), np.nan)
+    rows[4] = np.where(valid, num, np.nan)
+    rows[5] = np.where(valid, den, np.nan)
+    with np.errstate(all="ignore"):
+        rows[0] = np.where(ok, num / den, np.nan)
+    rows[8] = np.where(ok, 0.0, 1.0)
+    return rows
+
+
+def _run_block(cfg: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
+    """Metrics for the block of trials [lo, hi), every stage stacked.
+
+    When the eavesdropper's channels are the same at every point, each
+    scheme's designs for all points are evaluated together in one batch of
+    points x trials rows.
+    """
+    blk = _Block(cfg, lo, hi)
+    n_points, n_trials = len(blk.points), hi - lo
+    points = [blk.point(p) for p in range(n_points)]
+    out = np.empty((n_points, len(cfg.schemes), len(_METRICS), n_trials))
+    for s, name in enumerate(cfg.schemes):
+        if name == "analytic_naive":
+            out[:, s] = [_analytic_naive(pt) for pt in points]
+        elif blk.eve is None:
+            for p, pt in enumerate(points):
+                out[p, s] = _evaluate(cfg, blk.h, pt.eve, pt.target, _DESIGNS[name](pt))
+        else:
+            d = _Design(*map(np.concatenate, zip(*(_DESIGNS[name](pt) for pt in points))))
+            rows = _evaluate(
+                cfg, np.tile(blk.h, (n_points, 1, 1)), np.tile(blk.eve, (n_points, 1, 1)),
+                np.repeat([pt.target for pt in points], n_trials), d,
+            )
+            out[:, s] = rows.reshape(len(_METRICS), n_points, n_trials).swapaxes(0, 1)
+    return out
 
 
 def _db_or_neg_inf(x: float) -> float:

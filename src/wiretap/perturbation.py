@@ -25,6 +25,7 @@ per-entry variance s2 the tensor collapses to s2 * delta_ik * delta_jl.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,9 +36,9 @@ from .transmit import (
     SinrReport,
     TxScheme,
     design_artificial_noise,
+    evaluate_links,
     eve_mmse_beamformer,
-    evaluate_sinr,
-    link_sinr,
+    noise_share,
     required_rho,
 )
 
@@ -264,6 +265,52 @@ def compute_moments(svd: SvdPartition, err: CsiErrorModel) -> PerturbMoments:
     )
 
 
+class IidMoments(NamedTuple):
+    """First-direction moments of :func:`compute_moments` for i.i.d. error.
+
+    Per unit error power, over the leading axes of the channels they were
+    computed for.  ``drift`` is the real coefficient c with E{dv_1} = c v_1,
+    and ``e_dsigma1``/``e_dsigma1_sq`` are the fields of the same name.
+    """
+
+    drift: np.ndarray
+    e_dsigma1: np.ndarray
+    e_dsigma1_sq: float
+
+
+def iid_moments(s: np.ndarray, n_tx: int, ill_conditioned) -> IidMoments:
+    """Closed form of the fields the sweeps use, for unit i.i.d. error.
+
+    ``s`` (..., n_rx) are the singular values in descending order of
+    channels with ``n_tx`` transmit antennas.  With M = delta_ik delta_jl the
+    general expansion collapses: the mean drift of v_1 lies along v_1 itself
+    with coefficient -1/2 sum_{k>1} (lam_k + lam_1) / (lam_1 - lam_k)^2 over
+    all n_tx directions (lam_k = 0 in the null space).  Raises
+    :class:`IllConditionedGapError` where :func:`compute_moments` would.
+    """
+    m = s.shape[-1]
+    lam = s**2
+    lam1 = lam[..., 0]
+    if np.any(ill_conditioned):
+        raise IllConditionedGapError(
+            "singular-value gaps too small: perturbation moments are unreliable"
+        )
+    if m > 1 and np.any(np.min(lam[..., :-1] - lam[..., 1:], axis=-1) < _PAIR_GAP_TOL * lam1):
+        raise IllConditionedGapError(
+            "near-degenerate singular values: perturbation moments are unreliable"
+        )
+    others = np.concatenate([lam[..., 1:], np.zeros(lam.shape[:-1] + (n_tx - m,))], axis=-1)
+    inv_gap = 1.0 / (lam1[..., None] - others)
+    num1 = others + lam1[..., None]
+    sigma1 = s[..., 0]
+    coupling = np.sum(num1 * inv_gap, axis=-1)
+    return IidMoments(
+        drift=-0.5 * np.sum(num1 * inv_gap**2, axis=-1),
+        e_dsigma1=(m + coupling) / (2.0 * sigma1) - 1.0 / (4.0 * sigma1),
+        e_dsigma1_sq=0.5,
+    )
+
+
 def _self_drift(svd: SvdPartition, moments: PerturbMoments) -> float:
     """Real part of E{v_1^H dv_1}, the dominant vector's alignment loss."""
     return float(np.real(np.vdot(svd.v1, moments.e_dv1)))
@@ -295,15 +342,23 @@ def naive_sinr_terms(
         raise ValidityRangeError(
             "nominal design is in outage; the closed-form degradation is undefined"
         )
-    lam1 = svd.sigma1**2
-    na = chan.na
-    two_re_drift = 2.0 * _self_drift(svd, moments)
-    upsilon = (
-        2.0 * moments.e_dsigma1 / svd.sigma1 + moments.e_dsigma1_sq / lam1
+    return naive_terms(
+        svd.sigma1, rho, 2.0 * _self_drift(svd, moments), moments.e_dsigma1,
+        moments.e_dsigma1_sq, chan.power_p, chan.sigma_b_sq, chan.na,
     )
-    numerator = lam1 * rho * chan.power_p * (1.0 + two_re_drift - upsilon)
-    beta = (1.0 - rho) * chan.power_p / (na - 1) if na > 1 else 0.0
-    denominator = chan.sigma_b_sq - lam1 * beta * two_re_drift
+
+
+def naive_terms(sigma1, rho, two_re_drift, e_dsigma1, e_dsigma1_sq, power_p: float,
+                sigma_b_sq: float, na: int):
+    """Numerator and denominator of :func:`naive_sinr_terms`, elementwise.
+
+    ``two_re_drift`` is 2 Re E{v_1^H dv_1}; every array argument shares the
+    same leading axes.
+    """
+    lam1 = sigma1**2
+    upsilon = 2.0 * e_dsigma1 / sigma1 + e_dsigma1_sq / lam1
+    numerator = lam1 * rho * power_p * (1.0 + two_re_drift - upsilon)
+    denominator = sigma_b_sq - lam1 * noise_share(rho, power_p, na) * two_re_drift
     return numerator, denominator
 
 
@@ -357,10 +412,7 @@ def naive_trial(
         svd_tilde = partition_svd(h_tilde)
     scheme = design_artificial_noise(chan, svd_tilde, target_sinr)
     w_b = chan.h_ba.entries @ part.v1
-    w_e = eve_mmse_beamformer(chan, scheme)
-    report = evaluate_sinr(chan, scheme, w_b, w_e)
-    bob = link_sinr(chan.h_ba, scheme, w_b, chan.sigma_b_sq)
-    eve = link_sinr(chan.h_ea, scheme, w_e, chan.sigma_e_sq)
+    report, bob, eve = evaluate_links(chan, scheme, w_b, eve_mmse_beamformer(chan, scheme))
     return report, bob, eve, scheme
 
 

@@ -27,21 +27,27 @@ import scipy.optimize
 from .channels import ChannelSet, SvdPartition, as_matrix, partition_svd
 from .exceptions import ParameterError
 from .perturbation import PerturbMoments, first_vector_leak
+from .stacked import any_true, herm, matvec, outer
 from .transmit import (
     LinkSinr,
     RxBeamformer,
     SinrReport,
     TxScheme,
+    evaluate_links,
     eve_mmse_beamformer,
-    evaluate_sinr,
-    link_sinr,
     noise_covariance_for,
     noise_factor_for,
+    noise_share,
 )
 
 # Diagonal loading fraction applied when an expected-interference matrix
 # fails to be positive definite.
 _LOADING = 1e-8
+# Bracket and tolerances of the power-fraction root solve.
+_RHO_FLOOR = 1e-14
+_XTOL = 1e-15
+_RTOL = 8.9e-16
+_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -75,39 +81,212 @@ def _solve_fraction(gain, target_sinr: float) -> tuple[float, bool]:
     if gain(1.0) < target_sinr:
         return 1.0, True
     root = scipy.optimize.brentq(
-        lambda r: gain(r) - target_sinr, 1e-14, 1.0, xtol=1e-15, rtol=8.9e-16
+        lambda r: gain(r) - target_sinr, _RHO_FLOOR, 1.0, xtol=_XTOL, rtol=_RTOL,
+        maxiter=_MAXITER,
     )
     return float(root), False
+
+
+def solve_fractions(lam, weights, power_p: float, na: int, sigma_sq: float, target_sinr):
+    """Elementwise :func:`_solve_fraction` for rank-one gains.
+
+    ``lam`` and ``weights`` (..., nb) describe one gain curve per entry (see
+    :func:`rank1_gains`) and ``target_sinr`` broadcasts against their
+    leading axes.  The root solve runs Brent's method as scipy's ``brentq``
+    does, one iteration for every entry at once, on the same bracket and
+    tolerances.  Returns (rho, outage) arrays.
+    """
+    if any_true(target_sinr <= 0):
+        raise ParameterError(f"target_sinr must be positive, got {target_sinr}")
+    target = np.broadcast_to(
+        target_sinr, np.broadcast_shapes(lam.shape[:-1], np.shape(target_sinr))
+    )
+    outage = rank1_gains(np.ones(target.shape), lam, weights, power_p, na, sigma_sq) < target
+    root = _brent(
+        lambda r: rank1_gains(r, lam, weights, power_p, na, sigma_sq) - target,
+        _RHO_FLOOR, 1.0, target.shape, skip=outage,
+    )
+    return np.where(outage, 1.0, root), outage
+
+
+def _brent(f, xa: float, xb: float, shape, skip):
+    """Brent's root finder over an array of brackets [xa, xb].
+
+    The iteration is scipy's ``brentq`` (the C ``brentq`` of scipy.optimize)
+    applied entry by entry with masks, so each entry takes exactly the steps
+    the scalar solver would.  Entries marked in ``skip`` are left out.
+    """
+    xpre = np.full(shape, float(xa))
+    xcur = np.full(shape, float(xb))
+    fpre, fcur = f(xpre), f(xcur)
+    if np.any(~skip & (fpre != 0) & (fcur != 0) & (np.signbit(fpre) == np.signbit(fcur))):
+        raise ValueError("f(a) and f(b) must have different signs")
+    root = np.where(fpre == 0, xpre, xcur)
+    done = skip | (fpre == 0) | (fcur == 0)
+    xblk = fblk = spre = scur = np.zeros(shape)
+    with np.errstate(all="ignore"):
+        for _ in range(_MAXITER):
+            if done.all():
+                return root
+            straddle = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+            xblk = np.where(straddle, xpre, xblk)
+            fblk = np.where(straddle, fpre, fblk)
+            step = xcur - xpre
+            spre = np.where(straddle, step, spre)
+            scur = np.where(straddle, step, scur)
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                                np.where(swap, xcur, xblk))
+            fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                                np.where(swap, fcur, fblk))
+            delta = (_XTOL + _RTOL * np.abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            converged = ~done & ((fcur == 0) | (np.abs(sbis) < delta))
+            root = np.where(converged, xcur, root)
+            done = done | converged
+            # Interpolate (secant) or extrapolate (inverse quadratic), and
+            # keep the step only where it is short enough; bisect elsewhere.
+            secant = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            quadratic = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            stry = np.where(xpre == xblk, secant, quadratic)
+            good = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                    & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
+            spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
+            xpre, fpre = xcur, fcur
+            xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+            fcur = f(xcur)
+    if not done.all():
+        raise RuntimeError(f"Failed to converge after {_MAXITER} iterations")
+    return root
+
+
+def rank1_gains(rho, lam, weights, power_p: float, na: int, sigma_sq: float):
+    """Output SINR of the whitened combiner for a rank-one data signature.
+
+    With interference eigenvalues lam and squared signature projections
+    ``weights`` (both (..., nb)),
+
+        g(rho) = rho * P * sum_i weights_i / (beta(rho) * lam_i + sigma_sq),
+
+    elementwise over the leading axes, which ``rho`` broadcasts against.
+    """
+    beta = noise_share(rho, power_p, na)
+    if isinstance(beta, np.ndarray):
+        beta = beta[..., None]
+    return rho * power_p * np.sum(weights / (beta * lam + sigma_sq), axis=-1)
 
 
 def _rank1_gain(
     lam: np.ndarray, weights: np.ndarray, power_p: float, na: int, sigma_sq: float
 ):
-    """Output SINR versus rho for a pure rank-one data signature.
-
-    With interference eigenvalues lam and squared signature projections
-    ``weights``, the whitened combiner's output SINR is
-
-        g(rho) = rho * P * sum_i weights_i / (beta(rho) * lam_i + sigma_sq).
-    """
+    """:func:`rank1_gains` of one channel as a function of a scalar rho."""
 
     def gain(rho: float) -> float:
-        beta = _beta(rho, power_p, na)
-        return rho * power_p * float(np.sum(weights / (beta * lam + sigma_sq)))
+        return float(rank1_gains(rho, lam, weights, power_p, na, sigma_sq))
 
     return gain
 
 
-def _whitened_combiner(
-    evecs: np.ndarray, lam: np.ndarray, signature: np.ndarray, beta: float, sigma_sq: float
-) -> np.ndarray:
-    """(beta * A + sigma_sq I)^-1 signature via the eigendecomposition of A."""
-    proj = evecs.conj().T @ signature
-    return evecs @ (proj / (beta * lam + sigma_sq))
+def whitened_combiner(evecs, lam, signature, beta, sigma_sq):
+    """(beta * A + sigma^2 I)^-1 signature via the eigendecomposition of A.
+
+    Works over leading batch axes; ``beta`` and ``sigma_sq`` may be scalars
+    or arrays over those axes.
+    """
+    proj = matvec(herm(evecs), signature)
+    scale = np.asarray(beta)[..., None] * lam + np.asarray(sigma_sq)[..., None]
+    return matvec(evecs, proj / scale)
 
 
-def _beta(rho: float, power_p: float, na: int) -> float:
-    return (1.0 - rho) * power_p / (na - 1) if na > 1 else 0.0
+def fdd_spectrum(h_design, t_tilde, t_prime):
+    """What the exact-knowledge receiver whitens, over leading batch axes.
+
+    Returns (cov_int, lam, evecs, signature, weights): the leaked
+    interference covariance per unit interference power H T' T'^H H^H, its
+    eigenvalues (clipped at zero) and eigenvectors, the data signature
+    H t~, and the signature's squared projections on the eigenvectors.
+    """
+    leak = h_design @ t_prime
+    cov_int = leak @ herm(leak)
+    lam, evecs = np.linalg.eigh(cov_int)
+    lam = np.clip(lam, 0.0, None)
+    signature = matvec(h_design, t_tilde)
+    weights = np.abs(matvec(herm(evecs), signature)) ** 2
+    return cov_int, lam, evecs, signature, weights
+
+
+def tdd_shape(h, sigma1, u1, e_dv1):
+    """Expected interference shape per unit interference power.
+
+    The full channel subspace minus the nominal data direction, with the
+    mean drift of the transmit beam folded in through the cross terms.  This
+    is all the receiver's statistics can say about where the transmitter's
+    interference floor moved.  Works over leading batch axes.
+    """
+    sigma1 = np.asarray(sigma1)[..., None, None]
+    cross = sigma1 * outer(u1, matvec(h, e_dv1))
+    shape = h @ herm(h) - sigma1**2 * outer(u1, u1) - cross - herm(cross)
+    return 0.5 * (shape + herm(shape))
+
+
+def tdd_fraction(lam1, leak, target_sinr, power_p: float, sigma_b_sq: float, na: int):
+    """Requested data fraction of the statistical receiver, elementwise.
+
+    Enough data power to hit the target against the mean leaked
+    interference at the matched direction, at nominal beam gain.  The
+    truncated leak overshoots the measured mean badly once errors get large,
+    so it is resummed to leak/(1+leak), which respects the physical bound of
+    one and tracks the measured mean leak closely.  The beam's misalignment
+    itself is the transmitter's error; no receive-side choice undoes it, so
+    it is deliberately not chased with extra data power (which would only
+    bleed interference power and secrecy).  The residual shortfall, growing
+    with the error power, is the misalignment loss.  Returns (rho, outage).
+    """
+    leak = np.maximum(leak, 0.0)
+    leak = leak / (1.0 + leak)
+    if na > 1:
+        leak_share = leak / (na - 1)
+        rho = (
+            target_sinr
+            * (sigma_b_sq + lam1 * power_p * leak_share)
+            / (lam1 * power_p * (1.0 + target_sinr * leak_share))
+        )
+    else:
+        rho = target_sinr * sigma_b_sq / (lam1 * power_p)
+    outage = rho >= 1.0
+    return np.where(outage, 1.0, rho), outage
+
+
+def loaded_noise(beta, lam, sigma_sq: float):
+    """Noise level that keeps beta * lam + sigma^2 positive, elementwise.
+
+    The drift cross terms can push an eigenvalue of the expected covariance
+    slightly negative for large error power; definiteness is restored by
+    diagonal loading.  Returns (effective noise level, loaded flag).
+    """
+    n = lam.shape[-1]
+    worst = beta * np.min(lam, axis=-1) + sigma_sq
+    loaded = worst <= 0.0
+    trace = beta * np.sum(lam, axis=-1) + n * sigma_sq
+    delta = _LOADING * np.abs(trace) / n
+    delta = np.where(worst + delta <= 0.0, (1.0 + 1e-6) * (-worst), delta)
+    return np.where(loaded, sigma_sq + delta, sigma_sq), loaded
+
+
+def _transmitted(chan: ChannelSet, part_tilde: SvdPartition, rho: float, target_sinr: float,
+                 outage: bool) -> TxScheme:
+    """The transmission that happens: the estimate's directions, the requested fraction."""
+    return TxScheme(
+        t=part_tilde.v1,
+        rho=rho,
+        q_z=noise_covariance_for(part_tilde.t_prime, rho, chan.power_p),
+        power_p=chan.power_p,
+        target_sinr=target_sinr,
+        outage=outage,
+        q_z_factor=noise_factor_for(part_tilde.t_prime, rho, chan.power_p),
+    )
 
 
 def _fdd_trial(
@@ -121,38 +300,23 @@ def _fdd_trial(
     h_true = chan.h_ba.entries
     h_design = part_tilde.reconstruct() if propagate_through_estimate else h_true
     t_tilde = part_tilde.v1
-    leak_fac = h_design @ part_tilde.t_prime
-    cov_int = leak_fac @ leak_fac.conj().T
-    lam, evecs = np.linalg.eigh(cov_int)
-    lam = np.clip(lam, 0.0, None)
-    signature = h_design @ t_tilde
-    weights = np.abs(evecs.conj().T @ signature) ** 2
-
+    cov_int, lam, evecs, signature, weights = fdd_spectrum(
+        h_design, t_tilde, part_tilde.t_prime
+    )
     rho, outage = _solve_fraction(
         _rank1_gain(lam, weights, chan.power_p, chan.na, chan.sigma_b_sq),
         target_sinr,
     )
-    scheme = TxScheme(
-        t=t_tilde,
-        rho=rho,
-        q_z=noise_covariance_for(part_tilde.t_prime, rho, chan.power_p),
-        power_p=chan.power_p,
-        target_sinr=target_sinr,
-        outage=outage,
-        q_z_factor=noise_factor_for(part_tilde.t_prime, rho, chan.power_p),
-    )
-    beta = _beta(rho, chan.power_p, chan.na)
-    w = _whitened_combiner(evecs, lam, signature, beta, chan.sigma_b_sq)
+    scheme = _transmitted(chan, part_tilde, rho, target_sinr, outage)
+    beta = noise_share(rho, chan.power_p, chan.na)
+    w = whitened_combiner(evecs, lam, signature, beta, chan.sigma_b_sq)
     beam = RxBeamformer(w=w, kind="robust_fdd")
     q_int = beta * cov_int + chan.sigma_b_sq * np.eye(chan.nb)
     ctx = RobustContext(
         mode="fdd", q_int=0.5 * (q_int + q_int.conj().T), t_hat=t_tilde,
         rho=rho, outage=outage,
     )
-    w_e = eve_mmse_beamformer(chan, scheme)
-    report = evaluate_sinr(chan, scheme, beam, w_e)
-    bob = link_sinr(chan.h_ba, scheme, beam, chan.sigma_b_sq)
-    eve = link_sinr(chan.h_ea, scheme, w_e, chan.sigma_e_sq)
+    report, bob, eve = evaluate_links(chan, scheme, beam, eve_mmse_beamformer(chan, scheme))
     return beam, report, ctx, bob, eve, scheme
 
 
@@ -195,80 +359,24 @@ def _tdd_trial(
     h_true = chan.h_ba.entries
     t_hat = svd.v1 + moments.e_dv1
     signature = h_true @ t_hat
-
-    # Expected interference shape per unit of interference power: the full
-    # channel subspace minus the nominal data direction, with the mean drift
-    # of the transmit beam folded in through the cross terms.  This is all
-    # the receiver's statistics can say about where the transmitter's
-    # interference floor moved.
-    cross = svd.sigma1 * np.outer(svd.u1, (h_true @ moments.e_dv1).conj())
-    shape = (
-        h_true @ h_true.conj().T
-        - svd.sigma1**2 * np.outer(svd.u1, svd.u1.conj())
-        - cross
-        - cross.conj().T
-    )
-    shape = 0.5 * (shape + shape.conj().T)
+    shape = tdd_shape(h_true, svd.sigma1, svd.u1, moments.e_dv1)
     lam, evecs = np.linalg.eigh(shape)
-
-    # Power sizing: enough data power to hit the target against the mean
-    # leaked interference at the matched direction, at nominal beam gain.
-    # The truncated leak overshoots the measured mean badly once errors get
-    # large, so it is resummed to leak/(1+leak), which respects the physical
-    # bound of one and tracks the measured mean leak closely.  The beam's
-    # misalignment itself is the transmitter's error; no receive-side choice
-    # undoes it, so it is deliberately not chased with extra data power
-    # (which would only bleed interference power and secrecy).  The residual
-    # shortfall, growing with the error power, is the misalignment loss.
-    lam1 = svd.sigma1**2
-    leak = max(first_vector_leak(svd, moments), 0.0)
-    leak = leak / (1.0 + leak)
-    if chan.na > 1:
-        leak_share = leak / (chan.na - 1)
-        rho = (
-            target_sinr
-            * (chan.sigma_b_sq + lam1 * chan.power_p * leak_share)
-            / (lam1 * chan.power_p * (1.0 + target_sinr * leak_share))
-        )
-    else:
-        rho = target_sinr * chan.sigma_b_sq / (lam1 * chan.power_p)
-    outage = rho >= 1.0
-    if outage:
-        rho = 1.0
-    beta = _beta(rho, chan.power_p, chan.na)
-
-    # The drift cross terms can push an eigenvalue of the expected
-    # covariance slightly negative for large error power; restore
-    # definiteness by diagonal loading and flag the trial.
-    sigma_eff = chan.sigma_b_sq
-    loaded = False
-    worst = beta * float(lam.min()) + sigma_eff if lam.size else sigma_eff
-    if worst <= 0.0:
-        loaded = True
-        trace = beta * float(np.sum(lam)) + chan.nb * sigma_eff
-        delta = _LOADING * abs(trace) / chan.nb
-        if worst + delta <= 0.0:
-            delta = (1.0 + 1e-6) * (-worst)
-        sigma_eff += delta
-    scheme = TxScheme(
-        t=part_tilde.v1,
-        rho=rho,
-        q_z=noise_covariance_for(part_tilde.t_prime, rho, chan.power_p),
-        power_p=chan.power_p,
-        target_sinr=target_sinr,
-        outage=outage,
-        q_z_factor=noise_factor_for(part_tilde.t_prime, rho, chan.power_p),
+    rho, outage = tdd_fraction(
+        svd.sigma1**2, first_vector_leak(svd, moments), target_sinr,
+        chan.power_p, chan.sigma_b_sq, chan.na,
     )
-    w = _whitened_combiner(evecs, lam, signature, beta, sigma_eff)
+    rho, outage = float(rho), bool(outage)
+    beta = noise_share(rho, chan.power_p, chan.na)
+    sigma_eff, loaded = loaded_noise(beta, lam, chan.sigma_b_sq)
+    sigma_eff, loaded = float(sigma_eff), bool(loaded)
+    scheme = _transmitted(chan, part_tilde, rho, target_sinr, outage)
+    w = whitened_combiner(evecs, lam, signature, beta, sigma_eff)
     beam = RxBeamformer(w=w, kind="robust_tdd")
     q_int = beta * shape + sigma_eff * np.eye(chan.nb)
     ctx = RobustContext(
         mode="tdd", q_int=q_int, t_hat=t_hat, rho=rho, outage=outage, loaded=loaded
     )
-    w_e = eve_mmse_beamformer(chan, scheme)
-    report = evaluate_sinr(chan, scheme, beam, w_e)
-    bob = link_sinr(chan.h_ba, scheme, beam, chan.sigma_b_sq)
-    eve = link_sinr(chan.h_ea, scheme, w_e, chan.sigma_e_sq)
+    report, bob, eve = evaluate_links(chan, scheme, beam, eve_mmse_beamformer(chan, scheme))
     return beam, report, ctx, bob, eve, scheme
 
 

@@ -16,6 +16,7 @@ import scipy.linalg
 
 from .channels import ChannelSet, SvdPartition, as_matrix, partition_svd
 from .exceptions import DegenerateChannelError, DimensionError, ParameterError
+from .stacked import any_true, herm, matvec, outer, vdot
 
 # rho at or above this value means all power goes to the data stream.
 _RHO_CEIL = 1.0 - 1e-15
@@ -129,19 +130,35 @@ class SinrReport:
     outage: bool
 
 
+def outage_fallback(rho):
+    """(rho, outage), elementwise: a fraction at the all-data ceiling means
+    the target is out of reach, and the design falls back to rho = 1."""
+    outage = rho >= _RHO_CEIL
+    return np.where(outage, 1.0, rho), outage
+
+
 def required_rho(sigma1: float, target_sinr: float, power_p: float, sigma_b_sq: float) -> float:
     """Data-power fraction that meets ``target_sinr`` on a clean link.
 
     With interference confined to the receiver's orthogonal subspace the
     matched combiner sees SINR = rho * P * sigma1^2 / sigma_b_sq, so the
     required fraction is sigma_b_sq * S / (sigma1^2 * P).  Values >= 1 mean
-    the target is out of reach at this budget.
+    the target is out of reach at this budget.  Works elementwise on
+    arrays of ``sigma1`` and ``target_sinr``.
     """
-    if target_sinr <= 0:
+    if any_true(target_sinr <= 0):
         raise ParameterError(f"target_sinr must be positive, got {target_sinr}")
-    if power_p <= 0 or sigma_b_sq <= 0 or sigma1 <= 0:
+    if power_p <= 0 or sigma_b_sq <= 0 or any_true(sigma1 <= 0):
         raise ParameterError("sigma1, power_p, sigma_b_sq must all be positive")
     return sigma_b_sq * target_sinr / (sigma1**2 * power_p)
+
+
+def noise_share(rho, power_p: float, na: int):
+    """Per-direction interference power (1-rho)*P/(na-1), elementwise in rho.
+
+    A single-antenna transmitter has no orthogonal direction and gets zero.
+    """
+    return (1.0 - rho) * power_p / (na - 1) if na > 1 else 0.0 * rho
 
 
 def noise_covariance_for(t_prime: np.ndarray, rho: float, power_p: float) -> np.ndarray:
@@ -154,8 +171,18 @@ def noise_covariance_for(t_prime: np.ndarray, rho: float, power_p: float) -> np.
     na = t_prime.shape[0]
     if na == 1 or rho >= _RHO_CEIL:
         return np.zeros((na, na), dtype=np.complex128)
-    beta = (1.0 - rho) * power_p / (na - 1)
-    return beta * (t_prime @ t_prime.conj().T)
+    return noise_share(rho, power_p, na) * (t_prime @ t_prime.conj().T)
+
+
+def noise_factors(t_prime: np.ndarray, rho, power_p: float) -> np.ndarray:
+    """Factors sqrt(beta) * T' over the leading axes of ``t_prime`` and ``rho``.
+
+    F F^H is the covariance of :func:`noise_covariance_for`; entries whose
+    rho reaches the all-data ceiling get an all-zero factor.
+    """
+    rho = np.asarray(rho)
+    beta = np.where(rho >= _RHO_CEIL, 0.0, noise_share(rho, power_p, t_prime.shape[-2]))
+    return np.sqrt(beta)[..., None, None] * t_prime
 
 
 def noise_factor_for(t_prime: np.ndarray, rho: float, power_p: float) -> np.ndarray | None:
@@ -166,16 +193,14 @@ def noise_factor_for(t_prime: np.ndarray, rho: float, power_p: float) -> np.ndar
     na = t_prime.shape[0]
     if na == 1 or rho >= _RHO_CEIL:
         return None
-    beta = (1.0 - rho) * power_p / (na - 1)
-    return np.sqrt(beta) * t_prime
+    return np.sqrt(noise_share(rho, power_p, na)) * t_prime
 
 
 def interference_level(scheme: TxScheme) -> float:
     """Per-direction interference power of a scheme built by this module."""
-    na = scheme.t.size
-    if na == 1 or scheme.rho >= _RHO_CEIL:
+    if scheme.rho >= _RHO_CEIL:
         return 0.0
-    return (1.0 - scheme.rho) * scheme.power_p / (na - 1)
+    return noise_share(scheme.rho, scheme.power_p, scheme.t.size)
 
 
 def design_artificial_noise(chan: ChannelSet, svd: SvdPartition, target_sinr: float) -> TxScheme:
@@ -190,10 +215,10 @@ def design_artificial_noise(chan: ChannelSet, svd: SvdPartition, target_sinr: fl
     Pass a perturbed partition to model a transmitter acting on a stale
     estimate; the power and noise figures still come from ``chan``.
     """
-    rho = required_rho(svd.sigma1, target_sinr, chan.power_p, chan.sigma_b_sq)
-    outage = rho >= _RHO_CEIL
-    if outage:
-        rho = 1.0
+    rho, outage = outage_fallback(
+        required_rho(svd.sigma1, target_sinr, chan.power_p, chan.sigma_b_sq)
+    )
+    rho, outage = float(rho), bool(outage)
     q = noise_covariance_for(svd.t_prime, rho, chan.power_p)
     return TxScheme(
         t=svd.v1, rho=rho, q_z=q, power_p=chan.power_p,
@@ -220,7 +245,28 @@ def design_known_ecsi(
     transmits the whole budget instead.
     """
     hb = chan.h_ba.entries
-    he = as_matrix(h_ea_assumed)
+    t = eve_aware_direction(hb, as_matrix(h_ea_assumed))
+    na = hb.shape[1]
+    a = hb.conj().T @ hb
+    gain = float(np.real(np.vdot(t, a @ t)))
+    if gain <= 0:
+        raise DegenerateChannelError("data direction has zero gain to the intended receiver")
+    rho, outage = outage_fallback(chan.sigma_b_sq * target_sinr / (chan.power_p * gain))
+    rho, outage = (1.0 if full_power else float(rho)), bool(outage)
+    q = np.zeros((na, na), dtype=np.complex128)
+    return TxScheme(t=t, rho=rho, q_z=q, power_p=chan.power_p,
+                    target_sinr=target_sinr, outage=outage)
+
+
+def eve_aware_direction(hb: np.ndarray, he: np.ndarray) -> np.ndarray:
+    """Unit direction of :func:`design_known_ecsi` for one channel pair.
+
+    Solves the generalized eigenproblem between the two channel Gram
+    matrices.  While the eavesdropper has fewer antennas than the
+    transmitter her Gram matrix is singular and the reciprocal problem is
+    solved instead; its smallest ratio lies in her null space.  Raises
+    DegenerateChannelError when both Gram matrices are singular.
+    """
     if hb.shape[1] != he.shape[1]:
         raise DimensionError(f"channel column counts differ: {hb.shape[1]} vs {he.shape[1]}")
     na = hb.shape[1]
@@ -234,9 +280,6 @@ def design_known_ecsi(
         except np.linalg.LinAlgError:
             t = None
     if t is None:
-        # The eavesdropper Gram matrix is singular; pose the reciprocal
-        # problem instead and take the smallest ratio, which puts t inside
-        # the eavesdropper's null space.
         try:
             _, vecs = scipy.linalg.eigh(b, a)
         except np.linalg.LinAlgError as exc:
@@ -244,17 +287,7 @@ def design_known_ecsi(
                 "both channel Gram matrices are singular; no direction is identifiable"
             ) from exc
         t = vecs[:, 0]
-    t = t / np.linalg.norm(t)
-    gain = float(np.real(np.vdot(t, a @ t)))
-    if gain <= 0:
-        raise DegenerateChannelError("data direction has zero gain to the intended receiver")
-    rho = chan.sigma_b_sq * target_sinr / (chan.power_p * gain)
-    outage = rho >= _RHO_CEIL
-    if outage or full_power:
-        rho = 1.0
-    q = np.zeros((na, na), dtype=np.complex128)
-    return TxScheme(t=t, rho=rho, q_z=q, power_p=chan.power_p,
-                    target_sinr=target_sinr, outage=outage)
+    return t / np.linalg.norm(t)
 
 
 def bob_matched_beamformer(chan: ChannelSet, scheme: TxScheme) -> RxBeamformer:
@@ -291,10 +324,45 @@ def eve_mmse_beamformer(chan: ChannelSet, scheme: TxScheme, q_z_true=None) -> Rx
     reportable.
     """
     w = mmse_combiner(chan.h_ea, scheme, chan.sigma_e_sq, q_z_true=q_z_true)
-    if not np.any(w):
-        w = np.zeros(as_matrix(chan.h_ea).shape[0], dtype=np.complex128)
-        w[0] = 1.0
-    return RxBeamformer(w=w, kind="mmse")
+    return RxBeamformer(w=_nulled_stand_in(w), kind="mmse")
+
+
+def mmse_combiners(h: np.ndarray, t: np.ndarray, q: np.ndarray, sigma_sq: float) -> np.ndarray:
+    """Stacked eavesdropper combiners over the leading axes of the inputs.
+
+    Solves (H Q H^H + sigma^2 I) w = H t for every channel at once with one
+    LU-based solve (the single-channel :func:`mmse_combiner` uses a Cholesky
+    solve) and applies the stand-in of :func:`eve_mmse_beamformer` wherever
+    the solution is exactly zero.
+    """
+    cov = h @ q @ herm(h) + sigma_sq * np.eye(h.shape[-2])
+    return _nulled_stand_in(np.linalg.solve(cov, h @ t[..., None])[..., 0])
+
+
+def _nulled_stand_in(w: np.ndarray) -> np.ndarray:
+    """The first unit vector in place of each all-zero combiner."""
+    if w.ndim == 1 and w.any():
+        return w
+    nulled = ~np.any(w, axis=-1)
+    return np.where(nulled[..., None], np.eye(w.shape[-1])[0], w)
+
+
+def link_powers(h, t, data_power, factor, w, sigma_sq: float):
+    """Signal, interference and noise power at unit-norm combiners ``w``.
+
+    Every argument may carry the same leading batch axes; ``factor`` is F
+    with q_z = F F^H, or None to skip the interference power (returned as
+    None).  Returns the powers as arrays over the batch axes.  Interference
+    is the sum of squared amplitudes F^H H^H w, so a combiner orthogonal to
+    it measures the true epsilon-squared residual instead of covariance
+    round-off.
+    """
+    sig = data_power * abs(vdot(w, matvec(h, t))) ** 2
+    noise = sigma_sq * np.real(vdot(w, w))
+    if factor is None:
+        return sig, None, noise
+    amps = matvec(herm(factor), matvec(herm(h), w))
+    return sig, np.real(vdot(amps, amps)), noise
 
 
 def _as_vector(w) -> np.ndarray:
@@ -323,27 +391,42 @@ def link_sinr(h, scheme: TxScheme, w, sigma_sq: float, q_z_true=None) -> LinkSin
     if scale == 0.0:
         raise ParameterError("combiner must be nonzero")
     w = w / scale
-    ht = arr @ scheme.t
-    sig = scheme.data_power * abs(np.vdot(w, ht)) ** 2
-    if q_z_true is None and scheme.q_z_factor is not None:
-        # Through the factor the received interference is a sum of squared
-        # amplitudes, so a combiner orthogonal to it measures the true
-        # epsilon-squared residual instead of covariance round-off.
-        amps = scheme.q_z_factor.conj().T @ (arr.conj().T @ w)
-        interf = float(np.real(np.vdot(amps, amps)))
+    factor = scheme.q_z_factor if q_z_true is None else None
+    sig, interf, noise = link_powers(arr, scheme.t, scheme.data_power, factor, w, sigma_sq)
+    noise = float(noise)
+    if factor is not None:
+        interf = float(interf)
     else:
         q = scheme.q_z if q_z_true is None else np.asarray(q_z_true, dtype=np.complex128)
         hqh = arr @ q @ arr.conj().T
         interf = float(np.real(np.vdot(w, hqh @ w)))
         # Clamp tiny negative round-off from the quadratic form.
         interf = max(interf, 0.0)
-    noise = sigma_sq * float(np.real(np.vdot(w, w)))
     return LinkSinr(
         sinr=float(sig) / (interf + noise),
         signal_power=float(sig),
         interference_power=interf,
         noise_power=noise,
     )
+
+
+def evaluate_links(
+    chan: ChannelSet, scheme: TxScheme, w_b, w_e, q_z_true=None
+) -> tuple[SinrReport, LinkSinr, LinkSinr]:
+    """Evaluate one trial at both receivers, keeping both links' powers.
+
+    Returns the report of :func:`evaluate_sinr` together with the two
+    :class:`LinkSinr` values it was built from.
+    """
+    bob = link_sinr(chan.h_ba, scheme, w_b, chan.sigma_b_sq, q_z_true=q_z_true)
+    eve = link_sinr(chan.h_ea, scheme, w_e, chan.sigma_e_sq, q_z_true=q_z_true)
+    report = SinrReport(
+        sinr_b=bob.sinr,
+        sinr_e=eve.sinr,
+        secrecy_capacity=secrecy_capacity_proxy(bob.sinr, eve.sinr),
+        outage=scheme.outage,
+    )
+    return report, bob, eve
 
 
 def evaluate_sinr(chan: ChannelSet, scheme: TxScheme, w_b, w_e, q_z_true=None) -> SinrReport:
@@ -353,25 +436,28 @@ def evaluate_sinr(chan: ChannelSet, scheme: TxScheme, w_b, w_e, q_z_true=None) -
     defaults to the scheme's own.  The secrecy number is the clamped
     difference of the two log rates at the beamformer outputs.
     """
-    bob = link_sinr(chan.h_ba, scheme, w_b, chan.sigma_b_sq, q_z_true=q_z_true)
-    eve = link_sinr(chan.h_ea, scheme, w_e, chan.sigma_e_sq, q_z_true=q_z_true)
-    return SinrReport(
-        sinr_b=bob.sinr,
-        sinr_e=eve.sinr,
-        secrecy_capacity=secrecy_capacity_proxy(bob.sinr, eve.sinr),
-        outage=scheme.outage,
-    )
+    return evaluate_links(chan, scheme, w_b, w_e, q_z_true=q_z_true)[0]
 
 
 def secrecy_capacity_proxy(sinr_b: float, sinr_e: float) -> float:
     """Clamped rate difference log2(1+SINR_b) - log2(1+SINR_e), in bits/use.
 
     Negative differences clamp to zero: secrecy is simply lost, not owed.
+    Works elementwise on arrays.
     """
-    if sinr_b < 0 or sinr_e < 0:
-        raise ParameterError("SINRs must be nonnegative")
+    _check_sinrs(sinr_b, sinr_e)
     rate = np.log2(1.0 + sinr_b) - np.log2(1.0 + sinr_e)
-    return float(max(rate, 0.0))
+    return _as_output(np.maximum(rate, 0.0))
+
+
+def _check_sinrs(sinr_b, sinr_e) -> None:
+    if any_true(sinr_b < 0) or any_true(sinr_e < 0):
+        raise ParameterError("SINRs must be nonnegative")
+
+
+def _as_output(x):
+    """A plain float for scalar results, the array otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 # Relative slack when checking whether a link delivered its provisioned
@@ -390,15 +476,13 @@ def secure_goodput(sinr_b: float, sinr_e: float, target_sinr: float) -> float:
     :func:`secrecy_capacity_proxy`, which credits whatever instantaneous
     rate gap a trial happens to produce, this metric only pays out for
     secrecy delivered at the rate the link was designed to carry.
+    Works elementwise on arrays.
     """
-    if target_sinr <= 0:
+    if any_true(target_sinr <= 0):
         raise ParameterError(f"target_sinr must be positive, got {target_sinr}")
-    if sinr_b < 0 or sinr_e < 0:
-        raise ParameterError("SINRs must be nonnegative")
-    if sinr_b < target_sinr * (1.0 - _GOODPUT_SLACK):
-        return 0.0
-    rate = np.log2(1.0 + target_sinr) - np.log2(1.0 + sinr_e)
-    return float(max(rate, 0.0))
+    _check_sinrs(sinr_b, sinr_e)
+    rate = np.maximum(np.log2(1.0 + target_sinr) - np.log2(1.0 + sinr_e), 0.0)
+    return _as_output(np.where(sinr_b < target_sinr * (1.0 - _GOODPUT_SLACK), 0.0, rate))
 
 
 def secrecy_capacity_full(chan: ChannelSet, scheme: TxScheme, q_z_true=None) -> float:
@@ -409,14 +493,24 @@ def secrecy_capacity_full(chan: ChannelSet, scheme: TxScheme, q_z_true=None) -> 
     metric; the scalar proxy is the default everywhere else.
     """
     q = scheme.q_z if q_z_true is None else np.asarray(q_z_true, dtype=np.complex128)
-    q_a = scheme.data_power * np.outer(scheme.t, scheme.t.conj()) + q
-    hb = chan.h_ba.entries
-    he = chan.h_ea.entries
-    eye_b = np.eye(hb.shape[0])
-    eye_e = np.eye(he.shape[0])
-    _, logdet_b = np.linalg.slogdet(eye_b + hb @ q_a @ hb.conj().T / chan.sigma_b_sq)
-    _, logdet_e = np.linalg.slogdet(eye_e + he @ q_a @ he.conj().T / chan.sigma_e_sq)
-    return float(max((logdet_b - logdet_e) / np.log(2.0), 0.0))
+    return float(full_secrecy_rates(
+        chan.h_ba.entries, chan.h_ea.entries, scheme.t, scheme.data_power, q,
+        chan.sigma_b_sq, chan.sigma_e_sq,
+    ))
+
+
+def full_secrecy_rates(h_b, h_e, t, data_power, q, sigma_b_sq: float, sigma_e_sq: float):
+    """Stacked :func:`secrecy_capacity_full` over the leading batch axes.
+
+    ``t`` and ``data_power`` describe the data stream and ``q`` is the
+    interference covariance, all with the channels' batch axes.
+    """
+    q_a = np.asarray(data_power)[..., None, None] * outer(t, t) + q
+    eye_b = np.eye(h_b.shape[-2])
+    eye_e = np.eye(h_e.shape[-2])
+    _, logdet_b = np.linalg.slogdet(eye_b + h_b @ q_a @ herm(h_b) / sigma_b_sq)
+    _, logdet_e = np.linalg.slogdet(eye_e + h_e @ q_a @ herm(h_e) / sigma_e_sq)
+    return np.maximum((logdet_b - logdet_e) / np.log(2.0), 0.0)
 
 
 def perfect_csi_trial(chan: ChannelSet, target_sinr: float, svd: SvdPartition | None = None):

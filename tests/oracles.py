@@ -1,12 +1,17 @@
-"""Brute-force Monte Carlo oracles the closed-form code must agree with.
+"""Reference implementations the library's fast paths must agree with.
 
-Everything here deliberately avoids the library's own moment formulas: draws
-are pushed through numpy's SVD and averaged, with antithetic pairing (each
-error sample used with both signs) so odd-order fluctuations cancel and the
-second-order means emerge at modest draw counts.  Perturbed singular vectors
-are phase-aligned against their unperturbed counterparts the same way the
-package aligns them: the inner product with the reference is made real and
-positive.
+``_run_chunk`` is the per-trial reference loop for the batched sweep
+engine: one trial, one point and one scheme at a time through the
+single-channel functions, returning the engine's per-trial metric array.
+
+``mc_moments`` is a brute-force Monte Carlo oracle for the closed-form
+perturbation moments.  It deliberately avoids the library's own moment
+formulas: draws are pushed through numpy's SVD and averaged, with antithetic
+pairing (each error sample used with both signs) so odd-order fluctuations
+cancel and the second-order means emerge at modest draw counts.  Perturbed
+singular vectors are phase-aligned against their unperturbed counterparts
+the same way the package aligns them: the inner product with the reference
+is made real and positive.
 """
 from __future__ import annotations
 
@@ -14,7 +19,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wiretap.channels import SvdPartition
+from wiretap.channels import (
+    ChannelMatrix,
+    ChannelSet,
+    CsiErrorModel,
+    SvdPartition,
+    complex_gaussian,
+    partition_svd,
+    perturb_ecsi,
+)
+from wiretap.exceptions import ConfigError, ValidityRangeError
+from wiretap.harness import (
+    _METRICS,
+    _NEEDS_ERROR,
+    _TAG_CHANNEL,
+    _TAG_ECSI,
+    _TAG_ERROR,
+    _TAG_EVE,
+    ExperimentConfig,
+    _as_tuple,
+    _point_values,
+    _rng,
+    _seed,
+)
+from wiretap.perturbation import compute_moments, naive_sinr_terms, naive_trial
+from wiretap.robust import _fdd_trial, _tdd_trial
+from wiretap.transmit import (
+    bob_matched_beamformer,
+    design_artificial_noise,
+    design_known_ecsi,
+    eve_mmse_beamformer,
+    evaluate_sinr,
+    link_sinr,
+    secrecy_capacity_full,
+    secure_goodput,
+)
+from wiretap.units import from_db
 
 
 @dataclass(frozen=True)
@@ -163,3 +203,166 @@ def field_agreement(closed, mc, rel: float = 0.10, abs_tol: float = 1e-4):
         if worst is None or ratio > worst[3]:
             worst = (name, miss, allowance, ratio)
     return worst
+
+
+# ------------------------------------------------------------ per-trial sweep loop
+
+
+def _secrecy(cfg: ExperimentConfig, chan: ChannelSet, scheme, report) -> float:
+    """Per-trial secrecy under the configured metric.
+
+    "goodput" pays the provisioned secret rate only on trials where the
+    intended link actually reaches its target SINR, so schemes are compared
+    on secrecy they reliably deliver rather than on lucky fades; "proxy" is
+    the instantaneous clamped rate difference at the beamformer outputs;
+    "full" is the matrix mutual-information rate of the transmitted
+    covariance.
+    """
+    if cfg.secrecy_metric == "full":
+        return secrecy_capacity_full(chan, scheme)
+    if cfg.secrecy_metric == "goodput":
+        return secure_goodput(report.sinr_b, report.sinr_e, scheme.target_sinr)
+    return report.secrecy_capacity
+
+
+def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
+    """Metrics for trials [lo, hi): shape (points, schemes, metrics, trials)."""
+    axis_name, axis_values = cfg.axis()
+    n_points = len(axis_values)
+    n_schemes = len(cfg.schemes)
+    out = np.full((n_points, n_schemes, len(_METRICS), hi - lo), np.nan)
+
+    power_p = cfg.power_p
+    needs_error = bool(_NEEDS_ERROR.intersection(cfg.schemes))
+    needs_moments = bool({"robust_tdd", "analytic_naive"}.intersection(cfg.schemes))
+    eve_per_point = axis_name == "ne"
+
+    for idx, trial in enumerate(range(lo, hi)):
+        h_ba = ChannelMatrix(
+            complex_gaussian(_rng(cfg, _TAG_CHANNEL, trial), cfg.nb, cfg.na)
+        )
+        svd = partition_svd(h_ba)
+        dh_unit = None
+        if needs_error:
+            dh_unit = complex_gaussian(_rng(cfg, _TAG_ERROR, trial), cfg.nb, cfg.na)
+        moments_unit = None
+        if needs_moments:
+            moments_unit = compute_moments(svd, CsiErrorModel.iid(1.0))
+
+        h_ea_fixed = None
+        ecsi_fixed = None
+        if not eve_per_point:
+            h_ea_fixed = ChannelMatrix(
+                complex_gaussian(_rng(cfg, _TAG_EVE, trial), _as_tuple(cfg.ne)[0], cfg.na)
+            )
+            if "imperfect_ecsi" in cfg.schemes:
+                ecsi_fixed = perturb_ecsi(
+                    h_ea_fixed, cfg.gamma_ecsi, _seed(cfg, _TAG_ECSI, trial)
+                )
+
+        for p, axis_value in enumerate(axis_values):
+            ne, target_db, sigma_db = _point_values(cfg, axis_name, axis_value)
+            target = float(from_db(target_db))
+            if eve_per_point:
+                h_ea = ChannelMatrix(
+                    complex_gaussian(_rng(cfg, _TAG_EVE, trial, p), ne, cfg.na)
+                )
+            else:
+                h_ea = h_ea_fixed
+            chan = ChannelSet(
+                h_ba=h_ba, h_ea=h_ea, sigma_b_sq=cfg.sigma_b_sq,
+                sigma_e_sq=cfg.sigma_e_sq, power_p=power_p,
+            )
+
+            part_tilde = None
+            moments = None
+            if needs_error and sigma_db is not None:
+                sigma_sq = float(from_db(sigma_db))
+                dh = np.sqrt(sigma_sq) * dh_unit
+                part_tilde = partition_svd(h_ba.entries + dh)
+                if needs_moments:
+                    moments = moments_unit.scaled(sigma_sq)
+
+            for s, scheme_name in enumerate(cfg.schemes):
+                out[p, s, :, idx] = _one_scheme(
+                    cfg, scheme_name, chan, svd, target, part_tilde, moments, trial, p,
+                    ecsi_fixed,
+                )
+    return out
+
+
+def _one_scheme(
+    cfg: ExperimentConfig,
+    name: str,
+    chan: ChannelSet,
+    svd: SvdPartition,
+    target: float,
+    part_tilde,
+    moments,
+    trial: int,
+    point: int,
+    ecsi_fixed,
+) -> np.ndarray:
+    row = np.full(len(_METRICS), np.nan)
+
+    if name == "analytic_naive":
+        try:
+            num, den = naive_sinr_terms(svd, moments, chan, target)
+        except ValidityRangeError:
+            row[8] = 1.0
+            return row
+        row[4], row[5] = num, den
+        if num > 0.0 and den > 0.0:
+            row[0] = num / den
+            row[8] = 0.0
+        else:
+            row[8] = 1.0
+        return row
+
+    if name == "perfect":
+        scheme = design_artificial_noise(chan, svd, target)
+        w_b = bob_matched_beamformer(chan, scheme)
+    elif name == "known_ecsi":
+        scheme = design_known_ecsi(chan, chan.h_ea, target)
+        w_b = bob_matched_beamformer(chan, scheme)
+    elif name == "imperfect_ecsi":
+        assumed = (
+            ecsi_fixed
+            if ecsi_fixed is not None
+            else perturb_ecsi(chan.h_ea, cfg.gamma_ecsi, _seed(cfg, _TAG_ECSI, trial, point))
+        )
+        scheme = design_known_ecsi(chan, assumed, target)
+        w_b = bob_matched_beamformer(chan, scheme)
+    elif name == "naive":
+        report, bob, eve, scheme = naive_trial(
+            chan, None, target, svd=svd, svd_tilde=part_tilde
+        )
+        return _fill(row, cfg, chan, scheme, report, bob, eve)
+    elif name == "robust_fdd":
+        _, report, ctx, bob, eve, scheme = _fdd_trial(
+            chan, part_tilde, target,
+            propagate_through_estimate=cfg.propagate_through_estimate,
+        )
+        return _fill(row, cfg, chan, scheme, report, bob, eve)
+    elif name == "robust_tdd":
+        _, report, ctx, bob, eve, scheme = _tdd_trial(
+            chan, svd, moments, part_tilde, target
+        )
+        return _fill(row, cfg, chan, scheme, report, bob, eve, flagged=ctx.loaded)
+    else:  # pragma: no cover - validate() already refused unknown names
+        raise ConfigError(f"unknown scheme {name!r}")
+
+    w_e = eve_mmse_beamformer(chan, scheme)
+    report = evaluate_sinr(chan, scheme, w_b, w_e)
+    bob = link_sinr(chan.h_ba, scheme, w_b, chan.sigma_b_sq)
+    eve = link_sinr(chan.h_ea, scheme, w_e, chan.sigma_e_sq)
+    return _fill(row, cfg, chan, scheme, report, bob, eve)
+
+
+def _fill(row, cfg, chan, scheme, report, bob, eve, flagged: bool = False) -> np.ndarray:
+    row[:] = (
+        report.sinr_b, report.sinr_e, _secrecy(cfg, chan, scheme, report),
+        float(report.outage), bob.signal_power, bob.interference_plus_noise,
+        eve.signal_power, eve.interference_plus_noise, float(flagged),
+    )
+    return row

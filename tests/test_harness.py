@@ -1,11 +1,14 @@
 """Tests for the experiment harness: configs, sweeps, reproducibility."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from wiretap.exceptions import ConfigError
 from wiretap.harness import (
+    SCHEMES,
     ExperimentConfig,
     preset_config,
     run_ecsi_comparison,
@@ -54,6 +57,18 @@ class TestExperimentConfig:
             dict(schemes=()),
             dict(ne=0),
             dict(secrecy_metric="rate"),
+            dict(trials=2.5),
+            dict(threads=1.5),
+            dict(power_db=float("nan")),
+            dict(power_db=float("inf")),
+            dict(power_db=4000.0),
+            dict(target_sinr_db=float("nan")),
+            dict(target_sinr_db=(10.0, float("inf"))),
+            dict(target_sinr_db=-4000.0),
+            dict(sigma_h_db=float("nan"), schemes=("naive",)),
+            dict(sigma_h_db=(-20.0, float("-inf")), schemes=("naive",)),
+            dict(sigma_b_sq=float("inf")),
+            dict(sigma_e_sq=float("nan")),
         ],
     )
     def test_invalid_values_are_refused(self, bad):
@@ -118,13 +133,15 @@ class TestRunExperiment:
         assert a.axis == b.axis
 
     def test_thread_split_does_not_change_results(self):
-        serial = run_experiment(_small(trials=12))
-        split = run_experiment(_small(trials=12, threads=2))
-        for metric in serial.series["perfect"]:
-            np.testing.assert_array_equal(
-                serial.series["perfect"][metric], split.series["perfect"][metric],
-                err_msg=metric,
-            )
+        every = _small(trials=12, sigma_h_db=-15.0, schemes=SCHEMES)
+        serial = run_experiment(every)
+        split = run_experiment(replace(every, threads=2))
+        for scheme in SCHEMES:
+            for metric in serial.series[scheme]:
+                np.testing.assert_array_equal(
+                    serial.series[scheme][metric], split.series[scheme][metric],
+                    err_msg=f"{scheme}.{metric}",
+                )
 
     def test_different_seeds_differ(self):
         a = run_experiment(_small(master_seed=1))

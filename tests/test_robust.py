@@ -16,6 +16,7 @@ from wiretap.channels import (
 from wiretap.exceptions import ParameterError
 from wiretap.perturbation import PerturbMoments, compute_moments, naive_trial
 from wiretap.robust import _fdd_trial, _tdd_trial, fdd_receiver, tdd_receiver
+from wiretap import perturbation, robust, transmit
 from wiretap.transmit import link_sinr
 
 TARGET = 100.0
@@ -191,3 +192,28 @@ class TestRecoveryOrdering:
         assert pooled["fdd"] == pytest.approx(TARGET, rel=1e-9)
         # The statistical mode recovers most of the gap at this error power.
         assert pooled["tdd"] > 10 * pooled["naive"]
+
+
+@pytest.mark.parametrize("trial", ["naive", "fdd", "tdd"])
+def test_trial_paths_evaluate_each_link_once(monkeypatch, trial):
+    # The powers a trial returns are the two link evaluations its SINR
+    # report was built from, not a second evaluation of the same links.
+    chan = generate_channels(4, 4, 3, rng_seed=23)
+    err = _error(chan, 23)
+    svd = partition_svd(chan.h_ba)
+    part = partition_svd(chan.h_ba.entries + err)
+    moments = compute_moments(svd, CsiErrorModel.iid(SIGMA_SQ))
+    calls = []
+    for module in (transmit, robust, perturbation):
+        monkeypatch.setattr(
+            module, "link_sinr", lambda *a, **k: calls.append(a[3]) or link_sinr(*a, **k),
+            raising=False,
+        )
+    if trial == "naive":
+        report, bob, eve, scheme = naive_trial(chan, err, TARGET, svd=svd, svd_tilde=part)
+    elif trial == "fdd":
+        _, report, _, bob, eve, scheme = _fdd_trial(chan, part, TARGET)
+    else:
+        _, report, _, bob, eve, scheme = _tdd_trial(chan, svd, moments, part, TARGET)
+    assert calls == [chan.sigma_b_sq, chan.sigma_e_sq]
+    assert (report.sinr_b, report.sinr_e) == (bob.sinr, eve.sinr)
