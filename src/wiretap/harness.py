@@ -8,20 +8,23 @@ a stream tag, and the trial index, which makes results bit-identical no
 matter how trials are split across worker processes.
 
 Trials run in blocks of ``BLOCK_TRIALS``.  A block draws each trial's own
-streams and stacks them, then runs every stage once for the whole block
+streams into one stack, then runs every stage once for the whole block
 with numpy's stacked linear algebra: one SVD of the channels, one of the
 transmitter's estimates per error level, the closed-form i.i.d. moments,
 each scheme as a batched design (data direction, power, interference
 factor and the intended receiver's combiner), and one shared evaluation of
-the eavesdropper's MMSE combiner, both links and the secrecy metric.  No
-trial's numbers depend on its neighbours, so results are also bit-identical
-for any block size.
+the eavesdropper's MMSE combiner, both links and the secrecy metric.  The
+eavesdropper-aware designs take one generalized eigendecomposition per
+trial against the intended receiver's Gram matrices, which a block builds
+once for all points; they carry no interference, so the eavesdropper's
+combiner needs no solve.  No trial's numbers depend on its neighbours, so
+results are also bit-identical for any block size.
 
-Per-trial metrics are materialized and reduced once at the end; means are
-arithmetic means of linear SINR, and a pooled ratio-of-expectations figure
-(mean signal power over mean interference-plus-noise power) is kept
-alongside for comparisons against the closed-form degradation estimate,
-which predicts exactly that ratio.
+Per-trial metrics are materialized and reduced once at the end, every
+(point, scheme) cell at once; means are arithmetic means of linear SINR,
+and a pooled ratio-of-expectations figure (mean signal power over mean
+interference-plus-noise power) is kept alongside for comparisons against
+the closed-form degradation estimate, which predicts exactly that ratio.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .channels import SvdStack, complex_gaussian, partition_stack, perturb_ecsi
+from .channels import SvdStack, partition_stack
 from .exceptions import ConfigError, DegenerateChannelError, ParameterError
 from .perturbation import iid_moments, naive_terms
 from .robust import (
@@ -45,7 +48,7 @@ from .robust import (
 )
 from .stacked import herm, matvec, vdot
 from .transmit import (
-    eve_aware_direction,
+    eve_aware_directions,
     full_secrecy_rates,
     link_powers,
     mmse_combiners,
@@ -326,18 +329,27 @@ def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
 
 
 def _draw(cfg: ExperimentConfig, tag: int, lo: int, hi: int, rows: int, point=None):
-    """One seeded stream per trial, stacked: shape (hi - lo, rows, na)."""
-    return np.stack([
-        complex_gaussian(_rng(cfg, tag, trial, point), rows, cfg.na) for trial in range(lo, hi)
-    ])
+    """One seeded stream per trial, stacked: shape (hi - lo, rows, na).
+
+    Each trial's entries are those of ``channels.complex_gaussian`` on its
+    own stream: the real parts, then the imaginary parts, at unit variance.
+    """
+    re, im = np.empty((2, hi - lo, rows, cfg.na))
+    for i, trial in enumerate(range(lo, hi)):
+        rng = _rng(cfg, tag, trial, point)
+        rng.standard_normal(out=re[i])
+        rng.standard_normal(out=im[i])
+    return np.sqrt(0.5) * (re + 1j * im)
 
 
 def _blend(cfg: ExperimentConfig, eve: np.ndarray, lo: int, point=None) -> np.ndarray:
-    """The transmitter's stale estimates of a stack of eavesdropper channels."""
-    return np.stack([
-        perturb_ecsi(h, cfg.gamma_ecsi, _seed(cfg, _TAG_ECSI, lo + i, point)).entries
-        for i, h in enumerate(eve)
-    ])
+    """The transmitter's stale estimates of a stack of eavesdropper channels,
+    ``channels.perturb_ecsi`` of each trial on its own stream."""
+    gamma = cfg.gamma_ecsi
+    if gamma == 0.0:
+        return eve.copy()
+    fresh = _draw(cfg, _TAG_ECSI, lo, lo + len(eve), eve.shape[1], point)
+    return np.sqrt(1.0 - gamma) * eve + np.sqrt(gamma) * fresh
 
 
 class _Block:
@@ -438,7 +450,8 @@ def _artificial_noise(pt: _Point, part: SvdStack) -> _Design:
 def _eve_aware(pt: _Point, assumed: np.ndarray) -> _Design:
     """All power on the generalized-eigen direction against ``assumed``."""
     cfg, blk = pt.blk.cfg, pt.blk
-    t = np.stack([eve_aware_direction(hb, he) for hb, he in zip(blk.h, assumed)])
+    gram = blk.cached("gram", lambda: herm(blk.h) @ blk.h)
+    t = eve_aware_directions(gram, herm(assumed) @ assumed, assumed.shape[-2])
     w_b = matvec(blk.h, t)
     gain = np.real(vdot(w_b, w_b))
     if np.any(gain <= 0):
@@ -534,11 +547,11 @@ def _evaluate(cfg: ExperimentConfig, h: np.ndarray, eve: np.ndarray, target, d: 
     "full" is the matrix mutual-information rate of the transmitted
     covariance.
     """
-    q = d.factor @ herm(d.factor)
-    w_e = mmse_combiners(eve, d.t, q, cfg.sigma_e_sq)
+    w_e = mmse_combiners(eve, d.t, d.factor, cfg.sigma_e_sq)
     sinr_b, signal_b, intnoise_b = _link(h, d, d.w_b, cfg.sigma_b_sq)
     sinr_e, signal_e, intnoise_e = _link(eve, d, w_e, cfg.sigma_e_sq)
     if cfg.secrecy_metric == "full":
+        q = d.factor @ herm(d.factor)
         secrecy = full_secrecy_rates(h, eve, d.t, d.data_power, q, cfg.sigma_b_sq, cfg.sigma_e_sq)
     elif cfg.secrecy_metric == "goodput":
         secrecy = secure_goodput(sinr_b, sinr_e, target)
@@ -603,75 +616,62 @@ def _run_block(cfg: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _db_or_neg_inf(x: float) -> float:
-    if not np.isfinite(x) or x <= 0.0:
-        return float("-inf") if x == 0.0 else float("nan")
-    return float(to_db(x))
+def _db_or_neg_inf(x: np.ndarray) -> np.ndarray:
+    """Decibels of positive finite entries; 0 maps to -inf and the rest to NaN."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        db = to_db(x)
+    return np.where(np.isfinite(x) & (x > 0.0), db, np.where(x == 0.0, -np.inf, np.nan))
+
+
+def _mean_stderr(values: np.ndarray):
+    """Mean, standard error and count of the non-NaN entries along the last
+    axis; NaN where no entry (or, for the standard error, one) is left."""
+    valid = ~np.isnan(values)
+    n = valid.sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = np.where(valid, values, 0.0).sum(axis=-1) / n
+        dev = np.where(valid, values - mean[..., None], 0.0)
+        se = np.sqrt((dev * dev).sum(axis=-1) / (n - 1)) / np.sqrt(n)
+    return np.where(n > 0, mean, np.nan), np.where(n > 1, se, np.nan), n
+
+
+def _pooled_ratio(signal: np.ndarray, intnoise: np.ndarray) -> np.ndarray:
+    """Ratio of summed signal power to summed interference-plus-noise."""
+    sig_sum = np.nansum(signal, axis=-1)
+    intn_sum = np.nansum(intnoise, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(intn_sum > 0, sig_sum / intn_sum, np.nan)
 
 
 def _reduce(metrics: np.ndarray, cfg: ExperimentConfig) -> dict[str, dict[str, tuple]]:
-    series: dict[str, dict[str, tuple]] = {}
-    for s, scheme in enumerate(cfg.schemes):
-        per_metric: dict[str, list] = {
-            "mean_sinr_b": [], "stderr_sinr_b": [], "mean_sinr_b_db": [],
-            "stderr_sinr_b_db": [],
-            "mean_sinr_e": [], "stderr_sinr_e": [], "mean_sinr_e_db": [],
-            "mean_secrecy": [], "stderr_secrecy": [],
-            "roe_sinr_b": [], "roe_sinr_b_db": [],
-            "roe_sinr_e": [], "roe_sinr_e_db": [],
-            "outage_count": [], "flagged_count": [], "n_valid": [],
-        }
-        for p in range(metrics.shape[0]):
-            block = metrics[p, s]
-            sinr_b, sinr_e, secrecy = block[0], block[1], block[2]
-            outage, signal_b, intnoise_b = block[3], block[4], block[5]
-            signal_e, intnoise_e, flagged = block[6], block[7], block[8]
-
-            mean_b, se_b, n_valid = _mean_stderr(sinr_b)
-            mean_e, se_e, _ = _mean_stderr(sinr_e)
-            mean_s, se_s, _ = _mean_stderr(secrecy)
-            roe = _pooled_ratio(signal_b, intnoise_b)
-            roe_e = _pooled_ratio(signal_e, intnoise_e)
-
-            per_metric["mean_sinr_b"].append(mean_b)
-            per_metric["stderr_sinr_b"].append(se_b)
-            per_metric["mean_sinr_b_db"].append(_db_or_neg_inf(mean_b))
-            per_metric["stderr_sinr_b_db"].append(
-                float(10.0 / np.log(10.0) * se_b / mean_b)
-                if mean_b > 0 and np.isfinite(se_b)
-                else float("nan")
-            )
-            per_metric["mean_sinr_e"].append(mean_e)
-            per_metric["stderr_sinr_e"].append(se_e)
-            per_metric["mean_sinr_e_db"].append(_db_or_neg_inf(mean_e))
-            per_metric["mean_secrecy"].append(mean_s)
-            per_metric["stderr_secrecy"].append(se_s)
-            per_metric["roe_sinr_b"].append(roe)
-            per_metric["roe_sinr_b_db"].append(_db_or_neg_inf(roe))
-            per_metric["roe_sinr_e"].append(roe_e)
-            per_metric["roe_sinr_e_db"].append(_db_or_neg_inf(roe_e))
-            per_metric["outage_count"].append(int(np.nansum(outage)))
-            per_metric["flagged_count"].append(int(np.nansum(flagged)))
-            per_metric["n_valid"].append(n_valid)
-        series[scheme] = {k: tuple(v) for k, v in per_metric.items()}
-    return series
-
-
-def _pooled_ratio(signal: np.ndarray, intnoise: np.ndarray) -> float:
-    """Ratio of summed signal power to summed interference-plus-noise."""
-    sig_sum = np.nansum(signal)
-    intn_sum = np.nansum(intnoise)
-    return float(sig_sum / intn_sum) if intn_sum > 0 else float("nan")
-
-
-def _mean_stderr(values: np.ndarray) -> tuple[float, float, int]:
-    valid = values[~np.isnan(values)]
-    n = valid.size
-    if n == 0:
-        return float("nan"), float("nan"), 0
-    mean = float(np.mean(valid))
-    se = float(np.std(valid, ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
-    return mean, se, n
+    """Per-scheme series over the points, every (point, scheme) cell at once."""
+    sinr_b, sinr_e, secrecy, outage, signal_b, intnoise_b, signal_e, intnoise_e, flagged = (
+        np.moveaxis(metrics, 2, 0)
+    )
+    mean_b, se_b, n_valid = _mean_stderr(sinr_b)
+    mean_e, se_e, _ = _mean_stderr(sinr_e)
+    mean_s, se_s, _ = _mean_stderr(secrecy)
+    roe = _pooled_ratio(signal_b, intnoise_b)
+    roe_e = _pooled_ratio(signal_e, intnoise_e)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        se_b_db = np.where(
+            (mean_b > 0) & np.isfinite(se_b), 10.0 / np.log(10.0) * se_b / mean_b, np.nan
+        )
+    columns = {
+        "mean_sinr_b": mean_b, "stderr_sinr_b": se_b, "mean_sinr_b_db": _db_or_neg_inf(mean_b),
+        "stderr_sinr_b_db": se_b_db,
+        "mean_sinr_e": mean_e, "stderr_sinr_e": se_e, "mean_sinr_e_db": _db_or_neg_inf(mean_e),
+        "mean_secrecy": mean_s, "stderr_secrecy": se_s,
+        "roe_sinr_b": roe, "roe_sinr_b_db": _db_or_neg_inf(roe),
+        "roe_sinr_e": roe_e, "roe_sinr_e_db": _db_or_neg_inf(roe_e),
+        "outage_count": np.nansum(outage, axis=-1).astype(int),
+        "flagged_count": np.nansum(flagged, axis=-1).astype(int),
+        "n_valid": n_valid,
+    }
+    return {
+        scheme: {key: tuple(values[:, s].tolist()) for key, values in columns.items()}
+        for s, scheme in enumerate(cfg.schemes)
+    }
 
 
 def run_experiment(cfg: ExperimentConfig) -> SweepResult:

@@ -74,12 +74,15 @@ def _solve_fraction(gain, target_sinr: float) -> tuple[float, bool]:
     ``gain`` is the predicted combiner output SINR as a function of the data
     power fraction; raising rho adds signal and removes interference, so it
     crosses the target at most once.  Returns (1.0, True) when even the full
-    budget falls short.
+    budget falls short, and (_RHO_FLOOR, False) when the bracket's floor
+    already meets the target.
     """
     if target_sinr <= 0:
         raise ParameterError(f"target_sinr must be positive, got {target_sinr}")
     if gain(1.0) < target_sinr:
         return 1.0, True
+    if gain(_RHO_FLOOR) >= target_sinr:
+        return _RHO_FLOOR, False
     root = scipy.optimize.brentq(
         lambda r: gain(r) - target_sinr, _RHO_FLOOR, 1.0, xtol=_XTOL, rtol=_RTOL,
         maxiter=_MAXITER,
@@ -102,11 +105,13 @@ def solve_fractions(lam, weights, power_p: float, na: int, sigma_sq: float, targ
         target_sinr, np.broadcast_shapes(lam.shape[:-1], np.shape(target_sinr))
     )
     outage = rank1_gains(np.ones(target.shape), lam, weights, power_p, na, sigma_sq) < target
+    floor = rank1_gains(np.full(target.shape, _RHO_FLOOR), lam, weights, power_p, na, sigma_sq)
+    at_floor = ~outage & (floor >= target)
     root = _brent(
         lambda r: rank1_gains(r, lam, weights, power_p, na, sigma_sq) - target,
-        _RHO_FLOOR, 1.0, target.shape, skip=outage,
+        _RHO_FLOOR, 1.0, target.shape, skip=outage | at_floor,
     )
-    return np.where(outage, 1.0, root), outage
+    return np.where(outage, 1.0, np.where(at_floor, _RHO_FLOOR, root)), outage
 
 
 def _brent(f, xa: float, xb: float, shape, skip):

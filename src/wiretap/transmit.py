@@ -261,33 +261,51 @@ def design_known_ecsi(
 def eve_aware_direction(hb: np.ndarray, he: np.ndarray) -> np.ndarray:
     """Unit direction of :func:`design_known_ecsi` for one channel pair.
 
-    Solves the generalized eigenproblem between the two channel Gram
-    matrices.  While the eavesdropper has fewer antennas than the
-    transmitter her Gram matrix is singular and the reciprocal problem is
-    solved instead; its smallest ratio lies in her null space.  Raises
-    DegenerateChannelError when both Gram matrices are singular.
+    The batch-of-one case of :func:`eve_aware_directions`, from the two
+    channel matrices.
     """
     if hb.shape[1] != he.shape[1]:
         raise DimensionError(f"channel column counts differ: {hb.shape[1]} vs {he.shape[1]}")
-    na = hb.shape[1]
     a = hb.conj().T @ hb
     b = he.conj().T @ he
-    t = None
-    if he.shape[0] >= na:
-        try:
-            _, vecs = scipy.linalg.eigh(a, b)
-            t = vecs[:, -1]
-        except np.linalg.LinAlgError:
-            t = None
-    if t is None:
-        try:
-            _, vecs = scipy.linalg.eigh(b, a)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateChannelError(
-                "both channel Gram matrices are singular; no direction is identifiable"
-            ) from exc
-        t = vecs[:, 0]
-    return t / np.linalg.norm(t)
+    return eve_aware_directions(a[None], b[None], he.shape[0])[0]
+
+
+# scipy.linalg.eigh's default driver for the generalized problem, and the
+# arguments eigh passes it; calling it directly skips eigh's per-call checks.
+_HEGVD = scipy.linalg.lapack.get_lapack_funcs("hegvd", dtype=np.complex128)
+_HEGVD_ARGS = dict(itype=1, jobz="V", uplo="L")
+
+
+def eve_aware_directions(a: np.ndarray, b: np.ndarray, ne: int) -> np.ndarray:
+    """Unit directions (T, na) of :func:`design_known_ecsi` for Gram stacks.
+
+    ``a`` and ``b`` (T, na, na) are the Gram matrices H^H H of the intended
+    receiver's and the eavesdropper's channels, and ``ne`` is her antenna
+    count.  Each direction solves the generalized eigenproblem a t = lam b t
+    for the largest ratio.  While the eavesdropper has fewer antennas than
+    the transmitter her Gram matrix is singular, and where it fails to
+    factor the reciprocal problem is solved instead; its smallest ratio lies
+    in her null space.  Raises ValueError for non-finite input and
+    DegenerateChannelError when both Gram matrices are singular.
+    """
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    t = np.empty(a.shape[:-1], dtype=np.complex128)
+    for i, (a_i, b_i) in enumerate(zip(a, b)):
+        info = 1  # the reciprocal problem unless the forward one is posed and solved
+        if ne >= a.shape[-1]:
+            _, vecs, info = _HEGVD(a_i, b_i, **_HEGVD_ARGS)
+            vec = vecs[:, -1]
+        if info:
+            _, vecs, info = _HEGVD(b_i, a_i, **_HEGVD_ARGS)
+            if info:
+                raise DegenerateChannelError(
+                    "both channel Gram matrices are singular; no direction is identifiable"
+                )
+            vec = vecs[:, 0]
+        t[i] = vec / np.linalg.norm(vec)
+    return t
 
 
 def bob_matched_beamformer(chan: ChannelSet, scheme: TxScheme) -> RxBeamformer:
@@ -327,16 +345,21 @@ def eve_mmse_beamformer(chan: ChannelSet, scheme: TxScheme, q_z_true=None) -> Rx
     return RxBeamformer(w=_nulled_stand_in(w), kind="mmse")
 
 
-def mmse_combiners(h: np.ndarray, t: np.ndarray, q: np.ndarray, sigma_sq: float) -> np.ndarray:
+def mmse_combiners(h: np.ndarray, t: np.ndarray, factor: np.ndarray, sigma_sq: float) -> np.ndarray:
     """Stacked eavesdropper combiners over the leading axes of the inputs.
 
-    Solves (H Q H^H + sigma^2 I) w = H t for every channel at once with one
-    LU-based solve (the single-channel :func:`mmse_combiner` uses a Cholesky
-    solve) and applies the stand-in of :func:`eve_mmse_beamformer` wherever
-    the solution is exactly zero.
+    Solves (H Q H^H + sigma^2 I) w = H t with Q = F F^H for the interference
+    factor ``factor`` (F), for every channel at once with one LU-based solve
+    (the single-channel :func:`mmse_combiner` uses a Cholesky solve), and
+    applies the stand-in of :func:`eve_mmse_beamformer` wherever the
+    solution is exactly zero.  A factor without columns leaves sigma^2 I,
+    whose solution is H t / sigma^2 without a solve.
     """
-    cov = h @ q @ herm(h) + sigma_sq * np.eye(h.shape[-2])
-    return _nulled_stand_in(np.linalg.solve(cov, h @ t[..., None])[..., 0])
+    rhs = matvec(h, t)
+    if factor.shape[-1] == 0:
+        return _nulled_stand_in(rhs / sigma_sq)
+    cov = h @ (factor @ herm(factor)) @ herm(h) + sigma_sq * np.eye(h.shape[-2])
+    return _nulled_stand_in(np.linalg.solve(cov, rhs[..., None])[..., 0])
 
 
 def _nulled_stand_in(w: np.ndarray) -> np.ndarray:

@@ -4,6 +4,11 @@
 engine: one trial, one point and one scheme at a time through the
 single-channel functions, returning the engine's per-trial metric array.
 
+``eve_aware_direction`` is the per-matrix ``scipy.linalg.eigh`` form of the
+Eve-aware design direction, and ``_reduce`` the per-(scheme, point) loop
+that reduced per-trial metrics to series; the library's stacked versions
+must reproduce them.
+
 ``mc_moments`` is a brute-force Monte Carlo oracle for the closed-form
 perturbation moments.  It deliberately avoids the library's own moment
 formulas: draws are pushed through numpy's SVD and averaged, with antithetic
@@ -18,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from wiretap.channels import (
     ChannelMatrix,
@@ -28,7 +34,12 @@ from wiretap.channels import (
     partition_svd,
     perturb_ecsi,
 )
-from wiretap.exceptions import ConfigError, ValidityRangeError
+from wiretap.exceptions import (
+    ConfigError,
+    DegenerateChannelError,
+    DimensionError,
+    ValidityRangeError,
+)
 from wiretap.harness import (
     _METRICS,
     _NEEDS_ERROR,
@@ -54,7 +65,7 @@ from wiretap.transmit import (
     secrecy_capacity_full,
     secure_goodput,
 )
-from wiretap.units import from_db
+from wiretap.units import from_db, to_db
 
 
 @dataclass(frozen=True)
@@ -366,3 +377,112 @@ def _fill(row, cfg, chan, scheme, report, bob, eve, flagged: bool = False) -> np
         eve.signal_power, eve.interference_plus_noise, float(flagged),
     )
     return row
+
+
+# ------------------------------------------------------- Eve-aware direction
+
+
+def eve_aware_direction(hb: np.ndarray, he: np.ndarray) -> np.ndarray:
+    """Unit direction of :func:`design_known_ecsi` for one channel pair.
+
+    Solves the generalized eigenproblem between the two channel Gram
+    matrices.  While the eavesdropper has fewer antennas than the
+    transmitter her Gram matrix is singular and the reciprocal problem is
+    solved instead; its smallest ratio lies in her null space.  Raises
+    DegenerateChannelError when both Gram matrices are singular.
+    """
+    if hb.shape[1] != he.shape[1]:
+        raise DimensionError(f"channel column counts differ: {hb.shape[1]} vs {he.shape[1]}")
+    na = hb.shape[1]
+    a = hb.conj().T @ hb
+    b = he.conj().T @ he
+    t = None
+    if he.shape[0] >= na:
+        try:
+            _, vecs = scipy.linalg.eigh(a, b)
+            t = vecs[:, -1]
+        except np.linalg.LinAlgError:
+            t = None
+    if t is None:
+        try:
+            _, vecs = scipy.linalg.eigh(b, a)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateChannelError(
+                "both channel Gram matrices are singular; no direction is identifiable"
+            ) from exc
+        t = vecs[:, 0]
+    return t / np.linalg.norm(t)
+
+
+# ------------------------------------------------------------ per-point reduction
+
+
+def _db_or_neg_inf(x: float) -> float:
+    if not np.isfinite(x) or x <= 0.0:
+        return float("-inf") if x == 0.0 else float("nan")
+    return float(to_db(x))
+
+
+def _reduce(metrics: np.ndarray, cfg: ExperimentConfig) -> dict[str, dict[str, tuple]]:
+    series: dict[str, dict[str, tuple]] = {}
+    for s, scheme in enumerate(cfg.schemes):
+        per_metric: dict[str, list] = {
+            "mean_sinr_b": [], "stderr_sinr_b": [], "mean_sinr_b_db": [],
+            "stderr_sinr_b_db": [],
+            "mean_sinr_e": [], "stderr_sinr_e": [], "mean_sinr_e_db": [],
+            "mean_secrecy": [], "stderr_secrecy": [],
+            "roe_sinr_b": [], "roe_sinr_b_db": [],
+            "roe_sinr_e": [], "roe_sinr_e_db": [],
+            "outage_count": [], "flagged_count": [], "n_valid": [],
+        }
+        for p in range(metrics.shape[0]):
+            block = metrics[p, s]
+            sinr_b, sinr_e, secrecy = block[0], block[1], block[2]
+            outage, signal_b, intnoise_b = block[3], block[4], block[5]
+            signal_e, intnoise_e, flagged = block[6], block[7], block[8]
+
+            mean_b, se_b, n_valid = _mean_stderr(sinr_b)
+            mean_e, se_e, _ = _mean_stderr(sinr_e)
+            mean_s, se_s, _ = _mean_stderr(secrecy)
+            roe = _pooled_ratio(signal_b, intnoise_b)
+            roe_e = _pooled_ratio(signal_e, intnoise_e)
+
+            per_metric["mean_sinr_b"].append(mean_b)
+            per_metric["stderr_sinr_b"].append(se_b)
+            per_metric["mean_sinr_b_db"].append(_db_or_neg_inf(mean_b))
+            per_metric["stderr_sinr_b_db"].append(
+                float(10.0 / np.log(10.0) * se_b / mean_b)
+                if mean_b > 0 and np.isfinite(se_b)
+                else float("nan")
+            )
+            per_metric["mean_sinr_e"].append(mean_e)
+            per_metric["stderr_sinr_e"].append(se_e)
+            per_metric["mean_sinr_e_db"].append(_db_or_neg_inf(mean_e))
+            per_metric["mean_secrecy"].append(mean_s)
+            per_metric["stderr_secrecy"].append(se_s)
+            per_metric["roe_sinr_b"].append(roe)
+            per_metric["roe_sinr_b_db"].append(_db_or_neg_inf(roe))
+            per_metric["roe_sinr_e"].append(roe_e)
+            per_metric["roe_sinr_e_db"].append(_db_or_neg_inf(roe_e))
+            per_metric["outage_count"].append(int(np.nansum(outage)))
+            per_metric["flagged_count"].append(int(np.nansum(flagged)))
+            per_metric["n_valid"].append(n_valid)
+        series[scheme] = {k: tuple(v) for k, v in per_metric.items()}
+    return series
+
+
+def _pooled_ratio(signal: np.ndarray, intnoise: np.ndarray) -> float:
+    """Ratio of summed signal power to summed interference-plus-noise."""
+    sig_sum = np.nansum(signal)
+    intn_sum = np.nansum(intnoise)
+    return float(sig_sum / intn_sum) if intn_sum > 0 else float("nan")
+
+
+def _mean_stderr(values: np.ndarray) -> tuple[float, float, int]:
+    valid = values[~np.isnan(values)]
+    n = valid.size
+    if n == 0:
+        return float("nan"), float("nan"), 0
+    mean = float(np.mean(valid))
+    se = float(np.std(valid, ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
+    return mean, se, n

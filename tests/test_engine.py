@@ -6,13 +6,16 @@ its per-trial metric array to round-off, with the same NaN pattern and the
 same outage and flag columns, and must not depend on how trials are grouped
 into blocks.  The three places where the engine deliberately uses a
 different algorithm than the single-channel path are checked against their
-counterparts directly.
+counterparts directly, and so are the stacked Eve-aware directions, the
+stacked draws and the vectorised reduction against the per-matrix,
+per-trial and per-point code they replaced.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -24,12 +27,19 @@ from wiretap.channels import (
     generate_channels,
     partition_stack,
     partition_svd,
+    perturb_ecsi,
 )
 from wiretap.exceptions import DegenerateChannelError
-from wiretap.harness import SCHEMES, ExperimentConfig, preset_config
+from wiretap.harness import SCENARIOS, SCHEMES, ExperimentConfig, preset_config
 from wiretap.perturbation import compute_moments, iid_moments
 from wiretap.robust import _rank1_gain, _solve_fraction, fdd_spectrum, solve_fractions
-from wiretap.transmit import TxScheme, eve_aware_direction, mmse_combiner, mmse_combiners
+from wiretap.transmit import (
+    TxScheme,
+    eve_aware_direction,
+    eve_aware_directions,
+    mmse_combiner,
+    mmse_combiners,
+)
 
 # Per-trial agreement: relative round-off plus an absolute floor for the
 # figures that are zero up to round-off (Eve's powers when she is nulled).
@@ -107,6 +117,27 @@ def test_engine_matches_the_loop_on_presets(preset):
     assert_matches_loop(preset_config(preset, trials=6, master_seed=11))
 
 
+@pytest.mark.parametrize("sigma_e_sq", [0.3, 4.0])
+@pytest.mark.parametrize("gamma_ecsi", [0.0, 1.0])
+def test_engine_matches_the_loop_at_other_noise_powers_and_blends(sigma_e_sq, gamma_ecsi):
+    # Eve's combiner skips the solve for the interference-free designs and
+    # the blend draws through the stacked streams; both are exact only at
+    # the defaults sigma_e^2 = 1 and 0 < gamma < 1, so cover the rest.
+    cfg = _config(
+        (4, 4, 6), "ne", sigma_e_sq=sigma_e_sq, sigma_b_sq=2.0, gamma_ecsi=gamma_ecsi,
+        schemes=("perfect", "known_ecsi", "imperfect_ecsi"),
+    )
+    assert_matches_loop(cfg)
+
+
+def test_a_target_met_at_the_bracket_floor_runs_in_both():
+    cfg = ExperimentConfig(na=3, nb=3, ne=2, target_sinr_db=-150.0, sigma_h_db=-20.0,
+                           trials=5, schemes=("robust_fdd",))
+    assert_matches_loop(cfg)
+    got = harness._run_chunk(cfg, 0, cfg.trials)
+    assert not np.any(got[:, :, harness._METRICS.index("outage")])
+
+
 def test_nb_below_na_eve_aware_design_fails_in_both():
     cfg = ExperimentConfig(na=4, nb=2, ne=2, trials=3, schemes=("known_ecsi",))
     with pytest.raises(DegenerateChannelError):
@@ -173,7 +204,7 @@ def test_stacked_lu_solve_matches_the_cholesky_solve():
     t = part.v[..., 0]
     factor = np.sqrt(30.0) * part.v[..., 1:]
     q = factor @ np.swapaxes(factor, -1, -2).conj()
-    stacked = mmse_combiners(h, t, q, 1.0)
+    stacked = mmse_combiners(h, t, factor, 1.0)
     for i in range(len(h)):
         scheme = TxScheme(t=t[i], rho=0.1, q_z=q[i], power_p=100.0, target_sinr=1.0)
         single = mmse_combiner(h[i], scheme, 1.0)
@@ -184,13 +215,29 @@ def test_stacked_solve_substitutes_the_unit_vector_for_a_zero_solution():
     h = np.zeros((2, 3, 2), dtype=complex)
     h[1] = _random_channels(1, 3, 2, seed=3)[0]
     t = np.tile(np.array([1.0, 0.0], dtype=complex), (2, 1))
-    w = mmse_combiners(h, t, np.zeros((2, 2, 2), dtype=complex), 1.0)
-    np.testing.assert_array_equal(w[0], [1.0, 0.0, 0.0])
-    np.testing.assert_allclose(w[1], h[1] @ t[1])
+    # A zero factor goes through the solve; one without columns skips it.
+    for columns in (1, 0):
+        w = mmse_combiners(h, t, np.zeros((2, 2, columns), dtype=complex), 1.0)
+        np.testing.assert_array_equal(w[0], [1.0, 0.0, 0.0])
+        np.testing.assert_allclose(w[1], h[1] @ t[1])
+
+
+@pytest.mark.parametrize("sigma_sq", [1.0, 0.3, 4.0])
+def test_no_interference_skips_the_solve(sigma_sq):
+    # Without interference the covariance is sigma^2 I: the solve's answer
+    # is H t / sigma^2, bit for bit at sigma^2 = 1 and to round-off elsewhere.
+    h = _random_channels(30, 6, 4, seed=4)
+    t = partition_stack(_random_channels(30, 4, 4, seed=5)).v[..., 0]
+    got = mmse_combiners(h, t, np.zeros((30, 4, 0), dtype=complex), sigma_sq)
+    want = mmse_combiners(h, t, np.zeros((30, 4, 1), dtype=complex), sigma_sq)
+    if sigma_sq == 1.0:
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
 def test_vectorised_root_solve_reproduces_brentq():
-    targets = 10.0 ** (np.array([-5.0, 0.0, 10.0, 20.0, 30.0, 45.0]) / 10.0)
+    # -150 dB is met already at the bracket's floor.
+    targets = 10.0 ** (np.array([-150.0, -5.0, 0.0, 10.0, 20.0, 30.0, 45.0]) / 10.0)
     for k in range(60):
         na, nb = [(5, 5), (4, 2), (2, 1), (8, 8)][k % 4]
         chan = generate_channels(na, nb, 2, rng_seed=[5, k])
@@ -236,6 +283,111 @@ def test_partition_stack_refuses_a_rank_deficient_member():
 
 def test_eve_aware_direction_is_the_scalar_design():
     hb, he = _random_channels(1, 3, 3, seed=9)[0], _random_channels(1, 4, 3, seed=10)[0]
-    _, vecs = scipy.linalg.eigh(hb.conj().T @ hb, he.conj().T @ he)
-    t = eve_aware_direction(hb, he)
-    np.testing.assert_allclose(t, vecs[:, -1] / np.linalg.norm(vecs[:, -1]))
+    np.testing.assert_array_equal(eve_aware_direction(hb, he), oracles.eve_aware_direction(hb, he))
+
+
+def _eve_pairs(na: int, nb: int, ne: int, seed: int, count: int = 6):
+    """Channel pairs of one shape: generic ones, and from ne >= na on also
+    a rank-deficient Eve, which forces the reciprocal problem."""
+    hb = _random_channels(count, nb, na, seed=seed)
+    he = _random_channels(count, ne, na, seed=seed + 1)
+    if ne >= na > 1:
+        he[count // 2:, :, -1] = he[count // 2:, :, 0]
+    return hb, he
+
+
+def _direction_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except DegenerateChannelError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("na", range(1, 7))
+def test_stacked_eve_aware_directions_are_the_per_matrix_eigh(na):
+    # Every (nb <= na, ne) shape: generic pairs, nb < na with ne < na (both
+    # Grams singular, DegenerateChannelError), ne < na - 1 (the reciprocal
+    # problem in Eve's null space) and a rank-deficient Eve with ne >= na.
+    outcomes = set()
+    for nb in range(1, na + 1):
+        for ne in range(1, 11):
+            hb, he = _eve_pairs(na, nb, ne, seed=100 * na + 10 * nb + ne)
+            want = [_direction_or_error(oracles.eve_aware_direction, b, e) for b, e in zip(hb, he)]
+            got = [_direction_or_error(eve_aware_direction, b, e) for b, e in zip(hb, he)]
+            for g, w in zip(got, want):
+                outcomes.add(type(w))
+                if isinstance(w, str):
+                    assert g == w
+                else:
+                    np.testing.assert_array_equal(g, w)
+            if any(isinstance(w, str) for w in want):
+                with pytest.raises(DegenerateChannelError):
+                    eve_aware_directions(hb.conj().swapaxes(1, 2) @ hb,
+                                         he.conj().swapaxes(1, 2) @ he, ne)
+            else:
+                stacked = eve_aware_directions(hb.conj().swapaxes(1, 2) @ hb,
+                                               he.conj().swapaxes(1, 2) @ he, ne)
+                np.testing.assert_array_equal(stacked, np.stack(want))
+    assert outcomes == ({np.ndarray} if na == 1 else {np.ndarray, str})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eve_aware_directions_refuse_a_non_finite_gram(bad):
+    a = np.tile(np.eye(3, dtype=complex), (4, 1, 1))
+    b = a.copy()
+    b[2, 1, 1] = bad
+    with pytest.raises(ValueError):
+        eve_aware_directions(a, b, 3)
+    with pytest.raises(ValueError):
+        eve_aware_directions(b, a, 1)
+
+
+# ------------------------------------------------------------ draws and reduction
+
+
+@pytest.mark.parametrize("point", [None, 3])
+@pytest.mark.parametrize("gamma", [0.0, 0.05, 1.0])
+def test_stacked_draws_are_the_per_trial_streams(point, gamma):
+    cfg = ExperimentConfig(na=4, nb=3, ne=5, gamma_ecsi=gamma, master_seed=2**62 + 9)
+    lo, hi = 7, 19
+    eve = harness._draw(cfg, harness._TAG_EVE, lo, hi, 5, point)
+    want = np.stack([
+        complex_gaussian(harness._rng(cfg, harness._TAG_EVE, trial, point), 5, cfg.na)
+        for trial in range(lo, hi)
+    ])
+    np.testing.assert_array_equal(eve, want)
+    blend = np.stack([
+        perturb_ecsi(h, gamma, harness._seed(cfg, harness._TAG_ECSI, lo + i, point)).entries
+        for i, h in enumerate(eve)
+    ])
+    np.testing.assert_array_equal(harness._blend(cfg, eve, lo, point), blend)
+
+
+def _reduce_configs():
+    for scenario in SCENARIOS[:-1]:
+        for metric in ("goodput", "proxy", "full"):
+            cfg = preset_config(scenario, trials=5, master_seed=4, secrecy_metric=metric)
+            yield pytest.param(cfg, id=f"{scenario}-{metric}")
+    # Mostly NaN rows, and a single trial (no standard error anywhere).
+    cfg = preset_config("fig2_prediction", trials=5, master_seed=4, power_db=-10.0)
+    yield pytest.param(cfg, id="fig2_prediction-low_power")
+    yield pytest.param(preset_config("fig4_secrecy", trials=1, master_seed=4), id="one_trial")
+
+
+@pytest.mark.parametrize("cfg", _reduce_configs())
+def test_vectorised_reduction_matches_the_per_point_loop(cfg):
+    metrics = harness._run_chunk(cfg, 0, cfg.trials)
+    got, want = harness._reduce(metrics, cfg), oracles._reduce(metrics, cfg)
+    assert list(got) == list(want)
+    for s, scheme in enumerate(cfg.schemes):
+        assert list(got[scheme]) == list(want[scheme])
+        for key, values in want[scheme].items():
+            assert len(got[scheme][key]) == len(values)
+            for p, (a, b) in enumerate(zip(got[scheme][key], values)):
+                assert type(a) is type(b), (scheme, key)
+                if isinstance(b, int) or math.isnan(b) or math.isinf(b):
+                    assert a == b or (math.isnan(a) and math.isnan(b)), (scheme, key, p)
+                elif np.isnan(metrics[p, s]).any():
+                    assert abs(a - b) <= 1e-15 * abs(b), (scheme, key, p)
+                else:
+                    assert a == b, (scheme, key, p)

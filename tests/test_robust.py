@@ -84,6 +84,19 @@ class TestFddReceiver:
         with pytest.raises(ParameterError):
             fdd_receiver(chan, chan.h_ba.entries, 0.0)
 
+    def test_a_target_met_at_the_bracket_floor_requests_the_floor(self):
+        # gain(rho) is already above a -150 dB target at the smallest
+        # fraction the root solve brackets; there is no root to find.
+        chan = generate_channels(3, 3, 2, rng_seed=2)
+        target = 10.0 ** (-150.0 / 10.0)
+        h_tilde = chan.h_ba.entries + 0.1 * _error(chan, 2)
+        _, report, ctx, _, _, _ = _fdd_trial(chan, partition_svd(h_tilde), target)
+        assert ctx.rho == robust._RHO_FLOOR
+        assert not report.outage
+        assert report.sinr_b >= target
+        _, report = fdd_receiver(chan, h_tilde, target)
+        assert not report.outage
+
 
 class TestTddReceiver:
     def test_zero_error_is_exact(self):
