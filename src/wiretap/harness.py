@@ -3,12 +3,17 @@
 A sweep varies exactly one quantity (eavesdropper antennas, target SINR, or
 error level) and runs every requested scheme on identical channel and error
 draws at each point, so scheme-to-scheme gaps are paired.  Seeding is
-hierarchical and absolute: each random object derives from the master seed,
-a stream tag, and the trial index, which makes results bit-identical no
-matter how trials are split across worker processes.
+hierarchical and absolute: each trial's stream of each kind is numpy's
+``default_rng(SeedSequence([master_seed, tag, trial]))``, with the point
+index appended for Eve's per-point streams on the ne axis, which makes
+results bit-identical no matter how trials are split across worker
+processes.
 
-Trials run in blocks of ``BLOCK_TRIALS``.  A block draws each trial's own
-streams into one stack, then runs every stage once for the whole block
+Trials run in blocks of ``BLOCK_TRIALS``.  A block derives the generator
+states of all those streams in one vectorised pass (numpy's SeedSequence
+hashing and PCG64 seeding as array arithmetic over every stream at once),
+draws each trial's streams into one stack, then runs every stage once for
+the whole block
 with numpy's stacked linear algebra: one SVD of the channels, one of the
 transmitter's estimates per error level, the closed-form i.i.d. moments,
 each scheme as a batched design (data direction, power, interference
@@ -90,6 +95,17 @@ _TAG_EVE = 102
 _TAG_ERROR = 103
 _TAG_ECSI = 104
 
+# numpy's SeedSequence hash constants and pool size (numpy/random/
+# bit_generator.pyx) and PCG64's 128-bit LCG multiplier, for deriving every
+# stream's generator state in one vectorised pass.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+
 # Trials the engine evaluates together.  Results do not depend on it; it
 # bounds memory, since a block holds a few stacks of this many matrices per
 # sweep point (3,000 trials of a 20x20 Eve matrix are 19 MB).
@@ -160,6 +176,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        seed = self.master_seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ConfigError(f"master_seed must be a non-negative integer, got {seed!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be at least 1, got {self.trials}")
         if self.threads < 1:
@@ -302,17 +321,6 @@ class SweepResult:
         return rows
 
 
-def _seed(cfg: ExperimentConfig, tag: int, trial: int, point: int | None = None):
-    entropy = [cfg.master_seed, tag, trial]
-    if point is not None:
-        entropy.append(point)
-    return np.random.SeedSequence(entropy)
-
-
-def _rng(cfg: ExperimentConfig, tag: int, trial: int, point: int | None = None):
-    return np.random.default_rng(_seed(cfg, tag, trial, point))
-
-
 def _point_values(cfg: ExperimentConfig, axis_name: str, value):
     ne = value if axis_name == "ne" else cfg.ne
     target_db = value if axis_name == "target_sinr_db" else cfg.target_sinr_db
@@ -328,57 +336,166 @@ def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
     )
 
 
-def _draw(cfg: ExperimentConfig, tag: int, lo: int, hi: int, rows: int, point=None):
-    """One seeded stream per trial, stacked: shape (hi - lo, rows, na).
+def _words(value: int) -> list[int]:
+    """``value`` as ``SeedSequence`` reads an entropy integer: its uint32
+    words, least significant first, at least one."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
 
-    Each trial's entries are those of ``channels.complex_gaussian`` on its
-    own stream: the real parts, then the imaginary parts, at unit variance.
+
+def _entropy(cfg: ExperimentConfig, tag: int, lo: int, hi: int, point=None):
+    """The entropy words ``[master_seed, tag, trial(, point)]`` of trials
+    [lo, hi): a zero-padded (hi - lo, width) uint32 array, with two slots
+    for the trial so that width is at least four, and each row's word count."""
+    head = _words(int(cfg.master_seed)) + _words(tag)
+    tail = [] if point is None else _words(point)
+    trial = np.arange(lo, hi, dtype=np.uint64)
+    high = (trial >> np.uint64(32)).astype(np.uint32)
+    two = high > 0  # trials from 2**32 on take two words
+    rows = np.zeros((hi - lo, len(head) + 2 + len(tail)), np.uint32)
+    rows[:, :len(head)] = head
+    rows[:, len(head)] = trial.astype(np.uint32)
+    rows[:, len(head) + 1] = high
+    at = len(head) + 1 + two
+    for j, word in enumerate(tail):
+        rows[np.arange(hi - lo), at + j] = word
+    return rows, at + len(tail)
+
+
+def _hasher(init: int, mult: int):
+    """numpy SeedSequence's running uint32 hash; each call advances its constant."""
+    const = init
+
+    def hash_(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return hash_
+
+
+def _pcg64_seeds(entropy: np.ndarray, lengths: np.ndarray) -> list[tuple[int, int]]:
+    """``PCG64(SeedSequence(row))``'s (state, inc) for every entropy row,
+    zero-padded to at least the pool size as ``_entropy`` lays them out.
+
+    numpy's pool mixing and ``generate_state(4, uint64)`` run as uint32
+    array arithmetic over all rows at once (words past a row's length are
+    skipped, as a shorter row never mixes them in), then PCG64's ``srandom``
+    step turns each row's four words into its 128-bit state and increment.
     """
-    re, im = np.empty((2, hi - lo, rows, cfg.na))
-    for i, trial in enumerate(range(lo, hi)):
-        rng = _rng(cfg, tag, trial, point)
-        rng.standard_normal(out=re[i])
-        rng.standard_normal(out=im[i])
-    return np.sqrt(0.5) * (re + 1j * im)
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    pool = [hashmix(entropy[:, i]) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, entropy.shape[1]):
+        live = lengths > src
+        for dst in range(_POOL_SIZE):
+            pool[dst] = np.where(live, mix(pool[dst], hashmix(entropy[:, src])), pool[dst])
+    generate = _hasher(_INIT_B, _MULT_B)
+    words = np.stack([generate(pool[i % _POOL_SIZE]) for i in range(2 * _POOL_SIZE)], axis=1)
+    # Little-endian word pairs -> seed (high, low) and sequence (high, low),
+    # then srandom: inc = 2 seq + 1, state = (inc + seed) * multiplier + inc.
+    words = words.astype(np.uint64)
+    seed_hi, seed_lo, seq_hi, seq_lo = ((words[:, 1::2] << np.uint64(32)) | words[:, ::2]).T
+    inc = ((seq_hi.astype(object) << 64 | seq_lo.astype(object)) << 1 | 1) & _MASK128
+    seed = seed_hi.astype(object) << 64 | seed_lo.astype(object)
+    return list(zip((((inc + seed) * _PCG_MULT + inc) & _MASK128).tolist(), inc.tolist()))
 
 
-def _blend(cfg: ExperimentConfig, eve: np.ndarray, lo: int, point=None) -> np.ndarray:
+def _draws(cfg: ExperimentConfig, lo: int, hi: int, streams) -> list[np.ndarray]:
+    """Each (tag, rows, point) stream of trials [lo, hi), stacked (hi - lo, rows, na).
+
+    Trial i's entries are those of ``channels.complex_gaussian`` on
+    ``default_rng(SeedSequence([master_seed, tag, trial(, point)]))``: the
+    real parts, then the imaginary parts, at unit variance.  Every stream's
+    seed is derived in one pass; one PCG64 then takes each seed in turn and
+    fills that trial's real and imaginary parts in one call.
+    """
+    parts = [_entropy(cfg, tag, lo, hi, point) for tag, _, point in streams]
+    width = max(words.shape[1] for words, _ in parts)
+    entropy = np.zeros((len(streams) * (hi - lo), width), np.uint32)
+    for i, (words, _) in enumerate(parts):
+        entropy[i * (hi - lo):(i + 1) * (hi - lo), :words.shape[1]] = words
+    seeds = iter(_pcg64_seeds(entropy, np.concatenate([n for _, n in parts])))
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    out = []
+    for _, rows, _ in streams:
+        buf = np.empty((hi - lo, 2, rows, cfg.na))
+        for trial_buf in buf:
+            state, inc = next(seeds)
+            bitgen.state = {
+                "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                "has_uint32": 0, "uinteger": 0,
+            }
+            gen.standard_normal(out=trial_buf)
+        out.append(np.sqrt(0.5) * (buf[:, 0] + 1j * buf[:, 1]))
+    return out
+
+
+def _blend(cfg: ExperimentConfig, eve: np.ndarray, fresh: np.ndarray | None) -> np.ndarray:
     """The transmitter's stale estimates of a stack of eavesdropper channels,
-    ``channels.perturb_ecsi`` of each trial on its own stream."""
+    ``channels.perturb_ecsi`` of each trial given its fresh ECSI draw (none
+    is needed when ``gamma_ecsi`` is 0)."""
     gamma = cfg.gamma_ecsi
     if gamma == 0.0:
-        return eve.copy()
-    fresh = _draw(cfg, _TAG_ECSI, lo, lo + len(eve), eve.shape[1], point)
+        return eve
     return np.sqrt(1.0 - gamma) * eve + np.sqrt(gamma) * fresh
 
 
 class _Block:
     """The draws of trials [lo, hi) and the stages every sweep point shares.
 
-    Stages that depend only on the trials and the error level (the
-    estimate's decomposition, the robust receivers' eigendecompositions) are
-    computed once per block and error level through :meth:`cached`.
+    Every random stream the block needs is drawn at construction, in one
+    pass.  Stages that depend only on the trials and the error level (the
+    estimate's decomposition, the robust receivers' eigendecompositions)
+    or on Eve's draws (the Eve-aware directions) are computed once per
+    block through :meth:`cached`.
     """
 
     def __init__(self, cfg: ExperimentConfig, lo: int, hi: int):
-        self.cfg, self.lo, self.hi = cfg, lo, hi
+        self.cfg = cfg
         self.axis_name, axis_values = cfg.axis()
         self.points = [_point_values(cfg, self.axis_name, v) for v in axis_values]
         self.targets, self.target_index = np.unique(
             [float(from_db(target_db)) for _, target_db, _ in self.points], return_inverse=True
         )
         names = set(cfg.schemes)
-        self.h = _draw(cfg, _TAG_CHANNEL, lo, hi, cfg.nb)
+        # Eve's channels are drawn once for all points, or per point on the ne axis.
+        self.shared_eve = self.axis_name != "ne"
+        eve_points = [None] if self.shared_eve else range(len(self.points))
+        blend = "imperfect_ecsi" in names and cfg.gamma_ecsi != 0.0
+        streams = {"h": (_TAG_CHANNEL, cfg.nb, None)}
+        if names & _NEEDS_ERROR:
+            streams["dh"] = (_TAG_ERROR, cfg.nb, None)
+        for p in eve_points:
+            ne = cfg.ne if p is None else self.points[p][0]
+            streams["eve", p] = (_TAG_EVE, ne, p)
+            if blend:
+                streams["fresh", p] = (_TAG_ECSI, ne, p)
+        draws = dict(zip(streams, _draws(cfg, lo, hi, list(streams.values()))))
+        self.h = draws["h"]
         self.part = partition_stack(self.h)
-        self.dh_unit = _draw(cfg, _TAG_ERROR, lo, hi, cfg.nb) if names & _NEEDS_ERROR else None
+        self.dh_unit = draws.get("dh")
         self.moments = None
         if names & {"robust_tdd", "analytic_naive"}:
             self.moments = iid_moments(self.part.s, cfg.na, self.part.ill_conditioned)
-        self.eve = self.ecsi = None
-        if self.axis_name != "ne":
-            self.eve = _draw(cfg, _TAG_EVE, lo, hi, cfg.ne)
-            if "imperfect_ecsi" in names:
-                self.ecsi = _blend(cfg, self.eve, lo)
+        self.eve = {p: draws["eve", p] for p in eve_points}
+        self.ecsi = {}
+        if "imperfect_ecsi" in names:
+            self.ecsi = {p: _blend(cfg, self.eve[p], draws.get(("fresh", p))) for p in eve_points}
         self._cache: dict = {}
 
     def cached(self, key, build):
@@ -387,23 +504,22 @@ class _Block:
         return self._cache[key]
 
     def point(self, p: int) -> "_Point":
-        ne, target_db, sigma_db = self.points[p]
-        eve, ecsi = self.eve, self.ecsi
-        if eve is None:
-            eve = _draw(self.cfg, _TAG_EVE, self.lo, self.hi, ne, p)
-            if "imperfect_ecsi" in self.cfg.schemes:
-                ecsi = _blend(self.cfg, eve, self.lo, p)
+        _, target_db, sigma_db = self.points[p]
+        eve_point = None if self.shared_eve else p
         return _Point(self, float(self.targets[self.target_index[p]]),
-                      int(self.target_index[p]), sigma_db, eve, ecsi)
+                      int(self.target_index[p]), sigma_db, eve_point,
+                      self.eve[eve_point], self.ecsi.get(eve_point))
 
 
 class _Point(NamedTuple):
-    """One sweep point of a block: its target, error level and Eve's channels."""
+    """One sweep point of a block: its target, error level and Eve's channels
+    (``eve_point`` is None when every point shares them)."""
 
     blk: _Block
     target: float
     target_index: int
     sigma_db: float | None
+    eve_point: int | None
     eve: np.ndarray
     ecsi: np.ndarray | None
 
@@ -447,15 +563,24 @@ def _artificial_noise(pt: _Point, part: SvdStack) -> _Design:
     )
 
 
-def _eve_aware(pt: _Point, assumed: np.ndarray) -> _Design:
-    """All power on the generalized-eigen direction against ``assumed``."""
+def _eve_aware(pt: _Point, which: str) -> _Design:
+    """All power on the generalized-eigen direction against Eve's channel as
+    the design assumes it: her true (``which="eve"``) or estimated
+    (``"ecsi"``) channel.  The direction and Bob's gain depend only on
+    Eve's draws, so each is computed once per block and draw."""
     cfg, blk = pt.blk.cfg, pt.blk
-    gram = blk.cached("gram", lambda: herm(blk.h) @ blk.h)
-    t = eve_aware_directions(gram, herm(assumed) @ assumed, assumed.shape[-2])
-    w_b = matvec(blk.h, t)
-    gain = np.real(vdot(w_b, w_b))
-    if np.any(gain <= 0):
-        raise DegenerateChannelError("data direction has zero gain to the intended receiver")
+
+    def build():
+        assumed = getattr(pt, which)
+        gram = blk.cached("gram", lambda: herm(blk.h) @ blk.h)
+        t = eve_aware_directions(gram, herm(assumed) @ assumed, assumed.shape[-2])
+        w_b = matvec(blk.h, t)
+        gain = np.real(vdot(w_b, w_b))
+        if np.any(gain <= 0):
+            raise DegenerateChannelError("data direction has zero gain to the intended receiver")
+        return t, w_b, gain
+
+    t, w_b, gain = blk.cached((which, pt.eve_point), build)
     rho, outage = outage_fallback(cfg.sigma_b_sq * pt.target / (cfg.power_p * gain))
     return _Design(
         t=t, data_power=rho * cfg.power_p, factor=np.zeros(t.shape + (0,), dtype=complex),
@@ -519,8 +644,8 @@ def _robust_tdd(pt: _Point) -> _Design:
 _DESIGNS = {
     "perfect": lambda pt: _artificial_noise(pt, pt.blk.part),
     "naive": lambda pt: _artificial_noise(pt, pt.tilde()),
-    "known_ecsi": lambda pt: _eve_aware(pt, pt.eve),
-    "imperfect_ecsi": lambda pt: _eve_aware(pt, pt.ecsi),
+    "known_ecsi": lambda pt: _eve_aware(pt, "eve"),
+    "imperfect_ecsi": lambda pt: _eve_aware(pt, "ecsi"),
     "robust_fdd": _robust_fdd,
     "robust_tdd": _robust_tdd,
 }
@@ -603,13 +728,13 @@ def _run_block(cfg: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
     for s, name in enumerate(cfg.schemes):
         if name == "analytic_naive":
             out[:, s] = [_analytic_naive(pt) for pt in points]
-        elif blk.eve is None:
+        elif not blk.shared_eve:
             for p, pt in enumerate(points):
                 out[p, s] = _evaluate(cfg, blk.h, pt.eve, pt.target, _DESIGNS[name](pt))
         else:
             d = _Design(*map(np.concatenate, zip(*(_DESIGNS[name](pt) for pt in points))))
             rows = _evaluate(
-                cfg, np.tile(blk.h, (n_points, 1, 1)), np.tile(blk.eve, (n_points, 1, 1)),
+                cfg, np.tile(blk.h, (n_points, 1, 1)), np.tile(blk.eve[None], (n_points, 1, 1)),
                 np.repeat([pt.target for pt in points], n_trials), d,
             )
             out[:, s] = rows.reshape(len(_METRICS), n_points, n_trials).swapaxes(0, 1)

@@ -3,6 +3,9 @@
 ``_run_chunk`` is the per-trial reference loop for the batched sweep
 engine: one trial, one point and one scheme at a time through the
 single-channel functions, returning the engine's per-trial metric array.
+Its streams come from ``_rng``/``_seed``, numpy's own ``SeedSequence`` and
+``default_rng`` per trial, which the engine's vectorised seed derivation
+must reproduce.
 
 ``eve_aware_direction`` is the per-matrix ``scipy.linalg.eigh`` form of the
 Eve-aware design direction, and ``_reduce`` the per-(scheme, point) loop
@@ -50,8 +53,6 @@ from wiretap.harness import (
     ExperimentConfig,
     _as_tuple,
     _point_values,
-    _rng,
-    _seed,
 )
 from wiretap.perturbation import compute_moments, naive_sinr_terms, naive_trial
 from wiretap.robust import _fdd_trial, _tdd_trial
@@ -217,6 +218,17 @@ def field_agreement(closed, mc, rel: float = 0.10, abs_tol: float = 1e-4):
 
 
 # ------------------------------------------------------------ per-trial sweep loop
+
+
+def _seed(cfg: ExperimentConfig, tag: int, trial: int, point: int | None = None):
+    entropy = [cfg.master_seed, tag, trial]
+    if point is not None:
+        entropy.append(point)
+    return np.random.SeedSequence(entropy)
+
+
+def _rng(cfg: ExperimentConfig, tag: int, trial: int, point: int | None = None):
+    return np.random.default_rng(_seed(cfg, tag, trial, point))
 
 
 def _secrecy(cfg: ExperimentConfig, chan: ChannelSet, scheme, report) -> float:

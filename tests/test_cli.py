@@ -40,6 +40,11 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_seed_is_refused(self, tmp_path, capsys):
+        code = _run(tmp_path, extra=["--seed", "-1"])
+        assert code == 1
+        assert "master_seed must be a non-negative integer" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.json"),
                      "--out-dir", str(tmp_path)])

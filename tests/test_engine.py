@@ -350,17 +350,62 @@ def test_eve_aware_directions_refuse_a_non_finite_gram(bad):
 def test_stacked_draws_are_the_per_trial_streams(point, gamma):
     cfg = ExperimentConfig(na=4, nb=3, ne=5, gamma_ecsi=gamma, master_seed=2**62 + 9)
     lo, hi = 7, 19
-    eve = harness._draw(cfg, harness._TAG_EVE, lo, hi, 5, point)
+    eve, fresh = harness._draws(
+        cfg, lo, hi, [(harness._TAG_EVE, 5, point), (harness._TAG_ECSI, 5, point)]
+    )
     want = np.stack([
-        complex_gaussian(harness._rng(cfg, harness._TAG_EVE, trial, point), 5, cfg.na)
+        complex_gaussian(oracles._rng(cfg, harness._TAG_EVE, trial, point), 5, cfg.na)
         for trial in range(lo, hi)
     ])
     np.testing.assert_array_equal(eve, want)
     blend = np.stack([
-        perturb_ecsi(h, gamma, harness._seed(cfg, harness._TAG_ECSI, lo + i, point)).entries
+        perturb_ecsi(h, gamma, oracles._seed(cfg, harness._TAG_ECSI, lo + i, point)).entries
         for i, h in enumerate(eve)
     ])
-    np.testing.assert_array_equal(harness._blend(cfg, eve, lo, point), blend)
+    np.testing.assert_array_equal(harness._blend(cfg, eve, fresh), blend)
+
+
+_TAGS = (harness._TAG_CHANNEL, harness._TAG_EVE, harness._TAG_ERROR, harness._TAG_ECSI)
+
+
+@pytest.mark.parametrize(
+    "master", [0, 1, 2**32 - 1, 2**32, 2**62 + 9, 2**63 - 1, 2**64 + 3]
+)
+def test_seed_derivation_is_numpys(master):
+    """Every stream's PCG64 state is numpy's own for its SeedSequence entropy.
+
+    The entropy runs from 3 words (a one-word master seed, no point) to 6
+    (a three-word master seed with a point); trial 2**32 + 5 adds a row
+    whose trial takes two words.
+    """
+    cfg = ExperimentConfig(master_seed=master)
+    entropy, want = [], []
+    for tag in _TAGS:
+        for point in (None, 0, 19):
+            for trial in (0, 1, 255, 2**31, 2**32 + 5):
+                entropy.append(harness._entropy(cfg, tag, trial, trial + 1, point))
+                key = [master, tag, trial] + ([] if point is None else [point])
+                state = np.random.PCG64(np.random.SeedSequence(key)).state["state"]
+                want.append((state["state"], state["inc"]))
+    width = max(rows.shape[1] for rows, _ in entropy)
+    padded = np.concatenate([np.pad(rows, ((0, 0), (0, width - rows.shape[1])))
+                             for rows, _ in entropy])
+    lengths = np.concatenate([n for _, n in entropy])
+    assert harness._pcg64_seeds(padded, lengths) == want
+
+
+def test_block_streams_are_numpys_at_large_trial_indices():
+    cfg = ExperimentConfig(na=3, nb=2, ne=4, master_seed=2**64 + 3)
+    lo = 2**32 - 2
+    h, eve = harness._draws(cfg, lo, lo + 4, [(harness._TAG_CHANNEL, 2, None),
+                                              (harness._TAG_EVE, 4, 19)])
+    for i, trial in enumerate(range(lo, lo + 4)):
+        np.testing.assert_array_equal(
+            h[i], complex_gaussian(oracles._rng(cfg, harness._TAG_CHANNEL, trial), 2, 3)
+        )
+        np.testing.assert_array_equal(
+            eve[i], complex_gaussian(oracles._rng(cfg, harness._TAG_EVE, trial, 19), 4, 3)
+        )
 
 
 def _reduce_configs():

@@ -69,6 +69,11 @@ class TestExperimentConfig:
             dict(sigma_h_db=(-20.0, float("-inf")), schemes=("naive",)),
             dict(sigma_b_sq=float("inf")),
             dict(sigma_e_sq=float("nan")),
+            dict(master_seed=-1),
+            dict(master_seed=1.5),
+            dict(master_seed=True),
+            dict(master_seed="1"),
+            dict(master_seed=np.int64(-3)),
         ],
     )
     def test_invalid_values_are_refused(self, bad):
