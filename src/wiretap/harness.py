@@ -34,7 +34,6 @@ the closed-form degradation estimate, which predicts exactly that ratio.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Any, NamedTuple
 
@@ -147,7 +146,11 @@ class ExperimentConfig:
         for name in ("ne", "target_sinr_db", "sigma_h_db"):
             value = getattr(self, name)
             if isinstance(value, (list, tuple, np.ndarray)):
-                object.__setattr__(self, name, tuple(type_of(name)(v) for v in value))
+                # A bool antenna count stays as it is, for validate() to refuse.
+                object.__setattr__(self, name, tuple(
+                    v if name == "ne" and isinstance(v, (bool, np.bool_)) else type_of(name)(v)
+                    for v in value
+                ))
         if isinstance(self.schemes, str):
             object.__setattr__(
                 self, "schemes",
@@ -160,8 +163,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
-        if not (isinstance(self.na, int) and isinstance(self.nb, int)):
-            raise ConfigError("na and nb must be integers")
+        if any(isinstance(n, bool) or not isinstance(n, int) for n in (self.na, self.nb)):
+            raise ConfigError(f"na and nb must be integers, got {self.na!r} and {self.nb!r}")
         if self.na < 1 or self.nb < 1:
             raise ConfigError("na and nb must be at least 1")
         if self.nb > self.na:
@@ -170,7 +173,7 @@ class ExperimentConfig:
                 "is not supported by the decomposition convention"
             )
         for v in _as_tuple(self.ne):
-            if not isinstance(v, int) or v < 1:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ConfigError(f"ne values must be positive integers, got {v!r}")
         for name in ("trials", "threads"):
             value = getattr(self, name)
@@ -812,6 +815,8 @@ def run_experiment(cfg: ExperimentConfig) -> SweepResult:
     if cfg.threads == 1 or cfg.trials < 2 * cfg.threads:
         metrics = _run_chunk(cfg, 0, cfg.trials)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         bounds = np.linspace(0, cfg.trials, cfg.threads + 1, dtype=int)
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
             parts = list(

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .channels import ChannelSet, SvdPartition, as_matrix, partition_svd
 from .exceptions import ParameterError
@@ -83,11 +82,56 @@ def _solve_fraction(gain, target_sinr: float) -> tuple[float, bool]:
         return 1.0, True
     if gain(_RHO_FLOOR) >= target_sinr:
         return _RHO_FLOOR, False
-    root = scipy.optimize.brentq(
-        lambda r: gain(r) - target_sinr, _RHO_FLOOR, 1.0, xtol=_XTOL, rtol=_RTOL,
-        maxiter=_MAXITER,
-    )
-    return float(root), False
+    return _brentq(lambda r: gain(r) - target_sinr, _RHO_FLOOR, 1.0), False
+
+
+def _brentq(f, xa: float, xb: float) -> float:
+    """Brent's root finder on one bracket [xa, xb], in Python floats.
+
+    Step for step the C ``brentq`` of scipy.optimize (Brent, "Algorithms
+    for Minimization without Derivatives", 1973) at ``_XTOL``, ``_RTOL``
+    and ``_MAXITER``, so it returns scipy's root bit for bit.
+    :func:`_brent` is the same iteration over arrays, which costs several
+    times more on a single bracket.
+    """
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        # Interpolate (secant) or extrapolate (inverse quadratic), and keep
+        # the step only if it is short enough; bisect otherwise.
+        good = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                denom = dblk * dpre * (fblk - fpre)
+                # In C a zero denominator gives inf or NaN, which bisects.
+                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else np.inf
+            good = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if good else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Failed to converge after {_MAXITER} iterations")
 
 
 def solve_fractions(lam, weights, power_p: float, na: int, sigma_sq: float, target_sinr):

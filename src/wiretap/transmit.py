@@ -10,9 +10,9 @@ channel, which is exactly the mismatch the rest of the package studies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-import scipy.linalg
 
 from .channels import ChannelSet, SvdPartition, as_matrix, partition_svd
 from .exceptions import DegenerateChannelError, DimensionError, ParameterError
@@ -271,9 +271,20 @@ def eve_aware_direction(hb: np.ndarray, he: np.ndarray) -> np.ndarray:
     return eve_aware_directions(a[None], b[None], he.shape[0])[0]
 
 
-# scipy.linalg.eigh's default driver for the generalized problem, and the
-# arguments eigh passes it; calling it directly skips eigh's per-call checks.
-_HEGVD = scipy.linalg.lapack.get_lapack_funcs("hegvd", dtype=np.complex128)
+@cache
+def _hegvd():
+    """scipy.linalg.eigh's default driver for the generalized problem.
+
+    Looked up on first use, so that only the Eve-aware designs load
+    scipy.linalg, which takes longer to import than the rest of the package.
+    """
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    return get_lapack_funcs("hegvd", dtype=np.complex128)
+
+
+# The arguments scipy.linalg.eigh passes the driver; calling it directly
+# skips eigh's per-call checks.
 _HEGVD_ARGS = dict(itype=1, jobz="V", uplo="L")
 
 
@@ -291,14 +302,15 @@ def eve_aware_directions(a: np.ndarray, b: np.ndarray, ne: int) -> np.ndarray:
     """
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
+    hegvd = _hegvd()
     t = np.empty(a.shape[:-1], dtype=np.complex128)
     for i, (a_i, b_i) in enumerate(zip(a, b)):
         info = 1  # the reciprocal problem unless the forward one is posed and solved
         if ne >= a.shape[-1]:
-            _, vecs, info = _HEGVD(a_i, b_i, **_HEGVD_ARGS)
+            _, vecs, info = hegvd(a_i, b_i, **_HEGVD_ARGS)
             vec = vecs[:, -1]
         if info:
-            _, vecs, info = _HEGVD(b_i, a_i, **_HEGVD_ARGS)
+            _, vecs, info = hegvd(b_i, a_i, **_HEGVD_ARGS)
             if info:
                 raise DegenerateChannelError(
                     "both channel Gram matrices are singular; no direction is identifiable"
@@ -329,7 +341,7 @@ def mmse_combiner(h, scheme: TxScheme, sigma_sq: float, q_z_true=None) -> np.nda
     q = scheme.q_z if q_z_true is None else np.asarray(q_z_true, dtype=np.complex128)
     cov = arr @ q @ arr.conj().T + sigma_sq * np.eye(arr.shape[0])
     rhs = arr @ scheme.t
-    return scipy.linalg.solve(cov, rhs, assume_a="pos")
+    return np.linalg.solve(cov, rhs)
 
 
 def eve_mmse_beamformer(chan: ChannelSet, scheme: TxScheme, q_z_true=None) -> RxBeamformer:
@@ -349,11 +361,11 @@ def mmse_combiners(h: np.ndarray, t: np.ndarray, factor: np.ndarray, sigma_sq: f
     """Stacked eavesdropper combiners over the leading axes of the inputs.
 
     Solves (H Q H^H + sigma^2 I) w = H t with Q = F F^H for the interference
-    factor ``factor`` (F), for every channel at once with one LU-based solve
-    (the single-channel :func:`mmse_combiner` uses a Cholesky solve), and
-    applies the stand-in of :func:`eve_mmse_beamformer` wherever the
-    solution is exactly zero.  A factor without columns leaves sigma^2 I,
-    whose solution is H t / sigma^2 without a solve.
+    factor ``factor`` (F), for every channel at once with the LU-based solve
+    of the single-channel :func:`mmse_combiner`, and applies the stand-in of
+    :func:`eve_mmse_beamformer` wherever the solution is exactly zero.  A
+    factor without columns leaves sigma^2 I, whose solution is H t / sigma^2
+    without a solve.
     """
     rhs = matvec(h, t)
     if factor.shape[-1] == 0:
@@ -540,7 +552,8 @@ def perfect_csi_trial(chan: ChannelSet, target_sinr: float, svd: SvdPartition | 
     """Run the whole perfect-knowledge pipeline for one channel.
 
     Returns (scheme, bob beamformer, eve beamformer, report).  Convenience
-    wrapper used by the experiment harness and the self checks.
+    wrapper for single-channel callers such as the self checks; the
+    experiment harness runs its batched stages instead.
     """
     part = svd if svd is not None else partition_svd(chan.h_ba)
     scheme = design_artificial_noise(chan, part, target_sinr)

@@ -10,7 +10,10 @@ must reproduce.
 ``eve_aware_direction`` is the per-matrix ``scipy.linalg.eigh`` form of the
 Eve-aware design direction, and ``_reduce`` the per-(scheme, point) loop
 that reduced per-trial metrics to series; the library's stacked versions
-must reproduce them.
+must reproduce them.  ``mmse_combiner`` is the eavesdropper's combiner by
+scipy's Cholesky solve, and ``solve_fraction`` the power-fraction root by
+``scipy.optimize.brentq``; the library's LU solves and its own Brent
+iterations must agree with them.
 
 ``mc_moments`` is a brute-force Monte Carlo oracle for the closed-form
 perturbation moments.  It deliberately avoids the library's own moment
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.optimize
 
 from wiretap.channels import (
     ChannelMatrix,
@@ -55,7 +59,7 @@ from wiretap.harness import (
     _point_values,
 )
 from wiretap.perturbation import compute_moments, naive_sinr_terms, naive_trial
-from wiretap.robust import _fdd_trial, _tdd_trial
+from wiretap.robust import _MAXITER, _RHO_FLOOR, _RTOL, _XTOL, _fdd_trial, _tdd_trial
 from wiretap.transmit import (
     bob_matched_beamformer,
     design_artificial_noise,
@@ -424,6 +428,28 @@ def eve_aware_direction(hb: np.ndarray, he: np.ndarray) -> np.ndarray:
             ) from exc
         t = vecs[:, 0]
     return t / np.linalg.norm(t)
+
+
+# ------------------------------------------- Eve's combiner and the fraction root
+
+
+def mmse_combiner(h, scheme, sigma_sq: float) -> np.ndarray:
+    """Max-SINR combiner (H Q H^H + sigma^2 I)^-1 H t by a Cholesky solve."""
+    cov = h @ scheme.q_z @ h.conj().T + sigma_sq * np.eye(h.shape[0])
+    return scipy.linalg.solve(cov, h @ scheme.t, assume_a="pos")
+
+
+def solve_fraction(gain, target_sinr: float) -> tuple[float, bool]:
+    """Smallest rho in (0, 1] with gain(rho) >= target_sinr, by scipy's brentq."""
+    if gain(1.0) < target_sinr:
+        return 1.0, True
+    if gain(_RHO_FLOOR) >= target_sinr:
+        return _RHO_FLOOR, False
+    root = scipy.optimize.brentq(
+        lambda r: gain(r) - target_sinr, _RHO_FLOOR, 1.0, xtol=_XTOL, rtol=_RTOL,
+        maxiter=_MAXITER,
+    )
+    return float(root), False
 
 
 # ------------------------------------------------------------ per-point reduction

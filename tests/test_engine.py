@@ -207,8 +207,9 @@ def test_stacked_lu_solve_matches_the_cholesky_solve():
     stacked = mmse_combiners(h, t, factor, 1.0)
     for i in range(len(h)):
         scheme = TxScheme(t=t[i], rho=0.1, q_z=q[i], power_p=100.0, target_sinr=1.0)
-        single = mmse_combiner(h[i], scheme, 1.0)
-        np.testing.assert_allclose(stacked[i], single, rtol=1e-11, atol=0)
+        cholesky = oracles.mmse_combiner(h[i], scheme, 1.0)
+        np.testing.assert_allclose(stacked[i], cholesky, rtol=1e-11, atol=0)
+        np.testing.assert_allclose(mmse_combiner(h[i], scheme, 1.0), cholesky, rtol=1e-11, atol=0)
 
 
 def test_stacked_solve_substitutes_the_unit_vector_for_a_zero_solution():
@@ -247,7 +248,9 @@ def test_vectorised_root_solve_reproduces_brentq():
         rho, outage = solve_fractions(lam[None], weights[None], chan.power_p, na, 1.0, targets)
         gain = _rank1_gain(lam, weights, chan.power_p, na, 1.0)
         for j, target in enumerate(targets):
-            assert (rho[j], outage[j]) == _solve_fraction(gain, target)
+            root = _solve_fraction(gain, target)
+            assert (rho[j], outage[j]) == root
+            assert root == oracles.solve_fraction(gain, target)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (2, 2), (3, 5), (5, 5)], ids=str)

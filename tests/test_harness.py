@@ -74,6 +74,11 @@ class TestExperimentConfig:
             dict(master_seed=True),
             dict(master_seed="1"),
             dict(master_seed=np.int64(-3)),
+            dict(na=4, nb=True, ne=True, trials=3),
+            dict(na=True, nb=True),
+            dict(na=4, nb=4, ne=True),
+            dict(ne=(True, 2)),
+            dict(ne=np.array([True, True])),
         ],
     )
     def test_invalid_values_are_refused(self, bad):

@@ -1,0 +1,83 @@
+"""What importing the package and running its common paths loads.
+
+scipy takes several times longer to import than the rest of the package, so
+it stays off the import path: only the Eve-aware designs' generalized
+eigensolver loads ``scipy.linalg``, on first use, and nothing loads
+``scipy.optimize``.  The worker pool's module loads only for multi-worker
+sweeps.  Each check runs in a fresh interpreter, since this test session
+has long since imported scipy itself.
+"""
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _modules_after(code: str) -> set[str]:
+    """Names in ``sys.modules`` after ``code`` runs in a fresh interpreter."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{code}\nprint(*sys.modules, sep='\\n')"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    return set(proc.stdout.split())
+
+
+def _scipy(modules: set[str]) -> set[str]:
+    return {m for m in modules if m == "scipy" or m.startswith("scipy.")}
+
+
+def test_import_loads_neither_scipy_nor_the_worker_pool():
+    modules = _modules_after("import wiretap")
+    assert "wiretap.harness" in modules
+    assert not _scipy(modules)
+    assert "concurrent.futures.process" not in modules
+
+
+@pytest.mark.parametrize(
+    "scenario", ["fig2_prediction", "fig3_sinr_vs_target", "fig5_sigma_sweep"]
+)
+def test_sweeps_without_eve_aware_designs_load_no_scipy(scenario):
+    modules = _modules_after(
+        "import wiretap as wt\n"
+        f"wt.run_experiment(wt.preset_config({scenario!r}, trials=3))"
+    )
+    assert not _scipy(modules)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "wt.perfect_csi_trial(chan, 10.0, svd=svd)",
+        "wt.fdd_receiver(chan, chan.h_ba.entries + err, 10.0)",
+        "wt.tdd_receiver(chan, svd, wt.compute_moments(svd, wt.CsiErrorModel.iid(0.01)),"
+        " err, 10.0)",
+    ],
+    ids=["perfect_csi_trial", "fdd_receiver", "tdd_receiver"],
+)
+def test_single_channel_calls_load_no_scipy(call):
+    modules = _modules_after(
+        "import numpy as np\n"
+        "import wiretap as wt\n"
+        "chan = wt.generate_channels(4, 4, 2, rng_seed=1)\n"
+        "svd = wt.partition_svd(chan.h_ba)\n"
+        "err = wt.complex_gaussian(np.random.default_rng(2), 4, 4, entry_var=0.01)\n"
+        f"{call}"
+    )
+    assert "wiretap.robust" in modules
+    assert not _scipy(modules)
+
+
+def test_eve_aware_sweep_loads_the_eigensolver_only():
+    modules = _modules_after(
+        "import wiretap as wt\n"
+        "wt.run_experiment(wt.preset_config('fig1_ne_sweep', trials=2))"
+    )
+    assert "scipy.linalg" in modules
+    assert "scipy.optimize" not in modules
