@@ -50,7 +50,7 @@ from .perturbation import (
     predict_naive_sinr,
     simulate_naive,
 )
-from .robust import RobustContext, fdd_receiver, tdd_receiver
+from .robust import fdd_receiver, tdd_receiver
 from .transmit import (
     LinkSinr,
     RxBeamformer,
@@ -84,7 +84,6 @@ __all__ = [
     "OrientationError",
     "ParameterError",
     "PerturbMoments",
-    "RobustContext",
     "RxBeamformer",
     "SCENARIOS",
     "SCHEMES",

@@ -12,18 +12,15 @@ processes.
 Trials run in blocks of ``BLOCK_TRIALS``.  A block derives the generator
 states of all those streams in one vectorised pass (numpy's SeedSequence
 hashing and PCG64 seeding as array arithmetic over every stream at once),
-draws each trial's streams into one stack, then runs every stage once for
-the whole block
-with numpy's stacked linear algebra: one SVD of the channels, one of the
-transmitter's estimates per error level, the closed-form i.i.d. moments,
-each scheme as a batched design (data direction, power, interference
-factor and the intended receiver's combiner), and one shared evaluation of
-the eavesdropper's MMSE combiner, both links and the secrecy metric.  The
-eavesdropper-aware designs take one generalized eigendecomposition per
-trial against the intended receiver's Gram matrices, which a block builds
-once for all points; they carry no interference, so the eavesdropper's
-combiner needs no solve.  No trial's numbers depend on its neighbours, so
-results are also bit-identical for any block size.
+draws each trial's streams into one stack, decomposes the channels, and
+runs each scheme's design kernel (``transmit.artificial_noise``,
+``transmit.eve_aware``, ``robust.robust_fdd``, ``robust.robust_tdd``) once
+per key it depends on: the block, the error level or Eve's draw.  A kernel
+designs every target of the sweep at once, so the estimate's SVD, the
+robust receivers' eigendecompositions and root solves and the Eve-aware
+directions run once per block and key.  Every design is then evaluated by
+the one shared ``transmit.evaluate``.  No trial's numbers depend on its
+neighbours, so results are also bit-identical for any block size.
 
 Per-trial metrics are materialized and reduced once at the end, every
 (point, scheme) cell at once; means are arithmetic means of linear SINR,
@@ -40,29 +37,11 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .channels import SvdStack, partition_stack
-from .exceptions import ConfigError, DegenerateChannelError, ParameterError
+from .exceptions import ConfigError
 from .perturbation import iid_moments, naive_terms
-from .robust import (
-    fdd_spectrum,
-    loaded_noise,
-    solve_fractions,
-    tdd_fraction,
-    tdd_shape,
-    whitened_combiner,
-)
-from .stacked import herm, matvec, vdot
-from .transmit import (
-    eve_aware_directions,
-    full_secrecy_rates,
-    link_powers,
-    mmse_combiners,
-    noise_factors,
-    noise_share,
-    outage_fallback,
-    required_rho,
-    secrecy_capacity_proxy,
-    secure_goodput,
-)
+from .robust import robust_fdd, robust_tdd
+from .stacked import vdot
+from .transmit import METRICS, Design, artificial_noise, evaluate, eve_aware, required_rho
 from .units import from_db, to_db
 from .version import __version__
 
@@ -110,12 +89,6 @@ _MASK128 = (1 << 128) - 1
 # sweep point (3,000 trials of a 20x20 Eve matrix are 19 MB).
 BLOCK_TRIALS = 256
 
-_METRICS = (
-    "sinr_b", "sinr_e", "secrecy", "outage",
-    "signal_b", "intnoise_b", "signal_e", "intnoise_e", "flagged",
-)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one sweep needs; exactly one field may hold a list.
@@ -146,11 +119,13 @@ class ExperimentConfig:
         for name in ("ne", "target_sinr_db", "sigma_h_db"):
             value = getattr(self, name)
             if isinstance(value, (list, tuple, np.ndarray)):
-                # A bool antenna count stays as it is, for validate() to refuse.
-                object.__setattr__(self, name, tuple(
-                    v if name == "ne" and isinstance(v, (bool, np.bool_)) else type_of(name)(v)
-                    for v in value
-                ))
+                # Entries keep their values: numpy scalars become Python ones
+                # and numeric levels floats, but nothing is rounded or read as
+                # a number, so validate() sees 2.5 antennas or a bool level.
+                values = [v.item() if isinstance(v, np.generic) else v for v in value]
+                if name != "ne":
+                    values = [float(v) if _is_real(v) else v for v in values]
+                object.__setattr__(self, name, tuple(values))
         if isinstance(self.schemes, str):
             object.__setattr__(
                 self, "schemes",
@@ -186,17 +161,19 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be at least 1, got {self.trials}")
         if self.threads < 1:
             raise ConfigError(f"threads must be at least 1, got {self.threads}")
-        if not (0.0 <= self.gamma_ecsi <= 1.0):
-            raise ConfigError(f"gamma_ecsi must lie in [0, 1], got {self.gamma_ecsi}")
-        if not (0 < self.sigma_b_sq < np.inf and 0 < self.sigma_e_sq < np.inf):
+        if not (_is_real(self.gamma_ecsi) and 0.0 <= self.gamma_ecsi <= 1.0):
+            raise ConfigError(f"gamma_ecsi must lie in [0, 1], got {self.gamma_ecsi!r}")
+        if not all(_is_real(v) and 0 < v < np.inf for v in (self.sigma_b_sq, self.sigma_e_sq)):
             raise ConfigError("noise powers must be positive and finite")
-        # Decibel values must be finite, and power and target must stay
-        # positive and finite in linear units too.
+        # Decibel values must be finite numbers, and power and target must
+        # stay positive and finite in linear units too.
         for name, positive in (("power_db", True), ("target_sinr_db", True),
                                ("sigma_h_db", False)):
             for value in _as_tuple(getattr(self, name)):
                 if value is None:
                     continue
+                if not _is_real(value):
+                    raise ConfigError(f"{name} must be a finite level, got {value!r}")
                 with np.errstate(over="ignore", under="ignore"):
                     linear = np.power(10.0, value / 10.0)
                 finite = np.isfinite(value) and np.isfinite(linear)
@@ -253,8 +230,10 @@ class ExperimentConfig:
         return cls(**data)
 
 
-def type_of(name: str):
-    return int if name == "ne" else float
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number; a bool is not."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, (bool, np.bool_)))
 
 
 def _as_tuple(value) -> tuple:
@@ -463,9 +442,8 @@ class _Block:
 
     Every random stream the block needs is drawn at construction, in one
     pass.  Stages that depend only on the trials and the error level (the
-    estimate's decomposition, the robust receivers' eigendecompositions)
-    or on Eve's draws (the Eve-aware directions) are computed once per
-    block through :meth:`cached`.
+    estimate's decomposition, the designs built from it) or on Eve's draws
+    (the Eve-aware designs) are computed once per block through :meth:`cached`.
     """
 
     def __init__(self, cfg: ExperimentConfig, lo: int, hi: int):
@@ -475,6 +453,8 @@ class _Block:
         self.targets, self.target_index = np.unique(
             [float(from_db(target_db)) for _, target_db, _ in self.points], return_inverse=True
         )
+        # The design kernels' last arguments: the targets, power and Bob's noise.
+        self.budget = (self.targets, cfg.power_p, cfg.sigma_b_sq)
         names = set(cfg.schemes)
         # Eve's channels are drawn once for all points, or per point on the ne axis.
         self.shared_eve = self.axis_name != "ne"
@@ -537,157 +517,45 @@ class _Point(NamedTuple):
         return blk.cached(("tilde", self.sigma_db), build)
 
 
-class _Design(NamedTuple):
-    """A batched transmit design and Bob's combiner, one row per trial.
-
-    ``t`` (T, na) is the unit data direction, ``factor`` (T, na, k) the
-    interference factor F with q_z = F F^H, ``w_b`` (T, nb) Bob's combiner.
-    """
-
-    t: np.ndarray
-    data_power: np.ndarray
-    factor: np.ndarray
-    w_b: np.ndarray
-    outage: np.ndarray
-    flagged: np.ndarray
+def _artificial_noise(pt: _Point, tx: SvdStack) -> list[Design]:
+    """Data on the dominant direction of ``tx`` (the channel's or its
+    estimate's), noise on the rest; Bob matches his channel's own."""
+    blk = pt.blk
+    return artificial_noise(tx.s[:, 0], tx.v, blk.h, blk.part.v[..., 0], *blk.budget)
 
 
-def _artificial_noise(pt: _Point, part: SvdStack) -> _Design:
-    """Data on the partition's dominant direction, noise on the rest; Bob
-    matches the true channel's dominant direction."""
-    cfg, blk = pt.blk.cfg, pt.blk
-    rho, outage = outage_fallback(
-        required_rho(part.s[:, 0], pt.target, cfg.power_p, cfg.sigma_b_sq)
-    )
-    return _Design(
-        t=part.v[..., 0], data_power=rho * cfg.power_p,
-        factor=noise_factors(part.v[..., 1:], rho, cfg.power_p),
-        w_b=matvec(blk.h, blk.part.v[..., 0]), outage=outage, flagged=np.zeros_like(outage),
-    )
-
-
-def _eve_aware(pt: _Point, which: str) -> _Design:
-    """All power on the generalized-eigen direction against Eve's channel as
-    the design assumes it: her true (``which="eve"``) or estimated
-    (``"ecsi"``) channel.  The direction and Bob's gain depend only on
-    Eve's draws, so each is computed once per block and draw."""
-    cfg, blk = pt.blk.cfg, pt.blk
-
-    def build():
-        assumed = getattr(pt, which)
-        gram = blk.cached("gram", lambda: herm(blk.h) @ blk.h)
-        t = eve_aware_directions(gram, herm(assumed) @ assumed, assumed.shape[-2])
-        w_b = matvec(blk.h, t)
-        gain = np.real(vdot(w_b, w_b))
-        if np.any(gain <= 0):
-            raise DegenerateChannelError("data direction has zero gain to the intended receiver")
-        return t, w_b, gain
-
-    t, w_b, gain = blk.cached((which, pt.eve_point), build)
-    rho, outage = outage_fallback(cfg.sigma_b_sq * pt.target / (cfg.power_p * gain))
-    return _Design(
-        t=t, data_power=rho * cfg.power_p, factor=np.zeros(t.shape + (0,), dtype=complex),
-        w_b=w_b, outage=outage, flagged=np.zeros_like(outage),
-    )
-
-
-def _robust_fdd(pt: _Point) -> _Design:
-    """Exact-knowledge recovery; the eigendecomposition and the root solve
-    for every target of the sweep run once per error level."""
-    cfg, blk = pt.blk.cfg, pt.blk
+def _robust_fdd(pt: _Point) -> list[Design]:
     tilde = pt.tilde()
-
-    def build():
-        h = tilde.reconstruct() if cfg.propagate_through_estimate else blk.h
-        _, lam, evecs, signature, weights = fdd_spectrum(h, tilde.v[..., 0], tilde.v[..., 1:])
-        rho, outage = solve_fractions(
-            lam[:, None], weights[:, None], cfg.power_p, cfg.na, cfg.sigma_b_sq, blk.targets
-        )
-        return lam, evecs, signature, rho, outage
-
-    lam, evecs, signature, rho, outage = blk.cached(("fdd", pt.sigma_db), build)
-    rho, outage = rho[:, pt.target_index], outage[:, pt.target_index]
-    beta = noise_share(rho, cfg.power_p, cfg.na)
-    return _Design(
-        t=tilde.v[..., 0], data_power=rho * cfg.power_p,
-        factor=noise_factors(tilde.v[..., 1:], rho, cfg.power_p),
-        w_b=whitened_combiner(evecs, lam, signature, beta, cfg.sigma_b_sq), outage=outage,
-        flagged=np.zeros_like(outage),
-    )
+    h = tilde.reconstruct() if pt.blk.cfg.propagate_through_estimate else pt.blk.h
+    return robust_fdd(h, tilde.v, *pt.blk.budget)
 
 
-def _robust_tdd(pt: _Point) -> _Design:
-    """Statistics-only recovery; the expected interference shape and its
-    eigendecomposition run once per error level."""
-    cfg, blk = pt.blk.cfg, pt.blk
-    tilde = pt.tilde()
-    sigma1, u1, v1 = blk.part.s[:, 0], blk.part.u[..., 0], blk.part.v[..., 0]
-
-    def build():
-        e_dv1 = (blk.moments.drift[:, None] * v1) * float(from_db(pt.sigma_db))
-        lam, evecs = np.linalg.eigh(tdd_shape(blk.h, sigma1, u1, e_dv1))
-        leak = -2.0 * np.real(vdot(v1, e_dv1))
-        return lam, evecs, matvec(blk.h, v1 + e_dv1), leak
-
-    lam, evecs, signature, leak = blk.cached(("tdd", pt.sigma_db), build)
-    rho, outage = tdd_fraction(
-        sigma1**2, leak, pt.target, cfg.power_p, cfg.sigma_b_sq, cfg.na
-    )
-    beta = noise_share(rho, cfg.power_p, cfg.na)
-    sigma_eff, loaded = loaded_noise(beta, lam, cfg.sigma_b_sq)
-    return _Design(
-        t=tilde.v[..., 0], data_power=rho * cfg.power_p,
-        factor=noise_factors(tilde.v[..., 1:], rho, cfg.power_p),
-        w_b=whitened_combiner(evecs, lam, signature, beta, sigma_eff),
-        outage=outage, flagged=loaded,
-    )
+def _robust_tdd(pt: _Point) -> list[Design]:
+    blk = pt.blk
+    s, u, v = blk.part.s, blk.part.u, blk.part.v
+    e_dv1 = (blk.moments.drift[:, None] * v[..., 0]) * float(from_db(pt.sigma_db))
+    return robust_tdd(blk.h, s[:, 0], u[..., 0], v[..., 0], e_dv1, pt.tilde().v, *blk.budget)
 
 
-# Every simulated scheme as a batched design; all of them share _evaluate.
+# Every simulated scheme: its designs for all targets of the sweep at once,
+# and what they depend on besides the block's trials.  A block builds them
+# once per key (for all points on the target axis) and every scheme shares
+# transmit.evaluate.
 _DESIGNS = {
-    "perfect": lambda pt: _artificial_noise(pt, pt.blk.part),
-    "naive": lambda pt: _artificial_noise(pt, pt.tilde()),
-    "known_ecsi": lambda pt: _eve_aware(pt, "eve"),
-    "imperfect_ecsi": lambda pt: _eve_aware(pt, "ecsi"),
-    "robust_fdd": _robust_fdd,
-    "robust_tdd": _robust_tdd,
+    "perfect": (lambda pt: _artificial_noise(pt, pt.blk.part), lambda pt: None),
+    "naive": (lambda pt: _artificial_noise(pt, pt.tilde()), lambda pt: pt.sigma_db),
+    "known_ecsi": (lambda pt: eve_aware(pt.blk.h, pt.eve, *pt.blk.budget), lambda pt: pt.eve_point),
+    "imperfect_ecsi": (lambda pt: eve_aware(pt.blk.h, pt.ecsi, *pt.blk.budget),
+                       lambda pt: pt.eve_point),
+    "robust_fdd": (_robust_fdd, lambda pt: pt.sigma_db),
+    "robust_tdd": (_robust_tdd, lambda pt: pt.sigma_db),
 }
 
 
-def _link(h: np.ndarray, d: _Design, w: np.ndarray, sigma_sq: float):
-    """(SINR, signal power, interference-plus-noise) at the unit-norm ``w``."""
-    scale = np.linalg.norm(w, axis=-1)
-    if np.any(scale == 0.0):
-        raise ParameterError("combiner must be nonzero")
-    sig, interf, noise = link_powers(h, d.t, d.data_power, d.factor, w / scale[:, None], sigma_sq)
-    return sig / (interf + noise), sig, interf + noise
-
-
-def _evaluate(cfg: ExperimentConfig, h: np.ndarray, eve: np.ndarray, target, d: _Design):
-    """Metrics (len(_METRICS), rows) of a design: Eve's MMSE combiner, both
-    links, and the configured secrecy metric.
-
-    Every argument carries one entry per row (``target`` may be a scalar).
-    "goodput" pays the provisioned secret rate only on trials where the
-    intended link actually reaches its target SINR, so schemes are compared
-    on secrecy they reliably deliver rather than on lucky fades; "proxy" is
-    the instantaneous clamped rate difference at the beamformer outputs;
-    "full" is the matrix mutual-information rate of the transmitted
-    covariance.
-    """
-    w_e = mmse_combiners(eve, d.t, d.factor, cfg.sigma_e_sq)
-    sinr_b, signal_b, intnoise_b = _link(h, d, d.w_b, cfg.sigma_b_sq)
-    sinr_e, signal_e, intnoise_e = _link(eve, d, w_e, cfg.sigma_e_sq)
-    if cfg.secrecy_metric == "full":
-        q = d.factor @ herm(d.factor)
-        secrecy = full_secrecy_rates(h, eve, d.t, d.data_power, q, cfg.sigma_b_sq, cfg.sigma_e_sq)
-    elif cfg.secrecy_metric == "goodput":
-        secrecy = secure_goodput(sinr_b, sinr_e, target)
-    else:
-        secrecy = secrecy_capacity_proxy(sinr_b, sinr_e)
-    return np.stack([
-        sinr_b, sinr_e, secrecy, d.outage, signal_b, intnoise_b, signal_e, intnoise_e, d.flagged,
-    ]).astype(float)
+def _design(pt: _Point, name: str) -> Design:
+    """Scheme ``name``'s design at the point ``pt``."""
+    build, key = _DESIGNS[name]
+    return pt.blk.cached((name, key(pt)), lambda: build(pt))[pt.target_index]
 
 
 def _analytic_naive(pt: _Point) -> np.ndarray:
@@ -708,7 +576,7 @@ def _analytic_naive(pt: _Point) -> np.ndarray:
     )
     valid = rho < 1.0
     ok = valid & (num > 0.0) & (den > 0.0)
-    rows = np.full((len(_METRICS), rho.size), np.nan)
+    rows = np.full((len(METRICS), rho.size), np.nan)
     rows[4] = np.where(valid, num, np.nan)
     rows[5] = np.where(valid, den, np.nan)
     with np.errstate(all="ignore"):
@@ -727,20 +595,25 @@ def _run_block(cfg: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
     blk = _Block(cfg, lo, hi)
     n_points, n_trials = len(blk.points), hi - lo
     points = [blk.point(p) for p in range(n_points)]
-    out = np.empty((n_points, len(cfg.schemes), len(_METRICS), n_trials))
+    out = np.empty((n_points, len(cfg.schemes), len(METRICS), n_trials))
+
+    def metrics(d: Design, h, eve, target):
+        return evaluate(d, h, eve, target, cfg.power_p, cfg.sigma_b_sq, cfg.sigma_e_sq,
+                        cfg.secrecy_metric)
+
     for s, name in enumerate(cfg.schemes):
         if name == "analytic_naive":
             out[:, s] = [_analytic_naive(pt) for pt in points]
         elif not blk.shared_eve:
             for p, pt in enumerate(points):
-                out[p, s] = _evaluate(cfg, blk.h, pt.eve, pt.target, _DESIGNS[name](pt))
+                out[p, s] = metrics(_design(pt, name), blk.h, pt.eve, pt.target)
         else:
-            d = _Design(*map(np.concatenate, zip(*(_DESIGNS[name](pt) for pt in points))))
-            rows = _evaluate(
-                cfg, np.tile(blk.h, (n_points, 1, 1)), np.tile(blk.eve[None], (n_points, 1, 1)),
-                np.repeat([pt.target for pt in points], n_trials), d,
+            d = Design(*map(np.concatenate, zip(*(_design(pt, name) for pt in points))))
+            rows = metrics(
+                d, np.tile(blk.h, (n_points, 1, 1)), np.tile(blk.eve[None], (n_points, 1, 1)),
+                np.repeat([pt.target for pt in points], n_trials),
             )
-            out[:, s] = rows.reshape(len(_METRICS), n_points, n_trials).swapaxes(0, 1)
+            out[:, s] = rows.reshape(len(METRICS), n_points, n_trials).swapaxes(0, 1)
     return out
 
 

@@ -35,11 +35,10 @@ from .transmit import (
     LinkSinr,
     SinrReport,
     TxScheme,
-    design_artificial_noise,
-    evaluate_links,
-    eve_mmse_beamformer,
     noise_share,
     required_rho,
+    run_trial,
+    single_artificial_noise,
 )
 
 # Relative threshold below which a pairwise eigenvalue gap of the channel
@@ -396,23 +395,19 @@ def naive_trial(
     target_sinr: float,
     *,
     svd: SvdPartition | None = None,
-    svd_tilde: SvdPartition | None = None,
 ) -> tuple[SinrReport, LinkSinr, LinkSinr, TxScheme]:
     """One mismatched trial, returning the report plus both raw link powers.
 
-    The transmitter designs everything (direction, power split,
-    interference) from H + err_sample; the intended receiver keeps the
-    matched combiner built from the true H.  The eavesdropper, as always,
-    tracks the actual transmission.  Precomputed partitions can be passed in
-    by sweep loops that already have them.
+    The batch of one of ``transmit.artificial_noise``: the transmitter
+    designs everything (direction, power split, interference) from
+    H + err_sample, the intended receiver keeps the matched combiner built
+    from the true H, and the eavesdropper, as always, tracks the actual
+    transmission.  ``svd``, the partition of H, may be passed in.
     """
     part = svd if svd is not None else partition_svd(chan.h_ba)
-    if svd_tilde is None:
-        h_tilde = chan.h_ba.entries + as_matrix(err_sample)
-        svd_tilde = partition_svd(h_tilde)
-    scheme = design_artificial_noise(chan, svd_tilde, target_sinr)
-    w_b = chan.h_ba.entries @ part.v1
-    report, bob, eve = evaluate_links(chan, scheme, w_b, eve_mmse_beamformer(chan, scheme))
+    tilde = partition_svd(chan.h_ba.entries + as_matrix(err_sample))
+    d = single_artificial_noise(chan, tilde, part, target_sinr)
+    scheme, _, report, bob, eve = run_trial(chan, d, target_sinr)
     return report, bob, eve, scheme
 
 

@@ -19,24 +19,21 @@ transmission that actually happened, through the true channel.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channels import ChannelSet, SvdPartition, as_matrix, partition_svd
+from .channels import ChannelSet, SvdPartition, SvdStack, as_matrix, partition_stack
 from .exceptions import ParameterError
-from .perturbation import PerturbMoments, first_vector_leak
-from .stacked import any_true, herm, matvec, outer
+from .perturbation import PerturbMoments
+from .stacked import any_true, herm, matvec, outer, vdot
 from .transmit import (
+    Design,
     LinkSinr,
     RxBeamformer,
     SinrReport,
     TxScheme,
-    evaluate_links,
-    eve_mmse_beamformer,
-    noise_covariance_for,
-    noise_factor_for,
+    noise_factors,
     noise_share,
+    run_trial,
 )
 
 # Diagonal loading fraction applied when an expected-interference matrix
@@ -47,42 +44,6 @@ _RHO_FLOOR = 1e-14
 _XTOL = 1e-15
 _RTOL = 8.9e-16
 _MAXITER = 100
-
-
-@dataclass(frozen=True)
-class RobustContext:
-    """What the receiver believed when it built its combiner.
-
-    ``q_int`` is the interference-plus-noise covariance it whitened,
-    ``t_hat`` the data signature it matched to, ``rho`` the power fraction
-    it requested.  ``loaded`` records that diagonal loading was needed to
-    make the expected covariance positive definite.
-    """
-
-    mode: str
-    q_int: np.ndarray
-    t_hat: np.ndarray
-    rho: float
-    outage: bool
-    loaded: bool = False
-
-
-def _solve_fraction(gain, target_sinr: float) -> tuple[float, bool]:
-    """Smallest rho in (0, 1] with gain(rho) >= target_sinr.
-
-    ``gain`` is the predicted combiner output SINR as a function of the data
-    power fraction; raising rho adds signal and removes interference, so it
-    crosses the target at most once.  Returns (1.0, True) when even the full
-    budget falls short, and (_RHO_FLOOR, False) when the bracket's floor
-    already meets the target.
-    """
-    if target_sinr <= 0:
-        raise ParameterError(f"target_sinr must be positive, got {target_sinr}")
-    if gain(1.0) < target_sinr:
-        return 1.0, True
-    if gain(_RHO_FLOOR) >= target_sinr:
-        return _RHO_FLOOR, False
-    return _brentq(lambda r: gain(r) - target_sinr, _RHO_FLOOR, 1.0), False
 
 
 def _brentq(f, xa: float, xb: float) -> float:
@@ -135,19 +96,36 @@ def _brentq(f, xa: float, xb: float) -> float:
 
 
 def solve_fractions(lam, weights, power_p: float, na: int, sigma_sq: float, target_sinr):
-    """Elementwise :func:`_solve_fraction` for rank-one gains.
+    """Smallest rho in (0, 1] with rank-one gain >= target, elementwise.
 
     ``lam`` and ``weights`` (..., nb) describe one gain curve per entry (see
     :func:`rank1_gains`) and ``target_sinr`` broadcasts against their
-    leading axes.  The root solve runs Brent's method as scipy's ``brentq``
-    does, one iteration for every entry at once, on the same bracket and
-    tolerances.  Returns (rho, outage) arrays.
+    leading axes.  Raising rho adds signal and removes interference, so each
+    curve crosses its target at most once.  An entry gets (1.0, outage)
+    when even the full budget falls short, and ``_RHO_FLOOR`` when the
+    bracket's floor already meets the target.  The root solve is Brent's
+    method as scipy's ``brentq`` runs it, on the same bracket and
+    tolerances: :func:`_brentq` for a single bracket and :func:`_brent` for
+    every entry of several at once.  Returns (rho, outage) arrays.
     """
     if any_true(target_sinr <= 0):
         raise ParameterError(f"target_sinr must be positive, got {target_sinr}")
     target = np.broadcast_to(
         target_sinr, np.broadcast_shapes(lam.shape[:-1], np.shape(target_sinr))
     )
+    if target.size == 1:
+        lam_1, weights_1, target_1 = lam.reshape(-1), weights.reshape(-1), target.item()
+
+        def excess(rho: float) -> float:
+            return float(rank1_gains(rho, lam_1, weights_1, power_p, na, sigma_sq)) - target_1
+
+        if excess(1.0) < 0:
+            rho, outage = 1.0, True
+        elif excess(_RHO_FLOOR) >= 0:
+            rho, outage = _RHO_FLOOR, False
+        else:
+            rho, outage = _brentq(excess, _RHO_FLOOR, 1.0), False
+        return np.full(target.shape, rho), np.full(target.shape, outage)
     outage = rank1_gains(np.ones(target.shape), lam, weights, power_p, na, sigma_sq) < target
     floor = rank1_gains(np.full(target.shape, _RHO_FLOOR), lam, weights, power_p, na, sigma_sq)
     at_floor = ~outage & (floor >= target)
@@ -227,17 +205,6 @@ def rank1_gains(rho, lam, weights, power_p: float, na: int, sigma_sq: float):
     return rho * power_p * np.sum(weights / (beta * lam + sigma_sq), axis=-1)
 
 
-def _rank1_gain(
-    lam: np.ndarray, weights: np.ndarray, power_p: float, na: int, sigma_sq: float
-):
-    """:func:`rank1_gains` of one channel as a function of a scalar rho."""
-
-    def gain(rho: float) -> float:
-        return float(rank1_gains(rho, lam, weights, power_p, na, sigma_sq))
-
-    return gain
-
-
 def whitened_combiner(evecs, lam, signature, beta, sigma_sq):
     """(beta * A + sigma^2 I)^-1 signature via the eigendecomposition of A.
 
@@ -252,18 +219,44 @@ def whitened_combiner(evecs, lam, signature, beta, sigma_sq):
 def fdd_spectrum(h_design, t_tilde, t_prime):
     """What the exact-knowledge receiver whitens, over leading batch axes.
 
-    Returns (cov_int, lam, evecs, signature, weights): the leaked
-    interference covariance per unit interference power H T' T'^H H^H, its
-    eigenvalues (clipped at zero) and eigenvectors, the data signature
-    H t~, and the signature's squared projections on the eigenvectors.
+    Returns (lam, evecs, signature, weights): the eigenvalues (clipped at
+    zero) and eigenvectors of the leaked interference covariance per unit
+    interference power H T' T'^H H^H, the data signature H t~, and the
+    signature's squared projections on the eigenvectors.
     """
     leak = h_design @ t_prime
-    cov_int = leak @ herm(leak)
-    lam, evecs = np.linalg.eigh(cov_int)
+    lam, evecs = np.linalg.eigh(leak @ herm(leak))
     lam = np.clip(lam, 0.0, None)
     signature = matvec(h_design, t_tilde)
     weights = np.abs(matvec(herm(evecs), signature)) ** 2
-    return cov_int, lam, evecs, signature, weights
+    return lam, evecs, signature, weights
+
+
+def robust_fdd(h_design, v_tilde, targets, power_p: float, sigma_b_sq: float):
+    """Exact-knowledge recovery designs, one :class:`Design` per target.
+
+    The receiver knows the transmitter's estimate, whose right singular
+    vectors are ``v_tilde`` (..., na, na): data on column 0, interference
+    on the rest.  It whitens the interference that leaks through
+    ``h_design`` (the true channel, or the estimate's reconstruction) and
+    requests the power fraction that lands its output SINR exactly on each
+    target.  The eigendecomposition and one root solve serve all targets.
+    """
+    na = v_tilde.shape[-1]
+    lam, evecs, signature, weights = fdd_spectrum(h_design, v_tilde[..., 0], v_tilde[..., 1:])
+    rhos, outages = solve_fractions(
+        lam[..., None, :], weights[..., None, :], power_p, na, sigma_b_sq, np.asarray(targets)
+    )
+    designs = []
+    for k in range(len(targets)):
+        rho, outage = rhos[..., k], outages[..., k]
+        beta = noise_share(rho, power_p, na)
+        designs.append(Design(
+            t=v_tilde[..., 0], rho=rho, factor=noise_factors(v_tilde[..., 1:], rho, power_p),
+            w_b=whitened_combiner(evecs, lam, signature, beta, sigma_b_sq), outage=outage,
+            flagged=np.zeros_like(outage),
+        ))
+    return designs
 
 
 def tdd_shape(h, sigma1, u1, e_dv1):
@@ -324,49 +317,50 @@ def loaded_noise(beta, lam, sigma_sq: float):
     return np.where(loaded, sigma_sq + delta, sigma_sq), loaded
 
 
-def _transmitted(chan: ChannelSet, part_tilde: SvdPartition, rho: float, target_sinr: float,
-                 outage: bool) -> TxScheme:
-    """The transmission that happens: the estimate's directions, the requested fraction."""
-    return TxScheme(
-        t=part_tilde.v1,
-        rho=rho,
-        q_z=noise_covariance_for(part_tilde.t_prime, rho, chan.power_p),
-        power_p=chan.power_p,
-        target_sinr=target_sinr,
-        outage=outage,
-        q_z_factor=noise_factor_for(part_tilde.t_prime, rho, chan.power_p),
-    )
+def robust_tdd(h, sigma1, u1, v1, e_dv1, v_tilde, targets, power_p: float, sigma_b_sq: float):
+    """Statistics-only recovery designs, one :class:`Design` per target.
+
+    The receiver knows its channel ``h`` with dominant singular triplet
+    (``sigma1``, ``u1``, ``v1``) and the mean drift ``e_dv1`` of the
+    transmitter's data direction, but not the estimate (right singular
+    vectors ``v_tilde``) the transmitter designs from.  It whitens the
+    expected interference shape, matches to the expected data signature
+    H (v1 + e_dv1), and requests the fraction :func:`tdd_fraction` sizes
+    against the mean leak, loading the whitening where it is indefinite
+    (``flagged``).  The eigendecomposition serves all targets.
+    """
+    if any_true(np.asarray(targets) <= 0):
+        raise ParameterError(f"target_sinr must be positive, got {targets}")
+    na = v_tilde.shape[-1]
+    lam, evecs = np.linalg.eigh(tdd_shape(h, sigma1, u1, e_dv1))
+    leak = -2.0 * np.real(vdot(v1, e_dv1))
+    signature = matvec(h, v1 + e_dv1)
+    designs = []
+    for target in targets:
+        rho, outage = tdd_fraction(sigma1**2, leak, target, power_p, sigma_b_sq, na)
+        beta = noise_share(rho, power_p, na)
+        sigma_eff, loaded = loaded_noise(beta, lam, sigma_b_sq)
+        designs.append(Design(
+            t=v_tilde[..., 0], rho=rho, factor=noise_factors(v_tilde[..., 1:], rho, power_p),
+            w_b=whitened_combiner(evecs, lam, signature, beta, sigma_eff),
+            outage=outage, flagged=loaded,
+        ))
+    return designs
 
 
 def _fdd_trial(
     chan: ChannelSet,
-    part_tilde: SvdPartition,
+    tilde: SvdStack,
     target_sinr: float,
     *,
     propagate_through_estimate: bool = False,
-) -> tuple[RxBeamformer, SinrReport, RobustContext, LinkSinr, LinkSinr, TxScheme]:
-    """Full-knowledge recovery for one trial, from the estimate's partition."""
-    h_true = chan.h_ba.entries
-    h_design = part_tilde.reconstruct() if propagate_through_estimate else h_true
-    t_tilde = part_tilde.v1
-    cov_int, lam, evecs, signature, weights = fdd_spectrum(
-        h_design, t_tilde, part_tilde.t_prime
-    )
-    rho, outage = _solve_fraction(
-        _rank1_gain(lam, weights, chan.power_p, chan.na, chan.sigma_b_sq),
-        target_sinr,
-    )
-    scheme = _transmitted(chan, part_tilde, rho, target_sinr, outage)
-    beta = noise_share(rho, chan.power_p, chan.na)
-    w = whitened_combiner(evecs, lam, signature, beta, chan.sigma_b_sq)
-    beam = RxBeamformer(w=w, kind="robust_fdd")
-    q_int = beta * cov_int + chan.sigma_b_sq * np.eye(chan.nb)
-    ctx = RobustContext(
-        mode="fdd", q_int=0.5 * (q_int + q_int.conj().T), t_hat=t_tilde,
-        rho=rho, outage=outage,
-    )
-    report, bob, eve = evaluate_links(chan, scheme, beam, eve_mmse_beamformer(chan, scheme))
-    return beam, report, ctx, bob, eve, scheme
+) -> tuple[RxBeamformer, SinrReport, LinkSinr, LinkSinr, TxScheme]:
+    """Full-knowledge recovery for one trial from the estimate's
+    decomposition (a stack of one): the batch of one of :func:`robust_fdd`."""
+    h = tilde.reconstruct() if propagate_through_estimate else chan.h_ba.entries[None]
+    d = robust_fdd(h, tilde.v, (target_sinr,), chan.power_p, chan.sigma_b_sq)[0]
+    scheme, _, report, bob, eve = run_trial(chan, d, target_sinr)
+    return RxBeamformer(w=d.w_b[0], kind="robust_fdd"), report, bob, eve, scheme
 
 
 def fdd_receiver(
@@ -387,10 +381,9 @@ def fdd_receiver(
     propagate the reconstructed transmission through the estimate rather
     than the true channel; the reported SINR stays physical either way.
     """
-    part_tilde = partition_svd(as_matrix(h_tilde))
-    beam, report, _, _, _, _ = _fdd_trial(
-        chan, part_tilde, target_sinr,
-        propagate_through_estimate=propagate_through_estimate,
+    tilde = partition_stack(as_matrix(h_tilde)[None])
+    beam, report, _, _, _ = _fdd_trial(
+        chan, tilde, target_sinr, propagate_through_estimate=propagate_through_estimate,
     )
     return beam, report
 
@@ -399,34 +392,17 @@ def _tdd_trial(
     chan: ChannelSet,
     svd: SvdPartition,
     moments: PerturbMoments,
-    part_tilde: SvdPartition,
+    tilde: SvdStack,
     target_sinr: float,
-) -> tuple[RxBeamformer, SinrReport, RobustContext, LinkSinr, LinkSinr, TxScheme]:
-    """Statistical recovery for one trial, from a precomputed partition."""
-    if target_sinr <= 0:
-        raise ParameterError(f"target_sinr must be positive, got {target_sinr}")
-    h_true = chan.h_ba.entries
-    t_hat = svd.v1 + moments.e_dv1
-    signature = h_true @ t_hat
-    shape = tdd_shape(h_true, svd.sigma1, svd.u1, moments.e_dv1)
-    lam, evecs = np.linalg.eigh(shape)
-    rho, outage = tdd_fraction(
-        svd.sigma1**2, first_vector_leak(svd, moments), target_sinr,
-        chan.power_p, chan.sigma_b_sq, chan.na,
-    )
-    rho, outage = float(rho), bool(outage)
-    beta = noise_share(rho, chan.power_p, chan.na)
-    sigma_eff, loaded = loaded_noise(beta, lam, chan.sigma_b_sq)
-    sigma_eff, loaded = float(sigma_eff), bool(loaded)
-    scheme = _transmitted(chan, part_tilde, rho, target_sinr, outage)
-    w = whitened_combiner(evecs, lam, signature, beta, sigma_eff)
-    beam = RxBeamformer(w=w, kind="robust_tdd")
-    q_int = beta * shape + sigma_eff * np.eye(chan.nb)
-    ctx = RobustContext(
-        mode="tdd", q_int=q_int, t_hat=t_hat, rho=rho, outage=outage, loaded=loaded
-    )
-    report, bob, eve = evaluate_links(chan, scheme, beam, eve_mmse_beamformer(chan, scheme))
-    return beam, report, ctx, bob, eve, scheme
+) -> tuple[RxBeamformer, SinrReport, LinkSinr, LinkSinr, TxScheme]:
+    """Statistical recovery for one trial from the estimate's decomposition
+    (a stack of one): the batch of one of :func:`robust_tdd`."""
+    d = robust_tdd(
+        chan.h_ba.entries[None], np.array([svd.sigma1]), svd.u1[None], svd.v1[None],
+        moments.e_dv1[None], tilde.v, (target_sinr,), chan.power_p, chan.sigma_b_sq,
+    )[0]
+    scheme, _, report, bob, eve = run_trial(chan, d, target_sinr)
+    return RxBeamformer(w=d.w_b[0], kind="robust_tdd"), report, bob, eve, scheme
 
 
 def tdd_receiver(
@@ -449,7 +425,6 @@ def tdd_receiver(
     request; the average shortfall grows with the error power because the
     beam's misalignment is deliberately not chased with extra data power.
     """
-    h_tilde = chan.h_ba.entries + as_matrix(err_sample)
-    part_tilde = partition_svd(h_tilde)
-    beam, report, _, _, _, _ = _tdd_trial(chan, svd, moments, part_tilde, target_sinr)
+    tilde = partition_stack((chan.h_ba.entries + as_matrix(err_sample))[None])
+    beam, report, _, _, _ = _tdd_trial(chan, svd, moments, tilde, target_sinr)
     return beam, report

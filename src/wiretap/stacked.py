@@ -1,8 +1,8 @@
 """Small linear-algebra helpers over stacks of matrices and vectors.
 
-Every function works on arrays with any number of leading batch axes, and
-on a single matrix or vector alike, so one formula serves both the
-single-channel functions and the batched sweep engine.
+Every function works on arrays with any number of leading batch axes,
+including none.  The scheme kernels are written with them, and the
+single-channel functions run those kernels on a batch of one.
 """
 from __future__ import annotations
 
@@ -16,15 +16,11 @@ def herm(x: np.ndarray) -> np.ndarray:
 
 def matvec(h: np.ndarray, x: np.ndarray) -> np.ndarray:
     """h @ x for a stack of matrices and a matching stack of vectors."""
-    if x.ndim == 1:
-        return h @ x
     return (h @ x[..., None])[..., 0]
 
 
 def vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a^H b for matching stacks of vectors; bit-identical to ``np.vdot``."""
-    if a.ndim == 1:
-        return np.vdot(a, b)
     return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 

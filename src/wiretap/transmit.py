@@ -1,16 +1,25 @@
 """Transmit designs, receive beamformers, and SINR evaluation.
 
 One data stream is sent along a unit direction ``t`` with power ``rho * P``;
-the remaining budget feeds synthetic interference with covariance ``q_z``,
-shaped to miss the intended receiver while jamming everyone else.  Evaluation
-is deliberately generic: the scheme handed to ``evaluate_sinr`` may have been
-designed from a stale channel estimate while propagation uses the true
-channel, which is exactly the mismatch the rest of the package studies.
+the remaining budget feeds synthetic interference through a factor ``F``
+(covariance F F^H), shaped to miss the intended receiver while jamming
+everyone else.  Evaluation is deliberately generic: a design may have been
+made from a stale channel estimate while propagation uses the true channel,
+which is exactly the mismatch the rest of the package studies.
+
+Every scheme is a kernel over stacks of channels with leading batch axes
+(:func:`artificial_noise`, :func:`eve_aware`, and the robust receivers in
+``robust``), returning a :class:`Design` per target SINR, and every design is
+evaluated by :func:`links` and :func:`evaluate`.  The single-channel
+functions run those kernels on a batch of one and wrap the results in
+:class:`TxScheme`, :class:`RxBeamformer`, :class:`LinkSinr` and
+:class:`SinrReport`, so they return the sweep engine's numbers bit for bit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,26 +30,32 @@ from .stacked import any_true, herm, matvec, outer, vdot
 # rho at or above this value means all power goes to the data stream.
 _RHO_CEIL = 1.0 - 1e-15
 
+# The per-trial figures :func:`evaluate` returns, one row each.
+METRICS = (
+    "sinr_b", "sinr_e", "secrecy", "outage",
+    "signal_b", "intnoise_b", "signal_e", "intnoise_e", "flagged",
+)
+
 
 @dataclass(frozen=True)
 class TxScheme:
     """A complete transmit configuration.
 
     ``t`` is the unit-norm data direction, ``rho`` the fraction of the budget
-    spent on data, ``q_z`` the interference covariance, and ``outage``
-    records that the target SINR was unreachable so all power went to data.
-    ``target_sinr`` is the linear SINR the design aimed for.
+    spent on data, and ``outage`` records that the target SINR was
+    unreachable so all power went to data.  ``target_sinr`` is the linear
+    SINR the design aimed for.
 
-    ``q_z_factor``, when present, is a matrix F with q_z = F F^H.  Designs
-    keep it because a receiver orthogonal to the interference sees a residual
-    of order machine-epsilon squared, which only survives evaluation through
-    the factor (amplitudes first, then squared); the assembled covariance
-    buries it under round-off of the large cancelling entries.
+    ``q_z_factor`` is the interference factor F (na x k, no columns or None
+    for none), and ``q_z`` = F F^H the interference covariance.  Evaluation
+    works from the factor because a receiver orthogonal to the interference
+    sees a residual of order machine-epsilon squared, which only survives
+    through amplitudes (F^H H^H w first, then squared); the assembled
+    covariance buries it under round-off of the large cancelling entries.
     """
 
     t: np.ndarray
     rho: float
-    q_z: np.ndarray
     power_p: float
     target_sinr: float
     outage: bool = False
@@ -57,29 +72,18 @@ class TxScheme:
             raise ParameterError(f"rho must lie in [0, 1], got {self.rho}")
         if self.power_p <= 0 or self.target_sinr <= 0:
             raise ParameterError("power_p and target_sinr must be positive")
-        q = np.asarray(self.q_z, dtype=np.complex128)
-        if q.shape != (t.size, t.size):
-            raise DimensionError(f"q_z shape {q.shape} does not match t length {t.size}")
-        herm = np.max(np.abs(q - q.conj().T)) if q.size else 0.0
-        scale = max(float(np.abs(np.trace(q)).real), 1.0)
-        if herm > 1e-9 * scale:
-            raise ParameterError(f"q_z is not Hermitian within tolerance ({herm:.3e})")
-        if self.outage and (self.rho != 1.0 or np.any(q != 0)):
-            raise ParameterError("an outage scheme must have rho = 1 and q_z = 0")
+        f = np.zeros((t.size, 0), np.complex128) if self.q_z_factor is None else (
+            np.asarray(self.q_z_factor, dtype=np.complex128))
+        if f.ndim != 2 or f.shape[0] != t.size:
+            raise DimensionError(f"q_z_factor shape {f.shape} does not match t length {t.size}")
+        if self.outage and (self.rho != 1.0 or f.any()):
+            raise ParameterError("an outage scheme must have rho = 1 and no interference")
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "q_z", q)
-        if self.q_z_factor is not None:
-            f = np.asarray(self.q_z_factor, dtype=np.complex128)
-            if f.ndim != 2 or f.shape[0] != t.size:
-                raise DimensionError(
-                    f"q_z_factor shape {f.shape} does not match t length {t.size}"
-                )
-            mismatch = float(np.max(np.abs(f @ f.conj().T - q)))
-            if mismatch > 1e-9 * scale:
-                raise ParameterError(
-                    f"q_z_factor does not reproduce q_z (max deviation {mismatch:.3e})"
-                )
-            object.__setattr__(self, "q_z_factor", f)
+        object.__setattr__(self, "q_z_factor", f)
+
+    @property
+    def q_z(self) -> np.ndarray:
+        return self.q_z_factor @ self.q_z_factor.conj().T
 
     @property
     def data_power(self) -> float:
@@ -99,7 +103,7 @@ class RxBeamformer:
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=np.complex128)
-        if w.ndim != 1 or not np.any(w):
+        if w.ndim != 1 or not w.any():
             raise ParameterError("beamformer must be a nonzero vector")
         if self.kind not in ("matched", "mmse", "robust_fdd", "robust_tdd"):
             raise ParameterError(f"unknown beamformer kind {self.kind!r}")
@@ -128,6 +132,24 @@ class SinrReport:
     sinr_e: float
     secrecy_capacity: float
     outage: bool
+
+
+class Design(NamedTuple):
+    """A batched transmit design and Bob's combiner, one row per trial.
+
+    ``t`` (..., na) is the unit data direction, ``rho`` (...) the data power
+    fraction, ``factor`` (..., na, k) the interference factor F with
+    q_z = F F^H, ``w_b`` (..., nb) Bob's combiner, ``outage`` whether the
+    target was out of reach and ``flagged`` whether the statistical
+    receiver needed diagonal loading.
+    """
+
+    t: np.ndarray
+    rho: np.ndarray
+    factor: np.ndarray
+    w_b: np.ndarray
+    outage: np.ndarray
+    flagged: np.ndarray
 
 
 def outage_fallback(rho):
@@ -161,114 +183,66 @@ def noise_share(rho, power_p: float, na: int):
     return (1.0 - rho) * power_p / (na - 1) if na > 1 else 0.0 * rho
 
 
-def noise_covariance_for(t_prime: np.ndarray, rho: float, power_p: float) -> np.ndarray:
-    """Isotropic interference covariance over the columns of ``t_prime``.
-
-    Spends (1-rho)*P split evenly across the na-1 columns.  A single-antenna
-    transmitter has no orthogonal directions and gets an all-zero covariance,
-    as does a design with rho = 1.
-    """
-    na = t_prime.shape[0]
-    if na == 1 or rho >= _RHO_CEIL:
-        return np.zeros((na, na), dtype=np.complex128)
-    return noise_share(rho, power_p, na) * (t_prime @ t_prime.conj().T)
-
-
 def noise_factors(t_prime: np.ndarray, rho, power_p: float) -> np.ndarray:
     """Factors sqrt(beta) * T' over the leading axes of ``t_prime`` and ``rho``.
 
-    F F^H is the covariance of :func:`noise_covariance_for`; entries whose
-    rho reaches the all-data ceiling get an all-zero factor.
+    The leftover budget (1-rho)*P is split evenly over the na-1 columns of
+    ``t_prime``; entries whose rho reaches the all-data ceiling get an
+    all-zero factor.
     """
     rho = np.asarray(rho)
     beta = np.where(rho >= _RHO_CEIL, 0.0, noise_share(rho, power_p, t_prime.shape[-2]))
     return np.sqrt(beta)[..., None, None] * t_prime
 
 
-def noise_factor_for(t_prime: np.ndarray, rho: float, power_p: float) -> np.ndarray | None:
-    """Factor F with F F^H equal to :func:`noise_covariance_for`'s output.
+def artificial_noise(sigma1, v, h, v_rx, targets, power_p: float, sigma_b_sq: float):
+    """Artificial-noise designs, one :class:`Design` per entry of ``targets``.
 
-    Returns None for the degenerate zero-covariance cases.
+    Data rides the dominant direction ``v[..., 0]`` of the transmitter's
+    decomposition (singular value ``sigma1``); the leftover budget is spread
+    isotropically over the other columns ``v[..., 1:]``, which the intended
+    receiver never sees but any other receiver does.  When even the full
+    budget cannot meet a target the design degrades to rho = 1 with no
+    interference and the outage flag set.  Bob's combiner is matched to
+    ``h @ v_rx``, his channel's own dominant direction, so a decomposition
+    of a stale estimate models the mismatched (naive) link.
     """
-    na = t_prime.shape[0]
-    if na == 1 or rho >= _RHO_CEIL:
-        return None
-    return np.sqrt(noise_share(rho, power_p, na)) * t_prime
+    w_b = matvec(h, v_rx)
+    designs = []
+    for target in targets:
+        rho, outage = outage_fallback(required_rho(sigma1, target, power_p, sigma_b_sq))
+        designs.append(Design(
+            t=v[..., 0], rho=rho, factor=noise_factors(v[..., 1:], rho, power_p),
+            w_b=w_b, outage=outage, flagged=np.zeros_like(outage),
+        ))
+    return designs
 
 
-def interference_level(scheme: TxScheme) -> float:
-    """Per-direction interference power of a scheme built by this module."""
-    if scheme.rho >= _RHO_CEIL:
-        return 0.0
-    return noise_share(scheme.rho, scheme.power_p, scheme.t.size)
-
-
-def design_artificial_noise(chan: ChannelSet, svd: SvdPartition, target_sinr: float) -> TxScheme:
-    """Transmit design when the eavesdropper channel is unknown.
-
-    Data rides the strongest right singular direction of the receiver
-    channel; the leftover budget is spread isotropically over the orthogonal
-    complement, which the intended receiver never sees but any other receiver
-    does.  When even the full budget cannot meet the target the design
-    degrades to rho = 1 with no interference and the outage flag set.
-
-    Pass a perturbed partition to model a transmitter acting on a stale
-    estimate; the power and noise figures still come from ``chan``.
-    """
-    rho, outage = outage_fallback(
-        required_rho(svd.sigma1, target_sinr, chan.power_p, chan.sigma_b_sq)
-    )
-    rho, outage = float(rho), bool(outage)
-    q = noise_covariance_for(svd.t_prime, rho, chan.power_p)
-    return TxScheme(
-        t=svd.v1, rho=rho, q_z=q, power_p=chan.power_p,
-        target_sinr=target_sinr, outage=outage,
-        q_z_factor=noise_factor_for(svd.t_prime, rho, chan.power_p),
-    )
-
-
-def design_known_ecsi(
-    chan: ChannelSet,
-    h_ea_assumed,
-    target_sinr: float,
-    *,
-    full_power: bool = False,
-) -> TxScheme:
-    """Transmit design that minimizes the eavesdropper SINR at fixed QoS.
+def eve_aware(h, assumed, targets, power_p: float, sigma_b_sq: float):
+    """Designs that minimize the eavesdropper's SINR at fixed QoS, one per target.
 
     All power goes to the data stream; the direction solves the generalized
-    eigenproblem between the two channel Gram matrices.  With fewer
-    eavesdropper antennas than transmit antennas the direction lands in the
-    eavesdropper's null space and her SINR is exactly zero.  The data
-    fraction is the minimum meeting ``target_sinr`` at the intended receiver
-    with a matched combiner (the remainder goes unused); ``full_power=True``
-    transmits the whole budget instead.
+    eigenproblem between the intended channels ``h`` and the eavesdropper's
+    channels as the design assumes them (``assumed``, exact or stale).
+    While she has fewer antennas than the transmitter the direction lands
+    in her null space.  The data fraction is the minimum meeting each
+    target at the intended receiver with a matched combiner (the remainder
+    goes unused).  Raises DegenerateChannelError when a direction has zero
+    gain to the intended receiver.
     """
-    hb = chan.h_ba.entries
-    t = eve_aware_direction(hb, as_matrix(h_ea_assumed))
-    na = hb.shape[1]
-    a = hb.conj().T @ hb
-    gain = float(np.real(np.vdot(t, a @ t)))
-    if gain <= 0:
+    t = eve_aware_directions(herm(h) @ h, herm(assumed) @ assumed, assumed.shape[-2])
+    w_b = matvec(h, t)
+    gain = np.real(vdot(w_b, w_b))
+    if (gain <= 0).any():
         raise DegenerateChannelError("data direction has zero gain to the intended receiver")
-    rho, outage = outage_fallback(chan.sigma_b_sq * target_sinr / (chan.power_p * gain))
-    rho, outage = (1.0 if full_power else float(rho)), bool(outage)
-    q = np.zeros((na, na), dtype=np.complex128)
-    return TxScheme(t=t, rho=rho, q_z=q, power_p=chan.power_p,
-                    target_sinr=target_sinr, outage=outage)
-
-
-def eve_aware_direction(hb: np.ndarray, he: np.ndarray) -> np.ndarray:
-    """Unit direction of :func:`design_known_ecsi` for one channel pair.
-
-    The batch-of-one case of :func:`eve_aware_directions`, from the two
-    channel matrices.
-    """
-    if hb.shape[1] != he.shape[1]:
-        raise DimensionError(f"channel column counts differ: {hb.shape[1]} vs {he.shape[1]}")
-    a = hb.conj().T @ hb
-    b = he.conj().T @ he
-    return eve_aware_directions(a[None], b[None], he.shape[0])[0]
+    factor = np.zeros(t.shape + (0,), dtype=complex)
+    designs = []
+    for target in targets:
+        rho, outage = outage_fallback(sigma_b_sq * target / (power_p * gain))
+        designs.append(Design(
+            t=t, rho=rho, factor=factor, w_b=w_b, outage=outage, flagged=np.zeros_like(outage),
+        ))
+    return designs
 
 
 @cache
@@ -289,7 +263,7 @@ _HEGVD_ARGS = dict(itype=1, jobz="V", uplo="L")
 
 
 def eve_aware_directions(a: np.ndarray, b: np.ndarray, ne: int) -> np.ndarray:
-    """Unit directions (T, na) of :func:`design_known_ecsi` for Gram stacks.
+    """Unit directions (T, na) of :func:`eve_aware` for Gram stacks.
 
     ``a`` and ``b`` (T, na, na) are the Gram matrices H^H H of the intended
     receiver's and the eavesdropper's channels, and ``ne`` is her antenna
@@ -320,52 +294,16 @@ def eve_aware_directions(a: np.ndarray, b: np.ndarray, ne: int) -> np.ndarray:
     return t
 
 
-def bob_matched_beamformer(chan: ChannelSet, scheme: TxScheme) -> RxBeamformer:
-    """Combiner matched to the received data signature, w = H t.
-
-    Optimal when no interference reaches the receiver; under
-    ``design_artificial_noise`` with an exact channel it attains the target
-    SINR exactly.
-    """
-    return RxBeamformer(w=chan.h_ba.entries @ scheme.t, kind="matched")
-
-
-def mmse_combiner(h, scheme: TxScheme, sigma_sq: float, q_z_true=None) -> np.ndarray:
-    """Max-SINR combiner against a scheme's interference plus noise.
-
-    Solves (H Q H^H + sigma^2 I) w = H t for the channel ``h`` the combiner
-    actually sees.  ``q_z_true`` overrides the scheme covariance when the
-    transmitted interference differs from the nominal design.
-    """
-    arr = as_matrix(h)
-    q = scheme.q_z if q_z_true is None else np.asarray(q_z_true, dtype=np.complex128)
-    cov = arr @ q @ arr.conj().T + sigma_sq * np.eye(arr.shape[0])
-    rhs = arr @ scheme.t
-    return np.linalg.solve(cov, rhs)
-
-
-def eve_mmse_beamformer(chan: ChannelSet, scheme: TxScheme, q_z_true=None) -> RxBeamformer:
-    """The best linear receiver the eavesdropper can run.
+def mmse_combiners(h: np.ndarray, t: np.ndarray, factor: np.ndarray, sigma_sq: float) -> np.ndarray:
+    """The eavesdropper's max-SINR combiners over the leading axes of the inputs.
 
     She knows her own channel and the full transmit configuration, so her
-    combiner whitens the interference she actually receives.  A scheme that
-    nulls her exactly leaves the MMSE solution at zero, where any combiner
-    is equally good; a fixed unit vector stands in so the zero SINR is still
-    reportable.
-    """
-    w = mmse_combiner(chan.h_ea, scheme, chan.sigma_e_sq, q_z_true=q_z_true)
-    return RxBeamformer(w=_nulled_stand_in(w), kind="mmse")
-
-
-def mmse_combiners(h: np.ndarray, t: np.ndarray, factor: np.ndarray, sigma_sq: float) -> np.ndarray:
-    """Stacked eavesdropper combiners over the leading axes of the inputs.
-
-    Solves (H Q H^H + sigma^2 I) w = H t with Q = F F^H for the interference
-    factor ``factor`` (F), for every channel at once with the LU-based solve
-    of the single-channel :func:`mmse_combiner`, and applies the stand-in of
-    :func:`eve_mmse_beamformer` wherever the solution is exactly zero.  A
-    factor without columns leaves sigma^2 I, whose solution is H t / sigma^2
-    without a solve.
+    combiner solves (H Q H^H + sigma^2 I) w = H t with Q = F F^H for the
+    interference factor ``factor`` (F), by an LU solve.  A design that nulls
+    her exactly leaves the solution at zero, where any combiner is equally
+    good; the first unit vector stands in so the zero SINR is still
+    reportable.  A factor without columns leaves sigma^2 I, whose solution
+    is H t / sigma^2 without a solve.
     """
     rhs = matvec(h, t)
     if factor.shape[-1] == 0:
@@ -376,102 +314,67 @@ def mmse_combiners(h: np.ndarray, t: np.ndarray, factor: np.ndarray, sigma_sq: f
 
 def _nulled_stand_in(w: np.ndarray) -> np.ndarray:
     """The first unit vector in place of each all-zero combiner."""
-    if w.ndim == 1 and w.any():
-        return w
-    nulled = ~np.any(w, axis=-1)
-    return np.where(nulled[..., None], np.eye(w.shape[-1])[0], w)
+    nulled = ~w.any(axis=-1)
+    return np.where(nulled[..., None], np.eye(w.shape[-1])[0], w) if nulled.any() else w
 
 
-def link_powers(h, t, data_power, factor, w, sigma_sq: float):
-    """Signal, interference and noise power at unit-norm combiners ``w``.
+def link(h, t, data_power, factor, w, sigma_sq: float):
+    """(SINR, signal, interference, noise power) at the unit-norm ``w``.
 
     Every argument may carry the same leading batch axes; ``factor`` is F
-    with q_z = F F^H, or None to skip the interference power (returned as
-    None).  Returns the powers as arrays over the batch axes.  Interference
-    is the sum of squared amplitudes F^H H^H w, so a combiner orthogonal to
-    it measures the true epsilon-squared residual instead of covariance
-    round-off.
+    with q_z = F F^H.  The combiners are normalized first, so the SINR does
+    not depend on their scale and the noise power is ``sigma_sq``.
+    Interference is the sum of squared amplitudes F^H H^H w, so a combiner
+    orthogonal to it measures the true epsilon-squared residual instead of
+    covariance round-off.
     """
+    scale = np.linalg.norm(w, axis=-1)
+    if (scale == 0.0).any():
+        raise ParameterError("combiner must be nonzero")
+    w = w / scale[..., None]
     sig = data_power * abs(vdot(w, matvec(h, t))) ** 2
     noise = sigma_sq * np.real(vdot(w, w))
-    if factor is None:
-        return sig, None, noise
     amps = matvec(herm(factor), matvec(herm(h), w))
-    return sig, np.real(vdot(amps, amps)), noise
+    interf = np.real(vdot(amps, amps))
+    return sig / (interf + noise), sig, interf, noise
 
 
-def _as_vector(w) -> np.ndarray:
-    if isinstance(w, RxBeamformer):
-        return w.w
-    return np.asarray(w, dtype=np.complex128)
+def links(d: Design, h, eve, power_p: float, sigma_b_sq: float, sigma_e_sq: float):
+    """Eve's MMSE combiners and both links of a design: (w_e, Bob's
+    :func:`link` figures, Eve's), for Bob's channels ``h`` and hers ``eve``."""
+    data_power = d.rho * power_p
+    w_e = mmse_combiners(eve, d.t, d.factor, sigma_e_sq)
+    bob = link(h, d.t, data_power, d.factor, d.w_b, sigma_b_sq)
+    return w_e, bob, link(eve, d.t, data_power, d.factor, w_e, sigma_e_sq)
 
 
-def link_sinr(h, scheme: TxScheme, w, sigma_sq: float, q_z_true=None) -> LinkSinr:
-    """SINR seen through channel ``h`` with combiner ``w``.
+def evaluate(d: Design, h, eve, target, power_p: float, sigma_b_sq: float, sigma_e_sq: float,
+             secrecy_metric: str) -> np.ndarray:
+    """Metrics (len(METRICS), rows) of a design: Eve's MMSE combiner, both
+    links, and the secrecy metric.
 
-    The quadratic forms are evaluated directly, so the scheme's direction and
-    covariance may come from a stale estimate while ``h`` is the true
-    channel.  Powers are reported for the unit-norm combiner (the SINR does
-    not depend on the scale of ``w``, but the split does); noise_power is
-    then exactly ``sigma_sq``, and sums of the components across trials give
-    a well-defined ratio-of-expectations estimate.
+    Every argument carries one entry per row (``target`` may be a scalar).
+    "goodput" pays the provisioned secret rate only on trials where the
+    intended link actually reaches its target SINR, so schemes are compared
+    on secrecy they reliably deliver rather than on lucky fades; "proxy" is
+    the instantaneous clamped rate difference at the beamformer outputs;
+    "full" is the matrix mutual-information rate of the transmitted
+    covariance.
     """
-    arr = as_matrix(h)
-    w = _as_vector(w)
-    if w.ndim != 1 or w.size != arr.shape[0]:
-        raise DimensionError(f"combiner length {w.shape} does not match channel rows {arr.shape[0]}")
-    if sigma_sq <= 0:
-        raise ParameterError(f"sigma_sq must be positive, got {sigma_sq}")
-    scale = np.linalg.norm(w)
-    if scale == 0.0:
-        raise ParameterError("combiner must be nonzero")
-    w = w / scale
-    factor = scheme.q_z_factor if q_z_true is None else None
-    sig, interf, noise = link_powers(arr, scheme.t, scheme.data_power, factor, w, sigma_sq)
-    noise = float(noise)
-    if factor is not None:
-        interf = float(interf)
+    _, (sinr_b, signal_b, interf_b, noise_b), (sinr_e, signal_e, interf_e, noise_e) = links(
+        d, h, eve, power_p, sigma_b_sq, sigma_e_sq
+    )
+    if secrecy_metric == "full":
+        secrecy = full_secrecy_rates(h, eve, d.t, d.rho * power_p, d.factor @ herm(d.factor),
+                                     sigma_b_sq, sigma_e_sq)
+    elif secrecy_metric == "goodput":
+        secrecy = secure_goodput(sinr_b, sinr_e, target)
     else:
-        q = scheme.q_z if q_z_true is None else np.asarray(q_z_true, dtype=np.complex128)
-        hqh = arr @ q @ arr.conj().T
-        interf = float(np.real(np.vdot(w, hqh @ w)))
-        # Clamp tiny negative round-off from the quadratic form.
-        interf = max(interf, 0.0)
-    return LinkSinr(
-        sinr=float(sig) / (interf + noise),
-        signal_power=float(sig),
-        interference_power=interf,
-        noise_power=noise,
-    )
-
-
-def evaluate_links(
-    chan: ChannelSet, scheme: TxScheme, w_b, w_e, q_z_true=None
-) -> tuple[SinrReport, LinkSinr, LinkSinr]:
-    """Evaluate one trial at both receivers, keeping both links' powers.
-
-    Returns the report of :func:`evaluate_sinr` together with the two
-    :class:`LinkSinr` values it was built from.
-    """
-    bob = link_sinr(chan.h_ba, scheme, w_b, chan.sigma_b_sq, q_z_true=q_z_true)
-    eve = link_sinr(chan.h_ea, scheme, w_e, chan.sigma_e_sq, q_z_true=q_z_true)
-    report = SinrReport(
-        sinr_b=bob.sinr,
-        sinr_e=eve.sinr,
-        secrecy_capacity=secrecy_capacity_proxy(bob.sinr, eve.sinr),
-        outage=scheme.outage,
-    )
-    return report, bob, eve
-
-
-def evaluate_sinr(chan: ChannelSet, scheme: TxScheme, w_b, w_e, q_z_true=None) -> SinrReport:
-    """Evaluate one trial at both receivers.
-
-    ``q_z_true`` is the interference covariance actually transmitted; it
-    defaults to the scheme's own.  The secrecy number is the clamped
-    difference of the two log rates at the beamformer outputs.
-    """
-    return evaluate_links(chan, scheme, w_b, w_e, q_z_true=q_z_true)[0]
+        secrecy = secrecy_capacity_proxy(sinr_b, sinr_e)
+    return np.stack([
+        sinr_b, sinr_e, secrecy, d.outage, signal_b, interf_b + noise_b,
+        signal_e, interf_e + noise_e, d.flagged,
+    ]).astype(float)
 
 
 def secrecy_capacity_proxy(sinr_b: float, sinr_e: float) -> float:
@@ -520,25 +423,13 @@ def secure_goodput(sinr_b: float, sinr_e: float, target_sinr: float) -> float:
     return _as_output(np.where(sinr_b < target_sinr * (1.0 - _GOODPUT_SLACK), 0.0, rate))
 
 
-def secrecy_capacity_full(chan: ChannelSet, scheme: TxScheme, q_z_true=None) -> float:
-    """Matrix mutual-information secrecy rate for the transmitted covariance.
-
-    Uses the full transmit covariance rho*P*t*t^H + q_z through both channels
-    rather than the scalar beamformer outputs.  Reported as an alternative
-    metric; the scalar proxy is the default everywhere else.
-    """
-    q = scheme.q_z if q_z_true is None else np.asarray(q_z_true, dtype=np.complex128)
-    return float(full_secrecy_rates(
-        chan.h_ba.entries, chan.h_ea.entries, scheme.t, scheme.data_power, q,
-        chan.sigma_b_sq, chan.sigma_e_sq,
-    ))
-
-
 def full_secrecy_rates(h_b, h_e, t, data_power, q, sigma_b_sq: float, sigma_e_sq: float):
-    """Stacked :func:`secrecy_capacity_full` over the leading batch axes.
+    """Matrix mutual-information secrecy rates over the leading batch axes.
 
-    ``t`` and ``data_power`` describe the data stream and ``q`` is the
-    interference covariance, all with the channels' batch axes.
+    Uses the full transmit covariance data_power * t t^H + q through both
+    channels rather than the scalar beamformer outputs; ``t`` and
+    ``data_power`` describe the data stream and ``q`` is the interference
+    covariance, all with the channels' batch axes.
     """
     q_a = np.asarray(data_power)[..., None, None] * outer(t, t) + q
     eye_b = np.eye(h_b.shape[-2])
@@ -548,15 +439,136 @@ def full_secrecy_rates(h_b, h_e, t, data_power, q, sigma_b_sq: float, sigma_e_sq
     return np.maximum((logdet_b - logdet_e) / np.log(2.0), 0.0)
 
 
+# ---------------------------------------------------- single-channel interface
+#
+# Each function below runs a kernel on a batch of one channel and wraps the
+# first row in the public types.
+
+
+def _tx_scheme(d: Design, power_p: float, target_sinr: float) -> TxScheme:
+    """The transmit configuration of a batch-of-one design."""
+    return TxScheme(t=d.t[0], rho=float(d.rho[0]), power_p=power_p, target_sinr=target_sinr,
+                    outage=bool(d.outage[0]), q_z_factor=d.factor[0])
+
+
+def _link_sinr(figures) -> LinkSinr:
+    sinr, sig, interf, noise = (float(x[0]) for x in figures)
+    return LinkSinr(sinr=sinr, signal_power=sig, interference_power=interf, noise_power=noise)
+
+
+def _report(bob: LinkSinr, eve: LinkSinr, outage: bool) -> SinrReport:
+    return SinrReport(sinr_b=bob.sinr, sinr_e=eve.sinr,
+                      secrecy_capacity=secrecy_capacity_proxy(bob.sinr, eve.sinr), outage=outage)
+
+
+def run_trial(chan: ChannelSet, d: Design, target_sinr: float):
+    """Evaluate a batch-of-one design on ``chan``.
+
+    Returns (scheme, Eve's combiner, report, Bob's link, Eve's link).
+    """
+    w_e, bob, eve = links(d, chan.h_ba.entries[None], chan.h_ea.entries[None],
+                          chan.power_p, chan.sigma_b_sq, chan.sigma_e_sq)
+    bob, eve = _link_sinr(bob), _link_sinr(eve)
+    scheme = _tx_scheme(d, chan.power_p, target_sinr)
+    return scheme, RxBeamformer(w_e[0], "mmse"), _report(bob, eve, scheme.outage), bob, eve
+
+
+def single_artificial_noise(chan: ChannelSet, tx: SvdPartition, rx: SvdPartition, target_sinr):
+    """:func:`artificial_noise` of one channel from the partition ``tx``,
+    with Bob matched to ``rx``."""
+    return artificial_noise(
+        np.array([tx.sigma1]), tx.v_full[None], chan.h_ba.entries[None], rx.v1[None],
+        (target_sinr,), chan.power_p, chan.sigma_b_sq,
+    )[0]
+
+
+def design_artificial_noise(chan: ChannelSet, svd: SvdPartition, target_sinr: float) -> TxScheme:
+    """Transmit design when the eavesdropper channel is unknown.
+
+    The batch of one of :func:`artificial_noise`.  Pass a perturbed
+    partition to model a transmitter acting on a stale estimate; the power
+    and noise figures still come from ``chan``.
+    """
+    d = single_artificial_noise(chan, svd, svd, target_sinr)
+    return _tx_scheme(d, chan.power_p, target_sinr)
+
+
+def design_known_ecsi(chan: ChannelSet, h_ea_assumed, target_sinr: float) -> TxScheme:
+    """Transmit design that minimizes the eavesdropper SINR at fixed QoS.
+
+    The batch of one of :func:`eve_aware`, against the eavesdropper channel
+    ``h_ea_assumed``.
+    """
+    he = as_matrix(h_ea_assumed)
+    if he.shape[1] != chan.na:
+        raise DimensionError(f"channel column counts differ: {chan.na} vs {he.shape[1]}")
+    d = eve_aware(chan.h_ba.entries[None], he[None], (target_sinr,), chan.power_p,
+                  chan.sigma_b_sq)[0]
+    return _tx_scheme(d, chan.power_p, target_sinr)
+
+
+def bob_matched_beamformer(chan: ChannelSet, scheme: TxScheme) -> RxBeamformer:
+    """Combiner matched to the received data signature, w = H t.
+
+    Optimal when no interference reaches the receiver; under
+    ``design_artificial_noise`` with an exact channel it attains the target
+    SINR exactly.
+    """
+    return RxBeamformer(w=matvec(chan.h_ba.entries[None], scheme.t[None])[0], kind="matched")
+
+
+def eve_mmse_beamformer(chan: ChannelSet, scheme: TxScheme) -> RxBeamformer:
+    """The best linear receiver the eavesdropper can run; see :func:`mmse_combiners`."""
+    w = mmse_combiners(chan.h_ea.entries[None], scheme.t[None], scheme.q_z_factor[None],
+                       chan.sigma_e_sq)
+    return RxBeamformer(w=w[0], kind="mmse")
+
+
+def link_sinr(h, scheme: TxScheme, w, sigma_sq: float) -> LinkSinr:
+    """SINR seen through channel ``h`` with combiner ``w``; see :func:`link`.
+
+    The scheme's direction and interference may come from a stale estimate
+    while ``h`` is the true channel.  Powers are reported for the unit-norm
+    combiner, so sums of the components across trials give a well-defined
+    ratio-of-expectations estimate.
+    """
+    arr = as_matrix(h)
+    w = w.w if isinstance(w, RxBeamformer) else np.asarray(w, dtype=np.complex128)
+    if w.ndim != 1 or w.size != arr.shape[0]:
+        raise DimensionError(f"combiner length {w.shape} does not match channel rows {arr.shape[0]}")
+    if sigma_sq <= 0:
+        raise ParameterError(f"sigma_sq must be positive, got {sigma_sq}")
+    return _link_sinr(link(arr[None], scheme.t[None], scheme.data_power, scheme.q_z_factor[None],
+                           w[None], sigma_sq))
+
+
+def evaluate_sinr(chan: ChannelSet, scheme: TxScheme, w_b, w_e) -> SinrReport:
+    """Evaluate one trial at both receivers.
+
+    The secrecy number is the clamped difference of the two log rates at the
+    beamformer outputs.
+    """
+    return _report(link_sinr(chan.h_ba, scheme, w_b, chan.sigma_b_sq),
+                   link_sinr(chan.h_ea, scheme, w_e, chan.sigma_e_sq), scheme.outage)
+
+
+def secrecy_capacity_full(chan: ChannelSet, scheme: TxScheme) -> float:
+    """Matrix mutual-information secrecy rate of the transmitted covariance;
+    the batch of one of :func:`full_secrecy_rates`.  Reported as an
+    alternative metric; the scalar proxy is the default everywhere else."""
+    return float(full_secrecy_rates(
+        chan.h_ba.entries[None], chan.h_ea.entries[None], scheme.t[None], scheme.data_power,
+        scheme.q_z[None], chan.sigma_b_sq, chan.sigma_e_sq,
+    )[0])
+
+
 def perfect_csi_trial(chan: ChannelSet, target_sinr: float, svd: SvdPartition | None = None):
     """Run the whole perfect-knowledge pipeline for one channel.
 
     Returns (scheme, bob beamformer, eve beamformer, report).  Convenience
-    wrapper for single-channel callers such as the self checks; the
-    experiment harness runs its batched stages instead.
+    wrapper for single-channel callers such as the self checks.
     """
     part = svd if svd is not None else partition_svd(chan.h_ba)
-    scheme = design_artificial_noise(chan, part, target_sinr)
-    w_b = bob_matched_beamformer(chan, scheme)
-    w_e = eve_mmse_beamformer(chan, scheme)
-    return scheme, w_b, w_e, evaluate_sinr(chan, scheme, w_b, w_e)
+    d = single_artificial_noise(chan, part, part, target_sinr)
+    scheme, w_e, report, _, _ = run_trial(chan, d, target_sinr)
+    return scheme, RxBeamformer(w=d.w_b[0], kind="matched"), w_e, report

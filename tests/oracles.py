@@ -1,11 +1,15 @@
 """Reference implementations the library's fast paths must agree with.
 
 ``_run_chunk`` is the per-trial reference loop for the batched sweep
-engine: one trial, one point and one scheme at a time through the
-single-channel functions, returning the engine's per-trial metric array.
-Its streams come from ``_rng``/``_seed``, numpy's own ``SeedSequence`` and
-``default_rng`` per trial, which the engine's vectorised seed derivation
-must reproduce.
+engine: one trial, one point and one scheme at a time, returning the
+engine's per-trial metric array.  It runs on the single-channel scheme
+implementations the library had before its single-channel functions became
+batches of one over the engine's kernels (``design_artificial_noise``,
+``design_known_ecsi``, ``naive_trial``, ``fdd_trial``, ``tdd_trial``, Eve's
+LU-solved combiner and ``link_sinr`` below), each written out for one
+channel with its own covariance bookkeeping.  Its streams come from
+``_rng``/``_seed``, numpy's own ``SeedSequence`` and ``default_rng`` per
+trial, which the engine's vectorised seed derivation must reproduce.
 
 ``eve_aware_direction`` is the per-matrix ``scipy.linalg.eigh`` form of the
 Eve-aware design direction, and ``_reduce`` the per-(scheme, point) loop
@@ -37,6 +41,7 @@ from wiretap.channels import (
     ChannelSet,
     CsiErrorModel,
     SvdPartition,
+    as_matrix,
     complex_gaussian,
     partition_svd,
     perturb_ecsi,
@@ -48,26 +53,38 @@ from wiretap.exceptions import (
     ValidityRangeError,
 )
 from wiretap.harness import (
-    _METRICS,
     _NEEDS_ERROR,
     _TAG_CHANNEL,
     _TAG_ECSI,
     _TAG_ERROR,
     _TAG_EVE,
+    METRICS,
     ExperimentConfig,
     _as_tuple,
     _point_values,
 )
-from wiretap.perturbation import compute_moments, naive_sinr_terms, naive_trial
-from wiretap.robust import _MAXITER, _RHO_FLOOR, _RTOL, _XTOL, _fdd_trial, _tdd_trial
+from wiretap.perturbation import compute_moments, first_vector_leak, naive_sinr_terms
+from wiretap.robust import (
+    _MAXITER,
+    _RHO_FLOOR,
+    _RTOL,
+    _XTOL,
+    fdd_spectrum,
+    loaded_noise,
+    rank1_gains,
+    tdd_fraction,
+    tdd_shape,
+    whitened_combiner,
+)
 from wiretap.transmit import (
-    bob_matched_beamformer,
-    design_artificial_noise,
-    design_known_ecsi,
-    eve_mmse_beamformer,
-    evaluate_sinr,
-    link_sinr,
-    secrecy_capacity_full,
+    _RHO_CEIL,
+    LinkSinr,
+    SinrReport,
+    full_secrecy_rates,
+    noise_share,
+    outage_fallback,
+    required_rho,
+    secrecy_capacity_proxy,
     secure_goodput,
 )
 from wiretap.units import from_db, to_db
@@ -257,7 +274,7 @@ def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
     axis_name, axis_values = cfg.axis()
     n_points = len(axis_values)
     n_schemes = len(cfg.schemes)
-    out = np.full((n_points, n_schemes, len(_METRICS), hi - lo), np.nan)
+    out = np.full((n_points, n_schemes, len(METRICS), hi - lo), np.nan)
 
     power_p = cfg.power_p
     needs_error = bool(_NEEDS_ERROR.intersection(cfg.schemes))
@@ -330,7 +347,7 @@ def _one_scheme(
     point: int,
     ecsi_fixed,
 ) -> np.ndarray:
-    row = np.full(len(_METRICS), np.nan)
+    row = np.full(len(METRICS), np.nan)
 
     if name == "analytic_naive":
         try:
@@ -348,10 +365,10 @@ def _one_scheme(
 
     if name == "perfect":
         scheme = design_artificial_noise(chan, svd, target)
-        w_b = bob_matched_beamformer(chan, scheme)
+        w_b = chan.h_ba.entries @ scheme.t
     elif name == "known_ecsi":
         scheme = design_known_ecsi(chan, chan.h_ea, target)
-        w_b = bob_matched_beamformer(chan, scheme)
+        w_b = chan.h_ba.entries @ scheme.t
     elif name == "imperfect_ecsi":
         assumed = (
             ecsi_fixed
@@ -359,30 +376,22 @@ def _one_scheme(
             else perturb_ecsi(chan.h_ea, cfg.gamma_ecsi, _seed(cfg, _TAG_ECSI, trial, point))
         )
         scheme = design_known_ecsi(chan, assumed, target)
-        w_b = bob_matched_beamformer(chan, scheme)
+        w_b = chan.h_ba.entries @ scheme.t
     elif name == "naive":
-        report, bob, eve, scheme = naive_trial(
-            chan, None, target, svd=svd, svd_tilde=part_tilde
-        )
+        report, bob, eve, scheme = naive_trial(chan, svd, part_tilde, target)
         return _fill(row, cfg, chan, scheme, report, bob, eve)
     elif name == "robust_fdd":
-        _, report, ctx, bob, eve, scheme = _fdd_trial(
-            chan, part_tilde, target,
-            propagate_through_estimate=cfg.propagate_through_estimate,
+        report, bob, eve, scheme = fdd_trial(
+            chan, part_tilde, target, cfg.propagate_through_estimate
         )
         return _fill(row, cfg, chan, scheme, report, bob, eve)
     elif name == "robust_tdd":
-        _, report, ctx, bob, eve, scheme = _tdd_trial(
-            chan, svd, moments, part_tilde, target
-        )
-        return _fill(row, cfg, chan, scheme, report, bob, eve, flagged=ctx.loaded)
+        report, bob, eve, scheme, loaded = tdd_trial(chan, svd, moments, part_tilde, target)
+        return _fill(row, cfg, chan, scheme, report, bob, eve, flagged=loaded)
     else:  # pragma: no cover - validate() already refused unknown names
         raise ConfigError(f"unknown scheme {name!r}")
 
-    w_e = eve_mmse_beamformer(chan, scheme)
-    report = evaluate_sinr(chan, scheme, w_b, w_e)
-    bob = link_sinr(chan.h_ba, scheme, w_b, chan.sigma_b_sq)
-    eve = link_sinr(chan.h_ea, scheme, w_e, chan.sigma_e_sq)
+    report, bob, eve = evaluate_links(chan, scheme, w_b, eve_mmse_beamformer(chan, scheme))
     return _fill(row, cfg, chan, scheme, report, bob, eve)
 
 
@@ -393,6 +402,159 @@ def _fill(row, cfg, chan, scheme, report, bob, eve, flagged: bool = False) -> np
         eve.signal_power, eve.interference_plus_noise, float(flagged),
     )
     return row
+
+
+# ------------------------------------------- single-channel scheme implementations
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """One channel's transmit configuration: direction, data fraction, the
+    interference covariance ``q_z`` and its factor (None when zero)."""
+
+    t: np.ndarray
+    rho: float
+    q_z: np.ndarray
+    power_p: float
+    target_sinr: float
+    outage: bool = False
+    q_z_factor: np.ndarray | None = None
+
+    @property
+    def data_power(self) -> float:
+        return self.rho * self.power_p
+
+
+def noise_covariance_for(t_prime: np.ndarray, rho: float, power_p: float) -> np.ndarray:
+    """Isotropic interference covariance over the columns of ``t_prime``."""
+    na = t_prime.shape[0]
+    if na == 1 or rho >= _RHO_CEIL:
+        return np.zeros((na, na), dtype=np.complex128)
+    return noise_share(rho, power_p, na) * (t_prime @ t_prime.conj().T)
+
+
+def noise_factor_for(t_prime: np.ndarray, rho: float, power_p: float):
+    """Factor of :func:`noise_covariance_for`; None for a zero covariance."""
+    na = t_prime.shape[0]
+    if na == 1 or rho >= _RHO_CEIL:
+        return None
+    return np.sqrt(noise_share(rho, power_p, na)) * t_prime
+
+
+def design_artificial_noise(chan: ChannelSet, svd: SvdPartition, target_sinr: float) -> Scheme:
+    rho, outage = outage_fallback(
+        required_rho(svd.sigma1, target_sinr, chan.power_p, chan.sigma_b_sq)
+    )
+    rho, outage = float(rho), bool(outage)
+    return Scheme(
+        t=svd.v1, rho=rho, q_z=noise_covariance_for(svd.t_prime, rho, chan.power_p),
+        power_p=chan.power_p, target_sinr=target_sinr, outage=outage,
+        q_z_factor=noise_factor_for(svd.t_prime, rho, chan.power_p),
+    )
+
+
+def design_known_ecsi(chan: ChannelSet, h_ea_assumed, target_sinr: float) -> Scheme:
+    hb = chan.h_ba.entries
+    t = eve_aware_direction(hb, as_matrix(h_ea_assumed))
+    na = hb.shape[1]
+    gain = float(np.real(np.vdot(t, (hb.conj().T @ hb) @ t)))
+    if gain <= 0:
+        raise DegenerateChannelError("data direction has zero gain to the intended receiver")
+    rho, outage = outage_fallback(chan.sigma_b_sq * target_sinr / (chan.power_p * gain))
+    return Scheme(t=t, rho=float(rho), q_z=np.zeros((na, na), dtype=np.complex128),
+                  power_p=chan.power_p, target_sinr=target_sinr, outage=bool(outage))
+
+
+def eve_mmse_beamformer(chan: ChannelSet, scheme: Scheme) -> np.ndarray:
+    """Eve's max-SINR combiner by an LU solve; the first unit vector stands
+    in for an all-zero solution."""
+    h = chan.h_ea.entries
+    cov = h @ scheme.q_z @ h.conj().T + chan.sigma_e_sq * np.eye(h.shape[0])
+    w = np.linalg.solve(cov, h @ scheme.t)
+    return w if w.any() else np.eye(w.size)[0]
+
+
+def link_sinr(h: np.ndarray, scheme: Scheme, w: np.ndarray, sigma_sq: float) -> LinkSinr:
+    """SINR and powers at the unit-norm combiner, interference through the
+    factor (amplitudes first) when there is one."""
+    w = w / np.linalg.norm(w)
+    sig = scheme.data_power * abs(np.vdot(w, h @ scheme.t)) ** 2
+    noise = sigma_sq * float(np.real(np.vdot(w, w)))
+    if scheme.q_z_factor is not None:
+        amps = scheme.q_z_factor.conj().T @ (h.conj().T @ w)
+        interf = float(np.real(np.vdot(amps, amps)))
+    else:
+        interf = max(float(np.real(np.vdot(w, h @ scheme.q_z @ h.conj().T @ w))), 0.0)
+    return LinkSinr(sinr=float(sig) / (interf + noise), signal_power=float(sig),
+                    interference_power=interf, noise_power=noise)
+
+
+def evaluate_links(chan: ChannelSet, scheme: Scheme, w_b, w_e):
+    bob = link_sinr(chan.h_ba.entries, scheme, w_b, chan.sigma_b_sq)
+    eve = link_sinr(chan.h_ea.entries, scheme, w_e, chan.sigma_e_sq)
+    report = SinrReport(sinr_b=bob.sinr, sinr_e=eve.sinr,
+                        secrecy_capacity=secrecy_capacity_proxy(bob.sinr, eve.sinr),
+                        outage=scheme.outage)
+    return report, bob, eve
+
+
+def secrecy_capacity_full(chan: ChannelSet, scheme: Scheme) -> float:
+    return float(full_secrecy_rates(
+        chan.h_ba.entries, chan.h_ea.entries, scheme.t, scheme.data_power, scheme.q_z,
+        chan.sigma_b_sq, chan.sigma_e_sq,
+    ))
+
+
+def naive_trial(chan: ChannelSet, svd: SvdPartition, part_tilde: SvdPartition, target_sinr):
+    """Design from the estimate, Bob matched to the true channel."""
+    scheme = design_artificial_noise(chan, part_tilde, target_sinr)
+    w_b = chan.h_ba.entries @ svd.v1
+    report, bob, eve = evaluate_links(chan, scheme, w_b, eve_mmse_beamformer(chan, scheme))
+    return report, bob, eve, scheme
+
+
+def _transmitted(chan: ChannelSet, part_tilde: SvdPartition, rho: float, target_sinr: float,
+                 outage: bool) -> Scheme:
+    """The estimate's directions at the requested fraction."""
+    return Scheme(
+        t=part_tilde.v1, rho=rho, q_z=noise_covariance_for(part_tilde.t_prime, rho, chan.power_p),
+        power_p=chan.power_p, target_sinr=target_sinr, outage=outage,
+        q_z_factor=noise_factor_for(part_tilde.t_prime, rho, chan.power_p),
+    )
+
+
+def fdd_trial(chan: ChannelSet, part_tilde: SvdPartition, target_sinr: float,
+              propagate_through_estimate: bool = False):
+    h_design = part_tilde.reconstruct() if propagate_through_estimate else chan.h_ba.entries
+    lam, evecs, signature, weights = fdd_spectrum(h_design, part_tilde.v1, part_tilde.t_prime)
+    rho, outage = solve_fraction(
+        lambda r: float(rank1_gains(r, lam, weights, chan.power_p, chan.na, chan.sigma_b_sq)),
+        target_sinr,
+    )
+    scheme = _transmitted(chan, part_tilde, rho, target_sinr, outage)
+    beta = noise_share(rho, chan.power_p, chan.na)
+    w = whitened_combiner(evecs, lam, signature, beta, chan.sigma_b_sq)
+    report, bob, eve = evaluate_links(chan, scheme, w, eve_mmse_beamformer(chan, scheme))
+    return report, bob, eve, scheme
+
+
+def tdd_trial(chan: ChannelSet, svd: SvdPartition, moments, part_tilde: SvdPartition,
+              target_sinr: float):
+    """Returns (report, Bob's link, Eve's link, scheme, loaded)."""
+    h = chan.h_ba.entries
+    signature = h @ (svd.v1 + moments.e_dv1)
+    lam, evecs = np.linalg.eigh(tdd_shape(h, svd.sigma1, svd.u1, moments.e_dv1))
+    rho, outage = tdd_fraction(
+        svd.sigma1**2, first_vector_leak(svd, moments), target_sinr,
+        chan.power_p, chan.sigma_b_sq, chan.na,
+    )
+    rho, outage = float(rho), bool(outage)
+    beta = noise_share(rho, chan.power_p, chan.na)
+    sigma_eff, loaded = loaded_noise(beta, lam, chan.sigma_b_sq)
+    scheme = _transmitted(chan, part_tilde, rho, target_sinr, outage)
+    w = whitened_combiner(evecs, lam, signature, beta, float(sigma_eff))
+    report, bob, eve = evaluate_links(chan, scheme, w, eve_mmse_beamformer(chan, scheme))
+    return report, bob, eve, scheme, bool(loaded)
 
 
 # ------------------------------------------------------- Eve-aware direction
@@ -433,10 +595,10 @@ def eve_aware_direction(hb: np.ndarray, he: np.ndarray) -> np.ndarray:
 # ------------------------------------------- Eve's combiner and the fraction root
 
 
-def mmse_combiner(h, scheme, sigma_sq: float) -> np.ndarray:
+def mmse_combiner(h, t, q, sigma_sq: float) -> np.ndarray:
     """Max-SINR combiner (H Q H^H + sigma^2 I)^-1 H t by a Cholesky solve."""
-    cov = h @ scheme.q_z @ h.conj().T + sigma_sq * np.eye(h.shape[0])
-    return scipy.linalg.solve(cov, h @ scheme.t, assume_a="pos")
+    cov = h @ q @ h.conj().T + sigma_sq * np.eye(h.shape[0])
+    return scipy.linalg.solve(cov, h @ t, assume_a="pos")
 
 
 def solve_fraction(gain, target_sinr: float) -> tuple[float, bool]:

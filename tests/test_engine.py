@@ -13,6 +13,7 @@ per-trial and per-point code they replaced.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from wiretap import harness
+from wiretap import harness, robust
 from wiretap.channels import (
+    ChannelMatrix,
+    ChannelSet,
     CsiErrorModel,
     complex_gaussian,
     generate_channels,
@@ -32,14 +35,26 @@ from wiretap.channels import (
 from wiretap.exceptions import DegenerateChannelError
 from wiretap.harness import SCENARIOS, SCHEMES, ExperimentConfig, preset_config
 from wiretap.perturbation import compute_moments, iid_moments
-from wiretap.robust import _rank1_gain, _solve_fraction, fdd_spectrum, solve_fractions
-from wiretap.transmit import (
-    TxScheme,
-    eve_aware_direction,
-    eve_aware_directions,
-    mmse_combiner,
-    mmse_combiners,
+from wiretap.perturbation import naive_trial
+from wiretap.robust import (
+    fdd_receiver,
+    fdd_spectrum,
+    rank1_gains,
+    solve_fractions,
+    tdd_receiver,
 )
+from wiretap.transmit import (
+    bob_matched_beamformer,
+    design_known_ecsi,
+    evaluate_sinr,
+    eve_aware_directions,
+    eve_mmse_beamformer,
+    link_sinr,
+    mmse_combiners,
+    perfect_csi_trial,
+    secure_goodput,
+)
+from wiretap.units import from_db
 
 # Per-trial agreement: relative round-off plus an absolute floor for the
 # figures that are zero up to round-off (Eve's powers when she is nulled).
@@ -60,7 +75,7 @@ def assert_matches_loop(cfg: ExperimentConfig) -> None:
     got = harness._run_chunk(cfg, 0, cfg.trials)
     want = oracles._run_chunk(cfg, 0, cfg.trials)
     assert got.shape == want.shape
-    for m, name in enumerate(harness._METRICS):
+    for m, name in enumerate(harness.METRICS):
         a, b = got[:, :, m], want[:, :, m]
         np.testing.assert_array_equal(np.isnan(a), np.isnan(b), err_msg=f"{name} NaN pattern")
         if name in EXACT_COLUMNS:
@@ -107,7 +122,7 @@ def test_engine_matches_the_loop_through_the_estimate(shape):
 
 def test_engine_matches_the_loop_when_most_trials_are_in_outage():
     cfg = _config((5, 5, 5), "target_sinr_db", power_db=-5.0)
-    outage = oracles._run_chunk(cfg, 0, cfg.trials)[:, :, harness._METRICS.index("outage")]
+    outage = oracles._run_chunk(cfg, 0, cfg.trials)[:, :, harness.METRICS.index("outage")]
     assert np.nanmean(outage) > 0.5
     assert_matches_loop(cfg)
 
@@ -135,7 +150,7 @@ def test_a_target_met_at_the_bracket_floor_runs_in_both():
                            trials=5, schemes=("robust_fdd",))
     assert_matches_loop(cfg)
     got = harness._run_chunk(cfg, 0, cfg.trials)
-    assert not np.any(got[:, :, harness._METRICS.index("outage")])
+    assert not np.any(got[:, :, harness.METRICS.index("outage")])
 
 
 def test_nb_below_na_eve_aware_design_fails_in_both():
@@ -190,6 +205,67 @@ def test_engine_equals_the_loop_on_random_configs(
     assert_matches_loop(cfg)
 
 
+# ------------------------------------------------- the single-channel interface
+
+
+def _single_channel_rows(cfg: ExperimentConfig, i: int, h, dh_unit, eve, moments) -> np.ndarray:
+    """The engine's metrics (all but ``flagged``) of trial ``i`` of a target
+    sweep, from the single-channel functions on that trial's draws."""
+    sigma_sq = float(from_db(cfg.sigma_h_db))
+    chan = ChannelSet(h_ba=ChannelMatrix(h[i]), h_ea=ChannelMatrix(eve[i]),
+                      sigma_b_sq=cfg.sigma_b_sq, sigma_e_sq=cfg.sigma_e_sq, power_p=cfg.power_p)
+    svd = partition_svd(chan.h_ba)
+    err = np.sqrt(sigma_sq) * dh_unit[i]
+    tilde = partition_stack((h[i] + err)[None])
+    # The statistical receiver's drift as the engine computes it for i.i.d. error.
+    mom = replace(compute_moments(svd, CsiErrorModel.iid(sigma_sq)),
+                  e_dv1=(moments.drift[i] * svd.v1) * sigma_sq)
+    rows = np.empty((len(cfg.axis()[1]), len(cfg.schemes), len(harness.METRICS) - 1))
+    for p, target_db in enumerate(cfg.axis()[1]):
+        target = float(from_db(target_db))
+        for s, name in enumerate(cfg.schemes):
+            if name == "perfect":
+                scheme, w_b, w_e, report = perfect_csi_trial(chan, target, svd=svd)
+            elif name == "known_ecsi":
+                scheme = design_known_ecsi(chan, chan.h_ea, target)
+                w_b, w_e = bob_matched_beamformer(chan, scheme), eve_mmse_beamformer(chan, scheme)
+                report = evaluate_sinr(chan, scheme, w_b, w_e)
+            elif name == "naive":
+                report, bob, eve_link, scheme = naive_trial(chan, err, target, svd=svd)
+            elif name == "robust_fdd":
+                _, report, bob, eve_link, scheme = robust._fdd_trial(chan, tilde, target)
+                assert fdd_receiver(chan, h[i] + err, target)[1] == report
+            else:
+                _, report, bob, eve_link, scheme = robust._tdd_trial(chan, svd, mom, tilde, target)
+                assert tdd_receiver(chan, svd, mom, err, target)[1] == report
+            if name in ("perfect", "known_ecsi"):
+                bob = link_sinr(chan.h_ba, scheme, w_b, chan.sigma_b_sq)
+                eve_link = link_sinr(chan.h_ea, scheme, w_e, chan.sigma_e_sq)
+            rows[p, s] = (
+                report.sinr_b, report.sinr_e, secure_goodput(report.sinr_b, report.sinr_e, target),
+                report.outage, bob.signal_power, bob.interference_plus_noise,
+                eve_link.signal_power, eve_link.interference_plus_noise,
+            )
+    return rows
+
+
+@pytest.mark.parametrize("preset", ["fig3_sinr_vs_target", "fig4_secrecy"])
+def test_single_channel_functions_return_the_engines_numbers(preset):
+    # The single-channel functions are batches of one over the engine's
+    # kernels, so on the engine's own draws they give its numbers exactly.
+    cfg = preset_config(preset, trials=20, master_seed=6)
+    h, dh_unit, eve = harness._draws(cfg, 0, cfg.trials, [
+        (harness._TAG_CHANNEL, cfg.nb, None), (harness._TAG_ERROR, cfg.nb, None),
+        (harness._TAG_EVE, cfg.ne, None),
+    ])
+    part = partition_stack(h)
+    moments = iid_moments(part.s, cfg.na, part.ill_conditioned)
+    engine = harness._run_chunk(cfg, 0, cfg.trials)
+    for i in range(cfg.trials):
+        rows = _single_channel_rows(cfg, i, h, dh_unit, eve, moments)
+        np.testing.assert_array_equal(rows, engine[:, :, :-1, i], err_msg=f"trial {i}")
+
+
 # --------------------------------------------- deliberate algorithm differences
 
 
@@ -206,10 +282,8 @@ def test_stacked_lu_solve_matches_the_cholesky_solve():
     q = factor @ np.swapaxes(factor, -1, -2).conj()
     stacked = mmse_combiners(h, t, factor, 1.0)
     for i in range(len(h)):
-        scheme = TxScheme(t=t[i], rho=0.1, q_z=q[i], power_p=100.0, target_sinr=1.0)
-        cholesky = oracles.mmse_combiner(h[i], scheme, 1.0)
+        cholesky = oracles.mmse_combiner(h[i], t[i], q[i], 1.0)
         np.testing.assert_allclose(stacked[i], cholesky, rtol=1e-11, atol=0)
-        np.testing.assert_allclose(mmse_combiner(h[i], scheme, 1.0), cholesky, rtol=1e-11, atol=0)
 
 
 def test_stacked_solve_substitutes_the_unit_vector_for_a_zero_solution():
@@ -244,13 +318,16 @@ def test_vectorised_root_solve_reproduces_brentq():
         chan = generate_channels(na, nb, 2, rng_seed=[5, k])
         dh = 0.3 * _random_channels(1, nb, na, seed=k)[0]
         tilde = partition_svd(chan.h_ba.entries + dh)
-        _, lam, _, _, weights = fdd_spectrum(chan.h_ba.entries, tilde.v1, tilde.t_prime)
+        lam, _, _, weights = fdd_spectrum(chan.h_ba.entries, tilde.v1, tilde.t_prime)
+        # Several brackets take the array iteration, a single one the scalar one.
         rho, outage = solve_fractions(lam[None], weights[None], chan.power_p, na, 1.0, targets)
-        gain = _rank1_gain(lam, weights, chan.power_p, na, 1.0)
         for j, target in enumerate(targets):
-            root = _solve_fraction(gain, target)
-            assert (rho[j], outage[j]) == root
-            assert root == oracles.solve_fraction(gain, target)
+            want = oracles.solve_fraction(
+                lambda r: float(rank1_gains(r, lam, weights, chan.power_p, na, 1.0)), target
+            )
+            single = solve_fractions(lam[None], weights[None], chan.power_p, na, 1.0, target)
+            assert (rho[j], bool(outage[j])) == want
+            assert (single[0].item(), bool(single[1].item())) == want
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (2, 2), (3, 5), (5, 5)], ids=str)
@@ -284,9 +361,18 @@ def test_partition_stack_refuses_a_rank_deficient_member():
         partition_stack(h)
 
 
+def _eve_aware_direction(hb, he):
+    """The stacked directions for one channel pair."""
+    return eve_aware_directions((hb.conj().T @ hb)[None], (he.conj().T @ he)[None], he.shape[0])[0]
+
+
 def test_eve_aware_direction_is_the_scalar_design():
     hb, he = _random_channels(1, 3, 3, seed=9)[0], _random_channels(1, 4, 3, seed=10)[0]
-    np.testing.assert_array_equal(eve_aware_direction(hb, he), oracles.eve_aware_direction(hb, he))
+    want = oracles.eve_aware_direction(hb, he)
+    np.testing.assert_array_equal(_eve_aware_direction(hb, he), want)
+    chan = ChannelSet(h_ba=ChannelMatrix(hb), h_ea=ChannelMatrix(he), sigma_b_sq=1.0,
+                      sigma_e_sq=1.0, power_p=100.0)
+    np.testing.assert_array_equal(design_known_ecsi(chan, he, 10.0).t, want)
 
 
 def _eve_pairs(na: int, nb: int, ne: int, seed: int, count: int = 6):
@@ -316,7 +402,7 @@ def test_stacked_eve_aware_directions_are_the_per_matrix_eigh(na):
         for ne in range(1, 11):
             hb, he = _eve_pairs(na, nb, ne, seed=100 * na + 10 * nb + ne)
             want = [_direction_or_error(oracles.eve_aware_direction, b, e) for b, e in zip(hb, he)]
-            got = [_direction_or_error(eve_aware_direction, b, e) for b, e in zip(hb, he)]
+            got = [_direction_or_error(_eve_aware_direction, b, e) for b, e in zip(hb, he)]
             for g, w in zip(got, want):
                 outcomes.add(type(w))
                 if isinstance(w, str):

@@ -79,6 +79,15 @@ class TestExperimentConfig:
             dict(na=4, nb=4, ne=True),
             dict(ne=(True, 2)),
             dict(ne=np.array([True, True])),
+            dict(ne=(2.5, 3.9)),
+            dict(ne=[2.0, 3]),
+            dict(target_sinr_db=True),
+            dict(target_sinr_db=(True, 3.0)),
+            dict(sigma_h_db=False),
+            dict(sigma_h_db=(np.False_, -10.0), schemes=("naive",)),
+            dict(power_db=True),
+            dict(gamma_ecsi=True),
+            dict(sigma_e_sq=True),
         ],
     )
     def test_invalid_values_are_refused(self, bad):

@@ -5,10 +5,12 @@ it stays off the import path: only the Eve-aware designs' generalized
 eigensolver loads ``scipy.linalg``, on first use, and nothing loads
 ``scipy.optimize``.  The worker pool's module loads only for multi-worker
 sweeps.  Each check runs in a fresh interpreter, since this test session
-has long since imported scipy itself.
+has long since imported scipy itself.  No module of the package imports
+another one's private names.
 """
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -81,3 +83,16 @@ def test_eve_aware_sweep_loads_the_eigensolver_only():
     )
     assert "scipy.linalg" in modules
     assert "scipy.optimize" not in modules
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    offenders = []
+    for path in sorted((SRC / "wiretap").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            sibling = isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "wiretap"
+            )
+            if sibling:
+                offenders += [f"{path.name}: {alias.name}" for alias in node.names
+                              if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert not offenders

@@ -11,12 +11,20 @@ from wiretap.channels import (
     CsiErrorModel,
     complex_gaussian,
     generate_channels,
+    partition_stack,
     partition_svd,
 )
 from wiretap.exceptions import ParameterError
 from wiretap.perturbation import PerturbMoments, compute_moments, naive_trial
-from wiretap.robust import _fdd_trial, _tdd_trial, fdd_receiver, tdd_receiver
-from wiretap import perturbation, robust, transmit
+from wiretap.robust import (
+    _fdd_trial,
+    _tdd_trial,
+    fdd_receiver,
+    robust_tdd,
+    tdd_receiver,
+    tdd_shape,
+)
+from wiretap import robust, transmit
 from wiretap.transmit import link_sinr
 
 TARGET = 100.0
@@ -26,6 +34,11 @@ SIGMA_SQ = 0.1  # -10 dB error power, where recovery matters most
 def _error(chan, seed):
     rng = default_rng(SeedSequence([31, seed]))
     return np.sqrt(SIGMA_SQ) * complex_gaussian(rng, chan.nb, chan.na)
+
+
+def _tilde(h_tilde):
+    """The estimate's decomposition as the trial functions take it."""
+    return partition_stack(h_tilde[None])
 
 
 class TestFddReceiver:
@@ -60,15 +73,14 @@ class TestFddReceiver:
     def test_report_matches_a_direct_reevaluation(self):
         chan = generate_channels(4, 4, 3, rng_seed=11)
         h_tilde = chan.h_ba.entries + _error(chan, 11)
-        part = partition_svd(h_tilde)
-        beam, report, ctx, bob, _, scheme = _fdd_trial(chan, part, TARGET)
+        tilde = _tilde(h_tilde)
+        beam, report, bob, _, scheme = _fdd_trial(chan, tilde, TARGET)
         again = link_sinr(chan.h_ba, scheme, beam, chan.sigma_b_sq)
         assert again.sinr == pytest.approx(report.sinr_b, rel=1e-12)
         assert bob.sinr == pytest.approx(report.sinr_b, rel=1e-12)
-        assert ctx.mode == "fdd"
-        assert 0.0 < ctx.rho <= 1.0
-        np.testing.assert_allclose(ctx.q_int, ctx.q_int.conj().T, atol=1e-12)
-        np.testing.assert_array_equal(ctx.t_hat, part.v1)
+        assert beam.kind == "robust_fdd"
+        assert 0.0 < scheme.rho <= 1.0
+        np.testing.assert_array_equal(scheme.t, tilde.v[0, :, 0])
 
     def test_outage_at_a_tiny_budget(self):
         hb = ChannelMatrix(np.diag([2.0, 1.0]).astype(complex))
@@ -90,8 +102,8 @@ class TestFddReceiver:
         chan = generate_channels(3, 3, 2, rng_seed=2)
         target = 10.0 ** (-150.0 / 10.0)
         h_tilde = chan.h_ba.entries + 0.1 * _error(chan, 2)
-        _, report, ctx, _, _, _ = _fdd_trial(chan, partition_svd(h_tilde), target)
-        assert ctx.rho == robust._RHO_FLOOR
+        _, report, _, _, scheme = _fdd_trial(chan, _tilde(h_tilde), target)
+        assert scheme.rho == robust._RHO_FLOOR
         assert not report.outage
         assert report.sinr_b >= target
         _, report = fdd_receiver(chan, h_tilde, target)
@@ -111,11 +123,16 @@ class TestTddReceiver:
         svd = partition_svd(chan.h_ba)
         moments = compute_moments(svd, CsiErrorModel.iid(SIGMA_SQ))
         h_tilde = chan.h_ba.entries + _error(chan, 3)
-        part = partition_svd(h_tilde)
-        _, _, ctx, _, _, _ = _tdd_trial(chan, svd, moments, part, TARGET)
-        np.testing.assert_allclose(ctx.t_hat, svd.v1 + moments.e_dv1, atol=1e-15)
-        assert ctx.mode == "tdd"
-        np.testing.assert_allclose(ctx.q_int, ctx.q_int.conj().T, atol=1e-10)
+        beam, _, _, _, scheme = _tdd_trial(chan, svd, moments, _tilde(h_tilde), TARGET)
+        # The combiner whitens the expected interference shape and matches
+        # the expected signature H (v1 + E{dv1}).
+        h = chan.h_ba.entries
+        beta = (1.0 - scheme.rho) * chan.power_p / (chan.na - 1)
+        shape = tdd_shape(h, svd.sigma1, svd.u1, moments.e_dv1)
+        want = np.linalg.solve(beta * shape + chan.sigma_b_sq * np.eye(chan.nb),
+                               h @ (svd.v1 + moments.e_dv1))
+        assert beam.kind == "robust_tdd"
+        np.testing.assert_allclose(beam.w, want, rtol=1e-9)
 
     def test_requested_fraction_is_blind_to_the_realization(self):
         # The statistical receiver sizes power from moments alone, so two
@@ -125,9 +142,9 @@ class TestTddReceiver:
         moments = compute_moments(svd, CsiErrorModel.iid(SIGMA_SQ))
         rhos = []
         for seed in (0, 1):
-            part = partition_svd(chan.h_ba.entries + _error(chan, seed))
-            _, _, ctx, _, _, _ = _tdd_trial(chan, svd, moments, part, TARGET)
-            rhos.append(ctx.rho)
+            tilde = _tilde(chan.h_ba.entries + _error(chan, seed))
+            _, _, _, _, scheme = _tdd_trial(chan, svd, moments, tilde, TARGET)
+            rhos.append(scheme.rho)
         assert rhos[0] == pytest.approx(rhos[1], rel=1e-12)
 
     def test_diagonal_loading_restores_definiteness(self):
@@ -151,11 +168,15 @@ class TestTddReceiver:
             e_dv1=drift.astype(complex),
             e_dv1_outer=np.zeros((na, na), dtype=complex),
         )
-        part = partition_svd(chan.h_ba.entries + _error(chan, 4))
-        _, report, ctx, _, _, _ = _tdd_trial(chan, svd, moments, part, TARGET)
-        assert ctx.loaded
+        tilde = _tilde(chan.h_ba.entries + _error(chan, 4))
+        design = robust_tdd(
+            chan.h_ba.entries[None], np.array([svd.sigma1]), svd.u1[None], svd.v1[None],
+            moments.e_dv1[None], tilde.v, (TARGET,), chan.power_p, chan.sigma_b_sq,
+        )[0]
+        assert design.flagged[0]
+        assert np.all(np.isfinite(design.w_b))
+        _, report, _, _, _ = _tdd_trial(chan, svd, moments, tilde, TARGET)
         assert np.isfinite(report.sinr_b)
-        assert np.all(np.isfinite(ctx.q_int))
 
     def test_outage_at_a_tiny_budget(self):
         hb = ChannelMatrix(np.diag([2.0, 1.0]).astype(complex))
@@ -191,13 +212,13 @@ class TestRecoveryOrdering:
             sums["naive"][0] += bob.signal_power
             sums["naive"][1] += bob.interference_plus_noise
 
-            part = partition_svd(chan.h_ba.entries + err)
-            _, _, _, bob_f, _, _ = _fdd_trial(chan, part, TARGET)
+            tilde = _tilde(chan.h_ba.entries + err)
+            _, _, bob_f, _, _ = _fdd_trial(chan, tilde, TARGET)
             sums["fdd"][0] += bob_f.signal_power
             sums["fdd"][1] += bob_f.interference_plus_noise
 
             moments = compute_moments(svd, model)
-            _, _, _, bob_t, _, _ = _tdd_trial(chan, svd, moments, part, TARGET)
+            _, _, bob_t, _, _ = _tdd_trial(chan, svd, moments, tilde, TARGET)
             sums["tdd"][0] += bob_t.signal_power
             sums["tdd"][1] += bob_t.interference_plus_noise
         pooled = {k: s / n for k, (s, n) in sums.items()}
@@ -211,22 +232,19 @@ class TestRecoveryOrdering:
 def test_trial_paths_evaluate_each_link_once(monkeypatch, trial):
     # The powers a trial returns are the two link evaluations its SINR
     # report was built from, not a second evaluation of the same links.
-    chan = generate_channels(4, 4, 3, rng_seed=23)
+    chan = generate_channels(4, 4, 3, rng_seed=23, sigma_e_sq=0.5)
     err = _error(chan, 23)
     svd = partition_svd(chan.h_ba)
-    part = partition_svd(chan.h_ba.entries + err)
+    tilde = _tilde(chan.h_ba.entries + err)
     moments = compute_moments(svd, CsiErrorModel.iid(SIGMA_SQ))
     calls = []
-    for module in (transmit, robust, perturbation):
-        monkeypatch.setattr(
-            module, "link_sinr", lambda *a, **k: calls.append(a[3]) or link_sinr(*a, **k),
-            raising=False,
-        )
+    link = transmit.link
+    monkeypatch.setattr(transmit, "link", lambda *a: calls.append(a[5]) or link(*a))
     if trial == "naive":
-        report, bob, eve, scheme = naive_trial(chan, err, TARGET, svd=svd, svd_tilde=part)
+        report, bob, eve, scheme = naive_trial(chan, err, TARGET, svd=svd)
     elif trial == "fdd":
-        _, report, _, bob, eve, scheme = _fdd_trial(chan, part, TARGET)
+        _, report, bob, eve, scheme = _fdd_trial(chan, tilde, TARGET)
     else:
-        _, report, _, bob, eve, scheme = _tdd_trial(chan, svd, moments, part, TARGET)
+        _, report, bob, eve, scheme = _tdd_trial(chan, svd, moments, tilde, TARGET)
     assert calls == [chan.sigma_b_sq, chan.sigma_e_sq]
     assert (report.sinr_b, report.sinr_e) == (bob.sinr, eve.sinr)
