@@ -68,6 +68,21 @@ class TestTxScheme:
         assert scheme.q_z_factor.shape == (2, 0)
         assert scheme.q_z.shape == (2, 2) and not np.any(scheme.q_z)
 
+    def test_factor_must_reproduce_covariance(self):
+        # The covariance is derived from the factor, never stored beside it.
+        f = np.array([[1.0 + 2.0j, 0.5], [-0.25j, 3.0]], dtype=complex)
+        scheme = TxScheme(t=np.array([1.0, 0.0]), rho=0.5, power_p=1.0, target_sinr=1.0,
+                          q_z_factor=f)
+        np.testing.assert_allclose(scheme.q_z, f @ f.conj().T)
+        np.testing.assert_allclose(scheme.q_z, scheme.q_z.conj().T)
+        assert scheme.noise_power == pytest.approx(np.sum(np.abs(f) ** 2))
+        scaled = TxScheme(t=np.array([1.0, 0.0]), rho=0.5, power_p=1.0, target_sinr=1.0,
+                          q_z_factor=2.0 * np.eye(2, dtype=complex))
+        np.testing.assert_allclose(scaled.q_z, 4.0 * np.eye(2))
+        with pytest.raises(DimensionError):
+            TxScheme(t=np.array([1.0, 0.0]), rho=0.5, power_p=1.0, target_sinr=1.0,
+                     q_z_factor=np.eye(3, dtype=complex))
+
     def test_outage_forces_all_power_to_data(self):
         with pytest.raises(ParameterError):
             TxScheme(t=np.array([1.0, 0.0]), rho=0.5, power_p=1.0, target_sinr=1.0,
