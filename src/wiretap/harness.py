@@ -12,14 +12,14 @@ processes.
 Trials run in blocks of ``BLOCK_TRIALS``.  A block derives the generator
 states of all those streams in one vectorised pass (numpy's SeedSequence
 hashing and PCG64 seeding as array arithmetic over every stream at once),
-draws each trial's streams into one stack, decomposes the channels, and
-runs each scheme's design kernel (``transmit.artificial_noise``,
-``transmit.eve_aware``, ``robust.robust_fdd``, ``robust.robust_tdd``) once
-per key it depends on: the block, the error level or Eve's draw.  A kernel
-designs every target of the sweep at once, so the estimate's SVD, the
-robust receivers' eigendecompositions and root solves and the Eve-aware
-directions run once per block and key.  Every design is then evaluated by
-the one shared ``transmit.evaluate``.  No trial's numbers depend on its
+draws each trial's streams into one stack and decomposes the channels.
+Each scheme's design kernel (``transmit.artificial_noise``,
+``transmit.eve_aware``, ``robust.robust_fdd``, ``robust.robust_tdd``) then
+runs once per block, on its inputs stacked over every error level or every
+draw of Eve's channels the sweep needs, and designs every target at once.
+Each scheme is evaluated by one call of the shared ``transmit.evaluate`` on
+one row per (point, trial); on the ne axis Eve's draws are zero-padded to
+her largest antenna count for it.  No trial's numbers depend on its
 neighbours, so results are also bit-identical for any block size.
 
 Per-trial metrics are materialized and reduced once at the end, every
@@ -32,15 +32,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, NamedTuple
+from functools import cached_property
+from typing import Any
 
 import numpy as np
 
 from .channels import SvdStack, partition_stack
 from .exceptions import ConfigError
-from .perturbation import iid_moments, naive_terms
+from .perturbation import iid_moments, naive_terms, self_drift
 from .robust import robust_fdd, robust_tdd
-from .stacked import vdot
+from .stacked import herm
 from .transmit import METRICS, Design, artificial_noise, evaluate, eve_aware, required_rho
 from .units import from_db, to_db
 from .version import __version__
@@ -86,7 +87,8 @@ _MASK128 = (1 << 128) - 1
 
 # Trials the engine evaluates together.  Results do not depend on it; it
 # bounds memory, since a block holds a few stacks of this many matrices per
-# sweep point (3,000 trials of a 20x20 Eve matrix are 19 MB).
+# sweep point, and on the ne axis Eve's are padded to her largest antenna
+# count at every point (fig1: 20 points x 256 trials x 20 x 4 entries, 6.6 MB).
 BLOCK_TRIALS = 256
 
 @dataclass(frozen=True)
@@ -437,34 +439,42 @@ def _blend(cfg: ExperimentConfig, eve: np.ndarray, fresh: np.ndarray | None) -> 
     return np.sqrt(1.0 - gamma) * eve + np.sqrt(gamma) * fresh
 
 
+def _tile(x: np.ndarray, k: int) -> np.ndarray:
+    """``k`` copies of the stack ``x``, one after another."""
+    return x if k == 1 else np.concatenate([x] * k)
+
+
 class _Block:
     """The draws of trials [lo, hi) and the stages every sweep point shares.
 
     Every random stream the block needs is drawn at construction, in one
-    pass.  Stages that depend only on the trials and the error level (the
-    estimate's decomposition, the designs built from it) or on Eve's draws
-    (the Eve-aware designs) are computed once per block through :meth:`cached`.
+    pass.  Each scheme's kernel then runs once, on its inputs stacked over
+    the values of the one thing it depends on besides the trials (the error
+    level, or Eve's draw on the ne axis), and :meth:`design` lays its rows
+    out as one row per (point, trial).
     """
 
     def __init__(self, cfg: ExperimentConfig, lo: int, hi: int):
         self.cfg = cfg
-        self.axis_name, axis_values = cfg.axis()
-        self.points = [_point_values(cfg, self.axis_name, v) for v in axis_values]
+        self.n = hi - lo
+        axis_name, axis_values = cfg.axis()
+        points = [_point_values(cfg, axis_name, v) for v in axis_values]
+        self.n_points = len(points)
         self.targets, self.target_index = np.unique(
-            [float(from_db(target_db)) for _, target_db, _ in self.points], return_inverse=True
+            [float(from_db(target_db)) for _, target_db, _ in points], return_inverse=True
         )
+        self.row_targets = np.repeat(self.targets[self.target_index], self.n)
         # The design kernels' last arguments: the targets, power and Bob's noise.
         self.budget = (self.targets, cfg.power_p, cfg.sigma_b_sq)
         names = set(cfg.schemes)
         # Eve's channels are drawn once for all points, or per point on the ne axis.
-        self.shared_eve = self.axis_name != "ne"
-        eve_points = [None] if self.shared_eve else range(len(self.points))
+        eve_points = range(self.n_points) if axis_name == "ne" else [None]
         blend = "imperfect_ecsi" in names and cfg.gamma_ecsi != 0.0
         streams = {"h": (_TAG_CHANNEL, cfg.nb, None)}
         if names & _NEEDS_ERROR:
             streams["dh"] = (_TAG_ERROR, cfg.nb, None)
         for p in eve_points:
-            ne = cfg.ne if p is None else self.points[p][0]
+            ne = cfg.ne if p is None else points[p][0]
             streams["eve", p] = (_TAG_EVE, ne, p)
             if blend:
                 streams["fresh", p] = (_TAG_ECSI, ne, p)
@@ -475,104 +485,115 @@ class _Block:
         self.moments = None
         if names & {"robust_tdd", "analytic_naive"}:
             self.moments = iid_moments(self.part.s, cfg.na, self.part.ill_conditioned)
-        self.eve = {p: draws["eve", p] for p in eve_points}
-        self.ecsi = {}
+        # Each point's index into the values a kernel stacks over: none, the
+        # distinct error levels, or Eve's draws.
+        sigma_dbs = [sigma_db for _, _, sigma_db in points]
+        self.levels = list(dict.fromkeys(sigma_dbs))
+        self.key_index = {
+            None: np.zeros(self.n_points, int),
+            "level": np.array([self.levels.index(v) for v in sigma_dbs]),
+            "eve": np.arange(self.n_points) if axis_name == "ne" else np.zeros(self.n_points, int),
+        }
+        eve = [draws["eve", p] for p in eve_points]
+        # The Eve-aware kernels take the Gram matrices of her unpadded draws
+        # as each design assumes them, and her antenna count per row.
+        assumed = {"known_ecsi": eve}
         if "imperfect_ecsi" in names:
-            self.ecsi = {p: _blend(cfg, self.eve[p], draws.get(("fresh", p))) for p in eve_points}
-        self._cache: dict = {}
+            assumed["imperfect_ecsi"] = [
+                _blend(cfg, x, draws.get(("fresh", p))) for x, p in zip(eve, eve_points)
+            ]
+        self.gram_e = {name: np.concatenate([herm(x) @ x for x in stacks])
+                       for name, stacks in assumed.items() if name in names}
+        self.ne = np.repeat([x.shape[1] for x in eve], self.n)
+        # Her true channels for every (point, trial) row, zero-padded to her
+        # largest antenna count.
+        padded = np.zeros((self.n_points, self.n, self.ne.max(), cfg.na), dtype=complex)
+        for rows, p in zip(padded, self.key_index["eve"]):
+            rows[:, :eve[p].shape[1]] = eve[p]
+        self.eve = padded.reshape(-1, *padded.shape[2:])
 
-    def cached(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
-    def point(self, p: int) -> "_Point":
-        _, target_db, sigma_db = self.points[p]
-        eve_point = None if self.shared_eve else p
-        return _Point(self, float(self.targets[self.target_index[p]]),
-                      int(self.target_index[p]), sigma_db, eve_point,
-                      self.eve[eve_point], self.ecsi.get(eve_point))
-
-
-class _Point(NamedTuple):
-    """One sweep point of a block: its target, error level and Eve's channels
-    (``eve_point`` is None when every point shares them)."""
-
-    blk: _Block
-    target: float
-    target_index: int
-    sigma_db: float | None
-    eve_point: int | None
-    eve: np.ndarray
-    ecsi: np.ndarray | None
-
+    @cached_property
     def tilde(self) -> SvdStack:
-        """Decomposition of the transmitter's estimate H + dH at this error level."""
-        blk = self.blk
+        """Decomposition of the transmitter's estimates H + dH, stacked level by level."""
+        return partition_stack(np.concatenate([
+            self.h + np.sqrt(float(from_db(sigma_db))) * self.dh_unit for sigma_db in self.levels
+        ]))
 
-        def build():
-            dh = np.sqrt(float(from_db(self.sigma_db))) * blk.dh_unit
-            return partition_stack(blk.h + dh)
+    @cached_property
+    def e_dv1(self) -> np.ndarray:
+        """Mean drift of the dominant right vector, stacked level by level."""
+        drift = self.moments.drift[:, None] * self.part.v[..., 0]
+        return np.concatenate([drift * float(from_db(sigma_db)) for sigma_db in self.levels])
 
-        return blk.cached(("tilde", self.sigma_db), build)
+    def rows(self, key) -> np.ndarray:
+        """Each (point, trial) row's index into a stack over ``key``'s values."""
+        return (self.key_index[key][:, None] * self.n + np.arange(self.n)).ravel()
 
-
-def _artificial_noise(pt: _Point, tx: SvdStack) -> list[Design]:
-    """Data on the dominant direction of ``tx`` (the channel's or its
-    estimate's), noise on the rest; Bob matches his channel's own."""
-    blk = pt.blk
-    return artificial_noise(tx.s[:, 0], tx.v, blk.h, blk.part.v[..., 0], *blk.budget)
-
-
-def _robust_fdd(pt: _Point) -> list[Design]:
-    tilde = pt.tilde()
-    h = tilde.reconstruct() if pt.blk.cfg.propagate_through_estimate else pt.blk.h
-    return robust_fdd(h, tilde.v, *pt.blk.budget)
+    def design(self, name: str) -> Design:
+        """Scheme ``name``'s design for every (point, trial) row, from one
+        kernel call that designs every target on its key's stack."""
+        build, key = _DESIGNS[name]
+        target = np.repeat(self.target_index, self.n)
+        return Design(*(np.stack(f)[target, self.rows(key)] for f in zip(*build(self))))
 
 
-def _robust_tdd(pt: _Point) -> list[Design]:
-    blk = pt.blk
+def _artificial_noise(blk: _Block, tx: SvdStack) -> list[Design]:
+    """Data on the dominant direction of ``tx`` (the channel's, or its
+    estimates' at every level), noise on the rest; Bob matches his
+    channel's own."""
+    k = len(tx.s) // blk.n
+    return artificial_noise(tx.s[:, 0], tx.v, _tile(blk.h, k), _tile(blk.part.v[..., 0], k),
+                            *blk.budget)
+
+
+def _eve_aware(blk: _Block, name: str) -> list[Design]:
+    gram_e = blk.gram_e[name]
+    return eve_aware(_tile(blk.h, len(gram_e) // blk.n), gram_e, blk.ne, *blk.budget)
+
+
+def _robust_fdd(blk: _Block) -> list[Design]:
+    tilde = blk.tilde
+    h = tilde.reconstruct() if blk.cfg.propagate_through_estimate else _tile(blk.h, len(blk.levels))
+    return robust_fdd(h, tilde.v, *blk.budget)
+
+
+def _robust_tdd(blk: _Block) -> list[Design]:
+    k = len(blk.levels)
     s, u, v = blk.part.s, blk.part.u, blk.part.v
-    e_dv1 = (blk.moments.drift[:, None] * v[..., 0]) * float(from_db(pt.sigma_db))
-    return robust_tdd(blk.h, s[:, 0], u[..., 0], v[..., 0], e_dv1, pt.tilde().v, *blk.budget)
+    return robust_tdd(_tile(blk.h, k), _tile(s[:, 0], k), _tile(u[..., 0], k),
+                      _tile(v[..., 0], k), blk.e_dv1, blk.tilde.v, *blk.budget)
 
 
 # Every simulated scheme: its designs for all targets of the sweep at once,
-# and what they depend on besides the block's trials.  A block builds them
-# once per key (for all points on the target axis) and every scheme shares
-# transmit.evaluate.
+# and the key whose values its kernel call stacks (None, the error level or
+# Eve's draw).  Every scheme shares transmit.evaluate.
 _DESIGNS = {
-    "perfect": (lambda pt: _artificial_noise(pt, pt.blk.part), lambda pt: None),
-    "naive": (lambda pt: _artificial_noise(pt, pt.tilde()), lambda pt: pt.sigma_db),
-    "known_ecsi": (lambda pt: eve_aware(pt.blk.h, pt.eve, *pt.blk.budget), lambda pt: pt.eve_point),
-    "imperfect_ecsi": (lambda pt: eve_aware(pt.blk.h, pt.ecsi, *pt.blk.budget),
-                       lambda pt: pt.eve_point),
-    "robust_fdd": (_robust_fdd, lambda pt: pt.sigma_db),
-    "robust_tdd": (_robust_tdd, lambda pt: pt.sigma_db),
+    "perfect": (lambda blk: _artificial_noise(blk, blk.part), None),
+    "naive": (lambda blk: _artificial_noise(blk, blk.tilde), "level"),
+    "known_ecsi": (lambda blk: _eve_aware(blk, "known_ecsi"), "eve"),
+    "imperfect_ecsi": (lambda blk: _eve_aware(blk, "imperfect_ecsi"), "eve"),
+    "robust_fdd": (_robust_fdd, "level"),
+    "robust_tdd": (_robust_tdd, "level"),
 }
 
 
-def _design(pt: _Point, name: str) -> Design:
-    """Scheme ``name``'s design at the point ``pt``."""
-    build, key = _DESIGNS[name]
-    return pt.blk.cached((name, key(pt)), lambda: build(pt))[pt.target_index]
-
-
-def _analytic_naive(pt: _Point) -> np.ndarray:
-    """Closed-form expected powers of the mismatched link, per trial.
+def _analytic_naive(blk: _Block) -> np.ndarray:
+    """Closed-form expected powers of the mismatched link, per (point, trial) row.
 
     Trials whose nominal design is already in outage are outside the
     expansion's validity range; they and trials with a nonpositive term
     are flagged and carry no SINR.
     """
-    cfg, blk = pt.blk.cfg, pt.blk
-    sigma_sq = float(from_db(pt.sigma_db))
-    sigma1, v1 = blk.part.s[:, 0], blk.part.v[..., 0]
-    rho = required_rho(sigma1, pt.target, cfg.power_p, cfg.sigma_b_sq)
-    e_dv1 = (blk.moments.drift[:, None] * v1) * sigma_sq
+    cfg, k = blk.cfg, blk.n_points
+    sigma_sq = np.repeat(
+        [float(from_db(blk.levels[i])) for i in blk.key_index["level"]], blk.n
+    )
+    sigma1, v1 = _tile(blk.part.s[:, 0], k), _tile(blk.part.v[..., 0], k)
+    rho = required_rho(sigma1, blk.row_targets, cfg.power_p, cfg.sigma_b_sq)
     num, den = naive_terms(
-        sigma1, rho, 2.0 * np.real(vdot(v1, e_dv1)), blk.moments.e_dsigma1 * sigma_sq,
-        blk.moments.e_dsigma1_sq * sigma_sq, cfg.power_p, cfg.sigma_b_sq, cfg.na,
+        sigma1, rho, 2.0 * self_drift(v1, blk.e_dv1[blk.rows("level")]),
+        _tile(blk.moments.e_dsigma1, k) * sigma_sq, blk.moments.e_dsigma1_sq * sigma_sq,
+        cfg.power_p, cfg.sigma_b_sq, cfg.na,
     )
     valid = rho < 1.0
     ok = valid & (num > 0.0) & (den > 0.0)
@@ -588,33 +609,19 @@ def _analytic_naive(pt: _Point) -> np.ndarray:
 def _run_block(cfg: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
     """Metrics for the block of trials [lo, hi), every stage stacked.
 
-    When the eavesdropper's channels are the same at every point, each
-    scheme's designs for all points are evaluated together in one batch of
-    points x trials rows.
+    Each scheme's designs for all points are evaluated together, in one
+    batch of points x trials rows.
     """
     blk = _Block(cfg, lo, hi)
-    n_points, n_trials = len(blk.points), hi - lo
-    points = [blk.point(p) for p in range(n_points)]
-    out = np.empty((n_points, len(cfg.schemes), len(METRICS), n_trials))
-
-    def metrics(d: Design, h, eve, target):
-        return evaluate(d, h, eve, target, cfg.power_p, cfg.sigma_b_sq, cfg.sigma_e_sq,
-                        cfg.secrecy_metric)
-
+    h = _tile(blk.h, blk.n_points)
+    out = np.empty((len(cfg.schemes), len(METRICS), blk.n_points * blk.n))
     for s, name in enumerate(cfg.schemes):
         if name == "analytic_naive":
-            out[:, s] = [_analytic_naive(pt) for pt in points]
-        elif not blk.shared_eve:
-            for p, pt in enumerate(points):
-                out[p, s] = metrics(_design(pt, name), blk.h, pt.eve, pt.target)
+            out[s] = _analytic_naive(blk)
         else:
-            d = Design(*map(np.concatenate, zip(*(_design(pt, name) for pt in points))))
-            rows = metrics(
-                d, np.tile(blk.h, (n_points, 1, 1)), np.tile(blk.eve[None], (n_points, 1, 1)),
-                np.repeat([pt.target for pt in points], n_trials),
-            )
-            out[:, s] = rows.reshape(len(METRICS), n_points, n_trials).swapaxes(0, 1)
-    return out
+            out[s] = evaluate(blk.design(name), h, blk.eve, blk.row_targets, cfg.power_p,
+                              cfg.sigma_b_sq, cfg.sigma_e_sq, cfg.secrecy_metric)
+    return out.reshape(len(cfg.schemes), len(METRICS), blk.n_points, blk.n).transpose(2, 0, 1, 3)
 
 
 def _db_or_neg_inf(x: np.ndarray) -> np.ndarray:

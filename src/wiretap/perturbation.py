@@ -31,6 +31,7 @@ import numpy as np
 
 from .channels import ChannelSet, CsiErrorModel, SvdPartition, as_matrix, partition_svd
 from .exceptions import IllConditionedGapError, ParameterError, ValidityRangeError
+from .stacked import vdot
 from .transmit import (
     LinkSinr,
     SinrReport,
@@ -310,9 +311,10 @@ def iid_moments(s: np.ndarray, n_tx: int, ill_conditioned) -> IidMoments:
     )
 
 
-def _self_drift(svd: SvdPartition, moments: PerturbMoments) -> float:
-    """Real part of E{v_1^H dv_1}, the dominant vector's alignment loss."""
-    return float(np.real(np.vdot(svd.v1, moments.e_dv1)))
+def self_drift(v1: np.ndarray, e_dv1: np.ndarray) -> np.ndarray:
+    """Re v_1^H E{dv_1}, the dominant vector's alignment loss, over the
+    leading axes of ``v1`` and its mean drift ``e_dv1``."""
+    return np.real(vdot(v1, e_dv1))
 
 
 def first_vector_leak(svd: SvdPartition, moments: PerturbMoments) -> float:
@@ -321,7 +323,7 @@ def first_vector_leak(svd: SvdPartition, moments: PerturbMoments) -> float:
     E{1 - |v_1^H v~_1|^2} through second order; equals minus twice the real
     part of the self-alignment drift.
     """
-    return -2.0 * _self_drift(svd, moments)
+    return -2.0 * float(self_drift(svd.v1, moments.e_dv1))
 
 
 def naive_sinr_terms(
@@ -342,7 +344,7 @@ def naive_sinr_terms(
             "nominal design is in outage; the closed-form degradation is undefined"
         )
     return naive_terms(
-        svd.sigma1, rho, 2.0 * _self_drift(svd, moments), moments.e_dsigma1,
+        svd.sigma1, rho, 2.0 * float(self_drift(svd.v1, moments.e_dv1)), moments.e_dsigma1,
         moments.e_dsigma1_sq, chan.power_p, chan.sigma_b_sq, chan.na,
     )
 

@@ -23,8 +23,8 @@ import numpy as np
 
 from .channels import ChannelSet, SvdPartition, SvdStack, as_matrix, partition_stack
 from .exceptions import ParameterError
-from .perturbation import PerturbMoments
-from .stacked import any_true, herm, matvec, outer, vdot
+from .perturbation import PerturbMoments, self_drift
+from .stacked import any_true, herm, matvec, outer
 from .transmit import (
     Design,
     LinkSinr,
@@ -333,7 +333,7 @@ def robust_tdd(h, sigma1, u1, v1, e_dv1, v_tilde, targets, power_p: float, sigma
         raise ParameterError(f"target_sinr must be positive, got {targets}")
     na = v_tilde.shape[-1]
     lam, evecs = np.linalg.eigh(tdd_shape(h, sigma1, u1, e_dv1))
-    leak = -2.0 * np.real(vdot(v1, e_dv1))
+    leak = -2.0 * self_drift(v1, e_dv1)
     signature = matvec(h, v1 + e_dv1)
     designs = []
     for target in targets:

@@ -218,19 +218,20 @@ def artificial_noise(sigma1, v, h, v_rx, targets, power_p: float, sigma_b_sq: fl
     return designs
 
 
-def eve_aware(h, assumed, targets, power_p: float, sigma_b_sq: float):
+def eve_aware(h, gram_e, ne, targets, power_p: float, sigma_b_sq: float):
     """Designs that minimize the eavesdropper's SINR at fixed QoS, one per target.
 
-    All power goes to the data stream; the direction solves the generalized
-    eigenproblem between the intended channels ``h`` and the eavesdropper's
-    channels as the design assumes them (``assumed``, exact or stale).
-    While she has fewer antennas than the transmitter the direction lands
-    in her null space.  The data fraction is the minimum meeting each
-    target at the intended receiver with a matched combiner (the remainder
-    goes unused).  Raises DegenerateChannelError when a direction has zero
-    gain to the intended receiver.
+    All power goes to the data stream; the direction weighs the intended
+    channels ``h`` against the Gram matrices ``gram_e`` of the eavesdropper's
+    channels as the design assumes them (exact or stale), which have ``ne``
+    rows (:func:`eve_aware_directions`).  While she has fewer antennas than
+    the transmitter the direction lands in her null space.  The data
+    fraction is the minimum meeting each target at the intended receiver
+    with a matched combiner (the remainder goes unused).  Raises
+    DegenerateChannelError when a direction has zero gain to the intended
+    receiver.
     """
-    t = eve_aware_directions(herm(h) @ h, herm(assumed) @ assumed, assumed.shape[-2])
+    t = eve_aware_directions(herm(h) @ h, gram_e, ne, h.shape[-2])
     w_b = matvec(h, t)
     gain = np.real(vdot(w_b, w_b))
     if (gain <= 0).any():
@@ -262,36 +263,53 @@ def _hegvd():
 _HEGVD_ARGS = dict(itype=1, jobz="V", uplo="L")
 
 
-def eve_aware_directions(a: np.ndarray, b: np.ndarray, ne: int) -> np.ndarray:
+def eve_aware_directions(a: np.ndarray, b: np.ndarray, ne, nb: int) -> np.ndarray:
     """Unit directions (T, na) of :func:`eve_aware` for Gram stacks.
 
     ``a`` and ``b`` (T, na, na) are the Gram matrices H^H H of the intended
-    receiver's and the eavesdropper's channels, and ``ne`` is her antenna
-    count.  Each direction solves the generalized eigenproblem a t = lam b t
-    for the largest ratio.  While the eavesdropper has fewer antennas than
-    the transmitter her Gram matrix is singular, and where it fails to
-    factor the reciprocal problem is solved instead; its smallest ratio lies
-    in her null space.  Raises ValueError for non-finite input and
-    DegenerateChannelError when both Gram matrices are singular.
+    receiver's channels, with ``nb`` rows, and of the eavesdropper's, with
+    ``ne`` rows (one count, or one per matrix); the shapes pick the method.
+    Where she has at least as many antennas as the transmitter the direction
+    solves a t = lam b t for the largest ratio.  Where she has fewer (or her
+    Gram matrix fails to factor) it solves the reciprocal problem for the
+    smallest ratio, which lies in her null space.  Where the intended
+    receiver has fewer too, both are singular, and the direction is his
+    strongest one in her null space N (the eigenvectors of b beyond her
+    rank): N times the top eigenvector of N^H a N (Khisti and Wornell, IEEE
+    Trans. IT 2010).  Raises ValueError for non-finite input and
+    DegenerateChannelError when no direction reaches the intended receiver.
     """
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
-    hegvd = _hegvd()
+    na = a.shape[-1]
+    ne = np.broadcast_to(ne, a.shape[:-2])
+    null = (ne < na) & (nb < na)
     t = np.empty(a.shape[:-1], dtype=np.complex128)
-    for i, (a_i, b_i) in enumerate(zip(a, b)):
+    pairs = np.flatnonzero(~null)
+    hegvd = _hegvd() if pairs.size else None
+    for i in pairs:
         info = 1  # the reciprocal problem unless the forward one is posed and solved
-        if ne >= a.shape[-1]:
-            _, vecs, info = hegvd(a_i, b_i, **_HEGVD_ARGS)
-            vec = vecs[:, -1]
+        if ne[i] >= na:
+            _, vecs, info = hegvd(a[i], b[i], **_HEGVD_ARGS)
+            t[i] = vecs[:, -1]
         if info:
-            _, vecs, info = hegvd(b_i, a_i, **_HEGVD_ARGS)
+            _, vecs, info = hegvd(b[i], a[i], **_HEGVD_ARGS)
             if info:
                 raise DegenerateChannelError(
                     "both channel Gram matrices are singular; no direction is identifiable"
                 )
-            vec = vecs[:, 0]
-        t[i] = vec / np.linalg.norm(vec)
-    return t
+            t[i] = vecs[:, 0]
+    for k in np.unique(ne[null]):
+        rows = np.flatnonzero(null & (ne == k))
+        basis = np.linalg.eigh(b[rows])[1][..., :na - k]
+        lam, y = np.linalg.eigh(herm(basis) @ a[rows] @ basis)
+        if (lam[:, -1] <= 0).any():
+            raise DegenerateChannelError(
+                "the intended receiver has no gain in the eavesdropper's null space"
+            )
+        t[rows] = matvec(basis, y[..., -1])
+    # np.linalg.norm's two real dot products, for every row at once.
+    return t / np.sqrt(vdot(t.real, t.real) + vdot(t.imag, t.imag))[..., None]
 
 
 def mmse_combiners(h: np.ndarray, t: np.ndarray, factor: np.ndarray, sigma_sq: float) -> np.ndarray:
@@ -299,17 +317,15 @@ def mmse_combiners(h: np.ndarray, t: np.ndarray, factor: np.ndarray, sigma_sq: f
 
     She knows her own channel and the full transmit configuration, so her
     combiner solves (H Q H^H + sigma^2 I) w = H t with Q = F F^H for the
-    interference factor ``factor`` (F), by an LU solve.  A design that nulls
-    her exactly leaves the solution at zero, where any combiner is equally
-    good; the first unit vector stands in so the zero SINR is still
-    reportable.  A factor without columns leaves sigma^2 I, whose solution
-    is H t / sigma^2 without a solve.
+    interference factor ``factor`` (F).  It is solved in push-through form,
+    w = H (Q H^H H + sigma^2 I)^-1 t, an na x na LU solve whatever her
+    antenna count, so all-zero rows of H (a stack padded to her largest
+    count) give exactly zero entries of w.  A design that nulls her exactly
+    leaves the solution at zero, where any combiner is equally good; the
+    first unit vector stands in so the zero SINR is still reportable.
     """
-    rhs = matvec(h, t)
-    if factor.shape[-1] == 0:
-        return _nulled_stand_in(rhs / sigma_sq)
-    cov = h @ (factor @ herm(factor)) @ herm(h) + sigma_sq * np.eye(h.shape[-2])
-    return _nulled_stand_in(np.linalg.solve(cov, rhs[..., None])[..., 0])
+    push = factor @ herm(factor) @ (herm(h) @ h) + sigma_sq * np.eye(h.shape[-1])
+    return _nulled_stand_in(matvec(h, np.linalg.solve(push, t[..., None])[..., 0]))
 
 
 def _nulled_stand_in(w: np.ndarray) -> np.ndarray:
@@ -502,8 +518,8 @@ def design_known_ecsi(chan: ChannelSet, h_ea_assumed, target_sinr: float) -> TxS
     he = as_matrix(h_ea_assumed)
     if he.shape[1] != chan.na:
         raise DimensionError(f"channel column counts differ: {chan.na} vs {he.shape[1]}")
-    d = eve_aware(chan.h_ba.entries[None], he[None], (target_sinr,), chan.power_p,
-                  chan.sigma_b_sq)[0]
+    d = eve_aware(chan.h_ba.entries[None], (herm(he) @ he)[None], he.shape[0], (target_sinr,),
+                  chan.power_p, chan.sigma_b_sq)[0]
     return _tx_scheme(d, chan.power_p, target_sinr)
 
 

@@ -12,7 +12,8 @@ channel with its own covariance bookkeeping.  Its streams come from
 trial, which the engine's vectorised seed derivation must reproduce.
 
 ``eve_aware_direction`` is the per-matrix ``scipy.linalg.eigh`` form of the
-Eve-aware design direction, and ``_reduce`` the per-(scheme, point) loop
+Eve-aware design direction (with ``scipy.linalg.null_space`` where both
+Gram matrices are singular), and ``_reduce`` the per-(scheme, point) loop
 that reduced per-trial metrics to series; the library's stacked versions
 must reproduce them.  ``mmse_combiner`` is the eavesdropper's combiner by
 scipy's Cholesky solve, and ``solve_fraction`` the power-fraction root by
@@ -566,14 +567,25 @@ def eve_aware_direction(hb: np.ndarray, he: np.ndarray) -> np.ndarray:
     Solves the generalized eigenproblem between the two channel Gram
     matrices.  While the eavesdropper has fewer antennas than the
     transmitter her Gram matrix is singular and the reciprocal problem is
-    solved instead; its smallest ratio lies in her null space.  Raises
-    DegenerateChannelError when both Gram matrices are singular.
+    solved instead; its smallest ratio lies in her null space.  When the
+    intended receiver has fewer antennas too, both Gram matrices are
+    singular, and the direction is his strongest one inside her null space
+    (``scipy.linalg.null_space`` of her channel).  Raises
+    DegenerateChannelError when both Gram matrices are singular and no
+    direction reaches the intended receiver.
     """
     if hb.shape[1] != he.shape[1]:
         raise DimensionError(f"channel column counts differ: {hb.shape[1]} vs {he.shape[1]}")
     na = hb.shape[1]
     a = hb.conj().T @ hb
     b = he.conj().T @ he
+    if hb.shape[0] < na and he.shape[0] < na:
+        basis = scipy.linalg.null_space(he)
+        lam, vecs = scipy.linalg.eigh(basis.conj().T @ a @ basis)
+        if lam[-1] <= 0:
+            raise DegenerateChannelError("no gain to the intended receiver in her null space")
+        t = basis @ vecs[:, -1]
+        return t / np.linalg.norm(t)
     t = None
     if he.shape[0] >= na:
         try:

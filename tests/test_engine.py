@@ -13,6 +13,7 @@ per-trial and per-point code they replaced.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from wiretap import harness, robust
+from wiretap import harness, robust, transmit
 from wiretap.channels import (
     ChannelMatrix,
     ChannelSet,
@@ -43,10 +44,14 @@ from wiretap.robust import (
     solve_fractions,
     tdd_receiver,
 )
+from wiretap.stacked import herm
 from wiretap.transmit import (
+    artificial_noise,
     bob_matched_beamformer,
     design_known_ecsi,
+    evaluate,
     evaluate_sinr,
+    eve_aware,
     eve_aware_directions,
     eve_mmse_beamformer,
     link_sinr,
@@ -62,13 +67,8 @@ RTOL = 1e-12
 ATOL = 1e-12
 EXACT_COLUMNS = ("outage", "flagged")
 SHAPES = [(1, 1, 1), (2, 1, 3), (3, 3, 2), (4, 4, 20), (5, 5, 5)]
-
-
-def _schemes_for(na: int, nb: int, ne: int) -> tuple[str, ...]:
-    # The Eve-aware designs refuse every trial when nb < na and ne < na.
-    if nb < na and ne < na:
-        return tuple(s for s in SCHEMES if not s.endswith("ecsi"))
-    return SCHEMES
+# Shapes where both Gram matrices of the Eve-aware designs are singular.
+NB_BELOW_NA = [(2, 1, 1), (4, 2, 1), (4, 2, 2), (5, 3, 3), (4, 3, 3), (4, 3, 2), (5, 4, 4), (5, 4, 3)]
 
 
 def assert_matches_loop(cfg: ExperimentConfig) -> None:
@@ -91,10 +91,10 @@ def _config(shape, axis: str, **overrides) -> ExperimentConfig:
     na, nb, ne = shape
     params = dict(
         na=na, nb=nb, ne=ne, target_sinr_db=15.0, sigma_h_db=-15.0, trials=12,
-        master_seed=3, schemes=_schemes_for(na, nb, ne),
+        master_seed=3, schemes=SCHEMES,
     )
     if axis == "ne":
-        params.update(ne=(1, ne), schemes=_schemes_for(na, nb, 1))
+        params.update(ne=(1, ne))
     elif axis == "target_sinr_db":
         params.update(target_sinr_db=(0.0, 10.0, 25.0))
     else:
@@ -135,9 +135,9 @@ def test_engine_matches_the_loop_on_presets(preset):
 @pytest.mark.parametrize("sigma_e_sq", [0.3, 4.0])
 @pytest.mark.parametrize("gamma_ecsi", [0.0, 1.0])
 def test_engine_matches_the_loop_at_other_noise_powers_and_blends(sigma_e_sq, gamma_ecsi):
-    # Eve's combiner skips the solve for the interference-free designs and
-    # the blend draws through the stacked streams; both are exact only at
-    # the defaults sigma_e^2 = 1 and 0 < gamma < 1, so cover the rest.
+    # Eve's combiner takes the push-through solve, which scales differently
+    # from the loop's, and the blend draws through the stacked streams, which
+    # skip the fresh draw at gamma = 0; cover other noise powers and blends.
     cfg = _config(
         (4, 4, 6), "ne", sigma_e_sq=sigma_e_sq, sigma_b_sq=2.0, gamma_ecsi=gamma_ecsi,
         schemes=("perfect", "known_ecsi", "imperfect_ecsi"),
@@ -153,12 +153,111 @@ def test_a_target_met_at_the_bracket_floor_runs_in_both():
     assert not np.any(got[:, :, harness.METRICS.index("outage")])
 
 
-def test_nb_below_na_eve_aware_design_fails_in_both():
-    cfg = ExperimentConfig(na=4, nb=2, ne=2, trials=3, schemes=("known_ecsi",))
-    with pytest.raises(DegenerateChannelError):
-        harness._run_chunk(cfg, 0, cfg.trials)
-    with pytest.raises(DegenerateChannelError):
-        oracles._run_chunk(cfg, 0, cfg.trials)
+@pytest.mark.parametrize("shape", NB_BELOW_NA, ids=str)
+def test_nb_below_na_eve_aware_designs_null_the_eavesdropper(shape):
+    # Both Gram matrices are singular: the direction is the intended
+    # receiver's strongest one in Eve's null space, in the engine and the
+    # loop alike, and the exactly known eavesdropper is nulled.
+    na, nb, ne = shape
+    cfg = ExperimentConfig(na=na, nb=nb, ne=ne, trials=40, master_seed=5,
+                           schemes=("known_ecsi", "imperfect_ecsi"))
+    assert_matches_loop(cfg)
+    sinr_e = harness._run_chunk(cfg, 0, cfg.trials)[0, 0, harness.METRICS.index("sinr_e")]
+    assert np.all(sinr_e < 1e-25)
+
+
+def _per_point_rows(cfg: ExperimentConfig):
+    """Each point of an ne sweep on its own: the kernels and
+    ``transmit.evaluate`` on that point's unpadded draws, as the engine ran
+    them before its points shared one padded stack.  Returns the metrics and
+    each Eve-aware scheme's directions, point after point."""
+    streams = [(harness._TAG_CHANNEL, cfg.nb, None)]
+    for p, ne in enumerate(cfg.ne):
+        streams += [(harness._TAG_EVE, ne, p), (harness._TAG_ECSI, ne, p)]
+    h, *eve_draws = harness._draws(cfg, 0, cfg.trials, streams)
+    part = partition_stack(h)
+    target = float(from_db(cfg.target_sinr_db))
+    budget = ((target,), cfg.power_p, cfg.sigma_b_sq)
+    out = np.empty((len(cfg.ne), len(cfg.schemes), len(harness.METRICS), cfg.trials))
+    directions = {name: [] for name in cfg.schemes}
+    for p, ne in enumerate(cfg.ne):
+        eve, fresh = eve_draws[2 * p], eve_draws[2 * p + 1]
+        for s, name in enumerate(cfg.schemes):
+            if name == "perfect":
+                d = artificial_noise(part.s[:, 0], part.v, h, part.v[..., 0], *budget)[0]
+            else:
+                assumed = eve if name == "known_ecsi" else harness._blend(cfg, eve, fresh)
+                d = eve_aware(h, herm(assumed) @ assumed, ne, *budget)[0]
+                directions[name].append(d.t)
+            out[p, s] = evaluate(d, h, eve, target, cfg.power_p, cfg.sigma_b_sq, cfg.sigma_e_sq,
+                                 cfg.secrecy_metric)
+    return out, {name: np.concatenate(t) for name, t in directions.items() if t}
+
+
+@pytest.mark.parametrize("metric", ["goodput", "full"])
+@pytest.mark.parametrize("na, ne", [(4, (1, 2, 3, 6)), (3, (1, 2, 4))], ids=str)
+def test_ragged_eve_axis_matches_the_per_point_path(monkeypatch, na, ne, metric):
+    # Points with ne <= na - 2 leave Eve outnumbered by two or more antennas,
+    # where the reciprocal problem's pick in her null space flips on one-ulp
+    # changes to her Gram matrix, and the largest ne pads every other point's
+    # draws with zeros.  (A Gram matrix of the padded draws differs in the
+    # last bit at na = 3, ne = 1.)  The directions must still be the
+    # per-point ones (and scipy's) and Bob's columns must not move; Eve's
+    # move only at round-off.
+    cfg = ExperimentConfig(na=na, nb=na, ne=ne, trials=25, master_seed=8,
+                           schemes=("perfect", "known_ecsi", "imperfect_ecsi"),
+                           secrecy_metric=metric)
+    recorded = []
+
+    def recording(*args):
+        designs = transmit.eve_aware(*args)
+        recorded.append(designs[0].t)
+        return designs
+
+    monkeypatch.setattr(harness, "eve_aware", recording)
+    got = harness._run_chunk(cfg, 0, cfg.trials)
+    want, directions = _per_point_rows(cfg)
+    np.testing.assert_array_equal(recorded[0], directions["known_ecsi"])
+    np.testing.assert_array_equal(recorded[1], directions["imperfect_ecsi"])
+    h, *eve = harness._draws(cfg, 0, cfg.trials, [(harness._TAG_CHANNEL, cfg.nb, None)] + [
+        (harness._TAG_EVE, ne, p) for p, ne in enumerate(cfg.ne)])
+    scipy_dirs = [oracles.eve_aware_direction(b, e) for x in eve for b, e in zip(h, x)]
+    np.testing.assert_array_equal(recorded[0], np.stack(scipy_dirs))
+    for m, name in enumerate(harness.METRICS):
+        if name in ("sinr_b", "signal_b", "intnoise_b", "outage", "flagged"):
+            np.testing.assert_array_equal(got[:, :, m], want[:, :, m], err_msg=name)
+        else:
+            np.testing.assert_allclose(got[:, :, m], want[:, :, m], rtol=RTOL, atol=ATOL,
+                                       err_msg=name)
+
+
+@pytest.mark.parametrize(
+    "preset", ["fig1_ne_sweep", "fig3_sinr_vs_target", "fig4_secrecy", "fig5_sigma_sweep"]
+)
+def test_one_design_call_and_one_evaluation_per_scheme_per_block(monkeypatch, preset):
+    # On every sweep axis: the ne axis (fig1), the target axis (fig3, fig4)
+    # and the error axis (fig5).
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    for module, name in ((transmit, "evaluate"), (transmit, "artificial_noise"),
+                         (transmit, "eve_aware"), (robust, "robust_fdd"), (robust, "robust_tdd")):
+        monkeypatch.setattr(harness, name, counted(getattr(module, name)))
+    monkeypatch.setattr(harness, "BLOCK_TRIALS", 4)
+    cfg = preset_config(preset, trials=10, master_seed=3)
+    harness._run_chunk(cfg, 0, cfg.trials)
+    blocks = 3
+    simulated = [s for s in cfg.schemes if s != "analytic_naive"]
+    aware = [s for s in cfg.schemes if s.endswith("_ecsi")]
+    designs = sum(calls[name] for name in ("artificial_noise", "eve_aware", "robust_fdd",
+                                           "robust_tdd"))
+    assert calls["evaluate"] == designs == blocks * len(simulated)
+    assert calls["eve_aware"] == blocks * len(aware)
 
 
 @pytest.mark.parametrize("block", [1, 7, 1000])
@@ -290,7 +389,7 @@ def test_stacked_solve_substitutes_the_unit_vector_for_a_zero_solution():
     h = np.zeros((2, 3, 2), dtype=complex)
     h[1] = _random_channels(1, 3, 2, seed=3)[0]
     t = np.tile(np.array([1.0, 0.0], dtype=complex), (2, 1))
-    # A zero factor goes through the solve; one without columns skips it.
+    # A zero factor and one without columns take the same solve.
     for columns in (1, 0):
         w = mmse_combiners(h, t, np.zeros((2, 2, columns), dtype=complex), 1.0)
         np.testing.assert_array_equal(w[0], [1.0, 0.0, 0.0])
@@ -298,16 +397,24 @@ def test_stacked_solve_substitutes_the_unit_vector_for_a_zero_solution():
 
 
 @pytest.mark.parametrize("sigma_sq", [1.0, 0.3, 4.0])
-def test_no_interference_skips_the_solve(sigma_sq):
-    # Without interference the covariance is sigma^2 I: the solve's answer
-    # is H t / sigma^2, bit for bit at sigma^2 = 1 and to round-off elsewhere.
-    h = _random_channels(30, 6, 4, seed=4)
-    t = partition_stack(_random_channels(30, 4, 4, seed=5)).v[..., 0]
-    got = mmse_combiners(h, t, np.zeros((30, 4, 0), dtype=complex), sigma_sq)
-    want = mmse_combiners(h, t, np.zeros((30, 4, 1), dtype=complex), sigma_sq)
-    if sigma_sq == 1.0:
-        np.testing.assert_array_equal(got, want)
-    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+def test_push_through_solve_is_the_direct_solve(sigma_sq):
+    # H (Q H^H H + s I)^-1 t = (H Q H^H + s I)^-1 H t: the na x na solve gives
+    # the ne x ne one for Eve with fewer, as many and more antennas than the
+    # transmitter, with and without interference, and zero rows padded onto
+    # her channel stay exactly zero in the combiner.
+    part = partition_stack(_random_channels(30, 4, 4, seed=5))
+    t = part.v[..., 0]
+    for ne in (2, 4, 9):
+        h = _random_channels(30, ne, 4, seed=4 + ne)
+        padded = np.concatenate([h, np.zeros((30, 3, 4))], axis=1)
+        for factor in (np.sqrt(30.0) * part.v[..., 1:], np.zeros((30, 4, 0), dtype=complex)):
+            cov = h @ (factor @ herm(factor)) @ herm(h) + sigma_sq * np.eye(ne)
+            direct = np.linalg.solve(cov, h @ t[..., None])[..., 0]
+            got = mmse_combiners(h, t, factor, sigma_sq)
+            np.testing.assert_allclose(got, direct, rtol=1e-10, atol=1e-13 * np.abs(direct).max())
+            w = mmse_combiners(padded, t, factor, sigma_sq)
+            assert not w[:, ne:].any()
+            np.testing.assert_allclose(w[:, :ne], got, rtol=1e-13, atol=0)
 
 
 def test_vectorised_root_solve_reproduces_brentq():
@@ -363,7 +470,8 @@ def test_partition_stack_refuses_a_rank_deficient_member():
 
 def _eve_aware_direction(hb, he):
     """The stacked directions for one channel pair."""
-    return eve_aware_directions((hb.conj().T @ hb)[None], (he.conj().T @ he)[None], he.shape[0])[0]
+    return eve_aware_directions((hb.conj().T @ hb)[None], (he.conj().T @ he)[None], he.shape[0],
+                                hb.shape[0])[0]
 
 
 def test_eve_aware_direction_is_the_scalar_design():
@@ -392,32 +500,47 @@ def _direction_or_error(fn, *args):
         return str(exc)
 
 
+def _assert_null_space_direction(hb, he, got, want):
+    """``got`` lies in Eve's null space and is the oracle's ``want`` up to
+    phase, with the same gain to the intended receiver."""
+    assert np.linalg.norm(he @ got) ** 2 <= 1e-12 * np.linalg.norm(he) ** 2
+    assert abs(np.vdot(want, got)) == pytest.approx(1.0, abs=1e-10)
+    assert np.linalg.norm(hb @ got) ** 2 == pytest.approx(np.linalg.norm(hb @ want) ** 2,
+                                                           rel=1e-10)
+
+
 @pytest.mark.parametrize("na", range(1, 7))
 def test_stacked_eve_aware_directions_are_the_per_matrix_eigh(na):
-    # Every (nb <= na, ne) shape: generic pairs, nb < na with ne < na (both
-    # Grams singular, DegenerateChannelError), ne < na - 1 (the reciprocal
-    # problem in Eve's null space) and a rank-deficient Eve with ne >= na.
+    # Every (nb <= na, ne) shape.  Where a generalized problem is posed
+    # (generic pairs, ne < na - 1 in Eve's null space through the reciprocal
+    # problem, a rank-deficient Eve with ne >= na) the stacked directions are
+    # scipy's bit for bit.  With nb < na and ne < na both Gram matrices are
+    # singular by shape, and the direction is Bob's strongest in Eve's null
+    # space.  With nb < na a rank-deficient Eve with ne >= na leaves both
+    # Gram matrices singular and is refused.
     outcomes = set()
     for nb in range(1, na + 1):
         for ne in range(1, 11):
             hb, he = _eve_pairs(na, nb, ne, seed=100 * na + 10 * nb + ne)
             want = [_direction_or_error(oracles.eve_aware_direction, b, e) for b, e in zip(hb, he)]
             got = [_direction_or_error(_eve_aware_direction, b, e) for b, e in zip(hb, he)]
-            for g, w in zip(got, want):
-                outcomes.add(type(w))
+            for b, e, g, w in zip(hb, he, got, want):
                 if isinstance(w, str):
+                    outcomes.add("refused")
                     assert g == w
+                elif nb < na and ne < na:
+                    outcomes.add("null space")
+                    _assert_null_space_direction(b, e, g, w)
                 else:
+                    outcomes.add("generalized")
                     np.testing.assert_array_equal(g, w)
+            grams = (hb.conj().swapaxes(1, 2) @ hb, he.conj().swapaxes(1, 2) @ he, ne, nb)
             if any(isinstance(w, str) for w in want):
                 with pytest.raises(DegenerateChannelError):
-                    eve_aware_directions(hb.conj().swapaxes(1, 2) @ hb,
-                                         he.conj().swapaxes(1, 2) @ he, ne)
+                    eve_aware_directions(*grams)
             else:
-                stacked = eve_aware_directions(hb.conj().swapaxes(1, 2) @ hb,
-                                               he.conj().swapaxes(1, 2) @ he, ne)
-                np.testing.assert_array_equal(stacked, np.stack(want))
-    assert outcomes == ({np.ndarray} if na == 1 else {np.ndarray, str})
+                np.testing.assert_array_equal(eve_aware_directions(*grams), np.stack(got))
+    assert outcomes == ({"generalized"} if na == 1 else {"generalized", "null space", "refused"})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -426,9 +549,11 @@ def test_eve_aware_directions_refuse_a_non_finite_gram(bad):
     b = a.copy()
     b[2, 1, 1] = bad
     with pytest.raises(ValueError):
-        eve_aware_directions(a, b, 3)
+        eve_aware_directions(a, b, 3, 3)
     with pytest.raises(ValueError):
-        eve_aware_directions(b, a, 1)
+        eve_aware_directions(b, a, 1, 3)
+    with pytest.raises(ValueError):
+        eve_aware_directions(b, a, 1, 2)
 
 
 # ------------------------------------------------------------ draws and reduction
