@@ -24,8 +24,9 @@ per-entry variance s2 the tensor collapses to s2 * delta_ik * delta_jl.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -71,46 +72,57 @@ class PerturbMoments:
                     equals the leaked power E{1 - |v_1^H v~_1|^2}, so
                     v_1 v_1^H + v_1 e_dv1^H + e_dv1 v_1^H + e_dv1_outer is a
                     trace-one model of E{v~_1 v~_1^H}.
+
+    Only ``e_dsigma1``, ``e_dsigma1_sq`` and ``e_dv1`` are stored: they are
+    what the SINR prediction and the statistical receiver read.  The other
+    eight cost several times as much (covariance sandwiches and the drift
+    of every strong vector) and are built together on first access of any
+    of them, by ``_build``.
     """
 
-    d: np.ndarray
-    g: np.ndarray
-    g_prime: np.ndarray
-    g_dprime: np.ndarray
-    k: np.ndarray
-    e_dv_s: np.ndarray
-    e_vs_dvs: np.ndarray
     e_dsigma1: float
     e_dsigma1_sq: float
     e_dv1: np.ndarray
-    e_dv1_outer: np.ndarray
+    _build: Callable[[], dict[str, np.ndarray]] = field(repr=False, compare=False)
+
+    @cached_property
+    def _deferred(self) -> dict[str, np.ndarray]:
+        return self._build()
+
+    d = property(lambda self: self._deferred["d"])
+    g = property(lambda self: self._deferred["g"])
+    g_prime = property(lambda self: self._deferred["g_prime"])
+    g_dprime = property(lambda self: self._deferred["g_dprime"])
+    k = property(lambda self: self._deferred["k"])
+    e_dv_s = property(lambda self: self._deferred["e_dv_s"])
+    e_vs_dvs = property(lambda self: self._deferred["e_vs_dvs"])
+    e_dv1_outer = property(lambda self: self._deferred["e_dv1_outer"])
 
     def scaled(self, factor: float) -> PerturbMoments:
         """Moments for the same channel with the error covariance scaled.
 
         Every expectation is linear in the error covariance, so scaling by
         ``factor`` is exact.  The reciprocal gaps ``d`` describe the channel,
-        not the error, and stay as they are.
+        not the error, and stay as they are.  The deferred fields are scaled
+        when they are built.
         """
         if factor < 0:
             raise ParameterError(f"scale factor must be nonnegative, got {factor}")
+
+        def build() -> dict[str, np.ndarray]:
+            return {name: x if name == "d" else x * factor for name, x in self._deferred.items()}
+
         return replace(
             self,
-            g=self.g * factor,
-            g_prime=self.g_prime * factor,
-            g_dprime=self.g_dprime * factor,
-            k=self.k * factor,
-            e_dv_s=self.e_dv_s * factor,
-            e_vs_dvs=self.e_vs_dvs * factor,
             e_dsigma1=self.e_dsigma1 * factor,
             e_dsigma1_sq=self.e_dsigma1_sq * factor,
             e_dv1=self.e_dv1 * factor,
-            e_dv1_outer=self.e_dv1_outer * factor,
+            _build=build,
         )
 
 
-def _second_moment_tensor(svd: SvdPartition, err: CsiErrorModel) -> np.ndarray:
-    """The tensor M[i, j, k, l] of the error in the singular bases."""
+def _second_moment_tensor(svd: SvdPartition, v: np.ndarray, err: CsiErrorModel) -> np.ndarray:
+    """The tensor M[i, j, k, l] of the error in the singular bases (``v``: ``svd.v_full``)."""
     m, n = svd.n_rx, svd.n_tx
     if err.kind == "iid":
         return err.sigma_h_sq * np.einsum(
@@ -118,7 +130,6 @@ def _second_moment_tensor(svd: SvdPartition, err: CsiErrorModel) -> np.ndarray:
         ).astype(np.complex128)
     t = err.cov_tensor(m, n)
     u = svd.u_full
-    v = svd.v_full
     stage = np.einsum("ai,apbq->ipbq", u.conj(), t)
     stage = np.einsum("pj,ipbq->ijbq", v, stage)
     stage = np.einsum("bk,ijbq->ijkq", u, stage)
@@ -151,6 +162,9 @@ def compute_moments(svd: SvdPartition, err: CsiErrorModel) -> PerturbMoments:
     drift on every other unperturbed right vector v_k.  First-order
     coefficients have zero mean; their magnitudes and the second-order means
     combine into all the fields documented on :class:`PerturbMoments`.
+    Only the dominant vector's coefficients are computed here, for the
+    three stored fields; the deferred fields are built from the same
+    tensor when first read.
 
     Raises :class:`IllConditionedGapError` when the partition was flagged
     ill-conditioned or any pairwise singular-value gap is too small for the
@@ -174,7 +188,8 @@ def compute_moments(svd: SvdPartition, err: CsiErrorModel) -> PerturbMoments:
     sig_ext = np.concatenate([sig, np.zeros(n - m)])
     lam_ext = np.concatenate([lam, np.zeros(n - m)])
 
-    mom = _second_moment_tensor(svd, err)
+    v = svd.v_full
+    mom = _second_moment_tensor(svd, v, err)
 
     def drift_coefficients(j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Mean drift coefficients of right vector j on every direction.
@@ -217,27 +232,7 @@ def compute_moments(svd: SvdPartition, err: CsiErrorModel) -> PerturbMoments:
     # The dominant vector has a drift even when the strong set below is
     # empty (single-row channels, where it is also the weakest).
     coeff0, num1_0, inv_gap0 = drift_coefficients(0)
-    e_dv1 = svd.v_full @ coeff0
-
-    # Full covariance of the first-order fluctuation of v_1: cross moments
-    # of the coefficients on every pair of other directions.  Unconjugated
-    # error moments vanish by circular symmetry, leaving two terms.
-    m_row = np.zeros((n, n), dtype=np.complex128)
-    m_row[:m, :m] = mom[:, 0, :, 0]
-    m_col = np.conj(mom[0, :, 0, :])
-    spread = (np.outer(sig_ext, sig_ext) * m_row + lam1 * m_col) * np.outer(
-        inv_gap0, inv_gap0
-    )
-    e_dv1_outer = svd.v_full @ spread @ svd.v_full.conj().T
-    e_dv1_outer = (e_dv1_outer + e_dv1_outer.conj().T) / 2.0
-
-    e_dv_coeff = np.zeros((n, f - 1), dtype=np.complex128)
-    if f > 1:
-        e_dv_coeff[:, 0] = coeff0
-    for j in range(1, f - 1):
-        e_dv_coeff[:, j] = drift_coefficients(j)[0]
-    e_dv_s = svd.v_full @ e_dv_coeff
-    e_vs_dvs = e_dv_coeff[: f - 1, :].copy()
+    e_dv1 = v @ coeff0
 
     trace_term = float(np.real(np.einsum("ii->", mom[:, 0, :, 0])))
     coupling_term = float(np.sum(num1_0 * inv_gap0))
@@ -246,23 +241,40 @@ def compute_moments(svd: SvdPartition, err: CsiErrorModel) -> PerturbMoments:
     e_dsigma1 = (trace_term + coupling_term) / (2.0 * sigma1) - m1111 / (4.0 * sigma1)
     e_dsigma1_sq = 0.5 * m1111
 
-    d = 1.0 / (lam[: f - 1] - lam[f - 1])
-    dmat_v = svd.v_s @ np.diag(d) @ svd.v_s.conj().T
-    dmat_u = svd.u_s @ np.diag(d) @ svd.u_s.conj().T
+    def build() -> dict[str, np.ndarray]:
+        # Full covariance of the first-order fluctuation of v_1: cross moments
+        # of the coefficients on every pair of other directions.  Unconjugated
+        # error moments vanish by circular symmetry, leaving two terms.
+        m_row = np.zeros((n, n), dtype=np.complex128)
+        m_row[:m, :m] = mom[:, 0, :, 0]
+        m_col = np.conj(mom[0, :, 0, :])
+        spread = (np.outer(sig_ext, sig_ext) * m_row + lam1 * m_col) * np.outer(
+            inv_gap0, inv_gap0
+        )
+        e_dv1_outer = v @ spread @ v.conj().T
+        e_dv1_outer = (e_dv1_outer + e_dv1_outer.conj().T) / 2.0
 
-    return PerturbMoments(
-        d=d,
-        g=_sandwich_rows(np.outer(svd.v_f, svd.v_f.conj()), svd, err),
-        g_prime=_sandwich_rows(dmat_v, svd, err),
-        g_dprime=_sandwich_cols(dmat_u, svd, err),
-        k=_sandwich_rows(svd.v_s @ svd.v_s.conj().T, svd, err),
-        e_dv_s=e_dv_s,
-        e_vs_dvs=e_vs_dvs,
-        e_dsigma1=float(e_dsigma1),
-        e_dsigma1_sq=float(e_dsigma1_sq),
-        e_dv1=e_dv1,
-        e_dv1_outer=e_dv1_outer,
-    )
+        e_dv_coeff = np.zeros((n, f - 1), dtype=np.complex128)
+        if f > 1:
+            e_dv_coeff[:, 0] = coeff0
+        for j in range(1, f - 1):
+            e_dv_coeff[:, j] = drift_coefficients(j)[0]
+
+        d = 1.0 / (lam[: f - 1] - lam[f - 1])
+        dmat_v = svd.v_s @ np.diag(d) @ svd.v_s.conj().T
+        dmat_u = svd.u_s @ np.diag(d) @ svd.u_s.conj().T
+        return dict(
+            d=d,
+            g=_sandwich_rows(np.outer(svd.v_f, svd.v_f.conj()), svd, err),
+            g_prime=_sandwich_rows(dmat_v, svd, err),
+            g_dprime=_sandwich_cols(dmat_u, svd, err),
+            k=_sandwich_rows(svd.v_s @ svd.v_s.conj().T, svd, err),
+            e_dv_s=v @ e_dv_coeff,
+            e_vs_dvs=e_dv_coeff[: f - 1, :].copy(),
+            e_dv1_outer=e_dv1_outer,
+        )
+
+    return PerturbMoments(float(e_dsigma1), float(e_dsigma1_sq), e_dv1, build)
 
 
 class IidMoments(NamedTuple):

@@ -272,35 +272,40 @@ def eve_aware_directions(a: np.ndarray, b: np.ndarray, ne, nb: int) -> np.ndarra
     Where she has at least as many antennas as the transmitter the direction
     solves a t = lam b t for the largest ratio.  Where she has fewer (or her
     Gram matrix fails to factor) it solves the reciprocal problem for the
-    smallest ratio, which lies in her null space.  Where the intended
-    receiver has fewer too, both are singular, and the direction is his
-    strongest one in her null space N (the eigenvectors of b beyond her
-    rank): N times the top eigenvector of N^H a N (Khisti and Wornell, IEEE
-    Trans. IT 2010).  Raises ValueError for non-finite input and
-    DegenerateChannelError when no direction reaches the intended receiver.
+    smallest ratio, which lies in her null space.  Where both are singular
+    (the intended receiver has fewer antennas too, or her channel is rank
+    deficient) the direction is his strongest one in her null space N (the
+    eigenvectors of b beyond her rank, ne or that of b): N times the top
+    eigenvector of N^H a N (Khisti and Wornell, IEEE Trans. IT 2010).
+    Raises ValueError for non-finite input and DegenerateChannelError when
+    no direction reaches the intended receiver.
     """
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
     na = a.shape[-1]
-    ne = np.broadcast_to(ne, a.shape[:-2])
-    null = (ne < na) & (nb < na)
+    rank = np.array(np.broadcast_to(ne, a.shape[:-2]))
+    null = (rank < na) & (nb < na)
     t = np.empty(a.shape[:-1], dtype=np.complex128)
     pairs = np.flatnonzero(~null)
     hegvd = _hegvd() if pairs.size else None
     for i in pairs:
         info = 1  # the reciprocal problem unless the forward one is posed and solved
-        if ne[i] >= na:
+        if rank[i] >= na:
             _, vecs, info = hegvd(a[i], b[i], **_HEGVD_ARGS)
             t[i] = vecs[:, -1]
         if info:
             _, vecs, info = hegvd(b[i], a[i], **_HEGVD_ARGS)
             if info:
-                raise DegenerateChannelError(
-                    "both channel Gram matrices are singular; no direction is identifiable"
-                )
+                rank[i] = np.linalg.matrix_rank(b[i], hermitian=True)
+                if rank[i] >= na:
+                    raise DegenerateChannelError(
+                        "both channel Gram matrices are singular; no direction is identifiable"
+                    )
+                null[i] = True
+                continue
             t[i] = vecs[:, 0]
-    for k in np.unique(ne[null]):
-        rows = np.flatnonzero(null & (ne == k))
+    for k in np.unique(rank[null]):
+        rows = np.flatnonzero(null & (rank == k))
         basis = np.linalg.eigh(b[rows])[1][..., :na - k]
         lam, y = np.linalg.eigh(herm(basis) @ a[rows] @ basis)
         if (lam[:, -1] <= 0).any():

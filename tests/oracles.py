@@ -567,12 +567,12 @@ def eve_aware_direction(hb: np.ndarray, he: np.ndarray) -> np.ndarray:
     Solves the generalized eigenproblem between the two channel Gram
     matrices.  While the eavesdropper has fewer antennas than the
     transmitter her Gram matrix is singular and the reciprocal problem is
-    solved instead; its smallest ratio lies in her null space.  When the
-    intended receiver has fewer antennas too, both Gram matrices are
-    singular, and the direction is his strongest one inside her null space
-    (``scipy.linalg.null_space`` of her channel).  Raises
-    DegenerateChannelError when both Gram matrices are singular and no
-    direction reaches the intended receiver.
+    solved instead; its smallest ratio lies in her null space.  When both
+    Gram matrices are singular (the intended receiver has fewer antennas
+    too, or her channel is rank deficient), the direction is his strongest
+    one inside her null space (``scipy.linalg.null_space`` of her channel).
+    Raises DegenerateChannelError when both Gram matrices are singular and
+    no direction reaches the intended receiver.
     """
     if hb.shape[1] != he.shape[1]:
         raise DimensionError(f"channel column counts differ: {hb.shape[1]} vs {he.shape[1]}")
@@ -580,12 +580,7 @@ def eve_aware_direction(hb: np.ndarray, he: np.ndarray) -> np.ndarray:
     a = hb.conj().T @ hb
     b = he.conj().T @ he
     if hb.shape[0] < na and he.shape[0] < na:
-        basis = scipy.linalg.null_space(he)
-        lam, vecs = scipy.linalg.eigh(basis.conj().T @ a @ basis)
-        if lam[-1] <= 0:
-            raise DegenerateChannelError("no gain to the intended receiver in her null space")
-        t = basis @ vecs[:, -1]
-        return t / np.linalg.norm(t)
+        return _null_space_direction(a, he)
     t = None
     if he.shape[0] >= na:
         try:
@@ -596,11 +591,23 @@ def eve_aware_direction(hb: np.ndarray, he: np.ndarray) -> np.ndarray:
     if t is None:
         try:
             _, vecs = scipy.linalg.eigh(b, a)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateChannelError(
-                "both channel Gram matrices are singular; no direction is identifiable"
-            ) from exc
+        except np.linalg.LinAlgError:
+            return _null_space_direction(a, he)
         t = vecs[:, 0]
+    return t / np.linalg.norm(t)
+
+
+def _null_space_direction(a: np.ndarray, he: np.ndarray) -> np.ndarray:
+    """The unit direction with the largest gain t^H a t in the null space of ``he``."""
+    basis = scipy.linalg.null_space(he)
+    if basis.shape[1] == 0:
+        raise DegenerateChannelError(
+            "both channel Gram matrices are singular; no direction is identifiable"
+        )
+    lam, vecs = scipy.linalg.eigh(basis.conj().T @ a @ basis)
+    if lam[-1] <= 0:
+        raise DegenerateChannelError("no gain to the intended receiver in her null space")
+    t = basis @ vecs[:, -1]
     return t / np.linalg.norm(t)
 
 

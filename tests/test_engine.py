@@ -493,11 +493,13 @@ def _eve_pairs(na: int, nb: int, ne: int, seed: int, count: int = 6):
     return hb, he
 
 
-def _direction_or_error(fn, *args):
+def _factors(gram) -> bool:
+    """Whether the Cholesky factorization that hegvd starts from succeeds."""
     try:
-        return fn(*args)
-    except DegenerateChannelError as exc:
-        return str(exc)
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _assert_null_space_direction(hb, he, got, want):
@@ -513,34 +515,39 @@ def _assert_null_space_direction(hb, he, got, want):
 def test_stacked_eve_aware_directions_are_the_per_matrix_eigh(na):
     # Every (nb <= na, ne) shape.  Where a generalized problem is posed
     # (generic pairs, ne < na - 1 in Eve's null space through the reciprocal
-    # problem, a rank-deficient Eve with ne >= na) the stacked directions are
-    # scipy's bit for bit.  With nb < na and ne < na both Gram matrices are
-    # singular by shape, and the direction is Bob's strongest in Eve's null
-    # space.  With nb < na a rank-deficient Eve with ne >= na leaves both
-    # Gram matrices singular and is refused.
+    # problem, a rank-deficient Eve with ne >= na and nb = na) the stacked
+    # directions are scipy's bit for bit.  With nb < na and ne < na both Gram
+    # matrices are singular by shape, and the direction is Bob's strongest in
+    # Eve's null space.  Where neither Gram matrix factors (nb < na and a
+    # rank-deficient Eve with ne >= na) she has a null space all the same,
+    # found by her rank.
     outcomes = set()
     for nb in range(1, na + 1):
         for ne in range(1, 11):
             hb, he = _eve_pairs(na, nb, ne, seed=100 * na + 10 * nb + ne)
-            want = [_direction_or_error(oracles.eve_aware_direction, b, e) for b, e in zip(hb, he)]
-            got = [_direction_or_error(_eve_aware_direction, b, e) for b, e in zip(hb, he)]
-            for b, e, g, w in zip(hb, he, got, want):
-                if isinstance(w, str):
-                    outcomes.add("refused")
-                    assert g == w
-                elif nb < na and ne < na:
-                    outcomes.add("null space")
-                    _assert_null_space_direction(b, e, g, w)
+            got = eve_aware_directions(hb.conj().swapaxes(1, 2) @ hb,
+                                       he.conj().swapaxes(1, 2) @ he, ne, nb)
+            for b, e, g in zip(hb, he, got):
+                want = oracles.eve_aware_direction(b, e)
+                np.testing.assert_array_equal(_eve_aware_direction(b, e), g)
+                if nb < na and ne < na:
+                    outcomes.add("null space by shape")
+                    _assert_null_space_direction(b, e, g, want)
+                elif not (_factors(e.conj().T @ e) or _factors(b.conj().T @ b)):
+                    outcomes.add("null space by rank")
+                    _assert_null_space_direction(b, e, g, want)
                 else:
                     outcomes.add("generalized")
-                    np.testing.assert_array_equal(g, w)
-            grams = (hb.conj().swapaxes(1, 2) @ hb, he.conj().swapaxes(1, 2) @ he, ne, nb)
-            if any(isinstance(w, str) for w in want):
-                with pytest.raises(DegenerateChannelError):
-                    eve_aware_directions(*grams)
-            else:
-                np.testing.assert_array_equal(eve_aware_directions(*grams), np.stack(got))
-    assert outcomes == ({"generalized"} if na == 1 else {"generalized", "null space", "refused"})
+                    np.testing.assert_array_equal(g, want)
+    assert outcomes == ({"generalized"} if na == 1 else
+                        {"generalized", "null space by shape", "null space by rank"})
+
+
+def test_no_bob_gain_in_a_rank_deficient_eves_null_space_is_refused():
+    hb, he = _eve_pairs(4, 2, 5, seed=7)
+    a = np.zeros_like(hb.conj().swapaxes(1, 2) @ hb)
+    with pytest.raises(DegenerateChannelError, match="null space"):
+        eve_aware_directions(a, he.conj().swapaxes(1, 2) @ he, 5, 2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -1,6 +1,8 @@
 """Tests for the second-order perturbation moments and the SINR prediction."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from wiretap.perturbation import (
     predict_naive_sinr,
     simulate_naive,
 )
+from wiretap.robust import tdd_receiver
 
 from oracles import field_agreement, mc_moments
 
@@ -31,6 +34,8 @@ _COV_FIELDS = (
     "g", "g_prime", "g_dprime", "k", "e_dv_s", "e_vs_dvs",
     "e_dsigma1", "e_dsigma1_sq", "e_dv1", "e_dv1_outer",
 )
+# The fields compute_moments builds only when one of them is first read.
+_DEFERRED = ("d", "g", "g_prime", "g_dprime", "k", "e_dv_s", "e_vs_dvs", "e_dv1_outer")
 
 
 def _setup(nb: int, na: int, sigma_db: float, seed: int):
@@ -91,6 +96,44 @@ def test_scaled_rejects_negative_factor():
     m = compute_moments(svd, model)
     with pytest.raises(ParameterError):
         m.scaled(-1.0)
+
+
+@pytest.mark.parametrize("kind", ["iid", "full"])
+def test_prediction_and_receiver_never_build_the_deferred_fields(kind):
+    """The SINR prediction, the leak and the statistical receiver read only
+    the three stored fields: a deferred builder that raises is never run."""
+    chan, svd, model = _setup(4, 4, -20.0, 9)
+    if kind == "full":
+        model = CsiErrorModel.full(model.sigma_h_sq * np.eye(16))
+
+    def refuse():
+        raise AssertionError("deferred moments were built")
+
+    m = replace(compute_moments(svd, model), _build=refuse)
+    for moments in (m, m.scaled(2.0)):
+        predict_naive_sinr(svd, moments, chan, 100.0)
+        first_vector_leak(svd, moments)
+        tdd_receiver(chan, svd, moments, sample_csi_error(model, 4, 4, rng_seed=[9, 0]), 100.0)
+    with pytest.raises(AssertionError, match="deferred"):
+        m.g
+
+
+def test_deferred_fields_do_not_depend_on_the_reading_order():
+    _, svd, _ = _setup(3, 5, -15.0, 21)
+    model = CsiErrorModel.iid(1e-2)
+    forward, backward = compute_moments(svd, model), compute_moments(svd, model)
+    want = {name: getattr(forward, name) for name in _DEFERRED}
+    got = {name: getattr(backward, name) for name in reversed(_DEFERRED)}
+    for name in _DEFERRED:
+        np.testing.assert_array_equal(got[name], want[name])
+    # Scaled before or after the base fields exist, bit for bit the product.
+    fresh = compute_moments(svd, model)
+    early = fresh.scaled(3.0)
+    np.testing.assert_array_equal(early.g, fresh.g * 3.0)
+    for name in _DEFERRED:
+        factor = 1.0 if name == "d" else 3.0
+        np.testing.assert_array_equal(getattr(forward.scaled(3.0), name), want[name] * factor)
+        np.testing.assert_array_equal(getattr(early, name), getattr(fresh, name) * factor)
 
 
 def test_sandwich_moments_are_hermitian():

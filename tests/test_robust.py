@@ -1,6 +1,8 @@
 """Tests for the two receiver-side recovery modes."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.random import SeedSequence, default_rng
@@ -15,7 +17,7 @@ from wiretap.channels import (
     partition_svd,
 )
 from wiretap.exceptions import ParameterError
-from wiretap.perturbation import PerturbMoments, compute_moments, naive_trial
+from wiretap.perturbation import compute_moments, naive_trial
 from wiretap.robust import (
     _fdd_trial,
     _tdd_trial,
@@ -149,25 +151,11 @@ class TestTddReceiver:
 
     def test_diagonal_loading_restores_definiteness(self):
         # An expected beam drift orthogonal to the nominal direction makes
-        # the cross terms indefinite; fabricated moments force that corner.
+        # the cross terms indefinite; a fabricated drift forces that corner.
         chan = generate_channels(4, 4, 2, rng_seed=9)
         svd = partition_svd(chan.h_ba)
-        na = chan.na
-        f = svd.f
         drift = 3.0 * svd.v_s[:, 1]
-        moments = PerturbMoments(
-            d=np.ones(f - 1),
-            g=np.zeros((chan.nb, chan.nb), dtype=complex),
-            g_prime=np.zeros((chan.nb, chan.nb), dtype=complex),
-            g_dprime=np.zeros((na, na), dtype=complex),
-            k=np.zeros((chan.nb, chan.nb), dtype=complex),
-            e_dv_s=np.zeros((na, f - 1), dtype=complex),
-            e_vs_dvs=np.zeros((f - 1, f - 1), dtype=complex),
-            e_dsigma1=0.0,
-            e_dsigma1_sq=0.0,
-            e_dv1=drift.astype(complex),
-            e_dv1_outer=np.zeros((na, na), dtype=complex),
-        )
+        moments = replace(compute_moments(svd, CsiErrorModel.zero()), e_dv1=drift.astype(complex))
         tilde = _tilde(chan.h_ba.entries + _error(chan, 4))
         design = robust_tdd(
             chan.h_ba.entries[None], np.array([svd.sigma1]), svd.u1[None], svd.v1[None],
