@@ -31,7 +31,7 @@ def main() -> None:
 
     svd = partition_svd(chan.h_ba)
     scheme = design_artificial_noise(chan, svd, target)
-    print("channel singular values:", np.round(svd.singular_values, 3))
+    print("channel singular values:", np.round(svd.s, 3))
     print(f"data direction = strongest right singular vector, "
           f"data power fraction rho = {scheme.rho:.4f}")
     print(f"power split: {scheme.data_power:.2f} on data + "

@@ -14,7 +14,7 @@ from .channels import (
     ChannelMatrix,
     ChannelSet,
     CsiErrorModel,
-    SvdPartition,
+    SvdStack,
     align_singular_vectors,
     complex_gaussian,
     generate_channels,
@@ -37,9 +37,7 @@ from .harness import (
     ExperimentConfig,
     SweepResult,
     preset_config,
-    run_ecsi_comparison,
     run_experiment,
-    run_prediction_comparison,
 )
 from .perturbation import (
     PerturbMoments,
@@ -88,7 +86,7 @@ __all__ = [
     "SCENARIOS",
     "SCHEMES",
     "SinrReport",
-    "SvdPartition",
+    "SvdStack",
     "SweepResult",
     "TxScheme",
     "ValidityRangeError",
@@ -116,9 +114,7 @@ __all__ = [
     "predict_naive_sinr",
     "preset_config",
     "required_rho",
-    "run_ecsi_comparison",
     "run_experiment",
-    "run_prediction_comparison",
     "sample_csi_error",
     "secrecy_capacity_full",
     "secrecy_capacity_proxy",

@@ -180,19 +180,41 @@ def _fix_phases(u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class SvdStack(NamedTuple):
-    """Phase-fixed SVDs of a stack of channels, as plain arrays.
+    """Phase-fixed SVDs H = U diag(s) V^H of one channel or a stack, as plain arrays.
 
     ``u`` (..., m, m) and ``v`` (..., n, n) hold the left and right singular
     vectors as columns, ``s`` (..., m) the singular values in descending
-    order, and ``ill_conditioned`` (...) the flag of :class:`SvdPartition`.
-    Column 0 of ``v`` is the dominant direction and ``v[..., 1:]`` the
-    interference subspace ``t_prime``.
+    order, and ``ill_conditioned`` (...) whether a gap between squared
+    singular values is too small for the perturbation expansion.  The
+    leading axes are empty for a single channel (:func:`partition_svd`).
+    Column 0 of ``v`` is the data direction and the other columns, the null
+    space included, span the interference subspace ``t_prime``.
     """
 
     u: np.ndarray
     s: np.ndarray
     v: np.ndarray
     ill_conditioned: np.ndarray
+
+    @property
+    def sigma1(self) -> np.ndarray:
+        """Largest singular value."""
+        return self.s[..., 0]
+
+    @property
+    def u1(self) -> np.ndarray:
+        """Left singular vector of the largest singular value."""
+        return self.u[..., 0]
+
+    @property
+    def v1(self) -> np.ndarray:
+        """Right singular vector of the largest singular value."""
+        return self.v[..., 0]
+
+    @property
+    def t_prime(self) -> np.ndarray:
+        """The n-1 right singular vectors orthogonal to ``v1``."""
+        return self.v[..., 1:]
 
     def reconstruct(self) -> np.ndarray:
         """Rebuild the channels from their decompositions."""
@@ -201,11 +223,17 @@ class SvdStack(NamedTuple):
 
 
 def partition_stack(h: np.ndarray) -> SvdStack:
-    """Stacked :func:`partition_svd` over the leading axes of ``h``.
+    """Phase-fixed SVDs over the leading axes of ``h`` (..., m, n).
 
-    One LAPACK call decomposes the whole stack; the phase convention and the
-    rank and gap checks are those of :func:`partition_svd`, and a rank
-    deficient matrix anywhere in the stack raises DegenerateChannelError.
+    One LAPACK call decomposes the whole stack.  Requires rows <= cols;
+    callers holding tall matrices must pass the transpose and swap the
+    roles of the left and right vectors themselves.  Each right singular
+    vector is rotated so its largest-magnitude entry is real and positive,
+    and its left vector by the same phase.  A matrix whose weakest singular
+    value is below RANK_TOL of its strongest raises DegenerateChannelError
+    anywhere in the stack; near-repeated singular values only set the
+    ``ill_conditioned`` flag, which consumers that cannot tolerate small
+    gaps check.
     """
     m, n = h.shape[-2:]
     if m > n:
@@ -229,105 +257,13 @@ def partition_stack(h: np.ndarray) -> SvdStack:
     return SvdStack(u=u, s=s, v=v, ill_conditioned=ill)
 
 
-@dataclass(frozen=True)
-class SvdPartition:
-    """SVD of a channel split into its dominant block and weakest direction.
-
-    For an nb x na channel with nb <= na and F = nb, the first F-1 singular
-    triplets form (``u_s``, ``sigma_s``, ``v_s``) and the weakest triplet is
-    (``u_f``, ``sigma_f``, ``v_f``).  ``t_prime`` collects the na-1 right
-    singular vectors orthogonal to the strongest one, including any basis of
-    the channel's null space, and spans the subspace used to carry synthetic
-    interference.
-    """
-
-    u_s: np.ndarray
-    sigma_s: np.ndarray
-    v_s: np.ndarray
-    u_f: np.ndarray
-    sigma_f: float
-    v_f: np.ndarray
-    t_prime: np.ndarray
-    ill_conditioned: bool = False
-
-    @property
-    def f(self) -> int:
-        """Number of nonzero singular values, min(nb, na)."""
-        return len(self.sigma_s) + 1
-
-    @property
-    def n_rx(self) -> int:
-        return self.u_f.shape[0]
-
-    @property
-    def n_tx(self) -> int:
-        return self.v_f.shape[0]
-
-    @property
-    def sigma1(self) -> float:
-        """Largest singular value."""
-        return float(self.sigma_s[0]) if len(self.sigma_s) else self.sigma_f
-
-    @property
-    def v1(self) -> np.ndarray:
-        """Right singular vector of the largest singular value."""
-        return self.v_s[:, 0] if self.v_s.shape[1] else self.v_f
-
-    @property
-    def u1(self) -> np.ndarray:
-        """Left singular vector of the largest singular value."""
-        return self.u_s[:, 0] if self.u_s.shape[1] else self.u_f
-
-    @property
-    def singular_values(self) -> np.ndarray:
-        """All F singular values in descending order."""
-        return np.concatenate([self.sigma_s, [self.sigma_f]])
-
-    @property
-    def v_null(self) -> np.ndarray:
-        """Right singular vectors spanning the null space (empty when square)."""
-        return self.t_prime[:, self.f - 1:]
-
-    @property
-    def u_full(self) -> np.ndarray:
-        """Complete left singular basis, shape (nb, nb)."""
-        return np.hstack([self.u_s, self.u_f[:, None]])
-
-    @property
-    def v_full(self) -> np.ndarray:
-        """Complete right singular basis, shape (na, na); trailing columns
-        beyond F span the null space."""
-        return np.hstack([self.v_s, self.v_f[:, None], self.v_null])
-
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild the channel from the partition."""
-        mat = self.u_s @ np.diag(self.sigma_s) @ self.v_s.conj().T
-        return mat + self.sigma_f * np.outer(self.u_f, self.v_f.conj())
-
-
-def partition_svd(h) -> SvdPartition:
-    """Singular value decomposition with a deterministic sign convention.
-
-    Requires rows <= cols; callers holding a tall matrix must pass the
-    transpose and swap the roles of the left and right vectors themselves.
-    Raises DegenerateChannelError if the weakest singular value is below
-    RANK_TOL relative to the strongest.  Near-repeated singular values only
-    set the ``ill_conditioned`` flag; consumers that cannot tolerate small
-    gaps check it.
-    """
+def partition_svd(h) -> SvdStack:
+    """:func:`partition_stack` of one channel matrix: an :class:`SvdStack`
+    with no leading axes.  Raises DimensionError unless ``h`` is 2-D."""
     arr = as_matrix(h)
-    u, s, v, ill = partition_stack(arr)
-    f = arr.shape[0]
-    return SvdPartition(
-        u_s=u[:, : f - 1],
-        sigma_s=s[: f - 1].copy(),
-        v_s=v[:, : f - 1],
-        u_f=u[:, f - 1],
-        sigma_f=float(s[f - 1]),
-        v_f=v[:, f - 1],
-        t_prime=v[:, 1:],
-        ill_conditioned=bool(ill),
-    )
+    if arr.ndim != 2:
+        raise DimensionError(f"partition_svd expects one 2-D matrix, got shape {arr.shape}")
+    return partition_stack(arr)
 
 
 def align_singular_vectors(reference: np.ndarray, perturbed: np.ndarray) -> np.ndarray:

@@ -34,9 +34,7 @@ from .harness import (
     ExperimentConfig,
     SweepResult,
     preset_config,
-    run_ecsi_comparison,
     run_experiment,
-    run_prediction_comparison,
 )
 from .perturbation import compute_moments, predict_naive_sinr
 from .units import from_db, to_db
@@ -263,12 +261,7 @@ def _print_summary(result: SweepResult, cfg: ExperimentConfig) -> None:
 
 def _run_sweep(cfg: ExperimentConfig, out_dir: str, fmt: str) -> int:
     start = time.perf_counter()
-    if cfg.scenario == "fig2_prediction":
-        result = run_prediction_comparison(cfg)
-    elif cfg.scenario == "fig1_ne_sweep":
-        result = run_ecsi_comparison(cfg)
-    else:
-        result = run_experiment(cfg)
+    result = run_experiment(cfg)
     wall = time.perf_counter() - start
     _print_summary(result, cfg)
     for path in _write_outputs(result, cfg, out_dir, fmt, wall):

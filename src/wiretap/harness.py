@@ -522,7 +522,7 @@ class _Block:
     @cached_property
     def e_dv1(self) -> np.ndarray:
         """Mean drift of the dominant right vector, stacked level by level."""
-        drift = self.moments.drift[:, None] * self.part.v[..., 0]
+        drift = self.moments.drift[:, None] * self.part.v1
         return np.concatenate([drift * float(from_db(sigma_db)) for sigma_db in self.levels])
 
     def rows(self, key) -> np.ndarray:
@@ -542,8 +542,7 @@ def _artificial_noise(blk: _Block, tx: SvdStack) -> list[Design]:
     estimates' at every level), noise on the rest; Bob matches his
     channel's own."""
     k = len(tx.s) // blk.n
-    return artificial_noise(tx.s[:, 0], tx.v, _tile(blk.h, k), _tile(blk.part.v[..., 0], k),
-                            *blk.budget)
+    return artificial_noise(tx.sigma1, tx.v, _tile(blk.h, k), _tile(blk.part.v1, k), *blk.budget)
 
 
 def _eve_aware(blk: _Block, name: str) -> list[Design]:
@@ -558,10 +557,9 @@ def _robust_fdd(blk: _Block) -> list[Design]:
 
 
 def _robust_tdd(blk: _Block) -> list[Design]:
-    k = len(blk.levels)
-    s, u, v = blk.part.s, blk.part.u, blk.part.v
-    return robust_tdd(_tile(blk.h, k), _tile(s[:, 0], k), _tile(u[..., 0], k),
-                      _tile(v[..., 0], k), blk.e_dv1, blk.tilde.v, *blk.budget)
+    k, part = len(blk.levels), blk.part
+    return robust_tdd(_tile(blk.h, k), _tile(part.sigma1, k), _tile(part.u1, k),
+                      _tile(part.v1, k), blk.e_dv1, blk.tilde.v, *blk.budget)
 
 
 # Every simulated scheme: its designs for all targets of the sweep at once,
@@ -588,7 +586,7 @@ def _analytic_naive(blk: _Block) -> np.ndarray:
     sigma_sq = np.repeat(
         [float(from_db(blk.levels[i])) for i in blk.key_index["level"]], blk.n
     )
-    sigma1, v1 = _tile(blk.part.s[:, 0], k), _tile(blk.part.v[..., 0], k)
+    sigma1, v1 = _tile(blk.part.sigma1, k), _tile(blk.part.v1, k)
     rho = required_rho(sigma1, blk.row_targets, cfg.power_p, cfg.sigma_b_sq)
     num, den = naive_terms(
         sigma1, rho, 2.0 * self_drift(v1, blk.e_dv1[blk.rows("level")]),
@@ -727,22 +725,3 @@ def run_experiment(cfg: ExperimentConfig) -> SweepResult:
         meta=meta,
     )
 
-
-def run_prediction_comparison(cfg: ExperimentConfig) -> SweepResult:
-    """Closed-form degradation estimate against the simulated naive link.
-
-    Requires both the ``naive`` and ``analytic_naive`` schemes.  The
-    analytic series' pooled figure divides channel-averaged expected powers,
-    matching the pooled ratio reported for the simulation.
-    """
-    missing = {"naive", "analytic_naive"} - set(cfg.schemes)
-    if missing:
-        raise ConfigError(f"prediction comparison needs schemes {sorted(missing)}")
-    return run_experiment(cfg)
-
-
-def run_ecsi_comparison(cfg: ExperimentConfig) -> SweepResult:
-    """Eavesdropper-knowledge comparison across her antenna counts."""
-    if cfg.axis()[0] != "ne":
-        raise ConfigError("the eavesdropper comparison sweeps ne")
-    return run_experiment(cfg)

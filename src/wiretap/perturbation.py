@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channels import ChannelSet, CsiErrorModel, SvdPartition, as_matrix, partition_svd
+from .channels import ChannelSet, CsiErrorModel, SvdStack, as_matrix, partition_svd
 from .exceptions import IllConditionedGapError, ParameterError, ValidityRangeError
 from .stacked import vdot
 from .transmit import (
@@ -121,41 +121,40 @@ class PerturbMoments:
         )
 
 
-def _second_moment_tensor(svd: SvdPartition, v: np.ndarray, err: CsiErrorModel) -> np.ndarray:
-    """The tensor M[i, j, k, l] of the error in the singular bases (``v``: ``svd.v_full``)."""
-    m, n = svd.n_rx, svd.n_tx
+def _second_moment_tensor(svd: SvdStack, err: CsiErrorModel) -> np.ndarray:
+    """The tensor M[i, j, k, l] of the error in the singular bases."""
+    u, v = svd.u, svd.v
+    m, n = len(u), len(v)
     if err.kind == "iid":
         return err.sigma_h_sq * np.einsum(
             "ik,jl->ijkl", np.eye(m), np.eye(n)
         ).astype(np.complex128)
     t = err.cov_tensor(m, n)
-    u = svd.u_full
     stage = np.einsum("ai,apbq->ipbq", u.conj(), t)
     stage = np.einsum("pj,ipbq->ijbq", v, stage)
     stage = np.einsum("bk,ijbq->ijkq", u, stage)
     return np.einsum("ql,ijkq->ijkl", v.conj(), stage)
 
 
-def _sandwich_rows(x: np.ndarray, svd: SvdPartition, err: CsiErrorModel) -> np.ndarray:
-    """E{dH x dH^H} for an n_tx x n_tx weight x (result n_rx x n_rx)."""
-    m, n = svd.n_rx, svd.n_tx
+def _sandwich_rows(x: np.ndarray, err: CsiErrorModel, m: int, n: int) -> np.ndarray:
+    """E{dH x dH^H} for the m x n error dH and an n x n weight x (result m x m)."""
     if err.kind == "iid":
         return err.sigma_h_sq * np.trace(x) * np.eye(m, dtype=np.complex128)
     t = err.cov_tensor(m, n)
     return np.einsum("pq,apbq->ab", x, t)
 
 
-def _sandwich_cols(y: np.ndarray, svd: SvdPartition, err: CsiErrorModel) -> np.ndarray:
-    """E{dH^H y dH} for an n_rx x n_rx weight y (result n_tx x n_tx)."""
-    m, n = svd.n_rx, svd.n_tx
+def _sandwich_cols(y: np.ndarray, err: CsiErrorModel, m: int, n: int) -> np.ndarray:
+    """E{dH^H y dH} for the m x n error dH and an m x m weight y (result n x n)."""
     if err.kind == "iid":
         return err.sigma_h_sq * np.trace(y) * np.eye(n, dtype=np.complex128)
     t = err.cov_tensor(m, n)
     return np.einsum("ab,bqap->pq", y, t)
 
 
-def compute_moments(svd: SvdPartition, err: CsiErrorModel) -> PerturbMoments:
-    """Closed-form perturbation moments of the decomposition under ``err``.
+def compute_moments(svd: SvdStack, err: CsiErrorModel) -> PerturbMoments:
+    """Closed-form perturbation moments of one channel's decomposition
+    (:func:`~wiretap.channels.partition_svd`) under ``err``.
 
     Expansion of the Gram matrix (H+dH)^H (H+dH) around H^H H through second
     order gives, for each strong right vector v_j, the coefficient of its
@@ -166,7 +165,7 @@ def compute_moments(svd: SvdPartition, err: CsiErrorModel) -> PerturbMoments:
     three stored fields; the deferred fields are built from the same
     tensor when first read.
 
-    Raises :class:`IllConditionedGapError` when the partition was flagged
+    Raises :class:`IllConditionedGapError` when the decomposition was flagged
     ill-conditioned or any pairwise singular-value gap is too small for the
     expansion to hold.
     """
@@ -174,9 +173,9 @@ def compute_moments(svd: SvdPartition, err: CsiErrorModel) -> PerturbMoments:
         raise IllConditionedGapError(
             "singular-value gaps too small: perturbation moments are unreliable"
         )
-    m, n = svd.n_rx, svd.n_tx
-    f = svd.f
-    sig = svd.singular_values
+    sig, v = svd.s, svd.v
+    m, n = len(sig), len(v)
+    f = m  # nonzero singular values, min(n_rx, n_tx)
     lam = sig**2
     lam1 = lam[0]
     if m > 1:
@@ -188,8 +187,7 @@ def compute_moments(svd: SvdPartition, err: CsiErrorModel) -> PerturbMoments:
     sig_ext = np.concatenate([sig, np.zeros(n - m)])
     lam_ext = np.concatenate([lam, np.zeros(n - m)])
 
-    v = svd.v_full
-    mom = _second_moment_tensor(svd, v, err)
+    mom = _second_moment_tensor(svd, err)
 
     def drift_coefficients(j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Mean drift coefficients of right vector j on every direction.
@@ -260,15 +258,17 @@ def compute_moments(svd: SvdPartition, err: CsiErrorModel) -> PerturbMoments:
         for j in range(1, f - 1):
             e_dv_coeff[:, j] = drift_coefficients(j)[0]
 
+        # The strong block (U_s, V_s) and the weakest right vector v_f.
+        u_s, v_s, v_f = svd.u[:, : f - 1], v[:, : f - 1], v[:, f - 1]
         d = 1.0 / (lam[: f - 1] - lam[f - 1])
-        dmat_v = svd.v_s @ np.diag(d) @ svd.v_s.conj().T
-        dmat_u = svd.u_s @ np.diag(d) @ svd.u_s.conj().T
+        dmat_v = v_s @ np.diag(d) @ v_s.conj().T
+        dmat_u = u_s @ np.diag(d) @ u_s.conj().T
         return dict(
             d=d,
-            g=_sandwich_rows(np.outer(svd.v_f, svd.v_f.conj()), svd, err),
-            g_prime=_sandwich_rows(dmat_v, svd, err),
-            g_dprime=_sandwich_cols(dmat_u, svd, err),
-            k=_sandwich_rows(svd.v_s @ svd.v_s.conj().T, svd, err),
+            g=_sandwich_rows(np.outer(v_f, v_f.conj()), err, m, n),
+            g_prime=_sandwich_rows(dmat_v, err, m, n),
+            g_dprime=_sandwich_cols(dmat_u, err, m, n),
+            k=_sandwich_rows(v_s @ v_s.conj().T, err, m, n),
             e_dv_s=v @ e_dv_coeff,
             e_vs_dvs=e_dv_coeff[: f - 1, :].copy(),
             e_dv1_outer=e_dv1_outer,
@@ -329,7 +329,7 @@ def self_drift(v1: np.ndarray, e_dv1: np.ndarray) -> np.ndarray:
     return np.real(vdot(v1, e_dv1))
 
 
-def first_vector_leak(svd: SvdPartition, moments: PerturbMoments) -> float:
+def first_vector_leak(svd: SvdStack, moments: PerturbMoments) -> float:
     """Expected power of the dominant right vector landing off itself.
 
     E{1 - |v_1^H v~_1|^2} through second order; equals minus twice the real
@@ -339,7 +339,7 @@ def first_vector_leak(svd: SvdPartition, moments: PerturbMoments) -> float:
 
 
 def naive_sinr_terms(
-    svd: SvdPartition, moments: PerturbMoments, chan: ChannelSet, target_sinr: float
+    svd: SvdStack, moments: PerturbMoments, chan: ChannelSet, target_sinr: float
 ) -> tuple[float, float]:
     """Numerator and denominator of the closed-form naive-receiver SINR.
 
@@ -350,13 +350,14 @@ def naive_sinr_terms(
     dividing.  Raises :class:`ValidityRangeError` if the nominal design is
     already in outage, where the expansion does not apply.
     """
-    rho = required_rho(svd.sigma1, target_sinr, chan.power_p, chan.sigma_b_sq)
+    sigma1 = float(svd.sigma1)
+    rho = required_rho(sigma1, target_sinr, chan.power_p, chan.sigma_b_sq)
     if rho >= 1.0:
         raise ValidityRangeError(
             "nominal design is in outage; the closed-form degradation is undefined"
         )
     return naive_terms(
-        svd.sigma1, rho, 2.0 * float(self_drift(svd.v1, moments.e_dv1)), moments.e_dsigma1,
+        sigma1, rho, 2.0 * float(self_drift(svd.v1, moments.e_dv1)), moments.e_dsigma1,
         moments.e_dsigma1_sq, chan.power_p, chan.sigma_b_sq, chan.na,
     )
 
@@ -376,7 +377,7 @@ def naive_terms(sigma1, rho, two_re_drift, e_dsigma1, e_dsigma1_sq, power_p: flo
 
 
 def predict_naive_sinr(
-    svd: SvdPartition, moments: PerturbMoments, chan: ChannelSet, target_sinr: float
+    svd: SvdStack, moments: PerturbMoments, chan: ChannelSet, target_sinr: float
 ) -> float:
     """Closed-form expected SINR of the mismatched (naive) receiver.
 
@@ -408,7 +409,7 @@ def naive_trial(
     err_sample: np.ndarray,
     target_sinr: float,
     *,
-    svd: SvdPartition | None = None,
+    svd: SvdStack | None = None,
 ) -> tuple[SinrReport, LinkSinr, LinkSinr, TxScheme]:
     """One mismatched trial, returning the report plus both raw link powers.
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import ChannelSet, SvdPartition, SvdStack, as_matrix, partition_stack
+from .channels import ChannelSet, SvdStack, as_matrix, partition_stack
 from .exceptions import ParameterError
 from .perturbation import PerturbMoments, self_drift
 from .stacked import any_true, herm, matvec, outer
@@ -390,15 +390,16 @@ def fdd_receiver(
 
 def _tdd_trial(
     chan: ChannelSet,
-    svd: SvdPartition,
+    svd: SvdStack,
     moments: PerturbMoments,
     tilde: SvdStack,
     target_sinr: float,
 ) -> tuple[RxBeamformer, SinrReport, LinkSinr, LinkSinr, TxScheme]:
-    """Statistical recovery for one trial from the estimate's decomposition
-    (a stack of one): the batch of one of :func:`robust_tdd`."""
+    """Statistical recovery for one trial from the channel's decomposition
+    ``svd`` and the estimate's ``tilde`` (a stack of one): the batch of one
+    of :func:`robust_tdd`."""
     d = robust_tdd(
-        chan.h_ba.entries[None], np.array([svd.sigma1]), svd.u1[None], svd.v1[None],
+        chan.h_ba.entries[None], svd.sigma1[None], svd.u1[None], svd.v1[None],
         moments.e_dv1[None], tilde.v, (target_sinr,), chan.power_p, chan.sigma_b_sq,
     )[0]
     scheme, _, report, bob, eve = run_trial(chan, d, target_sinr)
@@ -407,7 +408,7 @@ def _tdd_trial(
 
 def tdd_receiver(
     chan: ChannelSet,
-    svd: SvdPartition,
+    svd: SvdStack,
     moments: PerturbMoments,
     err_sample: np.ndarray,
     target_sinr: float,

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import ChannelSet, SvdPartition, as_matrix, partition_svd
+from .channels import ChannelSet, SvdStack, as_matrix, partition_svd
 from .exceptions import DegenerateChannelError, DimensionError, ParameterError
 from .stacked import any_true, herm, matvec, outer, vdot
 
@@ -268,22 +268,26 @@ def eve_aware_directions(a: np.ndarray, b: np.ndarray, ne, nb: int) -> np.ndarra
 
     ``a`` and ``b`` (T, na, na) are the Gram matrices H^H H of the intended
     receiver's channels, with ``nb`` rows, and of the eavesdropper's, with
-    ``ne`` rows (one count, or one per matrix); the shapes pick the method.
-    Where she has at least as many antennas as the transmitter the direction
-    solves a t = lam b t for the largest ratio.  Where she has fewer (or her
-    Gram matrix fails to factor) it solves the reciprocal problem for the
-    smallest ratio, which lies in her null space.  Where both are singular
-    (the intended receiver has fewer antennas too, or her channel is rank
-    deficient) the direction is his strongest one in her null space N (the
-    eigenvectors of b beyond her rank, ne or that of b): N times the top
-    eigenvector of N^H a N (Khisti and Wornell, IEEE Trans. IT 2010).
-    Raises ValueError for non-finite input and DegenerateChannelError when
-    no direction reaches the intended receiver.
+    ``ne`` rows (one count, or one per matrix).  Where her rank (``ne``, or
+    that of ``b`` when ``a`` is singular by shape, nb < na) reaches the
+    transmitter's antenna count the direction solves a t = lam b t for the
+    largest ratio.  Where she has fewer antennas (or her Gram matrix fails
+    to factor) it solves the reciprocal problem for the smallest ratio,
+    which lies in her null space.  Where both are singular (nb < na and her
+    rank is below na, or neither Gram matrix factors) the direction is his
+    strongest one in her null space N (the eigenvectors of b beyond her
+    rank): N times the top eigenvector of N^H a N (Khisti and Wornell, IEEE
+    Trans. IT 2010).  Raises ValueError for non-finite input and
+    DegenerateChannelError when no direction reaches the intended receiver.
     """
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
     na = a.shape[-1]
     rank = np.array(np.broadcast_to(ne, a.shape[:-2]))
+    if nb < na:
+        # A singular a can still pass hegvd's Cholesky in floating point,
+        # so her rank, not the solver's info, routes these rows.
+        rank = np.linalg.matrix_rank(b, hermitian=True)
     null = (rank < na) & (nb < na)
     t = np.empty(a.shape[:-1], dtype=np.complex128)
     pairs = np.flatnonzero(~null)
@@ -494,21 +498,21 @@ def run_trial(chan: ChannelSet, d: Design, target_sinr: float):
     return scheme, RxBeamformer(w_e[0], "mmse"), _report(bob, eve, scheme.outage), bob, eve
 
 
-def single_artificial_noise(chan: ChannelSet, tx: SvdPartition, rx: SvdPartition, target_sinr):
-    """:func:`artificial_noise` of one channel from the partition ``tx``,
+def single_artificial_noise(chan: ChannelSet, tx: SvdStack, rx: SvdStack, target_sinr):
+    """:func:`artificial_noise` of one channel from the decomposition ``tx``,
     with Bob matched to ``rx``."""
     return artificial_noise(
-        np.array([tx.sigma1]), tx.v_full[None], chan.h_ba.entries[None], rx.v1[None],
+        tx.sigma1[None], tx.v[None], chan.h_ba.entries[None], rx.v1[None],
         (target_sinr,), chan.power_p, chan.sigma_b_sq,
     )[0]
 
 
-def design_artificial_noise(chan: ChannelSet, svd: SvdPartition, target_sinr: float) -> TxScheme:
+def design_artificial_noise(chan: ChannelSet, svd: SvdStack, target_sinr: float) -> TxScheme:
     """Transmit design when the eavesdropper channel is unknown.
 
-    The batch of one of :func:`artificial_noise`.  Pass a perturbed
-    partition to model a transmitter acting on a stale estimate; the power
-    and noise figures still come from ``chan``.
+    The batch of one of :func:`artificial_noise`.  Pass the decomposition
+    of a perturbed channel to model a transmitter acting on a stale
+    estimate; the power and noise figures still come from ``chan``.
     """
     d = single_artificial_noise(chan, svd, svd, target_sinr)
     return _tx_scheme(d, chan.power_p, target_sinr)
@@ -583,7 +587,7 @@ def secrecy_capacity_full(chan: ChannelSet, scheme: TxScheme) -> float:
     )[0])
 
 
-def perfect_csi_trial(chan: ChannelSet, target_sinr: float, svd: SvdPartition | None = None):
+def perfect_csi_trial(chan: ChannelSet, target_sinr: float, svd: SvdStack | None = None):
     """Run the whole perfect-knowledge pipeline for one channel.
 
     Returns (scheme, bob beamformer, eve beamformer, report).  Convenience

@@ -41,7 +41,7 @@ from wiretap.channels import (
     ChannelMatrix,
     ChannelSet,
     CsiErrorModel,
-    SvdPartition,
+    SvdStack,
     as_matrix,
     complex_gaussian,
     partition_svd,
@@ -130,7 +130,7 @@ def _cols_sandwich(dh: np.ndarray, weight: np.ndarray) -> np.ndarray:
 
 
 def mc_moments(
-    svd: SvdPartition, sigma_h_sq: float, pairs: int, seed, chunk: int = 20000
+    svd: SvdStack, sigma_h_sq: float, pairs: int, seed, chunk: int = 20000
 ) -> McMoments:
     """Estimate every perturbation moment by simulation.
 
@@ -139,12 +139,14 @@ def mc_moments(
     """
     h = svd.reconstruct()
     m, n = h.shape
-    f = svd.f
+    f = m
     rng = np.random.default_rng(seed)
     scale = np.sqrt(sigma_h_sq / 2.0)
 
-    lam = svd.singular_values**2
+    lam = svd.s**2
     d_ref = 1.0 / (lam[: f - 1] - lam[f - 1])
+    # The strong block (U_s, V_s) and the weakest right vector v_f.
+    u_s, v_s, v_f = svd.u[:, : f - 1], svd.v[:, : f - 1], svd.v[:, f - 1]
 
     sum_g = np.zeros((m, m), dtype=np.complex128)
     sum_gp = np.zeros((m, m), dtype=np.complex128)
@@ -157,10 +159,10 @@ def mc_moments(
     sum_ds_sq = 0.0
 
     # Weights for the sandwich moments, fixed by the unperturbed channel.
-    w_vf = np.outer(svd.v_f, svd.v_f.conj())
-    w_vd = svd.v_s @ np.diag(d_ref) @ svd.v_s.conj().T
-    w_ud = svd.u_s @ np.diag(d_ref) @ svd.u_s.conj().T
-    w_vs = svd.v_s @ svd.v_s.conj().T
+    w_vf = np.outer(v_f, v_f.conj())
+    w_vd = v_s @ np.diag(d_ref) @ v_s.conj().T
+    w_ud = u_s @ np.diag(d_ref) @ u_s.conj().T
+    w_vs = v_s @ v_s.conj().T
 
     done = 0
     while done < pairs:
@@ -193,7 +195,7 @@ def mc_moments(
         if f > 1:
             sum_dv_s[:, 0] += dv1_pair.sum(axis=0)
         for j in range(1, f - 1):
-            ref = svd.v_s[:, j]
+            ref = v_s[:, j]
             vt = _align_to(ref, vh[:, j, :].conj())
             dv = vt - ref
             sum_dv_s[:, j] += 0.5 * (dv[:b] + dv[b:]).sum(axis=0)
@@ -208,7 +210,7 @@ def mc_moments(
         g_dprime=sum_gdp * inv_p,
         k=sum_k * inv_p,
         e_dv_s=e_dv_s,
-        e_vs_dvs=svd.v_s.conj().T @ e_dv_s,
+        e_vs_dvs=v_s.conj().T @ e_dv_s,
         e_dsigma1=sum_ds * inv_p,
         e_dsigma1_sq=sum_ds_sq * inv_p,
         e_dv1=sum_dv1 * inv_p,
@@ -340,7 +342,7 @@ def _one_scheme(
     cfg: ExperimentConfig,
     name: str,
     chan: ChannelSet,
-    svd: SvdPartition,
+    svd: SvdStack,
     target: float,
     part_tilde,
     moments,
@@ -442,7 +444,7 @@ def noise_factor_for(t_prime: np.ndarray, rho: float, power_p: float):
     return np.sqrt(noise_share(rho, power_p, na)) * t_prime
 
 
-def design_artificial_noise(chan: ChannelSet, svd: SvdPartition, target_sinr: float) -> Scheme:
+def design_artificial_noise(chan: ChannelSet, svd: SvdStack, target_sinr: float) -> Scheme:
     rho, outage = outage_fallback(
         required_rho(svd.sigma1, target_sinr, chan.power_p, chan.sigma_b_sq)
     )
@@ -506,7 +508,7 @@ def secrecy_capacity_full(chan: ChannelSet, scheme: Scheme) -> float:
     ))
 
 
-def naive_trial(chan: ChannelSet, svd: SvdPartition, part_tilde: SvdPartition, target_sinr):
+def naive_trial(chan: ChannelSet, svd: SvdStack, part_tilde: SvdStack, target_sinr):
     """Design from the estimate, Bob matched to the true channel."""
     scheme = design_artificial_noise(chan, part_tilde, target_sinr)
     w_b = chan.h_ba.entries @ svd.v1
@@ -514,7 +516,7 @@ def naive_trial(chan: ChannelSet, svd: SvdPartition, part_tilde: SvdPartition, t
     return report, bob, eve, scheme
 
 
-def _transmitted(chan: ChannelSet, part_tilde: SvdPartition, rho: float, target_sinr: float,
+def _transmitted(chan: ChannelSet, part_tilde: SvdStack, rho: float, target_sinr: float,
                  outage: bool) -> Scheme:
     """The estimate's directions at the requested fraction."""
     return Scheme(
@@ -524,7 +526,7 @@ def _transmitted(chan: ChannelSet, part_tilde: SvdPartition, rho: float, target_
     )
 
 
-def fdd_trial(chan: ChannelSet, part_tilde: SvdPartition, target_sinr: float,
+def fdd_trial(chan: ChannelSet, part_tilde: SvdStack, target_sinr: float,
               propagate_through_estimate: bool = False):
     h_design = part_tilde.reconstruct() if propagate_through_estimate else chan.h_ba.entries
     lam, evecs, signature, weights = fdd_spectrum(h_design, part_tilde.v1, part_tilde.t_prime)
@@ -539,7 +541,7 @@ def fdd_trial(chan: ChannelSet, part_tilde: SvdPartition, target_sinr: float,
     return report, bob, eve, scheme
 
 
-def tdd_trial(chan: ChannelSet, svd: SvdPartition, moments, part_tilde: SvdPartition,
+def tdd_trial(chan: ChannelSet, svd: SvdStack, moments, part_tilde: SvdStack,
               target_sinr: float):
     """Returns (report, Bob's link, Eve's link, scheme, loaded)."""
     h = chan.h_ba.entries
@@ -569,17 +571,18 @@ def eve_aware_direction(hb: np.ndarray, he: np.ndarray) -> np.ndarray:
     transmitter her Gram matrix is singular and the reciprocal problem is
     solved instead; its smallest ratio lies in her null space.  When both
     Gram matrices are singular (the intended receiver has fewer antennas
-    too, or her channel is rank deficient), the direction is his strongest
-    one inside her null space (``scipy.linalg.null_space`` of her channel).
-    Raises DegenerateChannelError when both Gram matrices are singular and
-    no direction reaches the intended receiver.
+    than the transmitter and her Gram matrix is rank deficient, or neither
+    factors), the direction is his strongest one inside her null space
+    (``scipy.linalg.null_space`` of her channel).  Raises
+    DegenerateChannelError when both Gram matrices are singular and no
+    direction reaches the intended receiver.
     """
     if hb.shape[1] != he.shape[1]:
         raise DimensionError(f"channel column counts differ: {hb.shape[1]} vs {he.shape[1]}")
     na = hb.shape[1]
     a = hb.conj().T @ hb
     b = he.conj().T @ he
-    if hb.shape[0] < na and he.shape[0] < na:
+    if hb.shape[0] < na and np.linalg.matrix_rank(b, hermitian=True) < na:
         return _null_space_direction(a, he)
     t = None
     if he.shape[0] >= na:

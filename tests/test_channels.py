@@ -89,9 +89,9 @@ class TestPartitionSvd:
     def test_values_descend_and_bases_are_orthonormal(self):
         h = generate_channels(6, 4, 1, rng_seed=3).h_ba.entries
         svd = partition_svd(h)
-        s = svd.singular_values
+        s = svd.s
         assert np.all(np.diff(s) <= 0) and s[-1] > 0
-        for basis in (svd.u_full, svd.v_full):
+        for basis in (svd.u, svd.v):
             np.testing.assert_allclose(
                 basis.conj().T @ basis, np.eye(basis.shape[1]), atol=1e-12
             )
@@ -105,14 +105,15 @@ class TestPartitionSvd:
     def test_null_space_really_is_null(self):
         h = generate_channels(6, 3, 1, rng_seed=5).h_ba.entries
         svd = partition_svd(h)
-        assert svd.v_null.shape == (6, 3)
-        np.testing.assert_allclose(h @ svd.v_null, 0.0, atol=1e-12)
+        null = svd.v[:, 3:]
+        assert null.shape == (6, 3)
+        np.testing.assert_allclose(h @ null, 0.0, atol=1e-12)
 
     def test_phase_convention_pins_each_right_vector(self):
         h = generate_channels(4, 4, 1, rng_seed=6).h_ba.entries
         svd = partition_svd(h)
         for j in range(4):
-            col = svd.v_full[:, j]
+            col = svd.v[:, j]
             pivot = col[int(np.argmax(np.abs(col)))]
             assert abs(pivot.imag) <= 1e-12 and pivot.real > 0
 

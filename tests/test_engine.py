@@ -18,6 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -27,13 +28,14 @@ from wiretap.channels import (
     ChannelMatrix,
     ChannelSet,
     CsiErrorModel,
+    SvdStack,
     complex_gaussian,
     generate_channels,
     partition_stack,
     partition_svd,
     perturb_ecsi,
 )
-from wiretap.exceptions import DegenerateChannelError
+from wiretap.exceptions import DegenerateChannelError, DimensionError
 from wiretap.harness import SCENARIOS, SCHEMES, ExperimentConfig, preset_config
 from wiretap.perturbation import compute_moments, iid_moments
 from wiretap.perturbation import naive_trial
@@ -443,7 +445,7 @@ def test_iid_closed_form_matches_compute_moments(shape):
     for k in range(10):
         svd = partition_svd(_random_channels(1, nb, na, seed=100 + k)[0])
         full = compute_moments(svd, CsiErrorModel.iid(1.0))
-        closed = iid_moments(svd.singular_values, na, svd.ill_conditioned)
+        closed = iid_moments(svd.s, na, svd.ill_conditioned)
         np.testing.assert_allclose(closed.drift * svd.v1, full.e_dv1, rtol=1e-12, atol=1e-15)
         assert closed.e_dsigma1 == pytest.approx(full.e_dsigma1, rel=1e-12)
         assert closed.e_dsigma1_sq == full.e_dsigma1_sq
@@ -454,11 +456,19 @@ def test_partition_stack_is_partition_svd_per_matrix():
     stack = partition_stack(h)
     for i in range(len(h)):
         single = partition_svd(h[i])
-        np.testing.assert_array_equal(stack.v[i, :, 1:], single.t_prime)
-        np.testing.assert_array_equal(stack.u[i], single.u_full)
-        np.testing.assert_array_equal(stack.s[i], single.singular_values)
-        assert stack.ill_conditioned[i] == single.ill_conditioned
+        assert isinstance(single, SvdStack)
+        for got, want in zip(single, stack):
+            assert got.shape == want.shape[1:]
+            np.testing.assert_array_equal(got, want[i])
+        np.testing.assert_array_equal(single.t_prime, stack.t_prime[i])
+        assert single.sigma1 == stack.sigma1[i]
     np.testing.assert_allclose(stack.reconstruct(), h, atol=1e-13)
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 3, 5), (1, 1, 3, 5)], ids=str)
+def test_partition_svd_refuses_anything_but_one_matrix(shape):
+    with pytest.raises(DimensionError):
+        partition_svd(np.ones(shape, dtype=complex))
 
 
 def test_partition_stack_refuses_a_rank_deficient_member():
@@ -493,22 +503,15 @@ def _eve_pairs(na: int, nb: int, ne: int, seed: int, count: int = 6):
     return hb, he
 
 
-def _factors(gram) -> bool:
-    """Whether the Cholesky factorization that hegvd starts from succeeds."""
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def _assert_null_space_direction(hb, he, got, want):
-    """``got`` lies in Eve's null space and is the oracle's ``want`` up to
-    phase, with the same gain to the intended receiver."""
+    """``got`` lies in Eve's null space N, is the oracle's ``want`` up to
+    phase, and its gain to the intended receiver is the top eigenvalue of
+    N^H A N."""
     assert np.linalg.norm(he @ got) ** 2 <= 1e-12 * np.linalg.norm(he) ** 2
     assert abs(np.vdot(want, got)) == pytest.approx(1.0, abs=1e-10)
-    assert np.linalg.norm(hb @ got) ** 2 == pytest.approx(np.linalg.norm(hb @ want) ** 2,
-                                                           rel=1e-10)
+    null = scipy.linalg.null_space(he)
+    best = np.linalg.eigvalsh(herm(hb @ null) @ (hb @ null))[-1]
+    assert np.linalg.norm(hb @ got) ** 2 == pytest.approx(best, rel=1e-10)
 
 
 @pytest.mark.parametrize("na", range(1, 7))
@@ -518,9 +521,9 @@ def test_stacked_eve_aware_directions_are_the_per_matrix_eigh(na):
     # problem, a rank-deficient Eve with ne >= na and nb = na) the stacked
     # directions are scipy's bit for bit.  With nb < na and ne < na both Gram
     # matrices are singular by shape, and the direction is Bob's strongest in
-    # Eve's null space.  Where neither Gram matrix factors (nb < na and a
-    # rank-deficient Eve with ne >= na) she has a null space all the same,
-    # found by her rank.
+    # Eve's null space.  With nb < na and a rank-deficient Eve at ne >= na
+    # she has a null space all the same, found by her rank, even where Bob's
+    # singular Gram matrix happens to pass a Cholesky factorization.
     outcomes = set()
     for nb in range(1, na + 1):
         for ne in range(1, 11):
@@ -533,7 +536,7 @@ def test_stacked_eve_aware_directions_are_the_per_matrix_eigh(na):
                 if nb < na and ne < na:
                     outcomes.add("null space by shape")
                     _assert_null_space_direction(b, e, g, want)
-                elif not (_factors(e.conj().T @ e) or _factors(b.conj().T @ b)):
+                elif nb < na and np.linalg.matrix_rank(e) < na:
                     outcomes.add("null space by rank")
                     _assert_null_space_direction(b, e, g, want)
                 else:

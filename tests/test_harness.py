@@ -11,9 +11,7 @@ from wiretap.harness import (
     SCHEMES,
     ExperimentConfig,
     preset_config,
-    run_ecsi_comparison,
     run_experiment,
-    run_prediction_comparison,
 )
 
 
@@ -236,15 +234,11 @@ class TestComparisonRunners:
     def test_prediction_tracks_simulation_inside_the_trusted_range(self):
         cfg = preset_config("fig2_prediction", trials=300,
                             sigma_h_db=(-20.0,), master_seed=5)
-        res = run_prediction_comparison(cfg)
+        res = run_experiment(cfg)
         measured = res.series["naive"]["roe_sinr_b_db"][0]
         predicted = res.series["analytic_naive"]["roe_sinr_b_db"][0]
         assert measured == pytest.approx(predicted, abs=1.5)
         assert not res.extrapolated[0]
-
-    def test_prediction_comparison_needs_both_series(self):
-        with pytest.raises(ConfigError):
-            run_prediction_comparison(_small(schemes=("naive",), sigma_h_db=-20.0))
 
     def test_analytic_series_flags_outage_channels(self):
         res = run_experiment(
@@ -253,14 +247,10 @@ class TestComparisonRunners:
         assert res.series["analytic_naive"]["flagged_count"] == (10,)
         assert res.series["analytic_naive"]["n_valid"] == (0,)
 
-    def test_ecsi_comparison_requires_the_antenna_axis(self):
-        with pytest.raises(ConfigError):
-            run_ecsi_comparison(_small())
-
     def test_ecsi_comparison_runs_on_the_antenna_axis(self):
         cfg = _small(na=4, nb=4, ne=(1, 4), trials=20,
                      schemes=("perfect", "known_ecsi"))
-        res = run_ecsi_comparison(cfg)
+        res = run_experiment(cfg)
         nulled = res.series["known_ecsi"]["roe_sinr_e"][0]
         square = res.series["known_ecsi"]["roe_sinr_e"][1]
         # One eavesdropper antenna against four transmit antennas is nulled

@@ -6,7 +6,8 @@ eigensolver loads ``scipy.linalg``, on first use, and nothing loads
 ``scipy.optimize``.  The worker pool's module loads only for multi-worker
 sweeps.  Each check runs in a fresh interpreter, since this test session
 has long since imported scipy itself.  No module of the package imports
-another one's private names.
+another one's private names, and every public name the benchmark calls or
+``__all__`` lists exists.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PERFBENCH = SRC.parent / "perfbench"
 
 
 def _modules_after(code: str) -> set[str]:
@@ -96,3 +98,21 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                 offenders += [f"{path.name}: {alias.name}" for alias in node.names
                               if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert not offenders
+
+
+def test_every_name_the_benchmark_calls_and_all_lists_resolves():
+    import wiretap
+
+    called = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            # wt.<name>, or workloads.wt.<name> from the benchmark's self test
+            if isinstance(node, ast.Attribute) and (
+                isinstance(node.value, ast.Name) and node.value.id == "wt"
+                or isinstance(node.value, ast.Attribute) and node.value.attr == "wt"
+            ):
+                called.add(node.attr)
+    assert called, "found no wt.<name> in the benchmark"
+    missing = sorted(name for name in called | set(wiretap.__all__)
+                     if not hasattr(wiretap, name))
+    assert not missing

@@ -61,7 +61,7 @@ def test_zero_error_model_gives_vanishing_moments():
     for name in _COV_FIELDS:
         assert np.max(np.abs(np.atleast_1d(getattr(m, name)))) == 0.0
     # The reciprocal gaps describe the channel, not the error.
-    lam = svd.singular_values**2
+    lam = svd.s**2
     np.testing.assert_allclose(m.d, 1.0 / (lam[:-1] - lam[-1]), rtol=1e-12)
 
 
@@ -175,6 +175,9 @@ def test_zero_error_prediction_returns_target_exactly():
         m = compute_moments(svd, CsiErrorModel.zero())
         pred = predict_naive_sinr(svd, m, chan, 100.0)
         assert abs(pred - 100.0) <= 1e-12 * 100.0
+        # Plain floats, not numpy scalars, although the decomposition is arrays.
+        assert type(pred) is float
+        assert [type(x) for x in naive_sinr_terms(svd, m, chan, 100.0)] == [float, float]
 
 
 def test_prediction_leaves_validity_range_for_huge_errors():

@@ -154,7 +154,7 @@ class TestTddReceiver:
         # the cross terms indefinite; a fabricated drift forces that corner.
         chan = generate_channels(4, 4, 2, rng_seed=9)
         svd = partition_svd(chan.h_ba)
-        drift = 3.0 * svd.v_s[:, 1]
+        drift = 3.0 * svd.v[:, 1]
         moments = replace(compute_moments(svd, CsiErrorModel.zero()), e_dv1=drift.astype(complex))
         tilde = _tilde(chan.h_ba.entries + _error(chan, 4))
         design = robust_tdd(
