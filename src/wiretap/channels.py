@@ -216,6 +216,13 @@ class SvdStack(NamedTuple):
         """The n-1 right singular vectors orthogonal to ``v1``."""
         return self.v[..., 1:]
 
+    def single(self) -> SvdStack:
+        """This decomposition, checked to be of one channel (DimensionError if not)."""
+        if self.s.ndim != 1:
+            shape = self.u.shape[:-1] + self.v.shape[-1:]
+            raise DimensionError(f"expected the SVD of one channel, got a stack of shape {shape}")
+        return self
+
     def reconstruct(self) -> np.ndarray:
         """Rebuild the channels from their decompositions."""
         m = self.s.shape[-1]

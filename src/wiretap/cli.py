@@ -17,7 +17,6 @@ import csv
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 from .channels import CsiErrorModel, generate_channels, partition_svd
@@ -97,7 +96,9 @@ def _parse_config_file(path: str) -> dict:
         try:
             out[key] = json.loads(value)
         except json.JSONDecodeError:
-            if "," in value:
+            if key in _SWEEPABLE:
+                out[key] = _parse_number_list(key, value, _SWEEPABLE[key])
+            elif "," in value:
                 out[key] = [v.strip() for v in value.split(",") if v.strip()]
             else:
                 out[key] = value
@@ -188,8 +189,8 @@ def _build_config(file_settings: dict, overrides: dict, scenario: str | None) ->
     return ExperimentConfig.from_dict(merged)
 
 
-def _write_outputs(result: SweepResult, cfg: ExperimentConfig, out_dir: str,
-                   fmt: str, wall_time: float) -> list[Path]:
+def _write_outputs(result: SweepResult, out_dir: str, fmt: str) -> list[Path]:
+    """Write results.json, the plot data and manifest.json, which is ``result.meta``."""
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -201,8 +202,8 @@ def _write_outputs(result: SweepResult, cfg: ExperimentConfig, out_dir: str,
         "schemes": list(result.schemes),
         "series": result.series,
         "extrapolated": list(result.extrapolated),
-        "config": cfg.to_dict(),
-        "version": __version__,
+        "config": result.meta["config"],
+        "version": result.meta["version"],
     }
     results_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     written.append(results_path)
@@ -217,7 +218,7 @@ def _write_outputs(result: SweepResult, cfg: ExperimentConfig, out_dir: str,
             "stderr_sinr_b_db": rec["stderr_sinr_b_db"],
             "mean_sinr_e_db": rec["mean_sinr_e_db"],
             "mean_secrecy": rec["mean_secrecy"],
-            "outage_fraction": rec["outage_count"] / cfg.trials,
+            "outage_fraction": rec["outage_count"] / result.meta["config"]["trials"],
             "extrapolated": rec["extrapolated"],
         })
     if fmt == "csv":
@@ -236,17 +237,13 @@ def _write_outputs(result: SweepResult, cfg: ExperimentConfig, out_dir: str,
     written.append(plot_path)
 
     manifest_path = directory / "manifest.json"
-    manifest = {
-        "config": cfg.to_dict(),
-        "version": __version__,
-        "wall_time_s": wall_time,
-    }
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    manifest_path.write_text(json.dumps(result.meta, indent=2, sort_keys=True) + "\n")
     written.append(manifest_path)
     return written
 
 
-def _print_summary(result: SweepResult, cfg: ExperimentConfig) -> None:
+def _print_summary(result: SweepResult) -> None:
+    trials = result.meta["config"]["trials"]
     for rec in result.records():
         extra = "  [outside trusted error range]" if rec["extrapolated"] else ""
         print(
@@ -255,16 +252,14 @@ def _print_summary(result: SweepResult, cfg: ExperimentConfig) -> None:
             f"(stderr {rec['stderr_sinr_b_db']:.3f}), "
             f"eavesdropper {rec['mean_sinr_e_db']:8.3f} dB, "
             f"secrecy {rec['mean_secrecy']:.4f}, "
-            f"outage {rec['outage_count']}/{cfg.trials}{extra}"
+            f"outage {rec['outage_count']}/{trials}{extra}"
         )
 
 
 def _run_sweep(cfg: ExperimentConfig, out_dir: str, fmt: str) -> int:
-    start = time.perf_counter()
     result = run_experiment(cfg)
-    wall = time.perf_counter() - start
-    _print_summary(result, cfg)
-    for path in _write_outputs(result, cfg, out_dir, fmt, wall):
+    _print_summary(result)
+    for path in _write_outputs(result, out_dir, fmt):
         print(f"wrote {path}")
     return 0
 

@@ -169,7 +169,7 @@ def compute_moments(svd: SvdStack, err: CsiErrorModel) -> PerturbMoments:
     ill-conditioned or any pairwise singular-value gap is too small for the
     expansion to hold.
     """
-    if svd.ill_conditioned:
+    if svd.single().ill_conditioned:
         raise IllConditionedGapError(
             "singular-value gaps too small: perturbation moments are unreliable"
         )
@@ -335,7 +335,7 @@ def first_vector_leak(svd: SvdStack, moments: PerturbMoments) -> float:
     E{1 - |v_1^H v~_1|^2} through second order; equals minus twice the real
     part of the self-alignment drift.
     """
-    return -2.0 * float(self_drift(svd.v1, moments.e_dv1))
+    return -2.0 * float(self_drift(svd.single().v1, moments.e_dv1))
 
 
 def naive_sinr_terms(
@@ -350,7 +350,7 @@ def naive_sinr_terms(
     dividing.  Raises :class:`ValidityRangeError` if the nominal design is
     already in outage, where the expansion does not apply.
     """
-    sigma1 = float(svd.sigma1)
+    sigma1 = float(svd.single().sigma1)
     rho = required_rho(sigma1, target_sinr, chan.power_p, chan.sigma_b_sq)
     if rho >= 1.0:
         raise ValidityRangeError(

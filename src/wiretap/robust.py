@@ -14,8 +14,11 @@ recovery modes are modeled, differing in what the receiver knows:
 In both modes the receiver also picks the data-power fraction: it solves for
 the smallest fraction whose (predicted) output SINR meets the target and
 feeds that number back to the transmitter, which otherwise keeps its own
-estimated directions.  Reported SINRs are always evaluated against the
-transmission that actually happened, through the true channel.
+estimated directions.  ``fdd`` inverts its output-SINR curve, which is
+increasing and convex in the fraction, by a Newton descent from the full
+budget (:func:`solve_fractions`); ``tdd`` sizes the fraction in closed form.
+Reported SINRs are always evaluated against the transmission that actually
+happened, through the true channel.
 """
 from __future__ import annotations
 
@@ -39,60 +42,9 @@ from .transmit import (
 # Diagonal loading fraction applied when an expected-interference matrix
 # fails to be positive definite.
 _LOADING = 1e-8
-# Bracket and tolerances of the power-fraction root solve.
+# Floor of the power fraction and iteration cap of its root solve.
 _RHO_FLOOR = 1e-14
-_XTOL = 1e-15
-_RTOL = 8.9e-16
 _MAXITER = 100
-
-
-def _brentq(f, xa: float, xb: float) -> float:
-    """Brent's root finder on one bracket [xa, xb], in Python floats.
-
-    Step for step the C ``brentq`` of scipy.optimize (Brent, "Algorithms
-    for Minimization without Derivatives", 1973) at ``_XTOL``, ``_RTOL``
-    and ``_MAXITER``, so it returns scipy's root bit for bit.
-    :func:`_brent` is the same iteration over arrays, which costs several
-    times more on a single bracket.
-    """
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_MAXITER):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_XTOL + _RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        # Interpolate (secant) or extrapolate (inverse quadratic), and keep
-        # the step only if it is short enough; bisect otherwise.
-        good = False
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                denom = dblk * dpre * (fblk - fpre)
-                # In C a zero denominator gives inf or NaN, which bisects.
-                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else np.inf
-            good = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
-        spre, scur = (scur, stry) if good else (sbis, sbis)
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError(f"Failed to converge after {_MAXITER} iterations")
 
 
 def solve_fractions(lam, weights, power_p: float, na: int, sigma_sq: float, target_sinr):
@@ -100,93 +52,45 @@ def solve_fractions(lam, weights, power_p: float, na: int, sigma_sq: float, targ
 
     ``lam`` and ``weights`` (..., nb) describe one gain curve per entry (see
     :func:`rank1_gains`) and ``target_sinr`` broadcasts against their
-    leading axes.  Raising rho adds signal and removes interference, so each
-    curve crosses its target at most once.  An entry gets (1.0, outage)
-    when even the full budget falls short, and ``_RHO_FLOOR`` when the
-    bracket's floor already meets the target.  The root solve is Brent's
-    method as scipy's ``brentq`` runs it, on the same bracket and
-    tolerances: :func:`_brentq` for a single bracket and :func:`_brent` for
-    every entry of several at once.  Returns (rho, outage) arrays.
+    leading axes.  An entry gets (1.0, outage) when even the full budget
+    falls short, and ``_RHO_FLOOR`` when the crossing lies below it.
+
+    Every other entry is solved by Newton's method.  With
+    D_i = a_i (1 - rho) + sigma^2 and a_i = lam_i P / (na - 1) (0 if na = 1),
+    the gain g(rho) = rho P sum_i w_i / D_i is increasing and convex, with
+    slope g'(rho) = P sum_i w_i (a_i + sigma^2) / D_i^2.  As D_i <= a_i +
+    sigma^2, g(rho) >= rho g'(0), so the start min(1, target / g'(0)) is not
+    below the crossing, and each tangent step lands between the crossing and
+    the current point.  The step is taken as
+
+        rho - (g - target) / g' = (rho^2 P sum_i w_i a_i / D_i^2 + target) / g',
+
+    a sum of nonnegative terms that keeps full relative precision however
+    far it moves.  Each entry keeps the smaller of its point and its step,
+    and the iteration stops when no entry moves.  Returns (rho, outage).
     """
     if any_true(target_sinr <= 0):
         raise ParameterError(f"target_sinr must be positive, got {target_sinr}")
-    target = np.broadcast_to(
-        target_sinr, np.broadcast_shapes(lam.shape[:-1], np.shape(target_sinr))
-    )
-    if target.size == 1:
-        lam_1, weights_1, target_1 = lam.reshape(-1), weights.reshape(-1), target.item()
-
-        def excess(rho: float) -> float:
-            return float(rank1_gains(rho, lam_1, weights_1, power_p, na, sigma_sq)) - target_1
-
-        if excess(1.0) < 0:
-            rho, outage = 1.0, True
-        elif excess(_RHO_FLOOR) >= 0:
-            rho, outage = _RHO_FLOOR, False
-        else:
-            rho, outage = _brentq(excess, _RHO_FLOOR, 1.0), False
-        return np.full(target.shape, rho), np.full(target.shape, outage)
-    outage = rank1_gains(np.ones(target.shape), lam, weights, power_p, na, sigma_sq) < target
-    floor = rank1_gains(np.full(target.shape, _RHO_FLOOR), lam, weights, power_p, na, sigma_sq)
-    at_floor = ~outage & (floor >= target)
-    root = _brent(
-        lambda r: rank1_gains(r, lam, weights, power_p, na, sigma_sq) - target,
-        _RHO_FLOOR, 1.0, target.shape, skip=outage | at_floor,
-    )
-    return np.where(outage, 1.0, np.where(at_floor, _RHO_FLOOR, root)), outage
-
-
-def _brent(f, xa: float, xb: float, shape, skip):
-    """Brent's root finder over an array of brackets [xa, xb].
-
-    The iteration is scipy's ``brentq`` (the C ``brentq`` of scipy.optimize)
-    applied entry by entry with masks, so each entry takes exactly the steps
-    the scalar solver would.  Entries marked in ``skip`` are left out.
-    """
-    xpre = np.full(shape, float(xa))
-    xcur = np.full(shape, float(xb))
-    fpre, fcur = f(xpre), f(xcur)
-    if np.any(~skip & (fpre != 0) & (fcur != 0) & (np.signbit(fpre) == np.signbit(fcur))):
-        raise ValueError("f(a) and f(b) must have different signs")
-    root = np.where(fpre == 0, xpre, xcur)
-    done = skip | (fpre == 0) | (fcur == 0)
-    xblk = fblk = spre = scur = np.zeros(shape)
-    with np.errstate(all="ignore"):
-        for _ in range(_MAXITER):
-            if done.all():
-                return root
-            straddle = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
-            xblk = np.where(straddle, xpre, xblk)
-            fblk = np.where(straddle, fpre, fblk)
-            step = xcur - xpre
-            spre = np.where(straddle, step, spre)
-            scur = np.where(straddle, step, scur)
-            swap = np.abs(fblk) < np.abs(fcur)
-            xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
-                                np.where(swap, xcur, xblk))
-            fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
-                                np.where(swap, fcur, fblk))
-            delta = (_XTOL + _RTOL * np.abs(xcur)) / 2
-            sbis = (xblk - xcur) / 2
-            converged = ~done & ((fcur == 0) | (np.abs(sbis) < delta))
-            root = np.where(converged, xcur, root)
-            done = done | converged
-            # Interpolate (secant) or extrapolate (inverse quadratic), and
-            # keep the step only where it is short enough; bisect elsewhere.
-            secant = -fcur * (xcur - xpre) / (fcur - fpre)
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            quadratic = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            stry = np.where(xpre == xblk, secant, quadratic)
-            good = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
-                    & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
-            spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
-            xpre, fpre = xcur, fcur
-            xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
-            fcur = f(xcur)
-    if not done.all():
-        raise RuntimeError(f"Failed to converge after {_MAXITER} iterations")
-    return root
+    shape = np.broadcast_shapes(lam.shape[:-1], np.shape(target_sinr))
+    target = np.broadcast_to(target_sinr, shape)
+    lam = np.broadcast_to(lam, shape + lam.shape[-1:])
+    weights = np.broadcast_to(weights, lam.shape)
+    outage = rank1_gains(np.ones(shape), lam, weights, power_p, na, sigma_sq) < target
+    live = ~outage
+    a = lam[live] * noise_share(0.0, power_p, na)
+    rise = a + sigma_sq
+    weights, target = weights[live], target[live] / power_p
+    root = np.minimum(1.0, target / (weights / rise).sum(axis=-1))
+    for _ in range(_MAXITER):
+        scaled = weights / ((1.0 - root)[..., None] * a + sigma_sq) ** 2
+        slope = (scaled * rise).sum(axis=-1)
+        step = np.minimum(root, (root**2 * (scaled * a).sum(axis=-1) + target) / slope)
+        if not (step < root).any():
+            rho = np.ones(shape)
+            rho[live] = np.maximum(root, _RHO_FLOOR)
+            return rho, outage
+        root = step
+    raise RuntimeError(f"Failed to converge after {_MAXITER} iterations")
 
 
 def rank1_gains(rho, lam, weights, power_p: float, na: int, sigma_sq: float):
@@ -398,6 +302,7 @@ def _tdd_trial(
     """Statistical recovery for one trial from the channel's decomposition
     ``svd`` and the estimate's ``tilde`` (a stack of one): the batch of one
     of :func:`robust_tdd`."""
+    svd = svd.single()
     d = robust_tdd(
         chan.h_ba.entries[None], svd.sigma1[None], svd.u1[None], svd.v1[None],
         moments.e_dv1[None], tilde.v, (target_sinr,), chan.power_p, chan.sigma_b_sq,

@@ -501,6 +501,7 @@ def run_trial(chan: ChannelSet, d: Design, target_sinr: float):
 def single_artificial_noise(chan: ChannelSet, tx: SvdStack, rx: SvdStack, target_sinr):
     """:func:`artificial_noise` of one channel from the decomposition ``tx``,
     with Bob matched to ``rx``."""
+    tx, rx = tx.single(), rx.single()
     return artificial_noise(
         tx.sigma1[None], tx.v[None], chan.h_ba.entries[None], rx.v1[None],
         (target_sinr,), chan.power_p, chan.sigma_b_sq,

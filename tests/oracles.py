@@ -17,8 +17,9 @@ Gram matrices are singular), and ``_reduce`` the per-(scheme, point) loop
 that reduced per-trial metrics to series; the library's stacked versions
 must reproduce them.  ``mmse_combiner`` is the eavesdropper's combiner by
 scipy's Cholesky solve, and ``solve_fraction`` the power-fraction root by
-``scipy.optimize.brentq``; the library's LU solves and its own Brent
-iterations must agree with them.
+``scipy.optimize.brentq`` at its tolerances ``_XTOL`` and ``_RTOL``; the
+library's LU solves must agree with the former, and its Newton root solve
+with the latter's outage flags and, within those tolerances, its roots.
 
 ``mc_moments`` is a brute-force Monte Carlo oracle for the closed-form
 perturbation moments.  It deliberately avoids the library's own moment
@@ -68,8 +69,6 @@ from wiretap.perturbation import compute_moments, first_vector_leak, naive_sinr_
 from wiretap.robust import (
     _MAXITER,
     _RHO_FLOOR,
-    _RTOL,
-    _XTOL,
     fdd_spectrum,
     loaded_noise,
     rank1_gains,
@@ -621,6 +620,11 @@ def mmse_combiner(h, t, q, sigma_sq: float) -> np.ndarray:
     """Max-SINR combiner (H Q H^H + sigma^2 I)^-1 H t by a Cholesky solve."""
     cov = h @ q @ h.conj().T + sigma_sq * np.eye(h.shape[0])
     return scipy.linalg.solve(cov, h @ t, assume_a="pos")
+
+
+# Absolute and relative root tolerances of the brentq oracle.
+_XTOL = 1e-15
+_RTOL = 8.9e-16
 
 
 def solve_fraction(gain, target_sinr: float) -> tuple[float, bool]:

@@ -10,6 +10,7 @@ from wiretap.channels import (
     CsiErrorModel,
     align_singular_vectors,
     generate_channels,
+    partition_stack,
     partition_svd,
     perturb_ecsi,
     sample_csi_error,
@@ -20,6 +21,14 @@ from wiretap.exceptions import (
     OrientationError,
     ParameterError,
 )
+from wiretap.perturbation import (
+    compute_moments,
+    first_vector_leak,
+    naive_trial,
+    predict_naive_sinr,
+)
+from wiretap.robust import tdd_receiver
+from wiretap.transmit import design_artificial_noise, perfect_csi_trial
 
 
 class TestGenerateChannels:
@@ -131,6 +140,29 @@ class TestPartitionSvd:
     def test_strong_value_near_the_weakest_sets_the_flag(self):
         assert partition_svd(np.diag([2.0, 1.0 + 1e-9, 1.0]).astype(complex)).ill_conditioned
         assert not partition_svd(np.diag([2.0, 1.5, 1.0]).astype(complex)).ill_conditioned
+
+
+_SINGLE_CHANNEL_CALLS = {
+    "compute_moments": lambda chan, svd, mom, err: compute_moments(svd, CsiErrorModel.iid(0.01)),
+    "design_artificial_noise": lambda chan, svd, mom, err: design_artificial_noise(chan, svd, 10.0),
+    "perfect_csi_trial": lambda chan, svd, mom, err: perfect_csi_trial(chan, 10.0, svd=svd),
+    "naive_trial": lambda chan, svd, mom, err: naive_trial(chan, err, 10.0, svd=svd),
+    "first_vector_leak": lambda chan, svd, mom, err: first_vector_leak(svd, mom),
+    "predict_naive_sinr": lambda chan, svd, mom, err: predict_naive_sinr(svd, mom, chan, 10.0),
+    "tdd_receiver": lambda chan, svd, mom, err: tdd_receiver(chan, svd, mom, err, 10.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SINGLE_CHANNEL_CALLS))
+def test_single_channel_functions_refuse_a_stack(name):
+    # A stacked SvdStack handed to a function of one channel is refused up
+    # front with the stack's shape, not by a stray error deep inside.
+    chan = generate_channels(4, 2, 2, rng_seed=3)
+    mom = compute_moments(partition_svd(chan.h_ba), CsiErrorModel.iid(0.01))
+    err = 0.1 * chan.h_ea.entries
+    hs = np.stack([generate_channels(4, 2, 1, rng_seed=k).h_ba.entries for k in range(3)])
+    with pytest.raises(DimensionError, match=r"\(3, 2, 4\)"):
+        _SINGLE_CHANNEL_CALLS[name](chan, partition_stack(hs), mom, err)
 
 
 class TestAlignSingularVectors:

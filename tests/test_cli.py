@@ -107,6 +107,25 @@ class TestRunCommand:
         assert payload["config"]["schemes"] == ["perfect"]
         assert payload["config"]["master_seed"] == 5
 
+    @pytest.mark.parametrize("key,value,axis_name,axis", [
+        ("ne", "1,2", "ne", [1, 2]),
+        ("target-sinr-db", "5, 10", "target_sinr_db", [5.0, 10.0]),
+    ])
+    def test_flat_config_file_sweeps_a_comma_list(self, tmp_path, capsys, key, value,
+                                                   axis_name, axis):
+        # A comma list in a flat file is parsed as the same flag would be.
+        settings = {"na": "3", "nb": "3", "ne": "2", "trials": "4", "target-sinr-db": "10",
+                    "schemes": "perfect,known_ecsi", key: value}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+        capsys.readouterr()
+        payload = json.loads((out_dir / "results.json").read_text())
+        assert payload["axis_name"] == axis_name
+        assert payload["axis"] == axis
+        assert payload["schemes"] == ["perfect", "known_ecsi"]
+
     def test_cli_flags_override_the_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("na = 3\nnb = 3\nne = 2\ntrials = 4\n"

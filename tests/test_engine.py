@@ -13,6 +13,7 @@ per-trial and per-point code they replaced.
 from __future__ import annotations
 
 import math
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -420,7 +421,10 @@ def test_push_through_solve_is_the_direct_solve(sigma_sq):
 
 
 def test_vectorised_root_solve_reproduces_brentq():
-    # -150 dB is met already at the bracket's floor.
+    # Newton's roots agree with scipy's brentq within brentq's own tolerance,
+    # with the same outage flags, and a single bracket is solved exactly as
+    # it is inside a call with six others.  -150 dB is met already at the
+    # floor fraction.
     targets = 10.0 ** (np.array([-150.0, -5.0, 0.0, 10.0, 20.0, 30.0, 45.0]) / 10.0)
     for k in range(60):
         na, nb = [(5, 5), (4, 2), (2, 1), (8, 8)][k % 4]
@@ -428,15 +432,65 @@ def test_vectorised_root_solve_reproduces_brentq():
         dh = 0.3 * _random_channels(1, nb, na, seed=k)[0]
         tilde = partition_svd(chan.h_ba.entries + dh)
         lam, _, _, weights = fdd_spectrum(chan.h_ba.entries, tilde.v1, tilde.t_prime)
-        # Several brackets take the array iteration, a single one the scalar one.
         rho, outage = solve_fractions(lam[None], weights[None], chan.power_p, na, 1.0, targets)
         for j, target in enumerate(targets):
-            want = oracles.solve_fraction(
+            want_rho, want_outage = oracles.solve_fraction(
                 lambda r: float(rank1_gains(r, lam, weights, chan.power_p, na, 1.0)), target
             )
+            assert bool(outage[j]) == want_outage
+            assert abs(rho[j] - want_rho) <= oracles._XTOL + 4 * oracles._RTOL * want_rho
             single = solve_fractions(lam[None], weights[None], chan.power_p, na, 1.0, target)
-            assert (rho[j], bool(outage[j])) == want
-            assert (single[0].item(), bool(single[1].item())) == want
+            assert np.array_equal(single[0], rho[j:j + 1])
+            assert np.array_equal(single[1], outage[j:j + 1])
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    na=st.integers(1, 9),
+    curves=st.lists(
+        st.lists(st.tuples(st.floats(0.0, 1e3), st.floats(0.0, 1e3)), min_size=1, max_size=6),
+        min_size=1, max_size=4,
+    ),
+    power_db=st.floats(-30.0, 30.0),
+    noise_db=st.floats(-30.0, 30.0),
+    target_db=st.floats(-60.0, 60.0),
+)
+def test_root_solve_meets_the_target_at_the_smallest_fraction(
+    na, curves, power_db, noise_db, target_db
+):
+    # Curves of nonnegative eigenvalues and weights over wide power, noise
+    # and target ranges: no warning, outage exactly where the full budget
+    # falls short, and otherwise the floor or the crossing within 1e-12
+    # relative in rho.  The bound is on rho, not on g: where the curve is
+    # steep, one unit in the last place of rho moves g by more than 1e-12.
+    nb = min(len(c) for c in curves)
+    pairs = np.array([c[:nb] for c in curves])
+    lam, weights = pairs[..., 0], pairs[..., 1]
+    power_p, sigma_sq, target = 10.0 ** (np.array([power_db, noise_db, target_db]) / 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho, outage = solve_fractions(lam, weights, power_p, na, sigma_sq, target)
+        full = rank1_gains(np.ones(len(lam)), lam, weights, power_p, na, sigma_sq)
+        np.testing.assert_array_equal(outage, full < target)
+        above = rank1_gains(rho * (1 + 1e-12), lam, weights, power_p, na, sigma_sq)
+        below = rank1_gains(rho * (1 - 1e-12), lam, weights, power_p, na, sigma_sq)
+    assert np.all(rho[outage] == 1.0)
+    assert np.all((rho >= robust._RHO_FLOOR) & (rho <= 1.0))
+    solved = ~outage & (rho != robust._RHO_FLOOR)
+    assert np.all(above[solved] >= target)
+    assert np.all(below[solved] < target)
+
+
+def test_a_curve_without_weight_is_an_outage():
+    # An all-zero weight row has gain 0 at every fraction: an outage, solved
+    # next to an ordinary row without a division by zero.
+    lam = np.array([[2.0, 1.0, 0.5], [2.0, 1.0, 0.5]])
+    weights = np.array([[0.0, 0.0, 0.0], [1.0, 0.5, 0.25]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho, outage = solve_fractions(lam, weights, 10.0, 4, 1.0, 3.0)
+    np.testing.assert_array_equal(outage, [True, False])
+    assert rho[0] == 1.0 and 0.0 < rho[1] < 1.0
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (2, 2), (3, 5), (5, 5)], ids=str)

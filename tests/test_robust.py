@@ -99,8 +99,8 @@ class TestFddReceiver:
             fdd_receiver(chan, chan.h_ba.entries, 0.0)
 
     def test_a_target_met_at_the_bracket_floor_requests_the_floor(self):
-        # gain(rho) is already above a -150 dB target at the smallest
-        # fraction the root solve brackets; there is no root to find.
+        # gain(rho) is already above a -150 dB target at the floor
+        # fraction; the crossing lies below it.
         chan = generate_channels(3, 3, 2, rng_seed=2)
         target = 10.0 ** (-150.0 / 10.0)
         h_tilde = chan.h_ba.entries + 0.1 * _error(chan, 2)
