@@ -66,7 +66,7 @@ from .transmit import (
     secrecy_capacity_proxy,
     secure_goodput,
 )
-from .units import amplitude_from_db, amplitude_to_db, from_db, to_db
+from .units import from_db, to_db
 from .version import __version__
 
 __all__ = [
@@ -92,8 +92,6 @@ __all__ = [
     "ValidityRangeError",
     "__version__",
     "align_singular_vectors",
-    "amplitude_from_db",
-    "amplitude_to_db",
     "bob_matched_beamformer",
     "complex_gaussian",
     "compute_moments",

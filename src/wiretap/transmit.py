@@ -250,8 +250,9 @@ def eve_aware(h, gram_e, ne, targets, power_p: float, sigma_b_sq: float):
 def _hegvd():
     """scipy.linalg.eigh's default driver for the generalized problem.
 
-    Looked up on first use, so that only the Eve-aware designs load
-    scipy.linalg, which takes longer to import than the rest of the package.
+    Looked up on first use, so that only the reciprocal rows of
+    :func:`eve_aware_directions` load scipy.linalg, which takes longer to
+    import than the rest of the package.
     """
     from scipy.linalg.lapack import get_lapack_funcs
 
@@ -268,46 +269,59 @@ def eve_aware_directions(a: np.ndarray, b: np.ndarray, ne, nb: int) -> np.ndarra
 
     ``a`` and ``b`` (T, na, na) are the Gram matrices H^H H of the intended
     receiver's channels, with ``nb`` rows, and of the eavesdropper's, with
-    ``ne`` rows (one count, or one per matrix).  Where her rank (``ne``, or
-    that of ``b`` when ``a`` is singular by shape, nb < na) reaches the
-    transmitter's antenna count the direction solves a t = lam b t for the
-    largest ratio.  Where she has fewer antennas (or her Gram matrix fails
-    to factor) it solves the reciprocal problem for the smallest ratio,
-    which lies in her null space.  Where both are singular (nb < na and her
-    rank is below na, or neither Gram matrix factors) the direction is his
-    strongest one in her null space N (the eigenvectors of b beyond her
-    rank): N times the top eigenvector of N^H a N (Khisti and Wornell, IEEE
-    Trans. IT 2010).  Raises ValueError for non-finite input and
-    DegenerateChannelError when no direction reaches the intended receiver.
+    ``ne`` rows (one count, or one per matrix).  Her rank is ``ne``, or that
+    of ``b`` when ``a`` is singular by shape (nb < na), and it picks one of
+    three routes per row:
+
+    - rank na: the largest ratio of a t = lam b t, in one stacked pass:
+      b = L L^H, y the top eigenvector of L^-1 a L^-H, t = L^-H y;
+    - rank na - 1, or any rank below na while nb < na: his strongest
+      direction in her null space N (the eigenvectors of b beyond her rank),
+      N times the top eigenvector of N^H a N (Khisti and Wornell, IEEE
+      Trans. IT 2010);
+    - rank na - 2 or less while nb >= na: the smallest ratio of the
+      reciprocal problem b t = mu a t, one scipy ``hegvd`` call per row,
+      which lands somewhere in her null space.
+
+    A full-rank row whose own ``b`` fails to factor takes the reciprocal
+    route, and a reciprocal row whose ``a`` fails to factor takes the null
+    space by the rank of ``b``.  Each row's route depends on that row alone,
+    so a batch of one gives the stacked row bit for bit.  Raises ValueError
+    for non-finite input and DegenerateChannelError when no direction
+    reaches the intended receiver.
     """
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
     na = a.shape[-1]
     rank = np.array(np.broadcast_to(ne, a.shape[:-2]))
     if nb < na:
-        # A singular a can still pass hegvd's Cholesky in floating point,
-        # so her rank, not the solver's info, routes these rows.
+        # A singular a can still pass a Cholesky factorization in floating
+        # point, so her rank routes these rows.
         rank = np.linalg.matrix_rank(b, hermitian=True)
-    null = (rank < na) & (nb < na)
     t = np.empty(a.shape[:-1], dtype=np.complex128)
-    pairs = np.flatnonzero(~null)
+    null = (rank < na) & ((rank == na - 1) | (nb < na))
+    reciprocal = (rank < na) & ~null
+    rows = np.flatnonzero(rank >= na)
+    if rows.size:
+        low, factored = _cholesky_rows(b[rows])
+        reciprocal[rows[~factored]] = True
+        rows = rows[factored]
+        inv = np.linalg.inv(low)
+        y = np.linalg.eigh(inv @ a[rows] @ herm(inv))[1][..., -1]
+        t[rows] = matvec(herm(inv), y)
+    pairs = np.flatnonzero(reciprocal)
     hegvd = _hegvd() if pairs.size else None
     for i in pairs:
-        info = 1  # the reciprocal problem unless the forward one is posed and solved
-        if rank[i] >= na:
-            _, vecs, info = hegvd(a[i], b[i], **_HEGVD_ARGS)
-            t[i] = vecs[:, -1]
+        _, vecs, info = hegvd(b[i], a[i], **_HEGVD_ARGS)
         if info:
-            _, vecs, info = hegvd(b[i], a[i], **_HEGVD_ARGS)
-            if info:
-                rank[i] = np.linalg.matrix_rank(b[i], hermitian=True)
-                if rank[i] >= na:
-                    raise DegenerateChannelError(
-                        "both channel Gram matrices are singular; no direction is identifiable"
-                    )
-                null[i] = True
-                continue
-            t[i] = vecs[:, 0]
+            rank[i] = np.linalg.matrix_rank(b[i], hermitian=True)
+            if rank[i] >= na:
+                raise DegenerateChannelError(
+                    "both channel Gram matrices are singular; no direction is identifiable"
+                )
+            null[i] = True
+            continue
+        t[i] = vecs[:, 0]
     for k in np.unique(rank[null]):
         rows = np.flatnonzero(null & (rank == k))
         basis = np.linalg.eigh(b[rows])[1][..., :na - k]
@@ -319,6 +333,25 @@ def eve_aware_directions(a: np.ndarray, b: np.ndarray, ne, nb: int) -> np.ndarra
         t[rows] = matvec(basis, y[..., -1])
     # np.linalg.norm's two real dot products, for every row at once.
     return t / np.sqrt(vdot(t.real, t.real) + vdot(t.imag, t.imag))[..., None]
+
+
+def _cholesky_rows(b: np.ndarray):
+    """(L, factored): the lower Cholesky factors of the matrices of ``b``
+    that factor, and a mask of which do.  One stacked call when all of them
+    do; otherwise each matrix is factored on its own, so whether a matrix
+    factors never depends on the rest of the stack."""
+    try:
+        return np.linalg.cholesky(b), np.ones(len(b), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    low = np.empty_like(b)
+    factored = np.ones(len(b), dtype=bool)
+    for i, m in enumerate(b):
+        try:
+            low[i] = np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            factored[i] = False
+    return low[factored], factored
 
 
 def mmse_combiners(h: np.ndarray, t: np.ndarray, factor: np.ndarray, sigma_sq: float) -> np.ndarray:

@@ -13,12 +13,3 @@ def from_db(x):
     """Decibels to linear power ratio."""
     return 10.0 ** (np.asarray(x, dtype=float) / 10.0) if np.ndim(x) else 10.0 ** (float(x) / 10.0)
 
-
-def amplitude_from_db(x: float) -> float:
-    """Decibels to linear amplitude, the 20*log10 convention."""
-    return 10.0 ** (float(x) / 20.0)
-
-
-def amplitude_to_db(x: float) -> float:
-    """Linear amplitude to decibels under the 20*log10 convention."""
-    return 20.0 * float(np.log10(x))

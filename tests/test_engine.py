@@ -205,8 +205,9 @@ def test_ragged_eve_axis_matches_the_per_point_path(monkeypatch, na, ne, metric)
     # changes to her Gram matrix, and the largest ne pads every other point's
     # draws with zeros.  (A Gram matrix of the padded draws differs in the
     # last bit at na = 3, ne = 1.)  The directions must still be the
-    # per-point ones (and scipy's) and Bob's columns must not move; Eve's
-    # move only at round-off.
+    # per-point ones, scipy's on those reciprocal rows and the oracle's up to
+    # phase on the others, and Bob's columns must not move; Eve's move only
+    # at round-off.
     cfg = ExperimentConfig(na=na, nb=na, ne=ne, trials=25, master_seed=8,
                            schemes=("perfect", "known_ecsi", "imperfect_ecsi"),
                            secrecy_metric=metric)
@@ -224,8 +225,9 @@ def test_ragged_eve_axis_matches_the_per_point_path(monkeypatch, na, ne, metric)
     np.testing.assert_array_equal(recorded[1], directions["imperfect_ecsi"])
     h, *eve = harness._draws(cfg, 0, cfg.trials, [(harness._TAG_CHANNEL, cfg.nb, None)] + [
         (harness._TAG_EVE, ne, p) for p, ne in enumerate(cfg.ne)])
-    scipy_dirs = [oracles.eve_aware_direction(b, e) for x in eve for b, e in zip(h, x)]
-    np.testing.assert_array_equal(recorded[0], np.stack(scipy_dirs))
+    for p, x in enumerate(eve):
+        for b, e, g in zip(h, x, recorded[0][p * cfg.trials:(p + 1) * cfg.trials]):
+            _assert_the_oracles_direction(b, e, g)
     for m, name in enumerate(harness.METRICS):
         if name in ("sinr_b", "signal_b", "intnoise_b", "outage", "flagged"):
             np.testing.assert_array_equal(got[:, :, m], want[:, :, m], err_msg=name)
@@ -538,18 +540,46 @@ def _eve_aware_direction(hb, he):
                                 hb.shape[0])[0]
 
 
-def test_eve_aware_direction_is_the_scalar_design():
-    hb, he = _random_channels(1, 3, 3, seed=9)[0], _random_channels(1, 4, 3, seed=10)[0]
+def _assert_the_oracles_direction(hb, he, got) -> str:
+    """``got`` is the scipy oracle's direction for the pair (hb, he) and
+    returns the route the pair takes.  Reciprocal rows (nb = na, ne <= na - 2)
+    are scipy's bit for bit; every other row is the oracle's up to phase,
+    with at least its generalized Rayleigh quotient where Eve has full rank
+    and in her null space where she does not."""
     want = oracles.eve_aware_direction(hb, he)
-    np.testing.assert_array_equal(_eve_aware_direction(hb, he), want)
-    chan = ChannelSet(h_ba=ChannelMatrix(hb), h_ea=ChannelMatrix(he), sigma_b_sq=1.0,
-                      sigma_e_sq=1.0, power_p=100.0)
-    np.testing.assert_array_equal(design_known_ecsi(chan, he, 10.0).t, want)
+    (nb, na), ne = hb.shape, he.shape[0]
+    if nb == na and ne <= na - 2:
+        np.testing.assert_array_equal(got, want)
+        return "reciprocal"
+    assert 1.0 - abs(np.vdot(want, got)) <= 1e-12
+    if np.linalg.matrix_rank(he) == na:
+        a, b = herm(hb) @ hb, herm(he) @ he
+        def quotient(t):
+            return np.real(np.vdot(t, a @ t)) / np.real(np.vdot(t, b @ t))
+        assert quotient(got) >= quotient(want) * (1.0 - 1e-10)
+        return "whitened"
+    _assert_null_space_direction(hb, he, got, want)
+    if nb < na:
+        return "null space by shape" if ne < na else "null space by rank"
+    return "one null dimension" if ne == na - 1 else "rank-deficient Eve"
+
+
+def test_eve_aware_direction_is_the_scalar_design():
+    routes = set()
+    for na, nb, ne in [(3, 3, 4), (4, 4, 4), (4, 4, 3), (4, 4, 2), (4, 2, 2)]:
+        hb, he = _random_channels(1, nb, na, seed=9)[0], _random_channels(1, ne, na, seed=10)[0]
+        got = _eve_aware_direction(hb, he)
+        routes.add(_assert_the_oracles_direction(hb, he, got))
+        chan = ChannelSet(h_ba=ChannelMatrix(hb), h_ea=ChannelMatrix(he), sigma_b_sq=1.0,
+                          sigma_e_sq=1.0, power_p=100.0)
+        np.testing.assert_array_equal(design_known_ecsi(chan, he, 10.0).t, got)
+    assert routes == {"whitened", "one null dimension", "reciprocal", "null space by shape"}
 
 
 def _eve_pairs(na: int, nb: int, ne: int, seed: int, count: int = 6):
     """Channel pairs of one shape: generic ones, and from ne >= na on also
-    a rank-deficient Eve, which forces the reciprocal problem."""
+    a rank-deficient Eve, which forces the reciprocal problem or her null
+    space."""
     hb = _random_channels(count, nb, na, seed=seed)
     he = _random_channels(count, ne, na, seed=seed + 1)
     if ne >= na > 1:
@@ -562,7 +592,7 @@ def _assert_null_space_direction(hb, he, got, want):
     phase, and its gain to the intended receiver is the top eigenvalue of
     N^H A N."""
     assert np.linalg.norm(he @ got) ** 2 <= 1e-12 * np.linalg.norm(he) ** 2
-    assert abs(np.vdot(want, got)) == pytest.approx(1.0, abs=1e-10)
+    assert 1.0 - abs(np.vdot(want, got)) <= 1e-12
     null = scipy.linalg.null_space(he)
     best = np.linalg.eigvalsh(herm(hb @ null) @ (hb @ null))[-1]
     assert np.linalg.norm(hb @ got) ** 2 == pytest.approx(best, rel=1e-10)
@@ -570,14 +600,15 @@ def _assert_null_space_direction(hb, he, got, want):
 
 @pytest.mark.parametrize("na", range(1, 7))
 def test_stacked_eve_aware_directions_are_the_per_matrix_eigh(na):
-    # Every (nb <= na, ne) shape.  Where a generalized problem is posed
-    # (generic pairs, ne < na - 1 in Eve's null space through the reciprocal
-    # problem, a rank-deficient Eve with ne >= na and nb = na) the stacked
-    # directions are scipy's bit for bit.  With nb < na and ne < na both Gram
-    # matrices are singular by shape, and the direction is Bob's strongest in
-    # Eve's null space.  With nb < na and a rank-deficient Eve at ne >= na
-    # she has a null space all the same, found by her rank, even where Bob's
-    # singular Gram matrix happens to pass a Cholesky factorization.
+    # Every (nb <= na, ne) shape, each row against its batch of one bit for
+    # bit and against the scipy oracle: the reciprocal rows (nb = na and
+    # ne <= na - 2) bit for bit, the rest up to phase.  Where Eve has full
+    # rank the whitened direction is the oracle's generalized eigenvector.
+    # Where she has one null dimension, or nb < na and a rank below na (by
+    # shape, or by a duplicated column at ne >= na even where Bob's singular
+    # Gram matrix happens to pass a Cholesky factorization), the direction
+    # is Bob's strongest in her null space.  A rank-deficient Eve with
+    # ne >= na and nb = na is nulled whether or not her Gram matrix factors.
     outcomes = set()
     for nb in range(1, na + 1):
         for ne in range(1, 11):
@@ -585,19 +616,37 @@ def test_stacked_eve_aware_directions_are_the_per_matrix_eigh(na):
             got = eve_aware_directions(hb.conj().swapaxes(1, 2) @ hb,
                                        he.conj().swapaxes(1, 2) @ he, ne, nb)
             for b, e, g in zip(hb, he, got):
-                want = oracles.eve_aware_direction(b, e)
                 np.testing.assert_array_equal(_eve_aware_direction(b, e), g)
-                if nb < na and ne < na:
-                    outcomes.add("null space by shape")
-                    _assert_null_space_direction(b, e, g, want)
-                elif nb < na and np.linalg.matrix_rank(e) < na:
-                    outcomes.add("null space by rank")
-                    _assert_null_space_direction(b, e, g, want)
-                else:
-                    outcomes.add("generalized")
-                    np.testing.assert_array_equal(g, want)
-    assert outcomes == ({"generalized"} if na == 1 else
-                        {"generalized", "null space by shape", "null space by rank"})
+                outcomes.add(_assert_the_oracles_direction(b, e, g))
+    routes = {"whitened", "null space by shape", "null space by rank", "one null dimension",
+              "rank-deficient Eve", "reciprocal"}
+    assert outcomes == {1: {"whitened"}, 2: routes - {"reciprocal"}}.get(na, routes)
+
+
+def test_a_stack_that_fails_to_factor_routes_each_row_on_its_own():
+    # Generic pairs share a stack with rank-deficient Eves (a duplicated
+    # column, nb = na, ne >= na), some of whose Gram matrices fail to factor,
+    # so the stacked Cholesky raises.  Each row is still its batch of one bit
+    # for bit, and a row whose own factorization fails nulls Eve.
+    na = 4
+    hb = _random_channels(24, na, na, seed=31)
+    he = _random_channels(24, 6, na, seed=32)
+    he[1::2, :, -1] = he[1::2, :, 0]
+    a, b = hb.conj().swapaxes(1, 2) @ hb, he.conj().swapaxes(1, 2) @ he
+    fails = np.zeros(len(b), dtype=bool)
+    for i, m in enumerate(b):
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            fails[i] = True
+    assert fails.any() and not fails[::2].any()
+    got = eve_aware_directions(a, b, 6, na)
+    for i in range(len(b)):
+        np.testing.assert_array_equal(eve_aware_directions(a[i:i + 1], b[i:i + 1], 6, na)[0],
+                                      got[i])
+        _assert_the_oracles_direction(hb[i], he[i], got[i])
+        if fails[i]:
+            assert np.linalg.norm(he[i] @ got[i]) ** 2 <= 1e-12 * np.linalg.norm(he[i]) ** 2
 
 
 def test_no_bob_gain_in_a_rank_deficient_eves_null_space_is_refused():

@@ -1,8 +1,10 @@
 """What importing the package and running its common paths loads.
 
 scipy takes several times longer to import than the rest of the package, so
-it stays off the import path: only the Eve-aware designs' generalized
-eigensolver loads ``scipy.linalg``, on first use, and nothing loads
+it stays off the import path: only the Eve-aware rows with as many intended
+as transmit antennas and an eavesdropper two or more antennas short
+(nb = na, ne <= na - 2) load ``scipy.linalg``, for the reciprocal
+generalized eigensolver, on first use, and nothing loads
 ``scipy.optimize``.  The worker pool's module loads only for multi-worker
 sweeps.  Each check runs in a fresh interpreter, since this test session
 has long since imported scipy itself.  No module of the package imports
@@ -75,6 +77,31 @@ def test_single_channel_calls_load_no_scipy(call):
         f"{call}"
     )
     assert "wiretap.robust" in modules
+    assert not _scipy(modules)
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 3), (4, 4, 4), (4, 2, 2)], ids=str)
+def test_eve_aware_designs_short_of_the_reciprocal_rows_load_no_scipy(shape):
+    na, nb, ne = shape
+    modules = _modules_after(
+        "import wiretap as wt\n"
+        f"chan = wt.generate_channels({na}, {nb}, {ne}, rng_seed=1)\n"
+        "wt.design_known_ecsi(chan, chan.h_ea, 10.0)"
+    )
+    assert "wiretap.transmit" in modules
+    assert not _scipy(modules)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        "wt.preset_config('fig4_secrecy', trials=3)",
+        "wt.ExperimentConfig(na=4, nb=4, ne=(3, 4, 6), trials=3, schemes=('known_ecsi',))",
+    ],
+    ids=["fig4_secrecy", "ne_3_4_6"],
+)
+def test_eve_aware_sweeps_short_of_the_reciprocal_rows_load_no_scipy(config):
+    modules = _modules_after(f"import wiretap as wt\nwt.run_experiment({config})")
     assert not _scipy(modules)
 
 
