@@ -8,6 +8,7 @@ the experiment harness) consumes the types defined here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -120,6 +121,14 @@ class ChannelSet:
     @property
     def ne(self) -> int:
         return self.h_ea.rows
+
+    @cached_property
+    def eve_spectrum(self):
+        """Eigendecomposition (lam, U) of Eve's Gram matrix, as a stack of
+        one, which her MMSE combiner is built from (``transmit.links``).
+        Computed once per realization, however many designs it evaluates."""
+        he = self.h_ea.entries[None]
+        return np.linalg.eigh(herm(he) @ he)
 
 
 def generate_channels(

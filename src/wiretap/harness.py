@@ -19,8 +19,10 @@ runs once per block, on its inputs stacked over every error level or every
 draw of Eve's channels the sweep needs, and designs every target at once.
 Each scheme is evaluated by one call of the shared ``transmit.evaluate`` on
 one row per (point, trial); on the ne axis Eve's draws are zero-padded to
-her largest antenna count for it.  No trial's numbers depend on its
-neighbours, so results are also bit-identical for any block size.
+her largest antenna count for it.  Eve's combiners for every scheme come
+from one eigendecomposition of her Gram matrix per draw of hers, made once
+per block.  No trial's numbers depend on its neighbours, so results are
+also bit-identical for any block size.
 
 Per-trial metrics are materialized and reduced once at the end, every
 (point, scheme) cell at once; means are arithmetic means of linear SINR,
@@ -495,15 +497,14 @@ class _Block:
             "eve": np.arange(self.n_points) if axis_name == "ne" else np.zeros(self.n_points, int),
         }
         eve = [draws["eve", p] for p in eve_points]
-        # The Eve-aware kernels take the Gram matrices of her unpadded draws
-        # as each design assumes them, and her antenna count per row.
-        assumed = {"known_ecsi": eve}
+        # The Gram matrices of her unpadded draws, stacked draw by draw.
+        self.eve_gram = np.concatenate([herm(x) @ x for x in eve])
+        # The Eve-aware kernels take them as each design assumes them, and
+        # her antenna count per row.
+        self.gram_e = {"known_ecsi": self.eve_gram}
         if "imperfect_ecsi" in names:
-            assumed["imperfect_ecsi"] = [
-                _blend(cfg, x, draws.get(("fresh", p))) for x, p in zip(eve, eve_points)
-            ]
-        self.gram_e = {name: np.concatenate([herm(x) @ x for x in stacks])
-                       for name, stacks in assumed.items() if name in names}
+            blended = [_blend(cfg, x, draws.get(("fresh", p))) for x, p in zip(eve, eve_points)]
+            self.gram_e["imperfect_ecsi"] = np.concatenate([herm(x) @ x for x in blended])
         self.ne = np.repeat([x.shape[1] for x in eve], self.n)
         # Her true channels for every (point, trial) row, zero-padded to her
         # largest antenna count.
@@ -518,6 +519,14 @@ class _Block:
         return partition_stack(np.concatenate([
             self.h + np.sqrt(float(from_db(sigma_db))) * self.dh_unit for sigma_db in self.levels
         ]))
+
+    @cached_property
+    def eve_spectrum(self):
+        """Eigendecomposition (lam, U) of Eve's Gram matrix for every
+        (point, trial) row, from one ``eigh`` per distinct draw of hers."""
+        lam, evecs = np.linalg.eigh(self.eve_gram)
+        rows = self.rows("eve")
+        return lam[rows], evecs[rows]
 
     @cached_property
     def e_dv1(self) -> np.ndarray:
@@ -617,7 +626,10 @@ def _run_block(cfg: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
         if name == "analytic_naive":
             out[s] = _analytic_naive(blk)
         else:
-            out[s] = evaluate(blk.design(name), h, blk.eve, blk.row_targets, cfg.power_p,
+            d = blk.design(name)
+            # Designs without interference give Eve the matched combiner.
+            spectrum = blk.eve_spectrum if d.factor.shape[-1] else None
+            out[s] = evaluate(d, h, blk.eve, spectrum, blk.row_targets, cfg.power_p,
                               cfg.sigma_b_sq, cfg.sigma_e_sq, cfg.secrecy_metric)
     return out.reshape(len(cfg.schemes), len(METRICS), blk.n_points, blk.n).transpose(2, 0, 1, 3)
 

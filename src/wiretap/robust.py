@@ -37,6 +37,7 @@ from .transmit import (
     noise_factors,
     noise_share,
     run_trial,
+    whitened_combiner,
 )
 
 # Diagonal loading fraction applied when an expected-interference matrix
@@ -45,6 +46,9 @@ _LOADING = 1e-8
 # Floor of the power fraction and iteration cap of its root solve.
 _RHO_FLOOR = 1e-14
 _MAXITER = 100
+# An entry of the root solve stops once its Newton step moves it by at most
+# this many units in the last place; the steps after that only polish ulps.
+_SETTLED_ULPS = 4
 
 
 def solve_fractions(lam, weights, power_p: float, na: int, sigma_sq: float, target_sinr):
@@ -66,8 +70,12 @@ def solve_fractions(lam, weights, power_p: float, na: int, sigma_sq: float, targ
         rho - (g - target) / g' = (rho^2 P sum_i w_i a_i / D_i^2 + target) / g',
 
     a sum of nonnegative terms that keeps full relative precision however
-    far it moves.  Each entry keeps the smaller of its point and its step,
-    and the iteration stops when no entry moves.  Returns (rho, outage).
+    far it moves.  Each entry takes the smaller of its point and its step,
+    and stops once that moves it by no more than ``_SETTLED_ULPS`` units in
+    the last place; the convergence is quadratic, so the step it stops on
+    is within about an ulp of the crossing.  An entry's iterates depend on
+    that entry alone, so a batch gives each entry's value bit for bit.
+    Returns (rho, outage).
     """
     if any_true(target_sinr <= 0):
         raise ParameterError(f"target_sinr must be positive, got {target_sinr}")
@@ -81,15 +89,18 @@ def solve_fractions(lam, weights, power_p: float, na: int, sigma_sq: float, targ
     rise = a + sigma_sq
     weights, target = weights[live], target[live] / power_p
     root = np.minimum(1.0, target / (weights / rise).sum(axis=-1))
+    moving = np.ones(root.shape, dtype=bool)
     for _ in range(_MAXITER):
         scaled = weights / ((1.0 - root)[..., None] * a + sigma_sq) ** 2
         slope = (scaled * rise).sum(axis=-1)
         step = np.minimum(root, (root**2 * (scaled * a).sum(axis=-1) + target) / slope)
-        if not (step < root).any():
+        settled = root - step <= _SETTLED_ULPS * np.spacing(root)
+        root = np.where(moving, step, root)
+        moving &= ~settled
+        if not moving.any():
             rho = np.ones(shape)
             rho[live] = np.maximum(root, _RHO_FLOOR)
             return rho, outage
-        root = step
     raise RuntimeError(f"Failed to converge after {_MAXITER} iterations")
 
 
@@ -107,17 +118,6 @@ def rank1_gains(rho, lam, weights, power_p: float, na: int, sigma_sq: float):
     if isinstance(beta, np.ndarray):
         beta = beta[..., None]
     return rho * power_p * np.sum(weights / (beta * lam + sigma_sq), axis=-1)
-
-
-def whitened_combiner(evecs, lam, signature, beta, sigma_sq):
-    """(beta * A + sigma^2 I)^-1 signature via the eigendecomposition of A.
-
-    Works over leading batch axes; ``beta`` and ``sigma_sq`` may be scalars
-    or arrays over those axes.
-    """
-    proj = matvec(herm(evecs), signature)
-    scale = np.asarray(beta)[..., None] * lam + np.asarray(sigma_sq)[..., None]
-    return matvec(evecs, proj / scale)
 
 
 def fdd_spectrum(h_design, t_tilde, t_prime):

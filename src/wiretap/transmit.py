@@ -142,6 +142,12 @@ class Design(NamedTuple):
     q_z = F F^H, ``w_b`` (..., nb) Bob's combiner, ``outage`` whether the
     target was out of reach and ``flagged`` whether the statistical
     receiver needed diagonal loading.
+
+    Every kernel spreads the interference evenly over the directions
+    orthogonal to ``t``, or sends none: F = sqrt(beta) T' for the other
+    columns T' of a unitary [t, T'], or F has no columns.  So
+    q_z = beta (I - t t^H) with beta = ||F||_F^2 / k, which is what
+    :func:`eve_combiners` builds the eavesdropper's combiner from.
     """
 
     t: np.ndarray
@@ -293,44 +299,49 @@ def eve_aware_directions(a: np.ndarray, b: np.ndarray, ne, nb: int) -> np.ndarra
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
     na = a.shape[-1]
-    rank = np.array(np.broadcast_to(ne, a.shape[:-2]))
+    rank = np.full(a.shape[:-2], ne)
     if nb < na:
         # A singular a can still pass a Cholesky factorization in floating
         # point, so her rank routes these rows.
         rank = np.linalg.matrix_rank(b, hermitian=True)
     t = np.empty(a.shape[:-1], dtype=np.complex128)
-    null = (rank < na) & ((rank == na - 1) | (nb < na))
-    reciprocal = (rank < na) & ~null
-    rows = np.flatnonzero(rank >= na)
-    if rows.size:
+    full = rank >= na
+    null = ~full & ((rank == na - 1) | (nb < na))
+    reciprocal = ~(full | null)
+    if full.any():
+        # When every row is whitened, the stacks themselves rather than copies.
+        rows = slice(None) if full.all() else np.flatnonzero(full)
         low, factored = _cholesky_rows(b[rows])
-        reciprocal[rows[~factored]] = True
-        rows = rows[factored]
+        if not factored.all():
+            rows = np.flatnonzero(full)
+            reciprocal[rows[~factored]] = True
+            rows = rows[factored]
         inv = np.linalg.inv(low)
         y = np.linalg.eigh(inv @ a[rows] @ herm(inv))[1][..., -1]
         t[rows] = matvec(herm(inv), y)
-    pairs = np.flatnonzero(reciprocal)
-    hegvd = _hegvd() if pairs.size else None
-    for i in pairs:
-        _, vecs, info = hegvd(b[i], a[i], **_HEGVD_ARGS)
-        if info:
-            rank[i] = np.linalg.matrix_rank(b[i], hermitian=True)
-            if rank[i] >= na:
+    if reciprocal.any():
+        hegvd = _hegvd()
+        for i in np.flatnonzero(reciprocal):
+            _, vecs, info = hegvd(b[i], a[i], **_HEGVD_ARGS)
+            if info:
+                rank[i] = np.linalg.matrix_rank(b[i], hermitian=True)
+                if rank[i] >= na:
+                    raise DegenerateChannelError(
+                        "both channel Gram matrices are singular; no direction is identifiable"
+                    )
+                null[i] = True
+                continue
+            t[i] = vecs[:, 0]
+    if null.any():
+        for k in np.unique(rank[null]):
+            rows = np.flatnonzero(null & (rank == k))
+            basis = np.linalg.eigh(b[rows])[1][..., :na - k]
+            lam, y = np.linalg.eigh(herm(basis) @ a[rows] @ basis)
+            if (lam[:, -1] <= 0).any():
                 raise DegenerateChannelError(
-                    "both channel Gram matrices are singular; no direction is identifiable"
+                    "the intended receiver has no gain in the eavesdropper's null space"
                 )
-            null[i] = True
-            continue
-        t[i] = vecs[:, 0]
-    for k in np.unique(rank[null]):
-        rows = np.flatnonzero(null & (rank == k))
-        basis = np.linalg.eigh(b[rows])[1][..., :na - k]
-        lam, y = np.linalg.eigh(herm(basis) @ a[rows] @ basis)
-        if (lam[:, -1] <= 0).any():
-            raise DegenerateChannelError(
-                "the intended receiver has no gain in the eavesdropper's null space"
-            )
-        t[rows] = matvec(basis, y[..., -1])
+            t[rows] = matvec(basis, y[..., -1])
     # np.linalg.norm's two real dot products, for every row at once.
     return t / np.sqrt(vdot(t.real, t.real) + vdot(t.imag, t.imag))[..., None]
 
@@ -354,8 +365,47 @@ def _cholesky_rows(b: np.ndarray):
     return low[factored], factored
 
 
+def whitened_combiner(evecs, lam, signature, beta, sigma_sq):
+    """(beta * A + sigma^2 I)^-1 signature via the eigendecomposition
+    A = U diag(lam) U^H, with U = ``evecs``.
+
+    Works over leading batch axes; ``beta`` and ``sigma_sq`` may be scalars
+    or arrays over those axes.  Bob's robust receivers whiten the
+    interference they expect with it, and :func:`eve_combiners` builds the
+    eavesdropper's MMSE combiner from it.
+    """
+    proj = matvec(herm(evecs), signature)
+    scale = np.asarray(beta)[..., None] * lam + np.asarray(sigma_sq)[..., None]
+    return matvec(evecs, proj / scale)
+
+
+def eve_combiners(eve: np.ndarray, t: np.ndarray, factor: np.ndarray, spectrum,
+                  sigma_sq: float) -> np.ndarray:
+    """The eavesdropper's MMSE combiners of kernel designs, over leading axes.
+
+    A kernel design has q_z = beta (I - t t^H) (see :class:`Design`), so by
+    Sherman-Morrison the push-through system (q_z G + sigma^2 I) y = t of
+    :func:`mmse_combiners`, with G = H^H H her Gram matrix, has the solution
+    y = (beta G + sigma^2 I)^-1 t / (1 - beta s), where 0 <= beta s < 1.
+    That factor is a positive scale, which :func:`link` normalizes away.
+    With ``spectrum`` = (lam, U) the eigendecomposition of G, her combiner
+    is therefore H U ((U^H t) / (beta lam + sigma^2)), no solve needed.  A
+    design without interference columns gets the matched H t, and its
+    ``spectrum`` is not read (it may be None).  All-zero rows of H (a stack
+    padded to her largest count) give exactly zero entries of the combiner,
+    and a combiner that is exactly zero gets the stand-in of
+    :func:`mmse_combiners`.
+    """
+    k = factor.shape[-1]
+    if k == 0:
+        return _nulled_stand_in(matvec(eve, t))
+    lam, evecs = spectrum
+    beta = (factor.real**2 + factor.imag**2).sum(axis=(-2, -1)) / k
+    return _nulled_stand_in(matvec(eve, whitened_combiner(evecs, lam, t, beta, sigma_sq)))
+
+
 def mmse_combiners(h: np.ndarray, t: np.ndarray, factor: np.ndarray, sigma_sq: float) -> np.ndarray:
-    """The eavesdropper's max-SINR combiners over the leading axes of the inputs.
+    """The eavesdropper's max-SINR combiners for any interference factor.
 
     She knows her own channel and the full transmit configuration, so her
     combiner solves (H Q H^H + sigma^2 I) w = H t with Q = F F^H for the
@@ -364,7 +414,10 @@ def mmse_combiners(h: np.ndarray, t: np.ndarray, factor: np.ndarray, sigma_sq: f
     antenna count, so all-zero rows of H (a stack padded to her largest
     count) give exactly zero entries of w.  A design that nulls her exactly
     leaves the solution at zero, where any combiner is equally good; the
-    first unit vector stands in so the zero SINR is still reportable.
+    first unit vector stands in so the zero SINR is still reportable.  The
+    sweeps and the single-channel trials evaluate kernel designs, whose
+    structure :func:`eve_combiners` exploits instead; this general solve
+    serves :func:`eve_mmse_beamformer`, whose scheme may carry any factor.
     """
     push = factor @ herm(factor) @ (herm(h) @ h) + sigma_sq * np.eye(h.shape[-1])
     return _nulled_stand_in(matvec(h, np.linalg.solve(push, t[..., None])[..., 0]))
@@ -397,21 +450,27 @@ def link(h, t, data_power, factor, w, sigma_sq: float):
     return sig / (interf + noise), sig, interf, noise
 
 
-def links(d: Design, h, eve, power_p: float, sigma_b_sq: float, sigma_e_sq: float):
+def links(d: Design, h, eve, spectrum, power_p: float, sigma_b_sq: float, sigma_e_sq: float):
     """Eve's MMSE combiners and both links of a design: (w_e, Bob's
-    :func:`link` figures, Eve's), for Bob's channels ``h`` and hers ``eve``."""
+    :func:`link` figures, Eve's), for Bob's channels ``h`` and hers ``eve``.
+
+    ``spectrum`` is the eigendecomposition (lam, U) of Eve's Gram matrices,
+    one per row, from which :func:`eve_combiners` builds her combiners; a
+    design without interference columns does not read it.
+    """
     data_power = d.rho * power_p
-    w_e = mmse_combiners(eve, d.t, d.factor, sigma_e_sq)
+    w_e = eve_combiners(eve, d.t, d.factor, spectrum, sigma_e_sq)
     bob = link(h, d.t, data_power, d.factor, d.w_b, sigma_b_sq)
     return w_e, bob, link(eve, d.t, data_power, d.factor, w_e, sigma_e_sq)
 
 
-def evaluate(d: Design, h, eve, target, power_p: float, sigma_b_sq: float, sigma_e_sq: float,
-             secrecy_metric: str) -> np.ndarray:
+def evaluate(d: Design, h, eve, spectrum, target, power_p: float, sigma_b_sq: float,
+             sigma_e_sq: float, secrecy_metric: str) -> np.ndarray:
     """Metrics (len(METRICS), rows) of a design: Eve's MMSE combiner, both
     links, and the secrecy metric.
 
-    Every argument carries one entry per row (``target`` may be a scalar).
+    Every argument carries one entry per row (``target`` may be a scalar);
+    ``spectrum`` is as for :func:`links`.
     "goodput" pays the provisioned secret rate only on trials where the
     intended link actually reaches its target SINR, so schemes are compared
     on secrecy they reliably deliver rather than on lucky fades; "proxy" is
@@ -420,7 +479,7 @@ def evaluate(d: Design, h, eve, target, power_p: float, sigma_b_sq: float, sigma
     covariance.
     """
     _, (sinr_b, signal_b, interf_b, noise_b), (sinr_e, signal_e, interf_e, noise_e) = links(
-        d, h, eve, power_p, sigma_b_sq, sigma_e_sq
+        d, h, eve, spectrum, power_p, sigma_b_sq, sigma_e_sq
     )
     if secrecy_metric == "full":
         secrecy = full_secrecy_rates(h, eve, d.t, d.rho * power_p, d.factor @ herm(d.factor),
@@ -524,7 +583,7 @@ def run_trial(chan: ChannelSet, d: Design, target_sinr: float):
 
     Returns (scheme, Eve's combiner, report, Bob's link, Eve's link).
     """
-    w_e, bob, eve = links(d, chan.h_ba.entries[None], chan.h_ea.entries[None],
+    w_e, bob, eve = links(d, chan.h_ba.entries[None], chan.h_ea.entries[None], chan.eve_spectrum,
                           chan.power_p, chan.sigma_b_sq, chan.sigma_e_sq)
     bob, eve = _link_sinr(bob), _link_sinr(eve)
     scheme = _tx_scheme(d, chan.power_p, target_sinr)

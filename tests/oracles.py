@@ -18,8 +18,9 @@ that reduced per-trial metrics to series; the library's stacked versions
 must reproduce them.  ``mmse_combiner`` is the eavesdropper's combiner by
 scipy's Cholesky solve, and ``solve_fraction`` the power-fraction root by
 ``scipy.optimize.brentq`` at its tolerances ``_XTOL`` and ``_RTOL``; the
-library's LU solves must agree with the former, and its Newton root solve
-with the latter's outage flags and, within those tolerances, its roots.
+library's LU solve of Eve's combiner must agree with the former, and its
+Newton root solve with the latter's outage flags and, within those
+tolerances, its roots.
 
 ``mc_moments`` is a brute-force Monte Carlo oracle for the closed-form
 perturbation moments.  It deliberately avoids the library's own moment
@@ -74,7 +75,6 @@ from wiretap.robust import (
     rank1_gains,
     tdd_fraction,
     tdd_shape,
-    whitened_combiner,
 )
 from wiretap.transmit import (
     _RHO_CEIL,
@@ -86,6 +86,7 @@ from wiretap.transmit import (
     required_rho,
     secrecy_capacity_proxy,
     secure_goodput,
+    whitened_combiner,
 )
 from wiretap.units import from_db, to_db
 

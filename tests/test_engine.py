@@ -4,8 +4,9 @@
 at a time through the single-channel functions.  The engine must reproduce
 its per-trial metric array to round-off, with the same NaN pattern and the
 same outage and flag columns, and must not depend on how trials are grouped
-into blocks.  The three places where the engine deliberately uses a
-different algorithm than the single-channel path are checked against their
+into blocks.  The places where the engine deliberately uses a different
+algorithm than the single-channel path (among them Eve's combiner, built
+from her spectrum rather than by a solve) are checked against their
 counterparts directly, and so are the stacked Eve-aware directions, the
 stacked draws and the vectorised reduction against the per-matrix,
 per-trial and per-point code they replaced.
@@ -50,16 +51,17 @@ from wiretap.robust import (
 from wiretap.stacked import herm
 from wiretap.transmit import (
     artificial_noise,
-    bob_matched_beamformer,
     design_known_ecsi,
     evaluate,
-    evaluate_sinr,
     eve_aware,
     eve_aware_directions,
+    eve_combiners,
     eve_mmse_beamformer,
+    link,
     link_sinr,
     mmse_combiners,
     perfect_csi_trial,
+    run_trial,
     secure_goodput,
 )
 from wiretap.units import from_db
@@ -138,8 +140,8 @@ def test_engine_matches_the_loop_on_presets(preset):
 @pytest.mark.parametrize("sigma_e_sq", [0.3, 4.0])
 @pytest.mark.parametrize("gamma_ecsi", [0.0, 1.0])
 def test_engine_matches_the_loop_at_other_noise_powers_and_blends(sigma_e_sq, gamma_ecsi):
-    # Eve's combiner takes the push-through solve, which scales differently
-    # from the loop's, and the blend draws through the stacked streams, which
+    # Eve's combiner comes from her spectrum, which scales differently from
+    # the loop's solve, and the blend draws through the stacked streams, which
     # skip the fresh draw at gamma = 0; cover other noise powers and blends.
     cfg = _config(
         (4, 4, 6), "ne", sigma_e_sq=sigma_e_sq, sigma_b_sq=2.0, gamma_ecsi=gamma_ecsi,
@@ -192,8 +194,8 @@ def _per_point_rows(cfg: ExperimentConfig):
                 assumed = eve if name == "known_ecsi" else harness._blend(cfg, eve, fresh)
                 d = eve_aware(h, herm(assumed) @ assumed, ne, *budget)[0]
                 directions[name].append(d.t)
-            out[p, s] = evaluate(d, h, eve, target, cfg.power_p, cfg.sigma_b_sq, cfg.sigma_e_sq,
-                                 cfg.secrecy_metric)
+            out[p, s] = evaluate(d, h, eve, np.linalg.eigh(herm(eve) @ eve), target, cfg.power_p,
+                                 cfg.sigma_b_sq, cfg.sigma_e_sq, cfg.secrecy_metric)
     return out, {name: np.concatenate(t) for name, t in directions.items() if t}
 
 
@@ -331,9 +333,10 @@ def _single_channel_rows(cfg: ExperimentConfig, i: int, h, dh_unit, eve, moments
             if name == "perfect":
                 scheme, w_b, w_e, report = perfect_csi_trial(chan, target, svd=svd)
             elif name == "known_ecsi":
-                scheme = design_known_ecsi(chan, chan.h_ea, target)
-                w_b, w_e = bob_matched_beamformer(chan, scheme), eve_mmse_beamformer(chan, scheme)
-                report = evaluate_sinr(chan, scheme, w_b, w_e)
+                d = eve_aware(h[i][None], (herm(eve[i]) @ eve[i])[None], cfg.ne, (target,),
+                              cfg.power_p, cfg.sigma_b_sq)[0]
+                scheme, _, report, bob, eve_link = run_trial(chan, d, target)
+                np.testing.assert_array_equal(design_known_ecsi(chan, chan.h_ea, target).t, d.t[0])
             elif name == "naive":
                 report, bob, eve_link, scheme = naive_trial(chan, err, target, svd=svd)
             elif name == "robust_fdd":
@@ -342,7 +345,7 @@ def _single_channel_rows(cfg: ExperimentConfig, i: int, h, dh_unit, eve, moments
             else:
                 _, report, bob, eve_link, scheme = robust._tdd_trial(chan, svd, mom, tilde, target)
                 assert tdd_receiver(chan, svd, mom, err, target)[1] == report
-            if name in ("perfect", "known_ecsi"):
+            if name == "perfect":
                 bob = link_sinr(chan.h_ba, scheme, w_b, chan.sigma_b_sq)
                 eve_link = link_sinr(chan.h_ea, scheme, w_e, chan.sigma_e_sq)
             rows[p, s] = (
@@ -394,11 +397,19 @@ def test_stacked_solve_substitutes_the_unit_vector_for_a_zero_solution():
     h = np.zeros((2, 3, 2), dtype=complex)
     h[1] = _random_channels(1, 3, 2, seed=3)[0]
     t = np.tile(np.array([1.0, 0.0], dtype=complex), (2, 1))
-    # A zero factor and one without columns take the same solve.
+    spectrum = np.linalg.eigh(herm(h) @ h)
+    # A zero factor and one without columns take the same solve; the
+    # spectral combiner reads the spectrum at beta = 0 for the first and
+    # matches for the second.
     for columns in (1, 0):
-        w = mmse_combiners(h, t, np.zeros((2, 2, columns), dtype=complex), 1.0)
+        factor = np.zeros((2, 2, columns), dtype=complex)
+        w = mmse_combiners(h, t, factor, 1.0)
         np.testing.assert_array_equal(w[0], [1.0, 0.0, 0.0])
         np.testing.assert_allclose(w[1], h[1] @ t[1])
+        w = eve_combiners(h, t, factor, spectrum, 0.5)
+        np.testing.assert_array_equal(w[0], [1.0, 0.0, 0.0])
+        matched = h[1] @ t[1]
+        np.testing.assert_allclose(w[1] / np.linalg.norm(w[1]), matched / np.linalg.norm(matched))
 
 
 @pytest.mark.parametrize("sigma_sq", [1.0, 0.3, 4.0])
@@ -420,6 +431,120 @@ def test_push_through_solve_is_the_direct_solve(sigma_sq):
             w = mmse_combiners(padded, t, factor, sigma_sq)
             assert not w[:, ne:].any()
             np.testing.assert_allclose(w[:, :ne], got, rtol=1e-13, atol=0)
+
+
+def _kernel_designs(h: np.ndarray, eve: np.ndarray, power_p: float):
+    """Every kernel's design on Bob's channels ``h`` and Eve's ``eve``, at a
+    reachable target and one out of reach (no interference, columns kept)."""
+    na, sigma_sq = h.shape[-1], 0.01
+    targets = (30.0, 1e6)
+    part = partition_stack(h)
+    tilde = partition_stack(h + np.sqrt(sigma_sq) * _random_channels(len(h), *h.shape[1:], seed=9))
+    e_dv1 = iid_moments(part.s, na, part.ill_conditioned).drift[:, None] * part.v1 * sigma_sq
+    budget = (targets, power_p, 1.0)
+    kernels = {
+        "perfect": artificial_noise(part.sigma1, part.v, h, part.v1, *budget),
+        "naive": artificial_noise(tilde.sigma1, tilde.v, h, part.v1, *budget),
+        "known_ecsi": eve_aware(h, herm(eve) @ eve, eve.shape[1], *budget),
+        "robust_fdd": robust.robust_fdd(h, tilde.v, *budget),
+        "robust_tdd": robust.robust_tdd(h, part.sigma1, part.u1, part.v1, e_dv1, tilde.v,
+                                        *budget),
+    }
+    return [(name, d) for name, designs in kernels.items() for d in designs]
+
+
+@pytest.mark.parametrize("sigma_sq", [1.0, 0.3])
+@pytest.mark.parametrize("ne", [2, 4, 7])
+def test_spectral_combiner_is_the_push_through_solve(ne, sigma_sq):
+    # Every kernel's design has q_z = beta (I - t t^H), so Eve's combiner from
+    # her spectrum points where the general solve's does, at a positive real
+    # scale, with fewer, as many and more antennas than the transmitter.  Her
+    # stack carries two zero rows of padding, which stay exactly zero.  Rows
+    # where the design nulls her are round-off in both and stay nulled.
+    count, na, power_p = 40, 4, 100.0
+    h = _random_channels(count, na, na, seed=21)
+    eve = _random_channels(count, ne, na, seed=22 + ne)
+    padded = np.concatenate([eve, np.zeros((count, 2, na), dtype=complex)], axis=1)
+    spectrum = np.linalg.eigh(herm(eve) @ eve)
+    nulled = 0
+    for name, d in _kernel_designs(h, eve, power_p):
+        got = eve_combiners(padded, d.t, d.factor, spectrum, sigma_sq)
+        want = mmse_combiners(padded, d.t, d.factor, sigma_sq)
+        assert not got[:, ne:].any(), name
+        data_power = d.rho * power_p
+        sinr_got = link(padded, d.t, data_power, d.factor, got, sigma_sq)[0]
+        sinr_want = link(padded, d.t, data_power, d.factor, want, sigma_sq)[0]
+        live = sinr_want >= 1e-20
+        nulled += np.count_nonzero(~live)
+        assert np.all(sinr_got[~live] < 1e-20), name
+        unit_got = got / np.linalg.norm(got, axis=-1, keepdims=True)
+        unit_want = want / np.linalg.norm(want, axis=-1, keepdims=True)
+        overlap = np.sum(unit_want.conj() * unit_got, axis=-1)[live]
+        assert np.all(1.0 - np.abs(overlap) <= 1e-12), (name, float(np.max(1.0 - np.abs(overlap))))
+        assert np.all(np.abs(np.angle(overlap)) <= 1e-10), name
+    # Eve-aware designs null her while she has fewer antennas than Alice.
+    assert (nulled > 0) == (ne < na)
+
+
+@pytest.mark.parametrize("preset, n, rows", [("fig3_sinr_vs_target", 48, 48),
+                                             ("fig1_ne_sweep", 6, 20 * 6)])
+def test_a_block_decomposes_each_eve_draw_once_and_solves_nothing(monkeypatch, preset, n, rows):
+    # One eigh of Eve's Gram matrices per block, on her distinct draws: one
+    # per trial on the target axis (shared by all 6 points and 4 schemes),
+    # one per point and trial on the ne axis.  Her combiners take no solve.
+    cfg = preset_config(preset, trials=n, master_seed=4)
+    streams = [(harness._TAG_EVE, cfg.ne, None)] if preset.startswith("fig3") else [
+        (harness._TAG_EVE, ne, p) for p, ne in enumerate(cfg.ne)]
+    gram = np.concatenate([herm(x) @ x for x in harness._draws(cfg, 0, n, streams)])
+    assert len(gram) == rows
+    seen = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        seen.append(a.shape == gram.shape and np.array_equal(a, gram))
+        return eigh(a, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the evaluation solved a linear system")
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    monkeypatch.setattr(np.linalg, "solve", refused)
+    monkeypatch.setattr(transmit, "mmse_combiners", refused)
+    harness._run_block(cfg, 0, n)
+    assert sum(seen) == 1
+
+
+def test_eve_mmse_beamformer_agrees_with_the_spectral_route():
+    # The public beamformer solves for any factor; on the kernels' designs
+    # its SINR is the one the trials report from her spectrum.
+    checked = 0
+    for k in range(24):
+        na, nb, ne = [(4, 4, 2), (4, 4, 4), (3, 3, 6), (5, 2, 5)][k % 4]
+        chan = generate_channels(na, nb, ne, rng_seed=[9, k], sigma_e_sq=(1.0, 0.3)[k % 2])
+        svd = partition_svd(chan.h_ba)
+        err = 0.1 * _random_channels(1, nb, na, seed=30 + k)[0]
+        tilde = partition_stack((chan.h_ba.entries + err)[None])
+        mom = compute_moments(svd, CsiErrorModel.iid(0.01))
+        he = chan.h_ea.entries
+        known = eve_aware(chan.h_ba.entries[None], (herm(he) @ he)[None], ne, (30.0, 1e6),
+                          chan.power_p, chan.sigma_b_sq)
+        for target, known_design in zip((30.0, 1e6), known):
+            perfect = perfect_csi_trial(chan, target, svd=svd)
+            naive = naive_trial(chan, err, target, svd=svd)
+            fdd = robust._fdd_trial(chan, tilde, target)
+            tdd = robust._tdd_trial(chan, svd, mom, tilde, target)
+            aware = run_trial(chan, known_design, target)
+            trials = [(perfect[0], perfect[3]), (naive[3], naive[0]), (fdd[4], fdd[1]),
+                      (tdd[4], tdd[1]), (aware[0], aware[2])]
+            for scheme, report in trials:
+                want = link_sinr(chan.h_ea, scheme, eve_mmse_beamformer(chan, scheme),
+                                 chan.sigma_e_sq).sinr
+                if want < 1e-20:
+                    assert report.sinr_e < 1e-20
+                    continue
+                assert abs(report.sinr_e - want) <= 1e-12 * want
+                checked += 1
+    assert checked > 150
 
 
 def test_vectorised_root_solve_reproduces_brentq():
