@@ -85,6 +85,11 @@ def as_matrix(h) -> np.ndarray:
     return np.asarray(h, dtype=np.complex128)
 
 
+# Noise powers a channel set accepts.  Far outside this range the combiners'
+# norms and the power-fraction root solve under- or overflow.
+NOISE_RANGE = (1e-100, 1e100)
+
+
 @dataclass(frozen=True)
 class ChannelSet:
     """One channel realization for the full three-node link.
@@ -105,10 +110,13 @@ class ChannelSet:
             raise DimensionError(
                 f"h_ba and h_ea disagree on transmit antennas: {self.h_ba.cols} vs {self.h_ea.cols}"
             )
-        for name in ("sigma_b_sq", "sigma_e_sq", "power_p"):
+        if not (np.isfinite(self.power_p) and self.power_p > 0):
+            raise ParameterError(f"power_p must be positive and finite, got {self.power_p}")
+        lo, hi = NOISE_RANGE
+        for name in ("sigma_b_sq", "sigma_e_sq"):
             val = getattr(self, name)
-            if not (np.isfinite(val) and val > 0):
-                raise ParameterError(f"{name} must be positive and finite, got {val}")
+            if not lo <= val <= hi:
+                raise ParameterError(f"{name} must lie in [{lo:g}, {hi:g}], got {val}")
 
     @property
     def na(self) -> int:

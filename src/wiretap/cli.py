@@ -136,9 +136,12 @@ def _add_experiment_options(parser: argparse.ArgumentParser, *, with_scenario: b
     parser.add_argument("--gamma-ecsi", type=float, default=None,
                         help="eavesdropper-knowledge blend weight in [0, 1]")
     parser.add_argument("--trials", type=int, default=None, help="Monte Carlo trials per point")
-    parser.add_argument("--power-db", type=float, default=None, help="transmit power in dB")
-    parser.add_argument("--sigma-b-sq", type=float, default=None, help="receiver noise power (linear)")
-    parser.add_argument("--sigma-e-sq", type=float, default=None, help="eavesdropper noise power (linear)")
+    parser.add_argument("--power-db", type=float, default=None,
+                        help="transmit power in dB, within +-1000")
+    parser.add_argument("--sigma-b-sq", type=float, default=None,
+                        help="receiver noise power (linear, 1e-100 to 1e100)")
+    parser.add_argument("--sigma-e-sq", type=float, default=None,
+                        help="eavesdropper noise power (linear, 1e-100 to 1e100)")
     parser.add_argument("--seed", type=int, default=None, dest="master_seed", help="master seed")
     parser.add_argument("--schemes", default=None,
                         help="comma-separated scheme list (e.g. perfect,naive,robust_tdd)")

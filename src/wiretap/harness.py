@@ -15,14 +15,18 @@ hashing and PCG64 seeding as array arithmetic over every stream at once),
 draws each trial's streams into one stack and decomposes the channels.
 Each scheme's design kernel (``transmit.artificial_noise``,
 ``transmit.eve_aware``, ``robust.robust_fdd``, ``robust.robust_tdd``) then
-runs once per block, on its inputs stacked over every error level or every
-draw of Eve's channels the sweep needs, and designs every target at once.
-Each scheme is evaluated by one call of the shared ``transmit.evaluate`` on
-one row per (point, trial); on the ne axis Eve's draws are zero-padded to
-her largest antenna count for it.  Eve's combiners for every scheme come
-from one eigendecomposition of her Gram matrix per draw of hers, made once
-per block.  No trial's numbers depend on its neighbours, so results are
-also bit-identical for any block size.
+runs once per block and designs every target at once, on the block's
+channels (n, ...) and, where it depends on them, the estimates at every
+error level or Eve's Gram matrices at every draw, (values, n, ...).  Each
+field of the ``transmit.Design`` it returns, (targets or 1, [values,] n,
+...), becomes (points or 1, n, ...) by indexing only its axes longer than
+one.  One call of the shared ``transmit.evaluate`` per scheme broadcasts
+the design, Bob's channels, Eve's and the eigendecomposition of her Gram
+matrices over the (point, trial) grid.  Eve's channels and spectrum are one
+stack of n draws, shared by every scheme, except on the ne axis, which
+draws her anew at each point: there they are (points, n, ...), zero-padded
+to her largest antenna count.  No trial's numbers depend on its
+neighbours, so results are also bit-identical for any block size.
 
 Per-trial metrics are materialized and reduced once at the end, every
 (point, scheme) cell at once; means are arithmetic means of linear SINR,
@@ -32,6 +36,7 @@ the closed-form degradation estimate, which predicts exactly that ratio.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -39,7 +44,7 @@ from typing import Any
 
 import numpy as np
 
-from .channels import SvdStack, partition_stack
+from .channels import NOISE_RANGE, SvdStack, partition_stack
 from .exceptions import ConfigError
 from .perturbation import iid_moments, naive_terms, self_drift
 from .robust import robust_fdd, robust_tdd
@@ -69,6 +74,9 @@ SCENARIOS = (
 # Error levels above this (dB) are outside the trusted range of the
 # second-order expansion; such points are marked extrapolated.
 EXTRAPOLATION_EDGE_DB = -10.0
+# Transmit powers (dB) a config accepts; with the noise powers inside
+# channels.NOISE_RANGE every stage stays in double range.
+POWER_DB_RANGE = (-1000.0, 1000.0)
 
 # Stream tags for per-trial seeding.
 _TAG_CHANNEL = 101
@@ -167,12 +175,14 @@ class ExperimentConfig:
             raise ConfigError(f"threads must be at least 1, got {self.threads}")
         if not (_is_real(self.gamma_ecsi) and 0.0 <= self.gamma_ecsi <= 1.0):
             raise ConfigError(f"gamma_ecsi must lie in [0, 1], got {self.gamma_ecsi!r}")
-        if not all(_is_real(v) and 0 < v < np.inf for v in (self.sigma_b_sq, self.sigma_e_sq)):
-            raise ConfigError("noise powers must be positive and finite")
-        # Decibel values must be finite numbers, and power and target must
-        # stay positive and finite in linear units too.
-        for name, positive in (("power_db", True), ("target_sinr_db", True),
-                               ("sigma_h_db", False)):
+        for name, (lo, hi) in (("sigma_b_sq", NOISE_RANGE), ("sigma_e_sq", NOISE_RANGE),
+                               ("power_db", POWER_DB_RANGE)):
+            value = getattr(self, name)
+            if not (_is_real(value) and lo <= value <= hi):
+                raise ConfigError(f"{name} must lie in [{lo:g}, {hi:g}], got {value!r}")
+        # Decibel values must be finite numbers, and the target must stay
+        # positive and finite in linear units too.
+        for name, positive in (("target_sinr_db", True), ("sigma_h_db", False)):
             for value in _as_tuple(getattr(self, name)):
                 if value is None:
                     continue
@@ -441,19 +451,18 @@ def _blend(cfg: ExperimentConfig, eve: np.ndarray, fresh: np.ndarray | None) -> 
     return np.sqrt(1.0 - gamma) * eve + np.sqrt(gamma) * fresh
 
 
-def _tile(x: np.ndarray, k: int) -> np.ndarray:
-    """``k`` copies of the stack ``x``, one after another."""
-    return x if k == 1 else np.concatenate([x] * k)
+# Each :class:`transmit.Design` field's per-row axes, after its target and batch axes.
+_ROW_DIMS = Design(t=1, rho=0, factor=2, w_b=1, outage=0, flagged=0)
 
 
 class _Block:
     """The draws of trials [lo, hi) and the stages every sweep point shares.
 
     Every random stream the block needs is drawn at construction, in one
-    pass.  Each scheme's kernel then runs once, on its inputs stacked over
-    the values of the one thing it depends on besides the trials (the error
-    level, or Eve's draw on the ne axis), and :meth:`design` lays its rows
-    out as one row per (point, trial).
+    pass.  Each scheme's kernel then runs once, designing every target on
+    its inputs stacked over the values of the one thing it depends on
+    besides the trials (the error level, or Eve's draw on the ne axis), and
+    :meth:`design` maps each sweep point to its entry.
     """
 
     def __init__(self, cfg: ExperimentConfig, lo: int, hi: int):
@@ -465,7 +474,8 @@ class _Block:
         self.targets, self.target_index = np.unique(
             [float(from_db(target_db)) for _, target_db, _ in points], return_inverse=True
         )
-        self.row_targets = np.repeat(self.targets[self.target_index], self.n)
+        # Each point's target, broadcasting over the trials.
+        self.point_targets = self.targets[self.target_index][:, None]
         # The design kernels' last arguments: the targets, power and Bob's noise.
         self.budget = (self.targets, cfg.power_p, cfg.sigma_b_sq)
         names = set(cfg.schemes)
@@ -487,124 +497,106 @@ class _Block:
         self.moments = None
         if names & {"robust_tdd", "analytic_naive"}:
             self.moments = iid_moments(self.part.s, cfg.na, self.part.ill_conditioned)
-        # Each point's index into the values a kernel stacks over: none, the
-        # distinct error levels, or Eve's draws.
         sigma_dbs = [sigma_db for _, _, sigma_db in points]
         self.levels = list(dict.fromkeys(sigma_dbs))
-        self.key_index = {
-            None: np.zeros(self.n_points, int),
-            "level": np.array([self.levels.index(v) for v in sigma_dbs]),
-            "eve": np.arange(self.n_points) if axis_name == "ne" else np.zeros(self.n_points, int),
-        }
+        # Each point's index into the error levels or Eve's draws, whichever
+        # the sweep varies; a kernel's inputs are stacked over those values.
+        self.key_index = (np.arange(self.n_points) if axis_name == "ne"
+                          else np.array([self.levels.index(v) for v in sigma_dbs]))
         eve = [draws["eve", p] for p in eve_points]
-        # The Gram matrices of her unpadded draws, stacked draw by draw.
-        self.eve_gram = np.concatenate([herm(x) @ x for x in eve])
-        # The Eve-aware kernels take them as each design assumes them, and
-        # her antenna count per row.
-        self.gram_e = {"known_ecsi": self.eve_gram}
+        # The Gram matrices of her draws, (draws, n, na, na), as each
+        # Eve-aware design assumes them, and her antenna count per draw.
+        self.gram_e = {"known_ecsi": np.stack([herm(x) @ x for x in eve])}
         if "imperfect_ecsi" in names:
             blended = [_blend(cfg, x, draws.get(("fresh", p))) for x, p in zip(eve, eve_points)]
-            self.gram_e["imperfect_ecsi"] = np.concatenate([herm(x) @ x for x in blended])
-        self.ne = np.repeat([x.shape[1] for x in eve], self.n)
-        # Her true channels for every (point, trial) row, zero-padded to her
-        # largest antenna count.
-        padded = np.zeros((self.n_points, self.n, self.ne.max(), cfg.na), dtype=complex)
-        for rows, p in zip(padded, self.key_index["eve"]):
-            rows[:, :eve[p].shape[1]] = eve[p]
-        self.eve = padded.reshape(-1, *padded.shape[2:])
+            self.gram_e["imperfect_ecsi"] = np.stack([herm(x) @ x for x in blended])
+        self.ne = np.array([x.shape[1] for x in eve])[:, None]
+        # Her true channels: the one draw, or on the ne axis every point's,
+        # zero-padded to her largest antenna count.
+        self.eve = eve[0]
+        if len(eve) > 1:
+            self.eve = np.zeros((len(eve), self.n, self.ne.max(), cfg.na), dtype=complex)
+            for rows, x in zip(self.eve, eve):
+                rows[:, :x.shape[1]] = x
+
+    @cached_property
+    def level_powers(self) -> np.ndarray:
+        """Linear error power of each distinct level, (levels, 1, 1)."""
+        return np.array([float(from_db(sigma_db)) for sigma_db in self.levels])[:, None, None]
 
     @cached_property
     def tilde(self) -> SvdStack:
-        """Decomposition of the transmitter's estimates H + dH, stacked level by level."""
-        return partition_stack(np.concatenate([
-            self.h + np.sqrt(float(from_db(sigma_db))) * self.dh_unit for sigma_db in self.levels
-        ]))
+        """Decomposition of the transmitter's estimates H + dH, (levels, n, ...)."""
+        return partition_stack(self.h + np.sqrt(self.level_powers[..., None]) * self.dh_unit)
 
     @cached_property
     def eve_spectrum(self):
-        """Eigendecomposition (lam, U) of Eve's Gram matrix for every
-        (point, trial) row, from one ``eigh`` per distinct draw of hers."""
-        lam, evecs = np.linalg.eigh(self.eve_gram)
-        rows = self.rows("eve")
-        return lam[rows], evecs[rows]
+        """Eigendecomposition (lam, U) of Eve's Gram matrices, one per draw of
+        hers: (1, n, ...), or (points, n, ...) on the ne axis."""
+        gram = self.gram_e["known_ecsi"]
+        lam, evecs = np.linalg.eigh(gram.reshape(-1, *gram.shape[2:]))
+        return lam.reshape(gram.shape[:-1]), evecs.reshape(gram.shape)
 
     @cached_property
     def e_dv1(self) -> np.ndarray:
-        """Mean drift of the dominant right vector, stacked level by level."""
-        drift = self.moments.drift[:, None] * self.part.v1
-        return np.concatenate([drift * float(from_db(sigma_db)) for sigma_db in self.levels])
-
-    def rows(self, key) -> np.ndarray:
-        """Each (point, trial) row's index into a stack over ``key``'s values."""
-        return (self.key_index[key][:, None] * self.n + np.arange(self.n)).ravel()
+        """Mean drift of the dominant right vector, (levels, n, na)."""
+        return self.moments.drift[:, None] * self.part.v1 * self.level_powers
 
     def design(self, name: str) -> Design:
-        """Scheme ``name``'s design for every (point, trial) row, from one
-        kernel call that designs every target on its key's stack."""
-        build, key = _DESIGNS[name]
-        target = np.repeat(self.target_index, self.n)
-        return Design(*(np.stack(f)[target, self.rows(key)] for f in zip(*build(self))))
+        """Scheme ``name``'s designs, each field (points or 1, n, ...), from
+        one kernel call that designs every target on its stack of inputs."""
+        fields = _DESIGNS[name](self)
+        return Design(*(self.at_points(f, dims) for f, dims in zip(fields, _ROW_DIMS)))
+
+    def at_points(self, f: np.ndarray, row_dims: int = 0) -> np.ndarray:
+        """``f`` (targets or 1, [values,] n, ...), with ``row_dims`` axes per
+        row and values over the error levels or Eve's draws, as (points or 1,
+        n, ...): each point's entry along the axes longer than one."""
+        trial = f.ndim - row_dims - 1
+        f = f.reshape(f.shape[0], math.prod(f.shape[1:trial]), *f.shape[trial:])
+        if f.shape[:2] == (1, 1):
+            return f[0]
+        return f[self.target_index if len(f) > 1 else 0, self.key_index if f.shape[1] > 1 else 0]
 
 
-def _artificial_noise(blk: _Block, tx: SvdStack) -> list[Design]:
-    """Data on the dominant direction of ``tx`` (the channel's, or its
-    estimates' at every level), noise on the rest; Bob matches his
-    channel's own."""
-    k = len(tx.s) // blk.n
-    return artificial_noise(tx.sigma1, tx.v, _tile(blk.h, k), _tile(blk.part.v1, k), *blk.budget)
-
-
-def _eve_aware(blk: _Block, name: str) -> list[Design]:
-    gram_e = blk.gram_e[name]
-    return eve_aware(_tile(blk.h, len(gram_e) // blk.n), gram_e, blk.ne, *blk.budget)
-
-
-def _robust_fdd(blk: _Block) -> list[Design]:
-    tilde = blk.tilde
-    h = tilde.reconstruct() if blk.cfg.propagate_through_estimate else _tile(blk.h, len(blk.levels))
-    return robust_fdd(h, tilde.v, *blk.budget)
-
-
-def _robust_tdd(blk: _Block) -> list[Design]:
-    k, part = len(blk.levels), blk.part
-    return robust_tdd(_tile(blk.h, k), _tile(part.sigma1, k), _tile(part.u1, k),
-                      _tile(part.v1, k), blk.e_dv1, blk.tilde.v, *blk.budget)
-
-
-# Every simulated scheme: its designs for all targets of the sweep at once,
-# and the key whose values its kernel call stacks (None, the error level or
-# Eve's draw).  Every scheme shares transmit.evaluate.
+# Every simulated scheme's designs for all targets of the sweep at once.
+# Every scheme shares transmit.evaluate.
 _DESIGNS = {
-    "perfect": (lambda blk: _artificial_noise(blk, blk.part), None),
-    "naive": (lambda blk: _artificial_noise(blk, blk.tilde), "level"),
-    "known_ecsi": (lambda blk: _eve_aware(blk, "known_ecsi"), "eve"),
-    "imperfect_ecsi": (lambda blk: _eve_aware(blk, "imperfect_ecsi"), "eve"),
-    "robust_fdd": (_robust_fdd, "level"),
-    "robust_tdd": (_robust_tdd, "level"),
+    # Data on the dominant direction of the channel, or of its estimates at
+    # every level, noise on the rest; Bob matches his channel's own.
+    "perfect": lambda blk: artificial_noise(
+        blk.part.sigma1, blk.part.v, blk.h, blk.part.v1, *blk.budget),
+    "naive": lambda blk: artificial_noise(
+        blk.tilde.sigma1, blk.tilde.v, blk.h, blk.part.v1, *blk.budget),
+    "known_ecsi": lambda blk: eve_aware(blk.h, blk.gram_e["known_ecsi"], blk.ne, *blk.budget),
+    "imperfect_ecsi": lambda blk: eve_aware(
+        blk.h, blk.gram_e["imperfect_ecsi"], blk.ne, *blk.budget),
+    "robust_fdd": lambda blk: robust_fdd(
+        blk.tilde.reconstruct() if blk.cfg.propagate_through_estimate else blk.h,
+        blk.tilde.v, *blk.budget),
+    "robust_tdd": lambda blk: robust_tdd(
+        blk.h, blk.part.sigma1, blk.part.u1, blk.part.v1, blk.e_dv1, blk.tilde.v, *blk.budget),
 }
 
 
 def _analytic_naive(blk: _Block) -> np.ndarray:
-    """Closed-form expected powers of the mismatched link, per (point, trial) row.
+    """Closed-form expected powers of the mismatched link, (metrics, points, n).
 
     Trials whose nominal design is already in outage are outside the
     expansion's validity range; they and trials with a nonpositive term
     are flagged and carry no SINR.
     """
-    cfg, k = blk.cfg, blk.n_points
-    sigma_sq = np.repeat(
-        [float(from_db(blk.levels[i])) for i in blk.key_index["level"]], blk.n
-    )
-    sigma1, v1 = _tile(blk.part.sigma1, k), _tile(blk.part.v1, k)
-    rho = required_rho(sigma1, blk.row_targets, cfg.power_p, cfg.sigma_b_sq)
+    cfg, sigma1 = blk.cfg, blk.part.sigma1
+    sigma_sq = blk.at_points(blk.level_powers[None, ..., 0])
+    rho = required_rho(sigma1, blk.point_targets, cfg.power_p, cfg.sigma_b_sq)
     num, den = naive_terms(
-        sigma1, rho, 2.0 * self_drift(v1, blk.e_dv1[blk.rows("level")]),
-        _tile(blk.moments.e_dsigma1, k) * sigma_sq, blk.moments.e_dsigma1_sq * sigma_sq,
+        sigma1, rho, blk.at_points(2.0 * self_drift(blk.part.v1, blk.e_dv1)[None]),
+        blk.moments.e_dsigma1 * sigma_sq, blk.moments.e_dsigma1_sq * sigma_sq,
         cfg.power_p, cfg.sigma_b_sq, cfg.na,
     )
     valid = rho < 1.0
     ok = valid & (num > 0.0) & (den > 0.0)
-    rows = np.full((len(METRICS), rho.size), np.nan)
+    rows = np.full((len(METRICS),) + rho.shape, np.nan)
     rows[4] = np.where(valid, num, np.nan)
     rows[5] = np.where(valid, den, np.nan)
     with np.errstate(all="ignore"):
@@ -616,12 +608,12 @@ def _analytic_naive(blk: _Block) -> np.ndarray:
 def _run_block(cfg: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
     """Metrics for the block of trials [lo, hi), every stage stacked.
 
-    Each scheme's designs for all points are evaluated together, in one
-    batch of points x trials rows.
+    Each scheme's designs for all points are evaluated together, broadcast
+    over the (point, trial) grid: Bob's channels, Eve's and her spectrum
+    enter once per draw.
     """
     blk = _Block(cfg, lo, hi)
-    h = _tile(blk.h, blk.n_points)
-    out = np.empty((len(cfg.schemes), len(METRICS), blk.n_points * blk.n))
+    out = np.empty((len(cfg.schemes), len(METRICS), blk.n_points, blk.n))
     for s, name in enumerate(cfg.schemes):
         if name == "analytic_naive":
             out[s] = _analytic_naive(blk)
@@ -629,9 +621,9 @@ def _run_block(cfg: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
             d = blk.design(name)
             # Designs without interference give Eve the matched combiner.
             spectrum = blk.eve_spectrum if d.factor.shape[-1] else None
-            out[s] = evaluate(d, h, blk.eve, spectrum, blk.row_targets, cfg.power_p,
+            out[s] = evaluate(d, blk.h, blk.eve, spectrum, blk.point_targets, cfg.power_p,
                               cfg.sigma_b_sq, cfg.sigma_e_sq, cfg.secrecy_metric)
-    return out.reshape(len(cfg.schemes), len(METRICS), blk.n_points, blk.n).transpose(2, 0, 1, 3)
+    return out.transpose(2, 0, 1, 3)
 
 
 def _db_or_neg_inf(x: np.ndarray) -> np.ndarray:
@@ -649,7 +641,11 @@ def _mean_stderr(values: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         mean = np.where(valid, values, 0.0).sum(axis=-1) / n
         dev = np.where(valid, values - mean[..., None], 0.0)
-        se = np.sqrt((dev * dev).sum(axis=-1) / (n - 1)) / np.sqrt(n)
+        # Deviations are squared in units of a power of two near the largest
+        # one, so an SINR near 1e200 cannot overflow; the scaling is exact.
+        scale = np.ldexp(1.0, np.frexp(np.max(np.abs(dev), axis=-1))[1])[..., None]
+        dev = dev / scale
+        se = scale[..., 0] * np.sqrt((dev * dev).sum(axis=-1) / (n - 1)) / np.sqrt(n)
     return np.where(n > 0, mean, np.nan), np.where(n > 1, se, np.nan), n
 
 

@@ -37,6 +37,7 @@ from .transmit import (
     noise_factors,
     noise_share,
     run_trial,
+    target_axis,
     whitened_combiner,
 )
 
@@ -137,7 +138,8 @@ def fdd_spectrum(h_design, t_tilde, t_prime):
 
 
 def robust_fdd(h_design, v_tilde, targets, power_p: float, sigma_b_sq: float):
-    """Exact-knowledge recovery designs, one :class:`Design` per target.
+    """Exact-knowledge recovery designs for every entry of ``targets`` (one
+    :class:`Design`).
 
     The receiver knows the transmitter's estimate, whose right singular
     vectors are ``v_tilde`` (..., na, na): data on column 0, interference
@@ -148,19 +150,15 @@ def robust_fdd(h_design, v_tilde, targets, power_p: float, sigma_b_sq: float):
     """
     na = v_tilde.shape[-1]
     lam, evecs, signature, weights = fdd_spectrum(h_design, v_tilde[..., 0], v_tilde[..., 1:])
-    rhos, outages = solve_fractions(
-        lam[..., None, :], weights[..., None, :], power_p, na, sigma_b_sq, np.asarray(targets)
+    rho, outage = solve_fractions(
+        lam, weights, power_p, na, sigma_b_sq, target_axis(targets, lam.ndim - 1)
     )
-    designs = []
-    for k in range(len(targets)):
-        rho, outage = rhos[..., k], outages[..., k]
-        beta = noise_share(rho, power_p, na)
-        designs.append(Design(
-            t=v_tilde[..., 0], rho=rho, factor=noise_factors(v_tilde[..., 1:], rho, power_p),
-            w_b=whitened_combiner(evecs, lam, signature, beta, sigma_b_sq), outage=outage,
-            flagged=np.zeros_like(outage),
-        ))
-    return designs
+    beta = noise_share(rho, power_p, na)
+    return Design(
+        t=v_tilde[None, ..., 0], rho=rho, factor=noise_factors(v_tilde[..., 1:], rho, power_p),
+        w_b=whitened_combiner(evecs, lam, signature, beta, sigma_b_sq), outage=outage,
+        flagged=np.zeros_like(outage),
+    )
 
 
 def tdd_shape(h, sigma1, u1, e_dv1):
@@ -222,7 +220,8 @@ def loaded_noise(beta, lam, sigma_sq: float):
 
 
 def robust_tdd(h, sigma1, u1, v1, e_dv1, v_tilde, targets, power_p: float, sigma_b_sq: float):
-    """Statistics-only recovery designs, one :class:`Design` per target.
+    """Statistics-only recovery designs for every entry of ``targets`` (one
+    :class:`Design`).
 
     The receiver knows its channel ``h`` with dominant singular triplet
     (``sigma1``, ``u1``, ``v1``) and the mean drift ``e_dv1`` of the
@@ -239,17 +238,15 @@ def robust_tdd(h, sigma1, u1, v1, e_dv1, v_tilde, targets, power_p: float, sigma
     lam, evecs = np.linalg.eigh(tdd_shape(h, sigma1, u1, e_dv1))
     leak = -2.0 * self_drift(v1, e_dv1)
     signature = matvec(h, v1 + e_dv1)
-    designs = []
-    for target in targets:
-        rho, outage = tdd_fraction(sigma1**2, leak, target, power_p, sigma_b_sq, na)
-        beta = noise_share(rho, power_p, na)
-        sigma_eff, loaded = loaded_noise(beta, lam, sigma_b_sq)
-        designs.append(Design(
-            t=v_tilde[..., 0], rho=rho, factor=noise_factors(v_tilde[..., 1:], rho, power_p),
-            w_b=whitened_combiner(evecs, lam, signature, beta, sigma_eff),
-            outage=outage, flagged=loaded,
-        ))
-    return designs
+    rho, outage = tdd_fraction(sigma1**2, leak, target_axis(targets, lam.ndim - 1), power_p,
+                               sigma_b_sq, na)
+    beta = noise_share(rho, power_p, na)
+    sigma_eff, loaded = loaded_noise(beta, lam, sigma_b_sq)
+    return Design(
+        t=v_tilde[None, ..., 0], rho=rho, factor=noise_factors(v_tilde[..., 1:], rho, power_p),
+        w_b=whitened_combiner(evecs, lam, signature, beta, sigma_eff),
+        outage=outage, flagged=loaded,
+    )
 
 
 def _fdd_trial(
@@ -262,7 +259,7 @@ def _fdd_trial(
     """Full-knowledge recovery for one trial from the estimate's
     decomposition (a stack of one): the batch of one of :func:`robust_fdd`."""
     h = tilde.reconstruct() if propagate_through_estimate else chan.h_ba.entries[None]
-    d = robust_fdd(h, tilde.v, (target_sinr,), chan.power_p, chan.sigma_b_sq)[0]
+    d = robust_fdd(h, tilde.v, (target_sinr,), chan.power_p, chan.sigma_b_sq).at(0)
     scheme, _, report, bob, eve = run_trial(chan, d, target_sinr)
     return RxBeamformer(w=d.w_b[0], kind="robust_fdd"), report, bob, eve, scheme
 
@@ -306,7 +303,7 @@ def _tdd_trial(
     d = robust_tdd(
         chan.h_ba.entries[None], svd.sigma1[None], svd.u1[None], svd.v1[None],
         moments.e_dv1[None], tilde.v, (target_sinr,), chan.power_p, chan.sigma_b_sq,
-    )[0]
+    ).at(0)
     scheme, _, report, bob, eve = run_trial(chan, d, target_sinr)
     return RxBeamformer(w=d.w_b[0], kind="robust_tdd"), report, bob, eve, scheme
 

@@ -9,9 +9,10 @@ which is exactly the mismatch the rest of the package studies.
 
 Every scheme is a kernel over stacks of channels with leading batch axes
 (:func:`artificial_noise`, :func:`eve_aware`, and the robust receivers in
-``robust``), returning a :class:`Design` per target SINR, and every design is
-evaluated by :func:`links` and :func:`evaluate`.  The single-channel
-functions run those kernels on a batch of one and wrap the results in
+``robust``), returning one :class:`Design` for all its target SINRs at once,
+and every design is evaluated by :func:`links` and :func:`evaluate`, which
+broadcast over the batch axes.  The single-channel functions run those
+kernels on a batch of one at one target and wrap the results in
 :class:`TxScheme`, :class:`RxBeamformer`, :class:`LinkSinr` and
 :class:`SinrReport`, so they return the sweep engine's numbers bit for bit.
 """
@@ -135,13 +136,20 @@ class SinrReport:
 
 
 class Design(NamedTuple):
-    """A batched transmit design and Bob's combiner, one row per trial.
+    """Batched transmit designs and Bob's combiners for several targets.
 
-    ``t`` (..., na) is the unit data direction, ``rho`` (...) the data power
-    fraction, ``factor`` (..., na, k) the interference factor F with
-    q_z = F F^H, ``w_b`` (..., nb) Bob's combiner, ``outage`` whether the
-    target was out of reach and ``flagged`` whether the statistical
-    receiver needed diagonal loading.
+    ``t`` (K, ..., na) is the unit data direction, ``rho`` (K, ...) the data
+    power fraction, ``factor`` (K, ..., na, k) the interference factor F
+    with q_z = F F^H, ``w_b`` (K, ..., nb) Bob's combiner, ``outage``
+    (K, ...) whether the target was out of reach and ``flagged`` (K, ...)
+    whether the statistical receiver needed diagonal loading.
+
+    The leading axis runs over the K targets of the kernel call, with
+    length 1 in a field that does not depend on the target.  A field's
+    batch axes ``...`` are those of the inputs it was computed from, so the
+    fields broadcast against each other but need not be equal (Bob's matched
+    combiner has no axis over error levels, the directions of stale
+    estimates do).  :meth:`at` picks one target.
 
     Every kernel spreads the interference evenly over the directions
     orthogonal to ``t``, or sends none: F = sqrt(beta) T' for the other
@@ -156,6 +164,16 @@ class Design(NamedTuple):
     w_b: np.ndarray
     outage: np.ndarray
     flagged: np.ndarray
+
+    def at(self, k: int) -> Design:
+        """The design for target ``k``: each field's entry ``k`` along the
+        target axis, or its only entry where it does not depend on the target."""
+        return Design(*(f[k] if len(f) > 1 else f[0] for f in self))
+
+
+def target_axis(targets, ndim: int) -> np.ndarray:
+    """``targets`` as the leading axis of an array with ``ndim`` batch axes after it."""
+    return np.asarray(targets, dtype=float).reshape((-1,) + (1,) * ndim)
 
 
 def outage_fallback(rho):
@@ -202,7 +220,7 @@ def noise_factors(t_prime: np.ndarray, rho, power_p: float) -> np.ndarray:
 
 
 def artificial_noise(sigma1, v, h, v_rx, targets, power_p: float, sigma_b_sq: float):
-    """Artificial-noise designs, one :class:`Design` per entry of ``targets``.
+    """Artificial-noise designs for every entry of ``targets`` (one :class:`Design`).
 
     Data rides the dominant direction ``v[..., 0]`` of the transmitter's
     decomposition (singular value ``sigma1``); the leftover budget is spread
@@ -211,21 +229,20 @@ def artificial_noise(sigma1, v, h, v_rx, targets, power_p: float, sigma_b_sq: fl
     budget cannot meet a target the design degrades to rho = 1 with no
     interference and the outage flag set.  Bob's combiner is matched to
     ``h @ v_rx``, his channel's own dominant direction, so a decomposition
-    of a stale estimate models the mismatched (naive) link.
+    of a stale estimate models the mismatched (naive) link.  Only the power
+    split depends on the target; ``t`` and ``w_b`` are computed once.
     """
-    w_b = matvec(h, v_rx)
-    designs = []
-    for target in targets:
-        rho, outage = outage_fallback(required_rho(sigma1, target, power_p, sigma_b_sq))
-        designs.append(Design(
-            t=v[..., 0], rho=rho, factor=noise_factors(v[..., 1:], rho, power_p),
-            w_b=w_b, outage=outage, flagged=np.zeros_like(outage),
-        ))
-    return designs
+    target = target_axis(targets, np.ndim(sigma1))
+    rho, outage = outage_fallback(required_rho(sigma1, target, power_p, sigma_b_sq))
+    return Design(
+        t=v[None, ..., 0], rho=rho, factor=noise_factors(v[..., 1:], rho, power_p),
+        w_b=matvec(h, v_rx)[None], outage=outage, flagged=np.zeros_like(outage),
+    )
 
 
 def eve_aware(h, gram_e, ne, targets, power_p: float, sigma_b_sq: float):
-    """Designs that minimize the eavesdropper's SINR at fixed QoS, one per target.
+    """Designs that minimize the eavesdropper's SINR at fixed QoS, for every
+    entry of ``targets`` (one :class:`Design`).
 
     All power goes to the data stream; the direction weighs the intended
     channels ``h`` against the Gram matrices ``gram_e`` of the eavesdropper's
@@ -233,23 +250,22 @@ def eve_aware(h, gram_e, ne, targets, power_p: float, sigma_b_sq: float):
     rows (:func:`eve_aware_directions`).  While she has fewer antennas than
     the transmitter the direction lands in her null space.  The data
     fraction is the minimum meeting each target at the intended receiver
-    with a matched combiner (the remainder goes unused).  Raises
-    DegenerateChannelError when a direction has zero gain to the intended
-    receiver.
+    with a matched combiner (the remainder goes unused); it is the only
+    field that depends on the target.  Raises DegenerateChannelError when a
+    direction has zero gain to the intended receiver.
     """
     t = eve_aware_directions(herm(h) @ h, gram_e, ne, h.shape[-2])
     w_b = matvec(h, t)
     gain = np.real(vdot(w_b, w_b))
     if (gain <= 0).any():
         raise DegenerateChannelError("data direction has zero gain to the intended receiver")
-    factor = np.zeros(t.shape + (0,), dtype=complex)
-    designs = []
-    for target in targets:
-        rho, outage = outage_fallback(sigma_b_sq * target / (power_p * gain))
-        designs.append(Design(
-            t=t, rho=rho, factor=factor, w_b=w_b, outage=outage, flagged=np.zeros_like(outage),
-        ))
-    return designs
+    rho, outage = outage_fallback(
+        sigma_b_sq * target_axis(targets, gain.ndim) / (power_p * gain)
+    )
+    return Design(
+        t=t[None], rho=rho, factor=np.zeros((1,) + t.shape + (0,), dtype=complex),
+        w_b=w_b[None], outage=outage, flagged=np.zeros_like(outage),
+    )
 
 
 @cache
@@ -271,13 +287,14 @@ _HEGVD_ARGS = dict(itype=1, jobz="V", uplo="L")
 
 
 def eve_aware_directions(a: np.ndarray, b: np.ndarray, ne, nb: int) -> np.ndarray:
-    """Unit directions (T, na) of :func:`eve_aware` for Gram stacks.
+    """Unit directions (..., na) of :func:`eve_aware` for Gram stacks.
 
-    ``a`` and ``b`` (T, na, na) are the Gram matrices H^H H of the intended
-    receiver's channels, with ``nb`` rows, and of the eavesdropper's, with
-    ``ne`` rows (one count, or one per matrix).  Her rank is ``ne``, or that
-    of ``b`` when ``a`` is singular by shape (nb < na), and it picks one of
-    three routes per row:
+    ``a`` and ``b`` (..., na, na), which broadcast against each other, are
+    the Gram matrices H^H H of the intended receiver's channels, with ``nb``
+    rows, and of the eavesdropper's, with ``ne`` rows (one count, or an
+    array broadcasting against the leading axes).  Her rank is ``ne``, or
+    that of ``b`` when ``a`` is singular by shape (nb < na), and it picks one
+    of three routes per row:
 
     - rank na: the largest ratio of a t = lam b t, in one stacked pass:
       b = L L^H, y the top eigenvector of L^-1 a L^-H, t = L^-H y;
@@ -299,7 +316,11 @@ def eve_aware_directions(a: np.ndarray, b: np.ndarray, ne, nb: int) -> np.ndarra
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
     na = a.shape[-1]
-    rank = np.full(a.shape[:-2], ne)
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    shape = a.shape[:-2]
+    a, b = a.reshape(-1, na, na), b.reshape(-1, na, na)
+    rank = np.full(shape, ne).ravel()
     if nb < na:
         # A singular a can still pass a Cholesky factorization in floating
         # point, so her rank routes these rows.
@@ -343,7 +364,8 @@ def eve_aware_directions(a: np.ndarray, b: np.ndarray, ne, nb: int) -> np.ndarra
                 )
             t[rows] = matvec(basis, y[..., -1])
     # np.linalg.norm's two real dot products, for every row at once.
-    return t / np.sqrt(vdot(t.real, t.real) + vdot(t.imag, t.imag))[..., None]
+    t = t / np.sqrt(vdot(t.real, t.real) + vdot(t.imag, t.imag))[..., None]
+    return t.reshape(shape + (na,))
 
 
 def _cholesky_rows(b: np.ndarray):
@@ -455,8 +477,11 @@ def links(d: Design, h, eve, spectrum, power_p: float, sigma_b_sq: float, sigma_
     :func:`link` figures, Eve's), for Bob's channels ``h`` and hers ``eve``.
 
     ``spectrum`` is the eigendecomposition (lam, U) of Eve's Gram matrices,
-    one per row, from which :func:`eve_combiners` builds her combiners; a
-    design without interference columns does not read it.
+    from which :func:`eve_combiners` builds her combiners; a design without
+    interference columns does not read it.  The design's fields (one
+    target's, or one per row), the channels and the spectrum broadcast
+    against each other, so a product that does not depend on the target,
+    such as H t, is formed once per channel.
     """
     data_power = d.rho * power_p
     w_e = eve_combiners(eve, d.t, d.factor, spectrum, sigma_e_sq)
@@ -466,11 +491,12 @@ def links(d: Design, h, eve, spectrum, power_p: float, sigma_b_sq: float, sigma_
 
 def evaluate(d: Design, h, eve, spectrum, target, power_p: float, sigma_b_sq: float,
              sigma_e_sq: float, secrecy_metric: str) -> np.ndarray:
-    """Metrics (len(METRICS), rows) of a design: Eve's MMSE combiner, both
+    """Metrics (len(METRICS), ...) of a design: Eve's MMSE combiner, both
     links, and the secrecy metric.
 
-    Every argument carries one entry per row (``target`` may be a scalar);
-    ``spectrum`` is as for :func:`links`.
+    The arguments broadcast against each other as for :func:`links`
+    (``target`` too, which may be a scalar), and each metric has their
+    broadcast shape.
     "goodput" pays the provisioned secret rate only on trials where the
     intended link actually reaches its target SINR, so schemes are compared
     on secrecy they reliably deliver rather than on lucky fades; "proxy" is
@@ -488,10 +514,10 @@ def evaluate(d: Design, h, eve, spectrum, target, power_p: float, sigma_b_sq: fl
         secrecy = secure_goodput(sinr_b, sinr_e, target)
     else:
         secrecy = secrecy_capacity_proxy(sinr_b, sinr_e)
-    return np.stack([
+    return np.stack(np.broadcast_arrays(
         sinr_b, sinr_e, secrecy, d.outage, signal_b, interf_b + noise_b,
         signal_e, interf_e + noise_e, d.flagged,
-    ]).astype(float)
+    ), dtype=float)
 
 
 def secrecy_capacity_proxy(sinr_b: float, sinr_e: float) -> float:
@@ -558,12 +584,12 @@ def full_secrecy_rates(h_b, h_e, t, data_power, q, sigma_b_sq: float, sigma_e_sq
 
 # ---------------------------------------------------- single-channel interface
 #
-# Each function below runs a kernel on a batch of one channel and wraps the
-# first row in the public types.
+# Each function below runs a kernel on a batch of one channel at one target
+# and wraps the first row in the public types.
 
 
 def _tx_scheme(d: Design, power_p: float, target_sinr: float) -> TxScheme:
-    """The transmit configuration of a batch-of-one design."""
+    """The transmit configuration of a batch-of-one design at one target."""
     return TxScheme(t=d.t[0], rho=float(d.rho[0]), power_p=power_p, target_sinr=target_sinr,
                     outage=bool(d.outage[0]), q_z_factor=d.factor[0])
 
@@ -579,7 +605,7 @@ def _report(bob: LinkSinr, eve: LinkSinr, outage: bool) -> SinrReport:
 
 
 def run_trial(chan: ChannelSet, d: Design, target_sinr: float):
-    """Evaluate a batch-of-one design on ``chan``.
+    """Evaluate a batch-of-one design at one target on ``chan``.
 
     Returns (scheme, Eve's combiner, report, Bob's link, Eve's link).
     """
@@ -597,7 +623,7 @@ def single_artificial_noise(chan: ChannelSet, tx: SvdStack, rx: SvdStack, target
     return artificial_noise(
         tx.sigma1[None], tx.v[None], chan.h_ba.entries[None], rx.v1[None],
         (target_sinr,), chan.power_p, chan.sigma_b_sq,
-    )[0]
+    ).at(0)
 
 
 def design_artificial_noise(chan: ChannelSet, svd: SvdStack, target_sinr: float) -> TxScheme:
@@ -621,7 +647,7 @@ def design_known_ecsi(chan: ChannelSet, h_ea_assumed, target_sinr: float) -> TxS
     if he.shape[1] != chan.na:
         raise DimensionError(f"channel column counts differ: {chan.na} vs {he.shape[1]}")
     d = eve_aware(chan.h_ba.entries[None], (herm(he) @ he)[None], he.shape[0], (target_sinr,),
-                  chan.power_p, chan.sigma_b_sq)[0]
+                  chan.power_p, chan.sigma_b_sq).at(0)
     return _tx_scheme(d, chan.power_p, target_sinr)
 
 

@@ -88,6 +88,14 @@ class TestChannelContainers:
             ChannelSet(h_ba=ba, h_ea=ea, sigma_b_sq=0.0, sigma_e_sq=1.0, power_p=1.0)
 
 
+    @pytest.mark.parametrize("noise", [dict(sigma_b_sq=1e-160), dict(sigma_e_sq=1e170)])
+    def test_set_rejects_noise_outside_its_range(self, noise):
+        ba = ChannelMatrix(np.ones((2, 3), dtype=complex))
+        ea = ChannelMatrix(np.ones((2, 3), dtype=complex))
+        params = {**dict(sigma_b_sq=1.0, sigma_e_sq=1.0, power_p=1.0), **noise}
+        with pytest.raises(ParameterError, match=next(iter(noise))):
+            ChannelSet(h_ba=ba, h_ea=ea, **params)
+
 class TestPartitionSvd:
     @pytest.mark.parametrize("shape,seed", [((4, 4), 0), ((3, 6), 1), ((1, 4), 2)])
     def test_reconstruct_round_trips(self, shape, seed):

@@ -98,12 +98,14 @@ def _config(shape, axis: str, **overrides) -> ExperimentConfig:
         na=na, nb=nb, ne=ne, target_sinr_db=15.0, sigma_h_db=-15.0, trials=12,
         master_seed=3, schemes=SCHEMES,
     )
+    # Each axis repeats a value out of order, so every point must find its
+    # own entry among the distinct values the kernels stack.
     if axis == "ne":
-        params.update(ne=(1, ne))
+        params.update(ne=(ne, 1, ne))
     elif axis == "target_sinr_db":
-        params.update(target_sinr_db=(0.0, 10.0, 25.0))
+        params.update(target_sinr_db=(25.0, 0.0, 25.0, 10.0))
     else:
-        params.update(sigma_h_db=(-30.0, -10.0, -3.0))
+        params.update(sigma_h_db=(-10.0, -30.0, -10.0))
     params.update(overrides)
     return ExperimentConfig(**params)
 
@@ -189,10 +191,10 @@ def _per_point_rows(cfg: ExperimentConfig):
         eve, fresh = eve_draws[2 * p], eve_draws[2 * p + 1]
         for s, name in enumerate(cfg.schemes):
             if name == "perfect":
-                d = artificial_noise(part.s[:, 0], part.v, h, part.v[..., 0], *budget)[0]
+                d = artificial_noise(part.s[:, 0], part.v, h, part.v[..., 0], *budget).at(0)
             else:
                 assumed = eve if name == "known_ecsi" else harness._blend(cfg, eve, fresh)
-                d = eve_aware(h, herm(assumed) @ assumed, ne, *budget)[0]
+                d = eve_aware(h, herm(assumed) @ assumed, ne, *budget).at(0)
                 directions[name].append(d.t)
             out[p, s] = evaluate(d, h, eve, np.linalg.eigh(herm(eve) @ eve), target, cfg.power_p,
                                  cfg.sigma_b_sq, cfg.sigma_e_sq, cfg.secrecy_metric)
@@ -217,7 +219,7 @@ def test_ragged_eve_axis_matches_the_per_point_path(monkeypatch, na, ne, metric)
 
     def recording(*args):
         designs = transmit.eve_aware(*args)
-        recorded.append(designs[0].t)
+        recorded.append(designs.t[0].reshape(-1, designs.t.shape[-1]))
         return designs
 
     monkeypatch.setattr(harness, "eve_aware", recording)
@@ -293,14 +295,20 @@ def test_block_size_does_not_change_a_bit(monkeypatch, block):
     schemes=st.lists(st.sampled_from(SCHEMES), min_size=1, max_size=4, unique=True),
     metric=st.sampled_from(["goodput", "proxy", "full"]),
     seed=st.integers(0, 2**16),
+    axis=st.sampled_from(["ne", "target_sinr_db", "sigma_h_db"]),
+    picks=st.lists(st.integers(0, 2), min_size=1, max_size=4),
 )
 def test_engine_equals_the_loop_on_random_configs(
-    na, nb_gap, ne, target_db, sigma_db, power_db, schemes, metric, seed
+    na, nb_gap, ne, target_db, sigma_db, power_db, schemes, metric, seed, axis, picks
 ):
+    # One axis is swept over 1-4 values drawn from three, repeats allowed.
+    values = {"ne": (ne, 1, 5), "target_sinr_db": (target_db, -5.0, 30.0),
+              "sigma_h_db": (sigma_db, -40.0, -3.0)}[axis]
+    params = dict(ne=ne, target_sinr_db=target_db, sigma_h_db=sigma_db)
+    params[axis] = tuple(values[i] for i in picks)
     cfg = ExperimentConfig(
-        na=na, nb=max(na - nb_gap, 1), ne=ne, target_sinr_db=target_db,
-        sigma_h_db=sigma_db, power_db=power_db, trials=3, master_seed=seed,
-        schemes=tuple(schemes), secrecy_metric=metric,
+        na=na, nb=max(na - nb_gap, 1), power_db=power_db, trials=3, master_seed=seed,
+        schemes=tuple(schemes), secrecy_metric=metric, **params,
     )
     try:
         oracles._run_chunk(cfg, 0, cfg.trials)
@@ -309,6 +317,88 @@ def test_engine_equals_the_loop_on_random_configs(
             harness._run_chunk(cfg, 0, cfg.trials)
         return
     assert_matches_loop(cfg)
+
+
+# ----------------------------------------- the target axis and the point grid
+
+
+def _flat(x: np.ndarray, shape: tuple, row_dims: int) -> np.ndarray:
+    """``x`` broadcast to the batch ``shape`` and laid out one row per batch
+    entry, as the engine tiled its stacks before they broadcast."""
+    row = x.shape[x.ndim - row_dims:]
+    return np.broadcast_to(x, shape + row).reshape(math.prod(shape), *row)
+
+
+def test_every_kernel_designs_its_targets_in_one_pass_bit_for_bit():
+    # Each kernel designs all targets at once, on inputs stacked over two
+    # error levels or two draws of Eve's while Bob's channel is shared.
+    # Each target's design must be the single-target call's on flat stacks
+    # with one row per (level or draw, trial), bit for bit; 1e6 is out of
+    # reach everywhere.
+    count, na, power_p = 20, 4, 100.0
+    targets = (0.5, 30.0, 1e6)
+    h = _random_channels(count, na, na, seed=41)
+    part = partition_stack(h)
+    levels = np.array([0.01, 0.1])[:, None, None]
+    tilde = partition_stack(h + np.sqrt(levels[..., None]) * _random_channels(count, na, na, 42))
+    e_dv1 = iid_moments(part.s, na, part.ill_conditioned).drift[:, None] * part.v1 * levels
+    gram = np.stack([herm(x) @ x for x in (_random_channels(count, ne, na, 43 + ne)
+                                             for ne in (2, 5))])
+    kernels = {
+        "artificial_noise": (artificial_noise, (tilde.sigma1, tilde.v, h, part.v1), (0, 2, 2, 1)),
+        "eve_aware": (eve_aware, (h, gram, np.array([[2], [5]])), (2, 2, 0)),
+        "robust_fdd": (robust.robust_fdd, (h, tilde.v), (2, 2)),
+        "robust_tdd": (robust.robust_tdd, (h, part.sigma1, part.u1, part.v1, e_dv1, tilde.v),
+                       (2, 0, 1, 1, 1, 2)),
+    }
+    grid = (2, count)
+    for name, (kernel, args, row_dims) in kernels.items():
+        joint = kernel(*args, targets, power_p, 1.0)
+        rows = [_flat(x, grid, dims) for x, dims in zip(args, row_dims)]
+        for k, target in enumerate(targets):
+            single = kernel(*rows, (target,), power_p, 1.0).at(0)
+            for field, got, want in zip(transmit.Design._fields, joint.at(k), single):
+                np.testing.assert_array_equal(_flat(got, grid, want.ndim - 1), want,
+                                              err_msg=f"{name}.{field}[{k}]")
+        assert joint.outage[-1].all() and not joint.outage[0].any(), name
+
+
+@pytest.mark.parametrize("metric", ["goodput", "proxy", "full"])
+@pytest.mark.parametrize("preset", ["fig1_ne_sweep", "fig3_sinr_vs_target", "fig5_sigma_sweep"])
+def test_evaluate_on_the_point_grid_equals_evaluate_on_tiled_rows(preset, metric):
+    # The engine passes each design's fields, Bob's and Eve's channels and
+    # her spectrum once per draw, and evaluate broadcasts them over the
+    # (point, trial) grid.  Copied out to one row per (point, trial), as the
+    # engine laid them out before, they must give the same bits.
+    cfg = preset_config(preset, trials=9, master_seed=12, secrecy_metric=metric)
+    blk = harness._Block(cfg, 0, cfg.trials)
+    grid = (blk.n_points, blk.n)
+    budget = (cfg.power_p, cfg.sigma_b_sq, cfg.sigma_e_sq, cfg.secrecy_metric)
+    for name in cfg.schemes:
+        d = blk.design(name)
+        spectrum = blk.eve_spectrum if d.factor.shape[-1] else None
+        got = evaluate(d, blk.h, blk.eve, spectrum, blk.point_targets, *budget)
+        rows = transmit.Design(*(_flat(f, grid, dims) for f, dims in zip(d, harness._ROW_DIMS)))
+        if spectrum is not None:
+            spectrum = (_flat(spectrum[0], grid, 1), _flat(spectrum[1], grid, 2))
+        want = evaluate(rows, _flat(blk.h, grid, 2), _flat(blk.eve, grid, 2), spectrum,
+                        _flat(blk.point_targets, grid, 0), *budget)
+        np.testing.assert_array_equal(_flat(got, (len(harness.METRICS),) + grid, 0),
+                                      want.ravel(), err_msg=name)
+
+
+@pytest.mark.parametrize("preset, draws", [("fig3_sinr_vs_target", 1), ("fig5_sigma_sweep", 1),
+                                           ("fig1_ne_sweep", 20)])
+def test_eve_is_held_once_per_draw_not_once_per_point(preset, draws):
+    # On the target and error axes every point shares Eve's draw, so her
+    # channels and her decomposition have one row per trial; only the ne
+    # axis, which draws her anew at each point, has points x trials rows.
+    cfg = preset_config(preset, trials=11, master_seed=2)
+    blk = harness._Block(cfg, 0, cfg.trials)
+    lam, evecs = blk.eve_spectrum
+    assert lam.shape == (draws, 11, cfg.na)
+    assert evecs.shape == (draws, 11, cfg.na, cfg.na)
+    assert blk.eve.shape[:-2] == ((11,) if draws == 1 else (draws, 11))
 
 
 # ------------------------------------------------- the single-channel interface
@@ -334,7 +424,7 @@ def _single_channel_rows(cfg: ExperimentConfig, i: int, h, dh_unit, eve, moments
                 scheme, w_b, w_e, report = perfect_csi_trial(chan, target, svd=svd)
             elif name == "known_ecsi":
                 d = eve_aware(h[i][None], (herm(eve[i]) @ eve[i])[None], cfg.ne, (target,),
-                              cfg.power_p, cfg.sigma_b_sq)[0]
+                              cfg.power_p, cfg.sigma_b_sq).at(0)
                 scheme, _, report, bob, eve_link = run_trial(chan, d, target)
                 np.testing.assert_array_equal(design_known_ecsi(chan, chan.h_ea, target).t, d.t[0])
             elif name == "naive":
@@ -450,7 +540,7 @@ def _kernel_designs(h: np.ndarray, eve: np.ndarray, power_p: float):
         "robust_tdd": robust.robust_tdd(h, part.sigma1, part.u1, part.v1, e_dv1, tilde.v,
                                         *budget),
     }
-    return [(name, d) for name, designs in kernels.items() for d in designs]
+    return [(name, designs.at(k)) for name, designs in kernels.items() for k in range(len(targets))]
 
 
 @pytest.mark.parametrize("sigma_sq", [1.0, 0.3])
@@ -528,7 +618,7 @@ def test_eve_mmse_beamformer_agrees_with_the_spectral_route():
         he = chan.h_ea.entries
         known = eve_aware(chan.h_ba.entries[None], (herm(he) @ he)[None], ne, (30.0, 1e6),
                           chan.power_p, chan.sigma_b_sq)
-        for target, known_design in zip((30.0, 1e6), known):
+        for target, known_design in zip((30.0, 1e6), map(known.at, range(2))):
             perfect = perfect_csi_trial(chan, target, svd=svd)
             naive = naive_trial(chan, err, target, svd=svd)
             fdd = robust._fdd_trial(chan, tilde, target)

@@ -92,6 +92,30 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad)
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        # Values the range check used to let through, each of which failed
+        # mid-run, named by the field the refusal must name.
+        [(dict(sigma_b_sq=b, schemes=(s,)), "sigma_b_sq")
+         for b, s in ((1e-154, "robust_fdd"), (1e-160, "robust_fdd"), (1e170, "robust_fdd"),
+                      (1e170, "robust_tdd"))]
+        + [(dict(sigma_e_sq=1e200), "sigma_e_sq"), (dict(power_db=2000.0), "power_db")]
+        # The corners of the accepted range run cleanly: every scheme, with
+        # RuntimeWarnings raised as errors.
+        + [(dict(sigma_b_sq=b, sigma_e_sq=e, power_db=p), None)
+           for b in (1e-100, 1e100) for e in (1e-100, 1e100) for p in (-1000.0, 1000.0)],
+    )
+    def test_noise_and_power_bounds(self, overrides, field):
+        params = {**dict(sigma_h_db=-15.0, trials=20, schemes=SCHEMES, master_seed=3), **overrides}
+        if field is not None:
+            with pytest.raises(ConfigError, match=field):
+                ExperimentConfig(**params)
+            return
+        result = run_experiment(ExperimentConfig(**params))
+        for scheme in (s for s in SCHEMES if s != "analytic_naive"):
+            for metric in ("mean_sinr_b", "mean_sinr_e", "stderr_sinr_e", "mean_secrecy"):
+                assert np.all(np.isfinite(result.series[scheme][metric])), (scheme, metric)
+
     def test_error_schemes_require_an_error_level(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(schemes=("naive",), sigma_h_db=None)

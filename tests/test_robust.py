@@ -160,7 +160,7 @@ class TestTddReceiver:
         design = robust_tdd(
             chan.h_ba.entries[None], np.array([svd.sigma1]), svd.u1[None], svd.v1[None],
             moments.e_dv1[None], tilde.v, (TARGET,), chan.power_p, chan.sigma_b_sq,
-        )[0]
+        ).at(0)
         assert design.flagged[0]
         assert np.all(np.isfinite(design.w_b))
         _, report, _, _, _ = _tdd_trial(chan, svd, moments, tilde, TARGET)
