@@ -24,9 +24,6 @@ from .stacked import herm
 
 # sigma_F below this fraction of sigma_1 counts as rank deficient.
 RANK_TOL = 1e-10
-# Gap of squared singular values (relative to sigma_1^2) below which the
-# perturbation expansion denominators are untrustworthy.
-GAP_TOL = 1e-8
 
 
 def _rng(seed) -> Generator:
@@ -200,10 +197,9 @@ class SvdStack(NamedTuple):
     """Phase-fixed SVDs H = U diag(s) V^H of one channel or a stack, as plain arrays.
 
     ``u`` (..., m, m) and ``v`` (..., n, n) hold the left and right singular
-    vectors as columns, ``s`` (..., m) the singular values in descending
-    order, and ``ill_conditioned`` (...) whether a gap between squared
-    singular values is too small for the perturbation expansion.  The
-    leading axes are empty for a single channel (:func:`partition_svd`).
+    vectors as columns and ``s`` (..., m) the singular values in descending
+    order.  The leading axes are empty for a single channel
+    (:func:`partition_svd`).
     Column 0 of ``v`` is the data direction and the other columns, the null
     space included, span the interference subspace ``t_prime``.
     """
@@ -211,7 +207,6 @@ class SvdStack(NamedTuple):
     u: np.ndarray
     s: np.ndarray
     v: np.ndarray
-    ill_conditioned: np.ndarray
 
     @property
     def sigma1(self) -> np.ndarray:
@@ -255,9 +250,8 @@ def partition_stack(h: np.ndarray) -> SvdStack:
     vector is rotated so its largest-magnitude entry is real and positive,
     and its left vector by the same phase.  A matrix whose weakest singular
     value is below RANK_TOL of its strongest raises DegenerateChannelError
-    anywhere in the stack; near-repeated singular values only set the
-    ``ill_conditioned`` flag, which consumers that cannot tolerate small
-    gaps check.
+    anywhere in the stack; near-repeated singular values are left to the
+    consumers that cannot tolerate small gaps.
     """
     m, n = h.shape[-2:]
     if m > n:
@@ -273,12 +267,7 @@ def partition_stack(h: np.ndarray) -> SvdStack:
             f"of the largest {first[0]:.3e}"
         )
     u, v = _fix_phases(u, vh)
-    if m >= 2:
-        gaps = s[..., :-1] ** 2 - s[..., -1:] ** 2
-        ill = np.min(gaps, axis=-1) < GAP_TOL * s[..., 0] ** 2
-    else:
-        ill = np.zeros(s.shape[:-1], dtype=bool)
-    return SvdStack(u=u, s=s, v=v, ill_conditioned=ill)
+    return SvdStack(u=u, s=s, v=v)
 
 
 def partition_svd(h) -> SvdStack:

@@ -15,12 +15,15 @@ hashing and PCG64 seeding as array arithmetic over every stream at once),
 draws each trial's streams into one stack and decomposes the channels.
 Each scheme's design kernel (``transmit.artificial_noise``,
 ``transmit.eve_aware``, ``robust.robust_fdd``, ``robust.robust_tdd``) then
-runs once per block and designs every target at once, on the block's
-channels (n, ...) and, where it depends on them, the estimates at every
-error level or Eve's Gram matrices at every draw, (values, n, ...).  Each
-field of the ``transmit.Design`` it returns, (targets or 1, [values,] n,
-...), becomes (points or 1, n, ...) by indexing only its axes longer than
-one.  One call of the shared ``transmit.evaluate`` per scheme broadcasts
+runs once per block on the sweep's own values: its targets are each
+point's on the target axis, else the one target, and every other input has
+a leading values axis, which holds each point's error level or draw of
+Eve's on those axes and has length 1 otherwise (Bob's channels and
+decomposition enter as (1, n, ...) views).  Every field of the
+``transmit.Design`` it returns is (targets or 1, values or 1, n, ...), with
+only the swept axis longer than one, so one reshape makes it (points or 1,
+n, ...).  A value the sweep repeats is designed again at each of its
+points.  One call of the shared ``transmit.evaluate`` per scheme broadcasts
 the design, Bob's channels, Eve's and the eigendecomposition of her Gram
 matrices over the (point, trial) grid.  Eve's channels and spectrum are one
 stack of n draws, shared by every scheme, except on the ne axis, which
@@ -36,7 +39,6 @@ the closed-form degradation estimate, which predicts exactly that ratio.
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -159,6 +161,9 @@ class ExperimentConfig:
                 f"more receive than transmit antennas (nb={self.nb} > na={self.na}) "
                 "is not supported by the decomposition convention"
             )
+        for name in ("ne", "target_sinr_db", "sigma_h_db"):
+            if getattr(self, name) == ():
+                raise ConfigError(f"{name} must hold at least one value")
         for v in _as_tuple(self.ne):
             if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ConfigError(f"ne values must be positive integers, got {v!r}")
@@ -198,6 +203,8 @@ class ExperimentConfig:
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ConfigError(f"unknown scheme {s!r}; choose from {SCHEMES}")
+        if len(set(self.schemes)) < len(self.schemes):
+            raise ConfigError(f"schemes must not repeat, got {self.schemes}")
         axes = [
             name
             for name in ("ne", "target_sinr_db", "sigma_h_db")
@@ -315,13 +322,6 @@ class SweepResult:
                     row[metric] = values[p]
                 rows.append(row)
         return rows
-
-
-def _point_values(cfg: ExperimentConfig, axis_name: str, value):
-    ne = value if axis_name == "ne" else cfg.ne
-    target_db = value if axis_name == "target_sinr_db" else cfg.target_sinr_db
-    sigma_db = value if axis_name == "sigma_h_db" else cfg.sigma_h_db
-    return int(ne), float(target_db), None if sigma_db is None else float(sigma_db)
 
 
 def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
@@ -451,64 +451,52 @@ def _blend(cfg: ExperimentConfig, eve: np.ndarray, fresh: np.ndarray | None) -> 
     return np.sqrt(1.0 - gamma) * eve + np.sqrt(gamma) * fresh
 
 
-# Each :class:`transmit.Design` field's per-row axes, after its target and batch axes.
-_ROW_DIMS = Design(t=1, rho=0, factor=2, w_b=1, outage=0, flagged=0)
-
-
 class _Block:
     """The draws of trials [lo, hi) and the stages every sweep point shares.
 
     Every random stream the block needs is drawn at construction, in one
-    pass.  Each scheme's kernel then runs once, designing every target on
-    its inputs stacked over the values of the one thing it depends on
-    besides the trials (the error level, or Eve's draw on the ne axis), and
-    :meth:`design` maps each sweep point to its entry.
+    pass.  Each scheme's kernel then runs once, on the targets and on inputs
+    with a leading values axis, each of which runs over the sweep's points
+    on the swept quantity and has length 1 otherwise; :meth:`design` folds
+    the two into one points axis.
     """
 
     def __init__(self, cfg: ExperimentConfig, lo: int, hi: int):
         self.cfg = cfg
         self.n = hi - lo
-        axis_name, axis_values = cfg.axis()
-        points = [_point_values(cfg, axis_name, v) for v in axis_values]
-        self.n_points = len(points)
-        self.targets, self.target_index = np.unique(
-            [float(from_db(target_db)) for _, target_db, _ in points], return_inverse=True
-        )
+        self.n_points = len(cfg.axis()[1])
+        # Each point's target on the target axis, else the one target.
+        self.targets = np.array([float(from_db(t)) for t in _as_tuple(cfg.target_sinr_db)])
         # Each point's target, broadcasting over the trials.
-        self.point_targets = self.targets[self.target_index][:, None]
+        self.point_targets = self.targets[:, None]
         # The design kernels' last arguments: the targets, power and Bob's noise.
         self.budget = (self.targets, cfg.power_p, cfg.sigma_b_sq)
         names = set(cfg.schemes)
-        # Eve's channels are drawn once for all points, or per point on the ne axis.
-        eve_points = range(self.n_points) if axis_name == "ne" else [None]
+        # Eve is drawn once, or anew at each point of the ne axis, whose
+        # streams carry the point's index.
+        counts = _as_tuple(cfg.ne)
         blend = "imperfect_ecsi" in names and cfg.gamma_ecsi != 0.0
         streams = {"h": (_TAG_CHANNEL, cfg.nb, None)}
         if names & _NEEDS_ERROR:
             streams["dh"] = (_TAG_ERROR, cfg.nb, None)
-        for p in eve_points:
-            ne = cfg.ne if p is None else points[p][0]
-            streams["eve", p] = (_TAG_EVE, ne, p)
+        for p, ne in enumerate(counts):
+            index = p if isinstance(cfg.ne, tuple) else None
+            streams["eve", p] = (_TAG_EVE, ne, index)
             if blend:
-                streams["fresh", p] = (_TAG_ECSI, ne, p)
+                streams["fresh", p] = (_TAG_ECSI, ne, index)
         draws = dict(zip(streams, _draws(cfg, lo, hi, list(streams.values()))))
         self.h = draws["h"]
         self.part = partition_stack(self.h)
         self.dh_unit = draws.get("dh")
         self.moments = None
         if names & {"robust_tdd", "analytic_naive"}:
-            self.moments = iid_moments(self.part.s, cfg.na, self.part.ill_conditioned)
-        sigma_dbs = [sigma_db for _, _, sigma_db in points]
-        self.levels = list(dict.fromkeys(sigma_dbs))
-        # Each point's index into the error levels or Eve's draws, whichever
-        # the sweep varies; a kernel's inputs are stacked over those values.
-        self.key_index = (np.arange(self.n_points) if axis_name == "ne"
-                          else np.array([self.levels.index(v) for v in sigma_dbs]))
-        eve = [draws["eve", p] for p in eve_points]
+            self.moments = iid_moments(self.part.s, cfg.na)
+        eve = [draws["eve", p] for p in range(len(counts))]
         # The Gram matrices of her draws, (draws, n, na, na), as each
         # Eve-aware design assumes them, and her antenna count per draw.
         self.gram_e = {"known_ecsi": np.stack([herm(x) @ x for x in eve])}
         if "imperfect_ecsi" in names:
-            blended = [_blend(cfg, x, draws.get(("fresh", p))) for x, p in zip(eve, eve_points)]
+            blended = [_blend(cfg, x, draws.get(("fresh", p))) for p, x in enumerate(eve)]
             self.gram_e["imperfect_ecsi"] = np.stack([herm(x) @ x for x in blended])
         self.ne = np.array([x.shape[1] for x in eve])[:, None]
         # Her true channels: the one draw, or on the ne axis every point's,
@@ -521,8 +509,10 @@ class _Block:
 
     @cached_property
     def level_powers(self) -> np.ndarray:
-        """Linear error power of each distinct level, (levels, 1, 1)."""
-        return np.array([float(from_db(sigma_db)) for sigma_db in self.levels])[:, None, None]
+        """Linear error power of each point on the error axis, else of the
+        one level, (levels, 1, 1)."""
+        levels = _as_tuple(self.cfg.sigma_h_db)
+        return np.array([float(from_db(sigma_db)) for sigma_db in levels])[:, None, None]
 
     @cached_property
     def tilde(self) -> SvdStack:
@@ -544,59 +534,53 @@ class _Block:
 
     def design(self, name: str) -> Design:
         """Scheme ``name``'s designs, each field (points or 1, n, ...), from
-        one kernel call that designs every target on its stack of inputs."""
-        fields = _DESIGNS[name](self)
-        return Design(*(self.at_points(f, dims) for f, dims in zip(fields, _ROW_DIMS)))
-
-    def at_points(self, f: np.ndarray, row_dims: int = 0) -> np.ndarray:
-        """``f`` (targets or 1, [values,] n, ...), with ``row_dims`` axes per
-        row and values over the error levels or Eve's draws, as (points or 1,
-        n, ...): each point's entry along the axes longer than one."""
-        trial = f.ndim - row_dims - 1
-        f = f.reshape(f.shape[0], math.prod(f.shape[1:trial]), *f.shape[trial:])
-        if f.shape[:2] == (1, 1):
-            return f[0]
-        return f[self.target_index if len(f) > 1 else 0, self.key_index if f.shape[1] > 1 else 0]
+        one kernel call whose fields are (targets or 1, values or 1, n, ...),
+        of which only the swept axis is longer than one."""
+        return Design(*(f.reshape((f.shape[0] * f.shape[1],) + f.shape[2:])
+                        for f in _DESIGNS[name](self)))
 
 
-# Every simulated scheme's designs for all targets of the sweep at once.
-# Every scheme shares transmit.evaluate.
+# Every simulated scheme's designs for all points of the sweep at once, on
+# Bob's channels and decomposition as (1, n, ...) views.  Every scheme shares
+# transmit.evaluate.
 _DESIGNS = {
     # Data on the dominant direction of the channel, or of its estimates at
     # every level, noise on the rest; Bob matches his channel's own.
     "perfect": lambda blk: artificial_noise(
-        blk.part.sigma1, blk.part.v, blk.h, blk.part.v1, *blk.budget),
+        blk.part.sigma1[None], blk.part.v[None], blk.h[None], blk.part.v1[None], *blk.budget),
     "naive": lambda blk: artificial_noise(
-        blk.tilde.sigma1, blk.tilde.v, blk.h, blk.part.v1, *blk.budget),
-    "known_ecsi": lambda blk: eve_aware(blk.h, blk.gram_e["known_ecsi"], blk.ne, *blk.budget),
+        blk.tilde.sigma1, blk.tilde.v, blk.h[None], blk.part.v1[None], *blk.budget),
+    "known_ecsi": lambda blk: eve_aware(
+        blk.h[None], blk.gram_e["known_ecsi"], blk.ne, *blk.budget),
     "imperfect_ecsi": lambda blk: eve_aware(
-        blk.h, blk.gram_e["imperfect_ecsi"], blk.ne, *blk.budget),
+        blk.h[None], blk.gram_e["imperfect_ecsi"], blk.ne, *blk.budget),
     "robust_fdd": lambda blk: robust_fdd(
-        blk.tilde.reconstruct() if blk.cfg.propagate_through_estimate else blk.h,
+        blk.tilde.reconstruct() if blk.cfg.propagate_through_estimate else blk.h[None],
         blk.tilde.v, *blk.budget),
     "robust_tdd": lambda blk: robust_tdd(
-        blk.h, blk.part.sigma1, blk.part.u1, blk.part.v1, blk.e_dv1, blk.tilde.v, *blk.budget),
+        blk.h[None], blk.part.sigma1[None], blk.part.u1[None], blk.part.v1[None], blk.e_dv1,
+        blk.tilde.v, *blk.budget),
 }
 
 
 def _analytic_naive(blk: _Block) -> np.ndarray:
-    """Closed-form expected powers of the mismatched link, (metrics, points, n).
+    """Closed-form expected powers of the mismatched link, (metrics, points or 1, n).
 
     Trials whose nominal design is already in outage are outside the
     expansion's validity range; they and trials with a nonpositive term
     are flagged and carry no SINR.
     """
     cfg, sigma1 = blk.cfg, blk.part.sigma1
-    sigma_sq = blk.at_points(blk.level_powers[None, ..., 0])
+    sigma_sq = blk.level_powers[..., 0]
     rho = required_rho(sigma1, blk.point_targets, cfg.power_p, cfg.sigma_b_sq)
     num, den = naive_terms(
-        sigma1, rho, blk.at_points(2.0 * self_drift(blk.part.v1, blk.e_dv1)[None]),
+        sigma1, rho, 2.0 * self_drift(blk.part.v1, blk.e_dv1),
         blk.moments.e_dsigma1 * sigma_sq, blk.moments.e_dsigma1_sq * sigma_sq,
         cfg.power_p, cfg.sigma_b_sq, cfg.na,
     )
     valid = rho < 1.0
     ok = valid & (num > 0.0) & (den > 0.0)
-    rows = np.full((len(METRICS),) + rho.shape, np.nan)
+    rows = np.full((len(METRICS),) + num.shape, np.nan)
     rows[4] = np.where(valid, num, np.nan)
     rows[5] = np.where(valid, den, np.nan)
     with np.errstate(all="ignore"):

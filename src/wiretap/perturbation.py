@@ -43,9 +43,28 @@ from .transmit import (
     single_artificial_noise,
 )
 
-# Relative threshold below which a pairwise eigenvalue gap of the channel
-# Gram matrix makes the second-order expansion meaningless.
+# Relative thresholds (of sigma_1^2) below which a gap between squared
+# singular values makes the second-order expansion meaningless: a gap to the
+# weakest value, then any adjacent gap.
+_WEAKEST_GAP = 1e-8
 _PAIR_GAP_TOL = 1e-10
+
+
+def _check_gaps(s: np.ndarray) -> None:
+    """Raise :class:`IllConditionedGapError` where the descending singular
+    values ``s`` (..., m) are too close for the expansion to hold."""
+    if s.shape[-1] < 2:
+        return
+    lam = s**2
+    lam1 = lam[..., 0]
+    if np.any(np.min(lam[..., :-1] - lam[..., -1:], axis=-1) < _WEAKEST_GAP * lam1):
+        raise IllConditionedGapError(
+            "singular-value gaps too small: perturbation moments are unreliable"
+        )
+    if np.any(np.min(lam[..., :-1] - lam[..., 1:], axis=-1) < _PAIR_GAP_TOL * lam1):
+        raise IllConditionedGapError(
+            "near-degenerate singular values: perturbation moments are unreliable"
+        )
 
 
 @dataclass(frozen=True)
@@ -165,25 +184,15 @@ def compute_moments(svd: SvdStack, err: CsiErrorModel) -> PerturbMoments:
     three stored fields; the deferred fields are built from the same
     tensor when first read.
 
-    Raises :class:`IllConditionedGapError` when the decomposition was flagged
-    ill-conditioned or any pairwise singular-value gap is too small for the
-    expansion to hold.
+    Raises :class:`IllConditionedGapError` when a singular-value gap is too
+    small for the expansion to hold.
     """
-    if svd.single().ill_conditioned:
-        raise IllConditionedGapError(
-            "singular-value gaps too small: perturbation moments are unreliable"
-        )
+    _check_gaps(svd.single().s)
     sig, v = svd.s, svd.v
     m, n = len(sig), len(v)
     f = m  # nonzero singular values, min(n_rx, n_tx)
     lam = sig**2
     lam1 = lam[0]
-    if m > 1:
-        pair_gaps = lam[:-1] - lam[1:]
-        if np.min(pair_gaps) < _PAIR_GAP_TOL * lam1:
-            raise IllConditionedGapError(
-                "near-degenerate singular values: perturbation moments are unreliable"
-            )
     sig_ext = np.concatenate([sig, np.zeros(n - m)])
     lam_ext = np.concatenate([lam, np.zeros(n - m)])
 
@@ -290,7 +299,7 @@ class IidMoments(NamedTuple):
     e_dsigma1_sq: float
 
 
-def iid_moments(s: np.ndarray, n_tx: int, ill_conditioned) -> IidMoments:
+def iid_moments(s: np.ndarray, n_tx: int) -> IidMoments:
     """Closed form of the fields the sweeps use, for unit i.i.d. error.
 
     ``s`` (..., n_rx) are the singular values in descending order of
@@ -300,17 +309,10 @@ def iid_moments(s: np.ndarray, n_tx: int, ill_conditioned) -> IidMoments:
     all n_tx directions (lam_k = 0 in the null space).  Raises
     :class:`IllConditionedGapError` where :func:`compute_moments` would.
     """
+    _check_gaps(s)
     m = s.shape[-1]
     lam = s**2
     lam1 = lam[..., 0]
-    if np.any(ill_conditioned):
-        raise IllConditionedGapError(
-            "singular-value gaps too small: perturbation moments are unreliable"
-        )
-    if m > 1 and np.any(np.min(lam[..., :-1] - lam[..., 1:], axis=-1) < _PAIR_GAP_TOL * lam1):
-        raise IllConditionedGapError(
-            "near-degenerate singular values: perturbation moments are unreliable"
-        )
     others = np.concatenate([lam[..., 1:], np.zeros(lam.shape[:-1] + (n_tx - m,))], axis=-1)
     inv_gap = 1.0 / (lam1[..., None] - others)
     num1 = others + lam1[..., None]

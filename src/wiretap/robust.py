@@ -259,9 +259,9 @@ def _fdd_trial(
     """Full-knowledge recovery for one trial from the estimate's
     decomposition (a stack of one): the batch of one of :func:`robust_fdd`."""
     h = tilde.reconstruct() if propagate_through_estimate else chan.h_ba.entries[None]
-    d = robust_fdd(h, tilde.v, (target_sinr,), chan.power_p, chan.sigma_b_sq).at(0)
+    d = robust_fdd(h, tilde.v, (target_sinr,), chan.power_p, chan.sigma_b_sq)
     scheme, _, report, bob, eve = run_trial(chan, d, target_sinr)
-    return RxBeamformer(w=d.w_b[0], kind="robust_fdd"), report, bob, eve, scheme
+    return RxBeamformer(w=d.w_b[0, 0], kind="robust_fdd"), report, bob, eve, scheme
 
 
 def fdd_receiver(
@@ -303,9 +303,9 @@ def _tdd_trial(
     d = robust_tdd(
         chan.h_ba.entries[None], svd.sigma1[None], svd.u1[None], svd.v1[None],
         moments.e_dv1[None], tilde.v, (target_sinr,), chan.power_p, chan.sigma_b_sq,
-    ).at(0)
+    )
     scheme, _, report, bob, eve = run_trial(chan, d, target_sinr)
-    return RxBeamformer(w=d.w_b[0], kind="robust_tdd"), report, bob, eve, scheme
+    return RxBeamformer(w=d.w_b[0, 0], kind="robust_tdd"), report, bob, eve, scheme
 
 
 def tdd_receiver(

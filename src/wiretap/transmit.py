@@ -585,17 +585,19 @@ def full_secrecy_rates(h_b, h_e, t, data_power, q, sigma_b_sq: float, sigma_e_sq
 # ---------------------------------------------------- single-channel interface
 #
 # Each function below runs a kernel on a batch of one channel at one target
-# and wraps the first row in the public types.
+# and wraps the only entry of its design in the public types.
 
 
 def _tx_scheme(d: Design, power_p: float, target_sinr: float) -> TxScheme:
-    """The transmit configuration of a batch-of-one design at one target."""
-    return TxScheme(t=d.t[0], rho=float(d.rho[0]), power_p=power_p, target_sinr=target_sinr,
-                    outage=bool(d.outage[0]), q_z_factor=d.factor[0])
+    """The transmit configuration of a design of one channel at one target,
+    whatever leading axes of length 1 its fields carry."""
+    return TxScheme(t=d.t.reshape(-1), rho=d.rho.item(), power_p=power_p,
+                    target_sinr=target_sinr, outage=d.outage.item(),
+                    q_z_factor=d.factor.reshape(d.factor.shape[-2:]))
 
 
 def _link_sinr(figures) -> LinkSinr:
-    sinr, sig, interf, noise = (float(x[0]) for x in figures)
+    sinr, sig, interf, noise = (x.item() for x in figures)
     return LinkSinr(sinr=sinr, signal_power=sig, interference_power=interf, noise_power=noise)
 
 
@@ -605,7 +607,7 @@ def _report(bob: LinkSinr, eve: LinkSinr, outage: bool) -> SinrReport:
 
 
 def run_trial(chan: ChannelSet, d: Design, target_sinr: float):
-    """Evaluate a batch-of-one design at one target on ``chan``.
+    """Evaluate a design of one channel at one target on ``chan``.
 
     Returns (scheme, Eve's combiner, report, Bob's link, Eve's link).
     """
@@ -613,7 +615,8 @@ def run_trial(chan: ChannelSet, d: Design, target_sinr: float):
                           chan.power_p, chan.sigma_b_sq, chan.sigma_e_sq)
     bob, eve = _link_sinr(bob), _link_sinr(eve)
     scheme = _tx_scheme(d, chan.power_p, target_sinr)
-    return scheme, RxBeamformer(w_e[0], "mmse"), _report(bob, eve, scheme.outage), bob, eve
+    w_e = RxBeamformer(w_e.reshape(-1), "mmse")
+    return scheme, w_e, _report(bob, eve, scheme.outage), bob, eve
 
 
 def single_artificial_noise(chan: ChannelSet, tx: SvdStack, rx: SvdStack, target_sinr):
@@ -623,7 +626,7 @@ def single_artificial_noise(chan: ChannelSet, tx: SvdStack, rx: SvdStack, target
     return artificial_noise(
         tx.sigma1[None], tx.v[None], chan.h_ba.entries[None], rx.v1[None],
         (target_sinr,), chan.power_p, chan.sigma_b_sq,
-    ).at(0)
+    )
 
 
 def design_artificial_noise(chan: ChannelSet, svd: SvdStack, target_sinr: float) -> TxScheme:
@@ -647,7 +650,7 @@ def design_known_ecsi(chan: ChannelSet, h_ea_assumed, target_sinr: float) -> TxS
     if he.shape[1] != chan.na:
         raise DimensionError(f"channel column counts differ: {chan.na} vs {he.shape[1]}")
     d = eve_aware(chan.h_ba.entries[None], (herm(he) @ he)[None], he.shape[0], (target_sinr,),
-                  chan.power_p, chan.sigma_b_sq).at(0)
+                  chan.power_p, chan.sigma_b_sq)
     return _tx_scheme(d, chan.power_p, target_sinr)
 
 
@@ -715,4 +718,4 @@ def perfect_csi_trial(chan: ChannelSet, target_sinr: float, svd: SvdStack | None
     part = svd if svd is not None else partition_svd(chan.h_ba)
     d = single_artificial_noise(chan, part, part, target_sinr)
     scheme, w_e, report, _, _ = run_trial(chan, d, target_sinr)
-    return scheme, RxBeamformer(w=d.w_b[0], kind="matched"), w_e, report
+    return scheme, RxBeamformer(w=d.w_b[0, 0], kind="matched"), w_e, report

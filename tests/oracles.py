@@ -64,7 +64,6 @@ from wiretap.harness import (
     METRICS,
     ExperimentConfig,
     _as_tuple,
-    _point_values,
 )
 from wiretap.perturbation import compute_moments, first_vector_leak, naive_sinr_terms
 from wiretap.robust import (
@@ -253,6 +252,13 @@ def _seed(cfg: ExperimentConfig, tag: int, trial: int, point: int | None = None)
 
 def _rng(cfg: ExperimentConfig, tag: int, trial: int, point: int | None = None):
     return np.random.default_rng(_seed(cfg, tag, trial, point))
+
+
+def _point_values(cfg: ExperimentConfig, axis_name: str, value):
+    ne = value if axis_name == "ne" else cfg.ne
+    target_db = value if axis_name == "target_sinr_db" else cfg.target_sinr_db
+    sigma_db = value if axis_name == "sigma_h_db" else cfg.sigma_h_db
+    return int(ne), float(target_db), None if sigma_db is None else float(sigma_db)
 
 
 def _secrecy(cfg: ExperimentConfig, chan: ChannelSet, scheme, report) -> float:

@@ -18,6 +18,7 @@ from wiretap.channels import (
 from wiretap.exceptions import (
     DegenerateChannelError,
     DimensionError,
+    IllConditionedGapError,
     OrientationError,
     ParameterError,
 )
@@ -146,8 +147,10 @@ class TestPartitionSvd:
             partition_svd(h)
 
     def test_strong_value_near_the_weakest_sets_the_flag(self):
-        assert partition_svd(np.diag([2.0, 1.0 + 1e-9, 1.0]).astype(complex)).ill_conditioned
-        assert not partition_svd(np.diag([2.0, 1.5, 1.0]).astype(complex)).ill_conditioned
+        err = CsiErrorModel.iid(0.01)
+        with pytest.raises(IllConditionedGapError, match="gaps too small"):
+            compute_moments(partition_svd(np.diag([2.0, 1.0 + 1e-9, 1.0]).astype(complex)), err)
+        compute_moments(partition_svd(np.diag([2.0, 1.5, 1.0]).astype(complex)), err)
 
 
 _SINGLE_CHANNEL_CALLS = {

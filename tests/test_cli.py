@@ -126,6 +126,12 @@ class TestRunCommand:
         assert payload["axis"] == axis
         assert payload["schemes"] == ["perfect", "known_ecsi"]
 
+    def test_flat_config_file_with_an_empty_sweep_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("na = 3\nnb = 3\nne = []\ntrials = 4\nschemes = perfect\n")
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
+        assert "error: ne must hold at least one value" in capsys.readouterr().err
+
     def test_cli_flags_override_the_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("na = 3\nnb = 3\nne = 2\ntrials = 4\n"

@@ -98,8 +98,7 @@ def _config(shape, axis: str, **overrides) -> ExperimentConfig:
         na=na, nb=nb, ne=ne, target_sinr_db=15.0, sigma_h_db=-15.0, trials=12,
         master_seed=3, schemes=SCHEMES,
     )
-    # Each axis repeats a value out of order, so every point must find its
-    # own entry among the distinct values the kernels stack.
+    # Each axis repeats a value out of order, at points 0 and 2.
     if axis == "ne":
         params.update(ne=(ne, 1, ne))
     elif axis == "target_sinr_db":
@@ -114,6 +113,17 @@ def _config(shape, axis: str, **overrides) -> ExperimentConfig:
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
 def test_engine_matches_the_loop(shape, axis):
     assert_matches_loop(_config(shape, axis))
+
+
+@pytest.mark.parametrize("axis", ["target_sinr_db", "sigma_h_db"])
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_a_repeated_value_gives_the_same_rows_at_each_of_its_points(shape, axis):
+    # Each point is designed on its own, a repeated value included, and
+    # must give the same numbers for every scheme.  The ne axis draws Eve
+    # anew at each point, so its repeated points differ by design.
+    cfg = _config(shape, axis)
+    got = harness._run_chunk(cfg, 0, cfg.trials)
+    np.testing.assert_array_equal(got[0], got[2])
 
 
 @pytest.mark.parametrize("metric", ["proxy", "full"])
@@ -341,7 +351,7 @@ def test_every_kernel_designs_its_targets_in_one_pass_bit_for_bit():
     part = partition_stack(h)
     levels = np.array([0.01, 0.1])[:, None, None]
     tilde = partition_stack(h + np.sqrt(levels[..., None]) * _random_channels(count, na, na, 42))
-    e_dv1 = iid_moments(part.s, na, part.ill_conditioned).drift[:, None] * part.v1 * levels
+    e_dv1 = iid_moments(part.s, na).drift[:, None] * part.v1 * levels
     gram = np.stack([herm(x) @ x for x in (_random_channels(count, ne, na, 43 + ne)
                                              for ne in (2, 5))])
     kernels = {
@@ -378,7 +388,7 @@ def test_evaluate_on_the_point_grid_equals_evaluate_on_tiled_rows(preset, metric
         d = blk.design(name)
         spectrum = blk.eve_spectrum if d.factor.shape[-1] else None
         got = evaluate(d, blk.h, blk.eve, spectrum, blk.point_targets, *budget)
-        rows = transmit.Design(*(_flat(f, grid, dims) for f, dims in zip(d, harness._ROW_DIMS)))
+        rows = transmit.Design(*(_flat(f, grid, f.ndim - 2) for f in d))
         if spectrum is not None:
             spectrum = (_flat(spectrum[0], grid, 1), _flat(spectrum[1], grid, 2))
         want = evaluate(rows, _flat(blk.h, grid, 2), _flat(blk.eve, grid, 2), spectrum,
@@ -456,7 +466,7 @@ def test_single_channel_functions_return_the_engines_numbers(preset):
         (harness._TAG_EVE, cfg.ne, None),
     ])
     part = partition_stack(h)
-    moments = iid_moments(part.s, cfg.na, part.ill_conditioned)
+    moments = iid_moments(part.s, cfg.na)
     engine = harness._run_chunk(cfg, 0, cfg.trials)
     for i in range(cfg.trials):
         rows = _single_channel_rows(cfg, i, h, dh_unit, eve, moments)
@@ -530,7 +540,7 @@ def _kernel_designs(h: np.ndarray, eve: np.ndarray, power_p: float):
     targets = (30.0, 1e6)
     part = partition_stack(h)
     tilde = partition_stack(h + np.sqrt(sigma_sq) * _random_channels(len(h), *h.shape[1:], seed=9))
-    e_dv1 = iid_moments(part.s, na, part.ill_conditioned).drift[:, None] * part.v1 * sigma_sq
+    e_dv1 = iid_moments(part.s, na).drift[:, None] * part.v1 * sigma_sq
     budget = (targets, power_p, 1.0)
     kernels = {
         "perfect": artificial_noise(part.sigma1, part.v, h, part.v1, *budget),
@@ -716,7 +726,7 @@ def test_iid_closed_form_matches_compute_moments(shape):
     for k in range(10):
         svd = partition_svd(_random_channels(1, nb, na, seed=100 + k)[0])
         full = compute_moments(svd, CsiErrorModel.iid(1.0))
-        closed = iid_moments(svd.s, na, svd.ill_conditioned)
+        closed = iid_moments(svd.s, na)
         np.testing.assert_allclose(closed.drift * svd.v1, full.e_dv1, rtol=1e-12, atol=1e-15)
         assert closed.e_dsigma1 == pytest.approx(full.e_dsigma1, rel=1e-12)
         assert closed.e_dsigma1_sq == full.e_dsigma1_sq

@@ -86,6 +86,12 @@ class TestExperimentConfig:
             dict(power_db=True),
             dict(gamma_ecsi=True),
             dict(sigma_e_sq=True),
+            # Each of these used to validate and then fail in the first block.
+            dict(target_sinr_db=()),
+            dict(ne=()),
+            dict(ne=[]),
+            dict(sigma_h_db=(), schemes=("naive",)),
+            dict(schemes=("perfect", "perfect")),
         ],
     )
     def test_invalid_values_are_refused(self, bad):

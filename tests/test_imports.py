@@ -8,12 +8,14 @@ generalized eigensolver, on first use, and nothing loads
 ``scipy.optimize``.  The worker pool's module loads only for multi-worker
 sweeps.  Each check runs in a fresh interpreter, since this test session
 has long since imported scipy itself.  No module of the package imports
-another one's private names, and every public name the benchmark calls or
-``__all__`` lists exists.
+another one's private names, every public name the benchmark calls or
+``__all__`` lists exists, and so does every entry point its tracer wraps
+but the five it has long reported absent.
 """
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -143,3 +145,31 @@ def test_every_name_the_benchmark_calls_and_all_lists_resolves():
     missing = sorted(name for name in called | set(wiretap.__all__)
                      if not hasattr(wiretap, name))
     assert not missing
+
+
+# Entry points the benchmark's tracer lists that the library no longer
+# defines; the tracer reports them absent.
+ABSENT_ENTRY_POINTS = {
+    "harness._rng", "harness._seed", "robust._rank1_gain",
+    "transmit.noise_covariance_for", "transmit.noise_factor_for",
+}
+
+
+def test_every_entry_point_the_tracer_wraps_resolves():
+    # A refactor that renames a wrapped function would silently zero the
+    # per-layer figures built on it.  Resolved as the tracer resolves them.
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text())
+    entry_points = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "ENTRY_POINTS" for t in node.targets)
+    )
+    absent = set()
+    for layer, names in entry_points.items():
+        module = importlib.import_module(f"wiretap.{layer}")
+        for name in names:
+            owner_name, _, attr = name.rpartition(".")
+            owner = getattr(module, owner_name, None) if owner_name else module
+            if owner is None or attr not in vars(owner):
+                absent.add(f"{layer}.{name}")
+    assert absent <= ABSENT_ENTRY_POINTS, sorted(absent - ABSENT_ENTRY_POINTS)
