@@ -146,7 +146,7 @@ def _add_experiment_options(parser: argparse.ArgumentParser, *, with_scenario: b
     parser.add_argument("--schemes", default=None,
                         help="comma-separated scheme list (e.g. perfect,naive,robust_tdd)")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker processes (default: WIRETAP_THREADS or 1)")
+                        help="worker processes, no more than CPUs (default: WIRETAP_THREADS or 1)")
     parser.add_argument(
         "--secrecy-metric", choices=["goodput", "proxy", "full"], default=None
     )

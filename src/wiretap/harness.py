@@ -9,10 +9,10 @@ index appended for Eve's per-point streams on the ne axis, which makes
 results bit-identical no matter how trials are split across worker
 processes.
 
-Trials run in blocks of ``BLOCK_TRIALS``.  A block derives the generator
-states of all those streams in one vectorised pass (numpy's SeedSequence
-hashing and PCG64 seeding as array arithmetic over every stream at once),
-draws each trial's streams into one stack and decomposes the channels.
+Trials run in blocks of ``BLOCK_TRIALS``.  A block derives the seed words
+of all those streams in one vectorised pass (numpy's SeedSequence hashing
+as array arithmetic over every stream at once), hands each trial's words to
+its own PCG64, draws the streams into one stack and decomposes the channels.
 Each scheme's design kernel (``transmit.artificial_noise``,
 ``transmit.eve_aware``, ``robust.robust_fdd``, ``robust.robust_tdd``) then
 runs once per block on the sweep's own values: its targets are each
@@ -39,12 +39,14 @@ the closed-form degradation estimate, which predicts exactly that ratio.
 """
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Any
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .channels import NOISE_RANGE, SvdStack, partition_stack
 from .exceptions import ConfigError
@@ -87,15 +89,13 @@ _TAG_ERROR = 103
 _TAG_ECSI = 104
 
 # numpy's SeedSequence hash constants and pool size (numpy/random/
-# bit_generator.pyx) and PCG64's 128-bit LCG multiplier, for deriving every
-# stream's generator state in one vectorised pass.
+# bit_generator.pyx), for deriving every stream's seed words in one
+# vectorised pass.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 
 # Trials the engine evaluates together.  Results do not depend on it; it
 # bounds memory, since a block holds a few stacks of this many matrices per
@@ -342,47 +342,54 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _entropy(cfg: ExperimentConfig, tag: int, lo: int, hi: int, point=None):
-    """The entropy words ``[master_seed, tag, trial(, point)]`` of trials
-    [lo, hi): a zero-padded (hi - lo, width) uint32 array, with two slots
-    for the trial so that width is at least four, and each row's word count."""
-    head = _words(int(cfg.master_seed)) + _words(tag)
-    tail = [] if point is None else _words(point)
-    trial = np.arange(lo, hi, dtype=np.uint64)
-    high = (trial >> np.uint64(32)).astype(np.uint32)
-    two = high > 0  # trials from 2**32 on take two words
-    rows = np.zeros((hi - lo, len(head) + 2 + len(tail)), np.uint32)
-    rows[:, :len(head)] = head
-    rows[:, len(head)] = trial.astype(np.uint32)
-    rows[:, len(head) + 1] = high
-    at = len(head) + 1 + two
-    for j, word in enumerate(tail):
-        rows[np.arange(hi - lo), at + j] = word
-    return rows, at + len(tail)
+def _entropy(cfg: ExperimentConfig, lo: int, hi: int, streams):
+    """The entropy words ``[master_seed, tag, trial(, point)]`` of every
+    (tag, rows, point) stream's trials [lo, hi), stream by stream: a
+    (streams * (hi - lo), width) uint32 array, zero-padded to its longest
+    row and to at least the pool size, and each row's word count.  A tag or
+    a point takes one word."""
+    master = _words(int(cfg.master_seed))
+    at = len(master) + 1  # the trial's first word
+    trial = (np.arange(lo, hi, dtype=np.uint64)[:, None] >> np.uint64([0, 32])).astype(np.uint32)
+    after = at + 1 + (trial[:, 1] > 0)  # trials from 2**32 on take both words
+    rows = np.zeros((len(streams), hi - lo, at + 3), np.uint32)
+    rows[:, :, :at] = np.array([master + [tag] for tag, _, _ in streams], np.uint32)[:, None]
+    rows[:, :, at:at + 2] = trial
+    # A stream without a point writes a zero past its rows' ends.
+    points = np.array([[point or 0] for _, _, point in streams], np.uint32)
+    rows[:, np.arange(hi - lo), after] = points
+    lengths = after + np.array([[point is not None] for _, _, point in streams])
+    width = max(_POOL_SIZE, lengths.max())
+    return rows[:, :, :width].reshape(-1, width), lengths.reshape(-1)
 
 
 def _hasher(init: int, mult: int):
-    """numpy SeedSequence's running uint32 hash; each call advances its constant."""
+    """numpy SeedSequence's running uint32 hash, ``count`` steps a call: row
+    j of the (count, rows) result is step j's hash of ``value`` or its row j."""
     const = init
 
-    def hash_(value: np.ndarray) -> np.ndarray:
+    def hash_(value: np.ndarray, count: int) -> np.ndarray:
         nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
+        consts = [const]
+        for _ in range(count):
+            consts.append(consts[-1] * mult & _MASK32)
+        const = consts[-1]
+        consts = np.array(consts, np.uint32)[:, None]
+        value = (value ^ consts[:-1]) * consts[1:]
         return value ^ (value >> np.uint32(16))
 
     return hash_
 
 
-def _pcg64_seeds(entropy: np.ndarray, lengths: np.ndarray) -> list[tuple[int, int]]:
-    """``PCG64(SeedSequence(row))``'s (state, inc) for every entropy row,
-    zero-padded to at least the pool size as ``_entropy`` lays them out.
+def _seed_words(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` of every entropy
+    row, zero-padded as ``_entropy`` lays them out: a C-contiguous (rows, 4)
+    uint64 array.
 
-    numpy's pool mixing and ``generate_state(4, uint64)`` run as uint32
-    array arithmetic over all rows at once (words past a row's length are
-    skipped, as a shorter row never mixes them in), then PCG64's ``srandom``
-    step turns each row's four words into its 128-bit state and increment.
+    numpy's pool mixing and state generation run as uint32 array arithmetic
+    over all rows at once, every pool word a row of one (4, rows) array;
+    words past a row's length are skipped, as a shorter row never mixes
+    them in.
     """
     hashmix = _hasher(_INIT_A, _MULT_A)
 
@@ -390,24 +397,27 @@ def _pcg64_seeds(entropy: np.ndarray, lengths: np.ndarray) -> list[tuple[int, in
         result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
         return result ^ (result >> np.uint32(16))
 
-    pool = [hashmix(entropy[:, i]) for i in range(_POOL_SIZE)]
+    pool = hashmix(entropy[:, :_POOL_SIZE].T, _POOL_SIZE)
     for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        dst = np.arange(_POOL_SIZE) != src
+        pool[dst] = mix(pool[dst], hashmix(pool[src], _POOL_SIZE - 1))
     for src in range(_POOL_SIZE, entropy.shape[1]):
-        live = lengths > src
-        for dst in range(_POOL_SIZE):
-            pool[dst] = np.where(live, mix(pool[dst], hashmix(entropy[:, src])), pool[dst])
-    generate = _hasher(_INIT_B, _MULT_B)
-    words = np.stack([generate(pool[i % _POOL_SIZE]) for i in range(2 * _POOL_SIZE)], axis=1)
-    # Little-endian word pairs -> seed (high, low) and sequence (high, low),
-    # then srandom: inc = 2 seq + 1, state = (inc + seed) * multiplier + inc.
-    words = words.astype(np.uint64)
-    seed_hi, seed_lo, seq_hi, seq_lo = ((words[:, 1::2] << np.uint64(32)) | words[:, ::2]).T
-    inc = ((seq_hi.astype(object) << 64 | seq_lo.astype(object)) << 1 | 1) & _MASK128
-    seed = seed_hi.astype(object) << 64 | seed_lo.astype(object)
-    return list(zip((((inc + seed) * _PCG_MULT + inc) & _MASK128).tolist(), inc.tolist()))
+        pool = np.where(lengths > src, mix(pool, hashmix(entropy[:, src], _POOL_SIZE)), pool)
+    words = _hasher(_INIT_B, _MULT_B)(np.tile(pool, (2, 1)), 2 * _POOL_SIZE)
+    # Little-endian word pairs, as generate_state builds its uint64 words.
+    return words.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+class _Words(ISeedSequence):
+    """A seed sequence that hands ``PCG64`` one row of ``_seed_words``."""
+
+    def __init__(self, row: np.ndarray):
+        self.row = row
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
+            raise ValueError(f"holds 4 uint64 words, not {n_words} of {np.dtype(dtype)}")
+        return self.row
 
 
 def _draws(cfg: ExperimentConfig, lo: int, hi: int, streams) -> list[np.ndarray]:
@@ -416,27 +426,16 @@ def _draws(cfg: ExperimentConfig, lo: int, hi: int, streams) -> list[np.ndarray]
     Trial i's entries are those of ``channels.complex_gaussian`` on
     ``default_rng(SeedSequence([master_seed, tag, trial(, point)]))``: the
     real parts, then the imaginary parts, at unit variance.  Every stream's
-    seed is derived in one pass; one PCG64 then takes each seed in turn and
-    fills that trial's real and imaginary parts in one call.
+    entropy and seed words are derived in one pass; each trial's PCG64 then
+    takes its words through ``_Words`` and fills the trial's real and
+    imaginary parts in one call.
     """
-    parts = [_entropy(cfg, tag, lo, hi, point) for tag, _, point in streams]
-    width = max(words.shape[1] for words, _ in parts)
-    entropy = np.zeros((len(streams) * (hi - lo), width), np.uint32)
-    for i, (words, _) in enumerate(parts):
-        entropy[i * (hi - lo):(i + 1) * (hi - lo), :words.shape[1]] = words
-    seeds = iter(_pcg64_seeds(entropy, np.concatenate([n for _, n in parts])))
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
+    seeds = _seed_words(*_entropy(cfg, lo, hi, streams)).reshape(len(streams), hi - lo, 4)
     out = []
-    for _, rows, _ in streams:
+    for (_, rows, _), words in zip(streams, seeds):
         buf = np.empty((hi - lo, 2, rows, cfg.na))
-        for trial_buf in buf:
-            state, inc = next(seeds)
-            bitgen.state = {
-                "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                "has_uint32": 0, "uinteger": 0,
-            }
-            gen.standard_normal(out=trial_buf)
+        for trial_buf, row in zip(buf, words):
+            np.random.Generator(np.random.PCG64(_Words(row))).standard_normal(out=trial_buf)
         out.append(np.sqrt(0.5) * (buf[:, 0] + 1j * buf[:, 1]))
     return out
 
@@ -682,16 +681,17 @@ def run_experiment(cfg: ExperimentConfig) -> SweepResult:
     started = time.perf_counter()
     axis_name, axis_values = cfg.axis()
 
-    if cfg.threads == 1 or cfg.trials < 2 * cfg.threads:
+    # Results do not depend on the worker count, so no more start than CPUs.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cfg.threads, cpus or 1)
+    if workers == 1 or cfg.trials < 2 * workers:
         metrics = _run_chunk(cfg, 0, cfg.trials)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        bounds = np.linspace(0, cfg.trials, cfg.threads + 1, dtype=int)
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            parts = list(
-                pool.map(_run_chunk, [cfg] * cfg.threads, bounds[:-1], bounds[1:])
-            )
+        bounds = np.linspace(0, cfg.trials, workers + 1, dtype=int)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_run_chunk, [cfg] * workers, bounds[:-1], bounds[1:]))
         metrics = np.concatenate(parts, axis=3)
 
     series = _reduce(metrics, cfg)

@@ -924,26 +924,51 @@ _TAGS = (harness._TAG_CHANNEL, harness._TAG_EVE, harness._TAG_ERROR, harness._TA
     "master", [0, 1, 2**32 - 1, 2**32, 2**62 + 9, 2**63 - 1, 2**64 + 3]
 )
 def test_seed_derivation_is_numpys(master):
-    """Every stream's PCG64 state is numpy's own for its SeedSequence entropy.
+    """Every stream's seed words are numpy's own for its SeedSequence
+    entropy, and seed PCG64 to numpy's own state.
 
     The entropy runs from 3 words (a one-word master seed, no point) to 6
-    (a three-word master seed with a point); trial 2**32 + 5 adds a row
-    whose trial takes two words.
+    (a three-word master seed with a point); trial 2**32 + 5 adds rows
+    whose trial takes two words.  Each trial's rows of every tag and point
+    are derived in one pass.
     """
     cfg = ExperimentConfig(master_seed=master)
-    entropy, want = [], []
-    for tag in _TAGS:
-        for point in (None, 0, 19):
-            for trial in (0, 1, 255, 2**31, 2**32 + 5):
-                entropy.append(harness._entropy(cfg, tag, trial, trial + 1, point))
-                key = [master, tag, trial] + ([] if point is None else [point])
-                state = np.random.PCG64(np.random.SeedSequence(key)).state["state"]
-                want.append((state["state"], state["inc"]))
-    width = max(rows.shape[1] for rows, _ in entropy)
-    padded = np.concatenate([np.pad(rows, ((0, 0), (0, width - rows.shape[1])))
-                             for rows, _ in entropy])
-    lengths = np.concatenate([n for _, n in entropy])
-    assert harness._pcg64_seeds(padded, lengths) == want
+    streams = [(tag, 1, point) for tag in _TAGS for point in (None, 0, 19)]
+    for trial in (0, 1, 255, 2**31, 2**32 + 5):
+        words = harness._seed_words(*harness._entropy(cfg, trial, trial + 1, streams))
+        assert words.dtype == np.uint64 and words.flags.c_contiguous
+        for (tag, _, point), row in zip(streams, words, strict=True):
+            key = np.random.SeedSequence(
+                [master, tag, trial] + ([] if point is None else [point]))
+            np.testing.assert_array_equal(row, key.generate_state(4, np.uint64))
+            assert np.random.PCG64(harness._Words(row)).state == np.random.PCG64(key).state
+
+
+def test_seed_words_serve_only_pcg64s_request():
+    words = harness._Words(np.arange(4, dtype=np.uint64))
+    assert words.generate_state(4, np.dtype("<u8")) is words.row
+    for n_words, dtype in ((2, np.uint64), (4, np.uint32), (8, np.uint64)):
+        with pytest.raises(ValueError):
+            words.generate_state(n_words, dtype)
+    with pytest.raises(ValueError):
+        np.random.MT19937(words)
+
+
+@pytest.mark.parametrize("master", [5, 2**64 + 3])
+def test_one_draw_pass_over_mixed_streams(master):
+    """One ``_draws`` call over every tag, with and without a point, and over
+    trials on both sides of 2**32, whose entropy rows differ in width."""
+    cfg = ExperimentConfig(na=3, nb=2, ne=4, master_seed=master)
+    lo, hi = 2**32 - 3, 2**32 + 3
+    streams = [(tag, rows, point) for tag in _TAGS
+               for rows, point in ((2, None), (4, 0), (1, 19))]
+    draws = harness._draws(cfg, lo, hi, streams)
+    for (tag, rows, point), got in zip(streams, draws, strict=True):
+        assert got.shape == (hi - lo, rows, cfg.na)
+        for i, trial in enumerate(range(lo, hi)):
+            np.testing.assert_array_equal(
+                got[i], complex_gaussian(oracles._rng(cfg, tag, trial, point), rows, cfg.na)
+            )
 
 
 def test_block_streams_are_numpys_at_large_trial_indices():

@@ -190,6 +190,49 @@ class TestRunExperiment:
                     err_msg=f"{scheme}.{metric}",
                 )
 
+    @pytest.mark.parametrize("affinity, cpu_count, workers", [
+        (range(3), 8, [3]),  # the CPUs this process may use, where the OS says
+        (None, 3, [3]),      # else every CPU
+        (None, None, []),    # none known: one worker, in this process
+    ])
+    def test_workers_never_outnumber_the_cpus(self, monkeypatch, affinity, cpu_count, workers):
+        import concurrent.futures
+        import os
+
+        started, chunks = [], []
+
+        class InlinePool:
+            """Records its worker count and maps in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                args = list(zip(*iterables))
+                chunks.append(len(args))
+                return [fn(*a) for a in args]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        cfg = _small(trials=12, sigma_h_db=-15.0, schemes=SCHEMES)
+        capped = run_experiment(replace(cfg, threads=1000))
+        assert started == workers and chunks == workers
+        serial = run_experiment(cfg)
+        for scheme in SCHEMES:
+            for metric in serial.series[scheme]:
+                np.testing.assert_array_equal(
+                    capped.series[scheme][metric], serial.series[scheme][metric])
+
     def test_different_seeds_differ(self):
         a = run_experiment(_small(master_seed=1))
         b = run_experiment(_small(master_seed=2))
