@@ -38,12 +38,24 @@ def complex_gaussian(rng: Generator, rows: int, cols: int, entry_var: float = 1.
 
     Each entry has total variance ``entry_var`` split evenly between the real
     and imaginary parts, so a unit-variance entry has real and imaginary
-    standard deviation 1/sqrt(2).
+    standard deviation 1/sqrt(2).  The real parts are drawn first, then the
+    imaginary parts.
     """
-    scale = np.sqrt(entry_var / 2.0)
-    real = rng.standard_normal((rows, cols))
-    imag = rng.standard_normal((rows, cols))
-    return scale * (real + 1j * imag)
+    return complex_from_parts(rng.standard_normal((2, rows, cols)), np.sqrt(entry_var / 2.0))
+
+
+def complex_from_parts(parts: np.ndarray, scale) -> np.ndarray:
+    """``scale * (parts[..., 0, :, :] + 1j * parts[..., 1, :, :])``.
+
+    The parts are written into one complex array and each is scaled in place
+    as a real number, so no temporaries are built and every product, a
+    signed zero included, is ``scale`` times its part.
+    """
+    out = np.empty(parts.shape[:-3] + parts.shape[-2:], dtype=np.complex128)
+    out.real = parts[..., 0, :, :]
+    out.imag = parts[..., 1, :, :]
+    out.view(np.float64)[...] *= scale
+    return out
 
 
 @dataclass(frozen=True)
@@ -69,10 +81,6 @@ class ChannelMatrix:
     @property
     def cols(self) -> int:
         return self.entries.shape[1]
-
-    def frobenius_gain(self) -> float:
-        """Per-entry average power, ||H||_F^2 / (rows*cols)."""
-        return float(np.linalg.norm(self.entries) ** 2 / (self.rows * self.cols))
 
 
 def as_matrix(h) -> np.ndarray:
@@ -338,12 +346,6 @@ class CsiErrorModel:
     @classmethod
     def zero(cls) -> "CsiErrorModel":
         return cls.iid(0.0)
-
-    @property
-    def is_zero(self) -> bool:
-        if self.kind == "iid":
-            return self.sigma_h_sq == 0.0
-        return bool(np.all(self.cov == 0))
 
     def scaled(self, factor: float) -> "CsiErrorModel":
         """Scale the covariance by ``factor`` (a power ratio, not amplitude)."""

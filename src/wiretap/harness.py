@@ -48,7 +48,7 @@ from typing import Any
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .channels import NOISE_RANGE, SvdStack, partition_stack
+from .channels import NOISE_RANGE, SvdStack, complex_from_parts, partition_stack
 from .exceptions import ConfigError
 from .perturbation import iid_moments, naive_terms, self_drift
 from .robust import robust_fdd, robust_tdd
@@ -428,7 +428,8 @@ def _draws(cfg: ExperimentConfig, lo: int, hi: int, streams) -> list[np.ndarray]
     real parts, then the imaginary parts, at unit variance.  Every stream's
     entropy and seed words are derived in one pass; each trial's PCG64 then
     takes its words through ``_Words`` and fills the trial's real and
-    imaginary parts in one call.
+    imaginary parts in one call, and ``channels.complex_from_parts`` joins
+    and scales each stream's parts as ``complex_gaussian`` does.
     """
     seeds = _seed_words(*_entropy(cfg, lo, hi, streams)).reshape(len(streams), hi - lo, 4)
     out = []
@@ -436,7 +437,7 @@ def _draws(cfg: ExperimentConfig, lo: int, hi: int, streams) -> list[np.ndarray]
         buf = np.empty((hi - lo, 2, rows, cfg.na))
         for trial_buf, row in zip(buf, words):
             np.random.Generator(np.random.PCG64(_Words(row))).standard_normal(out=trial_buf)
-        out.append(np.sqrt(0.5) * (buf[:, 0] + 1j * buf[:, 1]))
+        out.append(complex_from_parts(buf, np.sqrt(0.5)))
     return out
 
 
@@ -641,29 +642,32 @@ def _pooled_ratio(signal: np.ndarray, intnoise: np.ndarray) -> np.ndarray:
 
 
 def _reduce(metrics: np.ndarray, cfg: ExperimentConfig) -> dict[str, dict[str, tuple]]:
-    """Per-scheme series over the points, every (point, scheme) cell at once."""
-    sinr_b, sinr_e, secrecy, outage, signal_b, intnoise_b, signal_e, intnoise_e, flagged = (
-        np.moveaxis(metrics, 2, 0)
-    )
-    mean_b, se_b, n_valid = _mean_stderr(sinr_b)
-    mean_e, se_e, _ = _mean_stderr(sinr_e)
-    mean_s, se_s, _ = _mean_stderr(secrecy)
-    roe = _pooled_ratio(signal_b, intnoise_b)
-    roe_e = _pooled_ratio(signal_e, intnoise_e)
+    """Per-scheme series over the points, every (point, scheme) cell at once.
+
+    The three per-trial figures (Bob's and Eve's SINR, secrecy) share one
+    mean and standard-error pass, the two pooled ratios, the four decibel
+    columns and the two counts one call each.
+    """
+    mean, se, n = _mean_stderr(metrics[:, :, :3])
+    mean_b, mean_e, mean_s = np.moveaxis(mean, -1, 0)
+    se_b, se_e, se_s = np.moveaxis(se, -1, 0)
+    roe = _pooled_ratio(metrics[:, :, [4, 6]], metrics[:, :, [5, 7]])
+    db = _db_or_neg_inf(np.stack([mean_b, mean_e, roe[..., 0], roe[..., 1]]))
+    counts = np.nansum(metrics[:, :, [3, 8]], axis=-1).astype(int)
     with np.errstate(divide="ignore", invalid="ignore"):
         se_b_db = np.where(
             (mean_b > 0) & np.isfinite(se_b), 10.0 / np.log(10.0) * se_b / mean_b, np.nan
         )
     columns = {
-        "mean_sinr_b": mean_b, "stderr_sinr_b": se_b, "mean_sinr_b_db": _db_or_neg_inf(mean_b),
+        "mean_sinr_b": mean_b, "stderr_sinr_b": se_b, "mean_sinr_b_db": db[0],
         "stderr_sinr_b_db": se_b_db,
-        "mean_sinr_e": mean_e, "stderr_sinr_e": se_e, "mean_sinr_e_db": _db_or_neg_inf(mean_e),
+        "mean_sinr_e": mean_e, "stderr_sinr_e": se_e, "mean_sinr_e_db": db[1],
         "mean_secrecy": mean_s, "stderr_secrecy": se_s,
-        "roe_sinr_b": roe, "roe_sinr_b_db": _db_or_neg_inf(roe),
-        "roe_sinr_e": roe_e, "roe_sinr_e_db": _db_or_neg_inf(roe_e),
-        "outage_count": np.nansum(outage, axis=-1).astype(int),
-        "flagged_count": np.nansum(flagged, axis=-1).astype(int),
-        "n_valid": n_valid,
+        "roe_sinr_b": roe[..., 0], "roe_sinr_b_db": db[2],
+        "roe_sinr_e": roe[..., 1], "roe_sinr_e_db": db[3],
+        "outage_count": counts[..., 0],
+        "flagged_count": counts[..., 1],
+        "n_valid": n[..., 0],
     }
     return {
         scheme: {key: tuple(values[:, s].tolist()) for key, values in columns.items()}

@@ -141,18 +141,22 @@ class PerturbMoments:
 
 
 def _second_moment_tensor(svd: SvdStack, err: CsiErrorModel) -> np.ndarray:
-    """The tensor M[i, j, k, l] of the error in the singular bases."""
+    """The tensor M[i, j, k, l] of the error in the singular bases.
+
+    For the covariance C of the column-stacked error, M = K^T C conj(K) with
+    K[(p, a), (i, j)] = v[p, j] conj(u[a, i]), the Kronecker product of v
+    and conj(u) with its columns ordered (i, j): two matrix products.
+    """
     u, v = svd.u, svd.v
     m, n = len(u), len(v)
     if err.kind == "iid":
         return err.sigma_h_sq * np.einsum(
             "ik,jl->ijkl", np.eye(m), np.eye(n)
         ).astype(np.complex128)
-    t = err.cov_tensor(m, n)
-    stage = np.einsum("ai,apbq->ipbq", u.conj(), t)
-    stage = np.einsum("pj,ipbq->ijbq", v, stage)
-    stage = np.einsum("bk,ijbq->ijkq", u, stage)
-    return np.einsum("ql,ijkq->ijkl", v.conj(), stage)
+    # The checked tensor view, flattened back to C without a copy.
+    cov = err.cov_tensor(m, n).reshape(m * n, m * n, order="F")
+    k = (v[:, None, None, :] * u.conj()[None, :, :, None]).reshape(m * n, m * n)
+    return (k.T @ cov @ k.conj()).reshape(m, n, m, n)
 
 
 def _sandwich_rows(x: np.ndarray, err: CsiErrorModel, m: int, n: int) -> np.ndarray:
@@ -175,19 +179,42 @@ def compute_moments(svd: SvdStack, err: CsiErrorModel) -> PerturbMoments:
     """Closed-form perturbation moments of one channel's decomposition
     (:func:`~wiretap.channels.partition_svd`) under ``err``.
 
+    For i.i.d. error the three stored fields are the closed form
+    :func:`iid_moments` scaled by the error power, formed as the sweep
+    engine forms them, so the single-channel prediction and statistical
+    receiver return the engine's numbers bit for bit.  For a full
+    covariance they come from the general expansion of :func:`_expansion`,
+    which also builds the eight deferred fields of either kind when one of
+    them is first read.
+
+    Raises :class:`IllConditionedGapError` when a singular-value gap is too
+    small for the expansion to hold.
+    """
+    s = svd.single().s
+    if err.kind != "iid":
+        stored, build = _expansion(svd, err)
+        return PerturbMoments(*stored, build)
+    closed = iid_moments(s, len(svd.v))
+    power = err.sigma_h_sq
+    return PerturbMoments(
+        float(closed.e_dsigma1 * power), closed.e_dsigma1_sq * power,
+        (closed.drift * svd.v1) * power, lambda: _expansion(svd, err)[1](),
+    )
+
+
+def _expansion(svd: SvdStack, err: CsiErrorModel):
+    """The general second-order expansion of :func:`compute_moments`:
+    ((e_dsigma1, e_dsigma1_sq, e_dv1), builder of the deferred fields).
+
     Expansion of the Gram matrix (H+dH)^H (H+dH) around H^H H through second
     order gives, for each strong right vector v_j, the coefficient of its
     drift on every other unperturbed right vector v_k.  First-order
     coefficients have zero mean; their magnitudes and the second-order means
     combine into all the fields documented on :class:`PerturbMoments`.
     Only the dominant vector's coefficients are computed here, for the
-    three stored fields; the deferred fields are built from the same
-    tensor when first read.
-
-    Raises :class:`IllConditionedGapError` when a singular-value gap is too
-    small for the expansion to hold.
+    three stored fields; the builder forms the rest from the same tensor.
     """
-    _check_gaps(svd.single().s)
+    _check_gaps(svd.s)
     sig, v = svd.s, svd.v
     m, n = len(sig), len(v)
     f = m  # nonzero singular values, min(n_rx, n_tx)
@@ -283,7 +310,7 @@ def compute_moments(svd: SvdStack, err: CsiErrorModel) -> PerturbMoments:
             e_dv1_outer=e_dv1_outer,
         )
 
-    return PerturbMoments(float(e_dsigma1), float(e_dsigma1_sq), e_dv1, build)
+    return (float(e_dsigma1), float(e_dsigma1_sq), e_dv1), build
 
 
 class IidMoments(NamedTuple):

@@ -22,6 +22,10 @@ library's LU solve of Eve's combiner must agree with the former, and its
 Newton root solve with the latter's outage flags and, within those
 tolerances, its roots.
 
+``second_moment_tensor`` is the four-stage ``einsum`` contraction of a
+full error covariance into the singular bases, against which the library's
+two-matmul Kronecker form of the same tensor is checked.
+
 ``mc_moments`` is a brute-force Monte Carlo oracle for the closed-form
 perturbation moments.  It deliberately avoids the library's own moment
 formulas: draws are pushed through numpy's SVD and averaged, with antithetic
@@ -126,6 +130,17 @@ def _cols_sandwich(dh: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """Sum over the chunk of dH^H @ weight @ dH."""
     y = np.einsum("ab,cbq->caq", weight, dh)
     return np.einsum("cap,caq->pq", dh.conj(), y)
+
+
+def second_moment_tensor(svd: SvdStack, cov: np.ndarray) -> np.ndarray:
+    """M[i, j, k, l] = E{(u_i^H dH v_j) (u_k^H dH v_l)^*} for the covariance
+    ``cov`` of the column-stacked error, one basis change per index."""
+    u, v = svd.u, svd.v
+    t = cov.reshape((len(u), len(v), len(u), len(v)), order="F")
+    stage = np.einsum("ai,apbq->ipbq", u.conj(), t)
+    stage = np.einsum("pj,ipbq->ijbq", v, stage)
+    stage = np.einsum("bk,ijbq->ijkq", u, stage)
+    return np.einsum("ql,ijkq->ijkl", v.conj(), stage)
 
 
 def mc_moments(

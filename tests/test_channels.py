@@ -54,8 +54,8 @@ class TestGenerateChannels:
 
     def test_entry_variance_and_ecsi_gain(self):
         chan = generate_channels(200, 200, 200, gamma_ea_sq=0.25, rng_seed=5)
-        assert chan.h_ba.frobenius_gain() == pytest.approx(1.0, rel=0.05)
-        assert chan.h_ea.frobenius_gain() == pytest.approx(0.25, rel=0.05)
+        assert np.mean(np.abs(chan.h_ba.entries) ** 2) == pytest.approx(1.0, rel=0.05)
+        assert np.mean(np.abs(chan.h_ea.entries) ** 2) == pytest.approx(0.25, rel=0.05)
 
     @pytest.mark.parametrize("bad", [0, -1, 2.5])
     def test_antenna_counts_validated(self, bad):
@@ -212,10 +212,6 @@ class TestCsiErrorModel:
         with pytest.raises(ParameterError):
             CsiErrorModel.full(np.diag([1.0, -1.0]))
 
-    def test_zero_model_knows_it_is_zero(self):
-        assert CsiErrorModel.zero().is_zero
-        assert not CsiErrorModel.iid(1e-3).is_zero
-
     def test_cov_tensor_of_iid_is_a_scaled_identity(self):
         t = CsiErrorModel.iid(0.5).cov_tensor(2, 3)
         assert t.shape == (2, 3, 2, 3)
@@ -268,7 +264,7 @@ class TestPerturbEcsi:
     def test_blend_preserves_average_power(self):
         h = generate_channels(40, 2, 40, rng_seed=12).h_ea
         out = perturb_ecsi(h, 0.3, rng_seed=13)
-        assert out.frobenius_gain() == pytest.approx(1.0, rel=0.15)
+        assert np.mean(np.abs(out.entries) ** 2) == pytest.approx(1.0, rel=0.15)
 
     def test_gamma_one_is_a_fresh_draw(self):
         h = generate_channels(3, 2, 2, rng_seed=14).h_ea

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +30,7 @@ from wiretap.channels import (
     ChannelSet,
     CsiErrorModel,
     SvdStack,
+    complex_from_parts,
     complex_gaussian,
     generate_channels,
     partition_stack,
@@ -40,7 +40,7 @@ from wiretap.channels import (
 from wiretap.exceptions import DegenerateChannelError, DimensionError
 from wiretap.harness import SCENARIOS, SCHEMES, ExperimentConfig, preset_config
 from wiretap.perturbation import compute_moments, iid_moments
-from wiretap.perturbation import naive_trial
+from wiretap.perturbation import naive_sinr_terms, naive_trial
 from wiretap.robust import (
     fdd_receiver,
     fdd_spectrum,
@@ -414,7 +414,7 @@ def test_eve_is_held_once_per_draw_not_once_per_point(preset, draws):
 # ------------------------------------------------- the single-channel interface
 
 
-def _single_channel_rows(cfg: ExperimentConfig, i: int, h, dh_unit, eve, moments) -> np.ndarray:
+def _single_channel_rows(cfg: ExperimentConfig, i: int, h, dh_unit, eve) -> np.ndarray:
     """The engine's metrics (all but ``flagged``) of trial ``i`` of a target
     sweep, from the single-channel functions on that trial's draws."""
     sigma_sq = float(from_db(cfg.sigma_h_db))
@@ -423,9 +423,7 @@ def _single_channel_rows(cfg: ExperimentConfig, i: int, h, dh_unit, eve, moments
     svd = partition_svd(chan.h_ba)
     err = np.sqrt(sigma_sq) * dh_unit[i]
     tilde = partition_stack((h[i] + err)[None])
-    # The statistical receiver's drift as the engine computes it for i.i.d. error.
-    mom = replace(compute_moments(svd, CsiErrorModel.iid(sigma_sq)),
-                  e_dv1=(moments.drift[i] * svd.v1) * sigma_sq)
+    mom = compute_moments(svd, CsiErrorModel.iid(sigma_sq))
     rows = np.empty((len(cfg.axis()[1]), len(cfg.schemes), len(harness.METRICS) - 1))
     for p, target_db in enumerate(cfg.axis()[1]):
         target = float(from_db(target_db))
@@ -465,11 +463,9 @@ def test_single_channel_functions_return_the_engines_numbers(preset):
         (harness._TAG_CHANNEL, cfg.nb, None), (harness._TAG_ERROR, cfg.nb, None),
         (harness._TAG_EVE, cfg.ne, None),
     ])
-    part = partition_stack(h)
-    moments = iid_moments(part.s, cfg.na)
     engine = harness._run_chunk(cfg, 0, cfg.trials)
     for i in range(cfg.trials):
-        rows = _single_channel_rows(cfg, i, h, dh_unit, eve, moments)
+        rows = _single_channel_rows(cfg, i, h, dh_unit, eve)
         np.testing.assert_array_equal(rows, engine[:, :, :-1, i], err_msg=f"trial {i}")
 
 
@@ -722,14 +718,43 @@ def test_a_curve_without_weight_is_an_outage():
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (2, 2), (3, 5), (5, 5)], ids=str)
 def test_iid_closed_form_matches_compute_moments(shape):
+    # compute_moments takes its stored i.i.d. fields from the closed form,
+    # scaled as the engine scales it; the general expansion, reached through
+    # a white full covariance, agrees with it to round-off.
     nb, na = shape
+    sigma_sq = 0.03
     for k in range(10):
         svd = partition_svd(_random_channels(1, nb, na, seed=100 + k)[0])
-        full = compute_moments(svd, CsiErrorModel.iid(1.0))
         closed = iid_moments(svd.s, na)
-        np.testing.assert_allclose(closed.drift * svd.v1, full.e_dv1, rtol=1e-12, atol=1e-15)
-        assert closed.e_dsigma1 == pytest.approx(full.e_dsigma1, rel=1e-12)
-        assert closed.e_dsigma1_sq == full.e_dsigma1_sq
+        stored = compute_moments(svd, CsiErrorModel.iid(sigma_sq))
+        np.testing.assert_array_equal(stored.e_dv1, (closed.drift * svd.v1) * sigma_sq)
+        assert stored.e_dsigma1 == closed.e_dsigma1 * sigma_sq
+        assert stored.e_dsigma1_sq == closed.e_dsigma1_sq * sigma_sq
+        general = compute_moments(svd, CsiErrorModel.full(sigma_sq * np.eye(nb * na)))
+        np.testing.assert_allclose(general.e_dv1, stored.e_dv1, rtol=1e-12, atol=1e-15)
+        assert general.e_dsigma1 == pytest.approx(stored.e_dsigma1, rel=1e-12)
+        assert general.e_dsigma1_sq == pytest.approx(stored.e_dsigma1_sq, rel=1e-12)
+
+
+def test_naive_terms_on_library_moments_are_the_engines():
+    # On a fig2 block, the closed-form terms from compute_moments are the
+    # analytic_naive scheme's numerator and denominator at every level.
+    cfg = preset_config("fig2_prediction", trials=16, master_seed=8)
+    blk = harness._Block(cfg, 0, cfg.trials)
+    rows = harness._analytic_naive(blk)
+    target = float(from_db(cfg.target_sinr_db))
+    checked = 0
+    for i in range(cfg.trials):
+        chan = ChannelSet(h_ba=ChannelMatrix(blk.h[i]), h_ea=ChannelMatrix(blk.eve[i]),
+                          sigma_b_sq=cfg.sigma_b_sq, sigma_e_sq=cfg.sigma_e_sq,
+                          power_p=cfg.power_p)
+        svd = partition_svd(chan.h_ba)
+        for p, sigma_db in enumerate(cfg.sigma_h_db):
+            mom = compute_moments(svd, CsiErrorModel.iid(float(from_db(sigma_db))))
+            num, den = naive_sinr_terms(svd, mom, chan, target)
+            assert (num, den) == (rows[4, p, i], rows[5, p, i]), (i, p)
+            checked += 1
+    assert checked == cfg.trials * len(cfg.sigma_h_db)
 
 
 def test_partition_stack_is_partition_svd_per_matrix():
@@ -969,6 +994,45 @@ def test_one_draw_pass_over_mixed_streams(master):
             np.testing.assert_array_equal(
                 got[i], complex_gaussian(oracles._rng(cfg, tag, trial, point), rows, cfg.na)
             )
+
+
+def test_both_draw_paths_assemble_signed_zero_parts_alike(monkeypatch):
+    """``complex_gaussian`` and ``_draws`` share one complex assembly: on
+    planted real and imaginary parts of +0.0, -0.0 and nonzero values each
+    entry is the scale times its part, sign included, and on real draws the
+    bits are those of the old ``scale * (re + 1j * im)``."""
+    re, im = np.meshgrid([0.0, -0.0, 1.5], [0.0, -0.0, -2.0], indexing="ij")
+    parts = np.stack([re, im])
+
+    class Planted:
+        def __init__(self, *_):
+            pass
+
+        def standard_normal(self, size=None, out=None):
+            if out is None:
+                assert size == parts.shape
+                return parts.copy()
+            out[...] = parts
+            return out
+
+    scale = np.sqrt(0.5)
+    want = np.stack([scale * re, scale * im], axis=-1)
+    from_rng = complex_gaussian(Planted(), 3, 3)
+    monkeypatch.setattr(np.random, "Generator", Planted)
+    cfg = ExperimentConfig(na=3, nb=3, ne=3)
+    (stack,) = harness._draws(cfg, 0, 2, [(harness._TAG_CHANNEL, 3, None)])
+    monkeypatch.undo()
+    assert from_rng.view(np.float64).reshape(want.shape).tobytes() == want.tobytes()
+    for trial in stack:
+        assert trial.tobytes() == from_rng.tobytes()
+    rng = np.random.default_rng(12)
+    buf = rng.standard_normal((40, 2, 4, 5))
+    old = np.sqrt(0.5) * (buf[:, 0] + 1j * buf[:, 1])
+    assert complex_from_parts(buf, np.sqrt(0.5)).tobytes() == old.tobytes()
+    a, b = np.random.default_rng(13), np.random.default_rng(13)
+    for var in (1.0, 0.25, 3e-4):
+        old = np.sqrt(var / 2.0) * (a.standard_normal((4, 5)) + 1j * a.standard_normal((4, 5)))
+        assert complex_gaussian(b, 4, 5, var).tobytes() == old.tobytes()
 
 
 def test_block_streams_are_numpys_at_large_trial_indices():

@@ -19,6 +19,7 @@ from wiretap.exceptions import (
     ValidityRangeError,
 )
 from wiretap.perturbation import (
+    _second_moment_tensor,
     compute_moments,
     first_vector_leak,
     naive_sinr_terms,
@@ -28,7 +29,7 @@ from wiretap.perturbation import (
 )
 from wiretap.robust import tdd_receiver
 
-from oracles import field_agreement, mc_moments
+from oracles import field_agreement, mc_moments, second_moment_tensor
 
 _COV_FIELDS = (
     "g", "g_prime", "g_dprime", "k", "e_dv_s", "e_vs_dvs",
@@ -53,6 +54,20 @@ def test_moments_match_monte_carlo_oracle(nb, na, seed):
     mc = mc_moments(svd, model.sigma_h_sq, pairs=20000, seed=seed + 500)
     name, miss, allowance, ratio = field_agreement(closed, mc)
     assert ratio <= 1.0, f"field {name}: |miss| {miss:.3e} exceeds {allowance:.3e}"
+
+
+@pytest.mark.parametrize("nb,na", [(1, 1), (1, 3), (2, 4), (5, 5), (8, 8)])
+def test_kronecker_tensor_is_the_four_stage_contraction(nb, na):
+    """K^T C conj(K) with K = v kron conj(u) is the basis change of the
+    covariance one index at a time, also for a rank-deficient covariance."""
+    rng = np.random.default_rng(40 + 10 * nb + na)
+    svd = partition_svd(generate_channels(na, nb, 1, rng_seed=nb * na).h_ba)
+    side = nb * na
+    for rank in (side, max(side // 2, 1)):
+        a = rng.standard_normal((side, rank)) + 1j * rng.standard_normal((side, rank))
+        cov = a @ a.conj().T / side
+        got = _second_moment_tensor(svd, CsiErrorModel.full(cov))
+        np.testing.assert_allclose(got, second_moment_tensor(svd, cov), rtol=1e-12, atol=1e-15)
 
 
 def test_zero_error_model_gives_vanishing_moments():
