@@ -60,19 +60,17 @@ def complex_from_parts(parts: np.ndarray, scale) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChannelMatrix:
-    """A complex channel matrix with finite entries."""
+    """A complex channel matrix with finite entries, held as a read-only
+    copy so that the decomposition it stores stays valid."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=np.complex128)
-        if arr.ndim != 2:
-            raise DimensionError(f"channel matrix must be 2-D, got shape {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise DimensionError(f"channel matrix needs at least one row and column, got {arr.shape}")
-        if not np.all(np.isfinite(arr.view(np.float64))):
-            raise ParameterError("channel matrix entries must be finite")
-        object.__setattr__(self, "entries", arr)
+        arr = np.array(self.entries, dtype=np.complex128)
+        if arr.ndim != 2 or 0 in arr.shape:
+            raise DimensionError(f"channel matrix must be 2-D and nonempty, got shape {arr.shape}")
+        arr.flags.writeable = False
+        object.__setattr__(self, "entries", finite(arr, "channel matrix"))
 
     @property
     def rows(self) -> int:
@@ -82,12 +80,35 @@ class ChannelMatrix:
     def cols(self) -> int:
         return self.entries.shape[1]
 
+    @cached_property
+    def _svd(self) -> SvdStack:
+        """The read-only decomposition :func:`partition_svd` returns."""
+        svd = partition_stack(self.entries)
+        for arr in svd:
+            arr.flags.writeable = False
+        return svd
+
 
 def as_matrix(h) -> np.ndarray:
     """Return the raw ndarray behind a ChannelMatrix, passing ndarrays through."""
     if isinstance(h, ChannelMatrix):
         return h.entries
     return np.asarray(h, dtype=np.complex128)
+
+
+def finite(arr: np.ndarray, name: str) -> np.ndarray:
+    """``arr``, or ParameterError naming it if an entry is not finite."""
+    if not np.isfinite(arr).all():
+        raise ParameterError(f"{name} entries must be finite")
+    return arr
+
+
+def matching(x, h: ChannelMatrix, name: str) -> np.ndarray:
+    """``x`` as an array of the shape of ``h``, or DimensionError naming it."""
+    arr = as_matrix(x)
+    if arr.shape != h.entries.shape:
+        raise DimensionError(f"{name} has shape {arr.shape}, the channel {h.entries.shape}")
+    return arr
 
 
 # Noise powers a channel set accepts.  Far outside this range the combiners'
@@ -184,21 +205,15 @@ def _fix_phases(u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Works over any leading batch axes and returns (u, v) with the right
     vectors as the columns of v.  The product u @ diag(s) @ v^H is
-    unchanged.  Ties on the largest entry resolve to the lowest index, and a
-    zero pivot leaves its vector as is.
+    unchanged.  Ties on the largest entry resolve to the lowest index.  A
+    unit column has a nonzero largest entry, so every pivot is nonzero.
     """
     v = np.conjugate(vh.swapaxes(-1, -2), order="C")
-    n = v.shape[-1]
-    flat = v.reshape(-1, n, n)
-    idx = np.argmax(np.abs(flat), axis=-2)
-    pivot = flat[np.arange(len(flat))[:, None], idx, np.arange(n)].reshape(v.shape[:-2] + (n,))
+    pivot = np.take_along_axis(v, np.abs(v).argmax(axis=-2)[..., None, :], axis=-2)
     # hypot rounds like abs() of a complex scalar; np.abs over an array can
     # differ in the last bit, which would move every single-channel result.
-    mag = np.hypot(pivot.real, pivot.imag)
-    phase = np.where(mag == 0, 1.0, pivot / np.where(mag == 0, 1.0, mag))
-    v = v / phase[..., None, :]
-    u = u / phase[..., None, : u.shape[-1]]
-    return u, v
+    phase = pivot / np.hypot(pivot.real, pivot.imag)
+    return u / phase[..., : u.shape[-1]], v / phase
 
 
 class SvdStack(NamedTuple):
@@ -280,11 +295,16 @@ def partition_stack(h: np.ndarray) -> SvdStack:
 
 def partition_svd(h) -> SvdStack:
     """:func:`partition_stack` of one channel matrix: an :class:`SvdStack`
-    with no leading axes.  Raises DimensionError unless ``h`` is 2-D."""
+    with no leading axes.  A :class:`ChannelMatrix` is decomposed once and
+    stores the result with read-only arrays, returned by every later call.
+    A plain array, never cached, must be 2-D (DimensionError) and finite
+    (ParameterError)."""
+    if isinstance(h, ChannelMatrix):
+        return h._svd
     arr = as_matrix(h)
     if arr.ndim != 2:
         raise DimensionError(f"partition_svd expects one 2-D matrix, got shape {arr.shape}")
-    return partition_stack(arr)
+    return partition_stack(finite(arr, "channel matrix"))
 
 
 def align_singular_vectors(reference: np.ndarray, perturbed: np.ndarray) -> np.ndarray:
@@ -331,16 +351,29 @@ class CsiErrorModel:
 
     @classmethod
     def full(cls, cov) -> "CsiErrorModel":
+        """A finite, Hermitian, positive semidefinite covariance: eigenvalues
+        >= -1e-9 max(largest, 1).  One Cholesky factor of it plus 1e-9
+        max(largest diagonal entry, 1) I proves that, as no diagonal entry
+        exceeds the largest eigenvalue; only if it fails do they decide."""
         arr = np.asarray(cov, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionError(f"covariance must be square, got shape {arr.shape}")
-        herm_err = np.max(np.abs(arr - arr.conj().T))
-        scale = max(np.max(np.abs(arr)), 1.0)
-        if herm_err > 1e-9 * scale:
+        finite(arr, "covariance")
+        adj = arr.conj().T
+        herm_err = np.max(np.abs(arr - adj))
+        # The scale is at least 1, so an error within 1e-9 passes without it.
+        if herm_err > 1e-9 and herm_err > 1e-9 * max(np.max(np.abs(arr)), 1.0):
             raise ParameterError(f"covariance is not Hermitian within tolerance ({herm_err:.3e})")
-        eigs = np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)
-        if eigs[0] < -1e-9 * max(eigs[-1], 1.0):
-            raise ParameterError(f"covariance is not positive semidefinite (min eig {eigs[0]:.3e})")
+        shifted = (arr + adj) / 2.0
+        diag = shifted.reshape(-1)[:: len(arr) + 1]
+        diag += 1e-9 * max(diag.real.max(), 1.0)
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            eigs = np.linalg.eigvalsh((arr + adj) / 2.0)
+            if eigs[0] < -1e-9 * max(eigs[-1], 1.0):
+                raise ParameterError(
+                    f"covariance is not positive semidefinite (min eig {eigs[0]:.3e})") from None
         return cls(kind="full", cov=arr)
 
     @classmethod
@@ -358,9 +391,7 @@ class CsiErrorModel:
     def cov_tensor(self, nb: int, na: int) -> np.ndarray:
         """Covariance as a 4-tensor T[a, p, b, q] = E{dH[a,p] conj(dH[b,q])}."""
         if self.kind == "iid":
-            eye_b = np.eye(nb)
-            eye_a = np.eye(na)
-            return self.sigma_h_sq * np.einsum("ab,pq->apbq", eye_b, eye_a)
+            return self.sigma_h_sq * np.einsum("ab,pq->apbq", np.eye(nb), np.eye(na))
         if self.cov.shape[0] != nb * na:
             raise DimensionError(
                 f"covariance side {self.cov.shape[0]} does not match nb*na = {nb * na}"

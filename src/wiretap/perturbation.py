@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channels import ChannelSet, CsiErrorModel, SvdStack, as_matrix, partition_svd
+from .channels import ChannelSet, CsiErrorModel, SvdStack, matching, partition_svd
 from .exceptions import IllConditionedGapError, ParameterError, ValidityRangeError
 from .stacked import vdot
 from .transmit import (
@@ -53,15 +53,13 @@ _PAIR_GAP_TOL = 1e-10
 def _check_gaps(s: np.ndarray) -> None:
     """Raise :class:`IllConditionedGapError` where the descending singular
     values ``s`` (..., m) are too close for the expansion to hold."""
-    if s.shape[-1] < 2:
-        return
     lam = s**2
-    lam1 = lam[..., 0]
-    if np.any(np.min(lam[..., :-1] - lam[..., -1:], axis=-1) < _WEAKEST_GAP * lam1):
+    lam1 = lam[..., :1]
+    if (lam[..., :-1] - lam[..., -1:] < _WEAKEST_GAP * lam1).any():
         raise IllConditionedGapError(
             "singular-value gaps too small: perturbation moments are unreliable"
         )
-    if np.any(np.min(lam[..., :-1] - lam[..., 1:], axis=-1) < _PAIR_GAP_TOL * lam1):
+    if (lam[..., :-1] - lam[..., 1:] < _PAIR_GAP_TOL * lam1).any():
         raise IllConditionedGapError(
             "near-degenerate singular values: perturbation moments are unreliable"
         )
@@ -220,10 +218,12 @@ def _expansion(svd: SvdStack, err: CsiErrorModel):
     f = m  # nonzero singular values, min(n_rx, n_tx)
     lam = sig**2
     lam1 = lam[0]
-    sig_ext = np.concatenate([sig, np.zeros(n - m)])
     lam_ext = np.concatenate([lam, np.zeros(n - m)])
+    rows, cols = np.arange(m), np.arange(n)
 
     mom = _second_moment_tensor(svd, err)
+    # sq[k, l] = Re M[k, l, k, l], the squared first-order magnitudes.
+    sq = mom.reshape(m * n, m * n).diagonal().real.reshape(m, n)
 
     def drift_coefficients(j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Mean drift coefficients of right vector j on every direction.
@@ -234,32 +234,23 @@ def _expansion(svd: SvdStack, err: CsiErrorModel):
         coefficient on each other direction.
         """
         gap = lam[j] - lam_ext
-        inv_gap = np.zeros(n)
-        mask = np.arange(n) != j
-        inv_gap[mask] = 1.0 / gap[mask]
+        gap[j] = np.inf
+        inv_gap = 1.0 / gap
 
         # |first-order coefficient|^2 on every other direction.
-        a_kj = np.zeros(n)
-        a_kj[:m] = np.real(np.einsum("kk->k", mom[:, j, :, j]))
-        b_kj = np.real(np.einsum("kk->k", mom[j, :, j, :]))
-        num1 = lam_ext * a_kj + lam[j] * b_kj
+        num1 = lam[j] * sq[j]
+        num1[:m] += lam * sq[:, j]
 
         # Second-order mean coefficients: couplings through every third
         # direction, the diagonal correction, and the direct Gram term.
-        a1 = np.zeros((n, n), dtype=np.complex128)
-        a1[:m, :] = np.einsum("kll->kl", mom[:, :, j, :])
-        b1 = np.zeros((n, n), dtype=np.complex128)
-        b1[:m, :] = lam[:, None] * np.einsum("llk->lk", mom[:, j, :, :])
-        t1 = (sig_ext * sig[j] * (a1 @ inv_gap) + (inv_gap @ b1)) * inv_gap
+        through = mom[rows, j, rows]  # M[l, j, l, k]
+        t1 = inv_gap[:m] @ (lam[:, None] * through)
+        t1[:m] += sig * sig[j] * (mom[rows[:, None], cols, j, cols] @ inv_gap)
+        t2 = lam[j] * mom[j, j, j]
+        t2[:m] += sig * sig[j] * mom[:, j, j, j]
 
-        m4 = np.zeros(n, dtype=np.complex128)
-        m4[:m] = mom[:, j, j, j]
-        m5 = mom[j, j, j, :]
-        t2 = (sig_ext * sig[j] * m4 + lam[j] * m5) * inv_gap**2
-
-        t3 = np.einsum("iik->k", mom[:, j, :, :]) * inv_gap
-
-        coeff = t1 - t2 + t3
+        coeff = t1 * inv_gap - t2 * inv_gap**2 + through.sum(axis=0) * inv_gap
+        mask = cols != j
         coeff[j] = -0.5 * np.sum(num1[mask] * inv_gap[mask] ** 2)
         return coeff, num1, inv_gap
 
@@ -270,7 +261,7 @@ def _expansion(svd: SvdStack, err: CsiErrorModel):
 
     trace_term = float(np.real(np.einsum("ii->", mom[:, 0, :, 0])))
     coupling_term = float(np.sum(num1_0 * inv_gap0))
-    m1111 = float(np.real(mom[0, 0, 0, 0]))
+    m1111 = float(sq[0, 0])
     sigma1 = sig[0]
     e_dsigma1 = (trace_term + coupling_term) / (2.0 * sigma1) - m1111 / (4.0 * sigma1)
     e_dsigma1_sq = 0.5 * m1111
@@ -282,6 +273,7 @@ def _expansion(svd: SvdStack, err: CsiErrorModel):
         m_row = np.zeros((n, n), dtype=np.complex128)
         m_row[:m, :m] = mom[:, 0, :, 0]
         m_col = np.conj(mom[0, :, 0, :])
+        sig_ext = np.concatenate([sig, np.zeros(n - m)])
         spread = (np.outer(sig_ext, sig_ext) * m_row + lam1 * m_col) * np.outer(
             inv_gap0, inv_gap0
         )
@@ -289,10 +281,8 @@ def _expansion(svd: SvdStack, err: CsiErrorModel):
         e_dv1_outer = (e_dv1_outer + e_dv1_outer.conj().T) / 2.0
 
         e_dv_coeff = np.zeros((n, f - 1), dtype=np.complex128)
-        if f > 1:
-            e_dv_coeff[:, 0] = coeff0
-        for j in range(1, f - 1):
-            e_dv_coeff[:, j] = drift_coefficients(j)[0]
+        for j in range(f - 1):
+            e_dv_coeff[:, j] = drift_coefficients(j)[0] if j else coeff0
 
         # The strong block (U_s, V_s) and the weakest right vector v_f.
         u_s, v_s, v_f = svd.u[:, : f - 1], v[:, : f - 1], v[:, f - 1]
@@ -433,23 +423,20 @@ def predict_naive_sinr(
     return numerator / denominator
 
 
-def naive_trial(
-    chan: ChannelSet,
-    err_sample: np.ndarray,
-    target_sinr: float,
-    *,
-    svd: SvdStack | None = None,
-) -> tuple[SinrReport, LinkSinr, LinkSinr, TxScheme]:
+def naive_trial(chan: ChannelSet, err_sample: np.ndarray, target_sinr: float, *,
+                svd: SvdStack | None = None) -> tuple[SinrReport, LinkSinr, LinkSinr, TxScheme]:
     """One mismatched trial, returning the report plus both raw link powers.
 
     The batch of one of ``transmit.artificial_noise``: the transmitter
     designs everything (direction, power split, interference) from
     H + err_sample, the intended receiver keeps the matched combiner built
     from the true H, and the eavesdropper, as always, tracks the actual
-    transmission.  ``svd``, the partition of H, may be passed in.
+    transmission.  ``svd``, the partition of H, defaults to the one stored on
+    ``chan.h_ba``.  A misshapen error sample or a non-finite estimate is
+    refused (DimensionError, ParameterError).
     """
     part = svd if svd is not None else partition_svd(chan.h_ba)
-    tilde = partition_svd(chan.h_ba.entries + as_matrix(err_sample))
+    tilde = partition_svd(chan.h_ba.entries + matching(err_sample, chan.h_ba, "err_sample"))
     d = single_artificial_noise(chan, tilde, part, target_sinr)
     scheme, _, report, bob, eve = run_trial(chan, d, target_sinr)
     return report, bob, eve, scheme

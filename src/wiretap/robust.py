@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import ChannelSet, SvdStack, as_matrix, partition_stack
+from .channels import ChannelSet, SvdStack, finite, matching, partition_stack
 from .exceptions import ParameterError
 from .perturbation import PerturbMoments, self_drift
 from .stacked import any_true, herm, matvec, outer
@@ -264,13 +264,8 @@ def _fdd_trial(
     return RxBeamformer(w=d.w_b[0, 0], kind="robust_fdd"), report, bob, eve, scheme
 
 
-def fdd_receiver(
-    chan: ChannelSet,
-    h_tilde,
-    target_sinr: float,
-    *,
-    propagate_through_estimate: bool = False,
-) -> tuple[RxBeamformer, SinrReport]:
+def fdd_receiver(chan: ChannelSet, h_tilde, target_sinr: float, *,
+                 propagate_through_estimate: bool = False) -> tuple[RxBeamformer, SinrReport]:
     """Recovery when the receiver knows the transmitter's exact estimate.
 
     The receiver reconstructs the transmit configuration from ``h_tilde``,
@@ -280,12 +275,13 @@ def fdd_receiver(
 
     ``propagate_through_estimate=True`` switches the receiver's design to
     propagate the reconstructed transmission through the estimate rather
-    than the true channel; the reported SINR stays physical either way.
+    than the true channel; the reported SINR stays physical either way.  A
+    misshapen or non-finite estimate is refused (DimensionError,
+    ParameterError).
     """
-    tilde = partition_stack(as_matrix(h_tilde)[None])
+    tilde = partition_stack(finite(matching(h_tilde, chan.h_ba, "h_tilde"), "h_tilde")[None])
     beam, report, _, _, _ = _fdd_trial(
-        chan, tilde, target_sinr, propagate_through_estimate=propagate_through_estimate,
-    )
+        chan, tilde, target_sinr, propagate_through_estimate=propagate_through_estimate)
     return beam, report
 
 
@@ -308,13 +304,8 @@ def _tdd_trial(
     return RxBeamformer(w=d.w_b[0, 0], kind="robust_tdd"), report, bob, eve, scheme
 
 
-def tdd_receiver(
-    chan: ChannelSet,
-    svd: SvdStack,
-    moments: PerturbMoments,
-    err_sample: np.ndarray,
-    target_sinr: float,
-) -> tuple[RxBeamformer, SinrReport]:
+def tdd_receiver(chan: ChannelSet, svd: SvdStack, moments: PerturbMoments, err_sample: np.ndarray,
+                 target_sinr: float) -> tuple[RxBeamformer, SinrReport]:
     """Recovery when the receiver knows the channel and error statistics.
 
     The receiver never sees the transmitter's estimate.  It whitens the
@@ -326,8 +317,11 @@ def tdd_receiver(
     requested fraction.  The reported SINR is evaluated against the actual
     transmission through the true channel, so it fluctuates around the
     request; the average shortfall grows with the error power because the
-    beam's misalignment is deliberately not chased with extra data power.
+    beam's misalignment is deliberately not chased with extra data power.  A
+    misshapen error sample or a non-finite estimate is refused
+    (DimensionError, ParameterError).
     """
-    tilde = partition_stack((chan.h_ba.entries + as_matrix(err_sample))[None])
+    est = chan.h_ba.entries + matching(err_sample, chan.h_ba, "err_sample")
+    tilde = partition_stack(finite(est, "H + err_sample")[None])
     beam, report, _, _, _ = _tdd_trial(chan, svd, moments, tilde, target_sinr)
     return beam, report

@@ -24,6 +24,12 @@ def vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of a stack of vectors; bit-identical to
+    ``np.linalg.norm(x, axis=-1)``, whose sum of squares it repeats."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=-1))
+
+
 def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a b^H for matching stacks of vectors."""
     return a[..., :, None] * b.conj()[..., None, :]

@@ -26,7 +26,7 @@ import numpy as np
 
 from .channels import ChannelSet, SvdStack, as_matrix, partition_svd
 from .exceptions import DegenerateChannelError, DimensionError, ParameterError
-from .stacked import any_true, herm, matvec, outer, vdot
+from .stacked import any_true, herm, matvec, norm, outer, vdot
 
 # rho at or above this value means all power goes to the data stream.
 _RHO_CEIL = 1.0 - 1e-15
@@ -66,7 +66,7 @@ class TxScheme:
         t = np.asarray(self.t, dtype=np.complex128)
         if t.ndim != 1:
             raise DimensionError(f"t must be a vector, got shape {t.shape}")
-        nrm = np.linalg.norm(t)
+        nrm = norm(t)
         if abs(nrm - 1.0) > 1e-9:
             raise ParameterError(f"t must have unit norm, got {nrm}")
         if not (0.0 <= self.rho <= 1.0):
@@ -461,8 +461,8 @@ def link(h, t, data_power, factor, w, sigma_sq: float):
     orthogonal to it measures the true epsilon-squared residual instead of
     covariance round-off.
     """
-    scale = np.linalg.norm(w, axis=-1)
-    if (scale == 0.0).any():
+    scale = norm(w)
+    if not scale.all():
         raise ParameterError("combiner must be nonzero")
     w = w / scale[..., None]
     sig = data_power * abs(vdot(w, matvec(h, t))) ** 2

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiretap.channels import (
     ChannelMatrix,
@@ -27,8 +29,9 @@ from wiretap.perturbation import (
     first_vector_leak,
     naive_trial,
     predict_naive_sinr,
+    simulate_naive,
 )
-from wiretap.robust import tdd_receiver
+from wiretap.robust import fdd_receiver, tdd_receiver
 from wiretap.transmit import design_artificial_noise, perfect_csi_trial
 
 
@@ -71,6 +74,14 @@ class TestChannelContainers:
     def test_matrix_must_be_two_dimensional(self):
         with pytest.raises(DimensionError):
             ChannelMatrix(np.ones(3, dtype=complex))
+
+    def test_matrix_holds_a_read_only_copy(self):
+        arr = np.eye(2, 3, dtype=complex)
+        m = ChannelMatrix(arr)
+        arr[0, 0] = 5.0  # the caller's array stays theirs
+        assert m.entries[0, 0] == 1.0 and not m.entries.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            m.entries[0, 0] = 5.0
 
     def test_matrix_rejects_nonfinite(self):
         with pytest.raises(ParameterError):
@@ -152,6 +163,33 @@ class TestPartitionSvd:
             compute_moments(partition_svd(np.diag([2.0, 1.0 + 1e-9, 1.0]).astype(complex)), err)
         compute_moments(partition_svd(np.diag([2.0, 1.5, 1.0]).astype(complex)), err)
 
+    def test_a_channel_matrix_keeps_its_decomposition_read_only(self):
+        h = generate_channels(5, 3, 1, rng_seed=8).h_ba
+        svd = partition_svd(h)
+        assert partition_svd(h) is svd
+        for arr in svd:
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            svd.v[0, 0] = 0.0
+        # The stored decomposition is the one of the bare entries, bit for bit.
+        for stored, fresh in zip(svd, partition_stack(h.entries)):
+            np.testing.assert_array_equal(stored, fresh)
+
+    def test_a_plain_array_is_never_cached(self):
+        h = generate_channels(4, 4, 1, rng_seed=9).h_ba
+        first, second = partition_svd(h.entries), partition_svd(h.entries)
+        assert first is not second and first is not partition_svd(h)
+        assert all(arr.flags.writeable for arr in first)
+        first.u[0, 0] = 0.0  # a caller's own copy
+        assert second.u[0, 0] != 0.0
+
+    def test_a_nonfinite_array_is_refused_before_the_svd(self, monkeypatch):
+        h = generate_channels(4, 2, 1, rng_seed=10).h_ba.entries.copy()
+        h[1, 2] = np.nan
+        monkeypatch.setattr(np.linalg, "svd", _no_decomposition)
+        with pytest.raises(ParameterError, match="channel matrix entries must be finite"):
+            partition_svd(h)
+
 
 _SINGLE_CHANNEL_CALLS = {
     "compute_moments": lambda chan, svd, mom, err: compute_moments(svd, CsiErrorModel.iid(0.01)),
@@ -174,6 +212,49 @@ def test_single_channel_functions_refuse_a_stack(name):
     hs = np.stack([generate_channels(4, 2, 1, rng_seed=k).h_ba.entries for k in range(3)])
     with pytest.raises(DimensionError, match=r"\(3, 2, 4\)"):
         _SINGLE_CHANNEL_CALLS[name](chan, partition_stack(hs), mom, err)
+
+
+def _no_decomposition(*args, **kwargs):
+    raise AssertionError("a refused input reached a decomposition")
+
+
+def _estimate(chan, err):
+    """H + err, or a misshapen ``err`` itself as a misshapen estimate."""
+    return chan.h_ba.entries + err if err.shape == chan.h_ba.entries.shape else err
+
+
+# Entry points that decompose an estimate, called with a bad error sample.
+_ESTIMATE_CALLS = {
+    "simulate_naive": lambda chan, svd, mom, x: simulate_naive(chan, x, 10.0),
+    "naive_trial": lambda chan, svd, mom, x: naive_trial(chan, x, 10.0, svd=svd),
+    "fdd_receiver": lambda chan, svd, mom, x: fdd_receiver(chan, _estimate(chan, x), 10.0),
+    "tdd_receiver": lambda chan, svd, mom, x: tdd_receiver(chan, svd, mom, x, 10.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ESTIMATE_CALLS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_a_nonfinite_estimate_is_refused_by_name(name, bad, monkeypatch):
+    chan = generate_channels(4, 2, 2, rng_seed=3)
+    svd = partition_svd(chan.h_ba)
+    mom = compute_moments(svd, CsiErrorModel.iid(0.01))
+    err = 0.1 * chan.h_ea.entries
+    err[0, 1] = bad
+    monkeypatch.setattr(np.linalg, "svd", _no_decomposition)
+    with pytest.raises(ParameterError, match="must be finite"):
+        _ESTIMATE_CALLS[name](chan, svd, mom, err)
+
+
+@pytest.mark.parametrize("name", sorted(_ESTIMATE_CALLS))
+@pytest.mark.parametrize("shape", [(2, 3), (4, 2), (1, 4), (2, 4, 1)])
+def test_a_misshapen_error_sample_is_refused_by_name(name, shape, monkeypatch):
+    chan = generate_channels(4, 2, 2, rng_seed=3)
+    svd = partition_svd(chan.h_ba)
+    mom = compute_moments(svd, CsiErrorModel.iid(0.01))
+    err = np.full(shape, 0.1, dtype=complex)
+    monkeypatch.setattr(np.linalg, "svd", _no_decomposition)
+    with pytest.raises(DimensionError, match=r"has shape \(.*\), the channel \(2, 4\)"):
+        _ESTIMATE_CALLS[name](chan, svd, mom, err)
 
 
 class TestAlignSingularVectors:
@@ -211,6 +292,76 @@ class TestCsiErrorModel:
     def test_full_rejects_indefinite(self):
         with pytest.raises(ParameterError):
             CsiErrorModel.full(np.diag([1.0, -1.0]))
+
+    def test_full_psd_refusal_message_is_unchanged(self):
+        with pytest.raises(ParameterError) as info:
+            CsiErrorModel.full(np.diag([2.0, 1.0, -0.25]))
+        assert str(info.value) == "covariance is not positive semidefinite (min eig -2.500e-01)"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+    def test_full_refuses_a_nonfinite_entry_by_name(self, bad):
+        cov = np.eye(4, dtype=complex)
+        cov[2, 1] = bad
+        with pytest.raises(ParameterError, match="covariance entries must be finite"):
+            CsiErrorModel.full(cov)
+
+    def test_full_accepts_a_psd_covariance_from_its_cholesky_factor(self, monkeypatch):
+        # Full-rank and rank-deficient covariances alike: the shifted
+        # factorization proves the bound, and no spectrum is computed.
+        monkeypatch.setattr(np.linalg, "eigvalsh", _no_decomposition)
+        rng = np.random.default_rng(11)
+        for rank in (8, 3, 0):
+            x = rng.standard_normal((8, rank)) + 1j * rng.standard_normal((8, rank))
+            CsiErrorModel.full(x @ x.conj().T)
+
+    @staticmethod
+    def _planted(n, seed, scale_exp, plant, spike):
+        """A Hermitian n x n matrix whose smallest eigenvalue is planted at
+        0, at -0.5, -0.9 or -2 times the refusal threshold -1e-9 max(largest,
+        1), or at 0 with half the spectrum (rank).  A spiked spectrum keeps
+        the diagonal far below the largest eigenvalue, so the shifted
+        Cholesky factor cannot prove a planted -0.9 and the eigenvalues
+        decide."""
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        lam = rng.uniform(0.1, 1.0, n) * 10.0 ** (scale_exp - 4 * spike)
+        lam[-1] = 10.0**scale_exp if spike and n > 1 else lam[-1]
+        threshold = 1e-9 * max(lam[1:].max(initial=0.0), 1.0)
+        lam[0] = {"half": -0.5, "near": -0.9, "double": -2.0}.get(plant, 0.0) * threshold
+        if plant == "rank":
+            lam[: n // 2] = 0.0
+        return (q * lam) @ q.conj().T
+
+    def test_full_falls_back_to_the_spectrum_near_the_threshold(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        CsiErrorModel.full(self._planted(16, 5, 3, "near", spike=True))
+        with pytest.raises(ParameterError, match="not positive semidefinite"):
+            CsiErrorModel.full(self._planted(16, 5, 3, "double", spike=True))
+        assert len(calls) == 2
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+        scale_exp=st.integers(-3, 3),
+        plant=st.sampled_from(["zero", "half", "near", "double", "rank"]),
+        spike=st.booleans(),
+    )
+    def test_full_decides_as_the_spectrum_does(self, n, seed, scale_exp, plant, spike):
+        # Round-off in forming the matrix (~1e-13 of the largest eigenvalue)
+        # is far below the 10 % margins to the threshold, so the spectrum's
+        # verdict is the planted one, and the check must agree with it.
+        cov = self._planted(n, seed, scale_exp, plant, spike)
+        eigs = np.linalg.eigvalsh((cov + cov.conj().T) / 2.0)
+        refused_by_spectrum = eigs[0] < -1e-9 * max(eigs[-1], 1.0)
+        assert refused_by_spectrum == (plant == "double")
+        if refused_by_spectrum:
+            with pytest.raises(ParameterError, match="not positive semidefinite"):
+                CsiErrorModel.full(cov)
+        else:
+            CsiErrorModel.full(cov)
 
     def test_cov_tensor_of_iid_is_a_scaled_identity(self):
         t = CsiErrorModel.iid(0.5).cov_tensor(2, 3)

@@ -240,3 +240,23 @@ def test_simulate_naive_is_the_report_of_naive_trial():
     report = simulate_naive(chan, err, 100.0)
     full, _, _, _ = naive_trial(chan, err, 100.0)
     assert report == full
+
+
+def test_simulate_naive_reuses_the_stored_decomposition_of_h(monkeypatch):
+    from wiretap import channels
+
+    chan, svd, model = _setup(4, 4, -20.0, 9)
+    err = sample_csi_error(model, 4, 4, rng_seed=[9, 0])
+    decomposed = []
+    stack = channels.partition_stack
+    monkeypatch.setattr(channels, "partition_stack", lambda h: decomposed.append(h) or stack(h))
+    report = simulate_naive(chan, err, 100.0)
+    # Only the estimate is decomposed: H's partition is the one stored on it.
+    assert len(decomposed) == 1
+    np.testing.assert_array_equal(decomposed[0], chan.h_ba.entries + err)
+    assert report == naive_trial(chan, err, 100.0, svd=partition_svd(chan.h_ba))[0]
+    # A fresh channel stores its partition on the first call, and it is
+    # the decomposition of the bare entries bit for bit.
+    fresh = generate_channels(4, 4, 2, rng_seed=9)
+    report = simulate_naive(fresh, err, 100.0)
+    assert report == naive_trial(fresh, err, 100.0, svd=partition_svd(fresh.h_ba.entries))[0]
