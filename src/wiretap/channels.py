@@ -354,8 +354,10 @@ class CsiErrorModel:
         """A finite, Hermitian, positive semidefinite covariance: eigenvalues
         >= -1e-9 max(largest, 1).  One Cholesky factor of it plus 1e-9
         max(largest diagonal entry, 1) I proves that, as no diagonal entry
-        exceeds the largest eigenvalue; only if it fails do they decide."""
-        arr = np.asarray(cov, dtype=np.complex128)
+        exceeds the largest eigenvalue; only if it fails do they decide.
+        The model holds a read-only copy, so the checked covariance cannot
+        be edited afterwards."""
+        arr = np.array(cov, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionError(f"covariance must be square, got shape {arr.shape}")
         finite(arr, "covariance")
@@ -374,6 +376,7 @@ class CsiErrorModel:
             if eigs[0] < -1e-9 * max(eigs[-1], 1.0):
                 raise ParameterError(
                     f"covariance is not positive semidefinite (min eig {eigs[0]:.3e})") from None
+        arr.flags.writeable = False
         return cls(kind="full", cov=arr)
 
     @classmethod
@@ -381,12 +384,15 @@ class CsiErrorModel:
         return cls.iid(0.0)
 
     def scaled(self, factor: float) -> "CsiErrorModel":
-        """Scale the covariance by ``factor`` (a power ratio, not amplitude)."""
-        if factor < 0:
-            raise ParameterError(f"scale factor must be >= 0, got {factor}")
+        """Scale the covariance by ``factor`` (a power ratio, not amplitude),
+        which must be finite and nonnegative."""
+        if not (np.isfinite(factor) and factor >= 0):
+            raise ParameterError(f"scale factor must be finite and >= 0, got {factor}")
         if self.kind == "iid":
             return CsiErrorModel.iid(self.sigma_h_sq * factor)
-        return CsiErrorModel(kind="full", cov=self.cov * factor)
+        cov = self.cov * factor
+        cov.flags.writeable = False
+        return CsiErrorModel(kind="full", cov=cov)
 
     def cov_tensor(self, nb: int, na: int) -> np.ndarray:
         """Covariance as a 4-tensor T[a, p, b, q] = E{dH[a,p] conj(dH[b,q])}."""

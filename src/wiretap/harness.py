@@ -24,12 +24,16 @@ decomposition enter as (1, n, ...) views).  Every field of the
 only the swept axis longer than one, so one reshape makes it (points or 1,
 n, ...).  A value the sweep repeats is designed again at each of its
 points.  One call of the shared ``transmit.evaluate`` per scheme broadcasts
-the design, Bob's channels, Eve's and the eigendecomposition of her Gram
-matrices over the (point, trial) grid.  Eve's channels and spectrum are one
-stack of n draws, shared by every scheme, except on the ne axis, which
-draws her anew at each point: there they are (points, n, ...), zero-padded
-to her largest antenna count.  No trial's numbers depend on its
-neighbours, so results are also bit-identical for any block size.
+the design, Bob's channels, Eve's and her Gram matrices over the (point,
+trial) grid.  Eve's channels and Gram matrices are one stack of n draws,
+shared by every scheme, except on the ne axis, which draws her anew at each
+point: there they are (points, n, ...), her channels zero-padded to her
+largest antenna count.  Her MMSE combiners come from one stacked solve of
+her Gram matrices, or, where one draw of hers serves more than one combiner
+against interference, from one eigendecomposition of them per block
+(``_Block.eve_gram``: fig2-fig5 decompose; fig1 and one-point configs with
+one such scheme solve).  No trial's numbers depend on its neighbours, so
+results are also bit-identical for any block size.
 
 Per-trial metrics are materialized and reduced once at the end, every
 (point, scheme) cell at once; means are arithmetic means of linear SINR,
@@ -522,10 +526,22 @@ class _Block:
     @cached_property
     def eve_spectrum(self):
         """Eigendecomposition (lam, U) of Eve's Gram matrices, one per draw of
-        hers: (1, n, ...), or (points, n, ...) on the ne axis."""
+        hers: (1, n, ...), or (points, n, ...) on the ne axis; read only where
+        each draw serves more than one combiner (:meth:`eve_gram`)."""
         gram = self.gram_e["known_ecsi"]
         lam, evecs = np.linalg.eigh(gram.reshape(-1, *gram.shape[2:]))
         return lam.reshape(gram.shape[:-1]), evecs.reshape(gram.shape)
+
+    def eve_gram(self, designs):
+        """Eve's Gram stack, from which ``transmit.evaluate`` solves for her
+        combiners of ``designs``, or :attr:`eve_spectrum` where one draw of
+        hers serves more than one of them.  Each design with interference
+        columns forms one combiner per entry of its points axis broadcast
+        against her draws axis, so the count depends on the config alone."""
+        draws = len(self.gram_e["known_ecsi"])
+        served = sum(max(len(d.t), len(d.factor), draws)
+                     for d in designs if d.factor.shape[-1]) // draws
+        return self.eve_spectrum if served > 1 else self.gram_e["known_ecsi"]
 
     @cached_property
     def e_dv1(self) -> np.ndarray:
@@ -592,21 +608,22 @@ def _analytic_naive(blk: _Block) -> np.ndarray:
 def _run_block(cfg: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
     """Metrics for the block of trials [lo, hi), every stage stacked.
 
-    Each scheme's designs for all points are evaluated together, broadcast
-    over the (point, trial) grid: Bob's channels, Eve's and her spectrum
-    enter once per draw.
+    Every scheme is designed first, which settles how Eve's combiners are
+    built (:meth:`_Block.eve_gram`); then each scheme's designs for all
+    points are evaluated together, broadcast over the (point, trial) grid:
+    Bob's channels, Eve's and her Gram matrices or their spectrum enter
+    once per draw.
     """
     blk = _Block(cfg, lo, hi)
+    designs = {name: blk.design(name) for name in cfg.schemes if name != "analytic_naive"}
+    gram = blk.eve_gram(designs.values())
     out = np.empty((len(cfg.schemes), len(METRICS), blk.n_points, blk.n))
     for s, name in enumerate(cfg.schemes):
         if name == "analytic_naive":
             out[s] = _analytic_naive(blk)
         else:
-            d = blk.design(name)
-            # Designs without interference give Eve the matched combiner.
-            spectrum = blk.eve_spectrum if d.factor.shape[-1] else None
-            out[s] = evaluate(d, blk.h, blk.eve, spectrum, blk.point_targets, cfg.power_p,
-                              cfg.sigma_b_sq, cfg.sigma_e_sq, cfg.secrecy_metric)
+            out[s] = evaluate(designs[name], blk.h, blk.eve, gram, blk.point_targets,
+                              cfg.power_p, cfg.sigma_b_sq, cfg.sigma_e_sq, cfg.secrecy_metric)
     return out.transpose(2, 0, 1, 3)
 
 

@@ -14,7 +14,11 @@ and every design is evaluated by :func:`links` and :func:`evaluate`, which
 broadcast over the batch axes.  The single-channel functions run those
 kernels on a batch of one at one target and wrap the results in
 :class:`TxScheme`, :class:`RxBeamformer`, :class:`LinkSinr` and
-:class:`SinrReport`, so they return the sweep engine's numbers bit for bit.
+:class:`SinrReport`, so they return the sweep engine's numbers bit for bit,
+with one exception: Eve's combiner comes from her spectrum in the
+single-channel functions, but from a solve on sweeps where each draw of
+hers serves one combiner (``harness``), so there the engine's Eve columns
+match them only to round-off.
 """
 from __future__ import annotations
 
@@ -401,7 +405,7 @@ def whitened_combiner(evecs, lam, signature, beta, sigma_sq):
     return matvec(evecs, proj / scale)
 
 
-def eve_combiners(eve: np.ndarray, t: np.ndarray, factor: np.ndarray, spectrum,
+def eve_combiners(eve: np.ndarray, t: np.ndarray, factor: np.ndarray, gram,
                   sigma_sq: float) -> np.ndarray:
     """The eavesdropper's MMSE combiners of kernel designs, over leading axes.
 
@@ -409,21 +413,28 @@ def eve_combiners(eve: np.ndarray, t: np.ndarray, factor: np.ndarray, spectrum,
     Sherman-Morrison the push-through system (q_z G + sigma^2 I) y = t of
     :func:`mmse_combiners`, with G = H^H H her Gram matrix, has the solution
     y = (beta G + sigma^2 I)^-1 t / (1 - beta s), where 0 <= beta s < 1.
-    That factor is a positive scale, which :func:`link` normalizes away.
-    With ``spectrum`` = (lam, U) the eigendecomposition of G, her combiner
-    is therefore H U ((U^H t) / (beta lam + sigma^2)), no solve needed.  A
-    design without interference columns gets the matched H t, and its
-    ``spectrum`` is not read (it may be None).  All-zero rows of H (a stack
-    padded to her largest count) give exactly zero entries of the combiner,
-    and a combiner that is exactly zero gets the stand-in of
-    :func:`mmse_combiners`.
+    That factor is a positive scale, which :func:`link` normalizes away, so
+    her combiner is H (beta G + sigma^2 I)^-1 t.  ``gram`` is either the
+    Gram stack G, which takes one stacked na x na solve, or its
+    eigendecomposition (lam, U), which gives the inverse as
+    U ((U^H t) / (beta lam + sigma^2)) with no solve and pays off where one
+    decomposition serves several combiners.  A design without interference
+    columns gets the matched H t, and ``gram`` is not read (it may be None).
+    All-zero rows of H (a stack padded to her largest count) give exactly
+    zero entries of the combiner, and a combiner that is exactly zero gets
+    the stand-in of :func:`mmse_combiners`.
     """
     k = factor.shape[-1]
     if k == 0:
         return _nulled_stand_in(matvec(eve, t))
-    lam, evecs = spectrum
     beta = (factor.real**2 + factor.imag**2).sum(axis=(-2, -1)) / k
-    return _nulled_stand_in(matvec(eve, whitened_combiner(evecs, lam, t, beta, sigma_sq)))
+    if isinstance(gram, tuple):
+        lam, evecs = gram
+        y = whitened_combiner(evecs, lam, t, beta, sigma_sq)
+    else:
+        loaded = beta[..., None, None] * gram + sigma_sq * np.eye(gram.shape[-1])
+        y = np.linalg.solve(loaded, t[..., None])[..., 0]
+    return _nulled_stand_in(matvec(eve, y))
 
 
 def mmse_combiners(h: np.ndarray, t: np.ndarray, factor: np.ndarray, sigma_sq: float) -> np.ndarray:
@@ -472,24 +483,24 @@ def link(h, t, data_power, factor, w, sigma_sq: float):
     return sig / (interf + noise), sig, interf, noise
 
 
-def links(d: Design, h, eve, spectrum, power_p: float, sigma_b_sq: float, sigma_e_sq: float):
+def links(d: Design, h, eve, gram, power_p: float, sigma_b_sq: float, sigma_e_sq: float):
     """Eve's MMSE combiners and both links of a design: (w_e, Bob's
     :func:`link` figures, Eve's), for Bob's channels ``h`` and hers ``eve``.
 
-    ``spectrum`` is the eigendecomposition (lam, U) of Eve's Gram matrices,
-    from which :func:`eve_combiners` builds her combiners; a design without
-    interference columns does not read it.  The design's fields (one
-    target's, or one per row), the channels and the spectrum broadcast
-    against each other, so a product that does not depend on the target,
-    such as H t, is formed once per channel.
+    ``gram`` is the stack of Eve's Gram matrices or its eigendecomposition
+    (lam, U), from which :func:`eve_combiners` solves for her combiners or
+    builds them without a solve; a design without interference columns
+    reads neither.  The design's fields (one target's, or one per row), the
+    channels and ``gram`` broadcast against each other, so a product that
+    does not depend on the target, such as H t, is formed once per channel.
     """
     data_power = d.rho * power_p
-    w_e = eve_combiners(eve, d.t, d.factor, spectrum, sigma_e_sq)
+    w_e = eve_combiners(eve, d.t, d.factor, gram, sigma_e_sq)
     bob = link(h, d.t, data_power, d.factor, d.w_b, sigma_b_sq)
     return w_e, bob, link(eve, d.t, data_power, d.factor, w_e, sigma_e_sq)
 
 
-def evaluate(d: Design, h, eve, spectrum, target, power_p: float, sigma_b_sq: float,
+def evaluate(d: Design, h, eve, gram, target, power_p: float, sigma_b_sq: float,
              sigma_e_sq: float, secrecy_metric: str) -> np.ndarray:
     """Metrics (len(METRICS), ...) of a design: Eve's MMSE combiner, both
     links, and the secrecy metric.
@@ -505,7 +516,7 @@ def evaluate(d: Design, h, eve, spectrum, target, power_p: float, sigma_b_sq: fl
     covariance.
     """
     _, (sinr_b, signal_b, interf_b, noise_b), (sinr_e, signal_e, interf_e, noise_e) = links(
-        d, h, eve, spectrum, power_p, sigma_b_sq, sigma_e_sq
+        d, h, eve, gram, power_p, sigma_b_sq, sigma_e_sq
     )
     if secrecy_metric == "full":
         secrecy = full_secrecy_rates(h, eve, d.t, d.rho * power_p, d.factor @ herm(d.factor),

@@ -1,6 +1,8 @@
 """Tests for channel generation, the SVD partition, and error models."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -362,6 +364,37 @@ class TestCsiErrorModel:
                 CsiErrorModel.full(cov)
         else:
             CsiErrorModel.full(cov)
+
+    def test_full_holds_a_read_only_copy(self):
+        # Editing the caller's array after the check must not reach the model.
+        c = np.eye(4, dtype=complex)
+        m = CsiErrorModel.full(c)
+        c[0, 0] = -5
+        assert np.linalg.eigvalsh(m.cov)[0] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            m.cov[0, 0] = -5
+        with pytest.raises(ValueError, match="read-only"):
+            m.scaled(2.0).cov[0, 0] = -5
+
+    @pytest.mark.parametrize("factor", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["iid", "full"])
+    def test_scaled_refuses_a_nonfinite_factor(self, kind, factor):
+        m = CsiErrorModel.iid(0.1) if kind == "iid" else CsiErrorModel.full(0.1 * np.eye(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="finite and >= 0"):
+                m.scaled(factor)
+
+    @pytest.mark.parametrize("kind", ["iid", "full"])
+    def test_scaled_keeps_finite_factors(self, kind):
+        m = CsiErrorModel.iid(0.1) if kind == "iid" else CsiErrorModel.full(0.1 * np.eye(4))
+        for factor in (0.0, 3.0):
+            got = m.scaled(factor)
+            assert got.kind == kind
+            if kind == "iid":
+                assert got.sigma_h_sq == 0.1 * factor
+            else:
+                np.testing.assert_array_equal(got.cov, 0.1 * factor * np.eye(4))
 
     def test_cov_tensor_of_iid_is_a_scaled_identity(self):
         t = CsiErrorModel.iid(0.5).cov_tensor(2, 3)

@@ -6,10 +6,10 @@ its per-trial metric array to round-off, with the same NaN pattern and the
 same outage and flag columns, and must not depend on how trials are grouped
 into blocks.  The places where the engine deliberately uses a different
 algorithm than the single-channel path (among them Eve's combiner, built
-from her spectrum rather than by a solve) are checked against their
-counterparts directly, and so are the stacked Eve-aware directions, the
-stacked draws and the vectorised reduction against the per-matrix,
-per-trial and per-point code they replaced.
+from her spectrum or by one lean solve rather than the general one) are
+checked against their counterparts directly, and so are the stacked
+Eve-aware directions, the stacked draws and the vectorised reduction
+against the per-matrix, per-trial and per-point code they replaced.
 """
 from __future__ import annotations
 
@@ -152,9 +152,10 @@ def test_engine_matches_the_loop_on_presets(preset):
 @pytest.mark.parametrize("sigma_e_sq", [0.3, 4.0])
 @pytest.mark.parametrize("gamma_ecsi", [0.0, 1.0])
 def test_engine_matches_the_loop_at_other_noise_powers_and_blends(sigma_e_sq, gamma_ecsi):
-    # Eve's combiner comes from her spectrum, which scales differently from
-    # the loop's solve, and the blend draws through the stacked streams, which
-    # skip the fresh draw at gamma = 0; cover other noise powers and blends.
+    # Eve's combiner comes from a Sherman-Morrison solve, which scales
+    # differently from the loop's general one, and the blend draws through the
+    # stacked streams, which skip the fresh draw at gamma = 0; cover other
+    # noise powers and blends.
     cfg = _config(
         (4, 4, 6), "ne", sigma_e_sq=sigma_e_sq, sigma_b_sq=2.0, gamma_ecsi=gamma_ecsi,
         schemes=("perfect", "known_ecsi", "imperfect_ecsi"),
@@ -377,21 +378,25 @@ def test_every_kernel_designs_its_targets_in_one_pass_bit_for_bit():
 @pytest.mark.parametrize("preset", ["fig1_ne_sweep", "fig3_sinr_vs_target", "fig5_sigma_sweep"])
 def test_evaluate_on_the_point_grid_equals_evaluate_on_tiled_rows(preset, metric):
     # The engine passes each design's fields, Bob's and Eve's channels and
-    # her spectrum once per draw, and evaluate broadcasts them over the
-    # (point, trial) grid.  Copied out to one row per (point, trial), as the
-    # engine laid them out before, they must give the same bits.
+    # her Gram matrices (fig1) or their spectrum (fig3, fig5) once per draw,
+    # and evaluate broadcasts them over the (point, trial) grid.  Copied out
+    # to one row per (point, trial), as the engine laid them out before,
+    # they must give the same bits.
     cfg = preset_config(preset, trials=9, master_seed=12, secrecy_metric=metric)
     blk = harness._Block(cfg, 0, cfg.trials)
     grid = (blk.n_points, blk.n)
     budget = (cfg.power_p, cfg.sigma_b_sq, cfg.sigma_e_sq, cfg.secrecy_metric)
-    for name in cfg.schemes:
-        d = blk.design(name)
-        spectrum = blk.eve_spectrum if d.factor.shape[-1] else None
-        got = evaluate(d, blk.h, blk.eve, spectrum, blk.point_targets, *budget)
+    designs = {name: blk.design(name) for name in cfg.schemes}
+    gram = blk.eve_gram(designs.values())
+    assert isinstance(gram, tuple) == (preset != "fig1_ne_sweep")
+    if isinstance(gram, tuple):
+        tiled = (_flat(gram[0], grid, 1), _flat(gram[1], grid, 2))
+    else:
+        tiled = _flat(gram, grid, 2)
+    for name, d in designs.items():
+        got = evaluate(d, blk.h, blk.eve, gram, blk.point_targets, *budget)
         rows = transmit.Design(*(_flat(f, grid, f.ndim - 2) for f in d))
-        if spectrum is not None:
-            spectrum = (_flat(spectrum[0], grid, 1), _flat(spectrum[1], grid, 2))
-        want = evaluate(rows, _flat(blk.h, grid, 2), _flat(blk.eve, grid, 2), spectrum,
+        want = evaluate(rows, _flat(blk.h, grid, 2), _flat(blk.eve, grid, 2), tiled,
                         _flat(blk.point_targets, grid, 0), *budget)
         np.testing.assert_array_equal(_flat(got, (len(harness.METRICS),) + grid, 0),
                                       want.ravel(), err_msg=name)
@@ -582,32 +587,97 @@ def test_spectral_combiner_is_the_push_through_solve(ne, sigma_sq):
     assert (nulled > 0) == (ne < na)
 
 
-@pytest.mark.parametrize("preset, n, rows", [("fig3_sinr_vs_target", 48, 48),
-                                             ("fig1_ne_sweep", 6, 20 * 6)])
-def test_a_block_decomposes_each_eve_draw_once_and_solves_nothing(monkeypatch, preset, n, rows):
-    # One eigh of Eve's Gram matrices per block, on her distinct draws: one
-    # per trial on the target axis (shared by all 6 points and 4 schemes),
-    # one per point and trial on the ne axis.  Her combiners take no solve.
-    cfg = preset_config(preset, trials=n, master_seed=4)
-    streams = [(harness._TAG_EVE, cfg.ne, None)] if preset.startswith("fig3") else [
-        (harness._TAG_EVE, ne, p) for p, ne in enumerate(cfg.ne)]
-    gram = np.concatenate([herm(x) @ x for x in harness._draws(cfg, 0, n, streams)])
-    assert len(gram) == rows
-    seen = []
-    eigh = np.linalg.eigh
+@pytest.mark.parametrize("sigma_sq", [1.0, 0.3])
+@pytest.mark.parametrize("ne", [1, 3, 4, 8])
+def test_eve_combiner_by_solve_is_the_spectral_one(ne, sigma_sq):
+    # eve_combiners builds her combiner from her Gram stack by one solve, or
+    # from its spectrum; on every kernel's design, at a reachable target and
+    # at one out of reach (beta = 0, columns kept), with ne = 1, na - 1, na
+    # and 2 na, the two point the same way and give her the same SINR.  Her
+    # two zero rows of padding stay exactly zero, and the trial whose
+    # channel is exactly zero gets the stand-in from both.
+    count, na, power_p = 40, 4, 100.0
+    h = _random_channels(count, na, na, seed=31)
+    eve = _random_channels(count, ne, na, seed=32 + ne)
+    designs = _kernel_designs(h, eve, power_p)
+    eve[0] = 0.0
+    padded = np.concatenate([eve, np.zeros((count, 2, na), dtype=complex)], axis=1)
+    gram = herm(eve) @ eve
+    spectrum = np.linalg.eigh(gram)
+    idle = 0
+    for name, d in designs:
+        solved = eve_combiners(padded, d.t, d.factor, gram, sigma_sq)
+        spectral = eve_combiners(padded, d.t, d.factor, spectrum, sigma_sq)
+        for w in (solved, spectral):
+            assert not w[:, ne:].any(), name
+            np.testing.assert_array_equal(w[0], np.eye(ne + 2)[0], err_msg=name)
+        data_power = d.rho * power_p
+        sinr_solved = link(padded, d.t, data_power, d.factor, solved, sigma_sq)[0]
+        sinr_spectral = link(padded, d.t, data_power, d.factor, spectral, sigma_sq)[0]
+        live = sinr_spectral >= 1e-20
+        assert np.all(sinr_solved[~live] < 1e-20), name
+        assert np.all(np.abs(sinr_solved - sinr_spectral)[live] <= 1e-12 * sinr_spectral[live]), name
+        unit_solved = solved / np.linalg.norm(solved, axis=-1, keepdims=True)
+        unit_spectral = spectral / np.linalg.norm(spectral, axis=-1, keepdims=True)
+        overlap = np.sum(unit_spectral.conj() * unit_solved, axis=-1)[live]
+        assert np.all(1.0 - np.abs(overlap) <= 1e-12), (name, float(np.max(1.0 - np.abs(overlap))))
+        assert np.all(np.abs(np.angle(overlap)) <= 1e-10), name
+        if d.factor.shape[-1]:
+            idle += np.count_nonzero(~d.factor.any(axis=(-2, -1)))
+    # At the target out of reach all four interference kernels (perfect,
+    # naive, robust_fdd, robust_tdd) design beta = 0 on every trial.
+    assert idle >= 4 * count
+
+
+def _eve_linear_algebra(monkeypatch, cfg: ExperimentConfig, n: int):
+    """Run one block of ``cfg``'s first ``n`` trials and return how many
+    ``eigh`` calls took Eve's Gram matrices, the number of those matrices
+    (her distinct draws: one per trial, or one per point and trial on the ne
+    axis) and the number of matrices in each ``solve``.  The general solve
+    is refused."""
+    streams = [(harness._TAG_EVE, ne, p if isinstance(cfg.ne, tuple) else None)
+               for p, ne in enumerate(harness._as_tuple(cfg.ne))]
+    gram = np.stack([herm(x) @ x for x in harness._draws(cfg, 0, n, streams)])
+    seen, solved = [], []
+    eigh, solve = np.linalg.eigh, np.linalg.solve
 
     def recording(a, *args, **kwargs):
-        seen.append(a.shape == gram.shape and np.array_equal(a, gram))
+        seen.append(a.size == gram.size and np.array_equal(a.reshape(gram.shape), gram))
         return eigh(a, *args, **kwargs)
 
+    def solving(a, b):
+        solved.append(math.prod(a.shape[:-2]))
+        return solve(a, b)
+
     def refused(*args, **kwargs):
-        raise AssertionError("the evaluation solved a linear system")
+        raise AssertionError("the evaluation took the general solve")
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
-    monkeypatch.setattr(np.linalg, "solve", refused)
+    monkeypatch.setattr(np.linalg, "solve", solving)
     monkeypatch.setattr(transmit, "mmse_combiners", refused)
     harness._run_block(cfg, 0, n)
-    assert sum(seen) == 1
+    return sum(seen), len(gram) * n, solved
+
+
+@pytest.mark.parametrize("preset, n, rows", [("fig3_sinr_vs_target", 48, 48)])
+def test_a_block_decomposes_each_eve_draw_once_and_solves_nothing(monkeypatch, preset, n, rows):
+    # On the target axis each draw of Eve's serves 24 combiners against
+    # interference (6 points, 4 schemes): one eigh of her Gram matrices per
+    # block, one per trial, and her combiners take no solve.
+    cfg = preset_config(preset, trials=n, master_seed=4)
+    assert _eve_linear_algebra(monkeypatch, cfg, n) == (1, rows, [])
+
+
+@pytest.mark.parametrize("preset, n, rows", [("fig1_ne_sweep", 6, 20 * 6), ("default", 9, 9)])
+def test_a_block_solves_for_eve_when_a_draw_serves_one_combiner(
+        monkeypatch, preset, n, rows):
+    # fig1 draws Eve anew at each of its 20 points and only perfect sends
+    # interference; the default config has one point and one scheme.  Each
+    # draw of hers then serves one combiner, so no eigh takes her Gram
+    # matrices and her combiners are one stacked solve over every row.
+    cfg = (ExperimentConfig(trials=n, master_seed=4) if preset == "default"
+           else preset_config(preset, trials=n, master_seed=4))
+    assert _eve_linear_algebra(monkeypatch, cfg, n) == (0, rows, [rows])
 
 
 def test_eve_mmse_beamformer_agrees_with_the_spectral_route():
