@@ -158,11 +158,22 @@ class ChannelSet:
 
     @cached_property
     def eve_spectrum(self):
-        """Eigendecomposition (lam, U) of Eve's Gram matrix, as a stack of
-        one, which her MMSE combiner is built from (``transmit.links``).
+        """:func:`amplitude_spectrum` (lam, U) of Eve's Gram matrix, as a
+        stack of one, from which ``transmit.links`` evaluates her MMSE link.
         Computed once per realization, however many designs it evaluates."""
         he = self.h_ea.entries[None]
-        return np.linalg.eigh(herm(he) @ he)
+        return amplitude_spectrum(he, herm(he) @ he)
+
+
+def amplitude_spectrum(h: np.ndarray, gram: np.ndarray):
+    """(lam, U) of the Gram stack ``gram`` = H^H H of the channels ``h``
+    (..., rows, na), whose leading axes broadcast against it: the
+    eigenvectors U by ``eigh``, and each eigenvalue taken as the squared
+    amplitude lam_i = ||H u_i||^2, which is never negative and resolves a
+    small eigenvalue far below eigh's own round-off of order eps ||G||."""
+    evecs = np.linalg.eigh(gram)[1]
+    amps = h @ evecs
+    return (amps.conj() * amps).real.sum(axis=-2), evecs
 
 
 def generate_channels(

@@ -28,12 +28,15 @@ the design, Bob's channels, Eve's and her Gram matrices over the (point,
 trial) grid.  Eve's channels and Gram matrices are one stack of n draws,
 shared by every scheme, except on the ne axis, which draws her anew at each
 point: there they are (points, n, ...), her channels zero-padded to her
-largest antenna count.  Her MMSE combiners come from one stacked solve of
-her Gram matrices, or, where one draw of hers serves more than one combiner
-against interference, from one eigendecomposition of them per block
-(``_Block.eve_gram``: fig2-fig5 decompose; fig1 and one-point configs with
-one such scheme solve).  No trial's numbers depend on its neighbours, so
-results are also bit-identical for any block size.
+largest antenna count.  Against interference, her MMSE combiners come from
+one stacked solve of her Gram matrices and her link is evaluated at them,
+or, where one draw of hers serves more than one combiner, her link follows
+in closed form from one eigendecomposition of them per block, with no
+combiner built (``_Block.eve_gram``: fig2-fig5 decompose; fig1 and
+one-point configs with one such scheme solve).  Against a design without
+interference her figures come straight from ||H t||^2.  No trial's numbers
+depend on its neighbours, so results are also bit-identical for any block
+size.
 
 Per-trial metrics are materialized and reduced once at the end, every
 (point, scheme) cell at once; means are arithmetic means of linear SINR,
@@ -52,7 +55,13 @@ from typing import Any
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .channels import NOISE_RANGE, SvdStack, complex_from_parts, partition_stack
+from .channels import (
+    NOISE_RANGE,
+    SvdStack,
+    amplitude_spectrum,
+    complex_from_parts,
+    partition_stack,
+)
 from .exceptions import ConfigError
 from .perturbation import iid_moments, naive_terms, self_drift
 from .robust import robust_fdd, robust_tdd
@@ -525,19 +534,20 @@ class _Block:
 
     @cached_property
     def eve_spectrum(self):
-        """Eigendecomposition (lam, U) of Eve's Gram matrices, one per draw of
-        hers: (1, n, ...), or (points, n, ...) on the ne axis; read only where
-        each draw serves more than one combiner (:meth:`eve_gram`)."""
-        gram = self.gram_e["known_ecsi"]
-        lam, evecs = np.linalg.eigh(gram.reshape(-1, *gram.shape[2:]))
-        return lam.reshape(gram.shape[:-1]), evecs.reshape(gram.shape)
+        """``channels.amplitude_spectrum`` (lam, U) of Eve's Gram matrices,
+        one per draw of hers: (1, n, ...), or (points, n, ...) on the ne axis,
+        the eigenvalues the squared amplitudes of her channels along U; read
+        only where each draw serves more than one combiner (:meth:`eve_gram`)."""
+        return amplitude_spectrum(self.eve, self.gram_e["known_ecsi"])
 
     def eve_gram(self, designs):
         """Eve's Gram stack, from which ``transmit.evaluate`` solves for her
-        combiners of ``designs``, or :attr:`eve_spectrum` where one draw of
-        hers serves more than one of them.  Each design with interference
-        columns forms one combiner per entry of its points axis broadcast
-        against her draws axis, so the count depends on the config alone."""
+        combiners of ``designs`` and evaluates her link at them, or
+        :attr:`eve_spectrum`, from which it evaluates her link in closed form
+        with no combiner, where one draw of hers serves more than one of
+        them.  Each design with interference columns forms one combiner per
+        entry of its points axis broadcast against her draws axis, so the
+        count depends on the config alone."""
         draws = len(self.gram_e["known_ecsi"])
         served = sum(max(len(d.t), len(d.factor), draws)
                      for d in designs if d.factor.shape[-1]) // draws

@@ -123,8 +123,8 @@ class PerturbMoments:
         not the error, and stay as they are.  The deferred fields are scaled
         when they are built.
         """
-        if factor < 0:
-            raise ParameterError(f"scale factor must be nonnegative, got {factor}")
+        if not (np.isfinite(factor) and factor >= 0):
+            raise ParameterError(f"scale factor must be finite and >= 0, got {factor}")
 
         def build() -> dict[str, np.ndarray]:
             return {name: x if name == "d" else x * factor for name, x in self._deferred.items()}
@@ -438,7 +438,7 @@ def naive_trial(chan: ChannelSet, err_sample: np.ndarray, target_sinr: float, *,
     part = svd if svd is not None else partition_svd(chan.h_ba)
     tilde = partition_svd(chan.h_ba.entries + matching(err_sample, chan.h_ba, "err_sample"))
     d = single_artificial_noise(chan, tilde, part, target_sinr)
-    scheme, _, report, bob, eve = run_trial(chan, d, target_sinr)
+    scheme, report, bob, eve = run_trial(chan, d, target_sinr)
     return report, bob, eve, scheme
 
 

@@ -260,7 +260,7 @@ def _fdd_trial(
     decomposition (a stack of one): the batch of one of :func:`robust_fdd`."""
     h = tilde.reconstruct() if propagate_through_estimate else chan.h_ba.entries[None]
     d = robust_fdd(h, tilde.v, (target_sinr,), chan.power_p, chan.sigma_b_sq)
-    scheme, _, report, bob, eve = run_trial(chan, d, target_sinr)
+    scheme, report, bob, eve = run_trial(chan, d, target_sinr)
     return RxBeamformer(w=d.w_b[0, 0], kind="robust_fdd"), report, bob, eve, scheme
 
 
@@ -300,7 +300,7 @@ def _tdd_trial(
         chan.h_ba.entries[None], svd.sigma1[None], svd.u1[None], svd.v1[None],
         moments.e_dv1[None], tilde.v, (target_sinr,), chan.power_p, chan.sigma_b_sq,
     )
-    scheme, _, report, bob, eve = run_trial(chan, d, target_sinr)
+    scheme, report, bob, eve = run_trial(chan, d, target_sinr)
     return RxBeamformer(w=d.w_b[0, 0], kind="robust_tdd"), report, bob, eve, scheme
 
 

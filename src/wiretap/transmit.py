@@ -15,10 +15,11 @@ broadcast over the batch axes.  The single-channel functions run those
 kernels on a batch of one at one target and wrap the results in
 :class:`TxScheme`, :class:`RxBeamformer`, :class:`LinkSinr` and
 :class:`SinrReport`, so they return the sweep engine's numbers bit for bit,
-with one exception: Eve's combiner comes from her spectrum in the
-single-channel functions, but from a solve on sweeps where each draw of
-hers serves one combiner (``harness``), so there the engine's Eve columns
-match them only to round-off.
+with one exception: the single-channel functions evaluate Eve's link in
+closed form from her spectrum, as the sweeps do where one draw of hers
+serves several combiners, but on sweeps where each draw serves one
+(``harness``) her combiner is solved for and her link evaluated at it, so
+there the engine's Eve columns match them only to round-off.
 """
 from __future__ import annotations
 
@@ -158,8 +159,9 @@ class Design(NamedTuple):
     Every kernel spreads the interference evenly over the directions
     orthogonal to ``t``, or sends none: F = sqrt(beta) T' for the other
     columns T' of a unitary [t, T'], or F has no columns.  So
-    q_z = beta (I - t t^H) with beta = ||F||_F^2 / k, which is what
-    :func:`eve_combiners` builds the eavesdropper's combiner from.
+    q_z = beta (I - t t^H) with beta = ||F||_F^2 / k (:func:`noise_beta` of
+    ``rho``), which is what :func:`eve_combiners` builds the eavesdropper's
+    combiner from and :func:`eve_link` evaluates her link from.
     """
 
     t: np.ndarray
@@ -211,16 +213,21 @@ def noise_share(rho, power_p: float, na: int):
     return (1.0 - rho) * power_p / (na - 1) if na > 1 else 0.0 * rho
 
 
+def noise_beta(rho, power_p: float, na: int):
+    """beta of :func:`noise_factors`, elementwise in rho: the per-direction
+    share :func:`noise_share`, or 0 where rho reaches the all-data ceiling."""
+    rho = np.asarray(rho)
+    return np.where(rho >= _RHO_CEIL, 0.0, noise_share(rho, power_p, na))
+
+
 def noise_factors(t_prime: np.ndarray, rho, power_p: float) -> np.ndarray:
     """Factors sqrt(beta) * T' over the leading axes of ``t_prime`` and ``rho``.
 
     The leftover budget (1-rho)*P is split evenly over the na-1 columns of
     ``t_prime``; entries whose rho reaches the all-data ceiling get an
-    all-zero factor.
+    all-zero factor (:func:`noise_beta`).
     """
-    rho = np.asarray(rho)
-    beta = np.where(rho >= _RHO_CEIL, 0.0, noise_share(rho, power_p, t_prime.shape[-2]))
-    return np.sqrt(beta)[..., None, None] * t_prime
+    return np.sqrt(noise_beta(rho, power_p, t_prime.shape[-2]))[..., None, None] * t_prime
 
 
 def artificial_noise(sigma1, v, h, v_rx, targets, power_p: float, sigma_b_sq: float):
@@ -415,11 +422,12 @@ def eve_combiners(eve: np.ndarray, t: np.ndarray, factor: np.ndarray, gram,
     y = (beta G + sigma^2 I)^-1 t / (1 - beta s), where 0 <= beta s < 1.
     That factor is a positive scale, which :func:`link` normalizes away, so
     her combiner is H (beta G + sigma^2 I)^-1 t.  ``gram`` is either the
-    Gram stack G, which takes one stacked na x na solve, or its
-    eigendecomposition (lam, U), which gives the inverse as
-    U ((U^H t) / (beta lam + sigma^2)) with no solve and pays off where one
-    decomposition serves several combiners.  A design without interference
-    columns gets the matched H t, and ``gram`` is not read (it may be None).
+    Gram stack G, which takes one stacked na x na solve (the sweeps where
+    each draw of hers serves one combiner), or its spectrum (lam, U), which
+    gives the inverse as U ((U^H t) / (beta lam + sigma^2)) with no solve
+    (:func:`perfect_csi_trial`, which returns her combiner; elsewhere
+    :func:`eve_link` needs none).  A design without interference columns
+    gets the matched H t, and ``gram`` is not read (it may be None).
     All-zero rows of H (a stack padded to her largest count) give exactly
     zero entries of the combiner, and a combiner that is exactly zero gets
     the stand-in of :func:`mmse_combiners`.
@@ -437,6 +445,72 @@ def eve_combiners(eve: np.ndarray, t: np.ndarray, factor: np.ndarray, gram,
     return _nulled_stand_in(matvec(eve, y))
 
 
+@cache
+def _pairs(na: int):
+    """Row and column indices of the pairs i < j of ``na`` entries."""
+    return np.triu_indices(na, 1)
+
+
+def eve_link(d: Design, eve, gram, power_p: float, sigma_sq: float):
+    """The eavesdropper's (SINR, signal, interference, noise power) at her
+    MMSE combiner against the design ``d``, as :func:`link` reports them,
+    over the leading axes of ``d``'s fields, her channels ``eve`` and ``gram``.
+
+    Against a design without interference columns her combiner is the
+    matched H t, which sees the signal rho P ||H t||^2, no interference and
+    the noise ``sigma_sq``; ``gram`` is not read.  Given her Gram stack, the
+    figures are :func:`link`'s at the combiner :func:`eve_combiners` solves
+    for.  Given its spectrum (lam, U) from ``channels.amplitude_spectrum``,
+    they follow from it in closed form and no combiner is built.  With
+    p = U^H t, beta from rho (:func:`noise_beta`) and d_i = beta lam_i +
+    sigma^2, her combiner is H y for y = U (p / d), so t^H G y is
+    c = sum lam_i |p_i|^2 / d_i and ||H y||^2 is N = sum lam_i |p_i|^2 / d_i^2.
+    The signal is rho P c^2 / N, and the interference beta (||G y||^2 - c^2)
+    / N is taken in Lagrange's form, beta sigma^4 sum_{i<j} |p_i|^2 |p_j|^2
+    (lam_i - lam_j)^2 / (d_i d_j)^2 / N, every term of which is nonnegative
+    (the single-user case of Gao, Smith and Clark, IEEE Trans. Commun. 46(5),
+    1998).  A row whose combiner would be exactly zero (N = 0: an all-zero
+    channel) gets the figures of the stand-in of :func:`mmse_combiners`.
+    """
+    data_power = d.rho * power_p
+    if d.factor.shape[-1] == 0:
+        amps = matvec(eve, d.t)
+        sig = data_power * (amps.conj() * amps).real.sum(axis=-1)
+        return sig / sigma_sq, sig, np.zeros_like(sig), np.full_like(sig, sigma_sq)
+    if not isinstance(gram, tuple):
+        w = eve_combiners(eve, d.t, d.factor, gram, sigma_sq)
+        return link(eve, d.t, data_power, d.factor, w, sigma_sq)
+    lam, evecs = gram
+    na = lam.shape[-1]
+    beta = noise_beta(d.rho, power_p, na)
+    proj = matvec(herm(evecs), d.t)
+    scale = beta[..., None] * lam + sigma_sq
+    inv = (proj.conj() * proj).real / scale
+    inv_sq = inv / scale
+    big_n = np.einsum("...i,...i->...", lam, inv_sq)
+    any_nulled = not big_n.all()
+    if any_nulled:
+        nulled = big_n == 0.0
+        big_n = np.where(nulled, 1.0, big_n)
+    c = np.einsum("...i,...i->...", lam, inv)
+    sig = data_power * (c * c / big_n)
+    # sigma^4 |p_i|^2 |p_j|^2 / (d_i d_j)^2 as a product of sigma^2 |p|^2 / d^2
+    # at i and at j, neither of which leaves double range at the noise and
+    # power bounds a config accepts.  take keeps the pairs axis last in
+    # memory, so every row sums its pairs in the same order.
+    i, j = _pairs(na)
+    gap = lam.take(i, axis=-1) - lam.take(j, axis=-1)
+    amp = sigma_sq * inv_sq
+    spread = np.einsum("...k,...k->...", amp.take(i, axis=-1) * (gap * gap), amp.take(j, axis=-1))
+    interf = beta * spread / big_n
+    noise = np.full_like(interf, sigma_sq)
+    figures = (sig / (interf + noise), sig, interf, noise)
+    if any_nulled:
+        stand_in = link(eve, d.t, data_power, d.factor, np.eye(eve.shape[-2])[0], sigma_sq)
+        figures = tuple(np.where(nulled, a, b) for a, b in zip(stand_in, figures))
+    return figures
+
+
 def mmse_combiners(h: np.ndarray, t: np.ndarray, factor: np.ndarray, sigma_sq: float) -> np.ndarray:
     """The eavesdropper's max-SINR combiners for any interference factor.
 
@@ -449,8 +523,9 @@ def mmse_combiners(h: np.ndarray, t: np.ndarray, factor: np.ndarray, sigma_sq: f
     leaves the solution at zero, where any combiner is equally good; the
     first unit vector stands in so the zero SINR is still reportable.  The
     sweeps and the single-channel trials evaluate kernel designs, whose
-    structure :func:`eve_combiners` exploits instead; this general solve
-    serves :func:`eve_mmse_beamformer`, whose scheme may carry any factor.
+    structure :func:`eve_combiners` and :func:`eve_link` exploit instead;
+    this general solve serves :func:`eve_mmse_beamformer`, whose scheme may
+    carry any factor.
     """
     push = factor @ herm(factor) @ (herm(h) @ h) + sigma_sq * np.eye(h.shape[-1])
     return _nulled_stand_in(matvec(h, np.linalg.solve(push, t[..., None])[..., 0]))
@@ -484,26 +559,26 @@ def link(h, t, data_power, factor, w, sigma_sq: float):
 
 
 def links(d: Design, h, eve, gram, power_p: float, sigma_b_sq: float, sigma_e_sq: float):
-    """Eve's MMSE combiners and both links of a design: (w_e, Bob's
-    :func:`link` figures, Eve's), for Bob's channels ``h`` and hers ``eve``.
+    """Both links of a design: (Bob's :func:`link` figures at his combiner
+    ``d.w_b``, Eve's :func:`eve_link` figures at her MMSE combiner), for
+    Bob's channels ``h`` and hers ``eve``.
 
-    ``gram`` is the stack of Eve's Gram matrices or its eigendecomposition
-    (lam, U), from which :func:`eve_combiners` solves for her combiners or
-    builds them without a solve; a design without interference columns
-    reads neither.  The design's fields (one target's, or one per row), the
-    channels and ``gram`` broadcast against each other, so a product that
-    does not depend on the target, such as H t, is formed once per channel.
+    ``gram`` is the stack of Eve's Gram matrices, from which her combiners
+    are solved for, or its spectrum (lam, U) from
+    ``channels.amplitude_spectrum``, from which her figures follow in
+    closed form; a design without interference columns reads neither.  The
+    design's fields (one target's, or one per row), the channels and
+    ``gram`` broadcast against each other, so a product that does not
+    depend on the target, such as H t, is formed once per channel.
     """
-    data_power = d.rho * power_p
-    w_e = eve_combiners(eve, d.t, d.factor, gram, sigma_e_sq)
-    bob = link(h, d.t, data_power, d.factor, d.w_b, sigma_b_sq)
-    return w_e, bob, link(eve, d.t, data_power, d.factor, w_e, sigma_e_sq)
+    bob = link(h, d.t, d.rho * power_p, d.factor, d.w_b, sigma_b_sq)
+    return bob, eve_link(d, eve, gram, power_p, sigma_e_sq)
 
 
 def evaluate(d: Design, h, eve, gram, target, power_p: float, sigma_b_sq: float,
              sigma_e_sq: float, secrecy_metric: str) -> np.ndarray:
-    """Metrics (len(METRICS), ...) of a design: Eve's MMSE combiner, both
-    links, and the secrecy metric.
+    """Metrics (len(METRICS), ...) of a design: both links at Bob's
+    combiner and Eve's MMSE combiner (:func:`links`), and the secrecy metric.
 
     The arguments broadcast against each other as for :func:`links`
     (``target`` too, which may be a scalar), and each metric has their
@@ -515,7 +590,7 @@ def evaluate(d: Design, h, eve, gram, target, power_p: float, sigma_b_sq: float,
     "full" is the matrix mutual-information rate of the transmitted
     covariance.
     """
-    _, (sinr_b, signal_b, interf_b, noise_b), (sinr_e, signal_e, interf_e, noise_e) = links(
+    (sinr_b, signal_b, interf_b, noise_b), (sinr_e, signal_e, interf_e, noise_e) = links(
         d, h, eve, gram, power_p, sigma_b_sq, sigma_e_sq
     )
     if secrecy_metric == "full":
@@ -620,14 +695,13 @@ def _report(bob: LinkSinr, eve: LinkSinr, outage: bool) -> SinrReport:
 def run_trial(chan: ChannelSet, d: Design, target_sinr: float):
     """Evaluate a design of one channel at one target on ``chan``.
 
-    Returns (scheme, Eve's combiner, report, Bob's link, Eve's link).
+    Returns (scheme, report, Bob's link, Eve's link).
     """
-    w_e, bob, eve = links(d, chan.h_ba.entries[None], chan.h_ea.entries[None], chan.eve_spectrum,
-                          chan.power_p, chan.sigma_b_sq, chan.sigma_e_sq)
+    bob, eve = links(d, chan.h_ba.entries[None], chan.h_ea.entries[None], chan.eve_spectrum,
+                     chan.power_p, chan.sigma_b_sq, chan.sigma_e_sq)
     bob, eve = _link_sinr(bob), _link_sinr(eve)
     scheme = _tx_scheme(d, chan.power_p, target_sinr)
-    w_e = RxBeamformer(w_e.reshape(-1), "mmse")
-    return scheme, w_e, _report(bob, eve, scheme.outage), bob, eve
+    return scheme, _report(bob, eve, scheme.outage), bob, eve
 
 
 def single_artificial_noise(chan: ChannelSet, tx: SvdStack, rx: SvdStack, target_sinr):
@@ -728,5 +802,8 @@ def perfect_csi_trial(chan: ChannelSet, target_sinr: float, svd: SvdStack | None
     """
     part = svd if svd is not None else partition_svd(chan.h_ba)
     d = single_artificial_noise(chan, part, part, target_sinr)
-    scheme, w_e, report, _, _ = run_trial(chan, d, target_sinr)
-    return scheme, RxBeamformer(w=d.w_b[0, 0], kind="matched"), w_e, report
+    scheme, report, _, _ = run_trial(chan, d, target_sinr)
+    w_e = eve_combiners(chan.h_ea.entries[None], d.t, d.factor, chan.eve_spectrum,
+                        chan.sigma_e_sq)
+    return (scheme, RxBeamformer(w=d.w_b[0, 0], kind="matched"),
+            RxBeamformer(w_e.reshape(-1), "mmse"), report)

@@ -5,11 +5,12 @@ at a time through the single-channel functions.  The engine must reproduce
 its per-trial metric array to round-off, with the same NaN pattern and the
 same outage and flag columns, and must not depend on how trials are grouped
 into blocks.  The places where the engine deliberately uses a different
-algorithm than the single-channel path (among them Eve's combiner, built
-from her spectrum or by one lean solve rather than the general one) are
-checked against their counterparts directly, and so are the stacked
-Eve-aware directions, the stacked draws and the vectorised reduction
-against the per-matrix, per-trial and per-point code they replaced.
+algorithm than the single-channel path (among them Eve's link, evaluated in
+closed form from her spectrum or at a combiner from one lean solve rather
+than the general one) are checked against their counterparts directly, and
+so are the stacked Eve-aware directions, the stacked draws and the
+vectorised reduction against the per-matrix, per-trial and per-point code
+they replaced.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from wiretap.channels import (
     ChannelSet,
     CsiErrorModel,
     SvdStack,
+    amplitude_spectrum,
     complex_from_parts,
     complex_gaussian,
     generate_channels,
@@ -207,8 +209,8 @@ def _per_point_rows(cfg: ExperimentConfig):
                 assumed = eve if name == "known_ecsi" else harness._blend(cfg, eve, fresh)
                 d = eve_aware(h, herm(assumed) @ assumed, ne, *budget).at(0)
                 directions[name].append(d.t)
-            out[p, s] = evaluate(d, h, eve, np.linalg.eigh(herm(eve) @ eve), target, cfg.power_p,
-                                 cfg.sigma_b_sq, cfg.sigma_e_sq, cfg.secrecy_metric)
+            out[p, s] = evaluate(d, h, eve, amplitude_spectrum(eve, herm(eve) @ eve), target,
+                                 cfg.power_p, cfg.sigma_b_sq, cfg.sigma_e_sq, cfg.secrecy_metric)
     return out, {name: np.concatenate(t) for name, t in directions.items() if t}
 
 
@@ -434,11 +436,15 @@ def _single_channel_rows(cfg: ExperimentConfig, i: int, h, dh_unit, eve) -> np.n
         target = float(from_db(target_db))
         for s, name in enumerate(cfg.schemes):
             if name == "perfect":
-                scheme, w_b, w_e, report = perfect_csi_trial(chan, target, svd=svd)
+                d = transmit.single_artificial_noise(chan, svd, svd, target)
+                scheme, report, bob, eve_link = run_trial(chan, d, target)
+                _, w_b, _, perfect = perfect_csi_trial(chan, target, svd=svd)
+                assert perfect == report
+                assert link_sinr(chan.h_ba, scheme, w_b, chan.sigma_b_sq) == bob
             elif name == "known_ecsi":
                 d = eve_aware(h[i][None], (herm(eve[i]) @ eve[i])[None], cfg.ne, (target,),
                               cfg.power_p, cfg.sigma_b_sq).at(0)
-                scheme, _, report, bob, eve_link = run_trial(chan, d, target)
+                scheme, report, bob, eve_link = run_trial(chan, d, target)
                 np.testing.assert_array_equal(design_known_ecsi(chan, chan.h_ea, target).t, d.t[0])
             elif name == "naive":
                 report, bob, eve_link, scheme = naive_trial(chan, err, target, svd=svd)
@@ -448,9 +454,6 @@ def _single_channel_rows(cfg: ExperimentConfig, i: int, h, dh_unit, eve) -> np.n
             else:
                 _, report, bob, eve_link, scheme = robust._tdd_trial(chan, svd, mom, tilde, target)
                 assert tdd_receiver(chan, svd, mom, err, target)[1] == report
-            if name == "perfect":
-                bob = link_sinr(chan.h_ba, scheme, w_b, chan.sigma_b_sq)
-                eve_link = link_sinr(chan.h_ea, scheme, w_e, chan.sigma_e_sq)
             rows[p, s] = (
                 report.sinr_b, report.sinr_e, secure_goodput(report.sinr_b, report.sinr_e, target),
                 report.outage, bob.signal_power, bob.interference_plus_noise,
@@ -629,6 +632,109 @@ def test_eve_combiner_by_solve_is_the_spectral_one(ne, sigma_sq):
     assert idle >= 4 * count
 
 
+def _oracle_eve_links(h, eve, d, power_p: float, sigma_sq: float) -> np.ndarray:
+    """Eve's (SINR, signal, interference plus noise) of every row of the
+    design ``d``: the oracle's LU-solved combiner and its link, row by row."""
+    out = np.empty((3, len(h)))
+    for r in range(len(h)):
+        chan = ChannelSet(h_ba=ChannelMatrix(h[r]), h_ea=ChannelMatrix(eve[r]), sigma_b_sq=1.0,
+                          sigma_e_sq=sigma_sq, power_p=power_p)
+        rho = float(np.broadcast_to(d.rho, (len(h),))[r])
+        f = np.broadcast_to(d.factor, (len(h),) + d.factor.shape[-2:])[r]
+        scheme = oracles.Scheme(t=np.broadcast_to(d.t, (len(h), h.shape[-1]))[r], rho=rho,
+                                q_z=f @ f.conj().T, power_p=power_p, target_sinr=1.0,
+                                q_z_factor=f)
+        got = oracles.link_sinr(eve[r], scheme, oracles.eve_mmse_beamformer(chan, scheme),
+                                sigma_sq)
+        out[:, r] = got.sinr, got.signal_power, got.interference_plus_noise
+    return out
+
+
+@pytest.mark.parametrize("sigma_sq", [1.0, 0.3])
+@pytest.mark.parametrize("shape", SHAPES + NB_BELOW_NA, ids=str)
+def test_eves_closed_form_figures_are_the_oracles(shape, sigma_sq):
+    # Eve's figures from her spectrum, with no combiner, against the oracle's
+    # LU solve and link on every kernel's design, at a reachable target and
+    # at one out of reach (beta = 0), and with and without interference
+    # columns; the per-trial tolerances of the engine's comparisons.
+    na, nb, ne = shape
+    count, power_p = 30, 100.0
+    h = _random_channels(count, nb, na, seed=[41, *shape])
+    eve = _random_channels(count, ne, na, seed=[42, *shape])
+    spectrum = amplitude_spectrum(eve, herm(eve) @ eve)
+    for name, d in _kernel_designs(h, eve, power_p):
+        sinr, sig, interf, noise = transmit.eve_link(d, eve, spectrum, power_p, sigma_sq)
+        got = np.stack(np.broadcast_arrays(sinr, sig, interf + noise))
+        want = _oracle_eve_links(h, eve, d, power_p, sigma_sq)
+        allowed = RTOL * np.maximum(np.abs(got), np.abs(want)) + ATOL
+        miss = np.abs(got - want) / allowed
+        assert np.all(miss <= 1.0), (name, float(miss.max()))
+
+
+def test_the_spectral_route_evaluates_a_padded_ne_axis_against_the_loop():
+    # Two interference schemes on the ne axis: each draw of Eve's serves two
+    # combiners, so the block evaluates her in closed form from the spectrum
+    # of a stack zero-padded to her largest count, and matches the loop.
+    cfg = ExperimentConfig(na=4, nb=4, ne=(1, 6, 3), target_sinr_db=15.0, sigma_h_db=-15.0,
+                           trials=12, master_seed=13, schemes=("perfect", "naive", "known_ecsi"))
+    blk = harness._Block(cfg, 0, cfg.trials)
+    designs = {name: blk.design(name) for name in cfg.schemes}
+    assert isinstance(blk.eve_gram(designs.values()), tuple)
+    assert blk.eve.shape == (3, cfg.trials, 6, 4) and not blk.eve[0, :, 1:].any()
+    assert_matches_loop(cfg)
+
+
+@pytest.mark.parametrize("sigma_sq", [1.0, 1e-100, 1e100])
+def test_an_all_zero_eve_channel_gets_the_stand_ins_figures(sigma_sq):
+    # Her combiner would be exactly zero, so both routes and the matched one
+    # report the stand-in's figures: no signal, no interference, her noise.
+    count, na, ne, power_p = 6, 4, 5, 100.0
+    h = _random_channels(count, na, na, seed=51)
+    eve = _random_channels(count, ne, na, seed=52)
+    designs = _kernel_designs(h, eve, power_p)
+    eve[2] = 0.0
+    gram = herm(eve) @ eve
+    for name, d in designs:
+        for route in (gram, amplitude_spectrum(eve, gram)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                figures = transmit.eve_link(d, eve, route, power_p, sigma_sq)
+            sinr, sig, interf, noise = (np.broadcast_to(x, (count,)) for x in figures)
+            assert (sinr[2], sig[2], interf[2], noise[2]) == (0.0, 0.0, 0.0, sigma_sq), name
+            assert np.all(sig[[0, 1, 3, 4, 5]] > 0.0), name
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(
+    na=st.integers(2, 6),
+    ne=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    power_db=st.floats(-1000.0, 1000.0),
+    noise_exp=st.floats(-100.0, 100.0),
+    target_db=st.floats(-30.0, 60.0),
+    stale=st.booleans(),
+)
+def test_eves_interference_is_never_negative(na, ne, seed, power_db, noise_exp, target_db, stale):
+    # Every term of the Lagrange form is nonnegative, so over the whole range
+    # of powers and noise a config accepts her interference is >= 0 and her
+    # interference plus noise >= sigma_e^2, with no warning and no overflow.
+    count = 4
+    h = _random_channels(count, na, na, seed=seed)
+    eve = _random_channels(count, ne, na, seed=seed + 1)
+    power_p, sigma_sq = 10.0 ** (power_db / 10.0), 10.0 ** noise_exp
+    tx = partition_stack(h + 0.1 * _random_channels(count, na, na, seed=seed + 2) if stale else h)
+    d = artificial_noise(tx.sigma1, tx.v, h, partition_stack(h).v1, (10.0 ** (target_db / 10.0),),
+                         power_p, 1.0).at(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sinr, sig, interf, noise = transmit.eve_link(
+            d, eve, amplitude_spectrum(eve, herm(eve) @ eve), power_p, sigma_sq)
+    for x in (sinr, sig, interf, noise):
+        assert np.all(np.isfinite(x))
+    assert np.all(interf >= 0.0)
+    assert np.all(interf + noise >= sigma_sq)
+
+
 def _eve_linear_algebra(monkeypatch, cfg: ExperimentConfig, n: int):
     """Run one block of ``cfg``'s first ``n`` trials and return how many
     ``eigh`` calls took Eve's Gram matrices, the number of those matrices
@@ -701,7 +807,7 @@ def test_eve_mmse_beamformer_agrees_with_the_spectral_route():
             tdd = robust._tdd_trial(chan, svd, mom, tilde, target)
             aware = run_trial(chan, known_design, target)
             trials = [(perfect[0], perfect[3]), (naive[3], naive[0]), (fdd[4], fdd[1]),
-                      (tdd[4], tdd[1]), (aware[0], aware[2])]
+                      (tdd[4], tdd[1]), (aware[0], aware[1])]
             for scheme, report in trials:
                 want = link_sinr(chan.h_ea, scheme, eve_mmse_beamformer(chan, scheme),
                                  chan.sigma_e_sq).sinr

@@ -1,6 +1,7 @@
 """Tests for the second-order perturbation moments and the SINR prediction."""
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -111,6 +112,18 @@ def test_scaled_rejects_negative_factor():
     m = compute_moments(svd, model)
     with pytest.raises(ParameterError):
         m.scaled(-1.0)
+
+
+@pytest.mark.parametrize("factor", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["iid", "full"])
+def test_scaled_refuses_a_nonfinite_factor(kind, factor):
+    _, svd, _ = _setup(3, 3, -20.0, 2)
+    model = CsiErrorModel.iid(1e-2) if kind == "iid" else CsiErrorModel.full(1e-2 * np.eye(9))
+    m = compute_moments(svd, model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="finite and >= 0"):
+            m.scaled(factor)
 
 
 @pytest.mark.parametrize("kind", ["iid", "full"])

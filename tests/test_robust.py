@@ -219,20 +219,24 @@ class TestRecoveryOrdering:
 @pytest.mark.parametrize("trial", ["naive", "fdd", "tdd"])
 def test_trial_paths_evaluate_each_link_once(monkeypatch, trial):
     # The powers a trial returns are the two link evaluations its SINR
-    # report was built from, not a second evaluation of the same links.
+    # report was built from, not a second evaluation of the same links:
+    # Bob's through link, Eve's in closed form from her spectrum, which
+    # builds no combiner and does not run link.
     chan = generate_channels(4, 4, 3, rng_seed=23, sigma_e_sq=0.5)
     err = _error(chan, 23)
     svd = partition_svd(chan.h_ba)
     tilde = _tilde(chan.h_ba.entries + err)
     moments = compute_moments(svd, CsiErrorModel.iid(SIGMA_SQ))
     calls = []
-    link = transmit.link
-    monkeypatch.setattr(transmit, "link", lambda *a: calls.append(a[5]) or link(*a))
+    link, eve_link = transmit.link, transmit.eve_link
+    monkeypatch.setattr(transmit, "link", lambda *a: calls.append(("link", a[5])) or link(*a))
+    monkeypatch.setattr(transmit, "eve_link",
+                        lambda *a: calls.append(("eve_link", a[4])) or eve_link(*a))
     if trial == "naive":
         report, bob, eve, scheme = naive_trial(chan, err, TARGET, svd=svd)
     elif trial == "fdd":
         _, report, bob, eve, scheme = _fdd_trial(chan, tilde, TARGET)
     else:
         _, report, bob, eve, scheme = _tdd_trial(chan, svd, moments, tilde, TARGET)
-    assert calls == [chan.sigma_b_sq, chan.sigma_e_sq]
+    assert calls == [("link", chan.sigma_b_sq), ("eve_link", chan.sigma_e_sq)]
     assert (report.sinr_b, report.sinr_e) == (bob.sinr, eve.sinr)
