@@ -159,7 +159,7 @@ class ChannelSet:
     @cached_property
     def eve_spectrum(self):
         """:func:`amplitude_spectrum` (lam, U) of Eve's Gram matrix, as a
-        stack of one, from which ``transmit.links`` evaluates her MMSE link.
+        stack of one, from which ``transmit.eve_link`` evaluates her MMSE link.
         Computed once per realization, however many designs it evaluates."""
         he = self.h_ea.entries[None]
         return amplitude_spectrum(he, herm(he) @ he)

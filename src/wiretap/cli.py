@@ -286,6 +286,10 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
+    # A sweep config checks these fields, so bad input is refused by name.
+    ExperimentConfig(na=args.na, nb=args.nb, target_sinr_db=args.target_sinr_db,
+                     sigma_h_db=args.sigma_h_db, power_db=args.power_db,
+                     sigma_b_sq=args.sigma_b_sq, master_seed=args.seed)
     chan = generate_channels(
         args.na, args.nb, 1,
         rng_seed=args.seed,

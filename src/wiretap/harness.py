@@ -28,15 +28,15 @@ the design, Bob's channels, Eve's and her Gram matrices over the (point,
 trial) grid.  Eve's channels and Gram matrices are one stack of n draws,
 shared by every scheme, except on the ne axis, which draws her anew at each
 point: there they are (points, n, ...), her channels zero-padded to her
-largest antenna count.  Against interference, her MMSE combiners come from
-one stacked solve of her Gram matrices and her link is evaluated at them,
-or, where one draw of hers serves more than one combiner, her link follows
-in closed form from one eigendecomposition of them per block, with no
-combiner built (``_Block.eve_gram``: fig2-fig5 decompose; fig1 and
-one-point configs with one such scheme solve).  Against a design without
-interference her figures come straight from ||H t||^2.  No trial's numbers
-depend on its neighbours, so results are also bit-identical for any block
-size.
+largest antenna count.  Against interference, ``transmit.eve_link`` gives
+her figures in closed form from one eigendecomposition of her Gram matrices
+per block, with no combiner built, or, where each draw of hers serves one
+combiner and her noise is at least ``_SOLVE_NOISE_FLOOR`` times the power,
+at her combiners from one stacked solve of them (``_Block.eve_gram``:
+fig2-fig5 decompose; fig1 and one-point configs with one such scheme
+solve).  Against a design without interference her figures come straight
+from ||H t||^2.  No trial's numbers depend on its neighbours, so results
+are also bit-identical for any block size.
 
 Per-trial metrics are materialized and reduced once at the end, every
 (point, scheme) cell at once; means are arithmetic means of linear SINR,
@@ -115,6 +115,11 @@ _MASK32 = 0xFFFFFFFF
 # sweep point, and on the ne axis Eve's are padded to her largest antenna
 # count at every point (fig1: 20 points x 256 trials x 20 x 4 entries, 6.6 MB).
 BLOCK_TRIALS = 256
+
+# Eve's combiners are solved for only where her noise is at least this
+# fraction of the power.  At ne = na - 1 the solve's SINR is 3e-13 off the
+# closed form at 1e8 power over noise, 3e-11 at 1e10; from 1e16 it is singular.
+_SOLVE_NOISE_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -541,17 +546,18 @@ class _Block:
         return amplitude_spectrum(self.eve, self.gram_e["known_ecsi"])
 
     def eve_gram(self, designs):
-        """Eve's Gram stack, from which ``transmit.evaluate`` solves for her
-        combiners of ``designs`` and evaluates her link at them, or
-        :attr:`eve_spectrum`, from which it evaluates her link in closed form
-        with no combiner, where one draw of hers serves more than one of
-        them.  Each design with interference columns forms one combiner per
+        """Eve's Gram stack, from which ``transmit.eve_link`` solves for her
+        combiners of ``designs``, where each draw of hers serves at most one
+        and her noise is at least ``_SOLVE_NOISE_FLOOR`` times the power;
+        else :attr:`eve_spectrum`, from which it evaluates her link in closed
+        form.  Each design with interference columns forms one combiner per
         entry of its points axis broadcast against her draws axis, so the
-        count depends on the config alone."""
-        draws = len(self.gram_e["known_ecsi"])
+        route depends on the config alone."""
+        cfg, draws = self.cfg, len(self.gram_e["known_ecsi"])
         served = sum(max(len(d.t), len(d.factor), draws)
                      for d in designs if d.factor.shape[-1]) // draws
-        return self.eve_spectrum if served > 1 else self.gram_e["known_ecsi"]
+        exact = cfg.sigma_e_sq >= _SOLVE_NOISE_FLOOR * cfg.power_p
+        return self.eve_spectrum if served > (1 if exact else 0) else self.gram_e["known_ecsi"]
 
     @cached_property
     def e_dv1(self) -> np.ndarray:

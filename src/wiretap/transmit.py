@@ -10,16 +10,16 @@ which is exactly the mismatch the rest of the package studies.
 Every scheme is a kernel over stacks of channels with leading batch axes
 (:func:`artificial_noise`, :func:`eve_aware`, and the robust receivers in
 ``robust``), returning one :class:`Design` for all its target SINRs at once,
-and every design is evaluated by :func:`links` and :func:`evaluate`, which
-broadcast over the batch axes.  The single-channel functions run those
-kernels on a batch of one at one target and wrap the results in
+and every design is evaluated by :func:`evaluate`, which broadcasts over
+the batch axes: Bob's link by :func:`link` at his combiner, Eve's by
+:func:`eve_link` at her MMSE combiner.  The single-channel functions run
+those kernels on a batch of one at one target and wrap the results in
 :class:`TxScheme`, :class:`RxBeamformer`, :class:`LinkSinr` and
 :class:`SinrReport`, so they return the sweep engine's numbers bit for bit,
-with one exception: the single-channel functions evaluate Eve's link in
-closed form from her spectrum, as the sweeps do where one draw of hers
-serves several combiners, but on sweeps where each draw serves one
-(``harness``) her combiner is solved for and her link evaluated at it, so
-there the engine's Eve columns match them only to round-off.
+with one exception: they evaluate Eve's link in closed form from her
+spectrum, whereas sweeps where each draw of hers serves one combiner
+(``harness``) solve for it, so there the engine's Eve columns match them
+only to round-off.
 """
 from __future__ import annotations
 
@@ -159,9 +159,8 @@ class Design(NamedTuple):
     Every kernel spreads the interference evenly over the directions
     orthogonal to ``t``, or sends none: F = sqrt(beta) T' for the other
     columns T' of a unitary [t, T'], or F has no columns.  So
-    q_z = beta (I - t t^H) with beta = ||F||_F^2 / k (:func:`noise_beta` of
-    ``rho``), which is what :func:`eve_combiners` builds the eavesdropper's
-    combiner from and :func:`eve_link` evaluates her link from.
+    q_z = beta (I - t t^H) with beta = :func:`noise_beta` of ``rho``, from
+    which :func:`eve_link` evaluates the eavesdropper's link.
     """
 
     t: np.ndarray
@@ -404,45 +403,12 @@ def whitened_combiner(evecs, lam, signature, beta, sigma_sq):
 
     Works over leading batch axes; ``beta`` and ``sigma_sq`` may be scalars
     or arrays over those axes.  Bob's robust receivers whiten the
-    interference they expect with it, and :func:`eve_combiners` builds the
-    eavesdropper's MMSE combiner from it.
+    interference they expect with it, and :func:`perfect_csi_trial` builds
+    the eavesdropper's MMSE combiner from it.
     """
     proj = matvec(herm(evecs), signature)
     scale = np.asarray(beta)[..., None] * lam + np.asarray(sigma_sq)[..., None]
     return matvec(evecs, proj / scale)
-
-
-def eve_combiners(eve: np.ndarray, t: np.ndarray, factor: np.ndarray, gram,
-                  sigma_sq: float) -> np.ndarray:
-    """The eavesdropper's MMSE combiners of kernel designs, over leading axes.
-
-    A kernel design has q_z = beta (I - t t^H) (see :class:`Design`), so by
-    Sherman-Morrison the push-through system (q_z G + sigma^2 I) y = t of
-    :func:`mmse_combiners`, with G = H^H H her Gram matrix, has the solution
-    y = (beta G + sigma^2 I)^-1 t / (1 - beta s), where 0 <= beta s < 1.
-    That factor is a positive scale, which :func:`link` normalizes away, so
-    her combiner is H (beta G + sigma^2 I)^-1 t.  ``gram`` is either the
-    Gram stack G, which takes one stacked na x na solve (the sweeps where
-    each draw of hers serves one combiner), or its spectrum (lam, U), which
-    gives the inverse as U ((U^H t) / (beta lam + sigma^2)) with no solve
-    (:func:`perfect_csi_trial`, which returns her combiner; elsewhere
-    :func:`eve_link` needs none).  A design without interference columns
-    gets the matched H t, and ``gram`` is not read (it may be None).
-    All-zero rows of H (a stack padded to her largest count) give exactly
-    zero entries of the combiner, and a combiner that is exactly zero gets
-    the stand-in of :func:`mmse_combiners`.
-    """
-    k = factor.shape[-1]
-    if k == 0:
-        return _nulled_stand_in(matvec(eve, t))
-    beta = (factor.real**2 + factor.imag**2).sum(axis=(-2, -1)) / k
-    if isinstance(gram, tuple):
-        lam, evecs = gram
-        y = whitened_combiner(evecs, lam, t, beta, sigma_sq)
-    else:
-        loaded = beta[..., None, None] * gram + sigma_sq * np.eye(gram.shape[-1])
-        y = np.linalg.solve(loaded, t[..., None])[..., 0]
-    return _nulled_stand_in(matvec(eve, y))
 
 
 @cache
@@ -458,12 +424,13 @@ def eve_link(d: Design, eve, gram, power_p: float, sigma_sq: float):
 
     Against a design without interference columns her combiner is the
     matched H t, which sees the signal rho P ||H t||^2, no interference and
-    the noise ``sigma_sq``; ``gram`` is not read.  Given her Gram stack, the
-    figures are :func:`link`'s at the combiner :func:`eve_combiners` solves
-    for.  Given its spectrum (lam, U) from ``channels.amplitude_spectrum``,
-    they follow from it in closed form and no combiner is built.  With
-    p = U^H t, beta from rho (:func:`noise_beta`) and d_i = beta lam_i +
-    sigma^2, her combiner is H y for y = U (p / d), so t^H G y is
+    the noise ``sigma_sq``; ``gram`` is not read.  Otherwise q_z = beta
+    (I - t t^H) (:class:`Design`), and by Sherman-Morrison her combiner is
+    H y for y = (beta G + sigma^2 I)^-1 t, G = H^H H.  Given the Gram stack
+    G, y is one stacked solve, which loses digits as beta ||G|| / sigma^2
+    grows, and the figures are :func:`link`'s at H y.  Given its spectrum
+    (lam, U) from ``channels.amplitude_spectrum``, no combiner is built: with
+    p = U^H t and d_i = beta lam_i + sigma^2, y = U (p / d), so t^H G y is
     c = sum lam_i |p_i|^2 / d_i and ||H y||^2 is N = sum lam_i |p_i|^2 / d_i^2.
     The signal is rho P c^2 / N, and the interference beta (||G y||^2 - c^2)
     / N is taken in Lagrange's form, beta sigma^4 sum_{i<j} |p_i|^2 |p_j|^2
@@ -477,21 +444,20 @@ def eve_link(d: Design, eve, gram, power_p: float, sigma_sq: float):
         amps = matvec(eve, d.t)
         sig = data_power * (amps.conj() * amps).real.sum(axis=-1)
         return sig / sigma_sq, sig, np.zeros_like(sig), np.full_like(sig, sigma_sq)
-    if not isinstance(gram, tuple):
-        w = eve_combiners(eve, d.t, d.factor, gram, sigma_sq)
-        return link(eve, d.t, data_power, d.factor, w, sigma_sq)
-    lam, evecs = gram
-    na = lam.shape[-1]
+    na = d.t.shape[-1]
     beta = noise_beta(d.rho, power_p, na)
+    if not isinstance(gram, tuple):
+        loaded = beta[..., None, None] * gram + sigma_sq * np.eye(na)
+        y = np.linalg.solve(loaded, d.t[..., None])[..., 0]
+        return link(eve, d.t, data_power, d.factor, _nulled_stand_in(matvec(eve, y)), sigma_sq)
+    lam, evecs = gram
     proj = matvec(herm(evecs), d.t)
     scale = beta[..., None] * lam + sigma_sq
     inv = (proj.conj() * proj).real / scale
     inv_sq = inv / scale
     big_n = np.einsum("...i,...i->...", lam, inv_sq)
-    any_nulled = not big_n.all()
-    if any_nulled:
-        nulled = big_n == 0.0
-        big_n = np.where(nulled, 1.0, big_n)
+    nulled = big_n == 0.0
+    big_n = np.where(nulled, 1.0, big_n)
     c = np.einsum("...i,...i->...", lam, inv)
     sig = data_power * (c * c / big_n)
     # sigma^4 |p_i|^2 |p_j|^2 / (d_i d_j)^2 as a product of sigma^2 |p|^2 / d^2
@@ -505,7 +471,7 @@ def eve_link(d: Design, eve, gram, power_p: float, sigma_sq: float):
     interf = beta * spread / big_n
     noise = np.full_like(interf, sigma_sq)
     figures = (sig / (interf + noise), sig, interf, noise)
-    if any_nulled:
+    if nulled.any():
         stand_in = link(eve, d.t, data_power, d.factor, np.eye(eve.shape[-2])[0], sigma_sq)
         figures = tuple(np.where(nulled, a, b) for a, b in zip(stand_in, figures))
     return figures
@@ -523,9 +489,8 @@ def mmse_combiners(h: np.ndarray, t: np.ndarray, factor: np.ndarray, sigma_sq: f
     leaves the solution at zero, where any combiner is equally good; the
     first unit vector stands in so the zero SINR is still reportable.  The
     sweeps and the single-channel trials evaluate kernel designs, whose
-    structure :func:`eve_combiners` and :func:`eve_link` exploit instead;
-    this general solve serves :func:`eve_mmse_beamformer`, whose scheme may
-    carry any factor.
+    structure :func:`eve_link` exploits instead; this general solve serves
+    :func:`eve_mmse_beamformer`, whose scheme may carry any factor.
     """
     push = factor @ herm(factor) @ (herm(h) @ h) + sigma_sq * np.eye(h.shape[-1])
     return _nulled_stand_in(matvec(h, np.linalg.solve(push, t[..., None])[..., 0]))
@@ -558,31 +523,14 @@ def link(h, t, data_power, factor, w, sigma_sq: float):
     return sig / (interf + noise), sig, interf, noise
 
 
-def links(d: Design, h, eve, gram, power_p: float, sigma_b_sq: float, sigma_e_sq: float):
-    """Both links of a design: (Bob's :func:`link` figures at his combiner
-    ``d.w_b``, Eve's :func:`eve_link` figures at her MMSE combiner), for
-    Bob's channels ``h`` and hers ``eve``.
-
-    ``gram`` is the stack of Eve's Gram matrices, from which her combiners
-    are solved for, or its spectrum (lam, U) from
-    ``channels.amplitude_spectrum``, from which her figures follow in
-    closed form; a design without interference columns reads neither.  The
-    design's fields (one target's, or one per row), the channels and
-    ``gram`` broadcast against each other, so a product that does not
-    depend on the target, such as H t, is formed once per channel.
-    """
-    bob = link(h, d.t, d.rho * power_p, d.factor, d.w_b, sigma_b_sq)
-    return bob, eve_link(d, eve, gram, power_p, sigma_e_sq)
-
-
 def evaluate(d: Design, h, eve, gram, target, power_p: float, sigma_b_sq: float,
              sigma_e_sq: float, secrecy_metric: str) -> np.ndarray:
-    """Metrics (len(METRICS), ...) of a design: both links at Bob's
-    combiner and Eve's MMSE combiner (:func:`links`), and the secrecy metric.
+    """Metrics (len(METRICS), ...) of a design: Bob's :func:`link` at his
+    combiner ``d.w_b`` on his channels ``h``, Eve's :func:`eve_link` on hers
+    ``eve`` and ``gram``, and the secrecy metric.
 
-    The arguments broadcast against each other as for :func:`links`
-    (``target`` too, which may be a scalar), and each metric has their
-    broadcast shape.
+    All arguments (``target`` may be a scalar) broadcast against each
+    other, and each metric has their broadcast shape.
     "goodput" pays the provisioned secret rate only on trials where the
     intended link actually reaches its target SINR, so schemes are compared
     on secrecy they reliably deliver rather than on lucky fades; "proxy" is
@@ -590,11 +538,11 @@ def evaluate(d: Design, h, eve, gram, target, power_p: float, sigma_b_sq: float,
     "full" is the matrix mutual-information rate of the transmitted
     covariance.
     """
-    (sinr_b, signal_b, interf_b, noise_b), (sinr_e, signal_e, interf_e, noise_e) = links(
-        d, h, eve, gram, power_p, sigma_b_sq, sigma_e_sq
-    )
+    data_power = d.rho * power_p
+    sinr_b, signal_b, interf_b, noise_b = link(h, d.t, data_power, d.factor, d.w_b, sigma_b_sq)
+    sinr_e, signal_e, interf_e, noise_e = eve_link(d, eve, gram, power_p, sigma_e_sq)
     if secrecy_metric == "full":
-        secrecy = full_secrecy_rates(h, eve, d.t, d.rho * power_p, d.factor @ herm(d.factor),
+        secrecy = full_secrecy_rates(h, eve, d.t, data_power, d.factor @ herm(d.factor),
                                      sigma_b_sq, sigma_e_sq)
     elif secrecy_metric == "goodput":
         secrecy = secure_goodput(sinr_b, sinr_e, target)
@@ -697,9 +645,9 @@ def run_trial(chan: ChannelSet, d: Design, target_sinr: float):
 
     Returns (scheme, report, Bob's link, Eve's link).
     """
-    bob, eve = links(d, chan.h_ba.entries[None], chan.h_ea.entries[None], chan.eve_spectrum,
-                     chan.power_p, chan.sigma_b_sq, chan.sigma_e_sq)
-    bob, eve = _link_sinr(bob), _link_sinr(eve)
+    h, he = chan.h_ba.entries[None], chan.h_ea.entries[None]
+    bob = _link_sinr(link(h, d.t, d.rho * chan.power_p, d.factor, d.w_b, chan.sigma_b_sq))
+    eve = _link_sinr(eve_link(d, he, chan.eve_spectrum, chan.power_p, chan.sigma_e_sq))
     scheme = _tx_scheme(d, chan.power_p, target_sinr)
     return scheme, _report(bob, eve, scheme.outage), bob, eve
 
@@ -797,13 +745,15 @@ def secrecy_capacity_full(chan: ChannelSet, scheme: TxScheme) -> float:
 def perfect_csi_trial(chan: ChannelSet, target_sinr: float, svd: SvdStack | None = None):
     """Run the whole perfect-knowledge pipeline for one channel.
 
-    Returns (scheme, bob beamformer, eve beamformer, report).  Convenience
-    wrapper for single-channel callers such as the self checks.
+    Returns (scheme, bob beamformer, eve beamformer, report), Eve's the
+    combiner of :func:`eve_link` from her spectrum.  Convenience wrapper for
+    single-channel callers such as the self checks.
     """
     part = svd if svd is not None else partition_svd(chan.h_ba)
     d = single_artificial_noise(chan, part, part, target_sinr)
     scheme, report, _, _ = run_trial(chan, d, target_sinr)
-    w_e = eve_combiners(chan.h_ea.entries[None], d.t, d.factor, chan.eve_spectrum,
-                        chan.sigma_e_sq)
-    return (scheme, RxBeamformer(w=d.w_b[0, 0], kind="matched"),
-            RxBeamformer(w_e.reshape(-1), "mmse"), report)
+    lam, evecs = chan.eve_spectrum
+    y = whitened_combiner(evecs, lam, d.t, noise_beta(d.rho, chan.power_p, chan.na),
+                          chan.sigma_e_sq)
+    w_e = _nulled_stand_in(matvec(chan.h_ea.entries[None], y)).reshape(-1)
+    return scheme, RxBeamformer(d.w_b[0, 0], "matched"), RxBeamformer(w_e, "mmse"), report

@@ -207,6 +207,21 @@ class TestPredictCommand:
         assert main(["predict", "--sigma-h-db", "-5", "--seed", "1"]) == 0
         assert "extrapolation" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("extra, name", [
+        (["--nb", "6", "--na", "4"], "nb=6 > na=4"),
+        (["--power-db", "1e6"], "power_db"),
+        (["--sigma-h-db", "1e6"], "sigma_h_db"),
+        (["--target-sinr-db", "1e6"], "target_sinr_db"),
+        (["--seed", "-1"], "master_seed"),
+    ])
+    def test_bad_input_is_refused_by_name(self, capsys, extra, name):
+        # The ranges a sweep config accepts, with one error line and no traceback.
+        assert main(["predict", "--sigma-h-db", "-20", *extra]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and name in lines[0]
+        assert captured.out == ""
+
 
 class TestValidateCommand:
     def test_builtin_suite_passes(self, capsys):

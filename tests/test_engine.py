@@ -40,7 +40,7 @@ from wiretap.channels import (
     perturb_ecsi,
 )
 from wiretap.exceptions import DegenerateChannelError, DimensionError
-from wiretap.harness import SCENARIOS, SCHEMES, ExperimentConfig, preset_config
+from wiretap.harness import SCENARIOS, SCHEMES, ExperimentConfig, preset_config, run_experiment
 from wiretap.perturbation import compute_moments, iid_moments
 from wiretap.perturbation import naive_sinr_terms, naive_trial
 from wiretap.robust import (
@@ -57,9 +57,7 @@ from wiretap.transmit import (
     evaluate,
     eve_aware,
     eve_aware_directions,
-    eve_combiners,
     eve_mmse_beamformer,
-    link,
     link_sinr,
     mmse_combiners,
     perfect_csi_trial,
@@ -501,19 +499,14 @@ def test_stacked_solve_substitutes_the_unit_vector_for_a_zero_solution():
     h = np.zeros((2, 3, 2), dtype=complex)
     h[1] = _random_channels(1, 3, 2, seed=3)[0]
     t = np.tile(np.array([1.0, 0.0], dtype=complex), (2, 1))
-    spectrum = np.linalg.eigh(herm(h) @ h)
-    # A zero factor and one without columns take the same solve; the
-    # spectral combiner reads the spectrum at beta = 0 for the first and
-    # matches for the second.
+    # A zero factor and one without columns take the same solve.  Eve's
+    # figures on an all-zero channel are checked on both of eve_link's
+    # routes in test_an_all_zero_eve_channel_gets_the_stand_ins_figures.
     for columns in (1, 0):
         factor = np.zeros((2, 2, columns), dtype=complex)
         w = mmse_combiners(h, t, factor, 1.0)
         np.testing.assert_array_equal(w[0], [1.0, 0.0, 0.0])
         np.testing.assert_allclose(w[1], h[1] @ t[1])
-        w = eve_combiners(h, t, factor, spectrum, 0.5)
-        np.testing.assert_array_equal(w[0], [1.0, 0.0, 0.0])
-        matched = h[1] @ t[1]
-        np.testing.assert_allclose(w[1] / np.linalg.norm(w[1]), matched / np.linalg.norm(matched))
 
 
 @pytest.mark.parametrize("sigma_sq", [1.0, 0.3, 4.0])
@@ -560,45 +553,30 @@ def _kernel_designs(h: np.ndarray, eve: np.ndarray, power_p: float):
 @pytest.mark.parametrize("sigma_sq", [1.0, 0.3])
 @pytest.mark.parametrize("ne", [2, 4, 7])
 def test_spectral_combiner_is_the_push_through_solve(ne, sigma_sq):
-    # Every kernel's design has q_z = beta (I - t t^H), so Eve's combiner from
-    # her spectrum points where the general solve's does, at a positive real
-    # scale, with fewer, as many and more antennas than the transmitter.  Her
-    # stack carries two zero rows of padding, which stay exactly zero.  Rows
-    # where the design nulls her are round-off in both and stay nulled.
-    count, na, power_p = 40, 4, 100.0
-    h = _random_channels(count, na, na, seed=21)
-    eve = _random_channels(count, ne, na, seed=22 + ne)
-    padded = np.concatenate([eve, np.zeros((count, 2, na), dtype=complex)], axis=1)
-    spectrum = np.linalg.eigh(herm(eve) @ eve)
-    nulled = 0
-    for name, d in _kernel_designs(h, eve, power_p):
-        got = eve_combiners(padded, d.t, d.factor, spectrum, sigma_sq)
-        want = mmse_combiners(padded, d.t, d.factor, sigma_sq)
-        assert not got[:, ne:].any(), name
-        data_power = d.rho * power_p
-        sinr_got = link(padded, d.t, data_power, d.factor, got, sigma_sq)[0]
-        sinr_want = link(padded, d.t, data_power, d.factor, want, sigma_sq)[0]
-        live = sinr_want >= 1e-20
-        nulled += np.count_nonzero(~live)
-        assert np.all(sinr_got[~live] < 1e-20), name
-        unit_got = got / np.linalg.norm(got, axis=-1, keepdims=True)
-        unit_want = want / np.linalg.norm(want, axis=-1, keepdims=True)
-        overlap = np.sum(unit_want.conj() * unit_got, axis=-1)[live]
-        assert np.all(1.0 - np.abs(overlap) <= 1e-12), (name, float(np.max(1.0 - np.abs(overlap))))
-        assert np.all(np.abs(np.angle(overlap)) <= 1e-10), name
-    # Eve-aware designs null her while she has fewer antennas than Alice.
-    assert (nulled > 0) == (ne < na)
+    # perfect_csi_trial builds Eve's combiner from her spectrum; it points
+    # where the general push-through solve of eve_mmse_beamformer does, at a
+    # positive real scale, with fewer, as many and more antennas than the
+    # transmitter, at a reachable target and at one out of reach (beta = 0).
+    for k in range(12):
+        na, nb = [(4, 4), (4, 2), (3, 3)][k % 3]
+        chan = generate_channels(na, nb, ne, rng_seed=[61, ne, k], sigma_e_sq=sigma_sq)
+        for target in (30.0, 1e6):
+            scheme, _, w_e, _ = perfect_csi_trial(chan, target)
+            want = eve_mmse_beamformer(chan, scheme).w
+            overlap = np.vdot(want, w_e.w) / (np.linalg.norm(want) * np.linalg.norm(w_e.w))
+            assert 1.0 - abs(overlap) <= 1e-12, (k, target, 1.0 - abs(overlap))
+            assert abs(np.angle(overlap)) <= 1e-10, (k, target)
 
 
 @pytest.mark.parametrize("sigma_sq", [1.0, 0.3])
 @pytest.mark.parametrize("ne", [1, 3, 4, 8])
 def test_eve_combiner_by_solve_is_the_spectral_one(ne, sigma_sq):
-    # eve_combiners builds her combiner from her Gram stack by one solve, or
-    # from its spectrum; on every kernel's design, at a reachable target and
-    # at one out of reach (beta = 0, columns kept), with ne = 1, na - 1, na
-    # and 2 na, the two point the same way and give her the same SINR.  Her
-    # two zero rows of padding stay exactly zero, and the trial whose
-    # channel is exactly zero gets the stand-in from both.
+    # eve_link evaluates her figures at a combiner solved for from her Gram
+    # stack, or in closed form from its spectrum; on every kernel's design,
+    # at a reachable target and at one out of reach (beta = 0, columns
+    # kept), with ne = 1, na - 1, na and 2 na, the two agree to 1e-12.  Her
+    # stack carries two zero rows of padding, and the trial whose channel
+    # is exactly zero gets the stand-in's figures from both.
     count, na, power_p = 40, 4, 100.0
     h = _random_channels(count, na, na, seed=31)
     eve = _random_channels(count, ne, na, seed=32 + ne)
@@ -606,25 +584,20 @@ def test_eve_combiner_by_solve_is_the_spectral_one(ne, sigma_sq):
     eve[0] = 0.0
     padded = np.concatenate([eve, np.zeros((count, 2, na), dtype=complex)], axis=1)
     gram = herm(eve) @ eve
-    spectrum = np.linalg.eigh(gram)
+    spectrum = amplitude_spectrum(padded, gram)
     idle = 0
     for name, d in designs:
-        solved = eve_combiners(padded, d.t, d.factor, gram, sigma_sq)
-        spectral = eve_combiners(padded, d.t, d.factor, spectrum, sigma_sq)
-        for w in (solved, spectral):
-            assert not w[:, ne:].any(), name
-            np.testing.assert_array_equal(w[0], np.eye(ne + 2)[0], err_msg=name)
-        data_power = d.rho * power_p
-        sinr_solved = link(padded, d.t, data_power, d.factor, solved, sigma_sq)[0]
-        sinr_spectral = link(padded, d.t, data_power, d.factor, spectral, sigma_sq)[0]
-        live = sinr_spectral >= 1e-20
-        assert np.all(sinr_solved[~live] < 1e-20), name
-        assert np.all(np.abs(sinr_solved - sinr_spectral)[live] <= 1e-12 * sinr_spectral[live]), name
-        unit_solved = solved / np.linalg.norm(solved, axis=-1, keepdims=True)
-        unit_spectral = spectral / np.linalg.norm(spectral, axis=-1, keepdims=True)
-        overlap = np.sum(unit_spectral.conj() * unit_solved, axis=-1)[live]
-        assert np.all(1.0 - np.abs(overlap) <= 1e-12), (name, float(np.max(1.0 - np.abs(overlap))))
-        assert np.all(np.abs(np.angle(overlap)) <= 1e-10), name
+        routes = []
+        for route in (gram, spectrum):
+            sinr, sig, interf, noise = (np.broadcast_to(x, (count,)) for x in
+                                        transmit.eve_link(d, padded, route, power_p, sigma_sq))
+            assert (sinr[0], sig[0], interf[0], noise[0]) == (0.0, 0.0, 0.0, sigma_sq), name
+            routes.append(np.stack([sinr, sig, interf + noise]))
+        solved, spectral = routes
+        live = spectral[0] >= 1e-20
+        assert np.all(solved[0, ~live] < 1e-20), name
+        miss = np.abs(solved - spectral)[:, live] / spectral[:, live]
+        assert np.all(miss <= 1e-12), (name, float(miss.max()))
         if d.factor.shape[-1]:
             idle += np.count_nonzero(~d.factor.any(axis=(-2, -1)))
     # At the target out of reach all four interference kernels (perfect,
@@ -682,6 +655,36 @@ def test_the_spectral_route_evaluates_a_padded_ne_axis_against_the_loop():
     assert isinstance(blk.eve_gram(designs.values()), tuple)
     assert blk.eve.shape == (3, cfg.trials, 6, 4) and not blk.eve[0, :, 1:].any()
     assert_matches_loop(cfg)
+
+
+@pytest.mark.parametrize("na, ne", [(4, 1), (4, 3), (5, 4), (4, 4), (4, 8)])
+def test_eve_is_solved_for_only_where_the_solve_keeps_its_digits(na, ne):
+    # The solve's error grows with the square of power over noise, most at
+    # ne = na - 1, and from about 1e16 her loaded Gram matrix is singular.
+    # So a block solves only down to the noise floor; from 1e2 to 1e20 power
+    # over noise every run finishes, and each trial's SINR of Eve's is the
+    # closed form's from the block's spectrum to 1e-12.
+    for k in range(19):
+        cfg = ExperimentConfig(na=na, nb=na, ne=ne, sigma_e_sq=10.0 ** -k, power_db=20.0,
+                               schemes=("perfect",), trials=512)
+        assert run_experiment(cfg).series["perfect"]["n_valid"] == (cfg.trials,)
+        for lo in range(0, cfg.trials, harness.BLOCK_TRIALS):
+            hi = min(lo + harness.BLOCK_TRIALS, cfg.trials)
+            got = harness._run_block(cfg, lo, hi)[0, 0, 1]
+            blk = harness._Block(cfg, lo, hi)
+            d = blk.design("perfect")
+            solved = not isinstance(blk.eve_gram([d]), tuple)
+            assert solved == (cfg.sigma_e_sq >= harness._SOLVE_NOISE_FLOOR * cfg.power_p), k
+            want = transmit.eve_link(d, blk.eve, blk.eve_spectrum, cfg.power_p, cfg.sigma_e_sq)[0]
+            np.testing.assert_allclose(got, want[0], rtol=1e-12, atol=0, err_msg=f"k={k}")
+
+
+def test_a_vanishing_eve_noise_is_evaluated_in_closed_form():
+    # Far below the floor her loaded Gram matrix is singular to working
+    # precision; the block evaluates her from the spectrum instead.
+    cfg = ExperimentConfig(na=4, nb=4, ne=3, sigma_e_sq=1e-100, schemes=("perfect",), trials=50)
+    series = run_experiment(cfg).series["perfect"]
+    assert series["n_valid"] == (50,) and np.isfinite(series["mean_sinr_e"]).all()
 
 
 @pytest.mark.parametrize("sigma_sq", [1.0, 1e-100, 1e100])
