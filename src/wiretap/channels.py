@@ -159,7 +159,8 @@ class ChannelSet:
     @cached_property
     def eve_spectrum(self):
         """:func:`amplitude_spectrum` (lam, U) of Eve's Gram matrix, as a
-        stack of one, from which ``transmit.eve_link`` evaluates her MMSE link.
+        stack of one, from which ``transmit.eve_link`` evaluates her MMSE link;
+        with ne < na its na - ne smallest eigenvalues are exactly zero.
         Computed once per realization, however many designs it evaluates."""
         he = self.h_ea.entries[None]
         return amplitude_spectrum(he, herm(he) @ he)
@@ -167,13 +168,17 @@ class ChannelSet:
 
 def amplitude_spectrum(h: np.ndarray, gram: np.ndarray):
     """(lam, U) of the Gram stack ``gram`` = H^H H of the channels ``h``
-    (..., rows, na), whose leading axes broadcast against it: the
+    (..., rows, cols), whose leading axes broadcast against it: the
     eigenvectors U by ``eigh``, and each eigenvalue taken as the squared
     amplitude lam_i = ||H u_i||^2, which is never negative and resolves a
-    small eigenvalue far below eigh's own round-off of order eps ||G||."""
+    small eigenvalue far below eigh's own round-off of order eps ||G||.  A
+    matrix of ``h`` with r < cols nonzero rows has rank at most r, so its
+    cols - r smallest are set to exactly zero, not left at (eps ||H||)^2."""
     evecs = np.linalg.eigh(gram)[1]
     amps = h @ evecs
-    return (amps.conj() * amps).real.sum(axis=-2), evecs
+    lam = (amps.conj() * amps).real.sum(axis=-2)
+    null = h.shape[-1] - h.any(axis=-1).sum(axis=-1)
+    return np.where(np.arange(h.shape[-1]) < null[..., None], 0.0, lam), evecs
 
 
 def generate_channels(

@@ -541,8 +541,8 @@ class _Block:
     def eve_spectrum(self):
         """``channels.amplitude_spectrum`` (lam, U) of Eve's Gram matrices,
         one per draw of hers: (1, n, ...), or (points, n, ...) on the ne axis,
-        the eigenvalues the squared amplitudes of her channels along U; read
-        only where each draw serves more than one combiner (:meth:`eve_gram`)."""
+        where her padded rows leave each point's na - ne smallest exactly
+        zero; read only where :meth:`eve_gram` returns it."""
         return amplitude_spectrum(self.eve, self.gram_e["known_ecsi"])
 
     def eve_gram(self, designs):

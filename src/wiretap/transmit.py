@@ -19,7 +19,8 @@ those kernels on a batch of one at one target and wrap the results in
 with one exception: they evaluate Eve's link in closed form from her
 spectrum, whereas sweeps where each draw of hers serves one combiner
 (``harness``) solve for it, so there the engine's Eve columns match them
-only to round-off.
+only to round-off.  Every Eve combiner the package returns is built one
+way, by :func:`eve_mmse_beamformer` for a scheme of any factor.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import ChannelSet, SvdStack, as_matrix, partition_svd
+from .channels import ChannelSet, SvdStack, amplitude_spectrum, as_matrix, partition_svd
 from .exceptions import DegenerateChannelError, DimensionError, ParameterError
 from .stacked import any_true, herm, matvec, norm, outer, vdot
 
@@ -403,8 +404,8 @@ def whitened_combiner(evecs, lam, signature, beta, sigma_sq):
 
     Works over leading batch axes; ``beta`` and ``sigma_sq`` may be scalars
     or arrays over those axes.  Bob's robust receivers whiten the
-    interference they expect with it, and :func:`perfect_csi_trial` builds
-    the eavesdropper's MMSE combiner from it.
+    interference they expect with it, and :func:`eve_mmse_beamformer` builds
+    every eavesdropper combiner the package returns from it.
     """
     proj = matvec(herm(evecs), signature)
     scale = np.asarray(beta)[..., None] * lam + np.asarray(sigma_sq)[..., None]
@@ -429,7 +430,8 @@ def eve_link(d: Design, eve, gram, power_p: float, sigma_sq: float):
     H y for y = (beta G + sigma^2 I)^-1 t, G = H^H H.  Given the Gram stack
     G, y is one stacked solve, which loses digits as beta ||G|| / sigma^2
     grows, and the figures are :func:`link`'s at H y.  Given its spectrum
-    (lam, U) from ``channels.amplitude_spectrum``, no combiner is built: with
+    (lam, U) from ``channels.amplitude_spectrum``, whose eigenvalues on her
+    null space are exactly zero, no combiner is built: with
     p = U^H t and d_i = beta lam_i + sigma^2, y = U (p / d), so t^H G y is
     c = sum lam_i |p_i|^2 / d_i and ||H y||^2 is N = sum lam_i |p_i|^2 / d_i^2.
     The signal is rho P c^2 / N, and the interference beta (||G y||^2 - c^2)
@@ -437,7 +439,8 @@ def eve_link(d: Design, eve, gram, power_p: float, sigma_sq: float):
     (lam_i - lam_j)^2 / (d_i d_j)^2 / N, every term of which is nonnegative
     (the single-user case of Gao, Smith and Clark, IEEE Trans. Commun. 46(5),
     1998).  A row whose combiner would be exactly zero (N = 0: an all-zero
-    channel) gets the figures of the stand-in of :func:`mmse_combiners`.
+    channel) gets the figures of its stand-in, the first unit vector
+    (:func:`_nulled_stand_in`).
     """
     data_power = d.rho * power_p
     if d.factor.shape[-1] == 0:
@@ -475,25 +478,6 @@ def eve_link(d: Design, eve, gram, power_p: float, sigma_sq: float):
         stand_in = link(eve, d.t, data_power, d.factor, np.eye(eve.shape[-2])[0], sigma_sq)
         figures = tuple(np.where(nulled, a, b) for a, b in zip(stand_in, figures))
     return figures
-
-
-def mmse_combiners(h: np.ndarray, t: np.ndarray, factor: np.ndarray, sigma_sq: float) -> np.ndarray:
-    """The eavesdropper's max-SINR combiners for any interference factor.
-
-    She knows her own channel and the full transmit configuration, so her
-    combiner solves (H Q H^H + sigma^2 I) w = H t with Q = F F^H for the
-    interference factor ``factor`` (F).  It is solved in push-through form,
-    w = H (Q H^H H + sigma^2 I)^-1 t, an na x na LU solve whatever her
-    antenna count, so all-zero rows of H (a stack padded to her largest
-    count) give exactly zero entries of w.  A design that nulls her exactly
-    leaves the solution at zero, where any combiner is equally good; the
-    first unit vector stands in so the zero SINR is still reportable.  The
-    sweeps and the single-channel trials evaluate kernel designs, whose
-    structure :func:`eve_link` exploits instead; this general solve serves
-    :func:`eve_mmse_beamformer`, whose scheme may carry any factor.
-    """
-    push = factor @ herm(factor) @ (herm(h) @ h) + sigma_sq * np.eye(h.shape[-1])
-    return _nulled_stand_in(matvec(h, np.linalg.solve(push, t[..., None])[..., 0]))
 
 
 def _nulled_stand_in(w: np.ndarray) -> np.ndarray:
@@ -698,10 +682,21 @@ def bob_matched_beamformer(chan: ChannelSet, scheme: TxScheme) -> RxBeamformer:
 
 
 def eve_mmse_beamformer(chan: ChannelSet, scheme: TxScheme) -> RxBeamformer:
-    """The best linear receiver the eavesdropper can run; see :func:`mmse_combiners`."""
-    w = mmse_combiners(chan.h_ea.entries[None], scheme.t[None], scheme.q_z_factor[None],
-                       chan.sigma_e_sq)
-    return RxBeamformer(w=w[0], kind="mmse")
+    """The best linear receiver the eavesdropper can run, for any factor F.
+
+    She knows her channel H and the scheme, so her combiner is
+    (B B^H + sigma^2 I)^-1 H t for B = H F: :func:`whitened_combiner` at
+    beta = 1 over ``channels.amplitude_spectrum`` of B B^H from B^H, so
+    where B has k < ne nonzero columns its ne - k smallest eigenvalues are
+    exactly zero.  A design that nulls her exactly leaves the combiner at
+    zero, where any combiner is equally good; the first unit vector stands
+    in so the zero SINR is still reportable.
+    """
+    he = chan.h_ea.entries
+    b_h = herm(he @ scheme.q_z_factor)
+    lam, evecs = amplitude_spectrum(b_h, herm(b_h) @ b_h)
+    w = whitened_combiner(evecs, lam, he @ scheme.t, 1.0, chan.sigma_e_sq)
+    return RxBeamformer(w=_nulled_stand_in(w), kind="mmse")
 
 
 def link_sinr(h, scheme: TxScheme, w, sigma_sq: float) -> LinkSinr:
@@ -745,15 +740,11 @@ def secrecy_capacity_full(chan: ChannelSet, scheme: TxScheme) -> float:
 def perfect_csi_trial(chan: ChannelSet, target_sinr: float, svd: SvdStack | None = None):
     """Run the whole perfect-knowledge pipeline for one channel.
 
-    Returns (scheme, bob beamformer, eve beamformer, report), Eve's the
-    combiner of :func:`eve_link` from her spectrum.  Convenience wrapper for
-    single-channel callers such as the self checks.
+    Returns (scheme, bob beamformer, eve beamformer, report), Eve's that of
+    :func:`eve_mmse_beamformer`.  Convenience wrapper for single-channel
+    callers such as the self checks.
     """
     part = svd if svd is not None else partition_svd(chan.h_ba)
     d = single_artificial_noise(chan, part, part, target_sinr)
     scheme, report, _, _ = run_trial(chan, d, target_sinr)
-    lam, evecs = chan.eve_spectrum
-    y = whitened_combiner(evecs, lam, d.t, noise_beta(d.rho, chan.power_p, chan.na),
-                          chan.sigma_e_sq)
-    w_e = _nulled_stand_in(matvec(chan.h_ea.entries[None], y)).reshape(-1)
-    return scheme, RxBeamformer(d.w_b[0, 0], "matched"), RxBeamformer(w_e, "mmse"), report
+    return scheme, RxBeamformer(d.w_b[0, 0], "matched"), eve_mmse_beamformer(chan, scheme), report

@@ -16,11 +16,13 @@ Eve-aware design direction (with ``scipy.linalg.null_space`` where both
 Gram matrices are singular), and ``_reduce`` the per-(scheme, point) loop
 that reduced per-trial metrics to series; the library's stacked versions
 must reproduce them.  ``mmse_combiner`` is the eavesdropper's combiner by
-scipy's Cholesky solve, and ``solve_fraction`` the power-fraction root by
-``scipy.optimize.brentq`` at its tolerances ``_XTOL`` and ``_RTOL``; the
-library's LU solve of Eve's combiner must agree with the former, and its
-Newton root solve with the latter's outage flags and, within those
-tolerances, its roots.
+scipy's Cholesky solve, ``eve_sinr`` her SINR at it summed over the
+eigenpairs of her interference covariance, and ``solve_fraction`` the
+power-fraction root by ``scipy.optimize.brentq`` at its tolerances
+``_XTOL`` and ``_RTOL``; the library's spectral construction of Eve's
+combiner must agree with the first, its Eve SINRs at any noise with the
+second, and its Newton root solve with the third's outage flags and,
+within those tolerances, its roots.
 
 ``second_moment_tensor`` is the four-stage ``einsum`` contraction of a
 full error covariance into the singular bases, against which the library's
@@ -642,6 +644,19 @@ def mmse_combiner(h, t, q, sigma_sq: float) -> np.ndarray:
     """Max-SINR combiner (H Q H^H + sigma^2 I)^-1 H t by a Cholesky solve."""
     cov = h @ q @ h.conj().T + sigma_sq * np.eye(h.shape[0])
     return scipy.linalg.solve(cov, h @ t, assume_a="pos")
+
+
+def eve_sinr(h_e, t, factor, data_power: float, sigma_sq: float) -> float:
+    """Eve's SINR at her MMSE combiner, rho P t^H H^H (A + sigma^2 I)^-1 H t
+    for A = (H F)(H F)^H, as rho P sum_i |v_i^H H t|^2 / (mu_i + sigma^2) over
+    the ``eigh`` of A.  A is ne x ne of rank at most k, F's column count, so
+    its ne - k smallest eigenvalues are set to zero by shape; read from
+    ``eigh`` they are round-off, which swamps a small sigma^2."""
+    b = h_e @ factor
+    mu, v = np.linalg.eigh(b @ b.conj().T)
+    mu[:max(h_e.shape[0] - factor.shape[1], 0)] = 0.0
+    proj = v.conj().T @ (h_e @ t)
+    return data_power * float(np.sum(np.abs(proj) ** 2 / (mu + sigma_sq)))
 
 
 # Absolute and relative root tolerances of the brentq oracle.

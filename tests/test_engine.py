@@ -7,10 +7,10 @@ same outage and flag columns, and must not depend on how trials are grouped
 into blocks.  The places where the engine deliberately uses a different
 algorithm than the single-channel path (among them Eve's link, evaluated in
 closed form from her spectrum or at a combiner from one lean solve rather
-than the general one) are checked against their counterparts directly, and
-so are the stacked Eve-aware directions, the stacked draws and the
-vectorised reduction against the per-matrix, per-trial and per-point code
-they replaced.
+than at the public beamformer's) are checked against their counterparts
+directly, and so are the stacked Eve-aware directions, the stacked draws
+and the vectorised reduction against the per-matrix, per-trial and
+per-point code they replaced.
 """
 from __future__ import annotations
 
@@ -59,7 +59,6 @@ from wiretap.transmit import (
     eve_aware_directions,
     eve_mmse_beamformer,
     link_sinr,
-    mmse_combiners,
     perfect_csi_trial,
     run_trial,
     secure_goodput,
@@ -483,51 +482,58 @@ def _random_channels(count: int, rows: int, cols: int, seed: int) -> np.ndarray:
     return np.stack([complex_gaussian(rng, rows, cols) for _ in range(count)])
 
 
+def _eve_combiner(h_e: np.ndarray, t: np.ndarray, factor: np.ndarray, sigma_sq: float):
+    """``eve_mmse_beamformer``'s combiner for Eve's channel ``h_e`` against the
+    direction ``t`` and interference factor ``factor``."""
+    na = h_e.shape[1]
+    chan = ChannelSet(h_ba=ChannelMatrix(np.eye(na, dtype=complex)), h_ea=ChannelMatrix(h_e),
+                      sigma_b_sq=1.0, sigma_e_sq=sigma_sq, power_p=100.0)
+    scheme = transmit.TxScheme(t=t, rho=0.5, power_p=100.0, target_sinr=1.0, q_z_factor=factor)
+    return eve_mmse_beamformer(chan, scheme).w
+
+
 def test_stacked_lu_solve_matches_the_cholesky_solve():
+    # The public beamformer, whitened over the spectrum of Eve's interference
+    # covariance, against the oracle's Cholesky solve, with 20 antennas
+    # against 3 interference columns: 17 eigenvalues are zero by shape.
     h = _random_channels(40, 20, 4, seed=1)
     part = partition_stack(_random_channels(40, 4, 4, seed=2))
     t = part.v[..., 0]
     factor = np.sqrt(30.0) * part.v[..., 1:]
     q = factor @ np.swapaxes(factor, -1, -2).conj()
-    stacked = mmse_combiners(h, t, factor, 1.0)
     for i in range(len(h)):
         cholesky = oracles.mmse_combiner(h[i], t[i], q[i], 1.0)
-        np.testing.assert_allclose(stacked[i], cholesky, rtol=1e-11, atol=0)
+        np.testing.assert_allclose(_eve_combiner(h[i], t[i], factor[i], 1.0), cholesky,
+                                   rtol=1e-11, atol=0)
 
 
 def test_stacked_solve_substitutes_the_unit_vector_for_a_zero_solution():
     h = np.zeros((2, 3, 2), dtype=complex)
     h[1] = _random_channels(1, 3, 2, seed=3)[0]
-    t = np.tile(np.array([1.0, 0.0], dtype=complex), (2, 1))
-    # A zero factor and one without columns take the same solve.  Eve's
-    # figures on an all-zero channel are checked on both of eve_link's
+    t = np.array([1.0, 0.0], dtype=complex)
+    # A zero factor and one without columns take the same construction.
+    # Eve's figures on an all-zero channel are checked on both of eve_link's
     # routes in test_an_all_zero_eve_channel_gets_the_stand_ins_figures.
     for columns in (1, 0):
-        factor = np.zeros((2, 2, columns), dtype=complex)
-        w = mmse_combiners(h, t, factor, 1.0)
-        np.testing.assert_array_equal(w[0], [1.0, 0.0, 0.0])
-        np.testing.assert_allclose(w[1], h[1] @ t[1])
+        factor = np.zeros((2, columns), dtype=complex)
+        np.testing.assert_array_equal(_eve_combiner(h[0], t, factor, 1.0), [1.0, 0.0, 0.0])
+        np.testing.assert_allclose(_eve_combiner(h[1], t, factor, 1.0), h[1] @ t)
 
 
 @pytest.mark.parametrize("sigma_sq", [1.0, 0.3, 4.0])
 def test_push_through_solve_is_the_direct_solve(sigma_sq):
-    # H (Q H^H H + s I)^-1 t = (H Q H^H + s I)^-1 H t: the na x na solve gives
-    # the ne x ne one for Eve with fewer, as many and more antennas than the
-    # transmitter, with and without interference, and zero rows padded onto
-    # her channel stay exactly zero in the combiner.
+    # The public beamformer is the direct ne x ne solve of
+    # (H Q H^H + s I) w = H t for Eve with fewer, as many and more antennas
+    # than the transmitter, with and without interference.
     part = partition_stack(_random_channels(30, 4, 4, seed=5))
     t = part.v[..., 0]
     for ne in (2, 4, 9):
         h = _random_channels(30, ne, 4, seed=4 + ne)
-        padded = np.concatenate([h, np.zeros((30, 3, 4))], axis=1)
         for factor in (np.sqrt(30.0) * part.v[..., 1:], np.zeros((30, 4, 0), dtype=complex)):
             cov = h @ (factor @ herm(factor)) @ herm(h) + sigma_sq * np.eye(ne)
             direct = np.linalg.solve(cov, h @ t[..., None])[..., 0]
-            got = mmse_combiners(h, t, factor, sigma_sq)
+            got = np.stack([_eve_combiner(h[i], t[i], factor[i], sigma_sq) for i in range(30)])
             np.testing.assert_allclose(got, direct, rtol=1e-10, atol=1e-13 * np.abs(direct).max())
-            w = mmse_combiners(padded, t, factor, sigma_sq)
-            assert not w[:, ne:].any()
-            np.testing.assert_allclose(w[:, :ne], got, rtol=1e-13, atol=0)
 
 
 def _kernel_designs(h: np.ndarray, eve: np.ndarray, power_p: float):
@@ -553,16 +559,17 @@ def _kernel_designs(h: np.ndarray, eve: np.ndarray, power_p: float):
 @pytest.mark.parametrize("sigma_sq", [1.0, 0.3])
 @pytest.mark.parametrize("ne", [2, 4, 7])
 def test_spectral_combiner_is_the_push_through_solve(ne, sigma_sq):
-    # perfect_csi_trial builds Eve's combiner from her spectrum; it points
-    # where the general push-through solve of eve_mmse_beamformer does, at a
-    # positive real scale, with fewer, as many and more antennas than the
-    # transmitter, at a reachable target and at one out of reach (beta = 0).
+    # perfect_csi_trial returns Eve's combiner built from the spectrum of her
+    # interference covariance; it points where the oracle's Cholesky solve
+    # does, at a positive real scale, with fewer, as many and more antennas
+    # than the transmitter, at a reachable target and at one out of reach
+    # (beta = 0).
     for k in range(12):
         na, nb = [(4, 4), (4, 2), (3, 3)][k % 3]
         chan = generate_channels(na, nb, ne, rng_seed=[61, ne, k], sigma_e_sq=sigma_sq)
         for target in (30.0, 1e6):
             scheme, _, w_e, _ = perfect_csi_trial(chan, target)
-            want = eve_mmse_beamformer(chan, scheme).w
+            want = oracles.mmse_combiner(chan.h_ea.entries, scheme.t, scheme.q_z, sigma_sq)
             overlap = np.vdot(want, w_e.w) / (np.linalg.norm(want) * np.linalg.norm(w_e.w))
             assert 1.0 - abs(overlap) <= 1e-12, (k, target, 1.0 - abs(overlap))
             assert abs(np.angle(overlap)) <= 1e-10, (k, target)
@@ -687,6 +694,71 @@ def test_a_vanishing_eve_noise_is_evaluated_in_closed_form():
     assert series["n_valid"] == (50,) and np.isfinite(series["mean_sinr_e"]).all()
 
 
+def _engine_eve_sinrs(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Eve's SINR of every (point, scheme, trial) of ``cfg``, from the engine
+    and from ``oracles.eve_sinr`` on the block's own draws and designs."""
+    got = harness._run_chunk(cfg, 0, cfg.trials)[:, :, harness.METRICS.index("sinr_e")]
+    blk = harness._Block(cfg, 0, cfg.trials)
+    want = np.empty_like(got)
+    for s, name in enumerate(cfg.schemes):
+        d = blk.design(name)
+        for p, ne in enumerate(blk.ne[:, 0]):
+            eve = blk.eve[p] if blk.eve.ndim == 4 else blk.eve
+            for i in range(cfg.trials):
+                t, rho, factor = (f[min(p, len(f) - 1), i] for f in (d.t, d.rho, d.factor))
+                want[p, s, i] = oracles.eve_sinr(eve[i, :ne], t, factor, rho * cfg.power_p,
+                                                 cfg.sigma_e_sq)
+    return got, want
+
+
+@pytest.mark.parametrize("ne, schemes, noises", [
+    ((1, 2, 3, 4, 6), ("perfect", "naive"), (1.0, 1e-30)),
+    (3, ("perfect",), (1e-30,)),
+], ids=["ne_axis", "one_point"])
+def test_the_engines_eve_sinr_is_the_oracles(ne, schemes, noises):
+    # Her SINR over her interference covariance's own eigenpairs, whose null
+    # eigenvalues are zero by shape, on an ne axis (closed form from the
+    # spectrum of a padded stack) and on one point at ne = na - 1, below the
+    # solve's noise floor: with ne < na her Gram matrix's null eigenvalues
+    # must not count as directions she hears along.
+    for sigma_e_sq in noises:
+        cfg = ExperimentConfig(na=4, nb=4, ne=ne, schemes=schemes, sigma_h_db=-20.0,
+                               sigma_e_sq=sigma_e_sq, trials=200 if len(schemes) > 1 else 20)
+        got, want = _engine_eve_sinrs(cfg)
+        miss = np.abs(got - want) / want
+        assert np.all(miss <= 1e-12), (sigma_e_sq, float(miss.max()))
+
+
+def test_the_single_channel_eve_sinr_is_the_oracles():
+    # From 1e4 to 1e102 power over noise, with fewer, as many and more
+    # antennas than the transmitter, without a warning.
+    for ne in (1, 3, 4, 8):
+        for sigma_sq in (1e-2, 1e-16, 1e-30, 1e-60, 1e-100):
+            for k in range(20):
+                chan = generate_channels(4, 4, ne, rng_seed=[71, ne, k], sigma_e_sq=sigma_sq,
+                                         power_p=100.0)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    scheme, _, _, report = perfect_csi_trial(chan, 100.0)
+                want = oracles.eve_sinr(chan.h_ea.entries, scheme.t, scheme.q_z_factor,
+                                        scheme.data_power, sigma_sq)
+                assert abs(report.sinr_e - want) <= 1e-12 * want, (ne, sigma_sq, k)
+
+
+@pytest.mark.parametrize("sigma_sq", [1e-14, 1e-15, 1e-30, 1e-100])
+def test_eve_mmse_beamformer_holds_at_a_vanishing_noise(sigma_sq):
+    # With ne = na - 1 her interference covariance is full rank and her
+    # combiner is built for any noise a channel set accepts; at it her SINR
+    # is the oracle's.
+    for k in range(300):
+        chan = generate_channels(4, 4, 3, rng_seed=[7, k], sigma_e_sq=sigma_sq, power_p=100.0)
+        scheme = transmit.design_artificial_noise(chan, partition_svd(chan.h_ba), 100.0)
+        got = link_sinr(chan.h_ea, scheme, eve_mmse_beamformer(chan, scheme), sigma_sq).sinr
+        want = oracles.eve_sinr(chan.h_ea.entries, scheme.t, scheme.q_z_factor,
+                                scheme.data_power, sigma_sq)
+        assert abs(got - want) <= 1e-12 * want, k
+
+
 @pytest.mark.parametrize("sigma_sq", [1.0, 1e-100, 1e100])
 def test_an_all_zero_eve_channel_gets_the_stand_ins_figures(sigma_sq):
     # Her combiner would be exactly zero, so both routes and the matched one
@@ -742,8 +814,8 @@ def _eve_linear_algebra(monkeypatch, cfg: ExperimentConfig, n: int):
     """Run one block of ``cfg``'s first ``n`` trials and return how many
     ``eigh`` calls took Eve's Gram matrices, the number of those matrices
     (her distinct draws: one per trial, or one per point and trial on the ne
-    axis) and the number of matrices in each ``solve``.  The general solve
-    is refused."""
+    axis) and the number of matrices in each ``solve``.  The public
+    beamformer is refused."""
     streams = [(harness._TAG_EVE, ne, p if isinstance(cfg.ne, tuple) else None)
                for p, ne in enumerate(harness._as_tuple(cfg.ne))]
     gram = np.stack([herm(x) @ x for x in harness._draws(cfg, 0, n, streams)])
@@ -759,11 +831,11 @@ def _eve_linear_algebra(monkeypatch, cfg: ExperimentConfig, n: int):
         return solve(a, b)
 
     def refused(*args, **kwargs):
-        raise AssertionError("the evaluation took the general solve")
+        raise AssertionError("the evaluation built a public Eve combiner")
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
     monkeypatch.setattr(np.linalg, "solve", solving)
-    monkeypatch.setattr(transmit, "mmse_combiners", refused)
+    monkeypatch.setattr(transmit, "eve_mmse_beamformer", refused)
     harness._run_block(cfg, 0, n)
     return sum(seen), len(gram) * n, solved
 
