@@ -84,22 +84,28 @@ class PerturbMoments:
       e_dsigma1     E{d sigma_1}: mean drift of the top singular value.
       e_dsigma1_sq  E{(d sigma_1)^2}: its second moment.
       e_dv1         E{dv_1}: first column of e_dv_s (n_tx,).
+      iid_drift     the real c with E{dv_1} = c v_1 when the moments come
+                    from an i.i.d. error model (``CsiErrorModel.iid``),
+                    else None.  It records the model's kind, from which
+                    the statistical receiver takes its closed form
+                    (``robust.robust_tdd``) rather than whiten by ``eigh``.
       e_dv1_outer   E{dv_1 dv_1^H}: spread of the dominant right vector
                     around its mean, Hermitian PSD (n_tx x n_tx).  Its trace
                     equals the leaked power E{1 - |v_1^H v~_1|^2}, so
                     v_1 v_1^H + v_1 e_dv1^H + e_dv1 v_1^H + e_dv1_outer is a
                     trace-one model of E{v~_1 v~_1^H}.
 
-    Only ``e_dsigma1``, ``e_dsigma1_sq`` and ``e_dv1`` are stored: they are
-    what the SINR prediction and the statistical receiver read.  The other
-    eight cost several times as much (covariance sandwiches and the drift
-    of every strong vector) and are built together on first access of any
-    of them, by ``_build``.
+    Only ``e_dsigma1``, ``e_dsigma1_sq``, ``e_dv1`` and ``iid_drift`` are
+    stored: they are what the SINR prediction and the statistical receiver
+    read.  The other eight cost several times as much (covariance
+    sandwiches and the drift of every strong vector) and are built together
+    on first access of any of them, by ``_build``.
     """
 
     e_dsigma1: float
     e_dsigma1_sq: float
     e_dv1: np.ndarray
+    iid_drift: float | None
     _build: Callable[[], dict[str, np.ndarray]] = field(repr=False, compare=False)
 
     @cached_property
@@ -121,7 +127,7 @@ class PerturbMoments:
         Every expectation is linear in the error covariance, so scaling by
         ``factor`` is exact.  The reciprocal gaps ``d`` describe the channel,
         not the error, and stay as they are.  The deferred fields are scaled
-        when they are built.
+        when they are built, and the error model's kind is kept.
         """
         if not (np.isfinite(factor) and factor >= 0):
             raise ParameterError(f"scale factor must be finite and >= 0, got {factor}")
@@ -134,6 +140,7 @@ class PerturbMoments:
             e_dsigma1=self.e_dsigma1 * factor,
             e_dsigma1_sq=self.e_dsigma1_sq * factor,
             e_dv1=self.e_dv1 * factor,
+            iid_drift=None if self.iid_drift is None else self.iid_drift * factor,
             _build=build,
         )
 
@@ -177,13 +184,14 @@ def compute_moments(svd: SvdStack, err: CsiErrorModel) -> PerturbMoments:
     """Closed-form perturbation moments of one channel's decomposition
     (:func:`~wiretap.channels.partition_svd`) under ``err``.
 
-    For i.i.d. error the three stored fields are the closed form
+    For i.i.d. error the stored fields are the closed form
     :func:`iid_moments` scaled by the error power, formed as the sweep
     engine forms them, so the single-channel prediction and statistical
-    receiver return the engine's numbers bit for bit.  For a full
-    covariance they come from the general expansion of :func:`_expansion`,
-    which also builds the eight deferred fields of either kind when one of
-    them is first read.
+    receiver return the engine's numbers bit for bit, and ``iid_drift``
+    holds the coefficient c of E{dv_1} = c v_1.  For a full covariance
+    ``iid_drift`` is None and the other three come from the general
+    expansion of :func:`_expansion`, which also builds the eight deferred
+    fields of either kind when one of them is first read.
 
     Raises :class:`IllConditionedGapError` when a singular-value gap is too
     small for the expansion to hold.
@@ -191,12 +199,13 @@ def compute_moments(svd: SvdStack, err: CsiErrorModel) -> PerturbMoments:
     s = svd.single().s
     if err.kind != "iid":
         stored, build = _expansion(svd, err)
-        return PerturbMoments(*stored, build)
+        return PerturbMoments(*stored, None, build)
     closed = iid_moments(s, len(svd.v))
     power = err.sigma_h_sq
     return PerturbMoments(
         float(closed.e_dsigma1 * power), closed.e_dsigma1_sq * power,
-        (closed.drift * svd.v1) * power, lambda: _expansion(svd, err)[1](),
+        (closed.drift * svd.v1) * power, float(closed.drift * power),
+        lambda: _expansion(svd, err)[1](),
     )
 
 

@@ -9,7 +9,11 @@ recovery modes are modeled, differing in what the receiver knows:
   configuration and whiten the leaked interference it actually receives.
 * ``tdd``: the receiver knows only the true channel and the error
   statistics, so it whitens the expected interference instead, built from
-  the closed-form perturbation moments.
+  the closed-form perturbation moments.  For i.i.d. error the mean beam
+  drift lies along the nominal direction, the expected interference is
+  diagonal in the channel's left singular vectors, and the whitened
+  combiner is a closed-form multiple of the dominant one; only a full error
+  covariance needs an eigendecomposition.
 
 In both modes the receiver also picks the data-power fraction: it solves for
 the smallest fraction whose (predicted) output SINR meets the target and
@@ -206,8 +210,8 @@ def tdd_fraction(lam1, leak, target_sinr, power_p: float, sigma_b_sq: float, na:
 def loaded_noise(beta, lam, sigma_sq: float):
     """Noise level that keeps beta * lam + sigma^2 positive, elementwise.
 
-    The drift cross terms can push an eigenvalue of the expected covariance
-    slightly negative for large error power; definiteness is restored by
+    Off the i.i.d. error model the drift cross terms can push an eigenvalue
+    of the expected covariance negative; definiteness is restored by
     diagonal loading.  Returns (effective noise level, loaded flag).
     """
     n = lam.shape[-1]
@@ -221,32 +225,62 @@ def loaded_noise(beta, lam, sigma_sq: float):
 
 def robust_tdd(h, sigma1, u1, v1, e_dv1, v_tilde, targets, power_p: float, sigma_b_sq: float):
     """Statistics-only recovery designs for every entry of ``targets`` (one
-    :class:`Design`).
+    :class:`Design`), for i.i.d. error in closed form.
 
     The receiver knows its channel ``h`` with dominant singular triplet
     (``sigma1``, ``u1``, ``v1``) and the mean drift ``e_dv1`` of the
     transmitter's data direction, but not the estimate (right singular
-    vectors ``v_tilde``) the transmitter designs from.  It whitens the
-    expected interference shape, matches to the expected data signature
-    H (v1 + e_dv1), and requests the fraction :func:`tdd_fraction` sizes
-    against the mean leak, loading the whitening where it is indefinite
-    (``flagged``).  The eigendecomposition serves all targets.
+    vectors ``v_tilde``) the transmitter designs from.  It requests the
+    fraction :func:`tdd_fraction` sizes against the mean leak -2c for
+    c = :func:`~wiretap.perturbation.self_drift`, and whitens the expected
+    interference shape (:func:`tdd_shape`) to match the expected data
+    signature H (v1 + e_dv1).
+
+    For i.i.d. error e_dv1 = c v1 with c real and nonpositive, so the shape
+    is sum_{k>=2} sigma_k^2 u_k u_k^H - 2c sigma1^2 u1 u1^H, diagonal in the
+    left singular vectors and never indefinite, and the signature
+    (1 + c) sigma1 u1 is one of its eigenvectors.  The whitened combiner is
+    therefore
+
+        w_b = (1 + c) sigma1 / (beta (-2c) sigma1^2 + sigma_b^2) u1,
+
+    with no eigendecomposition and no loading: ``flagged`` is all False,
+    and ``h`` is read only through its triplet.  A drift off ``v1`` (a full
+    error covariance) takes :func:`whitened_tdd`.
     """
     if any_true(np.asarray(targets) <= 0):
         raise ParameterError(f"target_sinr must be positive, got {targets}")
     na = v_tilde.shape[-1]
-    lam, evecs = np.linalg.eigh(tdd_shape(h, sigma1, u1, e_dv1))
-    leak = -2.0 * self_drift(v1, e_dv1)
-    signature = matvec(h, v1 + e_dv1)
-    rho, outage = tdd_fraction(sigma1**2, leak, target_axis(targets, lam.ndim - 1), power_p,
-                               sigma_b_sq, na)
+    lam1, drift = sigma1**2, self_drift(v1, e_dv1)
+    leak = -2.0 * drift
+    rho, outage = tdd_fraction(lam1, leak, target_axis(targets, leak.ndim), power_p, sigma_b_sq,
+                               na)
     beta = noise_share(rho, power_p, na)
-    sigma_eff, loaded = loaded_noise(beta, lam, sigma_b_sq)
+    gain = (1.0 + drift) * sigma1 / (beta * leak * lam1 + sigma_b_sq)
     return Design(
         t=v_tilde[None, ..., 0], rho=rho, factor=noise_factors(v_tilde[..., 1:], rho, power_p),
-        w_b=whitened_combiner(evecs, lam, signature, beta, sigma_eff),
-        outage=outage, flagged=loaded,
+        w_b=gain[..., None] * u1, outage=outage, flagged=np.zeros_like(outage),
     )
+
+
+def whitened_tdd(h, sigma1, u1, v1, e_dv1, v_tilde, targets, power_p: float,
+                 sigma_b_sq: float):
+    """:func:`robust_tdd`'s designs for any mean drift ``e_dv1``, the drift
+    of a full error covariance included.
+
+    The same request, with Bob's combiner whitened by an eigendecomposition
+    of the expected interference shape :func:`tdd_shape`.  Off the i.i.d.
+    model the drift's cross terms can make that shape indefinite, which
+    diagonal loading restores (``flagged``).  Only the single-channel
+    receiver calls it, for moments of a full covariance.
+    """
+    d = robust_tdd(h, sigma1, u1, v1, e_dv1, v_tilde, targets, power_p, sigma_b_sq)
+    lam, evecs = np.linalg.eigh(tdd_shape(h, sigma1, u1, e_dv1))
+    beta = noise_share(d.rho, power_p, v_tilde.shape[-1])
+    sigma_eff, loaded = loaded_noise(beta, lam, sigma_b_sq)
+    signature = matvec(h, v1 + e_dv1)
+    return d._replace(w_b=whitened_combiner(evecs, lam, signature, beta, sigma_eff),
+                      flagged=loaded)
 
 
 def _fdd_trial(
@@ -294,9 +328,11 @@ def _tdd_trial(
 ) -> tuple[RxBeamformer, SinrReport, LinkSinr, LinkSinr, TxScheme]:
     """Statistical recovery for one trial from the channel's decomposition
     ``svd`` and the estimate's ``tilde`` (a stack of one): the batch of one
-    of :func:`robust_tdd`."""
+    of :func:`robust_tdd` for moments of i.i.d. error, else of
+    :func:`whitened_tdd`."""
     svd = svd.single()
-    d = robust_tdd(
+    kernel = whitened_tdd if moments.iid_drift is None else robust_tdd
+    d = kernel(
         chan.h_ba.entries[None], svd.sigma1[None], svd.u1[None], svd.v1[None],
         moments.e_dv1[None], tilde.v, (target_sinr,), chan.power_p, chan.sigma_b_sq,
     )
@@ -312,14 +348,18 @@ def tdd_receiver(chan: ChannelSet, svd: SvdStack, moments: PerturbMoments, err_s
     expected interference-plus-noise covariance built from the mean beam
     drift, matches to the expected data signature H (v_1 + E{dv_1}), and
     requests the power fraction sized against the mean leaked interference
-    (with the leak resummed to respect its physical bound).  The
-    transmitter keeps its own estimated directions but applies the
-    requested fraction.  The reported SINR is evaluated against the actual
-    transmission through the true channel, so it fluctuates around the
-    request; the average shortfall grows with the error power because the
-    beam's misalignment is deliberately not chased with extra data power.  A
-    misshapen error sample or a non-finite estimate is refused
-    (DimensionError, ParameterError).
+    (with the leak resummed to respect its physical bound).  For moments of
+    i.i.d. error (``moments.iid_drift`` set) that combiner is a known
+    multiple of u_1, built in closed form as the sweep engine builds it
+    (:func:`robust_tdd`), so the two give the same numbers bit for bit; for
+    a full error covariance it is whitened by an eigendecomposition
+    (:func:`whitened_tdd`).  The transmitter keeps its own estimated
+    directions but applies the requested fraction.  The reported SINR is
+    evaluated against the actual transmission through the true channel, so
+    it fluctuates around the request; the average shortfall grows with the
+    error power because the beam's misalignment is deliberately not chased
+    with extra data power.  A misshapen error sample or a non-finite
+    estimate is refused (DimensionError, ParameterError).
     """
     est = chan.h_ba.entries + matching(err_sample, chan.h_ba, "err_sample")
     tilde = partition_stack(finite(est, "H + err_sample")[None])

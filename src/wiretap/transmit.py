@@ -403,9 +403,10 @@ def whitened_combiner(evecs, lam, signature, beta, sigma_sq):
     A = U diag(lam) U^H, with U = ``evecs``.
 
     Works over leading batch axes; ``beta`` and ``sigma_sq`` may be scalars
-    or arrays over those axes.  Bob's robust receivers whiten the
-    interference they expect with it, and :func:`eve_mmse_beamformer` builds
-    every eavesdropper combiner the package returns from it.
+    or arrays over those axes.  Bob's exact-knowledge receiver, and his
+    statistical one off the i.i.d. error model, whiten the interference they
+    expect with it, and :func:`eve_mmse_beamformer` builds every
+    eavesdropper combiner the package returns from it.
     """
     proj = matvec(herm(evecs), signature)
     scale = np.asarray(beta)[..., None] * lam + np.asarray(sigma_sq)[..., None]

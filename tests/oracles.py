@@ -24,6 +24,11 @@ combiner must agree with the first, its Eve SINRs at any noise with the
 second, and its Newton root solve with the third's outage flags and,
 within those tolerances, its roots.
 
+``tdd_combiner`` is the statistical receiver's combiner whitened by an
+``eigh`` of the expected interference shape, with diagonal loading where it
+is indefinite; the engine's closed form for i.i.d. error must agree with it
+to round-off and never load.
+
 ``second_moment_tensor`` is the four-stage ``einsum`` contraction of a
 full error covariance into the singular bases, against which the library's
 two-matmul Kronecker form of the same tensor is checked.
@@ -564,23 +569,31 @@ def fdd_trial(chan: ChannelSet, part_tilde: SvdStack, target_sinr: float,
     return report, bob, eve, scheme
 
 
+def tdd_combiner(h: np.ndarray, sigma1: float, u1: np.ndarray, v1: np.ndarray,
+                 e_dv1: np.ndarray, beta: float, sigma_b_sq: float):
+    """The statistical receiver's combiner for one channel, whitened by an
+    ``eigh`` of the expected interference shape and loaded where that is
+    indefinite: (combiner, loaded)."""
+    lam, evecs = np.linalg.eigh(tdd_shape(h, sigma1, u1, e_dv1))
+    sigma_eff, loaded = loaded_noise(beta, lam, sigma_b_sq)
+    w = whitened_combiner(evecs, lam, h @ (v1 + e_dv1), beta, float(sigma_eff))
+    return w, bool(loaded)
+
+
 def tdd_trial(chan: ChannelSet, svd: SvdStack, moments, part_tilde: SvdStack,
               target_sinr: float):
     """Returns (report, Bob's link, Eve's link, scheme, loaded)."""
-    h = chan.h_ba.entries
-    signature = h @ (svd.v1 + moments.e_dv1)
-    lam, evecs = np.linalg.eigh(tdd_shape(h, svd.sigma1, svd.u1, moments.e_dv1))
     rho, outage = tdd_fraction(
         svd.sigma1**2, first_vector_leak(svd, moments), target_sinr,
         chan.power_p, chan.sigma_b_sq, chan.na,
     )
     rho, outage = float(rho), bool(outage)
     beta = noise_share(rho, chan.power_p, chan.na)
-    sigma_eff, loaded = loaded_noise(beta, lam, chan.sigma_b_sq)
+    w, loaded = tdd_combiner(chan.h_ba.entries, svd.sigma1, svd.u1, svd.v1, moments.e_dv1, beta,
+                             chan.sigma_b_sq)
     scheme = _transmitted(chan, part_tilde, rho, target_sinr, outage)
-    w = whitened_combiner(evecs, lam, signature, beta, float(sigma_eff))
     report, bob, eve = evaluate_links(chan, scheme, w, eve_mmse_beamformer(chan, scheme))
-    return report, bob, eve, scheme, bool(loaded)
+    return report, bob, eve, scheme, loaded
 
 
 # ------------------------------------------------------- Eve-aware direction

@@ -1170,6 +1170,33 @@ def test_eve_aware_directions_refuse_a_non_finite_gram(bad):
         eve_aware_directions(b, a, 1, 2)
 
 
+@pytest.mark.parametrize("preset", ["fig3_sinr_vs_target", "fig4_secrecy", "fig5_sigma_sweep"])
+def test_the_statistical_combiner_is_closed_form_on_the_sweeps(monkeypatch, preset):
+    # For i.i.d. error the expected interference is diagonal in Bob's left
+    # singular vectors and the expected signature lies along u1, so the
+    # engine builds his combiner as a multiple of u1 with no eigh.  It must
+    # be the oracle's eigh-whitened combiner to round-off, and never loaded.
+    cfg = preset_config(preset, trials=6, master_seed=14)
+    blk = harness._Block(cfg, 0, cfg.trials)
+    part, e_dv1 = blk.part, blk.e_dv1
+    args = (blk.h[None], part.sigma1[None], part.u1[None], part.v1[None], e_dv1, blk.tilde.v,
+            *blk.budget)
+    eighs = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, fn=np.linalg.eigh: eighs.append(a) or fn(*a))
+    d = robust.robust_tdd(*args)
+    monkeypatch.undo()
+    assert eighs == []
+    assert not d.flagged.any()
+    for k, level, i in np.ndindex(d.rho.shape):
+        w = d.w_b[k, level, i]
+        assert 1.0 - abs(np.vdot(w / np.linalg.norm(w), part.u1[i])) <= 1e-14
+        beta = transmit.noise_share(d.rho[k, level, i], cfg.power_p, cfg.na)
+        want, loaded = oracles.tdd_combiner(blk.h[i], part.sigma1[i], part.u1[i], part.v1[i],
+                                            e_dv1[level, i], beta, cfg.sigma_b_sq)
+        assert not loaded
+        assert np.linalg.norm(w - want) <= 1e-12 * np.linalg.norm(want)
+
+
 # ------------------------------------------------------------ draws and reduction
 
 

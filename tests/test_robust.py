@@ -22,9 +22,9 @@ from wiretap.robust import (
     _fdd_trial,
     _tdd_trial,
     fdd_receiver,
-    robust_tdd,
     tdd_receiver,
     tdd_shape,
+    whitened_tdd,
 )
 from wiretap import robust, transmit
 from wiretap.transmit import link_sinr
@@ -36,6 +36,16 @@ SIGMA_SQ = 0.1  # -10 dB error power, where recovery matters most
 def _error(chan, seed):
     rng = default_rng(SeedSequence([31, seed]))
     return np.sqrt(SIGMA_SQ) * complex_gaussian(rng, chan.nb, chan.na)
+
+
+def _error_model(chan, kind):
+    """For ``kind`` "full" a correlated error covariance of mean per-entry
+    power ``SIGMA_SQ``, else i.i.d. error of that power."""
+    if kind != "full":
+        return CsiErrorModel.iid(SIGMA_SQ)
+    size = chan.nb * chan.na
+    root = complex_gaussian(default_rng(SeedSequence([31, 99])), size, size)
+    return CsiErrorModel.full(SIGMA_SQ * (root @ root.conj().T) / size)
 
 
 def _tilde(h_tilde):
@@ -120,12 +130,22 @@ class TestTddReceiver:
         _, report = tdd_receiver(chan, svd, moments, np.zeros((4, 4)), TARGET)
         assert report.sinr_b == pytest.approx(TARGET, rel=1e-9)
 
-    def test_expected_signature_drives_the_match(self):
+    @pytest.mark.parametrize("model", ["iid", "full", "iid_scaled"])
+    def test_expected_signature_drives_the_match(self, monkeypatch, model):
+        # i.i.d. moments, scaled ones included, take the closed form and a
+        # full covariance the eigendecomposition; both whiten the same way.
         chan = generate_channels(5, 5, 2, rng_seed=3)
         svd = partition_svd(chan.h_ba)
-        moments = compute_moments(svd, CsiErrorModel.iid(SIGMA_SQ))
+        moments = compute_moments(svd, _error_model(chan, model))
+        if model == "iid_scaled":
+            moments = moments.scaled(0.5)
+        assert (moments.iid_drift is None) == (model == "full")
+        whitened = []
+        monkeypatch.setattr(robust, "whitened_tdd",
+                            lambda *a, fn=robust.whitened_tdd: whitened.append(a) or fn(*a))
         h_tilde = chan.h_ba.entries + _error(chan, 3)
         beam, _, _, _, scheme = _tdd_trial(chan, svd, moments, _tilde(h_tilde), TARGET)
+        assert len(whitened) == (model == "full")
         # The combiner whitens the expected interference shape and matches
         # the expected signature H (v1 + E{dv1}).
         h = chan.h_ba.entries
@@ -154,10 +174,13 @@ class TestTddReceiver:
         # the cross terms indefinite; a fabricated drift forces that corner.
         chan = generate_channels(4, 4, 2, rng_seed=9)
         svd = partition_svd(chan.h_ba)
+        # Such a drift is not i.i.d. error's, so the moments are marked as a
+        # full covariance's and take the general whitening path.
         drift = 3.0 * svd.v[:, 1]
-        moments = replace(compute_moments(svd, CsiErrorModel.zero()), e_dv1=drift.astype(complex))
+        moments = replace(compute_moments(svd, CsiErrorModel.zero()), e_dv1=drift.astype(complex),
+                          iid_drift=None)
         tilde = _tilde(chan.h_ba.entries + _error(chan, 4))
-        design = robust_tdd(
+        design = whitened_tdd(
             chan.h_ba.entries[None], np.array([svd.sigma1]), svd.u1[None], svd.v1[None],
             moments.e_dv1[None], tilde.v, (TARGET,), chan.power_p, chan.sigma_b_sq,
         ).at(0)
