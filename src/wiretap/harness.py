@@ -550,12 +550,12 @@ class _Block:
         combiners of ``designs``, where each draw of hers serves at most one
         and her noise is at least ``_SOLVE_NOISE_FLOOR`` times the power;
         else :attr:`eve_spectrum`, from which it evaluates her link in closed
-        form.  Each design with interference columns forms one combiner per
-        entry of its points axis broadcast against her draws axis, so the
-        route depends on the config alone."""
+        form.  Each design that sends interference (``beta`` set) forms one
+        combiner per entry of its points axis broadcast against her draws
+        axis, so the route depends on the config alone."""
         cfg, draws = self.cfg, len(self.gram_e["known_ecsi"])
-        served = sum(max(len(d.t), len(d.factor), draws)
-                     for d in designs if d.factor.shape[-1]) // draws
+        served = sum(max(len(d.t), len(d.beta), draws)
+                     for d in designs if d.beta is not None) // draws
         exact = cfg.sigma_e_sq >= _SOLVE_NOISE_FLOOR * cfg.power_p
         return self.eve_spectrum if served > (1 if exact else 0) else self.gram_e["known_ecsi"]
 
@@ -568,7 +568,7 @@ class _Block:
         """Scheme ``name``'s designs, each field (points or 1, n, ...), from
         one kernel call whose fields are (targets or 1, values or 1, n, ...),
         of which only the swept axis is longer than one."""
-        return Design(*(f.reshape((f.shape[0] * f.shape[1],) + f.shape[2:])
+        return Design(*(f if f is None else f.reshape((f.shape[0] * f.shape[1],) + f.shape[2:])
                         for f in _DESIGNS[name](self)))
 
 

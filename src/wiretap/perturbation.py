@@ -447,7 +447,7 @@ def naive_trial(chan: ChannelSet, err_sample: np.ndarray, target_sinr: float, *,
     part = svd if svd is not None else partition_svd(chan.h_ba)
     tilde = partition_svd(chan.h_ba.entries + matching(err_sample, chan.h_ba, "err_sample"))
     d = single_artificial_noise(chan, tilde, part, target_sinr)
-    scheme, report, bob, eve = run_trial(chan, d, target_sinr)
+    scheme, report, bob, eve = run_trial(chan, d, target_sinr, tilde.v)
     return report, bob, eve, scheme
 
 

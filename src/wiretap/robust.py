@@ -29,16 +29,16 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import ChannelSet, SvdStack, finite, matching, partition_stack
-from .exceptions import ParameterError
 from .perturbation import PerturbMoments, self_drift
-from .stacked import any_true, herm, matvec, outer
+from .stacked import herm, matvec, outer
 from .transmit import (
     Design,
     LinkSinr,
     RxBeamformer,
     SinrReport,
     TxScheme,
-    noise_factors,
+    check_target,
+    noise_beta,
     noise_share,
     run_trial,
     target_axis,
@@ -82,8 +82,7 @@ def solve_fractions(lam, weights, power_p: float, na: int, sigma_sq: float, targ
     that entry alone, so a batch gives each entry's value bit for bit.
     Returns (rho, outage).
     """
-    if any_true(target_sinr <= 0):
-        raise ParameterError(f"target_sinr must be positive, got {target_sinr}")
+    check_target(target_sinr)
     shape = np.broadcast_shapes(lam.shape[:-1], np.shape(target_sinr))
     target = np.broadcast_to(target_sinr, shape)
     lam = np.broadcast_to(lam, shape + lam.shape[-1:])
@@ -157,12 +156,9 @@ def robust_fdd(h_design, v_tilde, targets, power_p: float, sigma_b_sq: float):
     rho, outage = solve_fractions(
         lam, weights, power_p, na, sigma_b_sq, target_axis(targets, lam.ndim - 1)
     )
-    beta = noise_share(rho, power_p, na)
-    return Design(
-        t=v_tilde[None, ..., 0], rho=rho, factor=noise_factors(v_tilde[..., 1:], rho, power_p),
-        w_b=whitened_combiner(evecs, lam, signature, beta, sigma_b_sq), outage=outage,
-        flagged=np.zeros_like(outage),
-    )
+    share = noise_share(rho, power_p, na)
+    return Design(t=v_tilde[None, ..., 0], rho=rho, beta=noise_beta(rho, power_p, na),
+                  w_b=whitened_combiner(evecs, lam, signature, share, sigma_b_sq), outage=outage)
 
 
 def tdd_shape(h, sigma1, u1, e_dv1):
@@ -244,23 +240,20 @@ def robust_tdd(h, sigma1, u1, v1, e_dv1, v_tilde, targets, power_p: float, sigma
 
         w_b = (1 + c) sigma1 / (beta (-2c) sigma1^2 + sigma_b^2) u1,
 
-    with no eigendecomposition and no loading: ``flagged`` is all False,
-    and ``h`` is read only through its triplet.  A drift off ``v1`` (a full
-    error covariance) takes :func:`whitened_tdd`.
+    with no eigendecomposition and no loading, and ``h`` is read only
+    through its triplet.  A drift off ``v1`` (a full error covariance)
+    takes :func:`whitened_tdd`.
     """
-    if any_true(np.asarray(targets) <= 0):
-        raise ParameterError(f"target_sinr must be positive, got {targets}")
+    check_target(targets)
     na = v_tilde.shape[-1]
     lam1, drift = sigma1**2, self_drift(v1, e_dv1)
     leak = -2.0 * drift
     rho, outage = tdd_fraction(lam1, leak, target_axis(targets, leak.ndim), power_p, sigma_b_sq,
                                na)
-    beta = noise_share(rho, power_p, na)
-    gain = (1.0 + drift) * sigma1 / (beta * leak * lam1 + sigma_b_sq)
-    return Design(
-        t=v_tilde[None, ..., 0], rho=rho, factor=noise_factors(v_tilde[..., 1:], rho, power_p),
-        w_b=gain[..., None] * u1, outage=outage, flagged=np.zeros_like(outage),
-    )
+    share = noise_share(rho, power_p, na)
+    gain = (1.0 + drift) * sigma1 / (share * leak * lam1 + sigma_b_sq)
+    return Design(t=v_tilde[None, ..., 0], rho=rho, beta=noise_beta(rho, power_p, na),
+                  w_b=gain[..., None] * u1, outage=outage)
 
 
 def whitened_tdd(h, sigma1, u1, v1, e_dv1, v_tilde, targets, power_p: float,
@@ -271,16 +264,15 @@ def whitened_tdd(h, sigma1, u1, v1, e_dv1, v_tilde, targets, power_p: float,
     The same request, with Bob's combiner whitened by an eigendecomposition
     of the expected interference shape :func:`tdd_shape`.  Off the i.i.d.
     model the drift's cross terms can make that shape indefinite, which
-    diagonal loading restores (``flagged``).  Only the single-channel
-    receiver calls it, for moments of a full covariance.
+    diagonal loading restores (:func:`loaded_noise`).  Only the
+    single-channel receiver calls it, for moments of a full covariance.
     """
     d = robust_tdd(h, sigma1, u1, v1, e_dv1, v_tilde, targets, power_p, sigma_b_sq)
     lam, evecs = np.linalg.eigh(tdd_shape(h, sigma1, u1, e_dv1))
     beta = noise_share(d.rho, power_p, v_tilde.shape[-1])
-    sigma_eff, loaded = loaded_noise(beta, lam, sigma_b_sq)
+    sigma_eff, _ = loaded_noise(beta, lam, sigma_b_sq)
     signature = matvec(h, v1 + e_dv1)
-    return d._replace(w_b=whitened_combiner(evecs, lam, signature, beta, sigma_eff),
-                      flagged=loaded)
+    return d._replace(w_b=whitened_combiner(evecs, lam, signature, beta, sigma_eff))
 
 
 def _fdd_trial(
@@ -294,7 +286,7 @@ def _fdd_trial(
     decomposition (a stack of one): the batch of one of :func:`robust_fdd`."""
     h = tilde.reconstruct() if propagate_through_estimate else chan.h_ba.entries[None]
     d = robust_fdd(h, tilde.v, (target_sinr,), chan.power_p, chan.sigma_b_sq)
-    scheme, report, bob, eve = run_trial(chan, d, target_sinr)
+    scheme, report, bob, eve = run_trial(chan, d, target_sinr, tilde.v)
     return RxBeamformer(w=d.w_b[0, 0], kind="robust_fdd"), report, bob, eve, scheme
 
 
@@ -336,7 +328,7 @@ def _tdd_trial(
         chan.h_ba.entries[None], svd.sigma1[None], svd.u1[None], svd.v1[None],
         moments.e_dv1[None], tilde.v, (target_sinr,), chan.power_p, chan.sigma_b_sq,
     )
-    scheme, report, bob, eve = run_trial(chan, d, target_sinr)
+    scheme, report, bob, eve = run_trial(chan, d, target_sinr, tilde.v)
     return RxBeamformer(w=d.w_b[0, 0], kind="robust_tdd"), report, bob, eve, scheme
 
 

@@ -1,11 +1,12 @@
 """Transmit designs, receive beamformers, and SINR evaluation.
 
 One data stream is sent along a unit direction ``t`` with power ``rho * P``;
-the remaining budget feeds synthetic interference through a factor ``F``
-(covariance F F^H), shaped to miss the intended receiver while jamming
-everyone else.  Evaluation is deliberately generic: a design may have been
-made from a stale channel estimate while propagation uses the true channel,
-which is exactly the mismatch the rest of the package studies.
+the rest is spread evenly over the directions orthogonal to ``t``, q_z =
+beta (I - t t^H) (isotropic artificial noise: Goel and Negi, IEEE Trans.
+Wireless Commun. 7(6), 2008), jamming everyone but the intended receiver.
+Evaluation is deliberately generic: a design may have been made from a
+stale channel estimate while propagation uses the true channel, which is
+exactly the mismatch the rest of the package studies.
 
 Every scheme is a kernel over stacks of channels with leading batch axes
 (:func:`artificial_noise`, :func:`eve_aware`, and the robust receivers in
@@ -30,7 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import ChannelSet, SvdStack, amplitude_spectrum, as_matrix, partition_svd
+from .channels import NOISE_RANGE, ChannelSet, SvdStack, amplitude_spectrum, as_matrix
+from .channels import partition_svd
 from .exceptions import DegenerateChannelError, DimensionError, ParameterError
 from .stacked import any_true, herm, matvec, norm, outer, vdot
 
@@ -50,8 +52,8 @@ class TxScheme:
 
     ``t`` is the unit-norm data direction, ``rho`` the fraction of the budget
     spent on data, and ``outage`` records that the target SINR was
-    unreachable so all power went to data.  ``target_sinr`` is the linear
-    SINR the design aimed for.
+    unreachable so all power went to data.  ``target_sinr``, the linear
+    SINR the design aimed for, and ``power_p`` are positive and finite.
 
     ``q_z_factor`` is the interference factor F (na x k, no columns or None
     for none), and ``q_z`` = F F^H the interference covariance.  Evaluation
@@ -77,8 +79,9 @@ class TxScheme:
             raise ParameterError(f"t must have unit norm, got {nrm}")
         if not (0.0 <= self.rho <= 1.0):
             raise ParameterError(f"rho must lie in [0, 1], got {self.rho}")
-        if self.power_p <= 0 or self.target_sinr <= 0:
-            raise ParameterError("power_p and target_sinr must be positive")
+        if not (np.isfinite(self.power_p) and self.power_p > 0):
+            raise ParameterError(f"power_p must be positive and finite, got {self.power_p}")
+        check_target(self.target_sinr)
         f = np.zeros((t.size, 0), np.complex128) if self.q_z_factor is None else (
             np.asarray(self.q_z_factor, dtype=np.complex128))
         if f.ndim != 2 or f.shape[0] != t.size:
@@ -145,10 +148,9 @@ class Design(NamedTuple):
     """Batched transmit designs and Bob's combiners for several targets.
 
     ``t`` (K, ..., na) is the unit data direction, ``rho`` (K, ...) the data
-    power fraction, ``factor`` (K, ..., na, k) the interference factor F
-    with q_z = F F^H, ``w_b`` (K, ..., nb) Bob's combiner, ``outage``
-    (K, ...) whether the target was out of reach and ``flagged`` (K, ...)
-    whether the statistical receiver needed diagonal loading.
+    power fraction, ``beta`` (K, ...) the interference power per direction
+    orthogonal to ``t``, ``w_b`` (K, ..., nb) Bob's combiner and ``outage``
+    (K, ...) whether the target was out of reach.
 
     The leading axis runs over the K targets of the kernel call, with
     length 1 in a field that does not depend on the target.  A field's
@@ -158,23 +160,21 @@ class Design(NamedTuple):
     estimates do).  :meth:`at` picks one target.
 
     Every kernel spreads the interference evenly over the directions
-    orthogonal to ``t``, or sends none: F = sqrt(beta) T' for the other
-    columns T' of a unitary [t, T'], or F has no columns.  So
-    q_z = beta (I - t t^H) with beta = :func:`noise_beta` of ``rho``, from
-    which :func:`eve_link` evaluates the eavesdropper's link.
+    orthogonal to ``t``, q_z = beta (I - t t^H) with beta = :func:`noise_beta`
+    of ``rho``, from which :func:`link` and :func:`eve_link` evaluate both
+    links; :func:`eve_aware`, which never sends any, sets ``beta`` to None.
     """
 
     t: np.ndarray
     rho: np.ndarray
-    factor: np.ndarray
+    beta: np.ndarray | None
     w_b: np.ndarray
     outage: np.ndarray
-    flagged: np.ndarray
 
     def at(self, k: int) -> Design:
         """The design for target ``k``: each field's entry ``k`` along the
         target axis, or its only entry where it does not depend on the target."""
-        return Design(*(f[k] if len(f) > 1 else f[0] for f in self))
+        return Design(*(f if f is None else f[k] if len(f) > 1 else f[0] for f in self))
 
 
 def target_axis(targets, ndim: int) -> np.ndarray:
@@ -198,11 +198,17 @@ def required_rho(sigma1: float, target_sinr: float, power_p: float, sigma_b_sq: 
     the target is out of reach at this budget.  Works elementwise on
     arrays of ``sigma1`` and ``target_sinr``.
     """
-    if any_true(target_sinr <= 0):
-        raise ParameterError(f"target_sinr must be positive, got {target_sinr}")
+    check_target(target_sinr)
     if power_p <= 0 or sigma_b_sq <= 0 or any_true(sigma1 <= 0):
         raise ParameterError("sigma1, power_p, sigma_b_sq must all be positive")
     return sigma_b_sq * target_sinr / (sigma1**2 * power_p)
+
+
+def check_target(target_sinr) -> None:
+    """Refuse (ParameterError) target SINRs that are not all positive and finite."""
+    target = np.asarray(target_sinr)
+    if not ((target > 0) & (target < np.inf)).all():
+        raise ParameterError(f"target_sinr must be positive and finite, got {target_sinr}")
 
 
 def noise_share(rho, power_p: float, na: int):
@@ -214,20 +220,10 @@ def noise_share(rho, power_p: float, na: int):
 
 
 def noise_beta(rho, power_p: float, na: int):
-    """beta of :func:`noise_factors`, elementwise in rho: the per-direction
-    share :func:`noise_share`, or 0 where rho reaches the all-data ceiling."""
+    """A design's ``beta``, elementwise in rho: the per-direction share
+    :func:`noise_share`, or 0 where rho reaches the all-data ceiling."""
     rho = np.asarray(rho)
     return np.where(rho >= _RHO_CEIL, 0.0, noise_share(rho, power_p, na))
-
-
-def noise_factors(t_prime: np.ndarray, rho, power_p: float) -> np.ndarray:
-    """Factors sqrt(beta) * T' over the leading axes of ``t_prime`` and ``rho``.
-
-    The leftover budget (1-rho)*P is split evenly over the na-1 columns of
-    ``t_prime``; entries whose rho reaches the all-data ceiling get an
-    all-zero factor (:func:`noise_beta`).
-    """
-    return np.sqrt(noise_beta(rho, power_p, t_prime.shape[-2]))[..., None, None] * t_prime
 
 
 def artificial_noise(sigma1, v, h, v_rx, targets, power_p: float, sigma_b_sq: float):
@@ -245,10 +241,8 @@ def artificial_noise(sigma1, v, h, v_rx, targets, power_p: float, sigma_b_sq: fl
     """
     target = target_axis(targets, np.ndim(sigma1))
     rho, outage = outage_fallback(required_rho(sigma1, target, power_p, sigma_b_sq))
-    return Design(
-        t=v[None, ..., 0], rho=rho, factor=noise_factors(v[..., 1:], rho, power_p),
-        w_b=matvec(h, v_rx)[None], outage=outage, flagged=np.zeros_like(outage),
-    )
+    return Design(t=v[None, ..., 0], rho=rho, beta=noise_beta(rho, power_p, v.shape[-1]),
+                  w_b=matvec(h, v_rx)[None], outage=outage)
 
 
 def eve_aware(h, gram_e, ne, targets, power_p: float, sigma_b_sq: float):
@@ -265,6 +259,7 @@ def eve_aware(h, gram_e, ne, targets, power_p: float, sigma_b_sq: float):
     field that depends on the target.  Raises DegenerateChannelError when a
     direction has zero gain to the intended receiver.
     """
+    check_target(targets)
     t = eve_aware_directions(herm(h) @ h, gram_e, ne, h.shape[-2])
     w_b = matvec(h, t)
     gain = np.real(vdot(w_b, w_b))
@@ -273,10 +268,7 @@ def eve_aware(h, gram_e, ne, targets, power_p: float, sigma_b_sq: float):
     rho, outage = outage_fallback(
         sigma_b_sq * target_axis(targets, gain.ndim) / (power_p * gain)
     )
-    return Design(
-        t=t[None], rho=rho, factor=np.zeros((1,) + t.shape + (0,), dtype=complex),
-        w_b=w_b[None], outage=outage, flagged=np.zeros_like(outage),
-    )
+    return Design(t=t[None], rho=rho, beta=None, w_b=w_b[None], outage=outage)
 
 
 @cache
@@ -424,10 +416,10 @@ def eve_link(d: Design, eve, gram, power_p: float, sigma_sq: float):
     MMSE combiner against the design ``d``, as :func:`link` reports them,
     over the leading axes of ``d``'s fields, her channels ``eve`` and ``gram``.
 
-    Against a design without interference columns her combiner is the
-    matched H t, which sees the signal rho P ||H t||^2, no interference and
-    the noise ``sigma_sq``; ``gram`` is not read.  Otherwise q_z = beta
-    (I - t t^H) (:class:`Design`), and by Sherman-Morrison her combiner is
+    Against a design that sends no interference (``beta`` None) her
+    combiner is the matched H t, which sees the signal rho P ||H t||^2, no
+    interference and the noise ``sigma_sq``; ``gram`` is not read.
+    Otherwise q_z = beta (I - t t^H), and by Sherman-Morrison her combiner is
     H y for y = (beta G + sigma^2 I)^-1 t, G = H^H H.  Given the Gram stack
     G, y is one stacked solve, which loses digits as beta ||G|| / sigma^2
     grows, and the figures are :func:`link`'s at H y.  Given its spectrum
@@ -443,17 +435,16 @@ def eve_link(d: Design, eve, gram, power_p: float, sigma_sq: float):
     channel) gets the figures of its stand-in, the first unit vector
     (:func:`_nulled_stand_in`).
     """
-    data_power = d.rho * power_p
-    if d.factor.shape[-1] == 0:
+    data_power, beta = d.rho * power_p, d.beta
+    if beta is None:
         amps = matvec(eve, d.t)
         sig = data_power * (amps.conj() * amps).real.sum(axis=-1)
         return sig / sigma_sq, sig, np.zeros_like(sig), np.full_like(sig, sigma_sq)
     na = d.t.shape[-1]
-    beta = noise_beta(d.rho, power_p, na)
     if not isinstance(gram, tuple):
         loaded = beta[..., None, None] * gram + sigma_sq * np.eye(na)
         y = np.linalg.solve(loaded, d.t[..., None])[..., 0]
-        return link(eve, d.t, data_power, d.factor, _nulled_stand_in(matvec(eve, y)), sigma_sq)
+        return link(eve, d.t, data_power, beta, _nulled_stand_in(matvec(eve, y)), sigma_sq)
     lam, evecs = gram
     proj = matvec(herm(evecs), d.t)
     scale = beta[..., None] * lam + sigma_sq
@@ -476,7 +467,7 @@ def eve_link(d: Design, eve, gram, power_p: float, sigma_sq: float):
     noise = np.full_like(interf, sigma_sq)
     figures = (sig / (interf + noise), sig, interf, noise)
     if nulled.any():
-        stand_in = link(eve, d.t, data_power, d.factor, np.eye(eve.shape[-2])[0], sigma_sq)
+        stand_in = link(eve, d.t, data_power, beta, np.eye(eve.shape[-2])[0], sigma_sq)
         figures = tuple(np.where(nulled, a, b) for a, b in zip(stand_in, figures))
     return figures
 
@@ -487,24 +478,32 @@ def _nulled_stand_in(w: np.ndarray) -> np.ndarray:
     return np.where(nulled[..., None], np.eye(w.shape[-1])[0], w) if nulled.any() else w
 
 
-def link(h, t, data_power, factor, w, sigma_sq: float):
-    """(SINR, signal, interference, noise power) at the unit-norm ``w``.
-
-    Every argument may carry the same leading batch axes; ``factor`` is F
-    with q_z = F F^H.  The combiners are normalized first, so the SINR does
-    not depend on their scale and the noise power is ``sigma_sq``.
-    Interference is the sum of squared amplitudes F^H H^H w, so a combiner
-    orthogonal to it measures the true epsilon-squared residual instead of
-    covariance round-off.
-    """
+def _received(h, t, data_power, w, sigma_sq: float):
+    """(H^H w, signal, noise power) at ``w`` normalized, as :func:`link` takes them."""
     scale = norm(w)
     if not scale.all():
         raise ParameterError("combiner must be nonzero")
     w = w / scale[..., None]
     sig = data_power * abs(vdot(w, matvec(h, t))) ** 2
     noise = sigma_sq * np.real(vdot(w, w))
-    amps = matvec(herm(factor), matvec(herm(h), w))
-    interf = np.real(vdot(amps, amps))
+    return matvec(herm(h), w), sig, noise
+
+
+def link(h, t, data_power, beta, w, sigma_sq: float):
+    """(SINR, signal, interference, noise power) at the unit-norm ``w``.
+
+    Every argument may carry the same leading batch axes.  The combiners
+    are normalized first, so the SINR does not depend on their scale and
+    the noise power is ``sigma_sq``.  Interference is beta ||x - t t^H x||^2
+    for x = H^H w (none where ``beta`` is None), the vector projected off
+    ``t`` before its norm is taken, so a combiner orthogonal to the
+    interference measures the true epsilon-squared residual.
+    """
+    x, sig, noise = _received(h, t, data_power, w, sigma_sq)
+    if beta is None:
+        return sig / noise, sig, np.zeros_like(sig), noise
+    off = x - t * vdot(t, x)[..., None]
+    interf = beta * np.real(vdot(off, off))
     return sig / (interf + noise), sig, interf, noise
 
 
@@ -512,7 +511,8 @@ def evaluate(d: Design, h, eve, gram, target, power_p: float, sigma_b_sq: float,
              sigma_e_sq: float, secrecy_metric: str) -> np.ndarray:
     """Metrics (len(METRICS), ...) of a design: Bob's :func:`link` at his
     combiner ``d.w_b`` on his channels ``h``, Eve's :func:`eve_link` on hers
-    ``eve`` and ``gram``, and the secrecy metric.
+    ``eve`` and ``gram``, and the secrecy metric.  No kernel design needs
+    diagonal loading, so the ``flagged`` row is 0.
 
     All arguments (``target`` may be a scalar) broadcast against each
     other, and each metric has their broadcast shape.
@@ -524,18 +524,19 @@ def evaluate(d: Design, h, eve, gram, target, power_p: float, sigma_b_sq: float,
     covariance.
     """
     data_power = d.rho * power_p
-    sinr_b, signal_b, interf_b, noise_b = link(h, d.t, data_power, d.factor, d.w_b, sigma_b_sq)
+    sinr_b, signal_b, interf_b, noise_b = link(h, d.t, data_power, d.beta, d.w_b, sigma_b_sq)
     sinr_e, signal_e, interf_e, noise_e = eve_link(d, eve, gram, power_p, sigma_e_sq)
     if secrecy_metric == "full":
-        secrecy = full_secrecy_rates(h, eve, d.t, data_power, d.factor @ herm(d.factor),
-                                     sigma_b_sq, sigma_e_sq)
+        q = 0.0 if d.beta is None else (
+            d.beta[..., None, None] * (np.eye(d.t.shape[-1]) - outer(d.t, d.t)))
+        secrecy = full_secrecy_rates(h, eve, d.t, data_power, q, sigma_b_sq, sigma_e_sq)
     elif secrecy_metric == "goodput":
         secrecy = secure_goodput(sinr_b, sinr_e, target)
     else:
         secrecy = secrecy_capacity_proxy(sinr_b, sinr_e)
     return np.stack(np.broadcast_arrays(
         sinr_b, sinr_e, secrecy, d.outage, signal_b, interf_b + noise_b,
-        signal_e, interf_e + noise_e, d.flagged,
+        signal_e, interf_e + noise_e, 0.0,
     ), dtype=float)
 
 
@@ -578,8 +579,7 @@ def secure_goodput(sinr_b: float, sinr_e: float, target_sinr: float) -> float:
     secrecy delivered at the rate the link was designed to carry.
     Works elementwise on arrays.
     """
-    if any_true(target_sinr <= 0):
-        raise ParameterError(f"target_sinr must be positive, got {target_sinr}")
+    check_target(target_sinr)
     _check_sinrs(sinr_b, sinr_e)
     rate = np.maximum(np.log2(1.0 + target_sinr) - np.log2(1.0 + sinr_e), 0.0)
     return _as_output(np.where(sinr_b < target_sinr * (1.0 - _GOODPUT_SLACK), 0.0, rate))
@@ -607,12 +607,13 @@ def full_secrecy_rates(h_b, h_e, t, data_power, q, sigma_b_sq: float, sigma_e_sq
 # and wraps the only entry of its design in the public types.
 
 
-def _tx_scheme(d: Design, power_p: float, target_sinr: float) -> TxScheme:
+def _tx_scheme(d: Design, power_p: float, target_sinr: float, v=None) -> TxScheme:
     """The transmit configuration of a design of one channel at one target,
-    whatever leading axes of length 1 its fields carry."""
+    whatever leading axes of length 1 its fields carry, with the factor
+    sqrt(beta) T' over the columns T' of ``v`` after the data direction."""
+    factor = None if d.beta is None else np.sqrt(d.beta.item()) * v.reshape(v.shape[-2:])[:, 1:]
     return TxScheme(t=d.t.reshape(-1), rho=d.rho.item(), power_p=power_p,
-                    target_sinr=target_sinr, outage=d.outage.item(),
-                    q_z_factor=d.factor.reshape(d.factor.shape[-2:]))
+                    target_sinr=target_sinr, outage=d.outage.item(), q_z_factor=factor)
 
 
 def _link_sinr(figures) -> LinkSinr:
@@ -625,15 +626,16 @@ def _report(bob: LinkSinr, eve: LinkSinr, outage: bool) -> SinrReport:
                       secrecy_capacity=secrecy_capacity_proxy(bob.sinr, eve.sinr), outage=outage)
 
 
-def run_trial(chan: ChannelSet, d: Design, target_sinr: float):
-    """Evaluate a design of one channel at one target on ``chan``.
+def run_trial(chan: ChannelSet, d: Design, target_sinr: float, v=None):
+    """Evaluate a design of one channel at one target on ``chan``, made from
+    the right singular vectors ``v`` (none for :func:`eve_aware`'s).
 
     Returns (scheme, report, Bob's link, Eve's link).
     """
     h, he = chan.h_ba.entries[None], chan.h_ea.entries[None]
-    bob = _link_sinr(link(h, d.t, d.rho * chan.power_p, d.factor, d.w_b, chan.sigma_b_sq))
+    bob = _link_sinr(link(h, d.t, d.rho * chan.power_p, d.beta, d.w_b, chan.sigma_b_sq))
     eve = _link_sinr(eve_link(d, he, chan.eve_spectrum, chan.power_p, chan.sigma_e_sq))
-    scheme = _tx_scheme(d, chan.power_p, target_sinr)
+    scheme = _tx_scheme(d, chan.power_p, target_sinr, v)
     return scheme, _report(bob, eve, scheme.outage), bob, eve
 
 
@@ -655,7 +657,7 @@ def design_artificial_noise(chan: ChannelSet, svd: SvdStack, target_sinr: float)
     estimate; the power and noise figures still come from ``chan``.
     """
     d = single_artificial_noise(chan, svd, svd, target_sinr)
-    return _tx_scheme(d, chan.power_p, target_sinr)
+    return _tx_scheme(d, chan.power_p, target_sinr, svd.v)
 
 
 def design_known_ecsi(chan: ChannelSet, h_ea_assumed, target_sinr: float) -> TxScheme:
@@ -701,7 +703,8 @@ def eve_mmse_beamformer(chan: ChannelSet, scheme: TxScheme) -> RxBeamformer:
 
 
 def link_sinr(h, scheme: TxScheme, w, sigma_sq: float) -> LinkSinr:
-    """SINR seen through channel ``h`` with combiner ``w``; see :func:`link`.
+    """SINR seen through channel ``h`` with combiner ``w``, as :func:`link`
+    reports it but with the interference F^H H^H w of the scheme's factor F.
 
     The scheme's direction and interference may come from a stale estimate
     while ``h`` is the true channel.  Powers are reported for the unit-norm
@@ -712,10 +715,13 @@ def link_sinr(h, scheme: TxScheme, w, sigma_sq: float) -> LinkSinr:
     w = w.w if isinstance(w, RxBeamformer) else np.asarray(w, dtype=np.complex128)
     if w.ndim != 1 or w.size != arr.shape[0]:
         raise DimensionError(f"combiner length {w.shape} does not match channel rows {arr.shape[0]}")
-    if sigma_sq <= 0:
-        raise ParameterError(f"sigma_sq must be positive, got {sigma_sq}")
-    return _link_sinr(link(arr[None], scheme.t[None], scheme.data_power, scheme.q_z_factor[None],
-                           w[None], sigma_sq))
+    lo, hi = NOISE_RANGE
+    if not lo <= sigma_sq <= hi:
+        raise ParameterError(f"sigma_sq must lie in [{lo:g}, {hi:g}], got {sigma_sq}")
+    x, sig, noise = _received(arr[None], scheme.t[None], scheme.data_power, w[None], sigma_sq)
+    amps = matvec(herm(scheme.q_z_factor[None]), x)
+    interf = np.real(vdot(amps, amps))
+    return _link_sinr((sig / (interf + noise), sig, interf, noise))
 
 
 def evaluate_sinr(chan: ChannelSet, scheme: TxScheme, w_b, w_e) -> SinrReport:
@@ -747,5 +753,5 @@ def perfect_csi_trial(chan: ChannelSet, target_sinr: float, svd: SvdStack | None
     """
     part = svd if svd is not None else partition_svd(chan.h_ba)
     d = single_artificial_noise(chan, part, part, target_sinr)
-    scheme, report, _, _ = run_trial(chan, d, target_sinr)
+    scheme, report, _, _ = run_trial(chan, d, target_sinr, part.v)
     return scheme, RxBeamformer(d.w_b[0, 0], "matched"), eve_mmse_beamformer(chan, scheme), report

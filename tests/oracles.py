@@ -456,6 +456,23 @@ class Scheme:
         return self.rho * self.power_p
 
 
+def interference_factor(t: np.ndarray, beta) -> np.ndarray:
+    """The factor sqrt(beta) T' of a design's interference beta (I - t t^H),
+    T' an orthonormal basis (na x (na - 1)) of the directions orthogonal to
+    ``t`` from an SVD of t^H; no columns where ``beta`` is None."""
+    if beta is None:
+        return np.zeros((t.size, 0), dtype=np.complex128)
+    return np.sqrt(beta) * np.linalg.svd(t.conj()[None])[2][1:].conj().T
+
+
+def factor_form_interference(h: np.ndarray, factor: np.ndarray, w: np.ndarray) -> float:
+    """||F^H H^H w||^2 at the unit-norm ``w``: the interference of the
+    factor form, amplitudes first, as designs evaluated it when they stored
+    their factor F = sqrt(beta) T'."""
+    amps = factor.conj().T @ (h.conj().T @ (w / np.linalg.norm(w)))
+    return float(np.real(np.vdot(amps, amps)))
+
+
 def noise_covariance_for(t_prime: np.ndarray, rho: float, power_p: float) -> np.ndarray:
     """Isotropic interference covariance over the columns of ``t_prime``."""
     na = t_prime.shape[0]

@@ -140,7 +140,7 @@ def _prediction_vs_simulation(n: int, sigma_db: float, channels: int = 300,
         tilde = partition_stack(h + dh)
         design = artificial_noise(tilde.s[:, 0], tilde.v, h, np.tile(svd.v1, (draws, 1)),
                                   (target,), chan.power_p, chan.sigma_b_sq).at(0)
-        _, signal, interf, noise = link(h, design.t, design.rho * chan.power_p, design.factor,
+        _, signal, interf, noise = link(h, design.t, design.rho * chan.power_p, design.beta,
                                         design.w_b, chan.sigma_b_sq)
         sig_sum = int_sum = 0.0
         for k in range(draws):

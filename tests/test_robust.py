@@ -169,9 +169,10 @@ class TestTddReceiver:
             rhos.append(scheme.rho)
         assert rhos[0] == pytest.approx(rhos[1], rel=1e-12)
 
-    def test_diagonal_loading_restores_definiteness(self):
+    def test_diagonal_loading_restores_definiteness(self, monkeypatch):
         # An expected beam drift orthogonal to the nominal direction makes
-        # the cross terms indefinite; a fabricated drift forces that corner.
+        # the cross terms indefinite; a fabricated drift forces that corner,
+        # and loaded_noise reports the loading it applied.
         chan = generate_channels(4, 4, 2, rng_seed=9)
         svd = partition_svd(chan.h_ba)
         # Such a drift is not i.i.d. error's, so the moments are marked as a
@@ -180,11 +181,19 @@ class TestTddReceiver:
         moments = replace(compute_moments(svd, CsiErrorModel.zero()), e_dv1=drift.astype(complex),
                           iid_drift=None)
         tilde = _tilde(chan.h_ba.entries + _error(chan, 4))
+        flags = []
+
+        def spy(*args, loaded_noise=robust.loaded_noise):
+            sigma_eff, loaded = loaded_noise(*args)
+            flags.append(loaded)
+            return sigma_eff, loaded
+
+        monkeypatch.setattr(robust, "loaded_noise", spy)
         design = whitened_tdd(
             chan.h_ba.entries[None], np.array([svd.sigma1]), svd.u1[None], svd.v1[None],
             moments.e_dv1[None], tilde.v, (TARGET,), chan.power_p, chan.sigma_b_sq,
         ).at(0)
-        assert design.flagged[0]
+        assert len(flags) == 1 and flags[0].all()
         assert np.all(np.isfinite(design.w_b))
         _, report, _, _, _ = _tdd_trial(chan, svd, moments, tilde, TARGET)
         assert np.isfinite(report.sinr_b)

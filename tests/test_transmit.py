@@ -1,11 +1,21 @@
 """Tests for transmit designs, receive beamformers, and SINR bookkeeping."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
-from wiretap.channels import ChannelMatrix, ChannelSet, generate_channels, partition_svd
+from wiretap.channels import (
+    ChannelMatrix,
+    ChannelSet,
+    CsiErrorModel,
+    generate_channels,
+    partition_svd,
+)
 from wiretap.exceptions import DegenerateChannelError, DimensionError, ParameterError
+from wiretap.perturbation import compute_moments, predict_naive_sinr, simulate_naive
+from wiretap.robust import fdd_receiver, tdd_receiver
 from wiretap.transmit import (
     RxBeamformer,
     TxScheme,
@@ -57,6 +67,14 @@ class TestTxScheme:
             TxScheme(t=np.array([1.0, 0.0]), rho=0.5, power_p=0.0, target_sinr=1.0)
         with pytest.raises(ParameterError):
             TxScheme(t=np.array([1.0, 0.0]), rho=0.5, power_p=1.0, target_sinr=-2.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("power_p", np.nan), ("power_p", np.inf), ("target_sinr", np.nan), ("target_sinr", np.inf),
+    ])
+    def test_non_finite_power_and_target_are_refused_by_name(self, field, value):
+        args = dict(t=np.array([1.0, 0.0]), rho=0.5, power_p=1.0, target_sinr=1.0)
+        with pytest.raises(ParameterError, match=field):
+            TxScheme(**{**args, field: value})
 
     def test_covariance_shape_checked(self):
         # The covariance is the factor's product, so its shape is the factor's.
@@ -341,6 +359,14 @@ class TestLinkSinr:
         with pytest.raises(ParameterError):
             link_sinr(chan.h_ba, scheme, np.ones(3, dtype=complex), 0.0)
 
+    @pytest.mark.parametrize("sigma_sq", [np.nan, np.inf, 1e-101, 1e101])
+    def test_noise_outside_the_channels_range_is_refused_by_name(self, sigma_sq):
+        # The range a channel set accepts for its noise powers.
+        chan = generate_channels(3, 3, 2, rng_seed=6)
+        scheme = design_artificial_noise(chan, partition_svd(chan.h_ba), 10.0)
+        with pytest.raises(ParameterError, match="sigma_sq"):
+            link_sinr(chan.h_ba, scheme, np.ones(3, dtype=complex), sigma_sq)
+
     def test_factor_and_covariance_paths_agree_when_not_orthogonal(self):
         chan = generate_channels(4, 3, 3, rng_seed=14)
         scheme = design_artificial_noise(chan, partition_svd(chan.h_ba), 100.0)
@@ -410,3 +436,31 @@ class TestTrialWrappers:
         _, _, _, report = perfect_csi_trial(chan, 100.0)
         assert report.secrecy_capacity == pytest.approx(
             secrecy_capacity_proxy(report.sinr_b, report.sinr_e))
+
+
+def _single_channel_calls() -> dict:
+    """Every single-channel entry point that takes a target SINR, on one channel."""
+    chan = generate_channels(3, 3, 2, rng_seed=6)
+    svd = partition_svd(chan.h_ba)
+    moments = compute_moments(svd, CsiErrorModel.iid(0.01))
+    err = 0.1 * np.ones((3, 3), dtype=complex)
+    return {
+        "predict_naive_sinr": lambda target: predict_naive_sinr(svd, moments, chan, target),
+        "simulate_naive": lambda target: simulate_naive(chan, err, target),
+        "design_artificial_noise": lambda target: design_artificial_noise(chan, svd, target),
+        "perfect_csi_trial": lambda target: perfect_csi_trial(chan, target),
+        "design_known_ecsi": lambda target: design_known_ecsi(chan, chan.h_ea, target),
+        "fdd_receiver": lambda target: fdd_receiver(chan, chan.h_ba.entries + err, target),
+        "tdd_receiver": lambda target: tdd_receiver(chan, svd, moments, err, target),
+    }
+
+
+@pytest.mark.parametrize("target", [np.nan, np.inf])
+@pytest.mark.parametrize("call", list(_single_channel_calls()))
+def test_a_non_finite_target_sinr_is_refused_by_name(call, target):
+    # Refused before any kernel runs: no NaN result, no failed root solve,
+    # no complaint about the power fraction and no overflow warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="target_sinr must be positive and finite"):
+            _single_channel_calls()[call](target)
