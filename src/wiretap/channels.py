@@ -1,4 +1,4 @@
-"""Channel matrices, random generation, partitioned SVD, and CSI error models.
+"""Channel matrices, random generation, their decompositions, and CSI error models.
 
 The scenario is a three-node link: a transmitter with ``na`` antennas, the
 intended receiver with ``nb`` antennas, and an eavesdropper with ``ne``
@@ -215,21 +215,16 @@ def generate_channels(
     )
 
 
-def _fix_phases(u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate each right singular vector so its largest-magnitude entry is
-    real and positive, rotating the matching left vector by the same phase.
-
-    Works over any leading batch axes and returns (u, v) with the right
-    vectors as the columns of v.  The product u @ diag(s) @ v^H is
-    unchanged.  Ties on the largest entry resolve to the lowest index.  A
-    unit column has a nonzero largest entry, so every pivot is nonzero.
-    """
-    v = np.conjugate(vh.swapaxes(-1, -2), order="C")
+def _phase_fixed(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(v, phase): each column of ``v`` divided by the unit phase of its
+    largest-magnitude entry, which makes that entry real and positive, over
+    any leading axes.  Ties resolve to the lowest index.  A unit column has
+    a nonzero largest entry, so every pivot is nonzero."""
     pivot = np.take_along_axis(v, np.abs(v).argmax(axis=-2)[..., None, :], axis=-2)
     # hypot rounds like abs() of a complex scalar; np.abs over an array can
     # differ in the last bit, which would move every single-channel result.
     phase = pivot / np.hypot(pivot.real, pivot.imag)
-    return u / phase[..., : u.shape[-1]], v / phase
+    return v / phase, phase
 
 
 class SvdStack(NamedTuple):
@@ -239,8 +234,6 @@ class SvdStack(NamedTuple):
     vectors as columns and ``s`` (..., m) the singular values in descending
     order.  The leading axes are empty for a single channel
     (:func:`partition_svd`).
-    Column 0 of ``v`` is the data direction and the other columns, the null
-    space included, span the interference subspace ``t_prime``.
     """
 
     u: np.ndarray
@@ -262,22 +255,12 @@ class SvdStack(NamedTuple):
         """Right singular vector of the largest singular value."""
         return self.v[..., 0]
 
-    @property
-    def t_prime(self) -> np.ndarray:
-        """The n-1 right singular vectors orthogonal to ``v1``."""
-        return self.v[..., 1:]
-
     def single(self) -> SvdStack:
         """This decomposition, checked to be of one channel (DimensionError if not)."""
         if self.s.ndim != 1:
             shape = self.u.shape[:-1] + self.v.shape[-1:]
             raise DimensionError(f"expected the SVD of one channel, got a stack of shape {shape}")
         return self
-
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild the channels from their decompositions."""
-        m = self.s.shape[-1]
-        return (self.u * self.s[..., None, :]) @ herm(self.v[..., :m])
 
 
 def partition_stack(h: np.ndarray) -> SvdStack:
@@ -305,8 +288,28 @@ def partition_stack(h: np.ndarray) -> SvdStack:
             f"smallest singular value {first[-1]:.3e} is below {RANK_TOL:.0e} "
             f"of the largest {first[0]:.3e}"
         )
-    u, v = _fix_phases(u, vh)
-    return SvdStack(u=u, s=s, v=v)
+    v, phase = _phase_fixed(np.conjugate(vh.swapaxes(-1, -2), order="C"))
+    return SvdStack(u=u / phase[..., :m], s=s, v=v)
+
+
+class Basis(NamedTuple):
+    """Largest singular value and right singular vectors of channel estimates."""
+
+    sigma1: np.ndarray
+    v: np.ndarray
+
+
+def estimate_basis(h: np.ndarray) -> Basis:
+    """:class:`Basis` of the estimates ``h`` (..., m, n), m <= n, by one
+    ``eigh`` of H^H H: v strongest first, phase-fixed as partition_stack's,
+    and sigma1 the root of its largest eigenvalue clipped at zero.  No rank
+    is checked: the designs read only sigma1 and v[..., 0], defined at any
+    rank.  Where m < n the null space's columns are some basis of it."""
+    m, n = h.shape[-2:]
+    if m > n:
+        raise OrientationError(f"estimate_basis expects rows <= cols, got {m}x{n}")
+    lam, evecs = np.linalg.eigh(herm(h) @ h)
+    return Basis(np.sqrt(np.maximum(lam[..., -1], 0.0)), _phase_fixed(evecs[..., ::-1])[0])
 
 
 def partition_svd(h) -> SvdStack:

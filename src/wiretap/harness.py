@@ -57,9 +57,10 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .channels import (
     NOISE_RANGE,
-    SvdStack,
+    Basis,
     amplitude_spectrum,
     complex_from_parts,
+    estimate_basis,
     partition_stack,
 )
 from .exceptions import ConfigError
@@ -533,9 +534,14 @@ class _Block:
         return np.array([float(from_db(sigma_db)) for sigma_db in levels])[:, None, None]
 
     @cached_property
-    def tilde(self) -> SvdStack:
-        """Decomposition of the transmitter's estimates H + dH, (levels, n, ...)."""
-        return partition_stack(self.h + np.sqrt(self.level_powers[..., None]) * self.dh_unit)
+    def estimate(self) -> np.ndarray:
+        """The transmitter's estimates H + dH, (levels, n, nb, na)."""
+        return self.h + np.sqrt(self.level_powers[..., None]) * self.dh_unit
+
+    @cached_property
+    def tilde(self) -> Basis:
+        """``channels.estimate_basis`` of :attr:`estimate`, (levels, n, ...)."""
+        return estimate_basis(self.estimate)
 
     @cached_property
     def eve_spectrum(self):
@@ -579,19 +585,19 @@ _DESIGNS = {
     # Data on the dominant direction of the channel, or of its estimates at
     # every level, noise on the rest; Bob matches his channel's own.
     "perfect": lambda blk: artificial_noise(
-        blk.part.sigma1[None], blk.part.v[None], blk.h[None], blk.part.v1[None], *blk.budget),
+        blk.part.sigma1[None], blk.part.v1[None], blk.h[None], blk.part.v1[None], *blk.budget),
     "naive": lambda blk: artificial_noise(
-        blk.tilde.sigma1, blk.tilde.v, blk.h[None], blk.part.v1[None], *blk.budget),
+        blk.tilde.sigma1, blk.tilde.v[..., 0], blk.h[None], blk.part.v1[None], *blk.budget),
     "known_ecsi": lambda blk: eve_aware(
         blk.h[None], blk.gram_e["known_ecsi"], blk.ne, *blk.budget),
     "imperfect_ecsi": lambda blk: eve_aware(
         blk.h[None], blk.gram_e["imperfect_ecsi"], blk.ne, *blk.budget),
     "robust_fdd": lambda blk: robust_fdd(
-        blk.tilde.reconstruct() if blk.cfg.propagate_through_estimate else blk.h[None],
-        blk.tilde.v, *blk.budget),
+        blk.estimate if blk.cfg.propagate_through_estimate else blk.h[None],
+        blk.tilde.v[..., 0], *blk.budget),
     "robust_tdd": lambda blk: robust_tdd(
         blk.h[None], blk.part.sigma1[None], blk.part.u1[None], blk.part.v1[None], blk.e_dv1,
-        blk.tilde.v, *blk.budget),
+        blk.tilde.v[..., 0], *blk.budget),
 }
 
 

@@ -30,7 +30,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channels import ChannelSet, CsiErrorModel, SvdStack, matching, partition_svd
+from .channels import ChannelSet, CsiErrorModel, SvdStack, estimate_basis, finite, matching
+from .channels import partition_svd
 from .exceptions import IllConditionedGapError, ParameterError, ValidityRangeError
 from .stacked import vdot
 from .transmit import (
@@ -445,7 +446,8 @@ def naive_trial(chan: ChannelSet, err_sample: np.ndarray, target_sinr: float, *,
     refused (DimensionError, ParameterError).
     """
     part = svd if svd is not None else partition_svd(chan.h_ba)
-    tilde = partition_svd(chan.h_ba.entries + matching(err_sample, chan.h_ba, "err_sample"))
+    est = chan.h_ba.entries + matching(err_sample, chan.h_ba, "err_sample")
+    tilde = estimate_basis(finite(est, "H + err_sample"))
     d = single_artificial_noise(chan, tilde, part, target_sinr)
     scheme, report, bob, eve = run_trial(chan, d, target_sinr, tilde.v)
     return report, bob, eve, scheme

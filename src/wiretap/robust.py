@@ -5,8 +5,8 @@ interference subspace, so the intended receiver is partly jammed.  Two
 recovery modes are modeled, differing in what the receiver knows:
 
 * ``fdd``: the receiver knows the exact estimate the transmitter used (it
-  reported the estimate itself), so it can reconstruct the whole transmit
-  configuration and whiten the leaked interference it actually receives.
+  reported the estimate itself), so it knows the transmitted direction and
+  interference and whitens the leaked interference it actually receives.
 * ``tdd``: the receiver knows only the true channel and the error
   statistics, so it whitens the expected interference instead, built from
   the closed-form perturbation moments.  For i.i.d. error the mean beam
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import ChannelSet, SvdStack, finite, matching, partition_stack
+from .channels import Basis, ChannelSet, SvdStack, estimate_basis, finite, matching
 from .perturbation import PerturbMoments, self_drift
 from .stacked import herm, matvec, outer
 from .transmit import (
@@ -124,40 +124,40 @@ def rank1_gains(rho, lam, weights, power_p: float, na: int, sigma_sq: float):
     return rho * power_p * np.sum(weights / (beta * lam + sigma_sq), axis=-1)
 
 
-def fdd_spectrum(h_design, t_tilde, t_prime):
+def fdd_spectrum(h_design, t):
     """What the exact-knowledge receiver whitens, over leading batch axes.
 
     Returns (lam, evecs, signature, weights): the eigenvalues (clipped at
     zero) and eigenvectors of the leaked interference covariance per unit
-    interference power H T' T'^H H^H, the data signature H t~, and the
-    signature's squared projections on the eigenvectors.
+    interference power H (I - t t^H) H^H = L L^H, L = H - (H t) t^H, the
+    data signature H t, and its squared projections on the eigenvectors.
     """
-    leak = h_design @ t_prime
+    signature = matvec(h_design, t)
+    leak = h_design - outer(signature, t)
     lam, evecs = np.linalg.eigh(leak @ herm(leak))
     lam = np.clip(lam, 0.0, None)
-    signature = matvec(h_design, t_tilde)
     weights = np.abs(matvec(herm(evecs), signature)) ** 2
     return lam, evecs, signature, weights
 
 
-def robust_fdd(h_design, v_tilde, targets, power_p: float, sigma_b_sq: float):
+def robust_fdd(h_design, t, targets, power_p: float, sigma_b_sq: float):
     """Exact-knowledge recovery designs for every entry of ``targets`` (one
     :class:`Design`).
 
-    The receiver knows the transmitter's estimate, whose right singular
-    vectors are ``v_tilde`` (..., na, na): data on column 0, interference
-    on the rest.  It whitens the interference that leaks through
-    ``h_design`` (the true channel, or the estimate's reconstruction) and
-    requests the power fraction that lands its output SINR exactly on each
-    target.  The eigendecomposition and one root solve serve all targets.
+    The receiver knows the data direction ``t`` (..., na) of the
+    transmitter's estimate, and so the interference on the rest.  It
+    whitens the interference that leaks through ``h_design`` (the true
+    channel, or the estimate) and requests the power fraction that lands
+    its output SINR exactly on each target.  The eigendecomposition and one
+    root solve serve all targets.
     """
-    na = v_tilde.shape[-1]
-    lam, evecs, signature, weights = fdd_spectrum(h_design, v_tilde[..., 0], v_tilde[..., 1:])
+    na = t.shape[-1]
+    lam, evecs, signature, weights = fdd_spectrum(h_design, t)
     rho, outage = solve_fractions(
         lam, weights, power_p, na, sigma_b_sq, target_axis(targets, lam.ndim - 1)
     )
     share = noise_share(rho, power_p, na)
-    return Design(t=v_tilde[None, ..., 0], rho=rho, beta=noise_beta(rho, power_p, na),
+    return Design(t=t[None], rho=rho, beta=noise_beta(rho, power_p, na),
                   w_b=whitened_combiner(evecs, lam, signature, share, sigma_b_sq), outage=outage)
 
 
@@ -219,14 +219,14 @@ def loaded_noise(beta, lam, sigma_sq: float):
     return np.where(loaded, sigma_sq + delta, sigma_sq), loaded
 
 
-def robust_tdd(h, sigma1, u1, v1, e_dv1, v_tilde, targets, power_p: float, sigma_b_sq: float):
+def robust_tdd(h, sigma1, u1, v1, e_dv1, t, targets, power_p: float, sigma_b_sq: float):
     """Statistics-only recovery designs for every entry of ``targets`` (one
     :class:`Design`), for i.i.d. error in closed form.
 
     The receiver knows its channel ``h`` with dominant singular triplet
     (``sigma1``, ``u1``, ``v1``) and the mean drift ``e_dv1`` of the
-    transmitter's data direction, but not the estimate (right singular
-    vectors ``v_tilde``) the transmitter designs from.  It requests the
+    transmitter's data direction, but not its direction ``t`` (..., na)
+    from the estimate.  It requests the
     fraction :func:`tdd_fraction` sizes against the mean leak -2c for
     c = :func:`~wiretap.perturbation.self_drift`, and whitens the expected
     interference shape (:func:`tdd_shape`) to match the expected data
@@ -245,19 +245,18 @@ def robust_tdd(h, sigma1, u1, v1, e_dv1, v_tilde, targets, power_p: float, sigma
     takes :func:`whitened_tdd`.
     """
     check_target(targets)
-    na = v_tilde.shape[-1]
+    na = t.shape[-1]
     lam1, drift = sigma1**2, self_drift(v1, e_dv1)
     leak = -2.0 * drift
     rho, outage = tdd_fraction(lam1, leak, target_axis(targets, leak.ndim), power_p, sigma_b_sq,
                                na)
     share = noise_share(rho, power_p, na)
     gain = (1.0 + drift) * sigma1 / (share * leak * lam1 + sigma_b_sq)
-    return Design(t=v_tilde[None, ..., 0], rho=rho, beta=noise_beta(rho, power_p, na),
+    return Design(t=t[None], rho=rho, beta=noise_beta(rho, power_p, na),
                   w_b=gain[..., None] * u1, outage=outage)
 
 
-def whitened_tdd(h, sigma1, u1, v1, e_dv1, v_tilde, targets, power_p: float,
-                 sigma_b_sq: float):
+def whitened_tdd(h, sigma1, u1, v1, e_dv1, t, targets, power_p: float, sigma_b_sq: float):
     """:func:`robust_tdd`'s designs for any mean drift ``e_dv1``, the drift
     of a full error covariance included.
 
@@ -267,25 +266,20 @@ def whitened_tdd(h, sigma1, u1, v1, e_dv1, v_tilde, targets, power_p: float,
     diagonal loading restores (:func:`loaded_noise`).  Only the
     single-channel receiver calls it, for moments of a full covariance.
     """
-    d = robust_tdd(h, sigma1, u1, v1, e_dv1, v_tilde, targets, power_p, sigma_b_sq)
+    d = robust_tdd(h, sigma1, u1, v1, e_dv1, t, targets, power_p, sigma_b_sq)
     lam, evecs = np.linalg.eigh(tdd_shape(h, sigma1, u1, e_dv1))
-    beta = noise_share(d.rho, power_p, v_tilde.shape[-1])
+    beta = noise_share(d.rho, power_p, t.shape[-1])
     sigma_eff, _ = loaded_noise(beta, lam, sigma_b_sq)
     signature = matvec(h, v1 + e_dv1)
     return d._replace(w_b=whitened_combiner(evecs, lam, signature, beta, sigma_eff))
 
 
-def _fdd_trial(
-    chan: ChannelSet,
-    tilde: SvdStack,
-    target_sinr: float,
-    *,
-    propagate_through_estimate: bool = False,
-) -> tuple[RxBeamformer, SinrReport, LinkSinr, LinkSinr, TxScheme]:
-    """Full-knowledge recovery for one trial from the estimate's
-    decomposition (a stack of one): the batch of one of :func:`robust_fdd`."""
-    h = tilde.reconstruct() if propagate_through_estimate else chan.h_ba.entries[None]
-    d = robust_fdd(h, tilde.v, (target_sinr,), chan.power_p, chan.sigma_b_sq)
+def _fdd_trial(chan: ChannelSet, tilde: Basis, target_sinr: float,
+               h_design=None) -> tuple[RxBeamformer, SinrReport, LinkSinr, LinkSinr, TxScheme]:
+    """The batch of one of :func:`robust_fdd` from ``tilde``, the estimate's
+    ``estimate_basis``, propagated through ``h_design``, else the true channel."""
+    h = chan.h_ba.entries if h_design is None else h_design
+    d = robust_fdd(h[None], tilde.v[None, :, 0], (target_sinr,), chan.power_p, chan.sigma_b_sq)
     scheme, report, bob, eve = run_trial(chan, d, target_sinr, tilde.v)
     return RxBeamformer(w=d.w_b[0, 0], kind="robust_fdd"), report, bob, eve, scheme
 
@@ -294,39 +288,33 @@ def fdd_receiver(chan: ChannelSet, h_tilde, target_sinr: float, *,
                  propagate_through_estimate: bool = False) -> tuple[RxBeamformer, SinrReport]:
     """Recovery when the receiver knows the transmitter's exact estimate.
 
-    The receiver reconstructs the transmit configuration from ``h_tilde``,
-    whitens the interference it actually receives through the true channel,
-    and requests the power fraction that lands the output SINR exactly on
+    The receiver takes the transmit configuration from ``h_tilde``, whitens
+    the interference it actually receives through the true channel, and
+    requests the power fraction that lands the output SINR exactly on
     target (non-outage trials hit it to numerical precision).
 
     ``propagate_through_estimate=True`` switches the receiver's design to
-    propagate the reconstructed transmission through the estimate rather
-    than the true channel; the reported SINR stays physical either way.  A
-    misshapen or non-finite estimate is refused (DimensionError,
-    ParameterError).
+    propagate the transmission through the estimate rather than the true
+    channel; the reported SINR stays physical either way.  A misshapen or
+    non-finite estimate is refused (DimensionError, ParameterError).
     """
-    tilde = partition_stack(finite(matching(h_tilde, chan.h_ba, "h_tilde"), "h_tilde")[None])
-    beam, report, _, _, _ = _fdd_trial(
-        chan, tilde, target_sinr, propagate_through_estimate=propagate_through_estimate)
+    est = finite(matching(h_tilde, chan.h_ba, "h_tilde"), "h_tilde")
+    beam, report, _, _, _ = _fdd_trial(chan, estimate_basis(est), target_sinr,
+                                       est if propagate_through_estimate else None)
     return beam, report
 
 
-def _tdd_trial(
-    chan: ChannelSet,
-    svd: SvdStack,
-    moments: PerturbMoments,
-    tilde: SvdStack,
-    target_sinr: float,
-) -> tuple[RxBeamformer, SinrReport, LinkSinr, LinkSinr, TxScheme]:
+def _tdd_trial(chan: ChannelSet, svd: SvdStack, moments: PerturbMoments, tilde: Basis,
+               target_sinr: float) -> tuple[RxBeamformer, SinrReport, LinkSinr, LinkSinr, TxScheme]:
     """Statistical recovery for one trial from the channel's decomposition
-    ``svd`` and the estimate's ``tilde`` (a stack of one): the batch of one
-    of :func:`robust_tdd` for moments of i.i.d. error, else of
+    ``svd`` and the estimate's ``estimate_basis`` ``tilde``: the batch of one of
+    :func:`robust_tdd` for moments of i.i.d. error, else of
     :func:`whitened_tdd`."""
     svd = svd.single()
     kernel = whitened_tdd if moments.iid_drift is None else robust_tdd
     d = kernel(
         chan.h_ba.entries[None], svd.sigma1[None], svd.u1[None], svd.v1[None],
-        moments.e_dv1[None], tilde.v, (target_sinr,), chan.power_p, chan.sigma_b_sq,
+        moments.e_dv1[None], tilde.v[None, :, 0], (target_sinr,), chan.power_p, chan.sigma_b_sq,
     )
     scheme, report, bob, eve = run_trial(chan, d, target_sinr, tilde.v)
     return RxBeamformer(w=d.w_b[0, 0], kind="robust_tdd"), report, bob, eve, scheme
@@ -354,6 +342,6 @@ def tdd_receiver(chan: ChannelSet, svd: SvdStack, moments: PerturbMoments, err_s
     estimate is refused (DimensionError, ParameterError).
     """
     est = chan.h_ba.entries + matching(err_sample, chan.h_ba, "err_sample")
-    tilde = partition_stack(finite(est, "H + err_sample")[None])
+    tilde = estimate_basis(finite(est, "H + err_sample"))
     beam, report, _, _, _ = _tdd_trial(chan, svd, moments, tilde, target_sinr)
     return beam, report

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import NOISE_RANGE, ChannelSet, SvdStack, amplitude_spectrum, as_matrix
+from .channels import NOISE_RANGE, Basis, ChannelSet, SvdStack, amplitude_spectrum, as_matrix
 from .channels import partition_svd
 from .exceptions import DegenerateChannelError, DimensionError, ParameterError
 from .stacked import any_true, herm, matvec, norm, outer, vdot
@@ -226,22 +226,22 @@ def noise_beta(rho, power_p: float, na: int):
     return np.where(rho >= _RHO_CEIL, 0.0, noise_share(rho, power_p, na))
 
 
-def artificial_noise(sigma1, v, h, v_rx, targets, power_p: float, sigma_b_sq: float):
+def artificial_noise(sigma1, t, h, v_rx, targets, power_p: float, sigma_b_sq: float):
     """Artificial-noise designs for every entry of ``targets`` (one :class:`Design`).
 
-    Data rides the dominant direction ``v[..., 0]`` of the transmitter's
-    decomposition (singular value ``sigma1``); the leftover budget is spread
-    isotropically over the other columns ``v[..., 1:]``, which the intended
-    receiver never sees but any other receiver does.  When even the full
-    budget cannot meet a target the design degrades to rho = 1 with no
-    interference and the outage flag set.  Bob's combiner is matched to
-    ``h @ v_rx``, his channel's own dominant direction, so a decomposition
-    of a stale estimate models the mismatched (naive) link.  Only the power
-    split depends on the target; ``t`` and ``w_b`` are computed once.
+    Data rides the dominant direction ``t`` (..., na) of the transmitter's
+    channel or estimate (singular value ``sigma1``); the leftover budget is
+    spread isotropically over the directions orthogonal to it, which the
+    intended receiver never sees but any other receiver does.  When even
+    the full budget cannot meet a target the design degrades to rho = 1
+    with no interference and the outage flag set.  Bob's combiner is
+    matched to ``h @ v_rx``, his channel's own dominant direction, so a
+    stale estimate's ``t`` models the mismatched (naive) link.  Only the
+    power split depends on the target; ``t`` and ``w_b`` are computed once.
     """
     target = target_axis(targets, np.ndim(sigma1))
     rho, outage = outage_fallback(required_rho(sigma1, target, power_p, sigma_b_sq))
-    return Design(t=v[None, ..., 0], rho=rho, beta=noise_beta(rho, power_p, v.shape[-1]),
+    return Design(t=t[None], rho=rho, beta=noise_beta(rho, power_p, t.shape[-1]),
                   w_b=matvec(h, v_rx)[None], outage=outage)
 
 
@@ -639,12 +639,11 @@ def run_trial(chan: ChannelSet, d: Design, target_sinr: float, v=None):
     return scheme, _report(bob, eve, scheme.outage), bob, eve
 
 
-def single_artificial_noise(chan: ChannelSet, tx: SvdStack, rx: SvdStack, target_sinr):
-    """:func:`artificial_noise` of one channel from the decomposition ``tx``,
-    with Bob matched to ``rx``."""
-    tx, rx = tx.single(), rx.single()
+def single_artificial_noise(chan: ChannelSet, tx: SvdStack | Basis, rx: SvdStack, target_sinr):
+    """:func:`artificial_noise` of one channel from ``tx``, its decomposition
+    or its estimate's ``channels.Basis``, with Bob matched to ``rx``."""
     return artificial_noise(
-        tx.sigma1[None], tx.v[None], chan.h_ba.entries[None], rx.v1[None],
+        tx.sigma1[None], tx.v[None, :, 0], chan.h_ba.entries[None], rx.single().v1[None],
         (target_sinr,), chan.power_p, chan.sigma_b_sq,
     )
 

@@ -7,7 +7,12 @@ implementations the library had before its single-channel functions became
 batches of one over the engine's kernels (``design_artificial_noise``,
 ``design_known_ecsi``, ``naive_trial``, ``fdd_trial``, ``tdd_trial``, Eve's
 LU-solved combiner and ``link_sinr`` below), each written out for one
-channel with its own covariance bookkeeping.  Its streams come from
+channel with its own covariance bookkeeping.  They design from each
+estimate's SVD (``partition_svd``): its interference spans the SVD
+complement T' of the data direction (``svd_complement``), and ``fdd_trial``
+whitens the leak H T', rebuilt from the SVD (``reconstruct``) when it
+propagates through the estimate; the library projects off t instead, from
+one Gram ``eigh`` of the estimate it holds.  Its streams come from
 ``_rng``/``_seed``, numpy's own ``SeedSequence`` and ``default_rng`` per
 trial, which the engine's vectorised seed derivation must reproduce.
 
@@ -80,7 +85,6 @@ from wiretap.perturbation import compute_moments, first_vector_leak, naive_sinr_
 from wiretap.robust import (
     _MAXITER,
     _RHO_FLOOR,
-    fdd_spectrum,
     loaded_noise,
     rank1_gains,
     tdd_fraction,
@@ -158,7 +162,7 @@ def mc_moments(
     ``pairs`` antithetic error draws (so 2 * pairs decompositions) of an
     i.i.d. circular complex error with per-entry variance ``sigma_h_sq``.
     """
-    h = svd.reconstruct()
+    h = reconstruct(svd)
     m, n = h.shape
     f = m
     rng = np.random.default_rng(seed)
@@ -489,15 +493,26 @@ def noise_factor_for(t_prime: np.ndarray, rho: float, power_p: float):
     return np.sqrt(noise_share(rho, power_p, na)) * t_prime
 
 
+def svd_complement(svd: SvdStack) -> np.ndarray:
+    """The right singular vectors of ``svd`` orthogonal to ``svd.v1``."""
+    return svd.v[..., 1:]
+
+
+def reconstruct(svd: SvdStack) -> np.ndarray:
+    """The channels ``svd`` decomposes, U diag(s) V[..., :m]^H."""
+    m = svd.s.shape[-1]
+    return (svd.u * svd.s[..., None, :]) @ svd.v[..., :m].conj().swapaxes(-1, -2)
+
+
 def design_artificial_noise(chan: ChannelSet, svd: SvdStack, target_sinr: float) -> Scheme:
     rho, outage = outage_fallback(
         required_rho(svd.sigma1, target_sinr, chan.power_p, chan.sigma_b_sq)
     )
     rho, outage = float(rho), bool(outage)
     return Scheme(
-        t=svd.v1, rho=rho, q_z=noise_covariance_for(svd.t_prime, rho, chan.power_p),
+        t=svd.v1, rho=rho, q_z=noise_covariance_for(svd_complement(svd), rho, chan.power_p),
         power_p=chan.power_p, target_sinr=target_sinr, outage=outage,
-        q_z_factor=noise_factor_for(svd.t_prime, rho, chan.power_p),
+        q_z_factor=noise_factor_for(svd_complement(svd), rho, chan.power_p),
     )
 
 
@@ -564,17 +579,26 @@ def naive_trial(chan: ChannelSet, svd: SvdStack, part_tilde: SvdStack, target_si
 def _transmitted(chan: ChannelSet, part_tilde: SvdStack, rho: float, target_sinr: float,
                  outage: bool) -> Scheme:
     """The estimate's directions at the requested fraction."""
+    t_prime = svd_complement(part_tilde)
     return Scheme(
-        t=part_tilde.v1, rho=rho, q_z=noise_covariance_for(part_tilde.t_prime, rho, chan.power_p),
+        t=part_tilde.v1, rho=rho, q_z=noise_covariance_for(t_prime, rho, chan.power_p),
         power_p=chan.power_p, target_sinr=target_sinr, outage=outage,
-        q_z_factor=noise_factor_for(part_tilde.t_prime, rho, chan.power_p),
+        q_z_factor=noise_factor_for(t_prime, rho, chan.power_p),
     )
 
 
 def fdd_trial(chan: ChannelSet, part_tilde: SvdStack, target_sinr: float,
               propagate_through_estimate: bool = False):
-    h_design = part_tilde.reconstruct() if propagate_through_estimate else chan.h_ba.entries
-    lam, evecs, signature, weights = fdd_spectrum(h_design, part_tilde.v1, part_tilde.t_prime)
+    """The exact-knowledge receiver whitening the leak H T' of the
+    interference over the estimate's SVD complement T' of its data
+    direction, propagated through the estimate rebuilt from its SVD or
+    through the true channel."""
+    h_design = reconstruct(part_tilde) if propagate_through_estimate else chan.h_ba.entries
+    leak = h_design @ svd_complement(part_tilde)
+    lam, evecs = np.linalg.eigh(leak @ leak.conj().T)
+    lam = np.clip(lam, 0.0, None)
+    signature = h_design @ part_tilde.v1
+    weights = np.abs(evecs.conj().T @ signature) ** 2
     rho, outage = solve_fraction(
         lambda r: float(rank1_gains(r, lam, weights, chan.power_p, chan.na, chan.sigma_b_sq)),
         target_sinr,

@@ -20,8 +20,8 @@ from wiretap.channels import (
     ChannelSet,
     CsiErrorModel,
     complex_gaussian,
+    estimate_basis,
     generate_channels,
-    partition_stack,
     partition_svd,
     perturb_ecsi,
 )
@@ -137,8 +137,8 @@ def _prediction_vs_simulation(n: int, sigma_db: float, channels: int = 300,
         rngs = [default_rng(SeedSequence([MASTER, 203, c, k])) for k in range(draws)]
         dh = np.stack([np.sqrt(sigma_sq) * complex_gaussian(rng, n, n) for rng in rngs])
         h = np.tile(chan.h_ba.entries, (draws, 1, 1))
-        tilde = partition_stack(h + dh)
-        design = artificial_noise(tilde.s[:, 0], tilde.v, h, np.tile(svd.v1, (draws, 1)),
+        tilde = estimate_basis(h + dh)
+        design = artificial_noise(tilde.sigma1, tilde.v[..., 0], h, np.tile(svd.v1, (draws, 1)),
                                   (target,), chan.power_p, chan.sigma_b_sq).at(0)
         _, signal, interf, noise = link(h, design.t, design.rho * chan.power_p, design.beta,
                                         design.w_b, chan.sigma_b_sq)

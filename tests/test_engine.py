@@ -34,6 +34,7 @@ from wiretap.channels import (
     amplitude_spectrum,
     complex_from_parts,
     complex_gaussian,
+    estimate_basis,
     generate_channels,
     partition_stack,
     partition_svd,
@@ -50,7 +51,7 @@ from wiretap.robust import (
     solve_fractions,
     tdd_receiver,
 )
-from wiretap.stacked import herm, matvec
+from wiretap.stacked import herm, matvec, vdot
 from wiretap.transmit import (
     artificial_noise,
     design_known_ecsi,
@@ -201,7 +202,7 @@ def _per_point_rows(cfg: ExperimentConfig):
         eve, fresh = eve_draws[2 * p], eve_draws[2 * p + 1]
         for s, name in enumerate(cfg.schemes):
             if name == "perfect":
-                d = artificial_noise(part.s[:, 0], part.v, h, part.v[..., 0], *budget).at(0)
+                d = artificial_noise(part.s[:, 0], part.v1, h, part.v1, *budget).at(0)
             else:
                 assumed = eve if name == "known_ecsi" else harness._blend(cfg, eve, fresh)
                 d = eve_aware(h, herm(assumed) @ assumed, ne, *budget).at(0)
@@ -350,16 +351,18 @@ def test_every_kernel_designs_its_targets_in_one_pass_bit_for_bit():
     h = _random_channels(count, na, na, seed=41)
     part = partition_stack(h)
     levels = np.array([0.01, 0.1])[:, None, None]
-    tilde = partition_stack(h + np.sqrt(levels[..., None]) * _random_channels(count, na, na, 42))
+    tilde = estimate_basis(h + np.sqrt(levels[..., None]) * _random_channels(count, na, na, 42))
     e_dv1 = iid_moments(part.s, na).drift[:, None] * part.v1 * levels
     gram = np.stack([herm(x) @ x for x in (_random_channels(count, ne, na, 43 + ne)
                                              for ne in (2, 5))])
     kernels = {
-        "artificial_noise": (artificial_noise, (tilde.sigma1, tilde.v, h, part.v1), (0, 2, 2, 1)),
+        "artificial_noise": (artificial_noise, (tilde.sigma1, tilde.v[..., 0], h, part.v1),
+                             (0, 1, 2, 1)),
         "eve_aware": (eve_aware, (h, gram, np.array([[2], [5]])), (2, 2, 0)),
-        "robust_fdd": (robust.robust_fdd, (h, tilde.v), (2, 2)),
-        "robust_tdd": (robust.robust_tdd, (h, part.sigma1, part.u1, part.v1, e_dv1, tilde.v),
-                       (2, 0, 1, 1, 1, 2)),
+        "robust_fdd": (robust.robust_fdd, (h, tilde.v[..., 0]), (2, 1)),
+        "robust_tdd": (robust.robust_tdd,
+                       (h, part.sigma1, part.u1, part.v1, e_dv1, tilde.v[..., 0]),
+                       (2, 0, 1, 1, 1, 1)),
     }
     grid = (2, count)
     for name, (kernel, args, row_dims) in kernels.items():
@@ -429,7 +432,7 @@ def _single_channel_rows(cfg: ExperimentConfig, i: int, h, dh_unit, eve) -> np.n
                       sigma_b_sq=cfg.sigma_b_sq, sigma_e_sq=cfg.sigma_e_sq, power_p=cfg.power_p)
     svd = partition_svd(chan.h_ba)
     err = np.sqrt(sigma_sq) * dh_unit[i]
-    tilde = partition_stack((h[i] + err)[None])
+    tilde = estimate_basis(h[i] + err)
     mom = compute_moments(svd, CsiErrorModel.iid(sigma_sq))
     rows = np.empty((len(cfg.axis()[1]), len(cfg.schemes), len(harness.METRICS) - 1))
     for p, target_db in enumerate(cfg.axis()[1]):
@@ -552,16 +555,16 @@ def _kernel_designs(h: np.ndarray, eve: np.ndarray, power_p: float):
     na, sigma_sq = h.shape[-1], 0.01
     targets = (30.0, 1e6)
     part = partition_stack(h)
-    tilde = partition_stack(h + np.sqrt(sigma_sq) * _random_channels(len(h), *h.shape[1:], seed=9))
+    tilde = estimate_basis(h + np.sqrt(sigma_sq) * _random_channels(len(h), *h.shape[1:], seed=9))
     e_dv1 = iid_moments(part.s, na).drift[:, None] * part.v1 * sigma_sq
     budget = (targets, power_p, 1.0)
     kernels = {
-        "perfect": artificial_noise(part.sigma1, part.v, h, part.v1, *budget),
-        "naive": artificial_noise(tilde.sigma1, tilde.v, h, part.v1, *budget),
+        "perfect": artificial_noise(part.sigma1, part.v1, h, part.v1, *budget),
+        "naive": artificial_noise(tilde.sigma1, tilde.v[..., 0], h, part.v1, *budget),
         "known_ecsi": eve_aware(h, herm(eve) @ eve, eve.shape[1], *budget),
-        "robust_fdd": robust.robust_fdd(h, tilde.v, *budget),
-        "robust_tdd": robust.robust_tdd(h, part.sigma1, part.u1, part.v1, e_dv1, tilde.v,
-                                        *budget),
+        "robust_fdd": robust.robust_fdd(h, tilde.v[..., 0], *budget),
+        "robust_tdd": robust.robust_tdd(h, part.sigma1, part.u1, part.v1, e_dv1,
+                                        tilde.v[..., 0], *budget),
     }
     return [(name, designs.at(k)) for name, designs in kernels.items() for k in range(len(targets))]
 
@@ -851,7 +854,7 @@ def test_eves_interference_is_never_negative(na, ne, seed, power_db, noise_exp, 
     eve = _random_channels(count, ne, na, seed=seed + 1)
     power_p, sigma_sq = 10.0 ** (power_db / 10.0), 10.0 ** noise_exp
     tx = partition_stack(h + 0.1 * _random_channels(count, na, na, seed=seed + 2) if stale else h)
-    d = artificial_noise(tx.sigma1, tx.v, h, partition_stack(h).v1, (10.0 ** (target_db / 10.0),),
+    d = artificial_noise(tx.sigma1, tx.v1, h, partition_stack(h).v1, (10.0 ** (target_db / 10.0),),
                          power_p, 1.0).at(0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -914,6 +917,33 @@ def test_a_block_solves_for_eve_when_a_draw_serves_one_combiner(
     assert _eve_linear_algebra(monkeypatch, cfg, n) == (0, rows, [rows])
 
 
+@pytest.mark.parametrize("propagate", [False, True])
+@pytest.mark.parametrize("preset", ["fig3_sinr_vs_target", "fig5_sigma_sweep"])
+def test_a_block_makes_no_svd_of_an_estimate(monkeypatch, preset, propagate):
+    # A block's one SVD is of Bob's true channels; the transmitter's
+    # estimates H + sqrt(sigma^2) dH are decomposed by one Gram eigh, whose
+    # sigma1 and dominant direction are the SVD's to round-off, and under
+    # propagation robust_fdd is handed the estimates themselves.
+    cfg = preset_config(preset, trials=6, master_seed=17, propagate_through_estimate=propagate)
+    h, dh_unit = harness._draws(cfg, 0, cfg.trials, [
+        (harness._TAG_CHANNEL, cfg.nb, None), (harness._TAG_ERROR, cfg.nb, None)])
+    levels = np.array([float(from_db(x)) for x in harness._as_tuple(cfg.sigma_h_db)])
+    estimates = h + np.sqrt(levels)[:, None, None, None] * dh_unit
+    svds, designed_through = [], []
+    svd, fdd = np.linalg.svd, harness.robust_fdd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: svds.append(a) or svd(a, **kw))
+    monkeypatch.setattr(harness, "robust_fdd", lambda h_design, *a: designed_through.append(
+        h_design) or fdd(h_design, *a))
+    harness._run_block(cfg, 0, cfg.trials)
+    monkeypatch.undo()
+    assert len(svds) == 1 and np.array_equal(svds[0], h)
+    assert len(designed_through) == 1
+    np.testing.assert_array_equal(designed_through[0], estimates if propagate else h[None])
+    tilde, want = harness._Block(cfg, 0, cfg.trials).tilde, partition_stack(estimates)
+    assert np.abs(tilde.sigma1 / want.sigma1 - 1.0).max() <= 1e-13
+    assert (1.0 - np.abs(vdot(tilde.v[..., 0], want.v1))).max() <= 1e-14
+
+
 def test_eve_mmse_beamformer_agrees_with_the_spectral_route():
     # The public beamformer solves for any factor; on the kernels' designs
     # its SINR is the one the trials report from her spectrum.
@@ -923,7 +953,7 @@ def test_eve_mmse_beamformer_agrees_with_the_spectral_route():
         chan = generate_channels(na, nb, ne, rng_seed=[9, k], sigma_e_sq=(1.0, 0.3)[k % 2])
         svd = partition_svd(chan.h_ba)
         err = 0.1 * _random_channels(1, nb, na, seed=30 + k)[0]
-        tilde = partition_stack((chan.h_ba.entries + err)[None])
+        tilde = estimate_basis(chan.h_ba.entries + err)
         mom = compute_moments(svd, CsiErrorModel.iid(0.01))
         he = chan.h_ea.entries
         known = eve_aware(chan.h_ba.entries[None], (herm(he) @ he)[None], ne, (30.0, 1e6),
@@ -958,7 +988,7 @@ def test_vectorised_root_solve_reproduces_brentq():
         chan = generate_channels(na, nb, 2, rng_seed=[5, k])
         dh = 0.3 * _random_channels(1, nb, na, seed=k)[0]
         tilde = partition_svd(chan.h_ba.entries + dh)
-        lam, _, _, weights = fdd_spectrum(chan.h_ba.entries, tilde.v1, tilde.t_prime)
+        lam, _, _, weights = fdd_spectrum(chan.h_ba.entries, tilde.v1)
         rho, outage = solve_fractions(lam[None], weights[None], chan.power_p, na, 1.0, targets)
         for j, target in enumerate(targets):
             want_rho, want_outage = oracles.solve_fraction(
@@ -1070,9 +1100,10 @@ def test_partition_stack_is_partition_svd_per_matrix():
         for got, want in zip(single, stack):
             assert got.shape == want.shape[1:]
             np.testing.assert_array_equal(got, want[i])
-        np.testing.assert_array_equal(single.t_prime, stack.t_prime[i])
+        np.testing.assert_array_equal(single.v[:, 1:], stack.v[i, :, 1:])
         assert single.sigma1 == stack.sigma1[i]
-    np.testing.assert_allclose(stack.reconstruct(), h, atol=1e-13)
+    rebuilt = (stack.u * stack.s[..., None, :]) @ stack.v[..., :3].conj().swapaxes(-1, -2)
+    np.testing.assert_allclose(rebuilt, h, atol=1e-13)
 
 
 @pytest.mark.parametrize("shape", [(5,), (2, 3, 5), (1, 1, 3, 5)], ids=str)
@@ -1232,8 +1263,8 @@ def test_the_statistical_combiner_is_closed_form_on_the_sweeps(monkeypatch, pres
     cfg = preset_config(preset, trials=6, master_seed=14)
     blk = harness._Block(cfg, 0, cfg.trials)
     part, e_dv1 = blk.part, blk.e_dv1
-    args = (blk.h[None], part.sigma1[None], part.u1[None], part.v1[None], e_dv1, blk.tilde.v,
-            *blk.budget)
+    args = (blk.h[None], part.sigma1[None], part.u1[None], part.v1[None], e_dv1,
+            blk.tilde.v[..., 0], *blk.budget)
     eighs = []
     monkeypatch.setattr(np.linalg, "eigh", lambda *a, fn=np.linalg.eigh: eighs.append(a) or fn(*a))
     d = robust.robust_tdd(*args)

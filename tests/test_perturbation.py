@@ -256,16 +256,17 @@ def test_simulate_naive_is_the_report_of_naive_trial():
 
 
 def test_simulate_naive_reuses_the_stored_decomposition_of_h(monkeypatch):
-    from wiretap import channels
+    from wiretap import channels, perturbation
 
     chan, svd, model = _setup(4, 4, -20.0, 9)
     err = sample_csi_error(model, 4, 4, rng_seed=[9, 0])
-    decomposed = []
-    stack = channels.partition_stack
-    monkeypatch.setattr(channels, "partition_stack", lambda h: decomposed.append(h) or stack(h))
+    decomposed, partitioned = [], []
+    basis, stack = perturbation.estimate_basis, channels.partition_stack
+    monkeypatch.setattr(perturbation, "estimate_basis", lambda h: decomposed.append(h) or basis(h))
+    monkeypatch.setattr(channels, "partition_stack", lambda h: partitioned.append(h) or stack(h))
     report = simulate_naive(chan, err, 100.0)
     # Only the estimate is decomposed: H's partition is the one stored on it.
-    assert len(decomposed) == 1
+    assert len(decomposed) == 1 and partitioned == []
     np.testing.assert_array_equal(decomposed[0], chan.h_ba.entries + err)
     assert report == naive_trial(chan, err, 100.0, svd=partition_svd(chan.h_ba))[0]
     # A fresh channel stores its partition on the first call, and it is

@@ -12,12 +12,12 @@ from wiretap.channels import (
     ChannelSet,
     CsiErrorModel,
     complex_gaussian,
+    estimate_basis,
     generate_channels,
-    partition_stack,
     partition_svd,
 )
-from wiretap.exceptions import ParameterError
-from wiretap.perturbation import compute_moments, naive_trial
+from wiretap.exceptions import OrientationError, ParameterError
+from wiretap.perturbation import compute_moments, naive_trial, simulate_naive
 from wiretap.robust import (
     _fdd_trial,
     _tdd_trial,
@@ -49,8 +49,8 @@ def _error_model(chan, kind):
 
 
 def _tilde(h_tilde):
-    """The estimate's decomposition as the trial functions take it."""
-    return partition_stack(h_tilde[None])
+    """The estimate's basis as the trial functions take it."""
+    return estimate_basis(h_tilde)
 
 
 class TestFddReceiver:
@@ -92,7 +92,7 @@ class TestFddReceiver:
         assert bob.sinr == pytest.approx(report.sinr_b, rel=1e-12)
         assert beam.kind == "robust_fdd"
         assert 0.0 < scheme.rho <= 1.0
-        np.testing.assert_array_equal(scheme.t, tilde.v[0, :, 0])
+        np.testing.assert_array_equal(scheme.t, tilde.v[:, 0])
 
     def test_outage_at_a_tiny_budget(self):
         hb = ChannelMatrix(np.diag([2.0, 1.0]).astype(complex))
@@ -191,7 +191,7 @@ class TestTddReceiver:
         monkeypatch.setattr(robust, "loaded_noise", spy)
         design = whitened_tdd(
             chan.h_ba.entries[None], np.array([svd.sigma1]), svd.u1[None], svd.v1[None],
-            moments.e_dv1[None], tilde.v, (TARGET,), chan.power_p, chan.sigma_b_sq,
+            moments.e_dv1[None], tilde.v[None, :, 0], (TARGET,), chan.power_p, chan.sigma_b_sq,
         ).at(0)
         assert len(flags) == 1 and flags[0].all()
         assert np.all(np.isfinite(design.w_b))
@@ -272,3 +272,42 @@ def test_trial_paths_evaluate_each_link_once(monkeypatch, trial):
         _, report, bob, eve, scheme = _tdd_trial(chan, svd, moments, tilde, TARGET)
     assert calls == [("link", chan.sigma_b_sq), ("eve_link", chan.sigma_e_sq)]
     assert (report.sinr_b, report.sinr_e) == (bob.sinr, eve.sinr)
+
+
+def test_a_rank_deficient_estimate_is_designed_from():
+    # The designs read only the estimate's sigma1 and dominant right vector,
+    # which exist at any rank, so a rank-one estimate is designed from like
+    # any other; a tall channel is still refused by shape, and the all-zero
+    # estimate keeps its outcomes: the exact-knowledge receiver meets the
+    # target through the true channel, but through the zero estimate it
+    # forms a zero combiner, and the naive design has no sigma1 to size from.
+    chan = generate_channels(4, 4, 2, rng_seed=3)
+    h = chan.h_ba.entries
+    svd = partition_svd(chan.h_ba)
+    moments = compute_moments(svd, CsiErrorModel.iid(0.01))
+    target = 10.0
+    rank_one = np.outer(np.arange(1, 5), np.ones(4)).astype(complex)
+    reports = [
+        fdd_receiver(chan, rank_one, target)[1],
+        fdd_receiver(chan, rank_one, target, propagate_through_estimate=True)[1],
+        tdd_receiver(chan, svd, moments, rank_one - h, target)[1],
+        simulate_naive(chan, rank_one - h, target),
+    ]
+    for report in reports:
+        assert np.isfinite([report.sinr_b, report.sinr_e, report.secrecy_capacity]).all()
+        assert min(report.sinr_b, report.sinr_e, report.secrecy_capacity) >= 0.0
+    assert reports[0].sinr_b == pytest.approx(target, rel=1e-9)
+
+    tall = generate_channels(2, 4, 2, rng_seed=3)
+    with pytest.raises(OrientationError):
+        fdd_receiver(tall, tall.h_ba.entries, target)
+    with pytest.raises(OrientationError):
+        estimate_basis(tall.h_ba.entries)
+
+    zero = np.zeros_like(h)
+    assert fdd_receiver(chan, zero, target)[1].sinr_b == pytest.approx(target, rel=1e-9)
+    with pytest.raises(ParameterError, match="combiner must be nonzero"):
+        fdd_receiver(chan, zero, target, propagate_through_estimate=True)
+    assert np.isfinite(tdd_receiver(chan, svd, moments, zero - h, target)[1].sinr_b)
+    with pytest.raises(ParameterError, match="sigma1"):
+        simulate_naive(chan, zero - h, target)

@@ -153,7 +153,7 @@ class TestDesignArtificialNoise:
         scheme = design_artificial_noise(chan, svd, 100.0)
         hb = chan.h_ba.entries
         sig = hb @ scheme.t
-        cross = np.linalg.norm(sig.conj() @ (hb @ svd.t_prime))
+        cross = np.linalg.norm(sig.conj() @ (hb @ svd.v[:, 1:]))
         assert cross <= 1e-9 * svd.sigma1**2
 
     @pytest.mark.parametrize("nb,na", [(2, 2), (4, 4), (4, 6), (1, 3)])
