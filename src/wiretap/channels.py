@@ -103,6 +103,13 @@ def finite(arr: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
+def nonzero(arr: np.ndarray, name: str) -> np.ndarray:
+    """``arr``, or ParameterError naming it if every entry is zero."""
+    if not arr.any():
+        raise ParameterError(f"{name} is all zero")
+    return arr
+
+
 def matching(x, h: ChannelMatrix, name: str) -> np.ndarray:
     """``x`` as an array of the shape of ``h``, or DimensionError naming it."""
     arr = as_matrix(x)

@@ -73,8 +73,7 @@ def _parse_number_list(name: str, raw: str, kind):
 def _parse_config_file(path: str) -> dict:
     """Read either a JSON manifest/config or a flat ``key = value`` file."""
     text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith(("{", "[")):
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: top-level JSON value must be an object")

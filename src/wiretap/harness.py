@@ -12,31 +12,30 @@ processes.
 Trials run in blocks of ``BLOCK_TRIALS``.  A block derives the seed words
 of all those streams in one vectorised pass (numpy's SeedSequence hashing
 as array arithmetic over every stream at once), hands each trial's words to
-its own PCG64, draws the streams into one stack and decomposes the channels.
-Each scheme's design kernel (``transmit.artificial_noise``,
+its own PCG64, draws the streams into one stack and decomposes the
+channels.  Each scheme's design kernel (``transmit.artificial_noise``,
 ``transmit.eve_aware``, ``robust.robust_fdd``, ``robust.robust_tdd``) then
-runs once per block on the sweep's own values: its targets are each
-point's on the target axis, else the one target, and every other input has
-a leading values axis, which holds each point's error level or draw of
-Eve's on those axes and has length 1 otherwise (Bob's channels and
-decomposition enter as (1, n, ...) views).  Every field of the
-``transmit.Design`` it returns is (targets or 1, values or 1, n, ...), with
-only the swept axis longer than one, so one reshape makes it (points or 1,
-n, ...).  A value the sweep repeats is designed again at each of its
-points.  One call of the shared ``transmit.evaluate`` per scheme broadcasts
-the design, Bob's channels, Eve's and her Gram matrices over the (point,
-trial) grid.  Eve's channels and Gram matrices are one stack of n draws,
-shared by every scheme, except on the ne axis, which draws her anew at each
-point: there they are (points, n, ...), her channels zero-padded to her
-largest antenna count.  Against interference, ``transmit.eve_link`` gives
-her figures in closed form from one eigendecomposition of her Gram matrices
-per block, with no combiner built, or, where each draw of hers serves one
-combiner and her noise is at least ``_SOLVE_NOISE_FLOOR`` times the power,
-at her combiners from one stacked solve of them (``_Block.eve_gram``:
-fig2-fig5 decompose; fig1 and one-point configs with one such scheme
-solve).  Against a design without interference her figures come straight
-from ||H t||^2.  No trial's numbers depend on its neighbours, so results
-are also bit-identical for any block size.
+runs once per block on the sweep's own values: every input, the target SINR
+included, has a leading points axis, which holds each point's target, error
+level or draw of Eve's on those axes and has length 1 otherwise (Bob's
+channels and decomposition enter as (1, n, ...) views, the target as
+(points or 1, 1)).  Every field of the ``transmit.Design`` it returns is
+therefore (points or 1, n, ...) as it stands.  A value the sweep repeats is
+designed again at each of its points.  One call of the shared
+``transmit.evaluate`` per scheme broadcasts the design, Bob's channels,
+Eve's and her Gram matrices over the (point, trial) grid.  Eve's channels
+and Gram matrices are one stack of n draws, shared by every scheme, except
+on the ne axis, which draws her anew at each point: there they are (points,
+n, ...), her channels zero-padded to her largest antenna count.  Against
+interference, ``transmit.eve_link`` gives her figures in closed form from
+one eigendecomposition of her Gram matrices per block, with no combiner
+built, or, where each draw of hers serves one combiner and her noise is at
+least ``_SOLVE_NOISE_FLOOR`` times the power, at her combiners from one
+stacked solve of them (``_Block.eve_gram``: fig2-fig5 decompose; fig1 and
+one-point configs with one such scheme solve).  Against a design without
+interference her figures come straight from ||H t||^2.  No trial's numbers
+depend on its neighbours, so results are also bit-identical for any block
+size.
 
 Per-trial metrics are materialized and reduced once at the end, every
 (point, scheme) cell at once; means are arithmetic means of linear SINR,
@@ -67,7 +66,7 @@ from .exceptions import ConfigError
 from .perturbation import iid_moments, naive_terms, self_drift
 from .robust import robust_fdd, robust_tdd
 from .stacked import herm
-from .transmit import METRICS, Design, artificial_noise, evaluate, eve_aware, required_rho
+from .transmit import METRICS, artificial_noise, evaluate, eve_aware, required_rho
 from .units import from_db, to_db
 from .version import __version__
 
@@ -474,22 +473,21 @@ class _Block:
     """The draws of trials [lo, hi) and the stages every sweep point shares.
 
     Every random stream the block needs is drawn at construction, in one
-    pass.  Each scheme's kernel then runs once, on the targets and on inputs
-    with a leading values axis, each of which runs over the sweep's points
-    on the swept quantity and has length 1 otherwise; :meth:`design` folds
-    the two into one points axis.
+    pass.  Each scheme's kernel (``_DESIGNS``) then runs once, on inputs
+    with a leading points axis, which runs over the sweep's points on the
+    swept quantity and has length 1 otherwise.
     """
 
     def __init__(self, cfg: ExperimentConfig, lo: int, hi: int):
         self.cfg = cfg
         self.n = hi - lo
         self.n_points = len(cfg.axis()[1])
-        # Each point's target on the target axis, else the one target.
-        self.targets = np.array([float(from_db(t)) for t in _as_tuple(cfg.target_sinr_db)])
-        # Each point's target, broadcasting over the trials.
-        self.point_targets = self.targets[:, None]
-        # The design kernels' last arguments: the targets, power and Bob's noise.
-        self.budget = (self.targets, cfg.power_p, cfg.sigma_b_sq)
+        # Each point's target on the target axis, else the one target,
+        # broadcasting over the trials: (points or 1, 1).
+        self.point_targets = np.array(
+            [float(from_db(t)) for t in _as_tuple(cfg.target_sinr_db)])[:, None]
+        # The design kernels' last arguments: the target, power and Bob's noise.
+        self.budget = (self.point_targets, cfg.power_p, cfg.sigma_b_sq)
         names = set(cfg.schemes)
         # Eve is drawn once, or anew at each point of the ne axis, whose
         # streams carry the point's index.
@@ -570,17 +568,10 @@ class _Block:
         """Mean drift of the dominant right vector, (levels, n, na)."""
         return self.moments.drift[:, None] * self.part.v1 * self.level_powers
 
-    def design(self, name: str) -> Design:
-        """Scheme ``name``'s designs, each field (points or 1, n, ...), from
-        one kernel call whose fields are (targets or 1, values or 1, n, ...),
-        of which only the swept axis is longer than one."""
-        return Design(*(f if f is None else f.reshape((f.shape[0] * f.shape[1],) + f.shape[2:])
-                        for f in _DESIGNS[name](self)))
 
-
-# Every simulated scheme's designs for all points of the sweep at once, on
-# Bob's channels and decomposition as (1, n, ...) views.  Every scheme shares
-# transmit.evaluate.
+# Every simulated scheme's designs for all points of the sweep at once, each
+# field (points or 1, n, ...), on Bob's channels and decomposition as
+# (1, n, ...) views.  Every scheme shares transmit.evaluate.
 _DESIGNS = {
     # Data on the dominant direction of the channel, or of its estimates at
     # every level, noise on the rest; Bob matches his channel's own.
@@ -588,15 +579,14 @@ _DESIGNS = {
         blk.part.sigma1[None], blk.part.v1[None], blk.h[None], blk.part.v1[None], *blk.budget),
     "naive": lambda blk: artificial_noise(
         blk.tilde.sigma1, blk.tilde.v[..., 0], blk.h[None], blk.part.v1[None], *blk.budget),
-    "known_ecsi": lambda blk: eve_aware(
-        blk.h[None], blk.gram_e["known_ecsi"], blk.ne, *blk.budget),
-    "imperfect_ecsi": lambda blk: eve_aware(
-        blk.h[None], blk.gram_e["imperfect_ecsi"], blk.ne, *blk.budget),
+    # The Eve-aware schemes differ only in the Gram matrices they assume.
+    **{name: lambda blk, name=name: eve_aware(blk.h[None], blk.gram_e[name], blk.ne, *blk.budget)
+       for name in ("known_ecsi", "imperfect_ecsi")},
     "robust_fdd": lambda blk: robust_fdd(
         blk.estimate if blk.cfg.propagate_through_estimate else blk.h[None],
         blk.tilde.v[..., 0], *blk.budget),
     "robust_tdd": lambda blk: robust_tdd(
-        blk.h[None], blk.part.sigma1[None], blk.part.u1[None], blk.part.v1[None], blk.e_dv1,
+        blk.part.sigma1[None], blk.part.u1[None], blk.part.v1[None], blk.e_dv1,
         blk.tilde.v[..., 0], *blk.budget),
 }
 
@@ -637,7 +627,7 @@ def _run_block(cfg: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
     once per draw.
     """
     blk = _Block(cfg, lo, hi)
-    designs = {name: blk.design(name) for name in cfg.schemes if name != "analytic_naive"}
+    designs = {name: _DESIGNS[name](blk) for name in cfg.schemes if name != "analytic_naive"}
     gram = blk.eve_gram(designs.values())
     out = np.empty((len(cfg.schemes), len(METRICS), blk.n_points, blk.n))
     for s, name in enumerate(cfg.schemes):

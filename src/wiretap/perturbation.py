@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channels import ChannelSet, CsiErrorModel, SvdStack, estimate_basis, finite, matching
-from .channels import partition_svd
+from .channels import nonzero, partition_svd
 from .exceptions import IllConditionedGapError, ParameterError, ValidityRangeError
 from .stacked import vdot
 from .transmit import (
@@ -442,12 +442,13 @@ def naive_trial(chan: ChannelSet, err_sample: np.ndarray, target_sinr: float, *,
     H + err_sample, the intended receiver keeps the matched combiner built
     from the true H, and the eavesdropper, as always, tracks the actual
     transmission.  ``svd``, the partition of H, defaults to the one stored on
-    ``chan.h_ba``.  A misshapen error sample or a non-finite estimate is
-    refused (DimensionError, ParameterError).
+    ``chan.h_ba``.  A misshapen error sample, a non-finite estimate and an
+    all-zero one, which has no direction to design from, are refused
+    (DimensionError, ParameterError).
     """
     part = svd if svd is not None else partition_svd(chan.h_ba)
     est = chan.h_ba.entries + matching(err_sample, chan.h_ba, "err_sample")
-    tilde = estimate_basis(finite(est, "H + err_sample"))
+    tilde = estimate_basis(nonzero(finite(est, "H + err_sample"), "H + err_sample"))
     d = single_artificial_noise(chan, tilde, part, target_sinr)
     scheme, report, bob, eve = run_trial(chan, d, target_sinr, tilde.v)
     return report, bob, eve, scheme

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import Basis, ChannelSet, SvdStack, estimate_basis, finite, matching
+from .channels import Basis, ChannelSet, SvdStack, estimate_basis, finite, matching, nonzero
 from .perturbation import PerturbMoments, self_drift
 from .stacked import herm, matvec, outer
 from .transmit import (
@@ -41,7 +41,6 @@ from .transmit import (
     noise_beta,
     noise_share,
     run_trial,
-    target_axis,
     whitened_combiner,
 )
 
@@ -140,24 +139,22 @@ def fdd_spectrum(h_design, t):
     return lam, evecs, signature, weights
 
 
-def robust_fdd(h_design, t, targets, power_p: float, sigma_b_sq: float):
-    """Exact-knowledge recovery designs for every entry of ``targets`` (one
-    :class:`Design`).
+def robust_fdd(h_design, t, target_sinr, power_p: float, sigma_b_sq: float):
+    """Exact-knowledge recovery designs (one :class:`Design`), over the
+    batch axes of the inputs and of ``target_sinr``, which broadcast together.
 
     The receiver knows the data direction ``t`` (..., na) of the
     transmitter's estimate, and so the interference on the rest.  It
     whitens the interference that leaks through ``h_design`` (the true
     channel, or the estimate) and requests the power fraction that lands
-    its output SINR exactly on each target.  The eigendecomposition and one
-    root solve serve all targets.
+    its output SINR exactly on the target.  One eigendecomposition per
+    channel serves every target, and one root solve all entries.
     """
     na = t.shape[-1]
     lam, evecs, signature, weights = fdd_spectrum(h_design, t)
-    rho, outage = solve_fractions(
-        lam, weights, power_p, na, sigma_b_sq, target_axis(targets, lam.ndim - 1)
-    )
+    rho, outage = solve_fractions(lam, weights, power_p, na, sigma_b_sq, target_sinr)
     share = noise_share(rho, power_p, na)
-    return Design(t=t[None], rho=rho, beta=noise_beta(rho, power_p, na),
+    return Design(t=t, rho=rho, beta=noise_beta(rho, power_p, na),
                   w_b=whitened_combiner(evecs, lam, signature, share, sigma_b_sq), outage=outage)
 
 
@@ -219,18 +216,18 @@ def loaded_noise(beta, lam, sigma_sq: float):
     return np.where(loaded, sigma_sq + delta, sigma_sq), loaded
 
 
-def robust_tdd(h, sigma1, u1, v1, e_dv1, t, targets, power_p: float, sigma_b_sq: float):
-    """Statistics-only recovery designs for every entry of ``targets`` (one
-    :class:`Design`), for i.i.d. error in closed form.
+def robust_tdd(sigma1, u1, v1, e_dv1, t, target_sinr, power_p: float, sigma_b_sq: float):
+    """Statistics-only recovery designs (one :class:`Design`), over the
+    batch axes of the inputs and of ``target_sinr``, which broadcast
+    together, for i.i.d. error in closed form.
 
-    The receiver knows its channel ``h`` with dominant singular triplet
-    (``sigma1``, ``u1``, ``v1``) and the mean drift ``e_dv1`` of the
-    transmitter's data direction, but not its direction ``t`` (..., na)
-    from the estimate.  It requests the
-    fraction :func:`tdd_fraction` sizes against the mean leak -2c for
-    c = :func:`~wiretap.perturbation.self_drift`, and whitens the expected
-    interference shape (:func:`tdd_shape`) to match the expected data
-    signature H (v1 + e_dv1).
+    The receiver knows its channel's dominant singular triplet (``sigma1``,
+    ``u1``, ``v1``) and the mean drift ``e_dv1`` of the transmitter's data
+    direction, but not its direction ``t`` (..., na) from the estimate.  It
+    requests the fraction :func:`tdd_fraction` sizes against the mean leak
+    -2c for c = :func:`~wiretap.perturbation.self_drift`, and whitens the
+    expected interference shape (:func:`tdd_shape`) to match the expected
+    data signature H (v1 + e_dv1).
 
     For i.i.d. error e_dv1 = c v1 with c real and nonpositive, so the shape
     is sum_{k>=2} sigma_k^2 u_k u_k^H - 2c sigma1^2 u1 u1^H, diagonal in the
@@ -240,33 +237,32 @@ def robust_tdd(h, sigma1, u1, v1, e_dv1, t, targets, power_p: float, sigma_b_sq:
 
         w_b = (1 + c) sigma1 / (beta (-2c) sigma1^2 + sigma_b^2) u1,
 
-    with no eigendecomposition and no loading, and ``h`` is read only
-    through its triplet.  A drift off ``v1`` (a full error covariance)
-    takes :func:`whitened_tdd`.
+    with no eigendecomposition and no loading.  A drift off ``v1`` (a full
+    error covariance) takes :func:`whitened_tdd`.
     """
-    check_target(targets)
+    check_target(target_sinr)
     na = t.shape[-1]
     lam1, drift = sigma1**2, self_drift(v1, e_dv1)
     leak = -2.0 * drift
-    rho, outage = tdd_fraction(lam1, leak, target_axis(targets, leak.ndim), power_p, sigma_b_sq,
-                               na)
+    rho, outage = tdd_fraction(lam1, leak, target_sinr, power_p, sigma_b_sq, na)
     share = noise_share(rho, power_p, na)
     gain = (1.0 + drift) * sigma1 / (share * leak * lam1 + sigma_b_sq)
-    return Design(t=t[None], rho=rho, beta=noise_beta(rho, power_p, na),
+    return Design(t=t, rho=rho, beta=noise_beta(rho, power_p, na),
                   w_b=gain[..., None] * u1, outage=outage)
 
 
-def whitened_tdd(h, sigma1, u1, v1, e_dv1, t, targets, power_p: float, sigma_b_sq: float):
+def whitened_tdd(h, sigma1, u1, v1, e_dv1, t, target_sinr, power_p: float, sigma_b_sq: float):
     """:func:`robust_tdd`'s designs for any mean drift ``e_dv1``, the drift
     of a full error covariance included.
 
     The same request, with Bob's combiner whitened by an eigendecomposition
-    of the expected interference shape :func:`tdd_shape`.  Off the i.i.d.
-    model the drift's cross terms can make that shape indefinite, which
-    diagonal loading restores (:func:`loaded_noise`).  Only the
-    single-channel receiver calls it, for moments of a full covariance.
+    of the expected interference shape :func:`tdd_shape` of his channels
+    ``h``.  Off the i.i.d. model the drift's cross terms can make that shape
+    indefinite, which diagonal loading restores (:func:`loaded_noise`).
+    Only the single-channel receiver calls it, for moments of a full
+    covariance.
     """
-    d = robust_tdd(h, sigma1, u1, v1, e_dv1, t, targets, power_p, sigma_b_sq)
+    d = robust_tdd(sigma1, u1, v1, e_dv1, t, target_sinr, power_p, sigma_b_sq)
     lam, evecs = np.linalg.eigh(tdd_shape(h, sigma1, u1, e_dv1))
     beta = noise_share(d.rho, power_p, t.shape[-1])
     sigma_eff, _ = loaded_noise(beta, lam, sigma_b_sq)
@@ -279,9 +275,9 @@ def _fdd_trial(chan: ChannelSet, tilde: Basis, target_sinr: float,
     """The batch of one of :func:`robust_fdd` from ``tilde``, the estimate's
     ``estimate_basis``, propagated through ``h_design``, else the true channel."""
     h = chan.h_ba.entries if h_design is None else h_design
-    d = robust_fdd(h[None], tilde.v[None, :, 0], (target_sinr,), chan.power_p, chan.sigma_b_sq)
+    d = robust_fdd(h[None], tilde.v[None, :, 0], target_sinr, chan.power_p, chan.sigma_b_sq)
     scheme, report, bob, eve = run_trial(chan, d, target_sinr, tilde.v)
-    return RxBeamformer(w=d.w_b[0, 0], kind="robust_fdd"), report, bob, eve, scheme
+    return RxBeamformer(w=d.w_b[0], kind="robust_fdd"), report, bob, eve, scheme
 
 
 def fdd_receiver(chan: ChannelSet, h_tilde, target_sinr: float, *,
@@ -296,11 +292,12 @@ def fdd_receiver(chan: ChannelSet, h_tilde, target_sinr: float, *,
     ``propagate_through_estimate=True`` switches the receiver's design to
     propagate the transmission through the estimate rather than the true
     channel; the reported SINR stays physical either way.  A misshapen or
-    non-finite estimate is refused (DimensionError, ParameterError).
+    non-finite estimate is refused (DimensionError, ParameterError), as is an
+    all-zero one to propagate through, which no signal crosses.
     """
     est = finite(matching(h_tilde, chan.h_ba, "h_tilde"), "h_tilde")
-    beam, report, _, _, _ = _fdd_trial(chan, estimate_basis(est), target_sinr,
-                                       est if propagate_through_estimate else None)
+    h_design = nonzero(est, "h_tilde") if propagate_through_estimate else None
+    beam, report, _, _, _ = _fdd_trial(chan, estimate_basis(est), target_sinr, h_design)
     return beam, report
 
 
@@ -311,13 +308,12 @@ def _tdd_trial(chan: ChannelSet, svd: SvdStack, moments: PerturbMoments, tilde: 
     :func:`robust_tdd` for moments of i.i.d. error, else of
     :func:`whitened_tdd`."""
     svd = svd.single()
-    kernel = whitened_tdd if moments.iid_drift is None else robust_tdd
-    d = kernel(
-        chan.h_ba.entries[None], svd.sigma1[None], svd.u1[None], svd.v1[None],
-        moments.e_dv1[None], tilde.v[None, :, 0], (target_sinr,), chan.power_p, chan.sigma_b_sq,
-    )
+    args = (svd.sigma1[None], svd.u1[None], svd.v1[None], moments.e_dv1[None], tilde.v[None, :, 0],
+            target_sinr, chan.power_p, chan.sigma_b_sq)
+    d = (robust_tdd(*args) if moments.iid_drift is not None
+         else whitened_tdd(chan.h_ba.entries[None], *args))
     scheme, report, bob, eve = run_trial(chan, d, target_sinr, tilde.v)
-    return RxBeamformer(w=d.w_b[0, 0], kind="robust_tdd"), report, bob, eve, scheme
+    return RxBeamformer(w=d.w_b[0], kind="robust_tdd"), report, bob, eve, scheme
 
 
 def tdd_receiver(chan: ChannelSet, svd: SvdStack, moments: PerturbMoments, err_sample: np.ndarray,

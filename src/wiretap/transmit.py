@@ -10,18 +10,19 @@ exactly the mismatch the rest of the package studies.
 
 Every scheme is a kernel over stacks of channels with leading batch axes
 (:func:`artificial_noise`, :func:`eve_aware`, and the robust receivers in
-``robust``), returning one :class:`Design` for all its target SINRs at once,
-and every design is evaluated by :func:`evaluate`, which broadcasts over
-the batch axes: Bob's link by :func:`link` at his combiner, Eve's by
-:func:`eve_link` at her MMSE combiner.  The single-channel functions run
-those kernels on a batch of one at one target and wrap the results in
-:class:`TxScheme`, :class:`RxBeamformer`, :class:`LinkSinr` and
-:class:`SinrReport`, so they return the sweep engine's numbers bit for bit,
-with one exception: they evaluate Eve's link in closed form from her
-spectrum, whereas sweeps where each draw of hers serves one combiner
-(``harness``) solve for it, so there the engine's Eve columns match them
-only to round-off.  Every Eve combiner the package returns is built one
-way, by :func:`eve_mmse_beamformer` for a scheme of any factor.
+``robust``), the target SINR broadcasting against them like any other
+input, returning one :class:`Design`, and every design is evaluated by
+:func:`evaluate`, which broadcasts over the batch axes: Bob's link by
+:func:`link` at his combiner, Eve's by :func:`eve_link` at her MMSE
+combiner.  The single-channel functions run those kernels on a batch of one
+at one target and wrap the results in :class:`TxScheme`,
+:class:`RxBeamformer`, :class:`LinkSinr` and :class:`SinrReport`, so they
+return the sweep engine's numbers bit for bit, with one exception: they
+evaluate Eve's link in closed form from her spectrum, whereas sweeps where
+each draw of hers serves one combiner (``harness``) solve for it, so there
+the engine's Eve columns match them only to round-off.  Every Eve combiner
+the package returns is built one way, by :func:`eve_mmse_beamformer` for a
+scheme of any factor.
 """
 from __future__ import annotations
 
@@ -145,19 +146,18 @@ class SinrReport:
 
 
 class Design(NamedTuple):
-    """Batched transmit designs and Bob's combiners for several targets.
+    """Batched transmit designs and Bob's combiners.
 
-    ``t`` (K, ..., na) is the unit data direction, ``rho`` (K, ...) the data
-    power fraction, ``beta`` (K, ...) the interference power per direction
-    orthogonal to ``t``, ``w_b`` (K, ..., nb) Bob's combiner and ``outage``
-    (K, ...) whether the target was out of reach.
+    ``t`` (..., na) is the unit data direction, ``rho`` (...) the data power
+    fraction, ``beta`` (...) the interference power per direction orthogonal
+    to ``t``, ``w_b`` (..., nb) Bob's combiner and ``outage`` (...) whether
+    the target was out of reach.
 
-    The leading axis runs over the K targets of the kernel call, with
-    length 1 in a field that does not depend on the target.  A field's
-    batch axes ``...`` are those of the inputs it was computed from, so the
-    fields broadcast against each other but need not be equal (Bob's matched
-    combiner has no axis over error levels, the directions of stale
-    estimates do).  :meth:`at` picks one target.
+    A field's batch axes ``...`` are those of the kernel inputs it was
+    computed from, the target SINR among them, so the fields broadcast
+    against each other but need not be equal (Bob's matched combiner has no
+    axis over targets or error levels, the directions of stale estimates
+    have one over error levels but none over targets).
 
     Every kernel spreads the interference evenly over the directions
     orthogonal to ``t``, q_z = beta (I - t t^H) with beta = :func:`noise_beta`
@@ -170,16 +170,6 @@ class Design(NamedTuple):
     beta: np.ndarray | None
     w_b: np.ndarray
     outage: np.ndarray
-
-    def at(self, k: int) -> Design:
-        """The design for target ``k``: each field's entry ``k`` along the
-        target axis, or its only entry where it does not depend on the target."""
-        return Design(*(f if f is None else f[k] if len(f) > 1 else f[0] for f in self))
-
-
-def target_axis(targets, ndim: int) -> np.ndarray:
-    """``targets`` as the leading axis of an array with ``ndim`` batch axes after it."""
-    return np.asarray(targets, dtype=float).reshape((-1,) + (1,) * ndim)
 
 
 def outage_fallback(rho):
@@ -226,8 +216,9 @@ def noise_beta(rho, power_p: float, na: int):
     return np.where(rho >= _RHO_CEIL, 0.0, noise_share(rho, power_p, na))
 
 
-def artificial_noise(sigma1, t, h, v_rx, targets, power_p: float, sigma_b_sq: float):
-    """Artificial-noise designs for every entry of ``targets`` (one :class:`Design`).
+def artificial_noise(sigma1, t, h, v_rx, target_sinr, power_p: float, sigma_b_sq: float):
+    """Artificial-noise designs (one :class:`Design`), over the batch axes
+    of the inputs and of ``target_sinr``, which broadcast together.
 
     Data rides the dominant direction ``t`` (..., na) of the transmitter's
     channel or estimate (singular value ``sigma1``); the leftover budget is
@@ -239,36 +230,34 @@ def artificial_noise(sigma1, t, h, v_rx, targets, power_p: float, sigma_b_sq: fl
     stale estimate's ``t`` models the mismatched (naive) link.  Only the
     power split depends on the target; ``t`` and ``w_b`` are computed once.
     """
-    target = target_axis(targets, np.ndim(sigma1))
-    rho, outage = outage_fallback(required_rho(sigma1, target, power_p, sigma_b_sq))
-    return Design(t=t[None], rho=rho, beta=noise_beta(rho, power_p, t.shape[-1]),
-                  w_b=matvec(h, v_rx)[None], outage=outage)
+    rho, outage = outage_fallback(required_rho(sigma1, target_sinr, power_p, sigma_b_sq))
+    return Design(t=t, rho=rho, beta=noise_beta(rho, power_p, t.shape[-1]),
+                  w_b=matvec(h, v_rx), outage=outage)
 
 
-def eve_aware(h, gram_e, ne, targets, power_p: float, sigma_b_sq: float):
-    """Designs that minimize the eavesdropper's SINR at fixed QoS, for every
-    entry of ``targets`` (one :class:`Design`).
+def eve_aware(h, gram_e, ne, target_sinr, power_p: float, sigma_b_sq: float):
+    """Designs that minimize the eavesdropper's SINR at fixed QoS (one
+    :class:`Design`), over the batch axes of the inputs and of
+    ``target_sinr``, which broadcast together.
 
     All power goes to the data stream; the direction weighs the intended
     channels ``h`` against the Gram matrices ``gram_e`` of the eavesdropper's
     channels as the design assumes them (exact or stale), which have ``ne``
     rows (:func:`eve_aware_directions`).  While she has fewer antennas than
     the transmitter the direction lands in her null space.  The data
-    fraction is the minimum meeting each target at the intended receiver
+    fraction is the minimum meeting the target at the intended receiver
     with a matched combiner (the remainder goes unused); it is the only
     field that depends on the target.  Raises DegenerateChannelError when a
     direction has zero gain to the intended receiver.
     """
-    check_target(targets)
+    check_target(target_sinr)
     t = eve_aware_directions(herm(h) @ h, gram_e, ne, h.shape[-2])
     w_b = matvec(h, t)
     gain = np.real(vdot(w_b, w_b))
     if (gain <= 0).any():
         raise DegenerateChannelError("data direction has zero gain to the intended receiver")
-    rho, outage = outage_fallback(
-        sigma_b_sq * target_axis(targets, gain.ndim) / (power_p * gain)
-    )
-    return Design(t=t[None], rho=rho, beta=None, w_b=w_b[None], outage=outage)
+    rho, outage = outage_fallback(sigma_b_sq * target_sinr / (power_p * gain))
+    return Design(t=t, rho=rho, beta=None, w_b=w_b, outage=outage)
 
 
 @cache
@@ -644,7 +633,7 @@ def single_artificial_noise(chan: ChannelSet, tx: SvdStack | Basis, rx: SvdStack
     or its estimate's ``channels.Basis``, with Bob matched to ``rx``."""
     return artificial_noise(
         tx.sigma1[None], tx.v[None, :, 0], chan.h_ba.entries[None], rx.single().v1[None],
-        (target_sinr,), chan.power_p, chan.sigma_b_sq,
+        target_sinr, chan.power_p, chan.sigma_b_sq,
     )
 
 
@@ -668,7 +657,7 @@ def design_known_ecsi(chan: ChannelSet, h_ea_assumed, target_sinr: float) -> TxS
     he = as_matrix(h_ea_assumed)
     if he.shape[1] != chan.na:
         raise DimensionError(f"channel column counts differ: {chan.na} vs {he.shape[1]}")
-    d = eve_aware(chan.h_ba.entries[None], (herm(he) @ he)[None], he.shape[0], (target_sinr,),
+    d = eve_aware(chan.h_ba.entries[None], (herm(he) @ he)[None], he.shape[0], target_sinr,
                   chan.power_p, chan.sigma_b_sq)
     return _tx_scheme(d, chan.power_p, target_sinr)
 
@@ -753,4 +742,4 @@ def perfect_csi_trial(chan: ChannelSet, target_sinr: float, svd: SvdStack | None
     part = svd if svd is not None else partition_svd(chan.h_ba)
     d = single_artificial_noise(chan, part, part, target_sinr)
     scheme, report, _, _ = run_trial(chan, d, target_sinr, part.v)
-    return scheme, RxBeamformer(d.w_b[0, 0], "matched"), eve_mmse_beamformer(chan, scheme), report
+    return scheme, RxBeamformer(d.w_b[0], "matched"), eve_mmse_beamformer(chan, scheme), report

@@ -139,7 +139,7 @@ def _prediction_vs_simulation(n: int, sigma_db: float, channels: int = 300,
         h = np.tile(chan.h_ba.entries, (draws, 1, 1))
         tilde = estimate_basis(h + dh)
         design = artificial_noise(tilde.sigma1, tilde.v[..., 0], h, np.tile(svd.v1, (draws, 1)),
-                                  (target,), chan.power_p, chan.sigma_b_sq).at(0)
+                                  target, chan.power_p, chan.sigma_b_sq)
         _, signal, interf, noise = link(h, design.t, design.rho * chan.power_p, design.beta,
                                         design.w_b, chan.sigma_b_sq)
         sig_sum = int_sum = 0.0

@@ -57,6 +57,32 @@ class TestExitCodes:
         assert main(["run", "--config", str(bad), "--out-dir", str(tmp_path)]) == 1
         capsys.readouterr()
 
+    def test_a_json_array_config_is_refused_as_json(self, tmp_path, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1, 2]\n")
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        assert "top-level JSON value must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--ne", ","], "ne: expected a number or comma-separated list, got ','"),
+        (["--ne", "x"], "ne: could not parse 'x'"),
+        (["--schemes", ","], "--schemes: empty scheme list"),
+    ])
+    def test_an_unreadable_flag_is_refused_by_name(self, tmp_path, capsys, extra, message):
+        assert _run(tmp_path, extra=extra) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    def test_a_nonpositive_threads_env_variable_is_refused(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("WIRETAP_THREADS", "0")
+        assert _run(tmp_path) == 1
+        assert "WIRETAP_THREADS must be positive, got 0" in capsys.readouterr().err
+
+    def test_a_flat_line_without_a_value_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("na = 3\ntrials\n")
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        assert f"{cfg}:2: expected key = value, got 'trials'" in capsys.readouterr().err
+
     def test_numerical_guard_exits_two(self, capsys):
         # A starved budget puts the nominal design in outage, where the
         # closed-form prediction refuses to evaluate.
@@ -106,6 +132,31 @@ class TestRunCommand:
         payload = json.loads((out_dir / "results.json").read_text())
         assert payload["config"]["schemes"] == ["perfect"]
         assert payload["config"]["master_seed"] == 5
+
+    def test_plain_json_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"na": 3, "nb": 3, "ne": [1, 2], "trials": 4,
+                                   "target_sinr_db": 10, "schemes": ["perfect", "known_ecsi"],
+                                   "master_seed": 6}))
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+        capsys.readouterr()
+        payload = json.loads((out_dir / "results.json").read_text())
+        assert payload["axis_name"] == "ne" and payload["axis"] == [1, 2]
+        assert payload["config"]["master_seed"] == 6
+        assert payload["schemes"] == ["perfect", "known_ecsi"]
+
+    def test_a_flat_config_file_names_a_preset(self, tmp_path, capsys):
+        # The preset's settings, as the figure shortcut runs them.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scenario = fig3_sinr_vs_target\ntrials = 3\n")
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 0
+        assert main(["figure", "3", "--trials", "3", "--out-dir", str(tmp_path / "fig")]) == 0
+        capsys.readouterr()
+        a = json.loads((tmp_path / "run" / "results.json").read_text())
+        b = json.loads((tmp_path / "fig" / "results.json").read_text())
+        assert a["config"]["scenario"] == "fig3_sinr_vs_target"
+        assert a["series"] == b["series"]
 
     @pytest.mark.parametrize("key,value,axis_name,axis", [
         ("ne", "1,2", "ne", [1, 2]),

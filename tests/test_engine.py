@@ -195,17 +195,17 @@ def _per_point_rows(cfg: ExperimentConfig):
     h, *eve_draws = harness._draws(cfg, 0, cfg.trials, streams)
     part = partition_stack(h)
     target = float(from_db(cfg.target_sinr_db))
-    budget = ((target,), cfg.power_p, cfg.sigma_b_sq)
+    budget = (target, cfg.power_p, cfg.sigma_b_sq)
     out = np.empty((len(cfg.ne), len(cfg.schemes), len(harness.METRICS), cfg.trials))
     directions = {name: [] for name in cfg.schemes}
     for p, ne in enumerate(cfg.ne):
         eve, fresh = eve_draws[2 * p], eve_draws[2 * p + 1]
         for s, name in enumerate(cfg.schemes):
             if name == "perfect":
-                d = artificial_noise(part.s[:, 0], part.v1, h, part.v1, *budget).at(0)
+                d = artificial_noise(part.s[:, 0], part.v1, h, part.v1, *budget)
             else:
                 assumed = eve if name == "known_ecsi" else harness._blend(cfg, eve, fresh)
-                d = eve_aware(h, herm(assumed) @ assumed, ne, *budget).at(0)
+                d = eve_aware(h, herm(assumed) @ assumed, ne, *budget)
                 directions[name].append(d.t)
             out[p, s] = evaluate(d, h, eve, amplitude_spectrum(eve, herm(eve) @ eve), target,
                                  cfg.power_p, cfg.sigma_b_sq, cfg.sigma_e_sq, cfg.secrecy_metric)
@@ -230,7 +230,7 @@ def test_ragged_eve_axis_matches_the_per_point_path(monkeypatch, na, ne, metric)
 
     def recording(*args):
         designs = transmit.eve_aware(*args)
-        recorded.append(designs.t[0].reshape(-1, designs.t.shape[-1]))
+        recorded.append(designs.t.reshape(-1, designs.t.shape[-1]))
         return designs
 
     monkeypatch.setattr(harness, "eve_aware", recording)
@@ -330,7 +330,7 @@ def test_engine_equals_the_loop_on_random_configs(
     assert_matches_loop(cfg)
 
 
-# ----------------------------------------- the target axis and the point grid
+# ------------------------------------------- broadcast targets and the point grid
 
 
 def _flat(x: np.ndarray, shape: tuple, row_dims: int) -> np.ndarray:
@@ -348,6 +348,8 @@ def test_every_kernel_designs_its_targets_in_one_pass_bit_for_bit():
     # reach everywhere.
     count, na, power_p = 20, 4, 100.0
     targets = (0.5, 30.0, 1e6)
+    # The targets on a leading axis that broadcasts against the inputs' grid.
+    stacked = np.array(targets)[:, None, None]
     h = _random_channels(count, na, na, seed=41)
     part = partition_stack(h)
     levels = np.array([0.01, 0.1])[:, None, None]
@@ -361,19 +363,20 @@ def test_every_kernel_designs_its_targets_in_one_pass_bit_for_bit():
         "eve_aware": (eve_aware, (h, gram, np.array([[2], [5]])), (2, 2, 0)),
         "robust_fdd": (robust.robust_fdd, (h, tilde.v[..., 0]), (2, 1)),
         "robust_tdd": (robust.robust_tdd,
-                       (h, part.sigma1, part.u1, part.v1, e_dv1, tilde.v[..., 0]),
-                       (2, 0, 1, 1, 1, 1)),
+                       (part.sigma1, part.u1, part.v1, e_dv1, tilde.v[..., 0]),
+                       (0, 1, 1, 1, 1)),
     }
     grid = (2, count)
     for name, (kernel, args, row_dims) in kernels.items():
-        joint = kernel(*args, targets, power_p, 1.0)
+        joint = kernel(*args, stacked, power_p, 1.0)
         rows = [_flat(x, grid, dims) for x, dims in zip(args, row_dims)]
         for k, target in enumerate(targets):
-            single = kernel(*rows, (target,), power_p, 1.0).at(0)
-            for field, got, want in zip(transmit.Design._fields, joint.at(k), single):
+            single = kernel(*rows, target, power_p, 1.0)
+            for field, got, want in zip(transmit.Design._fields, joint, single):
                 if want is None:
                     assert got is None, f"{name}.{field}[{k}]"
                     continue
+                got = np.broadcast_to(got, (len(targets),) + grid + want.shape[1:])[k]
                 np.testing.assert_array_equal(_flat(got, grid, want.ndim - 1), want,
                                               err_msg=f"{name}.{field}[{k}]")
         assert joint.outage[-1].all() and not joint.outage[0].any(), name
@@ -391,7 +394,7 @@ def test_evaluate_on_the_point_grid_equals_evaluate_on_tiled_rows(preset, metric
     blk = harness._Block(cfg, 0, cfg.trials)
     grid = (blk.n_points, blk.n)
     budget = (cfg.power_p, cfg.sigma_b_sq, cfg.sigma_e_sq, cfg.secrecy_metric)
-    designs = {name: blk.design(name) for name in cfg.schemes}
+    designs = {name: harness._DESIGNS[name](blk) for name in cfg.schemes}
     gram = blk.eve_gram(designs.values())
     assert isinstance(gram, tuple) == (preset != "fig1_ne_sweep")
     if isinstance(gram, tuple):
@@ -452,8 +455,8 @@ def _single_channel_rows(cfg: ExperimentConfig, i: int, h, dh_unit, eve) -> np.n
                 assert max(public.interference_power, bob.interference_power) <= (
                     1e-24 * bob.signal_power)
             elif name == "known_ecsi":
-                d = eve_aware(h[i][None], (herm(eve[i]) @ eve[i])[None], cfg.ne, (target,),
-                              cfg.power_p, cfg.sigma_b_sq).at(0)
+                d = eve_aware(h[i][None], (herm(eve[i]) @ eve[i])[None], cfg.ne, target,
+                              cfg.power_p, cfg.sigma_b_sq)
                 scheme, report, bob, eve_link = run_trial(chan, d, target)
                 np.testing.assert_array_equal(design_known_ecsi(chan, chan.h_ea, target).t, d.t[0])
             elif name == "naive":
@@ -557,16 +560,17 @@ def _kernel_designs(h: np.ndarray, eve: np.ndarray, power_p: float):
     part = partition_stack(h)
     tilde = estimate_basis(h + np.sqrt(sigma_sq) * _random_channels(len(h), *h.shape[1:], seed=9))
     e_dv1 = iid_moments(part.s, na).drift[:, None] * part.v1 * sigma_sq
-    budget = (targets, power_p, 1.0)
     kernels = {
-        "perfect": artificial_noise(part.sigma1, part.v1, h, part.v1, *budget),
-        "naive": artificial_noise(tilde.sigma1, tilde.v[..., 0], h, part.v1, *budget),
-        "known_ecsi": eve_aware(h, herm(eve) @ eve, eve.shape[1], *budget),
-        "robust_fdd": robust.robust_fdd(h, tilde.v[..., 0], *budget),
-        "robust_tdd": robust.robust_tdd(h, part.sigma1, part.u1, part.v1, e_dv1,
-                                        tilde.v[..., 0], *budget),
+        "perfect": lambda *budget: artificial_noise(part.sigma1, part.v1, h, part.v1, *budget),
+        "naive": lambda *budget: artificial_noise(tilde.sigma1, tilde.v[..., 0], h, part.v1,
+                                                  *budget),
+        "known_ecsi": lambda *budget: eve_aware(h, herm(eve) @ eve, eve.shape[1], *budget),
+        "robust_fdd": lambda *budget: robust.robust_fdd(h, tilde.v[..., 0], *budget),
+        "robust_tdd": lambda *budget: robust.robust_tdd(part.sigma1, part.u1, part.v1, e_dv1,
+                                                        tilde.v[..., 0], *budget),
     }
-    return [(name, designs.at(k)) for name, designs in kernels.items() for k in range(len(targets))]
+    return [(name, kernel(target, power_p, 1.0)) for name, kernel in kernels.items()
+            for target in targets]
 
 
 @pytest.mark.parametrize("sigma_sq", [1.0, 0.3])
@@ -667,9 +671,9 @@ def test_link_is_the_deleted_factor_form(preset):
             for who, h, w, sigma_sq in receivers:
                 got = transmit.link(h, d.t, d.rho * cfg.power_p, d.beta, w, sigma_sq)[2]
                 grid = np.broadcast_shapes(got.shape, d.rho.shape)
-                for k, p, i in np.ndindex(grid):
+                for p, i in np.ndindex(grid):
                     def at(f):
-                        return f[min(k, len(f) - 1), min(p, f.shape[1] - 1), i]
+                        return f[min(p, len(f) - 1), i]
                     t, w_i = at(d.t), at(w)
                     beta = None if d.beta is None else at(d.beta)
                     factor = (np.zeros((cfg.na, 0)) if beta is None
@@ -677,8 +681,8 @@ def test_link_is_the_deleted_factor_form(preset):
                     want = oracles.factor_form_interference(h[i], factor, w_i)
                     x = h[i].conj().T @ (w_i / np.linalg.norm(w_i))
                     scale = want if who == "eve" else (beta or 0.0) * np.vdot(x, x).real
-                    miss = abs(np.broadcast_to(got, grid)[k, p, i] - want)
-                    assert miss <= 1e-12 * scale, (name, who, k, p, i, miss / scale)
+                    miss = abs(np.broadcast_to(got, grid)[p, i] - want)
+                    assert miss <= 1e-12 * scale, (name, who, p, i, miss / scale)
             if reach and d.beta is not None:
                 assert not d.beta.any(), name
             assert (d.beta is None) == name.endswith("_ecsi"), name
@@ -712,7 +716,7 @@ def test_the_spectral_route_evaluates_a_padded_ne_axis_against_the_loop():
     cfg = ExperimentConfig(na=4, nb=4, ne=(1, 6, 3), target_sinr_db=15.0, sigma_h_db=-15.0,
                            trials=12, master_seed=13, schemes=("perfect", "naive", "known_ecsi"))
     blk = harness._Block(cfg, 0, cfg.trials)
-    designs = {name: blk.design(name) for name in cfg.schemes}
+    designs = {name: harness._DESIGNS[name](blk) for name in cfg.schemes}
     assert isinstance(blk.eve_gram(designs.values()), tuple)
     assert blk.eve.shape == (3, cfg.trials, 6, 4) and not blk.eve[0, :, 1:].any()
     assert_matches_loop(cfg)
@@ -733,7 +737,7 @@ def test_eve_is_solved_for_only_where_the_solve_keeps_its_digits(na, ne):
             hi = min(lo + harness.BLOCK_TRIALS, cfg.trials)
             got = harness._run_block(cfg, lo, hi)[0, 0, 1]
             blk = harness._Block(cfg, lo, hi)
-            d = blk.design("perfect")
+            d = harness._DESIGNS["perfect"](blk)
             solved = not isinstance(blk.eve_gram([d]), tuple)
             assert solved == (cfg.sigma_e_sq >= harness._SOLVE_NOISE_FLOOR * cfg.power_p), k
             want = transmit.eve_link(d, blk.eve, blk.eve_spectrum, cfg.power_p, cfg.sigma_e_sq)[0]
@@ -755,7 +759,7 @@ def _engine_eve_sinrs(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     blk = harness._Block(cfg, 0, cfg.trials)
     want = np.empty_like(got)
     for s, name in enumerate(cfg.schemes):
-        d = blk.design(name)
+        d = harness._DESIGNS[name](blk)
         for p, ne in enumerate(blk.ne[:, 0]):
             eve = blk.eve[p] if blk.eve.ndim == 4 else blk.eve
             for i in range(cfg.trials):
@@ -854,8 +858,8 @@ def test_eves_interference_is_never_negative(na, ne, seed, power_db, noise_exp, 
     eve = _random_channels(count, ne, na, seed=seed + 1)
     power_p, sigma_sq = 10.0 ** (power_db / 10.0), 10.0 ** noise_exp
     tx = partition_stack(h + 0.1 * _random_channels(count, na, na, seed=seed + 2) if stale else h)
-    d = artificial_noise(tx.sigma1, tx.v1, h, partition_stack(h).v1, (10.0 ** (target_db / 10.0),),
-                         power_p, 1.0).at(0)
+    d = artificial_noise(tx.sigma1, tx.v1, h, partition_stack(h).v1, 10.0 ** (target_db / 10.0),
+                         power_p, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sinr, sig, interf, noise = transmit.eve_link(
@@ -956,9 +960,9 @@ def test_eve_mmse_beamformer_agrees_with_the_spectral_route():
         tilde = estimate_basis(chan.h_ba.entries + err)
         mom = compute_moments(svd, CsiErrorModel.iid(0.01))
         he = chan.h_ea.entries
-        known = eve_aware(chan.h_ba.entries[None], (herm(he) @ he)[None], ne, (30.0, 1e6),
-                          chan.power_p, chan.sigma_b_sq)
-        for target, known_design in zip((30.0, 1e6), map(known.at, range(2))):
+        for target in (30.0, 1e6):
+            known_design = eve_aware(chan.h_ba.entries[None], (herm(he) @ he)[None], ne, target,
+                                     chan.power_p, chan.sigma_b_sq)
             perfect = perfect_csi_trial(chan, target, svd=svd)
             naive = naive_trial(chan, err, target, svd=svd)
             fdd = robust._fdd_trial(chan, tilde, target)
@@ -1263,19 +1267,20 @@ def test_the_statistical_combiner_is_closed_form_on_the_sweeps(monkeypatch, pres
     cfg = preset_config(preset, trials=6, master_seed=14)
     blk = harness._Block(cfg, 0, cfg.trials)
     part, e_dv1 = blk.part, blk.e_dv1
-    args = (blk.h[None], part.sigma1[None], part.u1[None], part.v1[None], e_dv1,
-            blk.tilde.v[..., 0], *blk.budget)
+    args = (part.sigma1[None], part.u1[None], part.v1[None], e_dv1, blk.tilde.v[..., 0],
+            *blk.budget)
     eighs = []
     monkeypatch.setattr(np.linalg, "eigh", lambda *a, fn=np.linalg.eigh: eighs.append(a) or fn(*a))
     d = robust.robust_tdd(*args)
     monkeypatch.undo()
     assert eighs == []
-    for k, level, i in np.ndindex(d.rho.shape):
-        w = d.w_b[k, level, i]
+    for p, i in np.ndindex(d.rho.shape):
+        w = d.w_b[p, i]
         assert 1.0 - abs(np.vdot(w / np.linalg.norm(w), part.u1[i])) <= 1e-14
-        beta = transmit.noise_share(d.rho[k, level, i], cfg.power_p, cfg.na)
+        beta = transmit.noise_share(d.rho[p, i], cfg.power_p, cfg.na)
         want, loaded = oracles.tdd_combiner(blk.h[i], part.sigma1[i], part.u1[i], part.v1[i],
-                                            e_dv1[level, i], beta, cfg.sigma_b_sq)
+                                            e_dv1[min(p, len(e_dv1) - 1), i], beta,
+                                            cfg.sigma_b_sq)
         assert not loaded
         assert np.linalg.norm(w - want) <= 1e-12 * np.linalg.norm(want)
 

@@ -191,8 +191,8 @@ class TestTddReceiver:
         monkeypatch.setattr(robust, "loaded_noise", spy)
         design = whitened_tdd(
             chan.h_ba.entries[None], np.array([svd.sigma1]), svd.u1[None], svd.v1[None],
-            moments.e_dv1[None], tilde.v[None, :, 0], (TARGET,), chan.power_p, chan.sigma_b_sq,
-        ).at(0)
+            moments.e_dv1[None], tilde.v[None, :, 0], TARGET, chan.power_p, chan.sigma_b_sq,
+        )
         assert len(flags) == 1 and flags[0].all()
         assert np.all(np.isfinite(design.w_b))
         _, report, _, _, _ = _tdd_trial(chan, svd, moments, tilde, TARGET)
@@ -279,8 +279,9 @@ def test_a_rank_deficient_estimate_is_designed_from():
     # which exist at any rank, so a rank-one estimate is designed from like
     # any other; a tall channel is still refused by shape, and the all-zero
     # estimate keeps its outcomes: the exact-knowledge receiver meets the
-    # target through the true channel, but through the zero estimate it
-    # forms a zero combiner, and the naive design has no sigma1 to size from.
+    # target through the true channel, but propagating through the zero
+    # estimate and the naive design, which has no sigma1 to size from, are
+    # refused by the estimate's name before any design.
     chan = generate_channels(4, 4, 2, rng_seed=3)
     h = chan.h_ba.entries
     svd = partition_svd(chan.h_ba)
@@ -306,8 +307,8 @@ def test_a_rank_deficient_estimate_is_designed_from():
 
     zero = np.zeros_like(h)
     assert fdd_receiver(chan, zero, target)[1].sinr_b == pytest.approx(target, rel=1e-9)
-    with pytest.raises(ParameterError, match="combiner must be nonzero"):
+    with pytest.raises(ParameterError, match="h_tilde is all zero"):
         fdd_receiver(chan, zero, target, propagate_through_estimate=True)
     assert np.isfinite(tdd_receiver(chan, svd, moments, zero - h, target)[1].sinr_b)
-    with pytest.raises(ParameterError, match="sigma1"):
+    with pytest.raises(ParameterError, match=r"H \+ err_sample is all zero"):
         simulate_naive(chan, zero - h, target)

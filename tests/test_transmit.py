@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from wiretap import transmit
 from wiretap.channels import (
     ChannelMatrix,
     ChannelSet,
@@ -22,6 +23,7 @@ from wiretap.transmit import (
     bob_matched_beamformer,
     design_artificial_noise,
     design_known_ecsi,
+    eve_aware,
     eve_mmse_beamformer,
     evaluate_sinr,
     link_sinr,
@@ -262,6 +264,44 @@ class TestDesignKnownEcsi:
         chan = generate_channels(4, 4, 2, rng_seed=1)
         with pytest.raises(DimensionError):
             design_known_ecsi(chan, np.ones((2, 3), dtype=complex), 10.0)
+
+    def test_a_singular_bob_gram_on_the_reciprocal_route_falls_back_to_eves_null_space(
+            self, monkeypatch):
+        # With two eavesdropper antennas against four transmit antennas the
+        # design solves the reciprocal problem, which needs Bob's Gram matrix
+        # to factor; a rank-one channel of his does not, so the design takes
+        # his strongest direction in her null space instead.
+        rng = np.random.default_rng(5)
+        a, b = (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))) / np.sqrt(2)
+        he = (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))) / np.sqrt(2)
+        chan = ChannelSet(h_ba=ChannelMatrix(np.outer(a, b)), h_ea=ChannelMatrix(he),
+                          sigma_b_sq=1.0, sigma_e_sq=1.0, power_p=100.0)
+        infos = []
+
+        def hegvd(*args, driver=transmit._hegvd(), **kwargs):
+            out = driver(*args, **kwargs)
+            infos.append(out[-1])
+            return out
+
+        monkeypatch.setattr(transmit, "_hegvd", lambda: hegvd)
+        scheme = design_known_ecsi(chan, chan.h_ea, 10.0)
+        assert len(infos) == 1 and infos[0] != 0
+        assert np.linalg.norm(he @ scheme.t) <= 1e-12
+        null = np.linalg.svd(he)[2][2:].conj().T
+        gram = null.conj().T @ np.outer(b.conj(), b) @ null
+        want = null @ np.linalg.eigh(gram)[1][:, -1]
+        assert 1.0 - abs(np.vdot(want, scheme.t)) <= 1e-12
+        out = link_sinr(chan.h_ba, scheme, bob_matched_beamformer(chan, scheme), 1.0)
+        assert not scheme.outage and out.sinr == pytest.approx(10.0, rel=1e-9)
+
+    def test_a_direction_without_gain_to_bob_is_refused(self):
+        # An all-zero intended channel against an eavesdropper with as many
+        # antennas as the transmitter: the whitened direction exists, but
+        # no power along it reaches Bob.
+        hb = np.zeros((1, 3, 3), dtype=complex)
+        he = generate_channels(3, 3, 3, rng_seed=2).h_ea.entries
+        with pytest.raises(DegenerateChannelError, match="zero gain"):
+            eve_aware(hb, (he.conj().T @ he)[None], 3, 10.0, 100.0, 1.0)
 
     def test_doubly_singular_pair_is_refused(self):
         hb = ChannelMatrix(np.zeros((2, 3), dtype=complex))
