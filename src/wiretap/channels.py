@@ -300,23 +300,23 @@ def partition_stack(h: np.ndarray) -> SvdStack:
 
 
 class Basis(NamedTuple):
-    """Largest singular value and right singular vectors of channel estimates."""
+    """Largest singular value ``sigma1`` (...) and its right singular vector
+    ``v1`` (..., n) of channel estimates: all a design reads of them."""
 
     sigma1: np.ndarray
-    v: np.ndarray
+    v1: np.ndarray
 
 
 def estimate_basis(h: np.ndarray) -> Basis:
     """:class:`Basis` of the estimates ``h`` (..., m, n), m <= n, by one
-    ``eigh`` of H^H H: v strongest first, phase-fixed as partition_stack's,
-    and sigma1 the root of its largest eigenvalue clipped at zero.  No rank
-    is checked: the designs read only sigma1 and v[..., 0], defined at any
-    rank.  Where m < n the null space's columns are some basis of it."""
+    ``eigh`` of H^H H: v1 its strongest eigenvector, phase-fixed as
+    partition_stack's, and sigma1 the root of its largest eigenvalue clipped
+    at zero.  No rank is checked: both are defined at any rank."""
     m, n = h.shape[-2:]
     if m > n:
         raise OrientationError(f"estimate_basis expects rows <= cols, got {m}x{n}")
     lam, evecs = np.linalg.eigh(herm(h) @ h)
-    return Basis(np.sqrt(np.maximum(lam[..., -1], 0.0)), _phase_fixed(evecs[..., ::-1])[0])
+    return Basis(np.sqrt(np.maximum(lam[..., -1], 0.0)), _phase_fixed(evecs[..., -1:])[0][..., 0])
 
 
 def partition_svd(h) -> SvdStack:

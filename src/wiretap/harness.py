@@ -578,16 +578,16 @@ _DESIGNS = {
     "perfect": lambda blk: artificial_noise(
         blk.part.sigma1[None], blk.part.v1[None], blk.h[None], blk.part.v1[None], *blk.budget),
     "naive": lambda blk: artificial_noise(
-        blk.tilde.sigma1, blk.tilde.v[..., 0], blk.h[None], blk.part.v1[None], *blk.budget),
+        blk.tilde.sigma1, blk.tilde.v1, blk.h[None], blk.part.v1[None], *blk.budget),
     # The Eve-aware schemes differ only in the Gram matrices they assume.
     **{name: lambda blk, name=name: eve_aware(blk.h[None], blk.gram_e[name], blk.ne, *blk.budget)
        for name in ("known_ecsi", "imperfect_ecsi")},
     "robust_fdd": lambda blk: robust_fdd(
         blk.estimate if blk.cfg.propagate_through_estimate else blk.h[None],
-        blk.tilde.v[..., 0], *blk.budget),
+        blk.tilde.v1, *blk.budget),
     "robust_tdd": lambda blk: robust_tdd(
         blk.part.sigma1[None], blk.part.u1[None], blk.part.v1[None], blk.e_dv1,
-        blk.tilde.v[..., 0], *blk.budget),
+        blk.tilde.v1, *blk.budget),
 }
 
 

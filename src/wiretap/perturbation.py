@@ -450,7 +450,7 @@ def naive_trial(chan: ChannelSet, err_sample: np.ndarray, target_sinr: float, *,
     est = chan.h_ba.entries + matching(err_sample, chan.h_ba, "err_sample")
     tilde = estimate_basis(nonzero(finite(est, "H + err_sample"), "H + err_sample"))
     d = single_artificial_noise(chan, tilde, part, target_sinr)
-    scheme, report, bob, eve = run_trial(chan, d, target_sinr, tilde.v)
+    scheme, report, bob, eve = run_trial(chan, d, target_sinr)
     return report, bob, eve, scheme
 
 

@@ -41,7 +41,6 @@ from .transmit import (
     noise_beta,
     noise_share,
     run_trial,
-    whitened_combiner,
 )
 
 # Diagonal loading fraction applied when an expected-interference matrix
@@ -137,6 +136,20 @@ def fdd_spectrum(h_design, t):
     lam = np.clip(lam, 0.0, None)
     weights = np.abs(matvec(herm(evecs), signature)) ** 2
     return lam, evecs, signature, weights
+
+
+def whitened_combiner(evecs, lam, signature, beta, sigma_sq):
+    """(beta * A + sigma^2 I)^-1 signature via the eigendecomposition
+    A = U diag(lam) U^H, with U = ``evecs``.
+
+    Works over leading batch axes; ``beta`` and ``sigma_sq`` may be scalars
+    or arrays over those axes.  The exact-knowledge receiver, and the
+    statistical one off the i.i.d. error model, whiten the interference they
+    expect with it.
+    """
+    proj = matvec(herm(evecs), signature)
+    scale = np.asarray(beta)[..., None] * lam + np.asarray(sigma_sq)[..., None]
+    return matvec(evecs, proj / scale)
 
 
 def robust_fdd(h_design, t, target_sinr, power_p: float, sigma_b_sq: float):
@@ -275,8 +288,8 @@ def _fdd_trial(chan: ChannelSet, tilde: Basis, target_sinr: float,
     """The batch of one of :func:`robust_fdd` from ``tilde``, the estimate's
     ``estimate_basis``, propagated through ``h_design``, else the true channel."""
     h = chan.h_ba.entries if h_design is None else h_design
-    d = robust_fdd(h[None], tilde.v[None, :, 0], target_sinr, chan.power_p, chan.sigma_b_sq)
-    scheme, report, bob, eve = run_trial(chan, d, target_sinr, tilde.v)
+    d = robust_fdd(h[None], tilde.v1[None], target_sinr, chan.power_p, chan.sigma_b_sq)
+    scheme, report, bob, eve = run_trial(chan, d, target_sinr)
     return RxBeamformer(w=d.w_b[0], kind="robust_fdd"), report, bob, eve, scheme
 
 
@@ -308,11 +321,11 @@ def _tdd_trial(chan: ChannelSet, svd: SvdStack, moments: PerturbMoments, tilde: 
     :func:`robust_tdd` for moments of i.i.d. error, else of
     :func:`whitened_tdd`."""
     svd = svd.single()
-    args = (svd.sigma1[None], svd.u1[None], svd.v1[None], moments.e_dv1[None], tilde.v[None, :, 0],
+    args = (svd.sigma1[None], svd.u1[None], svd.v1[None], moments.e_dv1[None], tilde.v1[None],
             target_sinr, chan.power_p, chan.sigma_b_sq)
     d = (robust_tdd(*args) if moments.iid_drift is not None
          else whitened_tdd(chan.h_ba.entries[None], *args))
-    scheme, report, bob, eve = run_trial(chan, d, target_sinr, tilde.v)
+    scheme, report, bob, eve = run_trial(chan, d, target_sinr)
     return RxBeamformer(w=d.w_b[0], kind="robust_tdd"), report, bob, eve, scheme
 
 

@@ -103,9 +103,9 @@ def _check_moment_spot(pairs: int = 20000) -> tuple[bool, str]:
         rng.standard_normal((pairs, m, n)) + 1j * rng.standard_normal((pairs, m, n))
     )
     stacked = np.concatenate([h[None] + dh, h[None] - dh], axis=0)
-    sigma1, v = estimate_basis(stacked)
-    ip = v[..., 0] @ ref.v1.conj()
-    aligned = v[..., 0] * (np.abs(ip) / ip)[:, None]
+    sigma1, v1 = estimate_basis(stacked)
+    ip = v1 @ ref.v1.conj()
+    aligned = v1 * (np.abs(ip) / ip)[:, None]
     dv = aligned - ref.v1
     dv_pair = 0.5 * (dv[:pairs] + dv[pairs:])
     dsig = sigma1 - ref.sigma1

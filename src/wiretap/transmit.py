@@ -20,9 +20,11 @@ at one target and wrap the results in :class:`TxScheme`,
 return the sweep engine's numbers bit for bit, with one exception: they
 evaluate Eve's link in closed form from her spectrum, whereas sweeps where
 each draw of hers serves one combiner (``harness``) solve for it, so there
-the engine's Eve columns match them only to round-off.  Every Eve combiner
-the package returns is built one way, by :func:`eve_mmse_beamformer` for a
-scheme of any factor.
+the engine's Eve columns match them only to round-off.  A
+:class:`TxScheme` stores the design's (t, rho, beta) as the kernels do,
+:func:`link_sinr` is :func:`link` on it, and every Eve combiner the package
+returns is :func:`eve_mmse_beamformer`'s, built from the spectrum her
+:class:`~wiretap.channels.ChannelSet` caches.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import NOISE_RANGE, Basis, ChannelSet, SvdStack, amplitude_spectrum, as_matrix
+from .channels import NOISE_RANGE, Basis, ChannelSet, SvdStack, as_matrix, finite
 from .channels import partition_svd
 from .exceptions import DegenerateChannelError, DimensionError, ParameterError
 from .stacked import any_true, herm, matvec, norm, outer, vdot
@@ -56,12 +58,10 @@ class TxScheme:
     unreachable so all power went to data.  ``target_sinr``, the linear
     SINR the design aimed for, and ``power_p`` are positive and finite.
 
-    ``q_z_factor`` is the interference factor F (na x k, no columns or None
-    for none), and ``q_z`` = F F^H the interference covariance.  Evaluation
-    works from the factor because a receiver orthogonal to the interference
-    sees a residual of order machine-epsilon squared, which only survives
-    through amplitudes (F^H H^H w first, then squared); the assembled
-    covariance buries it under round-off of the large cancelling entries.
+    ``beta`` is the interference power per direction orthogonal to ``t``,
+    nonnegative and finite, or None for a scheme that sends none, as in a
+    :class:`Design`; ``q_z`` = beta (I - t t^H) is the interference
+    covariance (:func:`interference_covariance`) and ``noise_power`` its trace.
     """
 
     t: np.ndarray
@@ -69,13 +69,13 @@ class TxScheme:
     power_p: float
     target_sinr: float
     outage: bool = False
-    q_z_factor: np.ndarray | None = None
+    beta: float | None = None
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=np.complex128)
         if t.ndim != 1:
             raise DimensionError(f"t must be a vector, got shape {t.shape}")
-        nrm = norm(t)
+        nrm = norm(finite(t, "t"))
         if abs(nrm - 1.0) > 1e-9:
             raise ParameterError(f"t must have unit norm, got {nrm}")
         if not (0.0 <= self.rho <= 1.0):
@@ -83,18 +83,18 @@ class TxScheme:
         if not (np.isfinite(self.power_p) and self.power_p > 0):
             raise ParameterError(f"power_p must be positive and finite, got {self.power_p}")
         check_target(self.target_sinr)
-        f = np.zeros((t.size, 0), np.complex128) if self.q_z_factor is None else (
-            np.asarray(self.q_z_factor, dtype=np.complex128))
-        if f.ndim != 2 or f.shape[0] != t.size:
-            raise DimensionError(f"q_z_factor shape {f.shape} does not match t length {t.size}")
-        if self.outage and (self.rho != 1.0 or f.any()):
+        if self.beta is not None:
+            if np.ndim(self.beta) != 0:
+                raise DimensionError(f"beta must be one number, got shape {np.shape(self.beta)}")
+            if not (np.isfinite(self.beta) and self.beta >= 0):
+                raise ParameterError(f"beta must be nonnegative and finite, got {self.beta}")
+        if self.outage and (self.rho != 1.0 or self.beta):
             raise ParameterError("an outage scheme must have rho = 1 and no interference")
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "q_z_factor", f)
 
     @property
     def q_z(self) -> np.ndarray:
-        return self.q_z_factor @ self.q_z_factor.conj().T
+        return interference_covariance(self.t, self.beta or 0.0)
 
     @property
     def data_power(self) -> float:
@@ -102,7 +102,7 @@ class TxScheme:
 
     @property
     def noise_power(self) -> float:
-        return float(np.real(np.trace(self.q_z)))
+        return 0.0 if self.beta is None else self.beta * (self.t.size - 1)
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ class RxBeamformer:
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=np.complex128)
-        if w.ndim != 1 or not w.any():
+        if w.ndim != 1 or not finite(w, "beamformer").any():
             raise ParameterError("beamformer must be a nonzero vector")
         if self.kind not in ("matched", "mmse", "robust_fdd", "robust_tdd"):
             raise ParameterError(f"unknown beamformer kind {self.kind!r}")
@@ -207,6 +207,13 @@ def noise_share(rho, power_p: float, na: int):
     A single-antenna transmitter has no orthogonal direction and gets zero.
     """
     return (1.0 - rho) * power_p / (na - 1) if na > 1 else 0.0 * rho
+
+
+def interference_covariance(t, beta):
+    """The isotropic interference covariance beta (I - t t^H) of designs
+    with directions ``t`` (..., na) and ``beta`` (...), over their
+    broadcast batch axes."""
+    return np.asarray(beta)[..., None, None] * (np.eye(t.shape[-1]) - outer(t, t))
 
 
 def noise_beta(rho, power_p: float, na: int):
@@ -379,21 +386,6 @@ def _cholesky_rows(b: np.ndarray):
     return low[factored], factored
 
 
-def whitened_combiner(evecs, lam, signature, beta, sigma_sq):
-    """(beta * A + sigma^2 I)^-1 signature via the eigendecomposition
-    A = U diag(lam) U^H, with U = ``evecs``.
-
-    Works over leading batch axes; ``beta`` and ``sigma_sq`` may be scalars
-    or arrays over those axes.  Bob's exact-knowledge receiver, and his
-    statistical one off the i.i.d. error model, whiten the interference they
-    expect with it, and :func:`eve_mmse_beamformer` builds every
-    eavesdropper combiner the package returns from it.
-    """
-    proj = matvec(herm(evecs), signature)
-    scale = np.asarray(beta)[..., None] * lam + np.asarray(sigma_sq)[..., None]
-    return matvec(evecs, proj / scale)
-
-
 @cache
 def _pairs(na: int):
     """Row and column indices of the pairs i < j of ``na`` entries."""
@@ -467,17 +459,6 @@ def _nulled_stand_in(w: np.ndarray) -> np.ndarray:
     return np.where(nulled[..., None], np.eye(w.shape[-1])[0], w) if nulled.any() else w
 
 
-def _received(h, t, data_power, w, sigma_sq: float):
-    """(H^H w, signal, noise power) at ``w`` normalized, as :func:`link` takes them."""
-    scale = norm(w)
-    if not scale.all():
-        raise ParameterError("combiner must be nonzero")
-    w = w / scale[..., None]
-    sig = data_power * abs(vdot(w, matvec(h, t))) ** 2
-    noise = sigma_sq * np.real(vdot(w, w))
-    return matvec(herm(h), w), sig, noise
-
-
 def link(h, t, data_power, beta, w, sigma_sq: float):
     """(SINR, signal, interference, noise power) at the unit-norm ``w``.
 
@@ -488,9 +469,15 @@ def link(h, t, data_power, beta, w, sigma_sq: float):
     ``t`` before its norm is taken, so a combiner orthogonal to the
     interference measures the true epsilon-squared residual.
     """
-    x, sig, noise = _received(h, t, data_power, w, sigma_sq)
+    scale = norm(w)
+    if not scale.all():
+        raise ParameterError("combiner must be nonzero")
+    w = w / scale[..., None]
+    sig = data_power * abs(vdot(w, matvec(h, t))) ** 2
+    noise = sigma_sq * np.real(vdot(w, w))
     if beta is None:
         return sig / noise, sig, np.zeros_like(sig), noise
+    x = matvec(herm(h), w)
     off = x - t * vdot(t, x)[..., None]
     interf = beta * np.real(vdot(off, off))
     return sig / (interf + noise), sig, interf, noise
@@ -516,8 +503,7 @@ def evaluate(d: Design, h, eve, gram, target, power_p: float, sigma_b_sq: float,
     sinr_b, signal_b, interf_b, noise_b = link(h, d.t, data_power, d.beta, d.w_b, sigma_b_sq)
     sinr_e, signal_e, interf_e, noise_e = eve_link(d, eve, gram, power_p, sigma_e_sq)
     if secrecy_metric == "full":
-        q = 0.0 if d.beta is None else (
-            d.beta[..., None, None] * (np.eye(d.t.shape[-1]) - outer(d.t, d.t)))
+        q = 0.0 if d.beta is None else interference_covariance(d.t, d.beta)
         secrecy = full_secrecy_rates(h, eve, d.t, data_power, q, sigma_b_sq, sigma_e_sq)
     elif secrecy_metric == "goodput":
         secrecy = secure_goodput(sinr_b, sinr_e, target)
@@ -596,13 +582,11 @@ def full_secrecy_rates(h_b, h_e, t, data_power, q, sigma_b_sq: float, sigma_e_sq
 # and wraps the only entry of its design in the public types.
 
 
-def _tx_scheme(d: Design, power_p: float, target_sinr: float, v=None) -> TxScheme:
+def _tx_scheme(d: Design, power_p: float, target_sinr: float) -> TxScheme:
     """The transmit configuration of a design of one channel at one target,
-    whatever leading axes of length 1 its fields carry, with the factor
-    sqrt(beta) T' over the columns T' of ``v`` after the data direction."""
-    factor = None if d.beta is None else np.sqrt(d.beta.item()) * v.reshape(v.shape[-2:])[:, 1:]
-    return TxScheme(t=d.t.reshape(-1), rho=d.rho.item(), power_p=power_p,
-                    target_sinr=target_sinr, outage=d.outage.item(), q_z_factor=factor)
+    whatever leading axes of length 1 its fields carry."""
+    return TxScheme(t=d.t.reshape(-1), rho=d.rho.item(), power_p=power_p, target_sinr=target_sinr,
+                    outage=d.outage.item(), beta=None if d.beta is None else d.beta.item())
 
 
 def _link_sinr(figures) -> LinkSinr:
@@ -615,16 +599,13 @@ def _report(bob: LinkSinr, eve: LinkSinr, outage: bool) -> SinrReport:
                       secrecy_capacity=secrecy_capacity_proxy(bob.sinr, eve.sinr), outage=outage)
 
 
-def run_trial(chan: ChannelSet, d: Design, target_sinr: float, v=None):
-    """Evaluate a design of one channel at one target on ``chan``, made from
-    the right singular vectors ``v`` (none for :func:`eve_aware`'s).
-
-    Returns (scheme, report, Bob's link, Eve's link).
-    """
+def run_trial(chan: ChannelSet, d: Design, target_sinr: float):
+    """(scheme, report, Bob's link, Eve's link) of a design of one channel
+    at one target, evaluated on ``chan``."""
     h, he = chan.h_ba.entries[None], chan.h_ea.entries[None]
     bob = _link_sinr(link(h, d.t, d.rho * chan.power_p, d.beta, d.w_b, chan.sigma_b_sq))
     eve = _link_sinr(eve_link(d, he, chan.eve_spectrum, chan.power_p, chan.sigma_e_sq))
-    scheme = _tx_scheme(d, chan.power_p, target_sinr, v)
+    scheme = _tx_scheme(d, chan.power_p, target_sinr)
     return scheme, _report(bob, eve, scheme.outage), bob, eve
 
 
@@ -632,7 +613,7 @@ def single_artificial_noise(chan: ChannelSet, tx: SvdStack | Basis, rx: SvdStack
     """:func:`artificial_noise` of one channel from ``tx``, its decomposition
     or its estimate's ``channels.Basis``, with Bob matched to ``rx``."""
     return artificial_noise(
-        tx.sigma1[None], tx.v[None, :, 0], chan.h_ba.entries[None], rx.single().v1[None],
+        tx.sigma1[None], tx.v1[None], chan.h_ba.entries[None], rx.single().v1[None],
         target_sinr, chan.power_p, chan.sigma_b_sq,
     )
 
@@ -645,7 +626,7 @@ def design_artificial_noise(chan: ChannelSet, svd: SvdStack, target_sinr: float)
     estimate; the power and noise figures still come from ``chan``.
     """
     d = single_artificial_noise(chan, svd, svd, target_sinr)
-    return _tx_scheme(d, chan.power_p, target_sinr, svd.v)
+    return _tx_scheme(d, chan.power_p, target_sinr)
 
 
 def design_known_ecsi(chan: ChannelSet, h_ea_assumed, target_sinr: float) -> TxScheme:
@@ -673,26 +654,31 @@ def bob_matched_beamformer(chan: ChannelSet, scheme: TxScheme) -> RxBeamformer:
 
 
 def eve_mmse_beamformer(chan: ChannelSet, scheme: TxScheme) -> RxBeamformer:
-    """The best linear receiver the eavesdropper can run, for any factor F.
+    """The best linear receiver the eavesdropper can run.
 
-    She knows her channel H and the scheme, so her combiner is
-    (B B^H + sigma^2 I)^-1 H t for B = H F: :func:`whitened_combiner` at
-    beta = 1 over ``channels.amplitude_spectrum`` of B B^H from B^H, so
-    where B has k < ne nonzero columns its ne - k smallest eigenvalues are
-    exactly zero.  A design that nulls her exactly leaves the combiner at
-    zero, where any combiner is equally good; the first unit vector stands
-    in so the zero SINR is still reportable.
+    She knows her channel H and the scheme.  Against interference
+    beta (I - t t^H), by Sherman-Morrison her combiner is a positive multiple
+    of H (beta G + sigma^2 I)^-1 t, G = H^H H, which over the spectrum
+    (lam, U) ``chan.eve_spectrum`` caches is the sum of (H u_i)(u_i^H t) /
+    (beta lam_i + sigma^2) over lam_i > 0; on her null space (lam_i = 0)
+    H u_i is round-off, which a small sigma^2 would magnify.  Without
+    interference she is matched, H t.  Where the combiner is exactly zero
+    (a design that nulls her), the first unit vector stands in.
     """
-    he = chan.h_ea.entries
-    b_h = herm(he @ scheme.q_z_factor)
-    lam, evecs = amplitude_spectrum(b_h, herm(b_h) @ b_h)
-    w = whitened_combiner(evecs, lam, he @ scheme.t, 1.0, chan.sigma_e_sq)
+    he, t = chan.h_ea.entries, scheme.t
+    if scheme.beta is None:
+        w = he @ t
+    else:
+        lam, evecs = (x[0] for x in chan.eve_spectrum)
+        gain = (evecs.conj().T @ t) / (scheme.beta * lam + chan.sigma_e_sq)
+        w = (he @ evecs) @ np.where(lam > 0.0, gain, 0.0)
     return RxBeamformer(w=_nulled_stand_in(w), kind="mmse")
 
 
 def link_sinr(h, scheme: TxScheme, w, sigma_sq: float) -> LinkSinr:
-    """SINR seen through channel ``h`` with combiner ``w``, as :func:`link`
-    reports it but with the interference F^H H^H w of the scheme's factor F.
+    """SINR seen through channel ``h`` with combiner ``w``: :func:`link` of
+    the scheme's design, after checking the combiner's length, that its
+    entries are finite, and the noise.
 
     The scheme's direction and interference may come from a stale estimate
     while ``h`` is the true channel.  Powers are reported for the unit-norm
@@ -703,13 +689,12 @@ def link_sinr(h, scheme: TxScheme, w, sigma_sq: float) -> LinkSinr:
     w = w.w if isinstance(w, RxBeamformer) else np.asarray(w, dtype=np.complex128)
     if w.ndim != 1 or w.size != arr.shape[0]:
         raise DimensionError(f"combiner length {w.shape} does not match channel rows {arr.shape[0]}")
+    finite(w, "combiner")
     lo, hi = NOISE_RANGE
     if not lo <= sigma_sq <= hi:
         raise ParameterError(f"sigma_sq must lie in [{lo:g}, {hi:g}], got {sigma_sq}")
-    x, sig, noise = _received(arr[None], scheme.t[None], scheme.data_power, w[None], sigma_sq)
-    amps = matvec(herm(scheme.q_z_factor[None]), x)
-    interf = np.real(vdot(amps, amps))
-    return _link_sinr((sig / (interf + noise), sig, interf, noise))
+    return _link_sinr(link(arr[None], scheme.t[None], scheme.data_power, scheme.beta, w[None],
+                           sigma_sq))
 
 
 def evaluate_sinr(chan: ChannelSet, scheme: TxScheme, w_b, w_e) -> SinrReport:
@@ -741,5 +726,5 @@ def perfect_csi_trial(chan: ChannelSet, target_sinr: float, svd: SvdStack | None
     """
     part = svd if svd is not None else partition_svd(chan.h_ba)
     d = single_artificial_noise(chan, part, part, target_sinr)
-    scheme, report, _, _ = run_trial(chan, d, target_sinr, part.v)
+    scheme, report, _, _ = run_trial(chan, d, target_sinr)
     return scheme, RxBeamformer(d.w_b[0], "matched"), eve_mmse_beamformer(chan, scheme), report

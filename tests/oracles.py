@@ -89,6 +89,7 @@ from wiretap.robust import (
     rank1_gains,
     tdd_fraction,
     tdd_shape,
+    whitened_combiner,
 )
 from wiretap.transmit import (
     _RHO_CEIL,
@@ -100,7 +101,6 @@ from wiretap.transmit import (
     required_rho,
     secrecy_capacity_proxy,
     secure_goodput,
-    whitened_combiner,
 )
 from wiretap.units import from_db, to_db
 
@@ -703,11 +703,15 @@ def mmse_combiner(h, t, q, sigma_sq: float) -> np.ndarray:
 def eve_sinr(h_e, t, factor, data_power: float, sigma_sq: float) -> float:
     """Eve's SINR at her MMSE combiner, rho P t^H H^H (A + sigma^2 I)^-1 H t
     for A = (H F)(H F)^H, as rho P sum_i |v_i^H H t|^2 / (mu_i + sigma^2) over
-    the ``eigh`` of A.  A is ne x ne of rank at most k, F's column count, so
-    its ne - k smallest eigenvalues are set to zero by shape; read from
-    ``eigh`` they are round-off, which swamps a small sigma^2."""
+    the eigenvectors v_i of A from ``eigh``.  Each eigenvalue is taken as
+    the squared amplitude mu_i = ||(H F)^H v_i||^2, which resolves a small
+    one to full relative precision where ``eigh``'s own is off by eps ||A||.
+    A is ne x ne of rank at most k, F's column count, so its ne - k smallest
+    eigenvalues are set to zero by shape; left as amplitudes they are
+    round-off, which swamps a small sigma^2."""
     b = h_e @ factor
-    mu, v = np.linalg.eigh(b @ b.conj().T)
+    v = np.linalg.eigh(b @ b.conj().T)[1]
+    mu = np.sum(np.abs(b.conj().T @ v) ** 2, axis=0)
     mu[:max(h_e.shape[0] - factor.shape[1], 0)] = 0.0
     proj = v.conj().T @ (h_e @ t)
     return data_power * float(np.sum(np.abs(proj) ** 2 / (mu + sigma_sq)))

@@ -138,7 +138,7 @@ def _prediction_vs_simulation(n: int, sigma_db: float, channels: int = 300,
         dh = np.stack([np.sqrt(sigma_sq) * complex_gaussian(rng, n, n) for rng in rngs])
         h = np.tile(chan.h_ba.entries, (draws, 1, 1))
         tilde = estimate_basis(h + dh)
-        design = artificial_noise(tilde.sigma1, tilde.v[..., 0], h, np.tile(svd.v1, (draws, 1)),
+        design = artificial_noise(tilde.sigma1, tilde.v1, h, np.tile(svd.v1, (draws, 1)),
                                   target, chan.power_p, chan.sigma_b_sq)
         _, signal, interf, noise = link(h, design.t, design.rho * chan.power_p, design.beta,
                                         design.w_b, chan.sigma_b_sq)

@@ -358,12 +358,12 @@ def test_every_kernel_designs_its_targets_in_one_pass_bit_for_bit():
     gram = np.stack([herm(x) @ x for x in (_random_channels(count, ne, na, 43 + ne)
                                              for ne in (2, 5))])
     kernels = {
-        "artificial_noise": (artificial_noise, (tilde.sigma1, tilde.v[..., 0], h, part.v1),
+        "artificial_noise": (artificial_noise, (tilde.sigma1, tilde.v1, h, part.v1),
                              (0, 1, 2, 1)),
         "eve_aware": (eve_aware, (h, gram, np.array([[2], [5]])), (2, 2, 0)),
-        "robust_fdd": (robust.robust_fdd, (h, tilde.v[..., 0]), (2, 1)),
+        "robust_fdd": (robust.robust_fdd, (h, tilde.v1), (2, 1)),
         "robust_tdd": (robust.robust_tdd,
-                       (part.sigma1, part.u1, part.v1, e_dv1, tilde.v[..., 0]),
+                       (part.sigma1, part.u1, part.v1, e_dv1, tilde.v1),
                        (0, 1, 1, 1, 1)),
     }
     grid = (2, count)
@@ -443,17 +443,13 @@ def _single_channel_rows(cfg: ExperimentConfig, i: int, h, dh_unit, eve) -> np.n
         for s, name in enumerate(cfg.schemes):
             if name == "perfect":
                 d = transmit.single_artificial_noise(chan, svd, svd, target)
-                scheme, report, bob, eve_link = run_trial(chan, d, target, svd.v)
+                scheme, report, bob, eve_link = run_trial(chan, d, target)
                 _, w_b, _, perfect = perfect_csi_trial(chan, target, svd=svd)
                 assert perfect == report
-                # The public link takes the scheme's factor, the engine projects
-                # off t: the same figures but for the round-off residual of
-                # interference at Bob's matched combiner.
-                public = link_sinr(chan.h_ba, scheme, w_b, chan.sigma_b_sq)
-                assert (public.sinr, public.signal_power, public.interference_plus_noise) == (
-                    bob.sinr, bob.signal_power, bob.interference_plus_noise)
-                assert max(public.interference_power, bob.interference_power) <= (
-                    1e-24 * bob.signal_power)
+                # The public link is the engine's: the same figures, down to the
+                # round-off residual of interference at Bob's matched combiner.
+                assert link_sinr(chan.h_ba, scheme, w_b, chan.sigma_b_sq) == bob
+                assert bob.interference_power <= 1e-24 * bob.signal_power
             elif name == "known_ecsi":
                 d = eve_aware(h[i][None], (herm(eve[i]) @ eve[i])[None], cfg.ne, target,
                               cfg.power_p, cfg.sigma_b_sq)
@@ -498,28 +494,33 @@ def _random_channels(count: int, rows: int, cols: int, seed: int) -> np.ndarray:
     return np.stack([complex_gaussian(rng, rows, cols) for _ in range(count)])
 
 
-def _eve_combiner(h_e: np.ndarray, t: np.ndarray, factor: np.ndarray, sigma_sq: float):
+def _unit(w: np.ndarray) -> np.ndarray:
+    """Each vector of the stack ``w`` at unit norm."""
+    return w / np.linalg.norm(w, axis=-1, keepdims=True)
+
+
+def _eve_combiner(h_e: np.ndarray, t: np.ndarray, beta, sigma_sq: float):
     """``eve_mmse_beamformer``'s combiner for Eve's channel ``h_e`` against the
-    direction ``t`` and interference factor ``factor``."""
+    direction ``t`` and interference beta (I - t t^H), at unit norm: it is
+    the MMSE combiner up to a positive scale."""
     na = h_e.shape[1]
     chan = ChannelSet(h_ba=ChannelMatrix(np.eye(na, dtype=complex)), h_ea=ChannelMatrix(h_e),
                       sigma_b_sq=1.0, sigma_e_sq=sigma_sq, power_p=100.0)
-    scheme = transmit.TxScheme(t=t, rho=0.5, power_p=100.0, target_sinr=1.0, q_z_factor=factor)
-    return eve_mmse_beamformer(chan, scheme).w
+    scheme = transmit.TxScheme(t=t, rho=0.5, power_p=100.0, target_sinr=1.0, beta=beta)
+    return _unit(eve_mmse_beamformer(chan, scheme).w)
 
 
 def test_stacked_lu_solve_matches_the_cholesky_solve():
-    # The public beamformer, whitened over the spectrum of Eve's interference
-    # covariance, against the oracle's Cholesky solve, with 20 antennas
-    # against 3 interference columns: 17 eigenvalues are zero by shape.
+    # The public beamformer, from the spectrum of Eve's Gram matrix, against
+    # the oracle's Cholesky solve of her interference covariance, with 20
+    # antennas against 3 interference directions: 17 of its eigenvalues are
+    # zero by shape.
     h = _random_channels(40, 20, 4, seed=1)
-    part = partition_stack(_random_channels(40, 4, 4, seed=2))
-    t = part.v[..., 0]
-    factor = np.sqrt(30.0) * part.v[..., 1:]
-    q = factor @ np.swapaxes(factor, -1, -2).conj()
+    t = partition_stack(_random_channels(40, 4, 4, seed=2)).v1
     for i in range(len(h)):
-        cholesky = oracles.mmse_combiner(h[i], t[i], q[i], 1.0)
-        np.testing.assert_allclose(_eve_combiner(h[i], t[i], factor[i], 1.0), cholesky,
+        factor = oracles.interference_factor(t[i], 30.0)
+        cholesky = oracles.mmse_combiner(h[i], t[i], factor @ factor.conj().T, 1.0)
+        np.testing.assert_allclose(_eve_combiner(h[i], t[i], 30.0, 1.0), _unit(cholesky),
                                    rtol=1e-11, atol=0)
 
 
@@ -527,28 +528,28 @@ def test_stacked_solve_substitutes_the_unit_vector_for_a_zero_solution():
     h = np.zeros((2, 3, 2), dtype=complex)
     h[1] = _random_channels(1, 3, 2, seed=3)[0]
     t = np.array([1.0, 0.0], dtype=complex)
-    # A zero factor and one without columns take the same construction.
+    # A scheme of zero interference and one of none take the same construction.
     # Eve's figures on an all-zero channel are checked on both of eve_link's
     # routes in test_an_all_zero_eve_channel_gets_the_stand_ins_figures.
-    for columns in (1, 0):
-        factor = np.zeros((2, columns), dtype=complex)
-        np.testing.assert_array_equal(_eve_combiner(h[0], t, factor, 1.0), [1.0, 0.0, 0.0])
-        np.testing.assert_allclose(_eve_combiner(h[1], t, factor, 1.0), h[1] @ t)
+    for beta in (0.0, None):
+        np.testing.assert_array_equal(_eve_combiner(h[0], t, beta, 1.0), [1.0, 0.0, 0.0])
+        np.testing.assert_allclose(_eve_combiner(h[1], t, beta, 1.0), _unit(h[1] @ t))
 
 
 @pytest.mark.parametrize("sigma_sq", [1.0, 0.3, 4.0])
 def test_push_through_solve_is_the_direct_solve(sigma_sq):
     # The public beamformer is the direct ne x ne solve of
-    # (H Q H^H + s I) w = H t for Eve with fewer, as many and more antennas
-    # than the transmitter, with and without interference.
-    part = partition_stack(_random_channels(30, 4, 4, seed=5))
-    t = part.v[..., 0]
+    # (H Q H^H + s I) w = H t, up to a positive scale, for Eve with fewer, as
+    # many and more antennas than the transmitter, with and without
+    # interference.
+    t = partition_stack(_random_channels(30, 4, 4, seed=5)).v1
     for ne in (2, 4, 9):
         h = _random_channels(30, ne, 4, seed=4 + ne)
-        for factor in (np.sqrt(30.0) * part.v[..., 1:], np.zeros((30, 4, 0), dtype=complex)):
-            cov = h @ (factor @ herm(factor)) @ herm(h) + sigma_sq * np.eye(ne)
-            direct = np.linalg.solve(cov, h @ t[..., None])[..., 0]
-            got = np.stack([_eve_combiner(h[i], t[i], factor[i], sigma_sq) for i in range(30)])
+        for beta in (30.0, None):
+            factors = [oracles.interference_factor(x, beta) for x in t]
+            cov = h @ np.stack([f @ f.conj().T for f in factors]) @ herm(h) + sigma_sq * np.eye(ne)
+            direct = _unit(np.linalg.solve(cov, h @ t[..., None])[..., 0])
+            got = np.stack([_eve_combiner(h[i], t[i], beta, sigma_sq) for i in range(30)])
             np.testing.assert_allclose(got, direct, rtol=1e-10, atol=1e-13 * np.abs(direct).max())
 
 
@@ -562,12 +563,12 @@ def _kernel_designs(h: np.ndarray, eve: np.ndarray, power_p: float):
     e_dv1 = iid_moments(part.s, na).drift[:, None] * part.v1 * sigma_sq
     kernels = {
         "perfect": lambda *budget: artificial_noise(part.sigma1, part.v1, h, part.v1, *budget),
-        "naive": lambda *budget: artificial_noise(tilde.sigma1, tilde.v[..., 0], h, part.v1,
+        "naive": lambda *budget: artificial_noise(tilde.sigma1, tilde.v1, h, part.v1,
                                                   *budget),
         "known_ecsi": lambda *budget: eve_aware(h, herm(eve) @ eve, eve.shape[1], *budget),
-        "robust_fdd": lambda *budget: robust.robust_fdd(h, tilde.v[..., 0], *budget),
+        "robust_fdd": lambda *budget: robust.robust_fdd(h, tilde.v1, *budget),
         "robust_tdd": lambda *budget: robust.robust_tdd(part.sigma1, part.u1, part.v1, e_dv1,
-                                                        tilde.v[..., 0], *budget),
+                                                        tilde.v1, *budget),
     }
     return [(name, kernel(target, power_p, 1.0)) for name, kernel in kernels.items()
             for target in targets]
@@ -651,8 +652,8 @@ def _oracle_eve_links(h, eve, d, power_p: float, sigma_sq: float) -> np.ndarray:
 @pytest.mark.parametrize("preset", ["fig3_sinr_vs_target", "fig5_sigma_sweep"])
 def test_link_is_the_deleted_factor_form(preset):
     # Designs store beta, and link takes the interference beta ||x - t t^H x||^2
-    # for x = H^H w; designs used to store F = sqrt(beta) T', T' the other
-    # columns of the right singular vectors they were made from, and took
+    # for x = H^H w; designs and schemes used to store F = sqrt(beta) T', T'
+    # an orthonormal basis of the directions orthogonal to t, and took
     # ||F^H x||^2.  On every kernel's designs of a block, at the preset's
     # targets and at one out of reach (beta = 0), and on eve_aware's designs
     # (beta None), the two agree to 1e-12 at Eve's matched combiner, and at
@@ -665,7 +666,6 @@ def test_link_is_the_deleted_factor_form(preset):
         blk = harness._Block(cfg, 0, cfg.trials)
         for name in schemes:
             d = harness._DESIGNS[name](blk)
-            v = blk.part.v[None] if name == "perfect" else blk.tilde.v
             receivers = (("bob", blk.h, d.w_b, cfg.sigma_b_sq),
                          ("eve", blk.eve, matvec(blk.eve, d.t), cfg.sigma_e_sq))
             for who, h, w, sigma_sq in receivers:
@@ -676,8 +676,7 @@ def test_link_is_the_deleted_factor_form(preset):
                         return f[min(p, len(f) - 1), i]
                     t, w_i = at(d.t), at(w)
                     beta = None if d.beta is None else at(d.beta)
-                    factor = (np.zeros((cfg.na, 0)) if beta is None
-                              else np.sqrt(beta) * v[min(p, len(v) - 1), i][:, 1:])
+                    factor = oracles.interference_factor(t, beta)
                     want = oracles.factor_form_interference(h[i], factor, w_i)
                     x = h[i].conj().T @ (w_i / np.linalg.norm(w_i))
                     scale = want if who == "eve" else (beta or 0.0) * np.vdot(x, x).real
@@ -800,23 +799,29 @@ def test_the_single_channel_eve_sinr_is_the_oracles():
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     scheme, _, _, report = perfect_csi_trial(chan, 100.0)
-                want = oracles.eve_sinr(chan.h_ea.entries, scheme.t, scheme.q_z_factor,
+                want = oracles.eve_sinr(chan.h_ea.entries, scheme.t,
+                                        oracles.interference_factor(scheme.t, scheme.beta),
                                         scheme.data_power, sigma_sq)
                 assert abs(report.sinr_e - want) <= 1e-12 * want, (ne, sigma_sq, k)
 
 
 @pytest.mark.parametrize("sigma_sq", [1e-14, 1e-15, 1e-30, 1e-100])
 def test_eve_mmse_beamformer_holds_at_a_vanishing_noise(sigma_sq):
-    # With ne = na - 1 her interference covariance is full rank and her
-    # combiner is built for any noise a channel set accepts; at it her SINR
+    # With ne < na her interference covariance is full rank, and her Gram
+    # matrix has na - ne eigenvalues that are zero by shape, which her
+    # combiner must leave out.  It is built for any noise a channel set
+    # accepts, with one, two and three zero eigenvalues, and at it her SINR
     # is the oracle's.
-    for k in range(300):
-        chan = generate_channels(4, 4, 3, rng_seed=[7, k], sigma_e_sq=sigma_sq, power_p=100.0)
-        scheme = transmit.design_artificial_noise(chan, partition_svd(chan.h_ba), 100.0)
-        got = link_sinr(chan.h_ea, scheme, eve_mmse_beamformer(chan, scheme), sigma_sq).sinr
-        want = oracles.eve_sinr(chan.h_ea.entries, scheme.t, scheme.q_z_factor,
-                                scheme.data_power, sigma_sq)
-        assert abs(got - want) <= 1e-12 * want, k
+    for ne in (1, 2, 3):
+        for k in range(300):
+            chan = generate_channels(4, 4, ne, rng_seed=[7, k], sigma_e_sq=sigma_sq,
+                                     power_p=100.0)
+            scheme = transmit.design_artificial_noise(chan, partition_svd(chan.h_ba), 100.0)
+            got = link_sinr(chan.h_ea, scheme, eve_mmse_beamformer(chan, scheme), sigma_sq).sinr
+            want = oracles.eve_sinr(chan.h_ea.entries, scheme.t,
+                                    oracles.interference_factor(scheme.t, scheme.beta),
+                                    scheme.data_power, sigma_sq)
+            assert abs(got - want) <= 1e-12 * want, (ne, k)
 
 
 @pytest.mark.parametrize("sigma_sq", [1.0, 1e-100, 1e100])
@@ -945,12 +950,12 @@ def test_a_block_makes_no_svd_of_an_estimate(monkeypatch, preset, propagate):
     np.testing.assert_array_equal(designed_through[0], estimates if propagate else h[None])
     tilde, want = harness._Block(cfg, 0, cfg.trials).tilde, partition_stack(estimates)
     assert np.abs(tilde.sigma1 / want.sigma1 - 1.0).max() <= 1e-13
-    assert (1.0 - np.abs(vdot(tilde.v[..., 0], want.v1))).max() <= 1e-14
+    assert (1.0 - np.abs(vdot(tilde.v1, want.v1))).max() <= 1e-14
 
 
 def test_eve_mmse_beamformer_agrees_with_the_spectral_route():
-    # The public beamformer solves for any factor; on the kernels' designs
-    # its SINR is the one the trials report from her spectrum.
+    # The public beamformer, built from her cached spectrum, gives on the
+    # kernels' designs the SINR the trials report in closed form from it.
     checked = 0
     for k in range(24):
         na, nb, ne = [(4, 4, 2), (4, 4, 4), (3, 3, 6), (5, 2, 5)][k % 4]
@@ -1267,7 +1272,7 @@ def test_the_statistical_combiner_is_closed_form_on_the_sweeps(monkeypatch, pres
     cfg = preset_config(preset, trials=6, master_seed=14)
     blk = harness._Block(cfg, 0, cfg.trials)
     part, e_dv1 = blk.part, blk.e_dv1
-    args = (part.sigma1[None], part.u1[None], part.v1[None], e_dv1, blk.tilde.v[..., 0],
+    args = (part.sigma1[None], part.u1[None], part.v1[None], e_dv1, blk.tilde.v1,
             *blk.budget)
     eighs = []
     monkeypatch.setattr(np.linalg, "eigh", lambda *a, fn=np.linalg.eigh: eighs.append(a) or fn(*a))

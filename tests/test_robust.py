@@ -92,7 +92,7 @@ class TestFddReceiver:
         assert bob.sinr == pytest.approx(report.sinr_b, rel=1e-12)
         assert beam.kind == "robust_fdd"
         assert 0.0 < scheme.rho <= 1.0
-        np.testing.assert_array_equal(scheme.t, tilde.v[:, 0])
+        np.testing.assert_array_equal(scheme.t, tilde.v1)
 
     def test_outage_at_a_tiny_budget(self):
         hb = ChannelMatrix(np.diag([2.0, 1.0]).astype(complex))
@@ -191,7 +191,7 @@ class TestTddReceiver:
         monkeypatch.setattr(robust, "loaded_noise", spy)
         design = whitened_tdd(
             chan.h_ba.entries[None], np.array([svd.sigma1]), svd.u1[None], svd.v1[None],
-            moments.e_dv1[None], tilde.v[None, :, 0], TARGET, chan.power_p, chan.sigma_b_sq,
+            moments.e_dv1[None], tilde.v1[None], TARGET, chan.power_p, chan.sigma_b_sq,
         )
         assert len(flags) == 1 and flags[0].all()
         assert np.all(np.isfinite(design.w_b))

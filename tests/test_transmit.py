@@ -4,6 +4,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+import oracles
 import pytest
 
 from wiretap import transmit
@@ -44,9 +45,8 @@ def _diag_channel(power_p: float = 100.0) -> ChannelSet:
 
 class TestTxScheme:
     def test_valid_scheme_and_power_properties(self):
-        factor = np.sqrt(75.0) * np.array([[0.0], [1.0]], dtype=complex)
         scheme = TxScheme(t=np.array([1.0, 0.0]), rho=0.25, power_p=100.0,
-                          target_sinr=100.0, q_z_factor=factor)
+                          target_sinr=100.0, beta=75.0)
         assert scheme.data_power == 25.0
         assert scheme.noise_power == pytest.approx(75.0)
         np.testing.assert_allclose(scheme.q_z, np.diag([0.0, 75.0]))
@@ -72,36 +72,41 @@ class TestTxScheme:
 
     @pytest.mark.parametrize("field, value", [
         ("power_p", np.nan), ("power_p", np.inf), ("target_sinr", np.nan), ("target_sinr", np.inf),
+        ("t", np.array([np.nan, 0.0])), ("t", np.array([1.0, np.inf])),
+        ("beta", np.nan), ("beta", np.inf), ("beta", -1.0),
     ])
     def test_non_finite_power_and_target_are_refused_by_name(self, field, value):
+        # And a direction with a non-finite entry, and a negative or
+        # non-finite interference power.
         args = dict(t=np.array([1.0, 0.0]), rho=0.5, power_p=1.0, target_sinr=1.0)
-        with pytest.raises(ParameterError, match=field):
+        with pytest.raises(ParameterError, match=rf"^{field} "):
             TxScheme(**{**args, field: value})
 
     def test_covariance_shape_checked(self):
-        # The covariance is the factor's product, so its shape is the factor's.
-        for factor in (np.zeros((3, 1)), np.zeros(2)):
-            with pytest.raises(DimensionError):
+        # The covariance is na x na for na = t's length, from one number beta.
+        for beta in (np.zeros(2), np.zeros((3, 1))):
+            with pytest.raises(DimensionError, match="beta"):
                 TxScheme(t=np.array([1.0, 0.0]), rho=0.5, power_p=1.0, target_sinr=1.0,
-                         q_z_factor=factor)
+                         beta=beta)
         scheme = TxScheme(t=np.array([1.0, 0.0]), rho=0.5, power_p=1.0, target_sinr=1.0)
-        assert scheme.q_z_factor.shape == (2, 0)
+        assert scheme.beta is None and scheme.noise_power == 0.0
         assert scheme.q_z.shape == (2, 2) and not np.any(scheme.q_z)
+        wide = TxScheme(t=np.array([0.0, 1.0, 0.0]), rho=0.5, power_p=1.0, target_sinr=1.0,
+                        beta=0.25)
+        np.testing.assert_array_equal(wide.q_z, np.diag([0.25, 0.0, 0.25]))
 
     def test_factor_must_reproduce_covariance(self):
-        # The covariance is derived from the factor, never stored beside it.
-        f = np.array([[1.0 + 2.0j, 0.5], [-0.25j, 3.0]], dtype=complex)
-        scheme = TxScheme(t=np.array([1.0, 0.0]), rho=0.5, power_p=1.0, target_sinr=1.0,
-                          q_z_factor=f)
-        np.testing.assert_allclose(scheme.q_z, f @ f.conj().T)
+        # The covariance is derived from beta, never stored beside it, and
+        # any factor sqrt(beta) T' over the directions T' orthogonal to t
+        # reproduces it.
+        t = np.array([0.6, 0.48j, -0.64])
+        scheme = TxScheme(t=t, rho=0.5, power_p=1.0, target_sinr=1.0, beta=2.5)
+        f = oracles.interference_factor(t, 2.5)
+        np.testing.assert_allclose(scheme.q_z, 2.5 * (np.eye(3) - np.outer(t, t.conj())))
+        np.testing.assert_allclose(scheme.q_z, f @ f.conj().T, atol=1e-15)
         np.testing.assert_allclose(scheme.q_z, scheme.q_z.conj().T)
         assert scheme.noise_power == pytest.approx(np.sum(np.abs(f) ** 2))
-        scaled = TxScheme(t=np.array([1.0, 0.0]), rho=0.5, power_p=1.0, target_sinr=1.0,
-                          q_z_factor=2.0 * np.eye(2, dtype=complex))
-        np.testing.assert_allclose(scaled.q_z, 4.0 * np.eye(2))
-        with pytest.raises(DimensionError):
-            TxScheme(t=np.array([1.0, 0.0]), rho=0.5, power_p=1.0, target_sinr=1.0,
-                     q_z_factor=np.eye(3, dtype=complex))
+        assert scheme.noise_power == pytest.approx(np.trace(scheme.q_z).real)
 
     def test_outage_forces_all_power_to_data(self):
         with pytest.raises(ParameterError):
@@ -109,7 +114,11 @@ class TestTxScheme:
                      outage=True)
         with pytest.raises(ParameterError):
             TxScheme(t=np.array([1.0, 0.0]), rho=1.0, power_p=1.0, target_sinr=1.0,
-                     outage=True, q_z_factor=np.eye(2, dtype=complex))
+                     outage=True, beta=1.0)
+        for beta in (0.0, None):
+            scheme = TxScheme(t=np.array([1.0, 0.0]), rho=1.0, power_p=1.0, target_sinr=1.0,
+                              outage=True, beta=beta)
+            assert not np.any(scheme.q_z)
 
 
 class TestRequiredRho:
@@ -194,7 +203,7 @@ class TestDesignArtificialNoise:
         chan = generate_channels(1, 1, 1, rng_seed=3)
         scheme = design_artificial_noise(chan, partition_svd(chan.h_ba), 2.0)
         assert scheme.q_z.shape == (1, 1) and not np.any(scheme.q_z)
-        assert scheme.q_z_factor.shape == (1, 0)
+        assert oracles.interference_factor(scheme.t, scheme.beta).shape == (1, 0)
         if not scheme.outage:
             out = link_sinr(chan.h_ba, scheme, bob_matched_beamformer(chan, scheme), 1.0)
             assert out.sinr == pytest.approx(2.0, rel=1e-9)
@@ -212,11 +221,11 @@ class TestDesignArtificialNoise:
         chan = generate_channels(5, 4, 2, rng_seed=2)
         scheme = design_artificial_noise(chan, partition_svd(chan.h_ba), 100.0)
         expected = (1.0 - scheme.rho) * chan.power_p / 4
-        levels = np.sum(np.abs(scheme.q_z_factor) ** 2, axis=0)
+        levels = np.sum(np.abs(oracles.interference_factor(scheme.t, scheme.beta)) ** 2, axis=0)
         np.testing.assert_allclose(levels, expected, rtol=1e-12)
         outage = design_artificial_noise(_diag_channel(1e-6),
                                          partition_svd(_diag_channel().h_ba), 100.0)
-        assert not np.any(outage.q_z_factor)
+        assert not np.any(oracles.interference_factor(outage.t, outage.beta))
 
 
 class TestDesignKnownEcsi:
@@ -325,6 +334,11 @@ class TestBeamformers:
         with pytest.raises(ParameterError):
             RxBeamformer(w=np.ones(3, dtype=complex), kind="zf")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_a_non_finite_beamformer_is_refused_by_name(self, bad):
+        with pytest.raises(ParameterError, match="^beamformer entries must be finite"):
+            RxBeamformer(w=np.array([1.0, bad, 0.0]), kind="mmse")
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_eve_mmse_beats_random_combiners(self, seed):
         chan = generate_channels(4, 4, 3, rng_seed=seed)
@@ -350,6 +364,25 @@ class TestBeamformers:
         via_link = link_sinr(chan.h_ea, scheme, eve_mmse_beamformer(chan, scheme),
                              chan.sigma_e_sq)
         assert via_link.sinr == pytest.approx(direct, rel=1e-9)
+
+    def test_eves_combiner_reads_her_cached_spectrum(self, monkeypatch):
+        # Her spectrum is one eigh per channel set; once it is cached, neither
+        # her combiner nor the whole perfect-knowledge trial decomposes
+        # anything by eigh, with fewer, as many and more antennas than the
+        # transmitter.
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(a) or eigh(*a, **k))
+        for ne in (2, 4, 6):
+            chan = generate_channels(4, 4, ne, rng_seed=40 + ne)
+            stale = partition_svd(chan.h_ba.entries + 0.1)
+            calls.clear()
+            chan.eve_spectrum
+            assert len(calls) == 1
+            calls.clear()
+            scheme, _, w_e, _ = perfect_csi_trial(chan, 100.0)
+            assert w_e.kind == "mmse"
+            eve_mmse_beamformer(chan, design_artificial_noise(chan, stale, 100.0))
+            assert calls == [], ne
 
     def test_exactly_nulled_eavesdropper_gets_a_stand_in(self):
         he = np.array([[0.5, -0.2, 0.0], [1.0, 0.3, 0.0]], dtype=complex)
@@ -391,6 +424,17 @@ class TestLinkSinr:
         with pytest.raises(ParameterError):
             link_sinr(chan.h_ba, scheme, np.zeros(3, dtype=complex), 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_a_non_finite_combiner_is_refused_by_name(self, bad):
+        # Refused before any figure is formed: no all-NaN result and no
+        # invalid-value warning.
+        chan = generate_channels(3, 3, 2, rng_seed=6)
+        scheme = design_artificial_noise(chan, partition_svd(chan.h_ba), 10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="^combiner entries must be finite"):
+                link_sinr(chan.h_ba, scheme, np.array([1.0, bad, 0.0]), 1.0)
+
     def test_dimension_and_noise_validation(self):
         chan = generate_channels(3, 3, 2, rng_seed=6)
         scheme = design_artificial_noise(chan, partition_svd(chan.h_ba), 10.0)
@@ -411,10 +455,10 @@ class TestLinkSinr:
         chan = generate_channels(4, 3, 3, rng_seed=14)
         scheme = design_artificial_noise(chan, partition_svd(chan.h_ba), 100.0)
         w = np.ones(3, dtype=complex)
-        via_factor = link_sinr(chan.h_ea, scheme, w, 1.0)
+        via_link = link_sinr(chan.h_ea, scheme, w, 1.0)
         he = chan.h_ea.entries
         via_cov = np.real(np.vdot(w, he @ scheme.q_z @ he.conj().T @ w)) / np.vdot(w, w).real
-        assert via_factor.interference_power == pytest.approx(via_cov, rel=1e-9)
+        assert via_link.interference_power == pytest.approx(via_cov, rel=1e-9)
 
 
 class TestSecrecyMetrics:
