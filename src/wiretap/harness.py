@@ -18,10 +18,10 @@ channels.  Each scheme's design kernel (``transmit.artificial_noise``,
 runs once per block on the sweep's own values: every input, the target SINR
 included, has a leading points axis, which holds each point's target, error
 level or draw of Eve's on those axes and has length 1 otherwise (Bob's
-channels and decomposition enter as (1, n, ...) views, the target as
-(points or 1, 1)).  Every field of the ``transmit.Design`` it returns is
-therefore (points or 1, n, ...) as it stands.  A value the sweep repeats is
-designed again at each of its points.  One call of the shared
+channels and decomposition enter as (1, n, ...) views or (n, ...) arrays,
+the target as (points or 1, 1)).  Every ``transmit.Design`` field it
+returns is therefore (points or 1, n, ...) as it stands.  A value the sweep
+repeats is designed again at each of its points.  One call of the shared
 ``transmit.evaluate`` per scheme broadcasts the design, Bob's channels,
 Eve's and her Gram matrices over the (point, trial) grid.  Eve's channels
 and Gram matrices are one stack of n draws, shared by every scheme, except
@@ -582,9 +582,10 @@ _DESIGNS = {
     # The Eve-aware schemes differ only in the Gram matrices they assume.
     **{name: lambda blk, name=name: eve_aware(blk.h[None], blk.gram_e[name], blk.ne, *blk.budget)
        for name in ("known_ecsi", "imperfect_ecsi")},
-    "robust_fdd": lambda blk: robust_fdd(
-        blk.estimate if blk.cfg.propagate_through_estimate else blk.h[None],
-        blk.tilde.v1, *blk.budget),
+    # Propagated through the estimate, the exact-knowledge design is the naive one.
+    "robust_fdd": lambda blk: (
+        artificial_noise(blk.tilde.sigma1, blk.tilde.v1, blk.estimate, blk.tilde.v1, *blk.budget)
+        if blk.cfg.propagate_through_estimate else robust_fdd(blk.part, blk.tilde.v1, *blk.budget)),
     "robust_tdd": lambda blk: robust_tdd(
         blk.part.sigma1[None], blk.part.u1[None], blk.part.v1[None], blk.e_dv1,
         blk.tilde.v1, *blk.budget),

@@ -6,7 +6,8 @@ recovery modes are modeled, differing in what the receiver knows:
 
 * ``fdd``: the receiver knows the exact estimate the transmitter used (it
   reported the estimate itself), so it knows the transmitted direction and
-  interference and whitens the leaked interference it actually receives.
+  interference and whitens the leaked interference it actually receives, a
+  rank-one downdate of its own Gram matrix, in closed form from its SVD.
 * ``tdd``: the receiver knows only the true channel and the error
   statistics, so it whitens the expected interference instead, built from
   the closed-form perturbation moments.  For i.i.d. error the mean beam
@@ -18,25 +19,26 @@ recovery modes are modeled, differing in what the receiver knows:
 In both modes the receiver also picks the data-power fraction: it solves for
 the smallest fraction whose (predicted) output SINR meets the target and
 feeds that number back to the transmitter, which otherwise keeps its own
-estimated directions.  ``fdd`` inverts its output-SINR curve, which is
-increasing and convex in the fraction, by a Newton descent from the full
-budget (:func:`solve_fractions`); ``tdd`` sizes the fraction in closed form.
-Reported SINRs are always evaluated against the transmission that actually
-happened, through the true channel.
+estimated directions.  ``fdd`` inverts its closed-form output-SINR curve by
+a Newton descent from above (:func:`solve_fractions`); ``tdd`` sizes the
+fraction in closed form.  Reported SINRs are always evaluated against the
+transmission that actually happened, through the true channel.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .channels import Basis, ChannelSet, SvdStack, estimate_basis, finite, matching, nonzero
+from .channels import partition_svd
 from .perturbation import PerturbMoments, self_drift
-from .stacked import herm, matvec, outer
+from .stacked import herm, matvec, outer, pairs
 from .transmit import (
     Design,
     LinkSinr,
     RxBeamformer,
     SinrReport,
     TxScheme,
+    artificial_noise,
     check_target,
     noise_beta,
     noise_share,
@@ -55,47 +57,64 @@ _SETTLED_ULPS = 4
 
 
 def solve_fractions(lam, weights, power_p: float, na: int, sigma_sq: float, target_sinr):
-    """Smallest rho in (0, 1] with rank-one gain >= target, elementwise.
+    """Smallest rho in (0, 1] at which the exact-knowledge receiver's SINR
+    g(rho) meets the target, elementwise.
 
-    ``lam`` and ``weights`` (..., nb) describe one gain curve per entry (see
-    :func:`rank1_gains`) and ``target_sinr`` broadcasts against their
-    leading axes.  An entry gets (1.0, outage) when even the full budget
-    falls short, and ``_RHO_FLOOR`` when the crossing lies below it.
+    ``lam`` (..., na) holds Bob's squared singular values, zero past his
+    antenna count, and ``weights`` (..., na) the squared overlaps
+    c_k = |v_k^H t|^2 of the unit data direction t with his right singular
+    vectors; ``target_sinr`` broadcasts against their leading axes.  With
+    D_k = a_k (1 - rho) + sigma^2 and a_k = lam_k P / (na - 1) (0 if na = 1),
+    g(rho) = rho P m / sigma^2 for the mean m = sum_k w_k lam_k at the
+    weights w_k = (c_k / D_k) / sum_j (c_j / D_j) (:func:`robust_fdd`).  An
+    entry gets (1.0, outage) when g(1) = P ||H t||^2 / sigma^2 falls short,
+    and ``_RHO_FLOOR`` when the crossing lies below it.
 
-    Every other entry is solved by Newton's method.  With
-    D_i = a_i (1 - rho) + sigma^2 and a_i = lam_i P / (na - 1) (0 if na = 1),
-    the gain g(rho) = rho P sum_i w_i / D_i is increasing and convex, with
-    slope g'(rho) = P sum_i w_i (a_i + sigma^2) / D_i^2.  As D_i <= a_i +
-    sigma^2, g(rho) >= rho g'(0), so the start min(1, target / g'(0)) is not
-    below the crossing, and each tangent step lands between the crossing and
-    the current point.  The step is taken as
-
-        rho - (g - target) / g' = (rho^2 P sum_i w_i a_i / D_i^2 + target) / g',
-
-    a sum of nonnegative terms that keeps full relative precision however
-    far it moves.  Each entry takes the smaller of its point and its step,
-    and stops once that moves it by no more than ``_SETTLED_ULPS`` units in
-    the last place; the convergence is quadratic, so the step it stops on
-    is within about an ulp of the crossing.  An entry's iterates depend on
-    that entry alone, so a batch gives each entry's value bit for bit.
-    Returns (rho, outage).
+    Every other entry is solved by Newton's method from above.  g / (rho P)
+    sums terms 1 / (b_i (1 - rho) + sigma^2) over the interference's
+    eigenpairs, so g is convex and the start min(1, target / g'(0)) is not
+    below the crossing; and sigma^2 / (P m), their parallel sum, is concave
+    in x = 1 - rho, as is G(x) = tau / m + x - 1, tau = target sigma^2 / P,
+    zero at the crossing.  Newton's steps on G never pass it, and land on
+    it where one term dominates, where g's tangent, steep next to rho = 1,
+    would not move.  With q = tau / m, e = m' / m and dm/drho =
+    m' = sum_{i<j} w_i w_j (lam_i - lam_j)^2 sigma^2 P / ((na - 1) D_i D_j),
+    the step is q (1 + rho e) / (1 + q e): nonnegative terms, normalized
+    first so they stay in double range at the bounds a config accepts.  An
+    entry stops once its step moves it by at most ``_SETTLED_ULPS`` ulps,
+    within an ulp or so of the crossing; its iterates depend on that entry
+    alone, so a batch gives each entry's value bit for bit.  Returns (rho, outage).
     """
     check_target(target_sinr)
-    shape = np.broadcast_shapes(lam.shape[:-1], np.shape(target_sinr))
+    shape = np.broadcast_shapes(lam.shape[:-1], weights.shape[:-1], np.shape(target_sinr))
     target = np.broadcast_to(target_sinr, shape)
     lam = np.broadcast_to(lam, shape + lam.shape[-1:])
     weights = np.broadcast_to(weights, lam.shape)
-    outage = rank1_gains(np.ones(shape), lam, weights, power_p, na, sigma_sq) < target
+    outage = power_p * (weights * lam).sum(axis=-1) / sigma_sq < target
     live = ~outage
-    a = lam[live] * noise_share(0.0, power_p, na)
-    rise = a + sigma_sq
-    weights, target = weights[live], target[live] / power_p
-    root = np.minimum(1.0, target / (weights / rise).sum(axis=-1))
+    lam, weights = lam[live], weights[live]
+    ratio = noise_share(0.0, power_p, na) / sigma_sq
+    alpha = lam * ratio
+    i, j = pairs(na)
+    gap = (lam.take(i, axis=-1) - lam.take(j, axis=-1)) ** 2
+    level = target[live] * (sigma_sq / power_p)
+
+    def curve(root):
+        # (m, m') at rho = root over u = sigma^2 / D <= 1.  In a pair's term
+        # ratio scales u_i (lam_i >= lam_j), as small as 1 / ratio, before w_i.
+        u = 1.0 / (1.0 + (1.0 - root)[..., None] * alpha)
+        share = weights * u
+        share /= share.sum(axis=-1)[..., None]
+        lead, trail = share * (u * ratio), share * u
+        return (np.einsum("...k,...k->...", share, lam),
+                np.einsum("...k,...k->...", lead.take(i, axis=-1) * gap, trail.take(j, axis=-1)))
+
+    root = np.minimum(1.0, level / curve(np.zeros(level.shape))[0])
     moving = np.ones(root.shape, dtype=bool)
     for _ in range(_MAXITER):
-        scaled = weights / ((1.0 - root)[..., None] * a + sigma_sq) ** 2
-        slope = (scaled * rise).sum(axis=-1)
-        step = np.minimum(root, (root**2 * (scaled * a).sum(axis=-1) + target) / slope)
+        mean, slope = curve(root)
+        fixed, rise = level / mean, slope / mean
+        step = np.minimum(root, fixed * (1.0 + root * rise) / (1.0 + fixed * rise))
         settled = root - step <= _SETTLED_ULPS * np.spacing(root)
         root = np.where(moving, step, root)
         moving &= ~settled
@@ -106,69 +125,43 @@ def solve_fractions(lam, weights, power_p: float, na: int, sigma_sq: float, targ
     raise RuntimeError(f"Failed to converge after {_MAXITER} iterations")
 
 
-def rank1_gains(rho, lam, weights, power_p: float, na: int, sigma_sq: float):
-    """Output SINR of the whitened combiner for a rank-one data signature.
-
-    With interference eigenvalues lam and squared signature projections
-    ``weights`` (both (..., nb)),
-
-        g(rho) = rho * P * sum_i weights_i / (beta(rho) * lam_i + sigma_sq),
-
-    elementwise over the leading axes, which ``rho`` broadcasts against.
-    """
-    beta = noise_share(rho, power_p, na)
-    if isinstance(beta, np.ndarray):
-        beta = beta[..., None]
-    return rho * power_p * np.sum(weights / (beta * lam + sigma_sq), axis=-1)
-
-
-def fdd_spectrum(h_design, t):
-    """What the exact-knowledge receiver whitens, over leading batch axes.
-
-    Returns (lam, evecs, signature, weights): the eigenvalues (clipped at
-    zero) and eigenvectors of the leaked interference covariance per unit
-    interference power H (I - t t^H) H^H = L L^H, L = H - (H t) t^H, the
-    data signature H t, and its squared projections on the eigenvectors.
-    """
-    signature = matvec(h_design, t)
-    leak = h_design - outer(signature, t)
-    lam, evecs = np.linalg.eigh(leak @ herm(leak))
-    lam = np.clip(lam, 0.0, None)
-    weights = np.abs(matvec(herm(evecs), signature)) ** 2
-    return lam, evecs, signature, weights
-
-
 def whitened_combiner(evecs, lam, signature, beta, sigma_sq):
     """(beta * A + sigma^2 I)^-1 signature via the eigendecomposition
     A = U diag(lam) U^H, with U = ``evecs``.
 
     Works over leading batch axes; ``beta`` and ``sigma_sq`` may be scalars
-    or arrays over those axes.  The exact-knowledge receiver, and the
-    statistical one off the i.i.d. error model, whiten the interference they
-    expect with it.
+    or arrays over those axes.  The statistical receiver off the i.i.d.
+    error model whitens the interference it expects with it.
     """
     proj = matvec(herm(evecs), signature)
     scale = np.asarray(beta)[..., None] * lam + np.asarray(sigma_sq)[..., None]
     return matvec(evecs, proj / scale)
 
 
-def robust_fdd(h_design, t, target_sinr, power_p: float, sigma_b_sq: float):
-    """Exact-knowledge recovery designs (one :class:`Design`), over the
-    batch axes of the inputs and of ``target_sinr``, which broadcast together.
+def robust_fdd(svd: SvdStack, t, target_sinr, power_p: float, sigma_b_sq: float):
+    """Exact-knowledge recovery designs (one :class:`Design`) over the batch
+    axes of Bob's true-channel SVDs ``svd`` = (U, s, V), of the data
+    directions ``t`` (..., na) of the estimates and of ``target_sinr``.
 
-    The receiver knows the data direction ``t`` (..., na) of the
-    transmitter's estimate, and so the interference on the rest.  It
-    whitens the interference that leaks through ``h_design`` (the true
-    channel, or the estimate) and requests the power fraction that lands
-    its output SINR exactly on the target.  One eigendecomposition per
-    channel serves every target, and one root solve all entries.
+    Knowing ``t``, he whitens A = H (I - t t^H) H^H = H H^H - (H t)(H t)^H,
+    a rank-one downdate of his Gram matrix.  By Sherman-Morrison (Golub,
+    SIAM Review 15(2), 1973), with c_k = |v_k^H t|^2 and D_k = beta s_k^2 +
+    sigma_b^2 (s_k = 0 past nb), his SINR is rho P sum_k c_k s_k^2 / D_k /
+    (sigma_b^2 sum_k c_k / D_k) at the combiner U diag(s_k (v_k^H t) / D_k),
+    a positive multiple of (beta A + sigma_b^2 I)^-1 H t, with no
+    eigendecomposition; :func:`solve_fractions` lands it on the target.
+    Designed through an estimate instead, whose own basis has c_k = 1 at
+    its dominant direction and 0 elsewhere, this is the naive design on it.
     """
-    na = t.shape[-1]
-    lam, evecs, signature, weights = fdd_spectrum(h_design, t)
-    rho, outage = solve_fractions(lam, weights, power_p, na, sigma_b_sq, target_sinr)
+    na, nb = t.shape[-1], svd.s.shape[-1]
+    proj = matvec(herm(svd.v), t)
+    lam = np.zeros(svd.s.shape[:-1] + (na,))
+    lam[..., :nb] = svd.s * svd.s
+    rho, outage = solve_fractions(lam, abs(proj) ** 2, power_p, na, sigma_b_sq, target_sinr)
     share = noise_share(rho, power_p, na)
-    return Design(t=t, rho=rho, beta=noise_beta(rho, power_p, na),
-                  w_b=whitened_combiner(evecs, lam, signature, share, sigma_b_sq), outage=outage)
+    gain = svd.s * proj[..., :nb] / (share[..., None] * lam[..., :nb] + sigma_b_sq)
+    return Design(t=t, rho=rho, beta=noise_beta(rho, power_p, na), w_b=matvec(svd.u, gain),
+                  outage=outage)
 
 
 def tdd_shape(h, sigma1, u1, e_dv1):
@@ -283,12 +276,12 @@ def whitened_tdd(h, sigma1, u1, v1, e_dv1, t, target_sinr, power_p: float, sigma
     return d._replace(w_b=whitened_combiner(evecs, lam, signature, beta, sigma_eff))
 
 
-def _fdd_trial(chan: ChannelSet, tilde: Basis, target_sinr: float,
-               h_design=None) -> tuple[RxBeamformer, SinrReport, LinkSinr, LinkSinr, TxScheme]:
-    """The batch of one of :func:`robust_fdd` from ``tilde``, the estimate's
-    ``estimate_basis``, propagated through ``h_design``, else the true channel."""
-    h = chan.h_ba.entries if h_design is None else h_design
-    d = robust_fdd(h[None], tilde.v1[None], target_sinr, chan.power_p, chan.sigma_b_sq)
+def _fdd_trial(chan: ChannelSet, tilde: Basis,
+               target_sinr: float) -> tuple[RxBeamformer, SinrReport, LinkSinr, LinkSinr, TxScheme]:
+    """The batch of one of :func:`robust_fdd` from ``partition_svd`` of
+    ``chan.h_ba`` and ``tilde``, the estimate's ``estimate_basis``."""
+    d = robust_fdd(partition_svd(chan.h_ba), tilde.v1[None], target_sinr, chan.power_p,
+                   chan.sigma_b_sq)
     scheme, report, bob, eve = run_trial(chan, d, target_sinr)
     return RxBeamformer(w=d.w_b[0], kind="robust_fdd"), report, bob, eve, scheme
 
@@ -300,18 +293,24 @@ def fdd_receiver(chan: ChannelSet, h_tilde, target_sinr: float, *,
     The receiver takes the transmit configuration from ``h_tilde``, whitens
     the interference it actually receives through the true channel, and
     requests the power fraction that lands the output SINR exactly on
-    target (non-outage trials hit it to numerical precision).
+    target (non-outage trials hit it to numerical precision): the batch of
+    one of :func:`robust_fdd` on the SVD ``partition_svd`` caches for
+    ``chan.h_ba``, which a rank-deficient channel fails
+    (DegenerateChannelError).
 
-    ``propagate_through_estimate=True`` switches the receiver's design to
-    propagate the transmission through the estimate rather than the true
-    channel; the reported SINR stays physical either way.  A misshapen or
-    non-finite estimate is refused (DimensionError, ParameterError), as is an
-    all-zero one to propagate through, which no signal crosses.
+    ``propagate_through_estimate=True`` designs through the estimate instead
+    of the true channel, which is the naive design on it; the reported SINR
+    stays physical either way.  A misshapen or non-finite estimate is
+    refused (DimensionError, ParameterError), as is an all-zero one to
+    propagate through, which no signal crosses.
     """
     est = finite(matching(h_tilde, chan.h_ba, "h_tilde"), "h_tilde")
-    h_design = nonzero(est, "h_tilde") if propagate_through_estimate else None
-    beam, report, _, _, _ = _fdd_trial(chan, estimate_basis(est), target_sinr, h_design)
-    return beam, report
+    if not propagate_through_estimate:
+        return _fdd_trial(chan, estimate_basis(est), target_sinr)[:2]
+    tilde = estimate_basis(nonzero(est, "h_tilde"))
+    d = artificial_noise(tilde.sigma1[None], tilde.v1[None], est[None], tilde.v1[None],
+                         target_sinr, chan.power_p, chan.sigma_b_sq)
+    return RxBeamformer(w=d.w_b[0], kind="robust_fdd"), run_trial(chan, d, target_sinr)[1]
 
 
 def _tdd_trial(chan: ChannelSet, svd: SvdStack, moments: PerturbMoments, tilde: Basis,
@@ -336,19 +335,14 @@ def tdd_receiver(chan: ChannelSet, svd: SvdStack, moments: PerturbMoments, err_s
     The receiver never sees the transmitter's estimate.  It whitens the
     expected interference-plus-noise covariance built from the mean beam
     drift, matches to the expected data signature H (v_1 + E{dv_1}), and
-    requests the power fraction sized against the mean leaked interference
-    (with the leak resummed to respect its physical bound).  For moments of
-    i.i.d. error (``moments.iid_drift`` set) that combiner is a known
-    multiple of u_1, built in closed form as the sweep engine builds it
-    (:func:`robust_tdd`), so the two give the same numbers bit for bit; for
-    a full error covariance it is whitened by an eigendecomposition
-    (:func:`whitened_tdd`).  The transmitter keeps its own estimated
-    directions but applies the requested fraction.  The reported SINR is
-    evaluated against the actual transmission through the true channel, so
-    it fluctuates around the request; the average shortfall grows with the
-    error power because the beam's misalignment is deliberately not chased
-    with extra data power.  A misshapen error sample or a non-finite
-    estimate is refused (DimensionError, ParameterError).
+    requests the power fraction sized against the mean leaked interference.
+    For moments of i.i.d. error (``moments.iid_drift`` set) it is the
+    sweep engine's :func:`robust_tdd`, bit for bit; for a full error
+    covariance, :func:`whitened_tdd`.  The reported SINR, evaluated through
+    the true channel, fluctuates around the request, short on average by
+    the beam's misalignment, which is deliberately not chased with extra
+    data power.  A misshapen error sample or a non-finite estimate is
+    refused (DimensionError, ParameterError).
     """
     est = chan.h_ba.entries + matching(err_sample, chan.h_ba, "err_sample")
     tilde = estimate_basis(finite(est, "H + err_sample"))

@@ -6,6 +6,8 @@ single-channel functions run those kernels on a batch of one.
 """
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 
@@ -38,3 +40,9 @@ def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def any_true(mask) -> bool:
     """Whether a comparison result holds anywhere, for scalars and arrays alike."""
     return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+@cache
+def pairs(n: int):
+    """Row and column indices of the pairs i < j of ``n`` entries."""
+    return np.triu_indices(n, 1)

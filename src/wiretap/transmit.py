@@ -37,7 +37,7 @@ import numpy as np
 from .channels import NOISE_RANGE, Basis, ChannelSet, SvdStack, as_matrix, finite
 from .channels import partition_svd
 from .exceptions import DegenerateChannelError, DimensionError, ParameterError
-from .stacked import any_true, herm, matvec, norm, outer, vdot
+from .stacked import any_true, herm, matvec, norm, outer, pairs, vdot
 
 # rho at or above this value means all power goes to the data stream.
 _RHO_CEIL = 1.0 - 1e-15
@@ -386,12 +386,6 @@ def _cholesky_rows(b: np.ndarray):
     return low[factored], factored
 
 
-@cache
-def _pairs(na: int):
-    """Row and column indices of the pairs i < j of ``na`` entries."""
-    return np.triu_indices(na, 1)
-
-
 def eve_link(d: Design, eve, gram, power_p: float, sigma_sq: float):
     """The eavesdropper's (SINR, signal, interference, noise power) at her
     MMSE combiner against the design ``d``, as :func:`link` reports them,
@@ -440,7 +434,7 @@ def eve_link(d: Design, eve, gram, power_p: float, sigma_sq: float):
     # at i and at j, neither of which leaves double range at the noise and
     # power bounds a config accepts.  take keeps the pairs axis last in
     # memory, so every row sums its pairs in the same order.
-    i, j = _pairs(na)
+    i, j = pairs(na)
     gap = lam.take(i, axis=-1) - lam.take(j, axis=-1)
     amp = sigma_sq * inv_sq
     spread = np.einsum("...k,...k->...", amp.take(i, axis=-1) * (gap * gap), amp.take(j, axis=-1))
@@ -677,8 +671,8 @@ def eve_mmse_beamformer(chan: ChannelSet, scheme: TxScheme) -> RxBeamformer:
 
 def link_sinr(h, scheme: TxScheme, w, sigma_sq: float) -> LinkSinr:
     """SINR seen through channel ``h`` with combiner ``w``: :func:`link` of
-    the scheme's design, after checking the combiner's length, that its
-    entries are finite, and the noise.
+    the scheme's design, after checking the shapes of the channel and the
+    combiner against the scheme, that both are finite, and the noise.
 
     The scheme's direction and interference may come from a stale estimate
     while ``h`` is the true channel.  Powers are reported for the unit-norm
@@ -687,8 +681,10 @@ def link_sinr(h, scheme: TxScheme, w, sigma_sq: float) -> LinkSinr:
     """
     arr = as_matrix(h)
     w = w.w if isinstance(w, RxBeamformer) else np.asarray(w, dtype=np.complex128)
-    if w.ndim != 1 or w.size != arr.shape[0]:
-        raise DimensionError(f"combiner length {w.shape} does not match channel rows {arr.shape[0]}")
+    if arr.ndim != 2 or arr.shape[1] != scheme.t.size or w.shape != arr.shape[:1]:
+        raise DimensionError(f"channel of shape {arr.shape} does not match a combiner of shape "
+                             f"{w.shape} and a scheme for {scheme.t.size} antennas")
+    finite(arr, "channel")
     finite(w, "combiner")
     lo, hi = NOISE_RANGE
     if not lo <= sigma_sq <= hi:

@@ -29,6 +29,13 @@ combiner must agree with the first, its Eve SINRs at any noise with the
 second, and its Newton root solve with the third's outage flags and,
 within those tolerances, its roots.
 
+``fdd_spectrum`` and ``rank1_gains`` give the exact-knowledge receiver's
+SINR curve from an ``eigh`` of the leak H - (H t) t^H, the route the
+library's closed form over Bob's SVD replaced, and ``fdd_curve`` and
+``fdd_gains`` that closed form written out directly; the library's root
+solve must agree with brentq on the first within its tolerance plus the
+``eigh`` route's own round-off, and on the second within its tolerance.
+
 ``tdd_combiner`` is the statistical receiver's combiner whitened by an
 ``eigh`` of the expected interference shape, with diagonal loading where it
 is indefinite; the engine's closed form for i.i.d. error must agree with it
@@ -86,7 +93,6 @@ from wiretap.robust import (
     _MAXITER,
     _RHO_FLOOR,
     loaded_noise,
-    rank1_gains,
     tdd_fraction,
     tdd_shape,
     whitened_combiner,
@@ -585,6 +591,60 @@ def _transmitted(chan: ChannelSet, part_tilde: SvdStack, rho: float, target_sinr
         power_p=chan.power_p, target_sinr=target_sinr, outage=outage,
         q_z_factor=noise_factor_for(t_prime, rho, chan.power_p),
     )
+
+
+def rank1_gains(rho, lam, weights, power_p: float, na: int, sigma_sq: float):
+    """Output SINR of the whitened combiner for a rank-one data signature.
+
+    With interference eigenvalues lam and squared signature projections
+    ``weights`` (both (..., nb)),
+
+        g(rho) = rho * P * sum_i weights_i / (beta(rho) * lam_i + sigma_sq),
+
+    elementwise over the leading axes, which ``rho`` broadcasts against.
+    """
+    beta = noise_share(rho, power_p, na)
+    if isinstance(beta, np.ndarray):
+        beta = beta[..., None]
+    return rho * power_p * np.sum(weights / (beta * lam + sigma_sq), axis=-1)
+
+
+def fdd_spectrum(h, t):
+    """What the exact-knowledge receiver whitens, over leading batch axes,
+    by an ``eigh`` of the leak: (lam, evecs, signature, weights), the
+    eigenvalues (clipped at zero) and eigenvectors of the leaked
+    interference covariance per unit interference power
+    H (I - t t^H) H^H = L L^H, L = H - (H t) t^H, the data signature H t,
+    and its squared projections on the eigenvectors."""
+    signature = h @ t[..., None]
+    leak = h - signature * t.conj()[..., None, :]
+    lam, evecs = np.linalg.eigh(leak @ leak.conj().swapaxes(-1, -2))
+    lam = np.clip(lam, 0.0, None)
+    weights = np.abs(evecs.conj().swapaxes(-1, -2) @ signature)[..., 0] ** 2
+    return lam, evecs, signature[..., 0], weights
+
+
+def fdd_curve(svd: SvdStack, t):
+    """(lam, weights) of the exact-knowledge receiver's closed form for
+    Bob's decompositions ``svd`` and data directions ``t`` (..., na): his
+    squared singular values padded with zeros to na, and the squared
+    overlaps |v_k^H t|^2."""
+    na, nb = t.shape[-1], svd.s.shape[-1]
+    lam = np.zeros(svd.s.shape[:-1] + (na,))
+    lam[..., :nb] = svd.s**2
+    return lam, np.abs(svd.v.conj().swapaxes(-1, -2) @ t[..., None])[..., 0] ** 2
+
+
+def fdd_gains(rho, lam, weights, power_p: float, na: int, sigma_sq: float):
+    """The exact-knowledge receiver's SINR in Sherman-Morrison's form,
+    rho P N / (sigma^2 R) with N = sum weights lam / D and R = sum weights / D
+    for D = beta(rho) lam + sigma^2, written out directly."""
+    beta = noise_share(rho, power_p, na)
+    if isinstance(beta, np.ndarray):
+        beta = beta[..., None]
+    scale = beta * lam + sigma_sq
+    ratio = np.sum(weights * lam / scale, axis=-1) / np.sum(weights / scale, axis=-1)
+    return rho * (power_p / sigma_sq) * ratio
 
 
 def fdd_trial(chan: ChannelSet, part_tilde: SvdStack, target_sinr: float,

@@ -44,13 +44,7 @@ from wiretap.exceptions import DegenerateChannelError, DimensionError
 from wiretap.harness import SCENARIOS, SCHEMES, ExperimentConfig, preset_config, run_experiment
 from wiretap.perturbation import compute_moments, iid_moments
 from wiretap.perturbation import naive_sinr_terms, naive_trial
-from wiretap.robust import (
-    fdd_receiver,
-    fdd_spectrum,
-    rank1_gains,
-    solve_fractions,
-    tdd_receiver,
-)
+from wiretap.robust import fdd_receiver, solve_fractions, tdd_receiver
 from wiretap.stacked import herm, matvec, vdot
 from wiretap.transmit import (
     artificial_noise,
@@ -361,7 +355,8 @@ def test_every_kernel_designs_its_targets_in_one_pass_bit_for_bit():
         "artificial_noise": (artificial_noise, (tilde.sigma1, tilde.v1, h, part.v1),
                              (0, 1, 2, 1)),
         "eve_aware": (eve_aware, (h, gram, np.array([[2], [5]])), (2, 2, 0)),
-        "robust_fdd": (robust.robust_fdd, (h, tilde.v1), (2, 1)),
+        "robust_fdd": (lambda u, s, v, *rest: robust.robust_fdd(SvdStack(u, s, v), *rest),
+                       (part.u, part.s, part.v, tilde.v1), (2, 1, 2, 1)),
         "robust_tdd": (robust.robust_tdd,
                        (part.sigma1, part.u1, part.v1, e_dv1, tilde.v1),
                        (0, 1, 1, 1, 1)),
@@ -566,7 +561,7 @@ def _kernel_designs(h: np.ndarray, eve: np.ndarray, power_p: float):
         "naive": lambda *budget: artificial_noise(tilde.sigma1, tilde.v1, h, part.v1,
                                                   *budget),
         "known_ecsi": lambda *budget: eve_aware(h, herm(eve) @ eve, eve.shape[1], *budget),
-        "robust_fdd": lambda *budget: robust.robust_fdd(h, tilde.v1, *budget),
+        "robust_fdd": lambda *budget: robust.robust_fdd(part, tilde.v1, *budget),
         "robust_tdd": lambda *budget: robust.robust_tdd(part.sigma1, part.u1, part.v1, e_dv1,
                                                         tilde.v1, *budget),
     }
@@ -931,23 +926,33 @@ def test_a_block_solves_for_eve_when_a_draw_serves_one_combiner(
 def test_a_block_makes_no_svd_of_an_estimate(monkeypatch, preset, propagate):
     # A block's one SVD is of Bob's true channels; the transmitter's
     # estimates H + sqrt(sigma^2) dH are decomposed by one Gram eigh, whose
-    # sigma1 and dominant direction are the SVD's to round-off, and under
-    # propagation robust_fdd is handed the estimates themselves.
+    # sigma1 and dominant direction are the SVD's to round-off.  robust_fdd
+    # designs from that one SVD; under propagation it is not called, and
+    # artificial_noise is handed the estimates themselves as Bob's channels.
     cfg = preset_config(preset, trials=6, master_seed=17, propagate_through_estimate=propagate)
     h, dh_unit = harness._draws(cfg, 0, cfg.trials, [
         (harness._TAG_CHANNEL, cfg.nb, None), (harness._TAG_ERROR, cfg.nb, None)])
     levels = np.array([float(from_db(x)) for x in harness._as_tuple(cfg.sigma_h_db)])
     estimates = h + np.sqrt(levels)[:, None, None, None] * dh_unit
-    svds, designed_through = [], []
-    svd, fdd = np.linalg.svd, harness.robust_fdd
+    svds, fdd_svds, naive_channels = [], [], []
+    svd, fdd, naive = np.linalg.svd, harness.robust_fdd, harness.artificial_noise
     monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: svds.append(a) or svd(a, **kw))
-    monkeypatch.setattr(harness, "robust_fdd", lambda h_design, *a: designed_through.append(
-        h_design) or fdd(h_design, *a))
+    monkeypatch.setattr(harness, "robust_fdd", lambda part, *a: fdd_svds.append(part) or fdd(
+        part, *a))
+    monkeypatch.setattr(harness, "artificial_noise", lambda s1, t, hb, *a: naive_channels.append(
+        hb) or naive(s1, t, hb, *a))
     harness._run_block(cfg, 0, cfg.trials)
     monkeypatch.undo()
     assert len(svds) == 1 and np.array_equal(svds[0], h)
-    assert len(designed_through) == 1
-    np.testing.assert_array_equal(designed_through[0], estimates if propagate else h[None])
+    assert len(fdd_svds) == (0 if propagate else 1)
+    for part in fdd_svds:
+        for got, want in zip(part, partition_stack(h)):
+            np.testing.assert_array_equal(got, want)
+    channels = [h[None] for name in cfg.schemes if name in ("perfect", "naive")]
+    channels += [estimates] if propagate else []
+    assert len(naive_channels) == len(channels)
+    for got, want in zip(naive_channels, channels):
+        np.testing.assert_array_equal(got, want)
     tilde, want = harness._Block(cfg, 0, cfg.trials).tilde, partition_stack(estimates)
     assert np.abs(tilde.sigma1 / want.sigma1 - 1.0).max() <= 1e-13
     assert (1.0 - np.abs(vdot(tilde.v1, want.v1))).max() <= 1e-14
@@ -987,21 +992,21 @@ def test_eve_mmse_beamformer_agrees_with_the_spectral_route():
 
 
 def test_vectorised_root_solve_reproduces_brentq():
-    # Newton's roots agree with scipy's brentq within brentq's own tolerance,
-    # with the same outage flags, and a single bracket is solved exactly as
-    # it is inside a call with six others.  -150 dB is met already at the
-    # floor fraction.
+    # Newton's roots agree with scipy's brentq on the same closed-form curve
+    # within brentq's own tolerance, with the same outage flags, and a
+    # single bracket is solved exactly as it is inside a call with six
+    # others.  -150 dB is met already at the floor fraction.
     targets = 10.0 ** (np.array([-150.0, -5.0, 0.0, 10.0, 20.0, 30.0, 45.0]) / 10.0)
     for k in range(60):
         na, nb = [(5, 5), (4, 2), (2, 1), (8, 8)][k % 4]
         chan = generate_channels(na, nb, 2, rng_seed=[5, k])
         dh = 0.3 * _random_channels(1, nb, na, seed=k)[0]
         tilde = partition_svd(chan.h_ba.entries + dh)
-        lam, _, _, weights = fdd_spectrum(chan.h_ba.entries, tilde.v1)
+        lam, weights = oracles.fdd_curve(partition_svd(chan.h_ba), tilde.v1)
         rho, outage = solve_fractions(lam[None], weights[None], chan.power_p, na, 1.0, targets)
         for j, target in enumerate(targets):
             want_rho, want_outage = oracles.solve_fraction(
-                lambda r: float(rank1_gains(r, lam, weights, chan.power_p, na, 1.0)), target
+                lambda r: float(oracles.fdd_gains(r, lam, weights, chan.power_p, na, 1.0)), target
             )
             assert bool(outage[j]) == want_outage
             assert abs(rho[j] - want_rho) <= oracles._XTOL + 4 * oracles._RTOL * want_rho
@@ -1012,9 +1017,9 @@ def test_vectorised_root_solve_reproduces_brentq():
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(
-    na=st.integers(1, 9),
+    nb=st.integers(1, 9),
     curves=st.lists(
-        st.lists(st.tuples(st.floats(0.0, 1e3), st.floats(0.0, 1e3)), min_size=1, max_size=6),
+        st.lists(st.tuples(st.floats(0.0, 1e3), st.floats(0.0, 1e3)), min_size=1, max_size=9),
         min_size=1, max_size=4,
     ),
     power_db=st.floats(-30.0, 30.0),
@@ -1022,41 +1027,121 @@ def test_vectorised_root_solve_reproduces_brentq():
     target_db=st.floats(-60.0, 60.0),
 )
 def test_root_solve_meets_the_target_at_the_smallest_fraction(
-    na, curves, power_db, noise_db, target_db
+    nb, curves, power_db, noise_db, target_db
 ):
-    # Curves of nonnegative eigenvalues and weights over wide power, noise
-    # and target ranges: no warning, outage exactly where the full budget
-    # falls short, and otherwise the floor or the crossing within 1e-12
-    # relative in rho.  The bound is on rho, not on g: where the curve is
-    # steep, one unit in the last place of rho moves g by more than 1e-12.
-    nb = min(len(c) for c in curves)
-    pairs = np.array([c[:nb] for c in curves])
-    lam, weights = pairs[..., 0], pairs[..., 1]
+    # Curves of na squared singular values, nb of them nonzero, and
+    # overlaps of a unit direction with their singular vectors (all on the
+    # last one where none is drawn) over wide power, noise and target
+    # ranges: no warning, outage exactly where the full budget falls short,
+    # and otherwise the floor or the crossing within 1e-12 relative in rho.
+    # The bound is on rho, not on g: where the curve is steep, one unit in
+    # the last place of rho moves g by more than 1e-12.
+    na = min(len(c) for c in curves)
+    pairs = np.array([c[:na] for c in curves])
+    lam = np.where(np.arange(na) < nb, pairs[..., 0], 0.0)
+    weights, total = pairs[..., 1], pairs[..., 1].sum(axis=-1, keepdims=True)
+    weights = np.where(total > 0.0, weights / np.where(total > 0.0, total, 1.0),
+                       np.arange(na) == na - 1)
     power_p, sigma_sq, target = 10.0 ** (np.array([power_db, noise_db, target_db]) / 10.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rho, outage = solve_fractions(lam, weights, power_p, na, sigma_sq, target)
-        full = rank1_gains(np.ones(len(lam)), lam, weights, power_p, na, sigma_sq)
+        lit = (weights * lam).any(axis=-1)
+        full = np.zeros(len(lam))
+        full[lit] = oracles.fdd_gains(np.ones(lit.sum()), lam[lit], weights[lit], power_p, na,
+                                      sigma_sq)
         np.testing.assert_array_equal(outage, full < target)
-        above = rank1_gains(rho * (1 + 1e-12), lam, weights, power_p, na, sigma_sq)
-        below = rank1_gains(rho * (1 - 1e-12), lam, weights, power_p, na, sigma_sq)
+        solved = ~outage & (rho != robust._RHO_FLOOR)
+        above = oracles.fdd_gains(rho[solved] * (1 + 1e-12), lam[solved], weights[solved],
+                                  power_p, na, sigma_sq)
+        below = oracles.fdd_gains(rho[solved] * (1 - 1e-12), lam[solved], weights[solved],
+                                  power_p, na, sigma_sq)
     assert np.all(rho[outage] == 1.0)
     assert np.all((rho >= robust._RHO_FLOOR) & (rho <= 1.0))
-    solved = ~outage & (rho != robust._RHO_FLOOR)
-    assert np.all(above[solved] >= target)
-    assert np.all(below[solved] < target)
+    assert np.all(above >= target)
+    assert np.all(below < target)
+
+
+@pytest.mark.parametrize("na, lam, weights, power_p, sigma_sq, target", [
+    (6, [11.56168248, 6.77893452, 1.24700846, 0.0, 0.0, 0.0],
+     [1.0, 2.12815259e-31, 4.81482486e-32, 1.51787354e-32, 1.59055200e-32, 2.23407874e-32],
+     1.8745716682840442e21, 7.293467837975519e-94, 7.167937624962466e32),
+    (3, [5.42777479, 1.27907078, 0.0], [1.0, 1.10933565e-31, 3.75964471e-32],
+     4.082443968346747e93, 3.5816388092810415e-100, 8.058838553534834e43),
+], ids=["crossing-far-below-1", "crossing-next-to-1"])
+def test_the_root_solve_crosses_where_the_gain_turns_steeply_up(
+        na, lam, weights, power_p, sigma_sq, target):
+    # A direction on Bob's strongest singular vector but for 1e-31 of its
+    # weight, at power over noise of 1e114 and 1e193: the gain climbs by
+    # tens of orders of magnitude next to rho = 1.  From there a tangent of
+    # the gain moves by less than an ulp (the first case's crossing is at
+    # 0.88), and the pair terms of m', formed in the wrong order, underflow
+    # to zero and throw the second case's step far below its crossing.
+    lam, weights = np.array(lam), np.array(weights)
+    rho, outage = solve_fractions(lam[None], weights[None], power_p, na, sigma_sq, target)
+    want, want_outage = oracles.solve_fraction(
+        lambda r: float(oracles.fdd_gains(r, lam, weights, power_p, na, sigma_sq)), target)
+    assert not outage[0] and not want_outage
+    assert abs(rho[0] - want) <= oracles._XTOL + 4 * oracles._RTOL * want, (rho[0], want)
 
 
 def test_a_curve_without_weight_is_an_outage():
-    # An all-zero weight row has gain 0 at every fraction: an outage, solved
-    # next to an ordinary row without a division by zero.
-    lam = np.array([[2.0, 1.0, 0.5], [2.0, 1.0, 0.5]])
-    weights = np.array([[0.0, 0.0, 0.0], [1.0, 0.5, 0.25]])
+    # A direction in Bob's null space, all its weight past his singular
+    # values, has gain 0 at every fraction: an outage, solved next to an
+    # ordinary row without a division by zero.
+    lam = np.array([[2.0, 1.0, 0.5, 0.0], [2.0, 1.0, 0.5, 0.0]])
+    weights = np.array([[0.0, 0.0, 0.0, 1.0], [0.4, 0.3, 0.2, 0.1]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rho, outage = solve_fractions(lam, weights, 10.0, 4, 1.0, 3.0)
     np.testing.assert_array_equal(outage, [True, False])
     assert rho[0] == 1.0 and 0.0 < rho[1] < 1.0
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(
+    na=st.integers(1, 6),
+    short=st.integers(0, 5),
+    seed=st.integers(0, 2**16),
+    rows=st.lists(st.tuples(st.floats(-3000.0, 3000.0), st.floats(-3000.0, 3000.0)),
+                  min_size=1, max_size=4),
+    power_db=st.floats(-1000.0, 1000.0),
+    noise_exp=st.floats(-100.0, 100.0),
+)
+def test_the_closed_form_is_the_leak_eigh_route(na, short, seed, rows, power_db, noise_exp):
+    # robust_fdd over Bob's SVD against the eigh of the leak it replaced,
+    # at error levels and targets (dB) from -3000 to 3000 and power and
+    # noise across the ranges a config accepts.  Each row's fraction is
+    # the brentq root of the eigh route's curve within brentq's tolerance
+    # plus that route's own round-off: its eigenvalues and weights are off
+    # by about n eps ||H||^2 and n eps ||H t||^2, which moves its gain by up
+    # to n eps (1 + beta ||H||^2 / sigma^2) relative, and a fraction by no
+    # more than its gain.  The outage flags are equal, and every row of the
+    # batch is its batch of one bit for bit.
+    nb = max(1, na - short)
+    power_p, sigma_sq = float(from_db(power_db)), 10.0 ** noise_exp
+    levels, targets = (np.array([float(from_db(x)) for x in col]) for col in zip(*rows))
+    h = _random_channels(len(rows), nb, na, seed=[71, seed])
+    dh = _random_channels(len(rows), nb, na, seed=[72, seed])
+    part = partition_stack(h)
+    t = estimate_basis(h + np.sqrt(levels)[:, None, None] * dh).v1
+    d = robust.robust_fdd(part, t, targets, power_p, sigma_sq)
+    eps = np.finfo(float).eps
+    for r in range(len(rows)):
+        lam, _, _, weights = oracles.fdd_spectrum(h[r], t[r])
+        want, outage = oracles.solve_fraction(
+            lambda x: float(oracles.rank1_gains(x, lam, weights, power_p, na, sigma_sq)),
+            targets[r])
+        assert bool(d.outage[r]) == outage
+        rho = d.rho[r]
+        beta = transmit.noise_share(min(rho, want), power_p, na)
+        allowed = (oracles._XTOL + 4 * oracles._RTOL * want
+                   + max(rho, want) * na * eps * (1.0 + beta * part.s[r, 0] ** 2 / sigma_sq))
+        assert abs(rho - want) <= allowed, (r, rho, want)
+        single = robust.robust_fdd(SvdStack(*(x[r:r + 1] for x in part)), t[r:r + 1],
+                                   targets[r], power_p, sigma_sq)
+        for field, got, one in zip(transmit.Design._fields, d, single):
+            np.testing.assert_array_equal(got[r:r + 1], one, err_msg=field)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (2, 2), (3, 5), (5, 5)], ids=str)
@@ -1288,6 +1373,39 @@ def test_the_statistical_combiner_is_closed_form_on_the_sweeps(monkeypatch, pres
                                             cfg.sigma_b_sq)
         assert not loaded
         assert np.linalg.norm(w - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("propagate", [False, True])
+@pytest.mark.parametrize("preset", ["fig3_sinr_vs_target", "fig4_secrecy", "fig5_sigma_sweep"])
+def test_the_exact_knowledge_receiver_is_closed_form_on_the_sweeps(monkeypatch, preset,
+                                                                   propagate):
+    # The exact-knowledge design comes from the block's SVD of Bob's
+    # channels, or under propagation is the naive design on the estimates,
+    # with no eigh.  Its fractions are the brentq roots of the oracle's
+    # eigh-of-the-leak curve, through his channel or the estimate, and his
+    # combiner is the oracle's whitened one at a positive scale.
+    cfg = preset_config(preset, trials=6, master_seed=14, propagate_through_estimate=propagate)
+    blk = harness._Block(cfg, 0, cfg.trials)
+    tilde = blk.tilde
+    eighs = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, fn=np.linalg.eigh: eighs.append(a) or fn(*a))
+    d = harness._DESIGNS["robust_fdd"](blk)
+    monkeypatch.undo()
+    assert eighs == []
+    through = blk.estimate if propagate else blk.h[None]
+    for p, i in np.ndindex(d.rho.shape):
+        h, t = through[min(p, len(through) - 1), i], tilde.v1[min(p, len(tilde.v1) - 1), i]
+        target = blk.point_targets[min(p, len(blk.point_targets) - 1), 0]
+        lam, evecs, signature, weights = oracles.fdd_spectrum(h, t)
+        want, outage = oracles.solve_fraction(lambda r: float(oracles.rank1_gains(
+            r, lam, weights, cfg.power_p, cfg.na, cfg.sigma_b_sq)), target)
+        assert d.outage[p, i] == outage
+        assert abs(d.rho[p, i] - want) <= 1e-12 * want, (p, i)
+        beta = transmit.noise_share(d.rho[p, i], cfg.power_p, cfg.na)
+        w = robust.whitened_combiner(evecs, lam, signature, beta, cfg.sigma_b_sq)
+        got = d.w_b[min(p, len(d.w_b) - 1), i]
+        overlap = np.vdot(w, got) / (np.linalg.norm(w) * np.linalg.norm(got))
+        assert 1.0 - abs(overlap) <= 1e-14 and abs(np.angle(overlap)) <= 1e-7, (p, i)
 
 
 # ------------------------------------------------------------ draws and reduction

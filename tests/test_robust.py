@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.random import SeedSequence, default_rng
 
+import oracles
 from wiretap.channels import (
     ChannelMatrix,
     ChannelSet,
@@ -16,7 +17,7 @@ from wiretap.channels import (
     generate_channels,
     partition_svd,
 )
-from wiretap.exceptions import OrientationError, ParameterError
+from wiretap.exceptions import DegenerateChannelError, OrientationError, ParameterError
 from wiretap.perturbation import compute_moments, naive_trial, simulate_naive
 from wiretap.robust import (
     _fdd_trial,
@@ -103,6 +104,19 @@ class TestFddReceiver:
         assert report.outage
         assert report.sinr_b < TARGET
 
+    def test_a_rank_deficient_channel_is_refused_as_its_decomposition_is(self):
+        # The design reads the SVD partition_svd caches for the channel, which
+        # refuses a rank-deficient one; propagated through the estimate, the
+        # design reads no decomposition of the channel.
+        hb = ChannelMatrix(np.array([[1.0, 0.5], [2.0, 1.0]], dtype=complex))
+        he = ChannelMatrix(np.array([[0.3, 0.7]], dtype=complex))
+        chan = ChannelSet(h_ba=hb, h_ea=he, sigma_b_sq=1.0, sigma_e_sq=1.0, power_p=100.0)
+        h_tilde = hb.entries + np.array([[0.1, 0.0], [0.0, 0.2]])
+        with pytest.raises(DegenerateChannelError):
+            fdd_receiver(chan, h_tilde, TARGET)
+        _, report = fdd_receiver(chan, h_tilde, TARGET, propagate_through_estimate=True)
+        assert np.isfinite(report.sinr_b) and report.sinr_b > 0.0
+
     def test_rejects_a_nonpositive_target(self):
         chan = generate_channels(3, 3, 2, rng_seed=2)
         with pytest.raises(ParameterError):
@@ -120,6 +134,24 @@ class TestFddReceiver:
         assert report.sinr_b >= target
         _, report = fdd_receiver(chan, h_tilde, target)
         assert not report.outage
+
+
+@pytest.mark.parametrize("propagate", [False, True])
+def test_the_single_channel_receiver_is_the_eigh_reference(propagate):
+    # fdd_receiver designs from the SVD its channel caches, or under
+    # propagation is the naive design on the estimate; either way its
+    # report is the oracle's eigh-whitened receiver's to round-off, with
+    # nb < na and at a target out of reach.
+    for k in range(24):
+        na, nb, ne = [(4, 4, 2), (5, 3, 4), (3, 1, 2), (6, 6, 6)][k % 4]
+        chan = generate_channels(na, nb, ne, rng_seed=[47, k])
+        h_tilde = chan.h_ba.entries + _error(chan, 100 + k)
+        for target in (10.0, 1e6):
+            _, report = fdd_receiver(chan, h_tilde, target, propagate_through_estimate=propagate)
+            want = oracles.fdd_trial(chan, partition_svd(h_tilde), target, propagate)[0]
+            assert report.outage == want.outage
+            for got, ref in ((report.sinr_b, want.sinr_b), (report.sinr_e, want.sinr_e)):
+                assert got == pytest.approx(ref, rel=1e-10, abs=1e-12), (k, target)
 
 
 class TestTddReceiver:

@@ -435,6 +435,30 @@ class TestLinkSinr:
             with pytest.raises(ParameterError, match="^combiner entries must be finite"):
                 link_sinr(chan.h_ba, scheme, np.array([1.0, bad, 0.0]), 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_a_non_finite_channel_is_refused_by_name(self, bad):
+        # A plain-array channel with a non-finite entry, or none finite, is
+        # refused before any figure is formed, not reported as NaN.
+        chan = generate_channels(3, 3, 2, rng_seed=6)
+        scheme = design_artificial_noise(chan, partition_svd(chan.h_ba), 10.0)
+        h = chan.h_ba.entries.copy()
+        h[1, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for channel in (h, np.full((3, 3), bad)):
+                with pytest.raises(ParameterError, match="^channel entries must be finite"):
+                    link_sinr(channel, scheme, np.ones(3), 1.0)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (3, 2), (3,), (1, 3, 3)], ids=str)
+    def test_a_misshapen_channel_is_refused_by_name(self, shape):
+        # The scheme is for 3 antennas and the combiner has 3 entries: a
+        # channel that is not 2-D, or not 3 columns wide, is a DimensionError
+        # naming it, not numpy's matmul error.
+        chan = generate_channels(3, 3, 2, rng_seed=6)
+        scheme = design_artificial_noise(chan, partition_svd(chan.h_ba), 10.0)
+        with pytest.raises(DimensionError, match="^channel of shape"):
+            link_sinr(np.ones(shape, dtype=complex), scheme, np.ones(3), 1.0)
+
     def test_dimension_and_noise_validation(self):
         chan = generate_channels(3, 3, 2, rng_seed=6)
         scheme = design_artificial_noise(chan, partition_svd(chan.h_ba), 10.0)
