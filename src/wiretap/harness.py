@@ -19,9 +19,9 @@ runs once per block on the sweep's own values: every input, the target SINR
 included, has a leading points axis, which holds each point's target, error
 level or draw of Eve's on those axes and has length 1 otherwise (Bob's
 channels and decomposition enter as (1, n, ...) views or (n, ...) arrays,
-the target as (points or 1, 1)).  Every ``transmit.Design`` field it
-returns is therefore (points or 1, n, ...) as it stands.  A value the sweep
-repeats is designed again at each of its points.  One call of the shared
+the target as (points or 1, 1)), so every ``transmit.Design`` field is
+(points or 1, n, ...) as it stands, a repeated value designed again at
+each of its points.  One call of the shared
 ``transmit.evaluate`` per scheme broadcasts the design, Bob's channels,
 Eve's and her Gram matrices over the (point, trial) grid.  Eve's channels
 and Gram matrices are one stack of n draws, shared by every scheme, except
@@ -42,13 +42,18 @@ Per-trial metrics are materialized and reduced once at the end, every
 and a pooled ratio-of-expectations figure (mean signal power over mean
 interference-plus-noise power) is kept alongside for comparisons against
 the closed-form degradation estimate, which predicts exactly that ratio.
+
+A sweep pays per trial for its streams' generators and draws and its rows
+of every stacked stage, once per block for the stage calls themselves (a
+few hundred numpy dispatches whatever the block's size), and once for the
+reduction and the manifest; a config is checked when it is built.
 """
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cache, cached_property
 from typing import Any
 
 import numpy as np
@@ -94,6 +99,11 @@ EXTRAPOLATION_EDGE_DB = -10.0
 # Transmit powers (dB) a config accepts; with the noise powers inside
 # channels.NOISE_RANGE every stage stays in double range.
 POWER_DB_RANGE = (-1000.0, 1000.0)
+# The largest error level (dB) a config accepts, less a positive power_db, and at
+# most half of it above Bob's noise in dB, so that the estimates' Gram matrices, the
+# naive design's sigma1^2 P and the statistical combiner in outage, (1 + c) sigma1 /
+# sigma_b^2 with c of the order of the error power, stay in double range.
+ERROR_DB_MAX = 3000.0
 
 # Stream tags for per-trial seeding.
 _TAG_CHANNEL = 101
@@ -106,7 +116,7 @@ _TAG_ECSI = 104
 # vectorised pass.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
 
@@ -180,7 +190,7 @@ class ExperimentConfig:
                 "is not supported by the decomposition convention"
             )
         for name in ("ne", "target_sinr_db", "sigma_h_db"):
-            if getattr(self, name) == ():
+            if _as_tuple(getattr(self, name)) == ():
                 raise ConfigError(f"{name} must hold at least one value")
         for v in _as_tuple(self.ne):
             if isinstance(v, bool) or not isinstance(v, int) or v < 1:
@@ -216,6 +226,10 @@ class ExperimentConfig:
                 finite = np.isfinite(value) and np.isfinite(linear)
                 if not (finite and (linear > 0 or not positive)):
                     raise ConfigError(f"{name} must be a finite level, got {value!r}")
+        top = min(ERROR_DB_MAX - max(self.power_db, 0.0), ERROR_DB_MAX / 2 + to_db(self.sigma_b_sq))
+        if self.sigma_h_db is not None and max(_as_tuple(self.sigma_h_db)) > top:
+            raise ConfigError(f"sigma_h_db must be at most {top:g} dB at this power_db and "
+                              f"sigma_b_sq, got {self.sigma_h_db!r}")
         if not self.schemes:
             raise ConfigError("at least one scheme is required")
         for s in self.schemes:
@@ -254,11 +268,9 @@ class ExperimentConfig:
         return "target_sinr_db", (float(self.target_sinr_db),)
 
     def to_dict(self) -> dict[str, Any]:
-        out = asdict(self)
-        for key, value in out.items():
-            if isinstance(value, tuple):
-                out[key] = list(value)
-        return out
+        """The fields by name, a swept one's values as a list."""
+        values = {name: getattr(self, name) for name in self.__dataclass_fields__}
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in values.items()}
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ExperimentConfig":
@@ -344,10 +356,8 @@ class SweepResult:
 
 def _run_chunk(cfg: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
     """Metrics for trials [lo, hi): shape (points, schemes, metrics, trials)."""
-    return np.concatenate(
-        [_run_block(cfg, b, min(b + BLOCK_TRIALS, hi)) for b in range(lo, hi, BLOCK_TRIALS)],
-        axis=3,
-    )
+    blocks = [_run_block(cfg, b, min(b + BLOCK_TRIALS, hi)) for b in range(lo, hi, BLOCK_TRIALS)]
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=3)
 
 
 def _words(value: int) -> list[int]:
@@ -381,19 +391,24 @@ def _entropy(cfg: ExperimentConfig, lo: int, hi: int, streams):
     return rows[:, :, :width].reshape(-1, width), lengths.reshape(-1)
 
 
-def _hasher(init: int, mult: int):
-    """numpy SeedSequence's running uint32 hash, ``count`` steps a call: row
-    j of the (count, rows) result is step j's hash of ``value`` or its row j."""
-    const = init
+@cache
+def _hash_consts(init: int, mult: int, steps: int) -> np.ndarray:
+    """numpy SeedSequence's hash constants init * mult^k mod 2^32, k = 0..steps, (steps + 1, 1)."""
+    consts = [init]
+    for _ in range(steps):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, np.uint32)[:, None]
+
+
+def _hasher(init: int, mult: int, steps: int):
+    """numpy SeedSequence's running uint32 hash over ``steps`` constants, ``count`` steps a
+    call: row j of the (count, rows) result is step j's hash of ``value`` or its row j."""
+    consts, at = _hash_consts(init, mult, steps), 0
 
     def hash_(value: np.ndarray, count: int) -> np.ndarray:
-        nonlocal const
-        consts = [const]
-        for _ in range(count):
-            consts.append(consts[-1] * mult & _MASK32)
-        const = consts[-1]
-        consts = np.array(consts, np.uint32)[:, None]
-        value = (value ^ consts[:-1]) * consts[1:]
+        nonlocal at
+        step, at = consts[at:at + count + 1], at + count
+        value = (value ^ step[:-1]) * step[1:]
         return value ^ (value >> np.uint32(16))
 
     return hash_
@@ -407,12 +422,12 @@ def _seed_words(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     numpy's pool mixing and state generation run as uint32 array arithmetic
     over all rows at once, every pool word a row of one (4, rows) array;
     words past a row's length are skipped, as a shorter row never mixes
-    them in.
+    them in.  The hash constants are built once per entropy width.
     """
-    hashmix = _hasher(_INIT_A, _MULT_A)
+    hashmix = _hasher(_INIT_A, _MULT_A, _POOL_SIZE * entropy.shape[1])
 
     def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
         return result ^ (result >> np.uint32(16))
 
     pool = hashmix(entropy[:, :_POOL_SIZE].T, _POOL_SIZE)
@@ -421,9 +436,9 @@ def _seed_words(entropy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         pool[dst] = mix(pool[dst], hashmix(pool[src], _POOL_SIZE - 1))
     for src in range(_POOL_SIZE, entropy.shape[1]):
         pool = np.where(lengths > src, mix(pool, hashmix(entropy[:, src], _POOL_SIZE)), pool)
-    words = _hasher(_INIT_B, _MULT_B)(np.tile(pool, (2, 1)), 2 * _POOL_SIZE)
+    words = _hasher(_INIT_B, _MULT_B, 2 * _POOL_SIZE)(np.concatenate([pool, pool]), 2 * _POOL_SIZE)
     # Little-endian word pairs, as generate_state builds its uint64 words.
-    return words.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+    return words.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
 
 
 class _Words(ISeedSequence):
@@ -511,10 +526,10 @@ class _Block:
         eve = [draws["eve", p] for p in range(len(counts))]
         # The Gram matrices of her draws, (draws, n, na, na), as each
         # Eve-aware design assumes them, and her antenna count per draw.
-        self.gram_e = {"known_ecsi": np.stack([herm(x) @ x for x in eve])}
+        self.gram_e = {"known_ecsi": np.array([herm(x) @ x for x in eve])}
         if "imperfect_ecsi" in names:
             blended = [_blend(cfg, x, draws.get(("fresh", p))) for p, x in enumerate(eve)]
-            self.gram_e["imperfect_ecsi"] = np.stack([herm(x) @ x for x in blended])
+            self.gram_e["imperfect_ecsi"] = np.array([herm(x) @ x for x in blended])
         self.ne = np.array([x.shape[1] for x in eve])[:, None]
         # Her true channels: the one draw, or on the ne axis every point's,
         # zero-padded to her largest antenna count.
@@ -602,12 +617,13 @@ def _analytic_naive(blk: _Block) -> np.ndarray:
     cfg, sigma1 = blk.cfg, blk.part.sigma1
     sigma_sq = blk.level_powers[..., 0]
     rho = required_rho(sigma1, blk.point_targets, cfg.power_p, cfg.sigma_b_sq)
+    valid = rho < 1.0
+    # Trials out of range are expanded at rho = 1, where no term leaves double range.
     num, den = naive_terms(
-        sigma1, rho, 2.0 * self_drift(blk.part.v1, blk.e_dv1),
+        sigma1, np.minimum(rho, 1.0), 2.0 * self_drift(blk.part.v1, blk.e_dv1),
         blk.moments.e_dsigma1 * sigma_sq, blk.moments.e_dsigma1_sq * sigma_sq,
         cfg.power_p, cfg.sigma_b_sq, cfg.na,
     )
-    valid = rho < 1.0
     ok = valid & (num > 0.0) & (den > 0.0)
     rows = np.full((len(METRICS),) + num.shape, np.nan)
     rows[4] = np.where(valid, num, np.nan)
@@ -630,88 +646,73 @@ def _run_block(cfg: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
     blk = _Block(cfg, lo, hi)
     designs = {name: _DESIGNS[name](blk) for name in cfg.schemes if name != "analytic_naive"}
     gram = blk.eve_gram(designs.values())
-    out = np.empty((len(cfg.schemes), len(METRICS), blk.n_points, blk.n))
+    targets, power_p, sigma_b_sq = blk.budget
+    out = np.empty((blk.n_points, len(cfg.schemes), len(METRICS), blk.n))
     for s, name in enumerate(cfg.schemes):
-        if name == "analytic_naive":
-            out[s] = _analytic_naive(blk)
-        else:
-            out[s] = evaluate(designs[name], blk.h, blk.eve, gram, blk.point_targets,
-                              cfg.power_p, cfg.sigma_b_sq, cfg.sigma_e_sq, cfg.secrecy_metric)
-    return out.transpose(2, 0, 1, 3)
+        rows = _analytic_naive(blk) if name == "analytic_naive" else evaluate(
+            designs[name], blk.h, blk.eve, gram, targets, power_p, sigma_b_sq, cfg.sigma_e_sq,
+            cfg.secrecy_metric)
+        out[:, s] = rows.swapaxes(0, 1)
+    return out
 
 
 def _db_or_neg_inf(x: np.ndarray) -> np.ndarray:
-    """Decibels of positive finite entries; 0 maps to -inf and the rest to NaN."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        db = to_db(x)
-    return np.where(np.isfinite(x) & (x > 0.0), db, np.where(x == 0.0, -np.inf, np.nan))
+    """Decibels of positive finite entries; 0 maps to -inf and the rest to NaN.
+    Call it with divide and invalid floating-point errors ignored."""
+    return np.where(x < np.inf, to_db(x), np.nan)
 
 
-def _mean_stderr(values: np.ndarray):
-    """Mean, standard error and count of the non-NaN entries along the last
-    axis; NaN where no entry (or, for the standard error, one) is left."""
-    valid = ~np.isnan(values)
-    n = valid.sum(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mean = np.where(valid, values, 0.0).sum(axis=-1) / n
-        dev = np.where(valid, values - mean[..., None], 0.0)
-        # Deviations are squared in units of a power of two near the largest
-        # one, so an SINR near 1e200 cannot overflow; the scaling is exact.
-        scale = np.ldexp(1.0, np.frexp(np.max(np.abs(dev), axis=-1))[1])[..., None]
-        dev = dev / scale
-        se = scale[..., 0] * np.sqrt((dev * dev).sum(axis=-1) / (n - 1)) / np.sqrt(n)
-    return np.where(n > 0, mean, np.nan), np.where(n > 1, se, np.nan), n
-
-
-def _pooled_ratio(signal: np.ndarray, intnoise: np.ndarray) -> np.ndarray:
-    """Ratio of summed signal power to summed interference-plus-noise."""
-    sig_sum = np.nansum(signal, axis=-1)
-    intn_sum = np.nansum(intnoise, axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(intn_sum > 0, sig_sum / intn_sum, np.nan)
+# A series' keys: its float columns in the order of ``_reduce``'s table, then its counts.
+_SERIES_KEYS = ("mean_sinr_b", "stderr_sinr_b", "mean_sinr_b_db", "stderr_sinr_b_db",
+                "mean_sinr_e", "stderr_sinr_e", "mean_sinr_e_db", "mean_secrecy", "stderr_secrecy",
+                "roe_sinr_b", "roe_sinr_b_db", "roe_sinr_e", "roe_sinr_e_db",
+                "outage_count", "flagged_count", "n_valid")
 
 
 def _reduce(metrics: np.ndarray, cfg: ExperimentConfig) -> dict[str, dict[str, tuple]]:
     """Per-scheme series over the points, every (point, scheme) cell at once.
 
-    The three per-trial figures (Bob's and Eve's SINR, secrecy) share one
-    mean and standard-error pass, the two pooled ratios, the four decibel
-    columns and the two counts one call each.
+    One NaN-skipping sum over the trials, as ``np.nansum`` takes it, serves
+    the three per-trial figures' means, the pooled ratios and the counts;
+    one pass takes the standard errors and one the decibel columns.  Each
+    column lands in one float or integer table, converted by one ``tolist``.
     """
-    mean, se, n = _mean_stderr(metrics[:, :, :3])
-    mean_b, mean_e, mean_s = np.moveaxis(mean, -1, 0)
-    se_b, se_e, se_s = np.moveaxis(se, -1, 0)
-    roe = _pooled_ratio(metrics[:, :, [4, 6]], metrics[:, :, [5, 7]])
-    db = _db_or_neg_inf(np.stack([mean_b, mean_e, roe[..., 0], roe[..., 1]]))
-    counts = np.nansum(metrics[:, :, [3, 8]], axis=-1).astype(int)
+    nan = np.isnan(metrics)
+    valid = ~nan[:, :, :3]
+    n = valid.sum(axis=-1)
+    sums = np.where(nan, 0.0, metrics).sum(axis=-1)
+    table = np.empty(n.shape[:2] + (13,))
+    counts = np.empty(n.shape[:2] + (3,), dtype=int)
+    counts[..., :2] = sums[..., [3, 8]]  # outage, flagged
+    counts[..., 2] = n[..., 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        se_b_db = np.where(
-            (mean_b > 0) & np.isfinite(se_b), 10.0 / np.log(10.0) * se_b / mean_b, np.nan
-        )
-    columns = {
-        "mean_sinr_b": mean_b, "stderr_sinr_b": se_b, "mean_sinr_b_db": db[0],
-        "stderr_sinr_b_db": se_b_db,
-        "mean_sinr_e": mean_e, "stderr_sinr_e": se_e, "mean_sinr_e_db": db[1],
-        "mean_secrecy": mean_s, "stderr_secrecy": se_s,
-        "roe_sinr_b": roe[..., 0], "roe_sinr_b_db": db[2],
-        "roe_sinr_e": roe[..., 1], "roe_sinr_e_db": db[3],
-        "outage_count": counts[..., 0],
-        "flagged_count": counts[..., 1],
-        "n_valid": n[..., 0],
-    }
-    return {
-        scheme: {key: tuple(values[:, s].tolist()) for key, values in columns.items()}
-        for s, scheme in enumerate(cfg.schemes)
-    }
+        mean = sums[..., :3] / n
+        dev = np.where(valid, metrics[:, :, :3] - mean[..., None], 0.0)
+        # Deviations are squared in units of a power of two near the largest
+        # one, so an SINR near 1e200 cannot overflow; the scaling is exact.
+        scale = np.ldexp(1.0, np.frexp(np.abs(dev).max(axis=-1))[1])
+        dev = dev / scale[..., None]
+        se = scale * np.sqrt((dev * dev).sum(axis=-1) / (n - 1)) / np.sqrt(n)
+        table[..., [0, 4, 7]] = np.where(n > 0, mean, np.nan)
+        table[..., [1, 5, 8]] = np.where(n > 1, se, np.nan)
+        intnoise = sums[..., [5, 7]]
+        table[..., [9, 11]] = np.where(intnoise > 0, sums[..., [4, 6]] / intnoise, np.nan)
+        table[..., [2, 6, 10, 12]] = _db_or_neg_inf(table[..., [0, 4, 9, 11]])
+        mean_b, se_b = table[..., 0], table[..., 1]
+        table[..., 3] = np.where((mean_b > 0) & np.isfinite(se_b),
+                                 10.0 / np.log(10.0) * se_b / mean_b, np.nan)
+    floats, ints = table.transpose(1, 2, 0).tolist(), counts.transpose(1, 2, 0).tolist()
+    return {scheme: dict(zip(_SERIES_KEYS, map(tuple, f + i)))
+            for scheme, f, i in zip(cfg.schemes, floats, ints)}
 
 
 def run_experiment(cfg: ExperimentConfig) -> SweepResult:
     """Run one configured sweep and reduce it to a :class:`SweepResult`.
 
     Results are reproducible bit for bit from the config alone, including
-    across different ``threads`` settings.
+    across different ``threads`` settings.  The config was validated when
+    it was built; it is frozen, so it is not checked again.
     """
-    cfg.validate()
     started = time.perf_counter()
     axis_name, axis_values = cfg.axis()
 

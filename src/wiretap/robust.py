@@ -81,47 +81,52 @@ def solve_fractions(lam, weights, power_p: float, na: int, sigma_sq: float, targ
     m' = sum_{i<j} w_i w_j (lam_i - lam_j)^2 sigma^2 P / ((na - 1) D_i D_j),
     the step is q (1 + rho e) / (1 + q e): nonnegative terms, normalized
     first so they stay in double range at the bounds a config accepts.  An
-    entry stops once its step moves it by at most ``_SETTLED_ULPS`` ulps,
-    within an ulp or so of the crossing; its iterates depend on that entry
-    alone, so a batch gives each entry's value bit for bit.  Returns (rho, outage).
+    entry settles once its step moves it by at most ``_SETTLED_ULPS`` ulps,
+    within an ulp or so of the crossing, and retires: later steps compute
+    the moving entries alone, and a batch with none (empty, or all in
+    outage) returns at once.  An entry's iterates depend on it alone, so a
+    batch gives each entry's value bit for bit.  Returns (rho, outage).
     """
     check_target(target_sinr)
-    shape = np.broadcast_shapes(lam.shape[:-1], weights.shape[:-1], np.shape(target_sinr))
-    target = np.broadcast_to(target_sinr, shape)
-    lam = np.broadcast_to(lam, shape + lam.shape[-1:])
-    weights = np.broadcast_to(weights, lam.shape)
-    outage = power_p * (weights * lam).sum(axis=-1) / sigma_sq < target
-    live = ~outage
-    lam, weights = lam[live], weights[live]
+    outage = power_p * (weights * lam).sum(axis=-1) / sigma_sq < target_sinr
+    shape, live = np.shape(outage), ~outage
+    # Every entry's fraction, flat, and the entries still moving by their index into it.
+    rho, index = np.ones(outage.size), np.flatnonzero(live)
+    if not index.size:
+        return rho.reshape(shape), outage
+    lam = np.broadcast_to(lam, shape + lam.shape[-1:])[live]
     ratio = noise_share(0.0, power_p, na) / sigma_sq
-    alpha = lam * ratio
+    # The moving entries' lam, weights and alpha = lam ratio, (3, moving, na).
+    rows = np.array([lam, np.broadcast_to(weights, shape + lam.shape[-1:])[live], lam * ratio])
     i, j = pairs(na)
     gap = (lam.take(i, axis=-1) - lam.take(j, axis=-1)) ** 2
-    level = target[live] * (sigma_sq / power_p)
+    level = np.broadcast_to(target_sinr, shape)[live] * (sigma_sq / power_p)
 
     def curve(root):
         # (m, m') at rho = root over u = sigma^2 / D <= 1.  In a pair's term
         # ratio scales u_i (lam_i >= lam_j), as small as 1 / ratio, before w_i.
-        u = 1.0 / (1.0 + (1.0 - root)[..., None] * alpha)
+        lam, weights, alpha = rows
+        u = 1.0 / (1.0 + (1.0 - root)[:, None] * alpha)
         share = weights * u
-        share /= share.sum(axis=-1)[..., None]
+        share /= share.sum(axis=-1)[:, None]
         lead, trail = share * (u * ratio), share * u
-        return (np.einsum("...k,...k->...", share, lam),
-                np.einsum("...k,...k->...", lead.take(i, axis=-1) * gap, trail.take(j, axis=-1)))
+        return (np.einsum("rk,rk->r", share, lam),
+                np.einsum("rk,rk->r", lead.take(i, axis=-1) * gap, trail.take(j, axis=-1)))
 
     root = np.minimum(1.0, level / curve(np.zeros(level.shape))[0])
-    moving = np.ones(root.shape, dtype=bool)
     for _ in range(_MAXITER):
         mean, slope = curve(root)
         fixed, rise = level / mean, slope / mean
-        step = np.minimum(root, fixed * (1.0 + root * rise) / (1.0 + fixed * rise))
-        settled = root - step <= _SETTLED_ULPS * np.spacing(root)
-        root = np.where(moving, step, root)
-        moving &= ~settled
-        if not moving.any():
-            rho = np.ones(shape)
-            rho[live] = np.maximum(root, _RHO_FLOOR)
-            return rho, outage
+        root, last = np.minimum(root, fixed * (1.0 + root * rise) / (1.0 + fixed * rise)), root
+        rho[index] = root
+        settled = last - root <= _SETTLED_ULPS * np.spacing(last)
+        done = np.count_nonzero(settled)
+        if done == len(root):
+            return np.maximum(rho, _RHO_FLOOR).reshape(shape), outage
+        if done:
+            moving = ~settled
+            rows, gap, level = rows[:, moving], gap[moving], level[moving]
+            index, root = index[moving], root[moving]
     raise RuntimeError(f"Failed to converge after {_MAXITER} iterations")
 
 

@@ -427,7 +427,8 @@ def eve_link(d: Design, eve, gram, power_p: float, sigma_sq: float):
     inv_sq = inv / scale
     big_n = np.einsum("...i,...i->...", lam, inv_sq)
     nulled = big_n == 0.0
-    big_n = np.where(nulled, 1.0, big_n)
+    any_nulled = nulled.any()
+    big_n = np.where(nulled, 1.0, big_n) if any_nulled else big_n
     c = np.einsum("...i,...i->...", lam, inv)
     sig = data_power * (c * c / big_n)
     # sigma^4 |p_i|^2 |p_j|^2 / (d_i d_j)^2 as a product of sigma^2 |p|^2 / d^2
@@ -439,9 +440,8 @@ def eve_link(d: Design, eve, gram, power_p: float, sigma_sq: float):
     amp = sigma_sq * inv_sq
     spread = np.einsum("...k,...k->...", amp.take(i, axis=-1) * (gap * gap), amp.take(j, axis=-1))
     interf = beta * spread / big_n
-    noise = np.full_like(interf, sigma_sq)
-    figures = (sig / (interf + noise), sig, interf, noise)
-    if nulled.any():
+    figures = (sig / (interf + sigma_sq), sig, interf, np.full_like(interf, sigma_sq))
+    if any_nulled:
         stand_in = link(eve, d.t, data_power, beta, np.eye(eve.shape[-2])[0], sigma_sq)
         figures = tuple(np.where(nulled, a, b) for a, b in zip(stand_in, figures))
     return figures
@@ -467,13 +467,14 @@ def link(h, t, data_power, beta, w, sigma_sq: float):
     if not scale.all():
         raise ParameterError("combiner must be nonzero")
     w = w / scale[..., None]
-    sig = data_power * abs(vdot(w, matvec(h, t))) ** 2
-    noise = sigma_sq * np.real(vdot(w, w))
+    row = w.conj()[..., None, :]
+    sig = data_power * abs((row @ (h @ t[..., None]))[..., 0, 0]) ** 2
+    noise = sigma_sq * (row @ w[..., None])[..., 0, 0].real
     if beta is None:
         return sig / noise, sig, np.zeros_like(sig), noise
-    x = matvec(herm(h), w)
-    off = x - t * vdot(t, x)[..., None]
-    interf = beta * np.real(vdot(off, off))
+    x = herm(h) @ w[..., None]
+    off = x - t[..., None] * (t.conj()[..., None, :] @ x)
+    interf = beta * (herm(off) @ off)[..., 0, 0].real
     return sig / (interf + noise), sig, interf, noise
 
 
@@ -485,7 +486,7 @@ def evaluate(d: Design, h, eve, gram, target, power_p: float, sigma_b_sq: float,
     diagonal loading, so the ``flagged`` row is 0.
 
     All arguments (``target`` may be a scalar) broadcast against each
-    other, and each metric has their broadcast shape.
+    other, and each metric, one row of a preallocated array, has their shape.
     "goodput" pays the provisioned secret rate only on trials where the
     intended link actually reaches its target SINR, so schemes are compared
     on secrecy they reliably deliver rather than on lucky fades; "proxy" is
@@ -503,10 +504,12 @@ def evaluate(d: Design, h, eve, gram, target, power_p: float, sigma_b_sq: float,
         secrecy = secure_goodput(sinr_b, sinr_e, target)
     else:
         secrecy = secrecy_capacity_proxy(sinr_b, sinr_e)
-    return np.stack(np.broadcast_arrays(
-        sinr_b, sinr_e, secrecy, d.outage, signal_b, interf_b + noise_b,
-        signal_e, interf_e + noise_e, 0.0,
-    ), dtype=float)
+    rows = (sinr_b, sinr_e, secrecy, d.outage, signal_b, interf_b + noise_b,
+            signal_e, interf_e + noise_e)
+    out = np.zeros((len(METRICS),) + np.broadcast(*rows).shape)  # the flagged row stays 0
+    for row, value in zip(out, rows):
+        row[...] = value
+    return out
 
 
 def secrecy_capacity_proxy(sinr_b: float, sinr_e: float) -> float:
@@ -521,7 +524,7 @@ def secrecy_capacity_proxy(sinr_b: float, sinr_e: float) -> float:
 
 
 def _check_sinrs(sinr_b, sinr_e) -> None:
-    if any_true(sinr_b < 0) or any_true(sinr_e < 0):
+    if any_true((sinr_b < 0) | (sinr_e < 0)):
         raise ParameterError("SINRs must be nonnegative")
 
 

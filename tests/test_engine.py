@@ -1085,6 +1085,57 @@ def test_the_root_solve_crosses_where_the_gain_turns_steeply_up(
     assert abs(rho[0] - want) <= oracles._XTOL + 4 * oracles._RTOL * want, (rho[0], want)
 
 
+def _steps_alone(lam, weights, power_p, na, target, monkeypatch):
+    """The Newton steps one entry takes before it settles on its own: the
+    fewest ``robust._MAXITER`` that solves it as a batch of one."""
+    for count in range(1, 101):
+        monkeypatch.setattr(robust, "_MAXITER", count)
+        try:
+            solve_fractions(lam[None], weights[None], power_p, na, 1.0, target)
+            return count
+        except RuntimeError:
+            continue
+    raise AssertionError("no entry should need more than 100 steps")
+
+
+def test_retired_entries_keep_their_batch_of_one_values(monkeypatch):
+    # A batch of four channels at eight targets, whose entries settle after
+    # different numbers of steps and so retire on different iterations:
+    # each entry, retired early or late, is its batch of one bit for bit.
+    na, curves = 5, []
+    for k in range(4):
+        chan = generate_channels(na, na, 2, rng_seed=[11, k])
+        dh = 0.3 * _random_channels(1, na, na, seed=40 + k)[0]
+        curves.append(oracles.fdd_curve(partition_svd(chan.h_ba),
+                                        partition_svd(chan.h_ba.entries + dh).v1))
+    lam, weights = (np.array(x)[:, None] for x in zip(*curves))
+    targets = 10.0 ** (np.linspace(-10.0, 30.0, 8) / 10.0)
+    rho, outage = solve_fractions(lam, weights, 100.0, na, 1.0, targets)
+    assert rho.shape == outage.shape == (4, 8)
+    for (c, t), value in np.ndenumerate(rho):
+        single = solve_fractions(lam[c], weights[c], 100.0, na, 1.0, targets[t])
+        assert single[0][0] == value and single[1][0] == outage[c, t], (c, t)
+    steps = {_steps_alone(lam[c, 0], weights[c, 0], 100.0, na, targets[t], monkeypatch)
+             for c, t in zip(*np.nonzero(~outage))}
+    assert len(steps) >= 3, steps
+
+
+def test_a_batch_with_nothing_to_solve_returns_at_once(monkeypatch):
+    # An empty batch, and one whose every entry is an outage (no gain, or a
+    # target out of reach), return before any Newton step: they return even
+    # when no step is allowed, every outage entry at (1.0, outage).
+    monkeypatch.setattr(robust, "_MAXITER", 0)
+    rho, outage = solve_fractions(np.zeros((0, 4)), np.zeros((0, 4)), 10.0, 4, 1.0, 3.0)
+    assert rho.shape == outage.shape == (0,)
+    lam = np.array([[2.0, 1.0, 0.5, 0.0], [2.0, 1.0, 0.5, 0.0]])
+    weights = np.array([[0.0, 0.0, 0.0, 1.0], [0.4, 0.3, 0.2, 0.1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho, outage = solve_fractions(lam[:, None], weights[:, None], 10.0, 4, 1.0, [20.0, 1e3])
+    np.testing.assert_array_equal(outage, np.ones((2, 2), dtype=bool))
+    np.testing.assert_array_equal(rho, np.ones((2, 2)))
+
+
 def test_a_curve_without_weight_is_an_outage():
     # A direction in Bob's null space, all its weight past his singular
     # values, has gain 0 at every fraction: an outage, solved next to an

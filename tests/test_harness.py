@@ -109,7 +109,18 @@ class TestExperimentConfig:
         # The corners of the accepted range run cleanly: every scheme, with
         # RuntimeWarnings raised as errors.
         + [(dict(sigma_b_sq=b, sigma_e_sq=e, power_db=p), None)
-           for b in (1e-100, 1e100) for e in (1e-100, 1e100) for p in (-1000.0, 1000.0)],
+           for b in (1e-100, 1e100) for e in (1e-100, 1e100) for p in (-1000.0, 1000.0)]
+        # Error levels that overflowed mid-run: alone, and jointly with the power.
+        + [(dict(sigma_h_db=3070.0), "sigma_h_db"),
+           (dict(sigma_h_db=3000.0, power_db=1000.0), "sigma_h_db")]
+        # The largest error level is 3000 dB less a positive power_db, and at
+        # most 1500 dB above Bob's noise in dB: at its corners it runs, alone
+        # or atop a swept axis, and a decibel more is refused.
+        + [(dict(sigma_h_db=level, power_db=p, sigma_b_sq=b), field)
+           for p, b, top in ((-1000.0, 1e-100, 500.0), (-1000.0, 1e100, 2500.0),
+                             (20.0, 1.0, 1500.0), (1000.0, 1e-100, 500.0), (1000.0, 1e100, 2000.0))
+           for level, field in ((top, None), ((top - 100.0, top), None),
+                                (top + 1.0, "sigma_h_db"), ((-10.0, top + 1.0), "sigma_h_db"))],
     )
     def test_noise_and_power_bounds(self, overrides, field):
         params = {**dict(sigma_h_db=-15.0, trials=20, schemes=SCHEMES, master_seed=3), **overrides}
@@ -121,6 +132,14 @@ class TestExperimentConfig:
         for scheme in (s for s in SCHEMES if s != "analytic_naive"):
             for metric in ("mean_sinr_b", "mean_sinr_e", "stderr_sinr_e", "mean_secrecy"):
                 assert np.all(np.isfinite(result.series[scheme][metric])), (scheme, metric)
+
+    def test_a_numpy_scalar_level_is_a_level(self):
+        # A level given as a numpy scalar is read as its value, not refused
+        # by numpy's complaint about comparing it with an empty tuple.
+        cfg = ExperimentConfig(sigma_h_db=np.float64(-10.0), target_sinr_db=np.float64(10.0),
+                               trials=3, schemes=("naive",))
+        assert cfg.axis() == ("target_sinr_db", (10.0,))
+        assert run_experiment(cfg).series["naive"]["n_valid"] == (3,)
 
     def test_error_schemes_require_an_error_level(self):
         with pytest.raises(ConfigError):
