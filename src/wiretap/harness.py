@@ -104,6 +104,11 @@ POWER_DB_RANGE = (-1000.0, 1000.0)
 # naive design's sigma1^2 P and the statistical combiner in outage, (1 + c) sigma1 /
 # sigma_b^2 with c of the order of the error power, stay in double range.
 ERROR_DB_MAX = 3000.0
+# The largest target SINR (dB) a config accepts, less the larger of power_db and
+# Bob's noise in dB over a power of at most 0 dB, so that the data fractions'
+# target sigma_b^2 / (sigma1^2 P) and the statistical receiver's target lam1 P stay
+# in double range.
+TARGET_DB_MAX = 3000.0
 
 # Stream tags for per-trial seeding.
 _TAG_CHANNEL = 101
@@ -230,6 +235,10 @@ class ExperimentConfig:
         if self.sigma_h_db is not None and max(_as_tuple(self.sigma_h_db)) > top:
             raise ConfigError(f"sigma_h_db must be at most {top:g} dB at this power_db and "
                               f"sigma_b_sq, got {self.sigma_h_db!r}")
+        top = TARGET_DB_MAX - max(to_db(self.sigma_b_sq / min(self.power_p, 1.0)), self.power_db)
+        if max(_as_tuple(self.target_sinr_db)) > top:
+            raise ConfigError(f"target_sinr_db must be at most {top:g} dB at this power_db and "
+                              f"sigma_b_sq, got {self.target_sinr_db!r}")
         if not self.schemes:
             raise ConfigError("at least one scheme is required")
         for s in self.schemes:

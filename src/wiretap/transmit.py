@@ -28,6 +28,10 @@ returns is :func:`eve_mmse_beamformer`'s, built from the spectrum her
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
@@ -271,13 +275,28 @@ def eve_aware(h, gram_e, ne, target_sinr, power_p: float, sigma_b_sq: float):
 def _hegvd():
     """scipy.linalg.eigh's default driver for the generalized problem.
 
-    Looked up on first use, so that only the reciprocal rows of
-    :func:`eve_aware_directions` load scipy.linalg, which takes longer to
-    import than the rest of the package.
+    LAPACK's ``zhegvd`` as ``get_lapack_funcs("hegvd", dtype=np.complex128)``
+    returns it, loaded on first use from scipy's extension module
+    ``linalg/_flapack`` alone: the ``__init__`` of ``scipy.linalg``, which
+    takes longer to import than the rest of the package, never runs.  The
+    module stays out of ``sys.modules``, so a later ``import scipy.linalg``
+    enters its own; one scipy.linalg has loaded already is used as it is,
+    and a scipy without the file takes the package import.
     """
-    from scipy.linalg.lapack import get_lapack_funcs
-
-    return get_lapack_funcs("hegvd", dtype=np.complex128)
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name].zhegvd
+    scipy = importlib.util.find_spec("scipy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES if scipy else ():
+        path = os.path.join(scipy.submodule_search_locations[0], "linalg", "_flapack" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(name, path)
+            flapack = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(flapack)
+            # Creating a single-phase extension module registers it.
+            sys.modules.pop(name, None)
+            return flapack.zhegvd
+    return importlib.import_module(name).zhegvd
 
 
 # The arguments scipy.linalg.eigh passes the driver; calling it directly
@@ -302,8 +321,9 @@ def eve_aware_directions(a: np.ndarray, b: np.ndarray, ne, nb: int) -> np.ndarra
       N times the top eigenvector of N^H a N (Khisti and Wornell, IEEE
       Trans. IT 2010);
     - rank na - 2 or less while nb >= na: the smallest ratio of the
-      reciprocal problem b t = mu a t, one scipy ``hegvd`` call per row,
-      which lands somewhere in her null space.
+      reciprocal problem b t = mu a t, one LAPACK ``zhegvd`` call per row
+      (:func:`_hegvd`, loaded from scipy's extension module without
+      importing scipy.linalg), which lands somewhere in her null space.
 
     A full-rank row whose own ``b`` fails to factor takes the reciprocal
     route, and a reciprocal row whose ``a`` fails to factor takes the null

@@ -120,7 +120,24 @@ class TestExperimentConfig:
            for p, b, top in ((-1000.0, 1e-100, 500.0), (-1000.0, 1e100, 2500.0),
                              (20.0, 1.0, 1500.0), (1000.0, 1e-100, 500.0), (1000.0, 1e100, 2000.0))
            for level, field in ((top, None), ((top - 100.0, top), None),
-                                (top + 1.0, "sigma_h_db"), ((-10.0, top + 1.0), "sigma_h_db"))],
+                                (top + 1.0, "sigma_h_db"), ((-10.0, top + 1.0), "sigma_h_db"))]
+        # Targets that overflowed mid-run, in the statistical receiver's data
+        # fraction and in the naive design's.
+        + [(dict(target_sinr_db=3080.0, sigma_h_db=-10.0), "target_sinr_db"),
+           (dict(target_sinr_db=2500.0, sigma_b_sq=1e100), "target_sinr_db")]
+        # The largest target is 3000 dB less the larger of power_db and Bob's
+        # noise in dB over a power of at most 0 dB: at each corner it runs with
+        # the largest error level or atop a swept axis, and a decibel more is
+        # refused.
+        + [(dict(target_sinr_db=target, power_db=p, sigma_b_sq=b, sigma_h_db=level), field)
+           for p, b, top, top_error in ((-1000.0, 1e-100, 3000.0, 500.0),
+                                        (-1000.0, 1e100, 1000.0, 2500.0),
+                                        (20.0, 1.0, 2980.0, 1500.0),
+                                        (1000.0, 1e-100, 2000.0, 500.0),
+                                        (1000.0, 1e100, 2000.0, 2000.0))
+           for target, level, field in ((top, top_error, None), ((top - 100.0, top), -15.0, None),
+                                        (top + 1.0, -15.0, "target_sinr_db"),
+                                        ((0.0, top + 1.0), -15.0, "target_sinr_db"))],
     )
     def test_noise_and_power_bounds(self, overrides, field):
         params = {**dict(sigma_h_db=-15.0, trials=20, schemes=SCHEMES, master_seed=3), **overrides}

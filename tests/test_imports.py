@@ -1,16 +1,18 @@
 """What importing the package and running its common paths loads.
 
 scipy takes several times longer to import than the rest of the package, so
-it stays off the import path: only the Eve-aware rows with as many intended
-as transmit antennas and an eavesdropper two or more antennas short
-(nb = na, ne <= na - 2) load ``scipy.linalg``, for the reciprocal
-generalized eigensolver, on first use, and nothing loads
-``scipy.optimize``.  The worker pool's module loads only for multi-worker
-sweeps.  Each check runs in a fresh interpreter, since this test session
-has long since imported scipy itself.  No module of the package imports
-another one's private names, every public name the benchmark calls or
-``__all__`` lists exists, and so does every entry point its tracer wraps
-but the five it has long reported absent.
+no path of it imports ``scipy``, ``scipy.linalg`` or ``scipy.optimize``.
+Only the Eve-aware rows with as many intended as transmit antennas and an
+eavesdropper two or more antennas short (nb = na, ne <= na - 2) load
+anything of scipy's: its LAPACK extension module, read from its file on
+first use for the reciprocal generalized eigensolver and left out of
+``sys.modules``; a later ``import scipy.linalg`` still works beside it.  The
+worker pool's module loads only for multi-worker sweeps.  Each check runs
+in a fresh interpreter, since this test session has long since imported
+scipy itself.  No module of the package imports another one's private
+names, every public name the benchmark calls or ``__all__`` lists exists,
+and so does every entry point its tracer wraps but the five it has long
+reported absent.
 """
 from __future__ import annotations
 
@@ -110,10 +112,33 @@ def test_eve_aware_sweeps_short_of_the_reciprocal_rows_load_no_scipy(config):
 def test_eve_aware_sweep_loads_the_eigensolver_only():
     modules = _modules_after(
         "import wiretap as wt\n"
-        "wt.run_experiment(wt.preset_config('fig1_ne_sweep', trials=2))"
+        "wt.run_experiment(wt.preset_config('fig1_ne_sweep', trials=2))\n"
+        "assert wt.transmit._hegvd.cache_info().currsize == 1"
     )
-    assert "scipy.linalg" in modules
-    assert "scipy.optimize" not in modules
+    assert not _scipy(modules)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [("hegvd = transmit._hegvd()", "import scipy.linalg"),
+     ("import scipy.linalg", "hegvd = transmit._hegvd()")],
+    ids=["driver first", "scipy.linalg first"],
+)
+def test_scipy_linalg_loads_beside_the_eigensolver(first, second):
+    # The driver stays out of sys.modules, and scipy.linalg's own module
+    # stays registered there, whichever loads first; both solve alike.
+    _modules_after(
+        "import numpy as np\n"
+        "from wiretap import transmit\n"
+        f"{first}\n{second}\n"
+        "rng = np.random.default_rng(4)\n"
+        "hb, he = (rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4)) for n in (4, 2))\n"
+        "a, b = hb.conj().T @ hb, he.conj().T @ he\n"
+        "w, v, info = hegvd(b, a, **transmit._HEGVD_ARGS)\n"
+        "want = scipy.linalg.eigh(b, a)\n"
+        "assert info == 0 and np.array_equal(w, want[0]) and np.array_equal(v, want[1])\n"
+        "assert sys.modules['scipy.linalg._flapack'] is scipy.linalg._flapack"
+    )
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():

@@ -1,11 +1,14 @@
 """Tests for transmit designs, receive beamformers, and SINR bookkeeping."""
 from __future__ import annotations
 
+import importlib.machinery
+import sys
 import warnings
 
 import numpy as np
 import oracles
 import pytest
+from scipy.linalg.lapack import get_lapack_funcs
 
 from wiretap import transmit
 from wiretap.channels import (
@@ -318,6 +321,41 @@ class TestDesignKnownEcsi:
         chan = ChannelSet(h_ba=hb, h_ea=he, sigma_b_sq=1.0, sigma_e_sq=1.0, power_p=1.0)
         with pytest.raises(DegenerateChannelError):
             design_known_ecsi(chan, chan.h_ea, 10.0)
+
+
+class TestHegvdDriver:
+    """The reciprocal rows' driver, loaded from scipy's LAPACK extension alone."""
+
+    @staticmethod
+    def _grams(bob_rank, eve_rank, na=4, seed=11):
+        rng = np.random.default_rng(seed)
+        hb, he = ((rng.standard_normal((n, na)) + 1j * rng.standard_normal((n, na))) / np.sqrt(2)
+                  for n in (bob_rank, eve_rank))
+        return hb.conj().T @ hb, he.conj().T @ he
+
+    @pytest.fixture
+    def unregistered(self, monkeypatch):
+        # The test session has imported scipy.linalg, whose module the loader
+        # would use as it is; without it the loader reads the file.
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+
+    @pytest.mark.parametrize(
+        "bob_rank, eve_rank, solved",
+        [(4, 1, True), (4, 2, True), (1, 2, False)],
+        ids=["rank-1 Eve", "rank-2 Eve", "singular Bob"],
+    )
+    def test_the_file_loaded_driver_is_scipys(self, unregistered, bob_rank, eve_rank, solved):
+        a, b = self._grams(bob_rank, eve_rank)
+        driver = transmit._hegvd.__wrapped__()
+        assert "scipy.linalg._flapack" not in sys.modules
+        got = driver(b, a, **transmit._HEGVD_ARGS)
+        want = get_lapack_funcs("hegvd", dtype=np.complex128)(b, a, **transmit._HEGVD_ARGS)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+        assert (got[-1] == 0) == solved
+
+    def test_a_scipy_without_the_file_takes_the_package_import(self, unregistered, monkeypatch):
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+        assert transmit._hegvd.__wrapped__() is get_lapack_funcs("hegvd", dtype=np.complex128)
 
 
 class TestBeamformers:
