@@ -227,7 +227,9 @@ def _phase_fixed(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     largest-magnitude entry, which makes that entry real and positive, over
     any leading axes.  Ties resolve to the lowest index.  A unit column has
     a nonzero largest entry, so every pivot is nonzero."""
-    pivot = np.take_along_axis(v, np.abs(v).argmax(axis=-2)[..., None, :], axis=-2)
+    n, k = v.shape[-2:]  # take_along_axis's gather at flat offset + row * k + column
+    at = np.arange(0, v.size, n * k).reshape(v.shape[:-2] + (1,)) + np.arange(k)
+    pivot = v.reshape(-1)[at + np.abs(v).argmax(axis=-2) * k][..., None, :]
     # hypot rounds like abs() of a complex scalar; np.abs over an array can
     # differ in the last bit, which would move every single-channel result.
     phase = pivot / np.hypot(pivot.real, pivot.imag)

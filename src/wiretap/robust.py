@@ -32,18 +32,8 @@ from .channels import Basis, ChannelSet, SvdStack, estimate_basis, finite, match
 from .channels import partition_svd
 from .perturbation import PerturbMoments, self_drift
 from .stacked import herm, matvec, outer, pairs
-from .transmit import (
-    Design,
-    LinkSinr,
-    RxBeamformer,
-    SinrReport,
-    TxScheme,
-    artificial_noise,
-    check_target,
-    noise_beta,
-    noise_share,
-    run_trial,
-)
+from .transmit import Design, RxBeamformer, SinrReport, artificial_noise, check_target
+from .transmit import noise_beta, noise_share, trial_report
 
 # Diagonal loading fraction applied when an expected-interference matrix
 # fails to be positive definite.
@@ -88,42 +78,44 @@ def solve_fractions(lam, weights, power_p: float, na: int, sigma_sq: float, targ
     batch gives each entry's value bit for bit.  Returns (rho, outage).
     """
     check_target(target_sinr)
-    outage = power_p * (weights * lam).sum(axis=-1) / sigma_sq < target_sinr
+    outage = power_p * np.add.reduce(weights * lam, axis=-1) / sigma_sq < target_sinr
     shape, live = np.shape(outage), ~outage
     # Every entry's fraction, flat, and the entries still moving by their index into it.
     rho, index = np.ones(outage.size), np.flatnonzero(live)
     if not index.size:
         return rho.reshape(shape), outage
-    lam = np.broadcast_to(lam, shape + lam.shape[-1:])[live]
     ratio = noise_share(0.0, power_p, na) / sigma_sq
     # The moving entries' lam, weights and alpha = lam ratio, (3, moving, na).
-    rows = np.array([lam, np.broadcast_to(weights, shape + lam.shape[-1:])[live], lam * ratio])
+    rows = np.empty((3,) + shape + lam.shape[-1:])
+    rows[0], rows[1], rows[2] = lam, weights, lam * ratio
+    rows = rows[:, live]
+    level = (np.zeros(shape) + target_sinr)[live] * (sigma_sq / power_p)
     i, j = pairs(na)
-    gap = (lam.take(i, axis=-1) - lam.take(j, axis=-1)) ** 2
-    level = np.broadcast_to(target_sinr, shape)[live] * (sigma_sq / power_p)
+    gap = (rows[0].take(i, axis=-1) - rows[0].take(j, axis=-1)) ** 2
 
-    def curve(root):
-        # (m, m') at rho = root over u = sigma^2 / D <= 1.  In a pair's term
-        # ratio scales u_i (lam_i >= lam_j), as small as 1 / ratio, before w_i.
+    def shares(root):
+        # (w, u, m) at rho = root over u = sigma^2 / D <= 1.
         lam, weights, alpha = rows
         u = 1.0 / (1.0 + (1.0 - root)[:, None] * alpha)
         share = weights * u
-        share /= share.sum(axis=-1)[:, None]
-        lead, trail = share * (u * ratio), share * u
-        return (np.einsum("rk,rk->r", share, lam),
-                np.einsum("rk,rk->r", lead.take(i, axis=-1) * gap, trail.take(j, axis=-1)))
+        share /= np.add.reduce(share, axis=-1)[:, None]
+        return share, u, np.einsum("rk,rk->r", share, lam)
 
-    root = np.minimum(1.0, level / curve(np.zeros(level.shape))[0])
+    root = np.minimum(1.0, level / shares(np.zeros(level.shape))[2])
     for _ in range(_MAXITER):
-        mean, slope = curve(root)
+        # m': in a pair's term ratio scales u_i (lam_i >= lam_j), as small as 1 / ratio, before w_i.
+        share, u, mean = shares(root)
+        lead, trail = share * (u * ratio), share * u
+        slope = np.einsum("rk,rk->r", lead.take(i, axis=-1) * gap, trail.take(j, axis=-1))
         fixed, rise = level / mean, slope / mean
         root, last = np.minimum(root, fixed * (1.0 + root * rise) / (1.0 + fixed * rise)), root
-        rho[index] = root
         settled = last - root <= _SETTLED_ULPS * np.spacing(last)
         done = np.count_nonzero(settled)
         if done == len(root):
+            rho[index] = root
             return np.maximum(rho, _RHO_FLOOR).reshape(shape), outage
-        if done:
+        if done:  # the settled write their roots and retire
+            rho[index[settled]] = root[settled]
             moving = ~settled
             rows, gap, level = rows[:, moving], gap[moving], level[moving]
             index, root = index[moving], root[moving]
@@ -282,13 +274,13 @@ def whitened_tdd(h, sigma1, u1, v1, e_dv1, t, target_sinr, power_p: float, sigma
 
 
 def _fdd_trial(chan: ChannelSet, tilde: Basis,
-               target_sinr: float) -> tuple[RxBeamformer, SinrReport, LinkSinr, LinkSinr, TxScheme]:
-    """The batch of one of :func:`robust_fdd` from ``partition_svd`` of
-    ``chan.h_ba`` and ``tilde``, the estimate's ``estimate_basis``."""
+               target_sinr: float) -> tuple[RxBeamformer, SinrReport, Design]:
+    """(Bob's combiner, report, design) of the batch of one of
+    :func:`robust_fdd` from ``partition_svd`` of ``chan.h_ba`` and
+    ``tilde``, the estimate's ``estimate_basis``."""
     d = robust_fdd(partition_svd(chan.h_ba), tilde.v1[None], target_sinr, chan.power_p,
                    chan.sigma_b_sq)
-    scheme, report, bob, eve = run_trial(chan, d, target_sinr)
-    return RxBeamformer(w=d.w_b[0], kind="robust_fdd"), report, bob, eve, scheme
+    return RxBeamformer(w=d.w_b[0], kind="robust_fdd"), trial_report(chan, d)[0], d
 
 
 def fdd_receiver(chan: ChannelSet, h_tilde, target_sinr: float, *,
@@ -307,7 +299,8 @@ def fdd_receiver(chan: ChannelSet, h_tilde, target_sinr: float, *,
     of the true channel, which is the naive design on it; the reported SINR
     stays physical either way.  A misshapen or non-finite estimate is
     refused (DimensionError, ParameterError), as is an all-zero one to
-    propagate through, which no signal crosses.
+    propagate through, which no signal crosses, and the kernel checks the
+    target.  No record but the two returned is built.
     """
     est = finite(matching(h_tilde, chan.h_ba, "h_tilde"), "h_tilde")
     if not propagate_through_estimate:
@@ -315,22 +308,21 @@ def fdd_receiver(chan: ChannelSet, h_tilde, target_sinr: float, *,
     tilde = estimate_basis(nonzero(est, "h_tilde"))
     d = artificial_noise(tilde.sigma1[None], tilde.v1[None], est[None], tilde.v1[None],
                          target_sinr, chan.power_p, chan.sigma_b_sq)
-    return RxBeamformer(w=d.w_b[0], kind="robust_fdd"), run_trial(chan, d, target_sinr)[1]
+    return RxBeamformer(w=d.w_b[0], kind="robust_fdd"), trial_report(chan, d)[0]
 
 
 def _tdd_trial(chan: ChannelSet, svd: SvdStack, moments: PerturbMoments, tilde: Basis,
-               target_sinr: float) -> tuple[RxBeamformer, SinrReport, LinkSinr, LinkSinr, TxScheme]:
-    """Statistical recovery for one trial from the channel's decomposition
-    ``svd`` and the estimate's ``estimate_basis`` ``tilde``: the batch of one of
-    :func:`robust_tdd` for moments of i.i.d. error, else of
-    :func:`whitened_tdd`."""
+               target_sinr: float) -> tuple[RxBeamformer, SinrReport, Design]:
+    """(Bob's combiner, report, design) of statistical recovery for one
+    trial from the channel's decomposition ``svd`` and the estimate's
+    ``estimate_basis`` ``tilde``: the batch of one of :func:`robust_tdd` for
+    moments of i.i.d. error, else of :func:`whitened_tdd`."""
     svd = svd.single()
     args = (svd.sigma1[None], svd.u1[None], svd.v1[None], moments.e_dv1[None], tilde.v1[None],
             target_sinr, chan.power_p, chan.sigma_b_sq)
     d = (robust_tdd(*args) if moments.iid_drift is not None
          else whitened_tdd(chan.h_ba.entries[None], *args))
-    scheme, report, bob, eve = run_trial(chan, d, target_sinr)
-    return RxBeamformer(w=d.w_b[0], kind="robust_tdd"), report, bob, eve, scheme
+    return RxBeamformer(w=d.w_b[0], kind="robust_tdd"), trial_report(chan, d)[0], d
 
 
 def tdd_receiver(chan: ChannelSet, svd: SvdStack, moments: PerturbMoments, err_sample: np.ndarray,
@@ -347,9 +339,9 @@ def tdd_receiver(chan: ChannelSet, svd: SvdStack, moments: PerturbMoments, err_s
     the true channel, fluctuates around the request, short on average by
     the beam's misalignment, which is deliberately not chased with extra
     data power.  A misshapen error sample or a non-finite estimate is
-    refused (DimensionError, ParameterError).
+    refused (DimensionError, ParameterError), and the kernel checks the
+    target.  No record but the two returned is built.
     """
     est = chan.h_ba.entries + matching(err_sample, chan.h_ba, "err_sample")
     tilde = estimate_basis(finite(est, "H + err_sample"))
-    beam, report, _, _, _ = _tdd_trial(chan, svd, moments, tilde, target_sinr)
-    return beam, report
+    return _tdd_trial(chan, svd, moments, tilde, target_sinr)[:2]

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -84,13 +85,13 @@ class TxScheme:
             raise ParameterError(f"t must have unit norm, got {nrm}")
         if not (0.0 <= self.rho <= 1.0):
             raise ParameterError(f"rho must lie in [0, 1], got {self.rho}")
-        if not (np.isfinite(self.power_p) and self.power_p > 0):
+        if not (0.0 < self.power_p < math.inf):
             raise ParameterError(f"power_p must be positive and finite, got {self.power_p}")
         check_target(self.target_sinr)
         if self.beta is not None:
             if np.ndim(self.beta) != 0:
                 raise DimensionError(f"beta must be one number, got shape {np.shape(self.beta)}")
-            if not (np.isfinite(self.beta) and self.beta >= 0):
+            if not (0.0 <= self.beta < math.inf):
                 raise ParameterError(f"beta must be nonnegative and finite, got {self.beta}")
         if self.outage and (self.rho != 1.0 or self.beta):
             raise ParameterError("an outage scheme must have rho = 1 and no interference")
@@ -199,10 +200,15 @@ def required_rho(sigma1: float, target_sinr: float, power_p: float, sigma_b_sq: 
 
 
 def check_target(target_sinr) -> None:
-    """Refuse (ParameterError) target SINRs that are not all positive and finite."""
+    """Refuse (ParameterError) target SINRs that are not all positive and finite,
+    or are booleans; a float costs one chained comparison, anything else numpy's."""
+    if isinstance(target_sinr, float) and 0.0 < target_sinr < math.inf:
+        return
     target = np.asarray(target_sinr)
     if not ((target > 0) & (target < np.inf)).all():
         raise ParameterError(f"target_sinr must be positive and finite, got {target_sinr}")
+    if target.dtype == bool:
+        raise ParameterError(f"target_sinr must be a number, not a boolean, got {target_sinr}")
 
 
 def noise_share(rho, power_p: float, na: int):
@@ -339,25 +345,21 @@ def eve_aware_directions(a: np.ndarray, b: np.ndarray, ne, nb: int) -> np.ndarra
         a, b = np.broadcast_arrays(a, b)
     shape = a.shape[:-2]
     a, b = a.reshape(-1, na, na), b.reshape(-1, na, na)
-    rank = np.full(shape, ne).ravel()
-    if nb < na:
-        # A singular a can still pass a Cholesky factorization in floating
-        # point, so her rank routes these rows.
-        rank = np.linalg.matrix_rank(b, hermitian=True)
+    # A singular a can still pass a Cholesky factorization in floating
+    # point, so while nb < na her rank routes the rows.
+    rank = np.linalg.matrix_rank(b, hermitian=True) if nb < na else np.full(shape, ne).ravel()
     t = np.empty(a.shape[:-1], dtype=np.complex128)
-    full = rank >= na
-    null = ~full & ((rank == na - 1) | (nb < na))
-    reciprocal = ~(full | null)
-    if full.any():
+    reciprocal = rank < na - 1 if nb >= na else np.zeros(len(a), dtype=bool)
+    null = (rank < na) & ~reciprocal
+    rows = np.flatnonzero(rank >= na)
+    if len(rows):
         # When every row is whitened, the stacks themselves rather than copies.
-        rows = slice(None) if full.all() else np.flatnonzero(full)
-        low, factored = _cholesky_rows(b[rows])
-        if not factored.all():
-            rows = np.flatnonzero(full)
-            reciprocal[rows[~factored]] = True
-            rows = rows[factored]
+        low, failed = _cholesky_rows(b if len(rows) == len(a) else b[rows])
+        if len(failed):
+            reciprocal[rows[failed]] = True
+            rows = np.delete(rows, failed)
         inv = np.linalg.inv(low)
-        y = np.linalg.eigh(inv @ a[rows] @ herm(inv))[1][..., -1]
+        y = np.linalg.eigh(inv @ (a if len(rows) == len(a) else a[rows]) @ herm(inv))[1][..., -1]
         t[rows] = matvec(herm(inv), y)
     if reciprocal.any():
         hegvd = _hegvd()
@@ -373,7 +375,7 @@ def eve_aware_directions(a: np.ndarray, b: np.ndarray, ne, nb: int) -> np.ndarra
                 continue
             t[i] = vecs[:, 0]
     if null.any():
-        for k in np.unique(rank[null]):
+        for k in sorted(set(rank[null].tolist())):
             rows = np.flatnonzero(null & (rank == k))
             basis = np.linalg.eigh(b[rows])[1][..., :na - k]
             lam, y = np.linalg.eigh(herm(basis) @ a[rows] @ basis)
@@ -388,12 +390,12 @@ def eve_aware_directions(a: np.ndarray, b: np.ndarray, ne, nb: int) -> np.ndarra
 
 
 def _cholesky_rows(b: np.ndarray):
-    """(L, factored): the lower Cholesky factors of the matrices of ``b``
-    that factor, and a mask of which do.  One stacked call when all of them
-    do; otherwise each matrix is factored on its own, so whether a matrix
-    factors never depends on the rest of the stack."""
+    """(L, failed): the lower Cholesky factors of the matrices of ``b`` that
+    factor, and the indices of those that do not.  One stacked call when all
+    of them do; otherwise each matrix is factored on its own, so whether a
+    matrix factors never depends on the rest of the stack."""
     try:
-        return np.linalg.cholesky(b), np.ones(len(b), dtype=bool)
+        return np.linalg.cholesky(b), ()
     except np.linalg.LinAlgError:
         pass
     low = np.empty_like(b)
@@ -403,7 +405,7 @@ def _cholesky_rows(b: np.ndarray):
             low[i] = np.linalg.cholesky(m)
         except np.linalg.LinAlgError:
             factored[i] = False
-    return low[factored], factored
+    return low[factored], np.flatnonzero(~factored)
 
 
 def eve_link(d: Design, eve, gram, power_p: float, sigma_sq: float):
@@ -596,7 +598,7 @@ def full_secrecy_rates(h_b, h_e, t, data_power, q, sigma_b_sq: float, sigma_e_sq
 # ---------------------------------------------------- single-channel interface
 #
 # Each function below runs a kernel on a batch of one channel at one target
-# and wraps the only entry of its design in the public types.
+# and wraps the only entry of its design in the public types it returns.
 
 
 def _tx_scheme(d: Design, power_p: float, target_sinr: float) -> TxScheme:
@@ -606,24 +608,28 @@ def _tx_scheme(d: Design, power_p: float, target_sinr: float) -> TxScheme:
                     outage=d.outage.item(), beta=None if d.beta is None else d.beta.item())
 
 
-def _link_sinr(figures) -> LinkSinr:
-    sinr, sig, interf, noise = (x.item() for x in figures)
-    return LinkSinr(sinr=sinr, signal_power=sig, interference_power=interf, noise_power=noise)
+def _report(sinr_b: float, sinr_e: float, outage: bool) -> SinrReport:
+    return SinrReport(sinr_b=sinr_b, sinr_e=sinr_e,
+                      secrecy_capacity=secrecy_capacity_proxy(sinr_b, sinr_e), outage=outage)
 
 
-def _report(bob: LinkSinr, eve: LinkSinr, outage: bool) -> SinrReport:
-    return SinrReport(sinr_b=bob.sinr, sinr_e=eve.sinr,
-                      secrecy_capacity=secrecy_capacity_proxy(bob.sinr, eve.sinr), outage=outage)
+def trial_report(chan: ChannelSet, d: Design):
+    """(report, Bob's :func:`link`, Eve's :func:`eve_link`) of a design of
+    one channel on ``chan``, the links as arrays of one entry and the
+    report's outage the design's.  No other record is built; the kernel
+    that made the design checked its target."""
+    h, he = chan.h_ba.entries[None], chan.h_ea.entries[None]
+    bob = link(h, d.t, d.rho * chan.power_p, d.beta, d.w_b, chan.sigma_b_sq)
+    eve = eve_link(d, he, chan.eve_spectrum, chan.power_p, chan.sigma_e_sq)
+    return _report(bob[0].item(), eve[0].item(), d.outage.item()), bob, eve
 
 
 def run_trial(chan: ChannelSet, d: Design, target_sinr: float):
     """(scheme, report, Bob's link, Eve's link) of a design of one channel
-    at one target, evaluated on ``chan``."""
-    h, he = chan.h_ba.entries[None], chan.h_ea.entries[None]
-    bob = _link_sinr(link(h, d.t, d.rho * chan.power_p, d.beta, d.w_b, chan.sigma_b_sq))
-    eve = _link_sinr(eve_link(d, he, chan.eve_spectrum, chan.power_p, chan.sigma_e_sq))
-    scheme = _tx_scheme(d, chan.power_p, target_sinr)
-    return scheme, _report(bob, eve, scheme.outage), bob, eve
+    at one target on ``chan``: every record, the scheme checked as any is."""
+    report, *links = trial_report(chan, d)
+    bob, eve = (LinkSinr(*(x.item() for x in figures)) for figures in links)
+    return _tx_scheme(d, chan.power_p, target_sinr), report, bob, eve
 
 
 def single_artificial_noise(chan: ChannelSet, tx: SvdStack | Basis, rx: SvdStack, target_sinr):
@@ -712,8 +718,8 @@ def link_sinr(h, scheme: TxScheme, w, sigma_sq: float) -> LinkSinr:
     lo, hi = NOISE_RANGE
     if not lo <= sigma_sq <= hi:
         raise ParameterError(f"sigma_sq must lie in [{lo:g}, {hi:g}], got {sigma_sq}")
-    return _link_sinr(link(arr[None], scheme.t[None], scheme.data_power, scheme.beta, w[None],
-                           sigma_sq))
+    return LinkSinr(*(x.item() for x in link(arr[None], scheme.t[None], scheme.data_power,
+                                               scheme.beta, w[None], sigma_sq)))
 
 
 def evaluate_sinr(chan: ChannelSet, scheme: TxScheme, w_b, w_e) -> SinrReport:
@@ -722,8 +728,8 @@ def evaluate_sinr(chan: ChannelSet, scheme: TxScheme, w_b, w_e) -> SinrReport:
     The secrecy number is the clamped difference of the two log rates at the
     beamformer outputs.
     """
-    return _report(link_sinr(chan.h_ba, scheme, w_b, chan.sigma_b_sq),
-                   link_sinr(chan.h_ea, scheme, w_e, chan.sigma_e_sq), scheme.outage)
+    return _report(link_sinr(chan.h_ba, scheme, w_b, chan.sigma_b_sq).sinr,
+                   link_sinr(chan.h_ea, scheme, w_e, chan.sigma_e_sq).sinr, scheme.outage)
 
 
 def secrecy_capacity_full(chan: ChannelSet, scheme: TxScheme) -> float:
@@ -745,5 +751,6 @@ def perfect_csi_trial(chan: ChannelSet, target_sinr: float, svd: SvdStack | None
     """
     part = svd if svd is not None else partition_svd(chan.h_ba)
     d = single_artificial_noise(chan, part, part, target_sinr)
-    scheme, report, _, _ = run_trial(chan, d, target_sinr)
-    return scheme, RxBeamformer(d.w_b[0], "matched"), eve_mmse_beamformer(chan, scheme), report
+    scheme = _tx_scheme(d, chan.power_p, target_sinr)
+    w_e = eve_mmse_beamformer(chan, scheme)
+    return scheme, RxBeamformer(d.w_b[0], "matched"), w_e, trial_report(chan, d)[0]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wiretap import channels
 from wiretap.channels import (
     ChannelMatrix,
     ChannelSet,
@@ -464,3 +465,28 @@ class TestPerturbEcsi:
         h = generate_channels(3, 2, 2, rng_seed=16).h_ea
         with pytest.raises(ParameterError):
             perturb_ecsi(h, gamma)
+
+
+@pytest.mark.parametrize("shape, sliced", [
+    ((4, 4), False), ((5, 1), False), ((6, 3), True), ((3, 4, 4), False), ((7, 5, 1), False),
+    ((2, 3, 5, 2), False), ((2, 3, 5, 3), True),
+])
+def test_phase_fixing_gathers_the_pivots_take_along_axis_gathers(shape, sliced):
+    # No, one and two leading axes, a single column, and a strided view
+    # (the last column of a stack, as estimate_basis passes it); exact ties
+    # in magnitude resolve to the lowest index.
+    rng = np.random.default_rng(sum(shape))
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    v[..., :4, 0] = np.array([-5j, 5.0, 5j, -5.0])[:shape[-2]]
+    if shape[-1] > 1:
+        v[..., :3, 1] = np.array([0.5, 6j, -6.0])
+    if sliced:
+        v = v[..., 1:]
+    pivot = np.take_along_axis(v, np.abs(v).argmax(axis=-2)[..., None, :], axis=-2)
+    want = pivot / np.hypot(pivot.real, pivot.imag)
+    fixed, phase = channels._phase_fixed(v)
+    assert phase.shape == want.shape and fixed.shape == v.shape
+    assert phase.tobytes() == want.tobytes()
+    assert fixed.tobytes() == (v / want).tobytes()
+    if not sliced:
+        np.testing.assert_array_equal(phase[..., 0, 0], -1j)

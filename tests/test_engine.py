@@ -453,10 +453,14 @@ def _single_channel_rows(cfg: ExperimentConfig, i: int, h, dh_unit, eve) -> np.n
             elif name == "naive":
                 report, bob, eve_link, scheme = naive_trial(chan, err, target, svd=svd)
             elif name == "robust_fdd":
-                _, report, bob, eve_link, scheme = robust._fdd_trial(chan, tilde, target)
+                _, report, d = robust._fdd_trial(chan, tilde, target)
+                scheme, again, bob, eve_link = run_trial(chan, d, target)
+                assert again == report
                 assert fdd_receiver(chan, h[i] + err, target)[1] == report
             else:
-                _, report, bob, eve_link, scheme = robust._tdd_trial(chan, svd, mom, tilde, target)
+                _, report, d = robust._tdd_trial(chan, svd, mom, tilde, target)
+                scheme, again, bob, eve_link = run_trial(chan, d, target)
+                assert again == report
                 assert tdd_receiver(chan, svd, mom, err, target)[1] == report
             rows[p, s] = (
                 report.sinr_b, report.sinr_e, secure_goodput(report.sinr_b, report.sinr_e, target),
@@ -975,11 +979,11 @@ def test_eve_mmse_beamformer_agrees_with_the_spectral_route():
                                      chan.power_p, chan.sigma_b_sq)
             perfect = perfect_csi_trial(chan, target, svd=svd)
             naive = naive_trial(chan, err, target, svd=svd)
-            fdd = robust._fdd_trial(chan, tilde, target)
-            tdd = robust._tdd_trial(chan, svd, mom, tilde, target)
+            fdd = run_trial(chan, robust._fdd_trial(chan, tilde, target)[2], target)
+            tdd = run_trial(chan, robust._tdd_trial(chan, svd, mom, tilde, target)[2], target)
             aware = run_trial(chan, known_design, target)
-            trials = [(perfect[0], perfect[3]), (naive[3], naive[0]), (fdd[4], fdd[1]),
-                      (tdd[4], tdd[1]), (aware[0], aware[1])]
+            trials = [(perfect[0], perfect[3]), (naive[3], naive[0]), (fdd[0], fdd[1]),
+                      (tdd[0], tdd[1]), (aware[0], aware[1])]
             for scheme, report in trials:
                 want = link_sinr(chan.h_ea, scheme, eve_mmse_beamformer(chan, scheme),
                                  chan.sigma_e_sq).sinr

@@ -47,3 +47,58 @@ def test_a_missing_name_or_a_new_shape_differs(tool):
     assert [(r.name, r.equal, r.max_rel) for r in rows] == [
         ("x", False, np.inf), ("y", False, np.inf), ("z", False, np.inf)]
     assert tool.report(rows) == 1
+
+
+def test_flatten_enters_tuples_and_records_and_names_what_has_no_array(tool):
+    from wiretap.transmit import RxBeamformer, SinrReport, TxScheme
+
+    scheme = TxScheme(t=np.array([1.0, 0.0]), rho=0.5, power_p=2.0, target_sinr=3.0, beta=1.0)
+    value = (scheme, RxBeamformer(np.array([1j, 0.0]), "mmse"),
+             SinrReport(sinr_b=3.0, sinr_e=np.nan, secrecy_capacity=0.0, outage=False), None)
+    out = {}
+    tool.flatten("call", value, out)
+    assert sorted(out) == sorted([
+        "call[0].t", "call[0].rho", "call[0].power_p", "call[0].target_sinr", "call[0].outage",
+        "call[0].beta", "call[1].w", "call[1].kind=mmse", "call[2].sinr_b", "call[2].sinr_e",
+        "call[2].secrecy_capacity", "call[2].outage", "call[3]=None",
+    ])
+    assert out["call[0].outage"].dtype == float and out["call[0].outage"] == 0.0
+    np.testing.assert_array_equal(out["call[1].w"], [1j, 0.0])
+    assert out["call[1].kind=mmse"].size == 0
+
+
+def test_a_raising_call_is_recorded_by_its_type_and_message(tool):
+    def refuse():
+        raise ValueError("no such channel")
+
+    out = {}
+    assert tool._record("call", refuse, out) is None
+    assert list(out) == ["call raises ValueError: no such channel"]
+    assert out["call raises ValueError: no such channel"].size == 0
+    assert tool._record("fine", lambda: (1.0, True), out) == (1.0, True)
+    assert set(out) == {"call raises ValueError: no such channel", "fine[0]", "fine[1]"}
+
+
+def test_complex_outputs_compare_by_value_and_nan_pattern(tool):
+    a = np.array([1.0 + 2.0j, np.nan + 0.0j])
+    assert tool.compare({"x": a}, {"x": a.copy()}) == [tool.Row("x", True, 0.0, True)]
+    moved = tool.compare({"x": a}, {"x": np.array([1.0 + 2.0j + 1e-3, np.nan])})[0]
+    assert not moved.equal and moved.same_nan and 0.0 < moved.max_rel < 1e-3
+
+
+def test_the_single_channel_dump_covers_every_call_and_repeats_itself(tool):
+    first, again = tool.dump_api([1]), tool.dump_api([1])
+    assert tool.report(tool.compare(first, again)) == 0
+    calls = ("perfect_csi_trial", "moments.iid", "moments.full", "predict_naive_sinr.iid",
+             "predict_naive_sinr.full", "simulate_naive", "naive_trial", "fdd_receiver",
+             "fdd_receiver.propagated", "tdd_receiver.iid", "tdd_receiver.full",
+             "design_known_ecsi")
+    for shape in tool.API_SHAPES:
+        at = "api ({},{},{}) ".format(*shape)
+        for call in calls:
+            assert any(name.startswith(at) and f" {call}" in name for name in first), (shape, call)
+    # The prediction is refused where the nominal design is in outage.
+    assert any("predict_naive_sinr.iid raises ValidityRangeError" in name for name in first)
+    name = next(name for name in first if name.endswith("fdd_receiver[1].sinr_b"))
+    moved = {**first, name: first[name] * (1.0 + 1e-15)}
+    assert tool.report(tool.compare(first, moved)) == 1

@@ -28,7 +28,7 @@ from wiretap.robust import (
     whitened_tdd,
 )
 from wiretap import robust, transmit
-from wiretap.transmit import link_sinr
+from wiretap.transmit import link_sinr, run_trial
 
 TARGET = 100.0
 SIGMA_SQ = 0.1  # -10 dB error power, where recovery matters most
@@ -87,7 +87,8 @@ class TestFddReceiver:
         chan = generate_channels(4, 4, 3, rng_seed=11)
         h_tilde = chan.h_ba.entries + _error(chan, 11)
         tilde = _tilde(h_tilde)
-        beam, report, bob, _, scheme = _fdd_trial(chan, tilde, TARGET)
+        beam, report, design = _fdd_trial(chan, tilde, TARGET)
+        scheme, _, bob, _ = run_trial(chan, design, TARGET)
         again = link_sinr(chan.h_ba, scheme, beam, chan.sigma_b_sq)
         assert again.sinr == pytest.approx(report.sinr_b, rel=1e-12)
         assert bob.sinr == pytest.approx(report.sinr_b, rel=1e-12)
@@ -128,8 +129,8 @@ class TestFddReceiver:
         chan = generate_channels(3, 3, 2, rng_seed=2)
         target = 10.0 ** (-150.0 / 10.0)
         h_tilde = chan.h_ba.entries + 0.1 * _error(chan, 2)
-        _, report, _, _, scheme = _fdd_trial(chan, _tilde(h_tilde), target)
-        assert scheme.rho == robust._RHO_FLOOR
+        _, report, design = _fdd_trial(chan, _tilde(h_tilde), target)
+        assert design.rho.item() == robust._RHO_FLOOR
         assert not report.outage
         assert report.sinr_b >= target
         _, report = fdd_receiver(chan, h_tilde, target)
@@ -176,8 +177,9 @@ class TestTddReceiver:
         monkeypatch.setattr(robust, "whitened_tdd",
                             lambda *a, fn=robust.whitened_tdd: whitened.append(a) or fn(*a))
         h_tilde = chan.h_ba.entries + _error(chan, 3)
-        beam, _, _, _, scheme = _tdd_trial(chan, svd, moments, _tilde(h_tilde), TARGET)
+        beam, _, design = _tdd_trial(chan, svd, moments, _tilde(h_tilde), TARGET)
         assert len(whitened) == (model == "full")
+        scheme = run_trial(chan, design, TARGET)[0]
         # The combiner whitens the expected interference shape and matches
         # the expected signature H (v1 + E{dv1}).
         h = chan.h_ba.entries
@@ -197,8 +199,8 @@ class TestTddReceiver:
         rhos = []
         for seed in (0, 1):
             tilde = _tilde(chan.h_ba.entries + _error(chan, seed))
-            _, _, _, _, scheme = _tdd_trial(chan, svd, moments, tilde, TARGET)
-            rhos.append(scheme.rho)
+            _, _, design = _tdd_trial(chan, svd, moments, tilde, TARGET)
+            rhos.append(run_trial(chan, design, TARGET)[0].rho)
         assert rhos[0] == pytest.approx(rhos[1], rel=1e-12)
 
     def test_diagonal_loading_restores_definiteness(self, monkeypatch):
@@ -227,7 +229,7 @@ class TestTddReceiver:
         )
         assert len(flags) == 1 and flags[0].all()
         assert np.all(np.isfinite(design.w_b))
-        _, report, _, _, _ = _tdd_trial(chan, svd, moments, tilde, TARGET)
+        _, report, _ = _tdd_trial(chan, svd, moments, tilde, TARGET)
         assert np.isfinite(report.sinr_b)
 
     def test_outage_at_a_tiny_budget(self):
@@ -265,12 +267,13 @@ class TestRecoveryOrdering:
             sums["naive"][1] += bob.interference_plus_noise
 
             tilde = _tilde(chan.h_ba.entries + err)
-            _, _, bob_f, _, _ = _fdd_trial(chan, tilde, TARGET)
+            _, _, bob_f, _ = run_trial(chan, _fdd_trial(chan, tilde, TARGET)[2], TARGET)
             sums["fdd"][0] += bob_f.signal_power
             sums["fdd"][1] += bob_f.interference_plus_noise
 
             moments = compute_moments(svd, model)
-            _, _, bob_t, _, _ = _tdd_trial(chan, svd, moments, tilde, TARGET)
+            design = _tdd_trial(chan, svd, moments, tilde, TARGET)[2]
+            _, _, bob_t, _ = run_trial(chan, design, TARGET)
             sums["tdd"][0] += bob_t.signal_power
             sums["tdd"][1] += bob_t.interference_plus_noise
         pooled = {k: s / n for k, (s, n) in sums.items()}
@@ -285,7 +288,9 @@ def test_trial_paths_evaluate_each_link_once(monkeypatch, trial):
     # The powers a trial returns are the two link evaluations its SINR
     # report was built from, not a second evaluation of the same links:
     # Bob's through link, Eve's in closed form from her spectrum, which
-    # builds no combiner and does not run link.
+    # builds no combiner and does not run link.  The receivers' trials
+    # return their design, whose links run_trial evaluates into the same
+    # report.
     chan = generate_channels(4, 4, 3, rng_seed=23, sigma_e_sq=0.5)
     err = _error(chan, 23)
     svd = partition_svd(chan.h_ba)
@@ -299,10 +304,13 @@ def test_trial_paths_evaluate_each_link_once(monkeypatch, trial):
     if trial == "naive":
         report, bob, eve, scheme = naive_trial(chan, err, TARGET, svd=svd)
     elif trial == "fdd":
-        _, report, bob, eve, scheme = _fdd_trial(chan, tilde, TARGET)
+        _, report, design = _fdd_trial(chan, tilde, TARGET)
     else:
-        _, report, bob, eve, scheme = _tdd_trial(chan, svd, moments, tilde, TARGET)
+        _, report, design = _tdd_trial(chan, svd, moments, tilde, TARGET)
     assert calls == [("link", chan.sigma_b_sq), ("eve_link", chan.sigma_e_sq)]
+    if trial != "naive":
+        _, again, bob, eve = run_trial(chan, design, TARGET)
+        assert again == report
     assert (report.sinr_b, report.sinr_e) == (bob.sinr, eve.sinr)
 
 

@@ -85,6 +85,30 @@ class TestTxScheme:
         with pytest.raises(ParameterError, match=rf"^{field} "):
             TxScheme(**{**args, field: value})
 
+    @pytest.mark.parametrize("wrap", [np.float64, np.array], ids=["float64", "0-d array"])
+    @pytest.mark.parametrize("field, value", [
+        ("rho", -0.1), ("rho", 1.5), ("rho", np.nan), ("power_p", 0.0), ("power_p", -1.0),
+        ("power_p", np.nan), ("power_p", np.inf), ("beta", -1.0), ("beta", np.nan),
+        ("beta", np.inf),
+    ])
+    def test_numpy_scalar_fields_are_refused_as_floats_are(self, wrap, field, value):
+        # A numpy scalar or 0-d array takes numpy's checks, a Python float
+        # comparisons alone; both refuse with the same message.
+        args = dict(t=np.array([1.0, 0.0]), rho=0.5, power_p=1.0, target_sinr=1.0, beta=0.5)
+        with pytest.raises(ParameterError) as plain:
+            TxScheme(**{**args, field: value})
+        with pytest.raises(ParameterError) as wrapped:
+            TxScheme(**{**args, field: wrap(value)})
+        assert str(wrapped.value) == str(plain.value)
+        assert str(plain.value).startswith(f"{field} ")
+
+    @pytest.mark.parametrize("wrap", [np.float64, np.array], ids=["float64", "0-d array"])
+    def test_numpy_scalar_fields_are_accepted(self, wrap):
+        scheme = TxScheme(t=np.array([1.0, 0.0]), rho=wrap(0.25), power_p=wrap(100.0),
+                          target_sinr=wrap(100.0), beta=wrap(75.0))
+        assert scheme.data_power == 25.0
+        assert scheme.noise_power == 75.0
+
     def test_covariance_shape_checked(self):
         # The covariance is na x na for na = t's length, from one number beta.
         for beta in (np.zeros(2), np.zeros((3, 1))):
@@ -609,4 +633,52 @@ def test_a_non_finite_target_sinr_is_refused_by_name(call, target):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ParameterError, match="target_sinr must be positive and finite"):
+            _single_channel_calls()[call](target)
+
+
+def _target_cases():
+    """(target, accepted) for check_target: a float, a numpy float, an int, a
+    0-d array and a (points, 1) array, each at a valid value, 0, a negative
+    value, NaN and both infinities (an int has no NaN or infinity)."""
+    values = {"valid": 2.5, "zero": 0.0, "negative": -3.0, "nan": np.nan, "inf": np.inf,
+              "-inf": -np.inf}
+    kinds = {
+        "float": float, "float64": np.float64, "int": int, "0-d": np.array,
+        "points": lambda x: np.array([[4.0], [x], [1e3]]),
+    }
+    for kind, make in kinds.items():
+        for name, x in values.items():
+            if kind != "int" or np.isfinite(x):
+                yield pytest.param(make(x), name == "valid", id=f"{kind}-{name}")
+
+
+@pytest.mark.parametrize("target, accepted", list(_target_cases()))
+def test_check_target_accepts_or_refuses_each_kind_of_number(target, accepted):
+    if accepted:
+        assert transmit.check_target(target) is None
+        return
+    with pytest.raises(ParameterError) as err:
+        transmit.check_target(target)
+    assert str(err.value) == f"target_sinr must be positive and finite, got {target}"
+
+
+def test_a_boolean_target_is_refused_as_one():
+    # True is no number; False is refused as non-positive, as it always was.
+    for target in (True, np.True_, np.array(True), np.array([[True], [True]])):
+        with pytest.raises(ParameterError, match="^target_sinr must be a number, not a boolean"):
+            transmit.check_target(target)
+    for target in (False, np.array([[True], [False]])):
+        with pytest.raises(ParameterError, match="^target_sinr must be positive and finite"):
+            transmit.check_target(target)
+
+
+@pytest.mark.parametrize("target", [True, np.True_, np.array(True)],
+                         ids=["bool", "numpy bool", "0-d bool"])
+@pytest.mark.parametrize("call", list(_single_channel_calls()))
+def test_a_boolean_target_sinr_is_refused_by_name(call, target):
+    # A target of True would otherwise run as 1; it is refused before any
+    # kernel runs, with no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="target_sinr must be a number, not a boolean"):
             _single_channel_calls()[call](target)
