@@ -610,9 +610,10 @@ _DESIGNS = {
     "robust_fdd": lambda blk: (
         artificial_noise(blk.tilde.sigma1, blk.tilde.v1, blk.estimate, blk.tilde.v1, *blk.budget)
         if blk.cfg.propagate_through_estimate else robust_fdd(blk.part, blk.tilde.v1, *blk.budget)),
+    # i.i.d. error's mean drift lies along v1: Bob's dominant triplet is all it couples.
     "robust_tdd": lambda blk: robust_tdd(
-        blk.part.sigma1[None], blk.part.u1[None], blk.part.v1[None], blk.e_dv1,
-        blk.tilde.v1, *blk.budget),
+        blk.part.u[None, ..., :1], blk.part.s[None, ..., :1],
+        self_drift(blk.part.v1[None], blk.e_dv1)[..., None], blk.tilde.v1, *blk.budget),
 }
 
 

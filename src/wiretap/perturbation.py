@@ -87,9 +87,10 @@ class PerturbMoments:
       e_dv1         E{dv_1}: first column of e_dv_s (n_tx,).
       iid_drift     the real c with E{dv_1} = c v_1 when the moments come
                     from an i.i.d. error model (``CsiErrorModel.iid``),
-                    else None.  It records the model's kind, from which
-                    the statistical receiver takes its closed form
-                    (``robust.robust_tdd``) rather than whiten by ``eigh``.
+                    else None.  It records the model's kind: the drift then
+                    lies along v_1, so the statistical receiver
+                    (``robust.robust_tdd``) couples Bob's dominant triplet
+                    alone rather than his whole basis.
       e_dv1_outer   E{dv_1 dv_1^H}: spread of the dominant right vector
                     around its mean, Hermitian PSD (n_tx x n_tx).  Its trace
                     equals the leaked power E{1 - |v_1^H v~_1|^2}, so

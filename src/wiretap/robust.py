@@ -10,11 +10,11 @@ recovery modes are modeled, differing in what the receiver knows:
   rank-one downdate of its own Gram matrix, in closed form from its SVD.
 * ``tdd``: the receiver knows only the true channel and the error
   statistics, so it whitens the expected interference instead, built from
-  the closed-form perturbation moments.  For i.i.d. error the mean beam
-  drift lies along the nominal direction, the expected interference is
-  diagonal in the channel's left singular vectors, and the whitened
-  combiner is a closed-form multiple of the dominant one; only a full error
-  covariance needs an eigendecomposition.
+  the closed-form perturbation moments.  In the channel's left singular
+  vectors that expected interference is an arrowhead matrix, so the
+  whitened combiner is one Schur complement on its corner, in closed form
+  for every error model; for i.i.d. error it is a multiple of the dominant
+  left vector.
 
 In both modes the receiver also picks the data-power fraction: it solves for
 the smallest fraction whose (predicted) output SINR meets the target and
@@ -31,7 +31,7 @@ import numpy as np
 from .channels import Basis, ChannelSet, SvdStack, estimate_basis, finite, matching, nonzero
 from .channels import partition_svd
 from .perturbation import PerturbMoments, self_drift
-from .stacked import herm, matvec, outer, pairs
+from .stacked import herm, matvec, pairs, vdot
 from .transmit import Design, RxBeamformer, SinrReport, artificial_noise, check_target
 from .transmit import noise_beta, noise_share, trial_report
 
@@ -46,17 +46,17 @@ _MAXITER = 100
 _SETTLED_ULPS = 4
 
 
-def solve_fractions(lam, weights, power_p: float, na: int, sigma_sq: float, target_sinr):
+def solve_fractions(lam, overlaps, power_p: float, na: int, sigma_sq: float, target_sinr):
     """Smallest rho in (0, 1] at which the exact-knowledge receiver's SINR
     g(rho) meets the target, elementwise.
 
     ``lam`` (..., na) holds Bob's squared singular values, zero past his
-    antenna count, and ``weights`` (..., na) the squared overlaps
+    antenna count, and ``overlaps`` (..., na) the squared overlaps
     c_k = |v_k^H t|^2 of the unit data direction t with his right singular
     vectors; ``target_sinr`` broadcasts against their leading axes.  With
     D_k = a_k (1 - rho) + sigma^2 and a_k = lam_k P / (na - 1) (0 if na = 1),
     g(rho) = rho P m / sigma^2 for the mean m = sum_k w_k lam_k at the
-    weights w_k = (c_k / D_k) / sum_j (c_j / D_j) (:func:`robust_fdd`).  An
+    shares w_k = (c_k / D_k) / sum_j (c_j / D_j) (:func:`robust_fdd`).  An
     entry gets (1.0, outage) when g(1) = P ||H t||^2 / sigma^2 falls short,
     and ``_RHO_FLOOR`` when the crossing lies below it.
 
@@ -78,16 +78,16 @@ def solve_fractions(lam, weights, power_p: float, na: int, sigma_sq: float, targ
     batch gives each entry's value bit for bit.  Returns (rho, outage).
     """
     check_target(target_sinr)
-    outage = power_p * np.add.reduce(weights * lam, axis=-1) / sigma_sq < target_sinr
+    outage = power_p * np.add.reduce(overlaps * lam, axis=-1) / sigma_sq < target_sinr
     shape, live = np.shape(outage), ~outage
     # Every entry's fraction, flat, and the entries still moving by their index into it.
     rho, index = np.ones(outage.size), np.flatnonzero(live)
     if not index.size:
         return rho.reshape(shape), outage
     ratio = noise_share(0.0, power_p, na) / sigma_sq
-    # The moving entries' lam, weights and alpha = lam ratio, (3, moving, na).
+    # The moving entries' lam, overlaps and alpha = lam ratio, (3, moving, na).
     rows = np.empty((3,) + shape + lam.shape[-1:])
-    rows[0], rows[1], rows[2] = lam, weights, lam * ratio
+    rows[0], rows[1], rows[2] = lam, overlaps, lam * ratio
     rows = rows[:, live]
     level = (np.zeros(shape) + target_sinr)[live] * (sigma_sq / power_p)
     i, j = pairs(na)
@@ -95,9 +95,9 @@ def solve_fractions(lam, weights, power_p: float, na: int, sigma_sq: float, targ
 
     def shares(root):
         # (w, u, m) at rho = root over u = sigma^2 / D <= 1.
-        lam, weights, alpha = rows
+        lam, overlaps, alpha = rows
         u = 1.0 / (1.0 + (1.0 - root)[:, None] * alpha)
-        share = weights * u
+        share = overlaps * u
         share /= np.add.reduce(share, axis=-1)[:, None]
         return share, u, np.einsum("rk,rk->r", share, lam)
 
@@ -120,19 +120,6 @@ def solve_fractions(lam, weights, power_p: float, na: int, sigma_sq: float, targ
             rows, gap, level = rows[:, moving], gap[moving], level[moving]
             index, root = index[moving], root[moving]
     raise RuntimeError(f"Failed to converge after {_MAXITER} iterations")
-
-
-def whitened_combiner(evecs, lam, signature, beta, sigma_sq):
-    """(beta * A + sigma^2 I)^-1 signature via the eigendecomposition
-    A = U diag(lam) U^H, with U = ``evecs``.
-
-    Works over leading batch axes; ``beta`` and ``sigma_sq`` may be scalars
-    or arrays over those axes.  The statistical receiver off the i.i.d.
-    error model whitens the interference it expects with it.
-    """
-    proj = matvec(herm(evecs), signature)
-    scale = np.asarray(beta)[..., None] * lam + np.asarray(sigma_sq)[..., None]
-    return matvec(evecs, proj / scale)
 
 
 def robust_fdd(svd: SvdStack, t, target_sinr, power_p: float, sigma_b_sq: float):
@@ -159,20 +146,6 @@ def robust_fdd(svd: SvdStack, t, target_sinr, power_p: float, sigma_b_sq: float)
     gain = svd.s * proj[..., :nb] / (share[..., None] * lam[..., :nb] + sigma_b_sq)
     return Design(t=t, rho=rho, beta=noise_beta(rho, power_p, na), w_b=matvec(svd.u, gain),
                   outage=outage)
-
-
-def tdd_shape(h, sigma1, u1, e_dv1):
-    """Expected interference shape per unit interference power.
-
-    The full channel subspace minus the nominal data direction, with the
-    mean drift of the transmit beam folded in through the cross terms.  This
-    is all the receiver's statistics can say about where the transmitter's
-    interference floor moved.  Works over leading batch axes.
-    """
-    sigma1 = np.asarray(sigma1)[..., None, None]
-    cross = sigma1 * outer(u1, matvec(h, e_dv1))
-    shape = h @ herm(h) - sigma1**2 * outer(u1, u1) - cross - herm(cross)
-    return 0.5 * (shape + herm(shape))
 
 
 def tdd_fraction(lam1, leak, target_sinr, power_p: float, sigma_b_sq: float, na: int):
@@ -203,74 +176,78 @@ def tdd_fraction(lam1, leak, target_sinr, power_p: float, sigma_b_sq: float, na:
     return np.where(outage, 1.0, rho), outage
 
 
-def loaded_noise(beta, lam, sigma_sq: float):
-    """Noise level that keeps beta * lam + sigma^2 positive, elementwise.
+def loaded_noise(schur, trace, n: int, sigma_sq: float):
+    """Noise level that keeps the expected covariance positive definite,
+    elementwise, from its Schur complement ``schur`` on the corner and its
+    ``trace`` over ``n`` coordinates (:func:`robust_tdd`).
 
-    Off the i.i.d. error model the drift cross terms can push an eigenvalue
-    of the expected covariance negative; definiteness is restored by
-    diagonal loading.  Returns (effective noise level, loaded flag).
+    Off the i.i.d. error model the drift cross terms can make the expected
+    covariance indefinite, exactly where ``schur`` <= 0; there sigma^2 grows
+    by (1 + 1e-6)(-schur) plus ``_LOADING`` |trace| / n, which is enough,
+    since the complement grows at least as fast as the noise level.  Returns
+    (effective noise level, loaded flag).
     """
-    n = lam.shape[-1]
-    worst = beta * np.min(lam, axis=-1) + sigma_sq
-    loaded = worst <= 0.0
-    trace = beta * np.sum(lam, axis=-1) + n * sigma_sq
-    delta = _LOADING * np.abs(trace) / n
-    delta = np.where(worst + delta <= 0.0, (1.0 + 1e-6) * (-worst), delta)
+    loaded = schur <= 0.0
+    delta = (1.0 + 1e-6) * (-schur) + _LOADING * np.abs(trace) / n
     return np.where(loaded, sigma_sq + delta, sigma_sq), loaded
 
 
-def robust_tdd(sigma1, u1, v1, e_dv1, t, target_sinr, power_p: float, sigma_b_sq: float):
+def robust_tdd(u, s, drift, t, target_sinr, power_p: float, sigma_b_sq: float):
     """Statistics-only recovery designs (one :class:`Design`), over the
     batch axes of the inputs and of ``target_sinr``, which broadcast
-    together, for i.i.d. error in closed form.
+    together, in closed form for any error model.
 
-    The receiver knows its channel's dominant singular triplet (``sigma1``,
-    ``u1``, ``v1``) and the mean drift ``e_dv1`` of the transmitter's data
-    direction, but not its direction ``t`` (..., na) from the estimate.  It
-    requests the fraction :func:`tdd_fraction` sizes against the mean leak
-    -2c for c = :func:`~wiretap.perturbation.self_drift`, and whitens the
-    expected interference shape (:func:`tdd_shape`) to match the expected
-    data signature H (v1 + e_dv1).
+    The receiver knows his channel's first m left singular vectors ``u``
+    (..., nb, m) and singular values ``s`` (..., m), and the mean drift of
+    the transmitter's data direction by its coordinates ``drift`` (..., m),
+    delta = V^H E{dv1}, on his first m right singular vectors (m = nb
+    holds any drift: the rest lies in his channel's null space); not the
+    direction ``t`` (..., na) taken from the estimate.  He requests the
+    fraction :func:`tdd_fraction` sizes against the mean leak -2 Re delta_1
+    and whitens the expected interference shape M to match the expected
+    signature H (v1 + E{dv1}).
 
-    For i.i.d. error e_dv1 = c v1 with c real and nonpositive, so the shape
-    is sum_{k>=2} sigma_k^2 u_k u_k^H - 2c sigma1^2 u1 u1^H, diagonal in the
-    left singular vectors and never indefinite, and the signature
-    (1 + c) sigma1 u1 is one of its eigenvectors.  The whitened combiner is
-    therefore
+    In his left basis M is an arrowhead matrix: s_k^2 on the diagonal for
+    k >= 2, -2 sigma1^2 Re delta_1 at the corner and -sigma1 conj(g_k)
+    along the first row, with g_k = s_k delta_k; the signature is
+    sigma1 e_1 + g.  So (beta M + sigma_b^2 I) x = b is solved by the Schur
+    complement on the corner (O'Leary and Stewart, J. Comput. Phys. 90(2),
+    1990): with d_k = beta s_k^2 + sigma_b^2 and W = sum_{k>=2} |g_k|^2 / d_k,
 
-        w_b = (1 + c) sigma1 / (beta (-2c) sigma1^2 + sigma_b^2) u1,
+        S = beta (-2 Re delta_1) sigma1^2 + sigma_b^2 - (beta sigma1)^2 W,
+        x_1 = ((1 + delta_1) sigma1 + beta sigma1 W) / S,
+        x_k = g_k (1 + beta sigma1 x_1) / d_k,
 
-    with no eigendecomposition and no loading.  A drift off ``v1`` (a full
-    error covariance) takes :func:`whitened_tdd`.
+    and w_b = U x, with no eigendecomposition.  The trailing block is
+    diagonal and positive, so beta M + sigma_b^2 I is positive definite
+    exactly where S > 0; elsewhere sigma_b^2 is loaded (:func:`loaded_noise`).
+    For i.i.d. error E{dv1} = c v1 with c real and nonpositive, so m = 1
+    holds it all: W is an empty sum, S >= sigma_b^2, and
+    w_b = (1 + c) sigma1 / (beta (-2c) sigma1^2 + sigma_b^2) u1.
     """
     check_target(target_sinr)
-    na = t.shape[-1]
-    lam1, drift = sigma1**2, self_drift(v1, e_dv1)
-    leak = -2.0 * drift
+    na, n = t.shape[-1], s.shape[-1]
+    sigma1, lead = s[..., 0], drift[..., 0]
+    lam1, leak = sigma1**2, -2.0 * np.real(lead)
     rho, outage = tdd_fraction(lam1, leak, target_sinr, power_p, sigma_b_sq, na)
     share = noise_share(rho, power_p, na)
-    gain = (1.0 + drift) * sigma1 / (share * leak * lam1 + sigma_b_sq)
-    return Design(t=t, rho=rho, beta=noise_beta(rho, power_p, na),
-                  w_b=gain[..., None] * u1, outage=outage)
+    lift, trail = share * sigma1, s[..., 1:]
+    g = trail * drift[..., 1:]
 
+    def solve(noise):
+        # (S, x_1, x_k) at the noise level ``noise``, the sum W as ``tail``.
+        d = share[..., None] * trail**2 + np.asarray(noise)[..., None]
+        tail = np.add.reduce(abs(g) ** 2 / d, axis=-1)
+        schur = share * leak * lam1 + noise - lift**2 * tail
+        x1 = ((1.0 + lead) * sigma1 + lift * tail) / schur
+        return schur, x1, g * (1.0 + lift * x1)[..., None] / d
 
-def whitened_tdd(h, sigma1, u1, v1, e_dv1, t, target_sinr, power_p: float, sigma_b_sq: float):
-    """:func:`robust_tdd`'s designs for any mean drift ``e_dv1``, the drift
-    of a full error covariance included.
-
-    The same request, with Bob's combiner whitened by an eigendecomposition
-    of the expected interference shape :func:`tdd_shape` of his channels
-    ``h``.  Off the i.i.d. model the drift's cross terms can make that shape
-    indefinite, which diagonal loading restores (:func:`loaded_noise`).
-    Only the single-channel receiver calls it, for moments of a full
-    covariance.
-    """
-    d = robust_tdd(sigma1, u1, v1, e_dv1, t, target_sinr, power_p, sigma_b_sq)
-    lam, evecs = np.linalg.eigh(tdd_shape(h, sigma1, u1, e_dv1))
-    beta = noise_share(d.rho, power_p, t.shape[-1])
-    sigma_eff, _ = loaded_noise(beta, lam, sigma_b_sq)
-    signature = matvec(h, v1 + e_dv1)
-    return d._replace(w_b=whitened_combiner(evecs, lam, signature, beta, sigma_eff))
+    schur, x1, xk = solve(sigma_b_sq)
+    if (schur <= 0.0).any():  # indefinite somewhere: load there and solve again
+        trace = share * (np.add.reduce(trail**2, axis=-1) + leak * lam1) + n * sigma_b_sq
+        _, x1, xk = solve(loaded_noise(schur, trace, n, sigma_b_sq)[0])
+    w_b = x1[..., None] * u[..., 0] + matvec(u[..., 1:], xk)
+    return Design(t=t, rho=rho, beta=noise_beta(rho, power_p, na), w_b=w_b, outage=outage)
 
 
 def _fdd_trial(chan: ChannelSet, tilde: Basis,
@@ -315,13 +292,16 @@ def _tdd_trial(chan: ChannelSet, svd: SvdStack, moments: PerturbMoments, tilde: 
                target_sinr: float) -> tuple[RxBeamformer, SinrReport, Design]:
     """(Bob's combiner, report, design) of statistical recovery for one
     trial from the channel's decomposition ``svd`` and the estimate's
-    ``estimate_basis`` ``tilde``: the batch of one of :func:`robust_tdd` for
-    moments of i.i.d. error, else of :func:`whitened_tdd`."""
+    ``estimate_basis`` ``tilde``: the batch of one of :func:`robust_tdd`, on
+    Bob's dominant triplet alone for moments of i.i.d. error, whose drift
+    lies along v1, else on his whole basis."""
     svd = svd.single()
-    args = (svd.sigma1[None], svd.u1[None], svd.v1[None], moments.e_dv1[None], tilde.v1[None],
-            target_sinr, chan.power_p, chan.sigma_b_sq)
-    d = (robust_tdd(*args) if moments.iid_drift is not None
-         else whitened_tdd(chan.h_ba.entries[None], *args))
+    if moments.iid_drift is None:
+        u, s, drift = svd.u[None], svd.s[None], vdot(svd.v.T[:chan.nb], moments.e_dv1)[None]
+    else:
+        u, s = svd.u[None, :, :1], svd.s[None, :1]
+        drift = self_drift(svd.v1[None], moments.e_dv1[None])[..., None]
+    d = robust_tdd(u, s, drift, tilde.v1[None], target_sinr, chan.power_p, chan.sigma_b_sq)
     return RxBeamformer(w=d.w_b[0], kind="robust_tdd"), trial_report(chan, d)[0], d
 
 
@@ -332,10 +312,9 @@ def tdd_receiver(chan: ChannelSet, svd: SvdStack, moments: PerturbMoments, err_s
     The receiver never sees the transmitter's estimate.  It whitens the
     expected interference-plus-noise covariance built from the mean beam
     drift, matches to the expected data signature H (v_1 + E{dv_1}), and
-    requests the power fraction sized against the mean leaked interference.
-    For moments of i.i.d. error (``moments.iid_drift`` set) it is the
-    sweep engine's :func:`robust_tdd`, bit for bit; for a full error
-    covariance, :func:`whitened_tdd`.  The reported SINR, evaluated through
+    requests the power fraction sized against the mean leaked interference:
+    the batch of one of :func:`robust_tdd`, the sweep engine's kernel, bit
+    for bit for moments of i.i.d. error.  The reported SINR, evaluated through
     the true channel, fluctuates around the request, short on average by
     the beam's misalignment, which is deliberately not chased with extra
     data power.  A misshapen error sample or a non-finite estimate is

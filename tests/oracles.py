@@ -37,9 +37,11 @@ solve must agree with brentq on the first within its tolerance plus the
 ``eigh`` route's own round-off, and on the second within its tolerance.
 
 ``tdd_combiner`` is the statistical receiver's combiner whitened by an
-``eigh`` of the expected interference shape, with diagonal loading where it
-is indefinite; the engine's closed form for i.i.d. error must agree with it
-to round-off and never load.
+``eigh`` of its expected interference shape (``tdd_shape``,
+``whitened_combiner``), loaded where the smallest eigenvalue says it is
+indefinite (``loaded_noise``): the route the library's Schur complement on
+the arrowhead form replaced.  The two must agree to round-off wherever
+neither loads, and for i.i.d. error neither ever does.
 
 ``second_moment_tensor`` is the four-stage ``einsum`` contraction of a
 full error covariance into the singular bases, against which the library's
@@ -89,14 +91,7 @@ from wiretap.harness import (
     _as_tuple,
 )
 from wiretap.perturbation import compute_moments, first_vector_leak, naive_sinr_terms
-from wiretap.robust import (
-    _MAXITER,
-    _RHO_FLOOR,
-    loaded_noise,
-    tdd_fraction,
-    tdd_shape,
-    whitened_combiner,
-)
+from wiretap.robust import _LOADING, _MAXITER, _RHO_FLOOR, tdd_fraction
 from wiretap.transmit import (
     _RHO_CEIL,
     LinkSinr,
@@ -668,6 +663,33 @@ def fdd_trial(chan: ChannelSet, part_tilde: SvdStack, target_sinr: float,
     w = whitened_combiner(evecs, lam, signature, beta, chan.sigma_b_sq)
     report, bob, eve = evaluate_links(chan, scheme, w, eve_mmse_beamformer(chan, scheme))
     return report, bob, eve, scheme
+
+
+def whitened_combiner(evecs, lam, signature, beta, sigma_sq):
+    """(beta A + sigma^2 I)^-1 signature for one matrix through its
+    eigendecomposition A = U diag(lam) U^H, with U = ``evecs``."""
+    return evecs @ ((evecs.conj().T @ signature) / (beta * lam + sigma_sq))
+
+
+def tdd_shape(h, sigma1, u1, e_dv1):
+    """The statistical receiver's expected interference shape per unit
+    interference power, H H^H - sigma1^2 u1 u1^H - cross - cross^H with
+    cross = sigma1 u1 (H E{dv1})^H: the channel minus the nominal data
+    direction, the mean drift of the transmit beam folded in."""
+    cross = sigma1 * np.outer(u1, (h @ e_dv1).conj())
+    shape = h @ h.conj().T - sigma1**2 * np.outer(u1, u1.conj()) - cross - cross.conj().T
+    return 0.5 * (shape + shape.conj().T)
+
+
+def loaded_noise(beta, lam, sigma_sq: float):
+    """Noise level that keeps every beta lam + sigma^2 positive, from the
+    smallest eigenvalue: (effective noise level, loaded flag)."""
+    n = lam.shape[-1]
+    worst = beta * np.min(lam, axis=-1) + sigma_sq
+    loaded = worst <= 0.0
+    delta = _LOADING * np.abs(beta * np.sum(lam, axis=-1) + n * sigma_sq) / n
+    delta = np.where(worst + delta <= 0.0, (1.0 + 1e-6) * (-worst), delta)
+    return np.where(loaded, sigma_sq + delta, sigma_sq), loaded
 
 
 def tdd_combiner(h: np.ndarray, sigma1: float, u1: np.ndarray, v1: np.ndarray,

@@ -42,7 +42,7 @@ from wiretap.channels import (
 )
 from wiretap.exceptions import DegenerateChannelError, DimensionError
 from wiretap.harness import SCENARIOS, SCHEMES, ExperimentConfig, preset_config, run_experiment
-from wiretap.perturbation import compute_moments, iid_moments
+from wiretap.perturbation import compute_moments, iid_moments, self_drift
 from wiretap.perturbation import naive_sinr_terms, naive_trial
 from wiretap.robust import fdd_receiver, solve_fractions, tdd_receiver
 from wiretap.stacked import herm, matvec, vdot
@@ -358,8 +358,14 @@ def test_every_kernel_designs_its_targets_in_one_pass_bit_for_bit():
         "robust_fdd": (lambda u, s, v, *rest: robust.robust_fdd(SvdStack(u, s, v), *rest),
                        (part.u, part.s, part.v, tilde.v1), (2, 1, 2, 1)),
         "robust_tdd": (robust.robust_tdd,
-                       (part.sigma1, part.u1, part.v1, e_dv1, tilde.v1),
-                       (0, 1, 1, 1, 1)),
+                       (part.u[..., :1], part.s[..., :1], self_drift(part.v1, e_dv1)[..., None],
+                        tilde.v1),
+                       (2, 1, 1, 1)),
+        # A drift off v1, as a full error covariance's, couples Bob's whole basis.
+        "robust_tdd_full": (robust.robust_tdd,
+                            (part.u, part.s, levels * _random_channels(count, 1, na, 44)[:, 0],
+                             tilde.v1),
+                            (2, 1, 1, 1)),
     }
     grid = (2, count)
     for name, (kernel, args, row_dims) in kernels.items():
@@ -566,8 +572,9 @@ def _kernel_designs(h: np.ndarray, eve: np.ndarray, power_p: float):
                                                   *budget),
         "known_ecsi": lambda *budget: eve_aware(h, herm(eve) @ eve, eve.shape[1], *budget),
         "robust_fdd": lambda *budget: robust.robust_fdd(part, tilde.v1, *budget),
-        "robust_tdd": lambda *budget: robust.robust_tdd(part.sigma1, part.u1, part.v1, e_dv1,
-                                                        tilde.v1, *budget),
+        "robust_tdd": lambda *budget: robust.robust_tdd(
+            part.u[..., :1], part.s[..., :1], self_drift(part.v1, e_dv1)[..., None], tilde.v1,
+            *budget),
     }
     return [(name, kernel(target, power_p, 1.0)) for name, kernel in kernels.items()
             for target in targets]
@@ -1407,18 +1414,24 @@ def test_eve_aware_directions_refuse_a_non_finite_gram(bad):
 def test_the_statistical_combiner_is_closed_form_on_the_sweeps(monkeypatch, preset):
     # For i.i.d. error the expected interference is diagonal in Bob's left
     # singular vectors and the expected signature lies along u1, so the
-    # engine builds his combiner as a multiple of u1 with no eigh.  It must
-    # be the oracle's eigh-whitened combiner to round-off, and never loaded.
+    # engine hands the kernel his dominant triplet alone, and his combiner
+    # is a multiple of u1 with no eigh.  It must be the oracle's
+    # eigh-whitened combiner to round-off, and never loaded.
     cfg = preset_config(preset, trials=6, master_seed=14)
     blk = harness._Block(cfg, 0, cfg.trials)
     part, e_dv1 = blk.part, blk.e_dv1
-    args = (part.sigma1[None], part.u1[None], part.v1[None], e_dv1, blk.tilde.v1,
-            *blk.budget)
-    eighs = []
+    _ = blk.tilde  # the estimates' own eigh runs before the spy
+    eighs, widths = [], []
+
+    def spy(u, *args, robust_tdd=robust.robust_tdd):
+        widths.append(u.shape[-1])
+        return robust_tdd(u, *args)
+
     monkeypatch.setattr(np.linalg, "eigh", lambda *a, fn=np.linalg.eigh: eighs.append(a) or fn(*a))
-    d = robust.robust_tdd(*args)
+    monkeypatch.setattr(harness, "robust_tdd", spy)
+    d = harness._DESIGNS["robust_tdd"](blk)
     monkeypatch.undo()
-    assert eighs == []
+    assert eighs == [] and widths == [1]
     for p, i in np.ndindex(d.rho.shape):
         w = d.w_b[p, i]
         assert 1.0 - abs(np.vdot(w / np.linalg.norm(w), part.u1[i])) <= 1e-14
@@ -1457,7 +1470,7 @@ def test_the_exact_knowledge_receiver_is_closed_form_on_the_sweeps(monkeypatch, 
         assert d.outage[p, i] == outage
         assert abs(d.rho[p, i] - want) <= 1e-12 * want, (p, i)
         beta = transmit.noise_share(d.rho[p, i], cfg.power_p, cfg.na)
-        w = robust.whitened_combiner(evecs, lam, signature, beta, cfg.sigma_b_sq)
+        w = oracles.whitened_combiner(evecs, lam, signature, beta, cfg.sigma_b_sq)
         got = d.w_b[min(p, len(d.w_b) - 1), i]
         overlap = np.vdot(w, got) / (np.linalg.norm(w) * np.linalg.norm(got))
         assert 1.0 - abs(overlap) <= 1e-14 and abs(np.angle(overlap)) <= 1e-7, (p, i)

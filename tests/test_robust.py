@@ -1,6 +1,7 @@
 """Tests for the two receiver-side recovery modes."""
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -19,14 +20,7 @@ from wiretap.channels import (
 )
 from wiretap.exceptions import DegenerateChannelError, OrientationError, ParameterError
 from wiretap.perturbation import compute_moments, naive_trial, simulate_naive
-from wiretap.robust import (
-    _fdd_trial,
-    _tdd_trial,
-    fdd_receiver,
-    tdd_receiver,
-    tdd_shape,
-    whitened_tdd,
-)
+from wiretap.robust import _fdd_trial, _tdd_trial, fdd_receiver, tdd_receiver
 from wiretap import robust, transmit
 from wiretap.transmit import link_sinr, run_trial
 
@@ -165,26 +159,31 @@ class TestTddReceiver:
 
     @pytest.mark.parametrize("model", ["iid", "full", "iid_scaled"])
     def test_expected_signature_drives_the_match(self, monkeypatch, model):
-        # i.i.d. moments, scaled ones included, take the closed form and a
-        # full covariance the eigendecomposition; both whiten the same way.
+        # One kernel for both error models: i.i.d. moments, scaled ones
+        # included, hand it Bob's dominant triplet alone and a full
+        # covariance his whole basis; both whiten the same way.
         chan = generate_channels(5, 5, 2, rng_seed=3)
         svd = partition_svd(chan.h_ba)
         moments = compute_moments(svd, _error_model(chan, model))
         if model == "iid_scaled":
             moments = moments.scaled(0.5)
         assert (moments.iid_drift is None) == (model == "full")
-        whitened = []
-        monkeypatch.setattr(robust, "whitened_tdd",
-                            lambda *a, fn=robust.whitened_tdd: whitened.append(a) or fn(*a))
+        widths = []
+
+        def spy(u, *args, robust_tdd=robust.robust_tdd):
+            widths.append(u.shape[-1])
+            return robust_tdd(u, *args)
+
+        monkeypatch.setattr(robust, "robust_tdd", spy)
         h_tilde = chan.h_ba.entries + _error(chan, 3)
         beam, _, design = _tdd_trial(chan, svd, moments, _tilde(h_tilde), TARGET)
-        assert len(whitened) == (model == "full")
+        assert widths == [chan.nb if model == "full" else 1]
         scheme = run_trial(chan, design, TARGET)[0]
         # The combiner whitens the expected interference shape and matches
         # the expected signature H (v1 + E{dv1}).
         h = chan.h_ba.entries
         beta = (1.0 - scheme.rho) * chan.power_p / (chan.na - 1)
-        shape = tdd_shape(h, svd.sigma1, svd.u1, moments.e_dv1)
+        shape = oracles.tdd_shape(h, svd.sigma1, svd.u1, moments.e_dv1)
         want = np.linalg.solve(beta * shape + chan.sigma_b_sq * np.eye(chan.nb),
                                h @ (svd.v1 + moments.e_dv1))
         assert beam.kind == "robust_tdd"
@@ -210,27 +209,100 @@ class TestTddReceiver:
         chan = generate_channels(4, 4, 2, rng_seed=9)
         svd = partition_svd(chan.h_ba)
         # Such a drift is not i.i.d. error's, so the moments are marked as a
-        # full covariance's and take the general whitening path.
+        # full covariance's and couple Bob's whole basis.
         drift = 3.0 * svd.v[:, 1]
         moments = replace(compute_moments(svd, CsiErrorModel.zero()), e_dv1=drift.astype(complex),
                           iid_drift=None)
         tilde = _tilde(chan.h_ba.entries + _error(chan, 4))
-        flags = []
+        loads = []
 
         def spy(*args, loaded_noise=robust.loaded_noise):
-            sigma_eff, loaded = loaded_noise(*args)
-            flags.append(loaded)
-            return sigma_eff, loaded
+            loads.append(loaded_noise(*args))
+            return loads[-1]
 
         monkeypatch.setattr(robust, "loaded_noise", spy)
-        design = whitened_tdd(
-            chan.h_ba.entries[None], np.array([svd.sigma1]), svd.u1[None], svd.v1[None],
-            moments.e_dv1[None], tilde.v1[None], TARGET, chan.power_p, chan.sigma_b_sq,
-        )
-        assert len(flags) == 1 and flags[0].all()
-        assert np.all(np.isfinite(design.w_b))
-        _, report, _ = _tdd_trial(chan, svd, moments, tilde, TARGET)
+        beam, report, design = _tdd_trial(chan, svd, moments, tilde, TARGET)
+        (noise, loaded), = loads
+        assert loaded.all() and noise[0] > chan.sigma_b_sq
         assert np.isfinite(report.sinr_b)
+        # The loaded system is positive definite, and the combiner solves it.
+        h = chan.h_ba.entries
+        beta = robust.noise_share(design.rho[0], chan.power_p, chan.na)
+        system = (beta * oracles.tdd_shape(h, svd.sigma1, svd.u1, moments.e_dv1)
+                  + noise[0] * np.eye(chan.nb))
+        assert np.linalg.eigvalsh(system).min() > 0.0
+        want = np.linalg.solve(system, h @ (svd.v1 + moments.e_dv1))
+        np.testing.assert_allclose(beam.w, want, rtol=1e-9)
+
+    def test_the_loading_decision_is_the_smallest_eigenvalues(self, monkeypatch):
+        # beta M + sigma_b^2 I is positive definite exactly where the Schur
+        # complement on its arrowhead corner is positive, so the kernel loads
+        # where the smallest eigenvalue of the oracle's shape says it must,
+        # on random full covariances from mild to strong (away from the
+        # boundary); every combiner solves its system, loaded or not.
+        loads = []
+
+        def spy(*args, loaded_noise=robust.loaded_noise):
+            loads.append(loaded_noise(*args))
+            return loads[-1]
+
+        monkeypatch.setattr(robust, "loaded_noise", spy)
+        decided = Counter()
+        for k in range(200):
+            rng = default_rng(SeedSequence([37, k]))
+            na = (2, 3, 5)[k % 3]
+            nb = na - (k // 3) % 2 if na > 2 else na
+            chan = generate_channels(na, nb, 2, rng_seed=[37, k])
+            svd = partition_svd(chan.h_ba)
+            root = complex_gaussian(rng, nb * na, nb * na)
+            scale = 10.0 ** rng.uniform(-1.0, 2.0)
+            cov = scale * (root @ root.conj().T) / (nb * na)
+            moments = compute_moments(svd, CsiErrorModel.full(cov))
+            target = (1.0, 100.0, 1e4)[k % 3]
+            tilde = estimate_basis(chan.h_ba.entries)
+            beam, _, design = _tdd_trial(chan, svd, moments, tilde, target)
+            # loaded_noise runs only where some entry loads.
+            noise, loaded = loads.pop() if loads else ([chan.sigma_b_sq], [False])
+            h = chan.h_ba.entries
+            beta = robust.noise_share(design.rho[0], chan.power_p, na)
+            shape = beta * oracles.tdd_shape(h, svd.sigma1, svd.u1, moments.e_dv1)
+            eye = np.eye(nb)
+            least = np.linalg.eigvalsh(shape + chan.sigma_b_sq * eye).min()
+            if abs(least) > 1e-9 * (np.linalg.norm(shape, 2) + chan.sigma_b_sq):
+                assert loaded[0] == (least <= 0.0), k
+                decided[bool(loaded[0])] += 1
+            # Loading restores definiteness.
+            assert np.linalg.eigvalsh(shape + noise[0] * eye).min() > 0.0, k
+            want = np.linalg.solve(shape + noise[0] * eye, h @ (svd.v1 + moments.e_dv1))
+            assert np.linalg.norm(beam.w - want) <= 1e-9 * np.linalg.norm(want), k
+        # Both decisions are exercised.
+        assert decided[True] >= 20 and decided[False] >= 100, decided
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (5, 5, 5), (8, 8, 8), (4, 2, 2)])
+    def test_a_full_covariance_takes_no_decomposition(self, monkeypatch, shape):
+        # The statistical receiver solves its arrowhead system in closed
+        # form: no eigh, eigvalsh, solve or svd on a full covariance.  The
+        # estimate's own eigh models the transmitter and is taken first, as
+        # are the channel's cached SVD and Eve's spectrum.
+        na, nb, ne = shape
+        chan = generate_channels(na, nb, ne, rng_seed=[43, na, nb])
+        svd = partition_svd(chan.h_ba)
+        moments = compute_moments(svd, _error_model(chan, "full"))
+        err = _error(chan, 5)
+        tilde = estimate_basis(chan.h_ba.entries + err)
+        assert chan.eve_spectrum is not None
+        monkeypatch.setattr(robust, "estimate_basis", lambda est: tilde)
+        calls = []
+        for name in ("eigh", "eigvalsh", "solve", "svd"):
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *a, name=name, fn=getattr(np.linalg, name):
+                                calls.append(name) or fn(*a))
+        beam, report = tdd_receiver(chan, svd, moments, err, TARGET)
+        monkeypatch.undo()
+        assert calls == []
+        want_beam, want_report = tdd_receiver(chan, svd, moments, err, TARGET)
+        np.testing.assert_array_equal(beam.w, want_beam.w)
+        assert report == want_report
 
     def test_outage_at_a_tiny_budget(self):
         hb = ChannelMatrix(np.diag([2.0, 1.0]).astype(complex))
