@@ -26,6 +26,12 @@ from .stacked import herm
 RANK_TOL = 1e-10
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool, Python's or
+    numpy's, is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _rng(seed) -> Generator:
     """Accept an int seed, a SeedSequence, or an existing Generator."""
     if isinstance(seed, Generator):
@@ -206,7 +212,7 @@ def generate_channels(
     seed always reproduces the same channel set bit for bit.
     """
     for name, val in (("na", na), ("nb", nb), ("ne", ne)):
-        if not (isinstance(val, (int, np.integer)) and val >= 1):
+        if not (is_integer(val) and val >= 1):
             raise ParameterError(f"{name} must be an integer >= 1, got {val!r}")
     if not gamma_ea_sq > 0:
         raise ParameterError(f"gamma_ea_sq must be positive, got {gamma_ea_sq}")

@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``run``:      a custom or preset experiment sweep
-* ``figure N``: shortcut for the five preset sweeps (N in 1..5)
+* ``figure N``: ``run --scenario`` on the N-th of ``harness.PRESETS``
 * ``predict``:  closed-form degradation prediction for one channel draw
 * ``validate``: built-in sanity suite
 
@@ -29,7 +29,9 @@ from .exceptions import (
     ValidityRangeError,
 )
 from .harness import (
+    PRESETS,
     SCENARIOS,
+    SWEEPABLE,
     ExperimentConfig,
     SweepResult,
     preset_config,
@@ -38,17 +40,6 @@ from .harness import (
 from .perturbation import compute_moments, predict_naive_sinr
 from .units import from_db, to_db
 from .version import __version__
-
-_FIGURE_SCENARIOS = {
-    1: "fig1_ne_sweep",
-    2: "fig2_prediction",
-    3: "fig3_sinr_vs_target",
-    4: "fig4_secrecy",
-    5: "fig5_sigma_sweep",
-}
-
-# Config fields that may hold either a scalar or a swept list on the CLI.
-_SWEEPABLE = {"ne": int, "target_sinr_db": float, "sigma_h_db": float}
 
 
 def _fmt(value: float) -> str:
@@ -95,8 +86,8 @@ def _parse_config_file(path: str) -> dict:
         try:
             out[key] = json.loads(value)
         except json.JSONDecodeError:
-            if key in _SWEEPABLE:
-                out[key] = _parse_number_list(key, value, _SWEEPABLE[key])
+            if key in SWEEPABLE:
+                out[key] = _parse_number_list(key, value, SWEEPABLE[key])
             elif "," in value:
                 out[key] = [v.strip() for v in value.split(",") if v.strip()]
             else:
@@ -160,19 +151,15 @@ def _add_experiment_options(parser: argparse.ArgumentParser, *, with_scenario: b
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict:
-    fields = (
-        "na", "nb", "ne", "target_sinr_db", "sigma_h_db", "gamma_ecsi",
-        "trials", "power_db", "sigma_b_sq", "sigma_e_sq", "master_seed",
-        "schemes", "threads", "secrecy_metric", "propagate_through_estimate",
-    )
+    """The config fields given as flags, a comma list parsed as in a flat file."""
     out: dict = {}
-    for name in fields:
+    for name in ExperimentConfig.__dataclass_fields__:
         value = getattr(args, name, None)
         if value is None:
             continue
-        if name in _SWEEPABLE and isinstance(value, str):
-            value = _parse_number_list(name, value, _SWEEPABLE[name])
-        elif name == "schemes" and isinstance(value, str):
+        if name in SWEEPABLE:
+            value = _parse_number_list(name, value, SWEEPABLE[name])
+        elif name == "schemes":
             value = tuple(s.strip() for s in value.split(",") if s.strip())
             if not value:
                 raise ConfigError("--schemes: empty scheme list")
@@ -180,15 +167,13 @@ def _collect_overrides(args: argparse.Namespace) -> dict:
     return out
 
 
-def _build_config(file_settings: dict, overrides: dict, scenario: str | None) -> ExperimentConfig:
-    merged = dict(file_settings)
-    merged.update(overrides)
-    name = scenario if scenario is not None else str(merged.get("scenario", "custom"))
-    merged.pop("scenario", None)
-    if name != "custom":
-        return preset_config(name, **merged)
-    merged["scenario"] = "custom"
-    return ExperimentConfig.from_dict(merged)
+def _build_config(settings: dict) -> ExperimentConfig:
+    """The config ``settings`` give: their scenario's preset with the others
+    replacing its fields, or, for ``custom``, the fields themselves."""
+    name = str(settings.pop("scenario", "custom"))
+    if name == "custom":
+        return ExperimentConfig.from_dict(settings)
+    return preset_config(name, **settings)
 
 
 def _write_outputs(result: SweepResult, out_dir: str, fmt: str) -> list[Path]:
@@ -267,20 +252,13 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: str, fmt: str) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    file_settings = _parse_config_file(args.config) if args.config else {}
+    settings = _parse_config_file(args.config) if args.config else {}
     overrides = _collect_overrides(args)
-    if args.threads is None and "threads" not in file_settings:
+    if "number" in args:  # figure N
+        overrides["scenario"] = list(PRESETS)[args.number - 1]
+    if args.threads is None and "threads" not in settings:
         overrides["threads"] = _default_threads()
-    cfg = _build_config(file_settings, overrides, args.scenario)
-    return _run_sweep(cfg, args.out_dir, args.format)
-
-
-def _cmd_figure(args: argparse.Namespace) -> int:
-    scenario = _FIGURE_SCENARIOS[args.number]
-    overrides = _collect_overrides(args)
-    if args.threads is None:
-        overrides["threads"] = _default_threads()
-    cfg = preset_config(scenario, **overrides)
+    cfg = _build_config({**settings, **overrides})
     return _run_sweep(cfg, args.out_dir, args.format)
 
 
@@ -328,10 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_experiment_options(p_run, with_scenario=True)
     p_run.set_defaults(handler=_cmd_run)
 
-    p_fig = sub.add_parser("figure", help="run one of the five preset sweeps")
-    p_fig.add_argument("number", type=int, choices=sorted(_FIGURE_SCENARIOS))
+    p_fig = sub.add_parser("figure", help="run the N-th preset sweep, as run --scenario does")
+    p_fig.add_argument("number", type=int, choices=range(1, len(PRESETS) + 1))
     _add_experiment_options(p_fig, with_scenario=False)
-    p_fig.set_defaults(handler=_cmd_figure)
+    p_fig.set_defaults(handler=_cmd_run, config=None)
 
     p_pred = sub.add_parser("predict", help="closed-form degradation prediction "
                                             "for a single channel draw")

@@ -65,6 +65,7 @@ from .channels import (
     amplitude_spectrum,
     complex_from_parts,
     estimate_basis,
+    is_integer,
     partition_stack,
 )
 from .exceptions import ConfigError
@@ -85,14 +86,37 @@ SCHEMES = (
     "analytic_naive",
 )
 _NEEDS_ERROR = {"naive", "robust_fdd", "robust_tdd", "analytic_naive"}
-SCENARIOS = (
-    "fig1_ne_sweep",
-    "fig2_prediction",
-    "fig3_sinr_vs_target",
-    "fig4_secrecy",
-    "fig5_sigma_sweep",
-    "custom",
-)
+# The paper's experiments in figure order, each the fields its config sets:
+# ``wiretap figure N`` runs the N-th.
+PRESETS: dict[str, dict[str, Any]] = {
+    "fig1_ne_sweep": dict(
+        na=4, nb=4, ne=tuple(range(1, 21)), target_sinr_db=20.0,
+        sigma_h_db=None, schemes=("perfect", "known_ecsi", "imperfect_ecsi"),
+    ),
+    "fig2_prediction": dict(
+        na=5, nb=5, ne=5, target_sinr_db=20.0,
+        sigma_h_db=(-30.0, -25.0, -20.0, -15.0, -10.0),
+        schemes=("naive", "analytic_naive"),
+    ),
+    "fig3_sinr_vs_target": dict(
+        na=5, nb=5, ne=5, target_sinr_db=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0),
+        sigma_h_db=-10.0,
+        schemes=("perfect", "naive", "robust_fdd", "robust_tdd"),
+    ),
+    "fig4_secrecy": dict(
+        na=5, nb=5, ne=5, target_sinr_db=(5.0, 10.0, 15.0, 20.0),
+        sigma_h_db=-10.0,
+        schemes=("naive", "robust_fdd", "robust_tdd", "known_ecsi"),
+    ),
+    "fig5_sigma_sweep": dict(
+        na=5, nb=5, ne=5, target_sinr_db=20.0,
+        sigma_h_db=(-40.0, -35.0, -30.0, -25.0, -20.0, -15.0, -10.0, -5.0),
+        schemes=("naive", "robust_fdd", "robust_tdd"),
+    ),
+}
+SCENARIOS = (*PRESETS, "custom")
+# The fields that hold one value or a swept sequence, and their values' type.
+SWEEPABLE = {"ne": int, "target_sinr_db": float, "sigma_h_db": float}
 # Error levels above this (dB) are outside the trusted range of the
 # second-order expansion; such points are marked extrapolated.
 EXTRAPOLATION_EDGE_DB = -10.0
@@ -140,9 +164,10 @@ _SOLVE_NOISE_FLOOR = 1e-8
 class ExperimentConfig:
     """Everything one sweep needs; exactly one field may hold a list.
 
-    ``ne``, ``target_sinr_db``, and ``sigma_h_db`` accept either a scalar or
-    a sequence; a sequence marks the sweep axis.  ``sigma_h_db`` may be None
-    when no scheme involves transmitter-side channel error.
+    The fields of :data:`SWEEPABLE` accept either a scalar or a sequence; a
+    sequence marks the sweep axis.  ``sigma_h_db`` may be None when no
+    scheme involves transmitter-side channel error.  A numpy scalar or 0-d
+    array, in any field or sequence, is read as its Python value.
     """
 
     scenario: str = "custom"
@@ -163,54 +188,37 @@ class ExperimentConfig:
     secrecy_metric: str = "goodput"
 
     def __post_init__(self):
-        for name in ("ne", "target_sinr_db", "sigma_h_db"):
-            value = getattr(self, name)
-            if isinstance(value, (list, tuple, np.ndarray)):
-                # Entries keep their values: numpy scalars become Python ones
-                # and numeric levels floats, but nothing is rounded or read as
-                # a number, so validate() sees 2.5 antennas or a bool level.
-                values = [v.item() if isinstance(v, np.generic) else v for v in value]
-                if name != "ne":
-                    values = [float(v) if _is_real(v) else v for v in values]
-                object.__setattr__(self, name, tuple(values))
-        if isinstance(self.schemes, str):
-            object.__setattr__(
-                self, "schemes",
-                tuple(s.strip() for s in self.schemes.split(",") if s.strip()),
-            )
-        elif isinstance(self.schemes, (list, np.ndarray)):
-            object.__setattr__(self, "schemes", tuple(self.schemes))
+        for name in self.__dataclass_fields__:
+            value = _python(getattr(self, name))
+            if name == "schemes" and isinstance(value, str):
+                value = tuple(s.strip() for s in value.split(",") if s.strip())
+            elif isinstance(value, (list, tuple, np.ndarray)):
+                # Entries keep their values: levels become floats, but nothing
+                # is rounded or read as a number, so validate() sees 2.5
+                # antennas or a bool level.
+                value = tuple(map(_python, value))
+                if SWEEPABLE.get(name) is float:
+                    value = tuple(float(v) if _is_real(v) else v for v in value)
+            object.__setattr__(self, name, value)
         self.validate()
 
     def validate(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
-        if any(isinstance(n, bool) or not isinstance(n, int) for n in (self.na, self.nb)):
-            raise ConfigError(f"na and nb must be integers, got {self.na!r} and {self.nb!r}")
-        if self.na < 1 or self.nb < 1:
-            raise ConfigError("na and nb must be at least 1")
+        for name in SWEEPABLE:
+            if _as_tuple(getattr(self, name)) == ():
+                raise ConfigError(f"{name} must hold at least one value")
+        # Every count is at least 1; the seed is at least 0.
+        for name in ("na", "nb", "ne", "trials", "threads", "master_seed"):
+            least, kind = (0, "non-negative") if name == "master_seed" else (1, "positive")
+            for value in _as_tuple(getattr(self, name)):
+                if not (is_integer(value) and value >= least):
+                    raise ConfigError(f"{name} must be a {kind} integer, got {value!r}")
         if self.nb > self.na:
             raise ConfigError(
                 f"more receive than transmit antennas (nb={self.nb} > na={self.na}) "
                 "is not supported by the decomposition convention"
             )
-        for name in ("ne", "target_sinr_db", "sigma_h_db"):
-            if _as_tuple(getattr(self, name)) == ():
-                raise ConfigError(f"{name} must hold at least one value")
-        for v in _as_tuple(self.ne):
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise ConfigError(f"ne values must be positive integers, got {v!r}")
-        for name in ("trials", "threads"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        seed = self.master_seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ConfigError(f"master_seed must be a non-negative integer, got {seed!r}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be at least 1, got {self.trials}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be at least 1, got {self.threads}")
         if not (_is_real(self.gamma_ecsi) and 0.0 <= self.gamma_ecsi <= 1.0):
             raise ConfigError(f"gamma_ecsi must lie in [0, 1], got {self.gamma_ecsi!r}")
         for name, (lo, hi) in (("sigma_b_sq", NOISE_RANGE), ("sigma_e_sq", NOISE_RANGE),
@@ -246,11 +254,7 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown scheme {s!r}; choose from {SCHEMES}")
         if len(set(self.schemes)) < len(self.schemes):
             raise ConfigError(f"schemes must not repeat, got {self.schemes}")
-        axes = [
-            name
-            for name in ("ne", "target_sinr_db", "sigma_h_db")
-            if isinstance(getattr(self, name), tuple)
-        ]
+        axes = [name for name in SWEEPABLE if isinstance(getattr(self, name), tuple)]
         if len(axes) > 1:
             raise ConfigError(f"only one quantity may be swept, got {axes}")
         if self.sigma_h_db is None and _NEEDS_ERROR.intersection(self.schemes):
@@ -270,7 +274,7 @@ class ExperimentConfig:
 
     def axis(self) -> tuple[str, tuple]:
         """The swept field and its values; a scalar run sweeps one target."""
-        for name in ("ne", "target_sinr_db", "sigma_h_db"):
+        for name in SWEEPABLE:
             value = getattr(self, name)
             if isinstance(value, tuple):
                 return name, value
@@ -290,10 +294,15 @@ class ExperimentConfig:
         return cls(**data)
 
 
+def _python(value):
+    """``value``, a numpy scalar or 0-d array as its Python value."""
+    scalar = isinstance(value, (np.generic, np.ndarray)) and value.ndim == 0
+    return value.item() if scalar else value
+
+
 def _is_real(value) -> bool:
-    """Whether ``value`` is a real number; a bool is not."""
-    return (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, (bool, np.bool_)))
+    """Whether ``value`` is a real Python number; a bool is not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _as_tuple(value) -> tuple:
@@ -301,38 +310,11 @@ def _as_tuple(value) -> tuple:
 
 
 def preset_config(scenario: str, **overrides) -> ExperimentConfig:
-    """Named sweep setups matching the package's standard experiments."""
-    presets: dict[str, dict[str, Any]] = {
-        "fig1_ne_sweep": dict(
-            na=4, nb=4, ne=tuple(range(1, 21)), target_sinr_db=20.0,
-            sigma_h_db=None, schemes=("perfect", "known_ecsi", "imperfect_ecsi"),
-        ),
-        "fig2_prediction": dict(
-            na=5, nb=5, ne=5, target_sinr_db=20.0,
-            sigma_h_db=(-30.0, -25.0, -20.0, -15.0, -10.0),
-            schemes=("naive", "analytic_naive"),
-        ),
-        "fig3_sinr_vs_target": dict(
-            na=5, nb=5, ne=5, target_sinr_db=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0),
-            sigma_h_db=-10.0,
-            schemes=("perfect", "naive", "robust_fdd", "robust_tdd"),
-        ),
-        "fig4_secrecy": dict(
-            na=5, nb=5, ne=5, target_sinr_db=(5.0, 10.0, 15.0, 20.0),
-            sigma_h_db=-10.0,
-            schemes=("naive", "robust_fdd", "robust_tdd", "known_ecsi"),
-        ),
-        "fig5_sigma_sweep": dict(
-            na=5, nb=5, ne=5, target_sinr_db=20.0,
-            sigma_h_db=(-40.0, -35.0, -30.0, -25.0, -20.0, -15.0, -10.0, -5.0),
-            schemes=("naive", "robust_fdd", "robust_tdd"),
-        ),
-    }
-    if scenario not in presets:
-        raise ConfigError(f"no preset for scenario {scenario!r}; choose from {sorted(presets)}")
-    params: dict[str, Any] = {"scenario": scenario, **presets[scenario]}
-    params.update(overrides)
-    return ExperimentConfig(**params)
+    """The config of the preset ``scenario``, a key of :data:`PRESETS`, with
+    ``overrides`` replacing its fields; an unknown field is refused by name."""
+    if scenario not in PRESETS:
+        raise ConfigError(f"no preset for scenario {scenario!r}; choose from {sorted(PRESETS)}")
+    return ExperimentConfig.from_dict({"scenario": scenario, **PRESETS[scenario], **overrides})
 
 
 @dataclass(frozen=True)
@@ -740,13 +722,9 @@ def run_experiment(cfg: ExperimentConfig) -> SweepResult:
         metrics = np.concatenate(parts, axis=3)
 
     series = _reduce(metrics, cfg)
-    if axis_name == "sigma_h_db":
-        extrapolated = tuple(v > EXTRAPOLATION_EDGE_DB for v in axis_values)
-    elif cfg.sigma_h_db is None:
-        extrapolated = tuple(False for _ in axis_values)
-    else:
-        flag = float(cfg.sigma_h_db) > EXTRAPOLATION_EDGE_DB
-        extrapolated = tuple(flag for _ in axis_values)
+    # Each point's error level: its own on the error axis, else the one level or none.
+    levels = axis_values if axis_name == "sigma_h_db" else (cfg.sigma_h_db,) * len(axis_values)
+    extrapolated = tuple(v is not None and v > EXTRAPOLATION_EDGE_DB for v in levels)
 
     meta = {
         "config": cfg.to_dict(),

@@ -68,6 +68,30 @@ class TestGenerateChannels:
         with pytest.raises(ParameterError):
             generate_channels(bad, 2, 2, rng_seed=0)
 
+    @pytest.mark.parametrize("counts, name", [
+        ((True, True, 2), "na"),
+        ((2, np.bool_(True), 2), "nb"),
+        ((2, 2, np.True_), "ne"),
+    ])
+    def test_a_boolean_antenna_count_is_refused_by_name(self, counts, name):
+        # A bool is an int to Python, but not a count: it used to pass the
+        # check and fail inside numpy's generator.
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            generate_channels(*counts, rng_seed=0)
+
+    def test_numpy_integer_counts_are_counts(self):
+        a = generate_channels(np.int64(3), np.uint8(2), np.int32(1), rng_seed=4)
+        b = generate_channels(3, 2, 1, rng_seed=4)
+        np.testing.assert_array_equal(a.h_ba.entries, b.h_ba.entries)
+        np.testing.assert_array_equal(a.h_ea.entries, b.h_ea.entries)
+
+    @pytest.mark.parametrize("value, integer", [
+        (3, True), (np.int64(3), True), (np.uint8(0), True), (True, False),
+        (np.bool_(False), False), (3.0, False), (np.float64(3.0), False), ("3", False),
+    ])
+    def test_is_integer(self, value, integer):
+        assert channels.is_integer(value) is integer
+
     def test_ecsi_gain_must_be_positive(self):
         with pytest.raises(ParameterError):
             generate_channels(2, 2, 2, gamma_ea_sq=0.0, rng_seed=0)
@@ -102,6 +126,13 @@ class TestChannelContainers:
         with pytest.raises(ParameterError):
             ChannelSet(h_ba=ba, h_ea=ea, sigma_b_sq=0.0, sigma_e_sq=1.0, power_p=1.0)
 
+
+    @pytest.mark.parametrize("power", [np.nan, np.inf, 0.0])
+    def test_set_rejects_a_power_that_is_not_positive_and_finite(self, power):
+        ba = ChannelMatrix(np.ones((2, 3), dtype=complex))
+        ea = ChannelMatrix(np.ones((2, 3), dtype=complex))
+        with pytest.raises(ParameterError, match="power_p must be positive and finite"):
+            ChannelSet(h_ba=ba, h_ea=ea, sigma_b_sq=1.0, sigma_e_sq=1.0, power_p=power)
 
     @pytest.mark.parametrize("noise", [dict(sigma_b_sq=1e-160), dict(sigma_e_sq=1e170)])
     def test_set_rejects_noise_outside_its_range(self, noise):
@@ -292,6 +323,10 @@ class TestCsiErrorModel:
         with pytest.raises(ParameterError):
             CsiErrorModel.iid(-1e-3)
 
+    def test_full_refuses_a_non_square_covariance(self):
+        with pytest.raises(DimensionError, match=r"covariance must be square, got shape \(2, 3\)"):
+            CsiErrorModel.full(np.ones((2, 3)))
+
     def test_full_rejects_non_hermitian(self):
         with pytest.raises(ParameterError):
             CsiErrorModel.full(np.array([[1.0, 1.0], [0.0, 1.0]]))
@@ -406,6 +441,10 @@ class TestCsiErrorModel:
         assert t.shape == (2, 3, 2, 3)
         want = 0.5 * np.einsum("ab,pq->apbq", np.eye(2), np.eye(3))
         np.testing.assert_array_equal(t, want)
+
+    def test_cov_tensor_refuses_a_covariance_of_other_dimensions(self):
+        with pytest.raises(DimensionError, match=r"covariance side 4 does not match nb\*na = 6"):
+            CsiErrorModel.full(np.eye(4)).cov_tensor(3, 2)
 
 
 class TestSampleCsiError:

@@ -83,6 +83,12 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
         assert f"{cfg}:2: expected key = value, got 'trials'" in capsys.readouterr().err
 
+    def test_an_unknown_key_beside_a_preset_is_refused_by_name(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scenario = fig3_sinr_vs_target\nbogus = 1\n")
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: unknown config keys: ['bogus']"]
+
     def test_numerical_guard_exits_two(self, capsys):
         # A starved budget puts the nominal design in outage, where the
         # closed-form prediction refuses to evaluate.
@@ -234,6 +240,17 @@ class TestFigureCommand:
         assert "analytic_naive" in out
         payload = json.loads((tmp_path / "results.json").read_text())
         assert payload["config"]["scenario"] == "fig2_prediction"
+
+    @pytest.mark.parametrize("number, scenario", [
+        (1, "fig1_ne_sweep"), (2, "fig2_prediction"), (3, "fig3_sinr_vs_target"),
+        (4, "fig4_secrecy"), (5, "fig5_sigma_sweep"),
+    ])
+    def test_figure_n_is_run_on_the_nth_preset(self, tmp_path, capsys, number, scenario):
+        fig, run = tmp_path / "fig", tmp_path / "run"
+        assert main(["figure", str(number), "--trials", "2", "--out-dir", str(fig)]) == 0
+        assert main(["run", "--scenario", scenario, "--trials", "2", "--out-dir", str(run)]) == 0
+        capsys.readouterr()
+        assert (fig / "results.json").read_bytes() == (run / "results.json").read_bytes()
 
     def test_figure_number_is_validated(self, capsys):
         assert main(["figure", "9"]) == 1

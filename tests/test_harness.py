@@ -1,7 +1,8 @@
 """Tests for the experiment harness: configs, sweeps, reproducibility."""
 from __future__ import annotations
 
-from dataclasses import replace
+import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -50,6 +51,8 @@ class TestExperimentConfig:
             dict(scenario="fig9"),
             dict(trials=0),
             dict(threads=0),
+            dict(na=0),
+            dict(nb=0),
             dict(gamma_ecsi=1.5),
             dict(sigma_b_sq=0.0),
             dict(schemes=()),
@@ -158,6 +161,28 @@ class TestExperimentConfig:
         assert cfg.axis() == ("target_sinr_db", (10.0,))
         assert run_experiment(cfg).series["naive"]["n_valid"] == (3,)
 
+    def test_numpy_scalars_are_read_as_their_values(self):
+        # Each used to be refused (na, nb) or kept as numpy's, which the
+        # manifest could not serialise (trials, master_seed).
+        params = dict(na=4, nb=4, ne=3, trials=6, master_seed=5, power_db=15.0,
+                      sigma_h_db=-15.0, schemes=("perfect", "naive"))
+        twin = ExperimentConfig(**params)
+        cfg = ExperimentConfig(**{**params, **{k: np.int64(params[k]) for k in
+                                               ("na", "nb", "ne", "trials", "master_seed")},
+                                  "power_db": np.float64(15.0)})
+        assert cfg == twin
+        assert all(type(getattr(cfg, f.name)) is type(getattr(twin, f.name)) for f in fields(cfg))
+        got, want = run_experiment(cfg), run_experiment(twin)
+        for scheme in cfg.schemes:
+            for key, values in want.series[scheme].items():
+                assert np.array_equal(got.series[scheme][key], values, equal_nan=True), key
+        json.dumps(got.meta)
+
+    def test_a_zero_dimensional_array_is_its_value(self):
+        cfg = ExperimentConfig(ne=np.array(3), target_sinr_db=np.array(10.0))
+        assert (cfg.ne, cfg.target_sinr_db) == (3, 10.0)
+        assert type(cfg.ne) is int and type(cfg.target_sinr_db) is float
+
     def test_error_schemes_require_an_error_level(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(schemes=("naive",), sigma_h_db=None)
@@ -202,6 +227,10 @@ class TestPresets:
     def test_custom_has_no_preset(self):
         with pytest.raises(ConfigError):
             preset_config("custom")
+
+    def test_an_unknown_override_is_refused_by_name(self):
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['bogus'\]"):
+            preset_config("fig3_sinr_vs_target", bogus=1)
 
     def test_overrides_replace_preset_fields(self):
         cfg = preset_config("fig5_sigma_sweep", master_seed=9, trials=11)

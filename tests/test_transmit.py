@@ -347,6 +347,16 @@ class TestDesignKnownEcsi:
             design_known_ecsi(chan, chan.h_ea, 10.0)
 
 
+    def test_a_singular_bob_against_an_indefinite_eve_is_refused(self):
+        # Eve's matrix claims full rank but fails to factor, so the row takes
+        # the reciprocal route, where Bob's singular matrix fails too.
+        a = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
+        b = np.diag([1.0, -1.0]).astype(complex)
+        with pytest.raises(DegenerateChannelError,
+                           match="both channel Gram matrices are singular"):
+            transmit.eve_aware_directions(a, b, 2, 2)
+
+
 class TestHegvdDriver:
     """The reciprocal rows' driver, loaded from scipy's LAPACK extension alone."""
 
